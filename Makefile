@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race drift secretcheck verify chaos bench bench-json bench-baseline fuzz-smoke clean
+.PHONY: build test vet race drift secretcheck verify chaos bench bench-json bench-baseline e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ bench-json:
 bench-baseline:
 	$(GO) run ./cmd/vnetbench -json BENCH_microbench.json
 	$(GO) run ./scripts/benchguard -bench BENCH_microbench.json -baseline scripts/benchguard/baseline.json -update
+
+# End-to-end benchmark smoke: the benchmark module's own unit tests (it
+# is a module of its own, so `make test` never sees them) and one short
+# round of every workload, untraced and traced, with every output check
+# on. A smoke test, not a measurement — see benchmark/README.md. Not part
+# of `make verify`.
+e2e-quick:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -all -quick -out benchmark/out/quick.json
 
 # Short coverage-guided runs of each fuzz target (the CI smoke).
 fuzz-smoke:

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,13 +25,27 @@ type Flow struct {
 	Packets  uint64
 }
 
+// Add counts one packet of n bytes into the flow.
+func (f *Flow) Add(n int) {
+	atomic.AddUint64(&f.Bytes, uint64(n))
+	atomic.AddUint64(&f.Packets, 1)
+}
+
 // flowKey identifies a directed flow.
 type flowKey struct{ src, dst ethernet.MAC }
 
-// maxTrackedFlows bounds the accounting table; when full, the smallest
-// flow is evicted to admit a new one (heavy flows, the ones adaptation
-// cares about, stay).
+// maxTrackedFlows bounds the accounting table; when full, a light flow
+// is evicted to admit a new one (heavy flows, the ones adaptation cares
+// about, stay).
 const maxTrackedFlows = 4096
+
+// evictSample is how many resident flows an eviction inspects: the
+// lightest of the sample goes. Acquire runs on the overlay's flow-cache
+// miss path, where a MAC scan makes nearly every call an eviction, so
+// the cost must not grow with the table. A flow is evicted only when it
+// is the lightest of evictSample residents (a run of slots from a random
+// start), which a heavy flow among light ones never is.
+const evictSample = 8
 
 // flowStatShards is the number of independently locked accounting
 // segments. Record sits on the per-frame datapath (every routed frame
@@ -39,17 +55,20 @@ const maxTrackedFlows = 4096
 const flowStatShards = 16
 
 // flowStatShard is one accounting segment: its own lock, map, and slice
-// of the global capacity.
+// of the global capacity. slots lists the residents so an eviction can
+// sample them by index (ranging over the map costs more per entry than
+// the rest of Acquire); the newcomer takes its victim's slot.
 type flowStatShard struct {
 	mu    sync.Mutex
 	flows map[flowKey]*Flow
+	slots []*Flow
 }
 
 // FlowStats accumulates per-flow traffic counters. Safe for concurrent
 // use (the real-socket overlay records from socket goroutines); sharded
 // so concurrent senders on distinct flows do not contend. The capacity
-// bound and smallest-flow eviction apply per shard, which preserves the
-// intent (heavy flows survive) while keeping eviction scans local.
+// bound and light-flow eviction apply per shard, which preserves the
+// intent (heavy flows survive) while keeping evictions local.
 type FlowStats struct {
 	shards [flowStatShards]flowStatShard
 }
@@ -79,16 +98,14 @@ func (fs *FlowStats) shardOf(k flowKey) *flowStatShard {
 
 // Record adds one packet of n bytes to the flow.
 func (fs *FlowStats) Record(src, dst ethernet.MAC, n int) {
-	f := fs.Acquire(src, dst)
-	atomic.AddUint64(&f.Bytes, uint64(n))
-	atomic.AddUint64(&f.Packets, 1)
+	fs.Acquire(src, dst).Add(n)
 }
 
 // Acquire returns the live accounting entry for a flow, inserting (and
 // evicting, at capacity) as needed, without counting anything. Callers
-// may retain the pointer and add to Bytes/Packets with sync/atomic —
-// the overlay's flow cache does exactly that, so a cache hit accounts
-// its frame with two atomic adds instead of a hash + lock + map probe.
+// may retain the pointer and count into it with Flow.Add — the
+// overlay's flow cache does exactly that, so a cache hit accounts its
+// frame with two atomic adds instead of a hash + lock + map probe.
 // A retained pointer whose entry is later evicted (or swept by Reset)
 // keeps counting into the detached object until the holder refreshes;
 // those counts are lost, which matches eviction's semantics — the table
@@ -99,26 +116,32 @@ func (fs *FlowStats) Acquire(src, dst ethernet.MAC) *Flow {
 	sh.mu.Lock()
 	f := sh.flows[k]
 	if f == nil {
-		if len(sh.flows) >= maxTrackedFlows/flowStatShards {
-			sh.evictSmallestLocked()
-		}
 		f = &Flow{Src: src, Dst: dst}
+		if len(sh.slots) < maxTrackedFlows/flowStatShards {
+			sh.slots = append(sh.slots, f)
+		} else {
+			i := sh.lightSlotLocked()
+			delete(sh.flows, flowKey{sh.slots[i].Src, sh.slots[i].Dst})
+			sh.slots[i] = f
+		}
 		sh.flows[k] = f
 	}
 	sh.mu.Unlock()
 	return f
 }
 
-func (sh *flowStatShard) evictSmallestLocked() {
-	var victim flowKey
-	min := ^uint64(0)
-	for k, f := range sh.flows {
-		if b := atomic.LoadUint64(&f.Bytes); b < min {
-			min = b
-			victim = k
+// lightSlotLocked picks the eviction victim: the lightest of evictSample
+// consecutive slots from a random start.
+func (sh *flowStatShard) lightSlotLocked() int {
+	start := rand.IntN(len(sh.slots))
+	victim, min := start, atomic.LoadUint64(&sh.slots[start].Bytes)
+	for j := 1; j < evictSample; j++ {
+		i := (start + j) % len(sh.slots)
+		if b := atomic.LoadUint64(&sh.slots[i].Bytes); b < min {
+			victim, min = i, b
 		}
 	}
-	delete(sh.flows, victim)
+	return victim
 }
 
 // Top returns the k largest flows by bytes, descending (ties broken by
@@ -139,24 +162,15 @@ func (fs *FlowStats) Top(k int) []Flow {
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
 		}
-		if out[i].Src != out[j].Src {
-			return lessMAC(out[i].Src, out[j].Src)
+		if c := bytes.Compare(out[i].Src[:], out[j].Src[:]); c != 0 {
+			return c < 0
 		}
-		return lessMAC(out[i].Dst, out[j].Dst)
+		return bytes.Compare(out[i].Dst[:], out[j].Dst[:]) < 0
 	})
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}
 	return out
-}
-
-func lessMAC(a, b ethernet.MAC) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // Reset clears the counters (start of a new observation window).
@@ -165,6 +179,7 @@ func (fs *FlowStats) Reset() {
 		sh := &fs.shards[i]
 		sh.mu.Lock()
 		sh.flows = make(map[flowKey]*Flow)
+		sh.slots = nil
 		sh.mu.Unlock()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,4 +94,68 @@ func TestFlowStatsOrderProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFlowStatsHeavySurvivesConcurrentChurn: one heavy flow keeps its
+// place while four goroutines push ten times the table's capacity of
+// one-packet flows through it (run under -race in CI).
+func TestFlowStatsHeavySurvivesConcurrentChurn(t *testing.T) {
+	fs := NewFlowStats()
+	big, peer := ethernet.LocalMAC(1), ethernet.LocalMAC(2)
+	fs.Record(big, peer, 1<<30)
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 10*maxTrackedFlows/workers; i++ {
+				fs.Acquire(ethernet.LocalMAC(uint32(1000+w<<20+i)), ethernet.LocalMAC(3)).Add(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := fs.Len(); got > maxTrackedFlows {
+		t.Fatalf("len = %d, cap %d", got, maxTrackedFlows)
+	}
+	if top := fs.Top(1); top[0].Src != big || top[0].Bytes != 1<<30 {
+		t.Fatalf("heavy flow displaced: top = %+v", top[0])
+	}
+	// The retained pointer is still the table's entry, not a detached one.
+	if fl := fs.Acquire(big, peer); fl.Bytes != 1<<30 {
+		t.Fatalf("heavy flow re-created: %+v", fl)
+	}
+}
+
+// BenchmarkFlowStatsAcquireChurn is the flow-cache miss path's
+// accounting cost: each op acquires a flow the table has never seen and
+// counts one packet. "below" resets the table before it fills, so no op
+// evicts; "16x" keeps inserting into a full table, so every op evicts.
+// Eviction inspects a bounded sample, so the two stay within 2x of each
+// other (a full-shard scan put them >20x apart).
+func BenchmarkFlowStatsAcquireChurn(b *testing.B) {
+	const batch = maxTrackedFlows / 2 // one op = this many acquires
+	run := func(b *testing.B, prefill int) {
+		fs := NewFlowStats()
+		dst := ethernet.LocalMAC(3)
+		next := uint32(0)
+		for ; next < uint32(prefill); next++ {
+			fs.Acquire(ethernet.LocalMAC(next), dst).Add(1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if prefill == 0 {
+				b.StopTimer()
+				fs.Reset()
+				b.StartTimer()
+			}
+			for j := 0; j < batch; j++ {
+				fs.Acquire(ethernet.LocalMAC(next), dst).Add(1)
+				next++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/acquire")
+	}
+	b.Run("below", func(b *testing.B) { run(b, 0) })
+	b.Run("16x", func(b *testing.B) { run(b, 16*maxTrackedFlows) })
 }

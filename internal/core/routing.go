@@ -162,6 +162,12 @@ type cacheKey struct {
 // under the overlay's dispatcher pool. Power of two for cheap masking.
 const cacheShards = 16
 
+// cacheShardCap bounds each routing-cache shard (16384 answers in all,
+// the flow cache's default working set). Without it a MAC scan on a
+// node with static routes grows a shard by one entry per distinct
+// (src, dst) until the next route mutation clears it.
+const cacheShardCap = 1024
+
 // cacheShard is one segment of the routing cache. Shard maps are written
 // only while the table's exclusive lock is held (miss fill, invalidation),
 // so a fill can never race an invalidation; the shard lock alone protects
@@ -203,8 +209,9 @@ type Table struct {
 	CacheEnabled bool
 
 	// Stats. Atomic so the hot lookup path never takes an exclusive lock
-	// just to bump a counter.
-	Hits, Misses atomic.Uint64
+	// just to bump a counter. Evictions counts answers displaced by the
+	// per-shard capacity bound.
+	Hits, Misses, Evictions atomic.Uint64
 
 	// onInvalidate, when set, is called (under t.mu) every time the
 	// routing cache is cleared. The overlay installs a hook that bumps
@@ -265,6 +272,12 @@ func (t *Table) FailDest(d Destination) int {
 	}
 	t.failed[d] = true
 	t.invalidateCacheLocked()
+	return t.backedUpLocked(d)
+}
+
+// backedUpLocked counts the routes whose primary is d and that carry a
+// backup — the ones a FailDest or RestoreDest of d actually switches.
+func (t *Table) backedUpLocked(d Destination) int {
 	n := 0
 	for _, r := range t.routes {
 		if r.Dest == d && r.HasBackup {
@@ -284,13 +297,7 @@ func (t *Table) RestoreDest(d Destination) int {
 	}
 	delete(t.failed, d)
 	t.invalidateCacheLocked()
-	n := 0
-	for _, r := range t.routes {
-		if r.Dest == d && r.HasBackup {
-			n++
-		}
-	}
-	return n
+	return t.backedUpLocked(d)
 }
 
 // FailedDests snapshots the destinations currently marked failed.
@@ -439,7 +446,17 @@ func (t *Table) Lookup(src, dst ethernet.MAC) ([]Destination, bool, error) {
 		return nil, false, ErrNoRoute
 	}
 	if t.CacheEnabled {
+		// At capacity one resident answer goes — arbitrary victim, as in
+		// the overlay's flow cache: any answer can be recomputed from the
+		// rules, so victim choice is purely a performance question.
 		sh.mu.Lock()
+		if _, resident := sh.m[key]; !resident && len(sh.m) >= cacheShardCap {
+			for victim := range sh.m {
+				delete(sh.m, victim)
+				t.Evictions.Add(1)
+				break
+			}
+		}
 		sh.m[key] = dests
 		sh.mu.Unlock()
 	}

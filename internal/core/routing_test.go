@@ -241,3 +241,46 @@ func TestModeString(t *testing.T) {
 		t.Fatal("mode strings")
 	}
 }
+
+// TestRoutingCacheBounded: a MAC scan over static routes — ten times
+// the cache's capacity of distinct sources, no route mutation to clear
+// it — leaves every shard at or under its cap, counts what it
+// displaced, and every lookup (cached, displaced or fresh) still
+// resolves to the rule's answer.
+func TestRoutingCacheBounded(t *testing.T) {
+	tbl := NewTable()
+	dst, special := ethernet.LocalMAC(1), ethernet.LocalMAC(7)
+	tbl.AddRoute(Route{DstMAC: dst, DstQual: QualExact, SrcQual: QualAny, Dest: linkDest("any")})
+	tbl.AddRoute(Route{DstMAC: dst, DstQual: QualExact, SrcMAC: special, SrcQual: QualExact, Dest: ifaceDest("special")})
+	const sources = 10 * cacheShards * cacheShardCap
+	want := func(src ethernet.MAC) Destination {
+		if src == special {
+			return ifaceDest("special")
+		}
+		return linkDest("any")
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < sources; i += 1 + pass*97 { // second pass: a sparse re-read
+			src := ethernet.LocalMAC(uint32(i))
+			dests, _, err := tbl.Lookup(src, dst)
+			if err != nil || len(dests) != 1 || dests[0] != want(src) {
+				t.Fatalf("lookup %s = %v, %v; want %v", src, dests, err, want(src))
+			}
+		}
+	}
+	total := 0
+	for i := range tbl.shards {
+		sh := &tbl.shards[i]
+		if len(sh.m) > cacheShardCap {
+			t.Fatalf("shard %d holds %d answers, cap %d", i, len(sh.m), cacheShardCap)
+		}
+		total += len(sh.m)
+	}
+	hits, misses := tbl.CacheStats()
+	if ev := tbl.Evictions.Load(); ev == 0 || ev != misses-uint64(total) {
+		t.Fatalf("evictions = %d, want misses %d - resident %d", ev, misses, total)
+	}
+	if hits+misses < sources {
+		t.Fatalf("hits %d + misses %d < %d lookups", hits, misses, sources)
+	}
+}

@@ -32,8 +32,12 @@ type TopFlowEntry struct {
 //
 // The space-saving error characteristics carry over: a genuinely heavy
 // flow is never the minimum, so it is never evicted; churn is confined
-// to the light tail. The one sketch-style caveat: a flow evicted while
-// its forwarding-cache entry stays hot is not re-offered until the next
+// to the light tail. One departure from the classic sketch: at capacity
+// an arrival no heavier than the lightest candidate is turned away
+// instead of replacing it (it would be the next victim anyway), which
+// lets a MAC scan's stream of first-frame offers be refused without a
+// scan. The one sketch-style caveat: a flow refused or evicted while its
+// forwarding-cache entry stays hot is not re-offered until the next
 // flow-cache miss (epoch bump, eviction, or restart), so Top can
 // under-report a flow that was light when the table was full and grew
 // heavy later without any cache churn. Heavier-than-minimum flows at
@@ -42,6 +46,12 @@ type TopFlows struct {
 	mu sync.Mutex
 	k  int
 	m  map[FlowKey]*Flow
+
+	// floor is the lightest candidate's byte count at the last scan.
+	// Counters only grow and membership changes only under mu, so it
+	// never exceeds the current minimum: an offer at or below it is
+	// lighter than every candidate and is refused without scanning.
+	floor uint64
 }
 
 // NewTopFlows returns an empty candidate set holding at most k flows
@@ -55,8 +65,9 @@ func NewTopFlows(k int) *TopFlows {
 
 // Offer proposes a flow for candidacy. Present flows are a no-op
 // (their live counters are already tracked); with room the flow is
-// admitted; at capacity the current minimum-bytes candidate is evicted
-// in its favor (space-saving replacement on live readings).
+// admitted; at capacity it replaces the current minimum-bytes candidate
+// if it is heavier (space-saving replacement on live readings), and is
+// refused in O(1) when it is no heavier than the recorded floor.
 func (t *TopFlows) Offer(key FlowKey, fl *Flow) {
 	if fl == nil {
 		return
@@ -67,14 +78,19 @@ func (t *TopFlows) Offer(key FlowKey, fl *Flow) {
 		return
 	}
 	if len(t.m) >= t.k {
+		bytes := atomic.LoadUint64(&fl.Bytes)
+		if bytes <= t.floor {
+			return
+		}
 		var minKey FlowKey
-		minBytes := uint64(0)
 		first := true
 		for k2, f2 := range t.m {
-			b := atomic.LoadUint64(&f2.Bytes)
-			if first || b < minBytes {
-				first, minKey, minBytes = false, k2, b
+			if b := atomic.LoadUint64(&f2.Bytes); first || b < t.floor {
+				first, minKey, t.floor = false, k2, b
 			}
+		}
+		if bytes <= t.floor {
+			return
 		}
 		delete(t.m, minKey)
 	}

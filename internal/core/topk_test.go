@@ -110,3 +110,57 @@ func TestTopFlowsConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestTopFlowsRefusesLighterThanFloor: at capacity an arrival no heavier
+// than the lightest candidate is turned away, one heavier than it is
+// always admitted — also after the candidates have grown since the last
+// scan, when the recorded floor understates the true minimum.
+func TestTopFlowsRefusesLighterThanFloor(t *testing.T) {
+	tf := NewTopFlows(2)
+	a, b := &Flow{Bytes: 100}, &Flow{Bytes: 200}
+	tf.Offer(topkKey(0), a)
+	tf.Offer(topkKey(1), b)
+	tf.Offer(topkKey(2), &Flow{Bytes: 100}) // ties the minimum: refused
+	tf.Offer(topkKey(3), &Flow{})           // a first-frame offer: refused
+	if top := tf.Top(0); len(top) != 2 || top[0].Key != topkKey(1) || top[1].Key != topkKey(0) {
+		t.Fatalf("light offers displaced a candidate: %+v", top)
+	}
+	atomic.AddUint64(&a.Bytes, 400)         // candidates grow: a=500, b=200
+	tf.Offer(topkKey(4), &Flow{Bytes: 150}) // above the stale floor, below the true minimum
+	tf.Offer(topkKey(5), &Flow{Bytes: 300}) // heavier than the minimum (b): admitted
+	top := tf.Top(0)
+	if len(top) != 2 || top[0].Key != topkKey(0) || top[1].Key != topkKey(5) {
+		t.Fatalf("after growth: %+v, want keys 0 and 5", top)
+	}
+}
+
+// BenchmarkTopFlowsOfferChurn is the flow-cache miss path's candidacy
+// cost: "below" offers flows to a set with room, "16x" offers
+// first-frame (zero-byte) flows from a population 16 times the set's
+// capacity to a full set of heavier ones — refused against the floor
+// without a scan, so the two cost about the same.
+func BenchmarkTopFlowsOfferChurn(b *testing.B) {
+	const batch = 4096 // one op = this many offers
+	run := func(b *testing.B, population int, full bool) {
+		tf := NewTopFlows(TopFlowCapacity)
+		keys := make([]FlowKey, population)
+		for i := range keys {
+			keys[i] = FlowKey{Tenant: 1, Src: ethernet.LocalMAC(uint32(i)), Dst: ethernet.LocalMAC(9)}
+		}
+		if full {
+			for i := 0; i < TopFlowCapacity; i++ {
+				tf.Offer(FlowKey{Tenant: 2, Src: ethernet.LocalMAC(uint32(i))}, &Flow{Bytes: 1 << 20})
+			}
+		}
+		fl := &Flow{}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				tf.Offer(keys[j%population], fl)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/offer")
+	}
+	b.Run("below", func(b *testing.B) { run(b, TopFlowCapacity/2, false) })
+	b.Run("16x", func(b *testing.B) { run(b, 16*TopFlowCapacity, true) })
+}

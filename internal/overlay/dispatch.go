@@ -198,6 +198,14 @@ type rxShard struct {
 	mu    sync.Mutex
 	reasm *bridge.Reassembler
 
+	// Memo of the last sealed stream's reassembly key (guarded by mu:
+	// TCP readers share the shard): a fragmented sealed frame arrives as
+	// a burst from one (sender, tenant), so the key is built once per
+	// burst, not once per datagram.
+	sealSender string
+	sealTenant uint32
+	sealKey    string
+
 	// flight is this dispatcher's flight recorder: the last
 	// NodeConfig.FlightDepth datagram events, nil when disabled.
 	flight *trace.FlightRing
@@ -291,11 +299,17 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		n.metrics.sealOpened.Add(1)
 		tenant = h.Seal.Tenant
 		payload = pt
-		// Scope the reassembly stream by tenant: a plaintext and a sealed
-		// stream from one remote address must never interleave fragments.
-		sender = sender + "|t" + strconv.FormatUint(uint64(tenant), 10)
 	}
 	s.mu.Lock()
+	if h.HasSeal {
+		// Scope the reassembly stream by tenant: a plaintext and a sealed
+		// stream from one remote address must never interleave fragments.
+		if s.sealKey == "" || s.sealSender != sender || s.sealTenant != tenant {
+			s.sealSender, s.sealTenant = sender, tenant
+			s.sealKey = sender + "|t" + strconv.FormatUint(uint64(tenant), 10)
+		}
+		sender = s.sealKey
+	}
 	frame, err := s.reasm.AddParsed(sender, h, payload)
 	s.mu.Unlock()
 	if err != nil {

@@ -6,7 +6,9 @@
 // the seal context, and the prebuilt header template in one sharded
 // map read — no tenant-table lookup, no route-cache probe, and no
 // node-mutex acquisition — so the steady-state hot path is one cache
-// hit + one header memcpy + TX-ring enqueue.
+// hit + one header memcpy + TX-ring enqueue. A miss costs one resolve
+// (resolveFlow) plus that same hit path: every unicast frame — entry
+// cached, just filled, or never stored — is forwarded by flowHit.
 //
 // Correctness rests on epoch-based invalidation: the node keeps a
 // single atomic flow epoch, and every event that can change a
@@ -32,7 +34,6 @@ import (
 
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
-	"vnetp/internal/telemetry"
 	"vnetp/internal/trace"
 )
 
@@ -54,28 +55,29 @@ type flowEntry struct {
 	tenant uint32
 
 	// fl is the flow's live accounting entry (core.FlowStats.Acquire),
-	// set when the entry was filled by a locally originated frame. A
-	// hit accounts its frame with two atomic adds on it instead of the
-	// stats table's hash + lock + map probe; nil (forwarded fills)
-	// falls back to Record.
+	// set when the entry was resolved for a locally originated frame: a
+	// hit then accounts its frame with two atomic adds. Nil (forwarded
+	// fills) makes a local hit acquire it per frame.
 	fl *core.Flow
 
 	// sli is the flow tenant's per-tenant indicator handles, resolved
 	// at fill time so hits account tenant traffic with atomic adds.
 	sli *tenantSLI
 
-	// Exactly one of ep/lk is non-nil: local delivery or link forward.
-	ep *Endpoint
-	lk *link
+	// At most one of ep/lk is non-nil: local delivery or link forward.
+	// Neither is a no-route verdict — scope names the absent link or
+	// interface the route resolved to (empty when nothing matched) and
+	// err is what the sender is told. Verdict entries, like ones whose
+	// target is bound to another tenant, are never stored.
+	ep    *Endpoint
+	lk    *link
+	scope string
+	err   error
 
-	// Synchronous-transmit snapshot (meaningful when lk != nil and the
-	// link has no TX ring): the encapsulation budget for the link's
-	// transport, and whether the datagrams may go straight to the UDP
-	// socket (fastUDP: UDP transport, no fault conduit) with the
-	// prebuilt header template instead of the general send path.
-	budget  int
-	fastUDP bool
-	addr    *net.UDPAddr
+	// direct is the synchronous-transmit snapshot: non-nil when lk's
+	// datagrams may go straight to the UDP socket at this address — UDP
+	// transport, no fault conduit, no TX ring.
+	direct *net.UDPAddr
 }
 
 // flowShard is one cache segment. The map is read under the shard
@@ -177,98 +179,167 @@ func (n *Node) FlowCacheStats() (hits, misses, evictions uint64, entries int) {
 // events bump it).
 func (n *Node) FlowEpoch() uint64 { return n.flowEpoch.Load() }
 
-// flowHit forwards one frame from a cached decision — the hot path.
-// The tenancy guards re-run here on immutable fields (entry, endpoint,
-// and link tenants are all fixed at their creation), so even a
-// hypothetical stale entry surviving an epoch bump could not cross
-// tenants.
-func (n *Node) flowHit(e *flowEntry, f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
-	if from != nil {
-		if fl := e.fl; fl != nil {
-			atomic.AddUint64(&fl.Bytes, uint64(f.Len()))
-			atomic.AddUint64(&fl.Packets, 1)
-		} else {
-			n.flows.Record(f.Src, f.Dst, f.Len())
+// forwardUnicast routes one unicast frame: a current cache entry is the
+// whole decision; otherwise the flow is resolved once, the decision
+// stored when it is a forwarding one and the cache is on, and the frame
+// forwarded by the same flowHit a hit uses. The fill epoch is read
+// BEFORE the cache probe and the backing route lookup: an invalidation
+// racing the resolve lands the entry already stale, so a hit can never
+// serve a decision older than the last epoch bump it observed. The
+// resolved entry lives on this goroutine's stack and only a private
+// copy is published, so an unstored (transient) entry — cache disabled,
+// or a drop verdict — is never visible to another goroutine.
+func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+	epoch := n.flowEpoch.Load()
+	fc := n.fcache
+	if fc != nil {
+		if e := fc.lookup(key, epoch); e != nil {
+			return n.flowHit(e, key, f, from, at)
 		}
-		e.sli.framesOut.Add(1)
-		e.sli.bytesOut.Add(uint64(f.Len()))
+	}
+	e, storable := n.resolveFlow(key, epoch, from != nil)
+	if storable && fc != nil {
+		stored := e
+		fc.store(key, &stored)
+	}
+	return n.flowHit(&e, key, f, from, at)
+}
+
+// resolveFlow turns (tenant, src, dst) into a forwarding decision: the
+// tenant table's best match, the target it names (resolveDest), and the
+// flow's accounting handles. local says the frame originated here: only
+// those flows are accounted and offered to the heavy-hitter set (every
+// flow's first frame resolves, so candidacy needs no work on the hit
+// path). storable reports whether the decision may be cached: it
+// forwards, and to a target of the flow's own tenant.
+func (n *Node) resolveFlow(key core.FlowKey, epoch uint64, local bool) (e flowEntry, storable bool) {
+	e = flowEntry{epoch: epoch, tenant: key.Tenant, sli: n.slis.get(key.Tenant)}
+	if local {
+		e.fl = n.flows.Acquire(key.Src, key.Dst)
+		n.offerTopFlow(key, e.fl)
+	}
+	dests, err := n.lookupDests(key)
+	if err != nil {
+		e.err = err
+		return e, false
+	}
+	n.resolveDest(&e, dests[0]) // a unicast lookup yields the single best match
+	storable = (e.ep != nil && e.ep.tenant == key.Tenant) || (e.lk != nil && e.lk.tenant == key.Tenant)
+	return e, storable
+}
+
+// resolveDest points a decision at the endpoint or link a route
+// destination names, taking the synchronous-transmit snapshot under the
+// same n.mu hold that resolved the link, so the entry is consistent
+// with one instant of link state.
+func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
+	e.scope = d.ID
+	n.mu.Lock()
+	if d.Type == core.DestInterface {
+		e.ep = n.eps[d.ID]
+	} else if e.lk = n.links[d.ID]; e.lk != nil && e.lk.proto == "udp" && e.lk.fault == nil && e.lk.txq == nil {
+		e.direct = e.lk.addr
+	}
+	n.mu.Unlock()
+}
+
+// flowHit forwards one unicast frame from a decision — the hot path,
+// and the only one: cached, just resolved, or transient. A locally
+// originated frame is charged to its tenant and flow here, whatever
+// becomes of it.
+func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+	if from != nil {
+		fl := e.fl
+		if fl == nil {
+			fl = n.flows.Acquire(f.Src, f.Dst)
+		}
+		countOut(e.sli, fl, f)
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	if e.ep != nil {
-		ep := e.ep
+	return n.forwardTo(e, key, f, from, at)
+}
+
+// forwardTo hands a frame to one resolved target: a unicast frame's
+// decision, or one leg of a broadcast fan-out. Tenancy is re-checked
+// here on every forward, on immutable fields (entry, endpoint, and link
+// tenants are all fixed at their creation), so even a hypothetical
+// stale entry surviving an epoch bump could not cross tenants. Every
+// frame entering here is delivered, handed to a transport, or lands on
+// exactly one ledger reason.
+func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+	tenant := key.Tenant
+	if ep := e.ep; ep != nil {
 		if ep == from {
 			return nil
 		}
-		if ep.tenant != tenant {
-			n.metrics.crossTenantDrops.Add(1)
-			n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-				Tenant: tenant, Scope: ep.name, Stage: "flow_hit",
-				Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-			})
+		if e.tenant != tenant || ep.tenant != tenant {
+			n.dropCrossTenant(key, ep.name)
 			return nil
 		}
 		ep.deliver(f)
-		n.Delivered.Add(1)
-		if f.Tag != 0 {
-			n.tracer.Record(f.Tag, trace.StageDeliver)
-			n.log.Debug("traced frame delivered",
-				"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
-		}
 		return nil
 	}
 	lk := e.lk
-	if lk.tenant != tenant {
-		n.metrics.crossTenantDrops.Add(1)
-		n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-			Tenant: tenant, Scope: lk.id, Stage: "flow_hit",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
+	if lk == nil {
+		n.dropNoRoute(key, e.scope)
+		return e.err
+	}
+	if e.tenant != tenant || lk.tenant != tenant {
+		n.dropCrossTenant(key, lk.id)
 		return nil
 	}
 	if lk.txq != nil {
-		if f.Tag != 0 {
-			n.tracer.Record(f.Tag, trace.StageTxEnqueue)
-		}
-		n.enqueueTx(lk, txFrame{f: f, at: at})
+		n.enqueueTx(lk, f, at)
 		return nil
 	}
-	if err := n.sendEncapCached(e, f); err != nil {
+	if err := n.sendSync(e, f); err != nil {
 		return fmt.Errorf("link %q: %w", lk.id, err)
 	}
+	// The Fig. 7 TX stage budget on the real path: locally originated
+	// frame arrival to its last encapsulation datagram leaving the link.
 	if !at.IsZero() {
 		n.metrics.txLatency.Observe(time.Since(at).Seconds())
 	}
 	return nil
 }
 
-// sendEncapCached is the synchronous transmit leg of a flow-cache hit:
-// template encapsulation plus a direct socket write when the cached
-// snapshot allows it. Traced frames need the trace extension and
-// faulted or TCP links need the general transport path, so both fall
-// back to sendEncap — correctness first, the template is purely a
-// fast-path encoding of the identical wire bytes.
-func (n *Node) sendEncapCached(e *flowEntry, f *ethernet.Frame) error {
-	lk := e.lk
-	if f.Tag != 0 || !e.fastUDP {
-		return n.sendEncap(lk, f)
+// sendSync is forwardTo's synchronous transmit leg: encapsulate,
+// fragmenting to the datagram budget, and write inline. The datagrams
+// go straight to the UDP socket when the decision's snapshot allows it;
+// faulted and TCP links need the general transport path (sendOnLink).
+// The encoder and the wire bytes are the same either way, and the
+// pooled encapsulation buffers are recycled before return.
+func (n *Node) sendSync(e *flowEntry, f *ethernet.Frame) error {
+	lk, budget := e.lk, maxDatagram
+	if e.direct == nil {
+		n.mu.Lock()
+		if lk.proto == "tcp" {
+			budget = tcpMaxDatagram
+		}
+		n.mu.Unlock()
 	}
-	pkt, err := n.encap.EncapsulateTemplate(f, n.nextID.Add(1), e.budget, lk.tmpl, lk.sealer)
+	pkt, err := n.encapFrame(lk, f, budget)
 	if err != nil {
 		return err
 	}
 	defer pkt.Release()
-	if lk.sealer != nil {
-		n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
-	}
 	for _, d := range pkt.Datagrams {
-		if _, err := n.conn.WriteToUDP(d, e.addr); err != nil {
+		if e.direct == nil {
+			err = n.sendOnLink(lk, d)
+		} else if _, err = n.conn.WriteToUDP(d, e.direct); err != nil {
 			lk.sendErrors.Add(1)
+		} else {
+			lk.bytesSent.Add(uint64(len(d)))
+		}
+		if err != nil {
 			return err
 		}
-		lk.bytesSent.Add(uint64(len(d)))
 	}
 	n.EncapSent.Add(1)
+	if f.Tag != 0 {
+		n.tracer.Record(f.Tag, trace.StageWireTx)
+	}
 	return nil
 }

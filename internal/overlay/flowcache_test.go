@@ -270,7 +270,8 @@ func TestFlowCacheObservesFailover(t *testing.T) {
 }
 
 // FuzzFlowCache is an op-machine over the cache: arbitrary interleavings
-// of store / epoch-bump / lookup, checked against a shadow model. The
+// of store / epoch-bump / lookup / miss-then-fill, checked against a
+// shadow model. The
 // load-bearing invariant is that a lookup NEVER returns an entry from
 // an earlier epoch — a stale hit in production is a silent dead-link or
 // cross-tenant delivery — plus the capacity bound and tenant-key
@@ -279,6 +280,7 @@ func FuzzFlowCache(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 1, 1, 2}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 3, 2, 3}, uint8(1))
 	f.Add([]byte{2, 9, 0, 9, 2, 9, 1, 9, 2, 9, 0, 9, 2, 9}, uint8(255))
+	f.Add([]byte{3, 4, 3, 4, 1, 4, 3, 4, 2, 4, 3, 8, 0, 4, 3, 4}, uint8(3))
 	f.Fuzz(func(t *testing.T, ops []byte, sizeSeed uint8) {
 		size := int(sizeSeed)%64 + 1
 		c := newFlowCache(size)
@@ -292,7 +294,7 @@ func FuzzFlowCache(f *testing.F) {
 				Src:    ethernet.LocalMAC(uint32(sel % 7)),
 				Dst:    ethernet.LocalMAC(uint32(sel % 11)),
 			}
-			switch ops[i] % 3 {
+			switch ops[i] % 4 {
 			case 0:
 				c.store(k, &flowEntry{epoch: epoch, tenant: k.Tenant})
 				model[k] = epoch
@@ -312,6 +314,18 @@ func FuzzFlowCache(f *testing.F) {
 				}
 				if e.tenant != k.Tenant {
 					t.Fatalf("entry tenant %d under key tenant %d", e.tenant, k.Tenant)
+				}
+			case 3:
+				// The forward path's miss leg: a miss fills, and the very
+				// next lookup is a hit returning that same decision.
+				if c.lookup(k, epoch) != nil {
+					continue
+				}
+				filled := &flowEntry{epoch: epoch, tenant: k.Tenant}
+				c.store(k, filled)
+				model[k] = epoch
+				if got := c.lookup(k, epoch); got != filled {
+					t.Fatalf("hit after fill returned %+v, want the filled entry %+v", got, filled)
 				}
 			}
 		}

@@ -1,0 +1,492 @@
+// Miss ≡ hit differential (ISSUE 13): a unicast frame is forwarded by
+// one function whether its decision came from the flow cache, was just
+// resolved, or is never stored — so the first frame of a flow (a miss)
+// and the second (a hit) must put the same bytes on the wire and move
+// every counter by the same amount, on every kind of target. The
+// verdict half pins the other side of the same invariant: a frame that
+// cannot be forwarded lands on exactly one ledger reason and its legacy
+// counter, every time, and its decision is never cached.
+package overlay
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
+	"reflect"
+	"testing"
+	"time"
+
+	"vnetp/internal/bridge"
+	"vnetp/internal/core"
+	"vnetp/internal/ethernet"
+	"vnetp/internal/faultnet"
+	"vnetp/internal/seal"
+)
+
+// wireTap is a bare socket standing in for the remote node: it hands
+// the test every encapsulation datagram a link put on the wire.
+type wireTap struct {
+	addr string
+	ch   chan []byte
+}
+
+func newWireTap(t *testing.T, proto string) *wireTap {
+	t.Helper()
+	tap := &wireTap{ch: make(chan []byte, 64)}
+	if proto == "tcp" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		tap.addr = ln.Addr().String()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			for {
+				var hdr [4]byte
+				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+					return
+				}
+				d := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+				if _, err := io.ReadFull(conn, d); err != nil {
+					return
+				}
+				tap.ch <- d
+			}
+		}()
+		return tap
+	}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	tap.addr = conn.LocalAddr().String()
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			n, _, err := conn.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			tap.ch <- append([]byte(nil), buf[:n]...)
+		}
+	}()
+	return tap
+}
+
+// wireDatagram is one captured datagram with everything that
+// legitimately differs between two sends of the same frame masked out:
+// the encap ID, the trace ID, and — on a sealed link — the nonce and
+// the ciphertext it keys (the opened plaintext is compared instead).
+type wireDatagram struct {
+	Header  bridge.EncapHeader
+	Payload []byte
+}
+
+func (tap *wireTap) frame(t *testing.T, count int, kr *seal.Keyring) []wireDatagram {
+	t.Helper()
+	out := make([]wireDatagram, 0, count)
+	for len(out) < count {
+		select {
+		case raw := <-tap.ch:
+			h, payload, err := bridge.ParseEncap(raw)
+			if err != nil {
+				t.Fatalf("datagram %d does not parse: %v", len(out), err)
+			}
+			if h.HasSeal {
+				pt, err := kr.Open(h.Seal.Tenant, h.Seal.Nonce, raw[:len(raw)-len(payload)], payload)
+				if err != nil {
+					t.Fatalf("datagram %d does not open: %v", len(out), err)
+				}
+				payload = pt
+				h.Seal.Nonce = 0
+			}
+			h.ID, h.Trace.ID = 0, 0
+			out = append(out, wireDatagram{Header: *h, Payload: append([]byte(nil), payload...)})
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d datagrams reached the wire", len(out), count)
+		}
+	}
+	select {
+	case <-tap.ch:
+		t.Fatalf("more than %d datagrams for one frame", count)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return out
+}
+
+// forwardCounters is every counter a forwarded frame may move.
+type forwardCounters struct {
+	EncapSent, Delivered, LinkBytes, SealedSent uint64
+	OutFrames, OutBytes, InFrames, InBytes      uint64
+	FlowBytes, FlowPackets                      uint64
+	TxSamples, Drops                            uint64
+}
+
+func (c forwardCounters) minus(o forwardCounters) forwardCounters {
+	a, b := reflect.ValueOf(&c).Elem(), reflect.ValueOf(o)
+	for i := 0; i < a.NumField(); i++ {
+		a.Field(i).SetUint(a.Field(i).Uint() - b.Field(i).Uint())
+	}
+	return c
+}
+
+func readForwardCounters(n *Node, tenant uint32, linkID string, src, dst ethernet.MAC) forwardCounters {
+	sli := n.slis.get(tenant)
+	fl := n.flows.Acquire(src, dst)
+	c := forwardCounters{
+		EncapSent: n.EncapSent.Load(), Delivered: n.Delivered.Load(),
+		SealedSent: n.metrics.sealSealed.Load(),
+		OutFrames:  sli.framesOut.Load(), OutBytes: sli.bytesOut.Load(),
+		InFrames: sli.framesIn.Load(), InBytes: sli.bytesIn.Load(),
+		FlowBytes: fl.Bytes, FlowPackets: fl.Packets,
+		TxSamples: n.metrics.txLatency.Count(), Drops: n.ledger.Total(),
+	}
+	n.mu.Lock()
+	if lk := n.links[linkID]; lk != nil {
+		c.LinkBytes = lk.bytesSent.Load()
+	}
+	n.mu.Unlock()
+	return c
+}
+
+func TestForwardMissEqualsHit(t *testing.T) {
+	const tenant = 7
+	key := bytes.Repeat([]byte{0x5a}, 32)
+	cases := []struct {
+		name    string
+		cfg     NodeConfig
+		proto   string // "" = deliver to a local endpoint
+		tenant  uint32
+		fault   bool
+		traced  bool
+		datagrs int // datagrams per 3000-byte frame
+	}{
+		{name: "plain_udp", proto: "udp", datagrs: 3},
+		{name: "sealed_tenant_link", proto: "udp", tenant: tenant, datagrs: 3},
+		{name: "tcp_link", proto: "tcp", datagrs: 1},
+		{name: "fault_conduit", proto: "udp", fault: true, datagrs: 3},
+		{name: "traced", proto: "udp", traced: true, datagrs: 3},
+		{name: "batched_link", cfg: NodeConfig{TxBatch: 4}, proto: "udp", datagrs: 3},
+		{name: "local_endpoint"},
+		{name: "cache_disabled_link", cfg: NodeConfig{FlowCacheDisabled: true}, proto: "udp", datagrs: 3},
+		{name: "cache_disabled_local", cfg: NodeConfig{FlowCacheDisabled: true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := dropNode(t, tc.cfg)
+			kr := seal.NewKeyring(1)
+			if tc.tenant != 0 {
+				if err := n.AddTenant(tc.tenant, key); err != nil {
+					t.Fatal(err)
+				}
+				kr.AddTenant(tc.tenant, key)
+			}
+			src, err := n.AttachEndpointTenant("src", ethernet.LocalMAC(1), 9000, tc.tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := ethernet.LocalMAC(2)
+			var tap *wireTap
+			var sink *Endpoint
+			if tc.proto == "" {
+				if sink, err = n.AttachEndpointTenant("sink", dst, 9000, tc.tenant); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				tap = newWireTap(t, tc.proto)
+				if err := n.AddLinkTenant("wire", tap.addr, tc.proto, tc.tenant); err != nil {
+					t.Fatal(err)
+				}
+				if tc.fault {
+					n.SetLinkFault("wire", faultnet.New(faultnet.Config{}))
+				}
+				if err := n.AddRoute(core.Route{Tenant: tc.tenant, DstMAC: dst, DstQual: core.QualExact,
+					SrcQual: core.QualAny, Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.traced {
+				n.tracer.Start(1)
+			}
+			payload := make([]byte, 3000)
+			for i := range payload {
+				payload[i] = byte(i * 7)
+			}
+			// send forwards one copy of the frame and reports what it put
+			// on the wire (or delivered) and which counters it moved.
+			send := func() ([]wireDatagram, forwardCounters) {
+				t.Helper()
+				before := readForwardCounters(n, tc.tenant, "wire", src.MAC(), dst)
+				f := &ethernet.Frame{Dst: dst, Src: src.MAC(), Type: ethernet.TypeTest, Payload: payload}
+				if err := src.Send(f); err != nil {
+					t.Fatal(err)
+				}
+				var wire []wireDatagram
+				if tap != nil {
+					wire = tap.frame(t, tc.datagrs, kr)
+					// The batched sender counts after its flush returns.
+					deadline := time.Now().Add(5 * time.Second)
+					for n.EncapSent.Load() == before.EncapSent && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+				} else {
+					got, ok := sink.Recv(5 * time.Second)
+					if !ok || got != f {
+						t.Fatalf("local delivery: got %v, %v", got, ok)
+					}
+				}
+				return wire, readForwardCounters(n, tc.tenant, "wire", src.MAC(), dst).minus(before)
+			}
+			missWire, miss := send()
+			hitWire, hit := send()
+
+			hits, misses, _, entries := n.FlowCacheStats()
+			if tc.cfg.FlowCacheDisabled {
+				if hits+misses != 0 || entries != 0 {
+					t.Fatalf("disabled cache saw hits=%d misses=%d entries=%d", hits, misses, entries)
+				}
+			} else if misses != 1 || hits != 1 || entries != 1 {
+				t.Fatalf("hits=%d misses=%d entries=%d: want the first frame to miss and fill, the second to hit",
+					hits, misses, entries)
+			}
+			if !reflect.DeepEqual(missWire, hitWire) {
+				t.Fatalf("wire bytes differ between miss and hit:\nmiss %+v\nhit  %+v", missWire, hitWire)
+			}
+			if miss != hit {
+				t.Fatalf("counters moved differently:\nmiss %+v\nhit  %+v", miss, hit)
+			}
+			// And the amounts are the right ones, not merely equal.
+			flen := uint64(ethernet.HeaderLen + len(payload))
+			want := forwardCounters{OutFrames: 1, OutBytes: flen, FlowBytes: flen, FlowPackets: 1}
+			if tap != nil {
+				want.EncapSent = 1
+				for _, d := range missWire {
+					want.LinkBytes += uint64(d.Header.WireLen() + len(d.Payload))
+				}
+				if tc.tenant != 0 {
+					want.SealedSent = uint64(tc.datagrs)
+					want.LinkBytes += uint64(tc.datagrs * seal.Overhead)
+				}
+				if tc.cfg.TxBatch <= 1 {
+					want.TxSamples = 1
+				} else {
+					want.TxSamples = hit.TxSamples // sampled by the batched sender
+				}
+			} else {
+				want.Delivered, want.InFrames, want.InBytes = 1, 1, flen
+			}
+			if hit != want {
+				t.Fatalf("counters per frame:\ngot  %+v\nwant %+v", hit, want)
+			}
+		})
+	}
+}
+
+// TestForwardVerdicts: a unicast frame that cannot be forwarded lands on
+// exactly one ledger reason and that reason's legacy counter — the
+// first time and every time after, cache on or off — is still charged
+// to its tenant and flow, and leaves nothing in the flow cache.
+func TestForwardVerdicts(t *testing.T) {
+	const other = 7
+	key := bytes.Repeat([]byte{0x33}, 32)
+	dst := ethernet.LocalMAC(2)
+	route := func(d core.Destination) *core.Route {
+		return &core.Route{DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny, Dest: d}
+	}
+	cases := []struct {
+		name    string
+		route   *core.Route
+		tenant  uint32 // forwarded in this tenant instead of sent by the endpoint
+		reason  string
+		wantErr bool
+	}{
+		{name: "no_route", reason: dropNoRoute, wantErr: true},
+		{name: "unknown_tenant", tenant: 99, reason: dropNoRoute, wantErr: true},
+		{name: "absent_link", route: route(core.Destination{Type: core.DestLink, ID: "ghost"}), reason: dropNoRoute},
+		{name: "absent_interface", route: route(core.Destination{Type: core.DestInterface, ID: "ghost"}), reason: dropNoRoute},
+		{name: "cross_tenant_endpoint", route: route(core.Destination{Type: core.DestInterface, ID: "theirs"}), reason: dropCrossTenant},
+		{name: "cross_tenant_link", route: route(core.Destination{Type: core.DestLink, ID: "theirs"}), reason: dropCrossTenant},
+	}
+	for _, disabled := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if disabled {
+				name += "/cache_disabled"
+			}
+			t.Run(name, func(t *testing.T) {
+				n := dropNode(t, NodeConfig{FlowCacheDisabled: disabled})
+				if err := n.AddTenant(other, key); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := n.AttachEndpointTenant("theirs", ethernet.LocalMAC(9), 1500, other); err != nil {
+					t.Fatal(err)
+				}
+				if err := n.AddLinkTenant("theirs", "127.0.0.1:9", "udp", other); err != nil {
+					t.Fatal(err)
+				}
+				src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.route != nil {
+					if err := n.AddRoute(*tc.route); err != nil {
+						t.Fatal(err)
+					}
+				}
+				legacy := n.NoRouteDrop
+				if tc.reason == dropCrossTenant {
+					legacy = n.metrics.crossTenantDrops
+				}
+				for i := uint64(1); i <= 3; i++ {
+					f := testFrame(src.MAC(), dst)
+					var err error
+					if tc.tenant != 0 {
+						err = n.routeTenantAt(f, nil, time.Time{}, tc.tenant)
+					} else {
+						err = src.Send(f)
+					}
+					if (err != nil) != tc.wantErr {
+						t.Fatalf("frame %d: err = %v, want error %v", i, err, tc.wantErr)
+					}
+					if got, total := n.ledger.Count(tc.reason), n.ledger.Total(); got != i || total != i || legacy.Load() != i {
+						t.Fatalf("frame %d: ledger %s=%d total=%d legacy=%d, want %d each",
+							i, tc.reason, got, total, legacy.Load(), i)
+					}
+					if tc.tenant == 0 {
+						if out := n.slis.get(0).framesOut.Load(); out != i {
+							t.Fatalf("frame %d: tenant frames out = %d", i, out)
+						}
+						if fl := n.flows.Acquire(src.MAC(), dst); fl.Packets != i {
+							t.Fatalf("frame %d: flow packets = %d", i, fl.Packets)
+						}
+					}
+				}
+				if hits, _, _, entries := n.FlowCacheStats(); hits != 0 || entries != 0 {
+					t.Fatalf("a drop verdict was cached: hits=%d entries=%d", hits, entries)
+				}
+				if n.Delivered.Load() != 0 || n.EncapSent.Load() != 0 {
+					t.Fatalf("delivered=%d encap_sent=%d, want nothing forwarded",
+						n.Delivered.Load(), n.EncapSent.Load())
+				}
+			})
+		}
+	}
+}
+
+// TestResolveFlowKeepsFillEpoch: the epoch an entry is stored under is
+// the one read before the resolve began, so an invalidation that lands
+// while the resolve runs leaves the entry stale instead of current.
+func TestResolveFlowKeepsFillEpoch(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := core.FlowKey{Src: src.MAC(), Dst: sink.MAC()}
+	epoch := n.FlowEpoch()
+	n.bumpFlowEpoch() // lands between the epoch read and the backing lookup
+	e, storable := n.resolveFlow(key, epoch, true)
+	if !storable || e.ep != sink || e.epoch != epoch {
+		t.Fatalf("resolve = %+v storable=%v, want sink at fill epoch %d", e, storable, epoch)
+	}
+	n.fcache.store(key, &e)
+	if got := n.fcache.lookup(key, n.FlowEpoch()); got != nil {
+		t.Fatalf("entry resolved across an epoch bump served as current: %+v", got)
+	}
+}
+
+// TestRecvArmsNoTimerWhenReady: a frame already in the ring comes back
+// without a timer (or anything else) being allocated; an empty ring
+// still times out.
+func TestRecvArmsNoTimerWhenReady(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	ep, err := n.AttachEndpoint("nic", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFrame(ethernet.LocalMAC(2), ep.MAC())
+	allocs := testing.AllocsPerRun(200, func() {
+		ep.rx <- f
+		if got, ok := ep.Recv(time.Hour); !ok || got != f {
+			t.Fatalf("Recv = %v, %v", got, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Recv with a ready frame allocates %.1f objects per call", allocs)
+	}
+	start := time.Now()
+	if got, ok := ep.Recv(30 * time.Millisecond); ok {
+		t.Fatalf("Recv on an empty ring returned %v", got)
+	}
+	if el := time.Since(start); el < 30*time.Millisecond || el > 2*time.Second {
+		t.Fatalf("empty-ring Recv returned after %v, want ≈30ms", el)
+	}
+	// A frame arriving during the wait ends it early.
+	go func() { time.Sleep(10 * time.Millisecond); ep.rx <- f }()
+	if got, ok := ep.Recv(5 * time.Second); !ok || got != f {
+		t.Fatalf("Recv during wait = %v, %v", got, ok)
+	}
+}
+
+// TestSealedStreamsStayApart: the per-shard memo of the last sealed
+// stream's reassembly key must change with the tenant — two tenants'
+// fragmented frames arriving interleaved from one sender, under the
+// same encap ID, reassemble separately and reach their own endpoints.
+func TestSealedStreamsStayApart(t *testing.T) {
+	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	peer := seal.NewKeyring(42)
+	dst := ethernet.LocalMAC(2)
+	var streams [2][][]byte
+	var sinks [2]*Endpoint
+	var want [2][]byte
+	for i, tenant := range []uint32{7, 8} {
+		key := bytes.Repeat([]byte{byte(tenant)}, 32)
+		if err := n.AddTenant(tenant, key); err != nil {
+			t.Fatal(err)
+		}
+		peer.AddTenant(tenant, key)
+		var err error
+		if sinks[i], err = n.AttachEndpointTenant("sink"+string(rune('a'+i)), dst, 9000, tenant); err != nil {
+			t.Fatal(err)
+		}
+		sl, err := peer.Sealer(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = bytes.Repeat([]byte{0xa0 + byte(i)}, 3000)
+		f := &ethernet.Frame{Dst: dst, Src: ethernet.LocalMAC(1), Type: ethernet.TypeTest, Payload: want[i]}
+		var enc bridge.Encapsulator
+		pkt, err := enc.EncapsulateSealed(f, 1, maxDatagram, nil, sl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range pkt.Datagrams {
+			streams[i] = append(streams[i], append([]byte(nil), d...))
+		}
+		pkt.Release()
+	}
+	for j := range streams[0] {
+		n.inject("10.0.0.9:7000", streams[0][j])
+		n.inject("10.0.0.9:7000", streams[1][j])
+	}
+	for i, sink := range sinks {
+		got, ok := sink.Recv(5 * time.Second)
+		if !ok || !bytes.Equal(got.Payload, want[i]) {
+			t.Fatalf("tenant stream %d: frame lost or corrupted (ok=%v)", i, ok)
+		}
+	}
+	if bad := n.BadPackets.Load(); bad != 0 {
+		t.Fatalf("bad_packets = %d, want 0", bad)
+	}
+}

@@ -76,23 +76,31 @@ func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
 	}
+	if err := ep.admit(f); err != nil {
+		return err
+	}
+	return ep.node.routeTenantAt(f, ep, time.Now(), ep.tenant)
+}
+
+// admit checks a frame against the endpoint's MTU and makes the live
+// tracer's sampling decision: one atomic load when disabled, a fresh
+// trace ID on the frame's Tag when selected. This is the virtio-pop
+// analogue — the guest handing the frame over. The Tag is rewritten
+// whenever its value must change (selected, or carrying a stale ID from
+// a reused/copied frame struct) but never touched on the common untraced
+// path — re-Sending a frame the batched TX ring still holds must not
+// write to it.
+func (ep *Endpoint) admit(f *ethernet.Frame) error {
 	if f.PayloadLen() > ep.mtu {
 		return fmt.Errorf("overlay: frame payload %d exceeds endpoint MTU %d", f.PayloadLen(), ep.mtu)
 	}
-	// Sampling decision for the live tracer: one atomic load when
-	// disabled, a fresh trace ID on the frame's Tag when selected. This
-	// is the virtio-pop analogue — the guest handing the frame over.
-	// The Tag is rewritten whenever its value must change (selected, or
-	// carrying a stale ID from a reused/copied frame struct) but never
-	// touched on the common untraced path — re-Sending a frame the
-	// batched TX ring still holds must not write to it.
 	if id := ep.node.tracer.SampleTX(f.Src, f.Dst); id != 0 {
 		f.Tag = id
 		ep.node.tracer.Record(id, trace.StageVirtioPop)
 	} else if f.Tag != 0 {
 		f.Tag = 0
 	}
-	return ep.node.route(f, ep)
+	return nil
 }
 
 // SendBatch routes a batch of frames in one call — the overlay-side
@@ -107,29 +115,30 @@ func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
 	at := time.Now()
 	var errs []error
 	for _, f := range frames {
-		if f.PayloadLen() > ep.mtu {
-			errs = append(errs, fmt.Errorf("overlay: frame payload %d exceeds endpoint MTU %d", f.PayloadLen(), ep.mtu))
-			continue
+		err := ep.admit(f)
+		if err == nil {
+			err = ep.node.routeTenantAt(f, ep, at, ep.tenant)
 		}
-		if id := ep.node.tracer.SampleTX(f.Src, f.Dst); id != 0 {
-			f.Tag = id
-			ep.node.tracer.Record(id, trace.StageVirtioPop)
-		} else if f.Tag != 0 {
-			f.Tag = 0
-		}
-		if err := ep.node.routeAt(f, ep, at); err != nil {
+		if err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// Recv waits up to timeout for a delivered frame.
+// Recv waits up to timeout for a delivered frame. A frame already in
+// the ring returns without arming a timer; an empty ring arms one and
+// stops it on the way out, leaving nothing in the runtime's timer heap.
 func (ep *Endpoint) Recv(timeout time.Duration) (*ethernet.Frame, bool) {
+	if f, ok := ep.TryRecv(); ok {
+		return f, true
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case f := <-ep.rx:
 		return f, true
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, false
 	}
 }
@@ -144,17 +153,26 @@ func (ep *Endpoint) TryRecv() (*ethernet.Frame, bool) {
 	}
 }
 
+// deliver hands a frame to the endpoint's receive ring; a full ring
+// sheds it onto the ledger.
 func (ep *Endpoint) deliver(f *ethernet.Frame) {
+	n := ep.node
 	select {
 	case ep.rx <- f:
 		ep.sli.framesIn.Add(1)
 		ep.sli.bytesIn.Add(uint64(f.Len()))
 	default:
 		ep.Drops.Add(1)
-		ep.node.drop(dropEndpointRing, 1, telemetry.DropDetail{
+		n.drop(dropEndpointRing, 1, telemetry.DropDetail{
 			Tenant: ep.tenant, Scope: ep.name, Stage: "deliver",
 			Flow: core.FlowKey{Tenant: ep.tenant, Src: f.Src, Dst: f.Dst}.String(),
 		})
+	}
+	n.Delivered.Add(1)
+	if f.Tag != 0 {
+		n.tracer.Record(f.Tag, trace.StageDeliver)
+		n.log.Debug("traced frame delivered",
+			"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
 	}
 }
 
@@ -548,7 +566,7 @@ func (n *Node) DetachEndpoint(ifName string) {
 // connection, for lossy or middlebox-ridden paths). The link carries
 // tenant-0 (plaintext) traffic.
 func (n *Node) AddLink(id, remote string, proto string) error {
-	return n.addLink(id, remote, proto, core.DefaultTenant)
+	return n.AddLinkTenant(id, remote, proto, core.DefaultTenant)
 }
 
 // AddLinkTenant installs a link bound to a tenant: every datagram it
@@ -556,10 +574,6 @@ func (n *Node) AddLink(id, remote string, proto string) error {
 // tenant's key, and only that tenant's frames route onto it. Fails
 // closed if the tenant's key has not been installed (AddTenant).
 func (n *Node) AddLinkTenant(id, remote, proto string, tenant uint32) error {
-	return n.addLink(id, remote, proto, tenant)
-}
-
-func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	if proto == "" {
 		proto = "udp"
 	}
@@ -583,10 +597,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	default:
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
-	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant}
-	if sealer != nil {
-		lk.sealer = sealer
-	}
+	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant, sealer: sealer}
 	lk.tmpl = bridge.NewEncapTemplate(sealer)
 	n.mu.Lock()
 	if n.closed {
@@ -905,236 +916,110 @@ func (n *Node) Interfaces() []string {
 	return out
 }
 
-// route forwards a frame per the routing table. from is non-nil for
-// locally originated frames (their source endpoint is skipped on
-// broadcast). A failing destination does not abort the fan-out: every
-// remaining destination (including local endpoints) still gets its copy,
-// and the per-destination errors are aggregated — a broadcast hitting one
-// dead link must not starve the rest of the LAN.
-func (n *Node) route(f *ethernet.Frame, from *Endpoint) error {
-	var at time.Time
-	if from != nil {
-		at = time.Now()
-	}
-	return n.routeAt(f, from, at)
-}
-
-// routeAt is route with the frame-arrival timestamp supplied by the
-// caller, so batched senders (Endpoint.SendBatch) stamp a whole batch
-// once. at is zero for forwarded (remotely originated) frames. The
-// frame routes in its tenant's namespace: the sending endpoint's tenant
-// for local frames (forwarded sealed frames enter via routeTenantAt
-// with the authenticated wire tenant).
-func (n *Node) routeAt(f *ethernet.Frame, from *Endpoint, at time.Time) error {
-	var tenant uint32
-	if from != nil {
-		tenant = from.tenant
-	}
-	return n.routeTenantAt(f, from, at, tenant)
-}
-
-// routeTenantAt routes one frame inside one tenant's namespace. The
-// lookup uses only the tenant's private table, and both delivery legs
-// re-check tenancy — an endpoint or link whose binding disagrees with
-// the frame's tenant is skipped and counted (cross_tenant_drops) rather
-// than trusted, so a misinstalled route cannot leak frames across
-// tenants.
+// routeTenantAt routes one frame inside one tenant's namespace: the
+// sending endpoint's for a locally originated frame (from non-nil, at
+// its arrival time), the authenticated wire tenant's for a forwarded
+// one (from nil, at zero). A unicast frame is one forwarding decision
+// and goes to forwardUnicast (flowcache.go) — hit or miss, cache on or
+// off; what remains here is the broadcast/multicast fan-out over the
+// tenant's destination set, each leg a transient decision handed to the
+// same forwardTo (which re-checks tenancy, so a misinstalled route
+// cannot leak frames across tenants). A failing destination does not
+// abort the fan-out: the rest still get their copy and the errors are
+// aggregated — a broadcast hitting one dead link must not starve the
+// rest of the LAN.
 func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
-	// Per-flow fast path: a current cache entry resolves the entire
-	// forwarding decision in one sharded read. Only unicast flows are
-	// cacheable (broadcast fans out to a destination set). The fill
-	// epoch is captured BEFORE the backing route lookup: an
-	// invalidation racing the lookup lands the entry already stale, so
-	// a hit can never serve a decision older than the last epoch bump
-	// it observed. Flow accounting for hits happens inside flowHit
-	// (atomic adds on the entry's cached accounting pointer); the
-	// hash + lock + map probe of FlowStats.Record is paid only here,
-	// on the miss path.
-	var (
-		fc        *flowCache
-		key       core.FlowKey
-		fillEpoch uint64
-		fl        *core.Flow
-	)
-	if n.fcache != nil && !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
-		key = core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}
-		fillEpoch = n.flowEpoch.Load()
-		if e := n.fcache.lookup(key, fillEpoch); e != nil {
-			return n.flowHit(e, f, from, at, tenant)
-		}
-		fc = n.fcache
+	key := core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}
+	if !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
+		return n.forwardUnicast(key, f, from, at)
 	}
-	sli := n.slis.get(tenant)
 	if from != nil {
-		sli.framesOut.Add(1)
-		sli.bytesOut.Add(uint64(f.Len()))
-		n.flows.Record(f.Src, f.Dst, f.Len())
-		// Locally originated: resolve the accounting entry once so
-		// cache hits can add to it without touching the stats table,
-		// and offer it to the tenant's heavy-hitter candidate set
-		// (every flow's first frame takes this miss path, so candidacy
-		// needs no work on the hit path). Forwarded frames (from ==
-		// nil) are not flow-accounted, so their entries carry no
-		// pointer.
-		fl = n.flows.Acquire(f.Src, f.Dst)
-		n.offerTopFlow(tenant, core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}, fl)
+		fl := n.flows.Acquire(f.Src, f.Dst)
+		n.offerTopFlow(key, fl)
+		countOut(n.slis.get(tenant), fl, f)
 	}
-	tbl := n.tenants.Table(tenant)
-	if tbl == nil {
-		n.NoRouteDrop.Add(1)
-		n.drop(dropNoRoute, 1, telemetry.DropDetail{
-			Tenant: tenant, Stage: "route",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
-		return fmt.Errorf("overlay: unknown tenant %d", tenant)
-	}
-	dests, _, err := tbl.Lookup(f.Src, f.Dst)
+	dests, err := n.lookupDests(key)
 	if err != nil {
-		n.NoRouteDrop.Add(1)
-		n.drop(dropNoRoute, 1, telemetry.DropDetail{
-			Tenant: tenant, Stage: "route",
-			Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
+		n.dropNoRoute(key, "")
 		return err
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	cacheable := fc != nil && len(dests) == 1
 	var errs []error
-	sentOnLink := false
 	for _, d := range dests {
-		switch d.Type {
-		case core.DestInterface:
-			n.mu.Lock()
-			ep := n.eps[d.ID]
-			n.mu.Unlock()
-			if ep == nil {
-				continue
-			}
-			if ep.tenant != tenant {
-				n.metrics.crossTenantDrops.Add(1)
-				n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if cacheable {
-				fc.store(key, &flowEntry{epoch: fillEpoch, tenant: tenant, ep: ep, fl: fl, sli: sli})
-			}
-			if ep == from {
-				continue
-			}
-			ep.deliver(f)
-			n.Delivered.Add(1)
-			if f.Tag != 0 {
-				n.tracer.Record(f.Tag, trace.StageDeliver)
-				n.log.Debug("traced frame delivered",
-					"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", d.ID)
-			}
-		case core.DestLink:
-			n.mu.Lock()
-			lk := n.links[d.ID]
-			var ent *flowEntry
-			if lk != nil && lk.tenant == tenant && cacheable {
-				// Snapshot the synchronous-transmit parameters under the
-				// same n.mu hold that resolved the link, so the entry is
-				// consistent with one instant of link state.
-				ent = &flowEntry{
-					epoch: fillEpoch, tenant: tenant, lk: lk, fl: fl, sli: sli,
-					budget:  maxDatagram,
-					fastUDP: lk.proto == "udp" && lk.fault == nil && lk.txq == nil,
-					addr:    lk.addr,
-				}
-				if lk.proto == "tcp" {
-					ent.budget = tcpMaxDatagram
-				}
-			}
-			n.mu.Unlock()
-			if lk == nil {
-				n.NoRouteDrop.Add(1)
-				n.drop(dropNoRoute, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if lk.tenant != tenant {
-				n.metrics.crossTenantDrops.Add(1)
-				n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-					Tenant: tenant, Scope: d.ID, Stage: "route",
-					Flow: core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}.String(),
-				})
-				continue
-			}
-			if ent != nil {
-				fc.store(key, ent)
-			}
-			if lk.txq != nil {
-				// Batched mode: hand the frame to the link's sender ring.
-				// Transport errors surface in the link's send_errors
-				// counter (txLoop), not here; the TX latency sample is
-				// taken after the batch actually hits the wire. The
-				// tx_enqueue hop is recorded before the handoff so it
-				// cannot race the sender's encap hop.
-				if f.Tag != 0 {
-					n.tracer.Record(f.Tag, trace.StageTxEnqueue)
-				}
-				n.enqueueTx(lk, txFrame{f: f, at: at})
-				continue
-			}
-			if err := n.sendEncap(lk, f); err != nil {
-				errs = append(errs, fmt.Errorf("link %q: %w", d.ID, err))
-			} else {
-				sentOnLink = true
-			}
+		e := flowEntry{tenant: tenant}
+		n.resolveDest(&e, d)
+		if err := n.forwardTo(&e, key, f, from, at); err != nil {
+			errs = append(errs, err)
 		}
-	}
-	// The Fig. 7 TX stage budget on the real path: locally originated
-	// frame arrival to its last encapsulation datagram leaving a link.
-	if !at.IsZero() && sentOnLink {
-		n.metrics.txLatency.Observe(time.Since(at).Seconds())
 	}
 	return errors.Join(errs...)
 }
 
-// sendEncap encapsulates and transmits a frame over a link synchronously,
-// fragmenting to the datagram budget. Encapsulation buffers come from the
-// node's pool and are recycled before return. A traced frame's context
-// rides the wire in every fragment's trace extension; on a tenant-bound
-// link every fragment is sealed under the tenant's key.
-func (n *Node) sendEncap(lk *link, f *ethernet.Frame) error {
-	id := n.nextID.Add(1)
-	n.mu.Lock()
-	proto := lk.proto
-	n.mu.Unlock()
-	sl := lk.sealer // immutable after AddLink
-	budget := maxDatagram
-	if proto == "tcp" {
-		budget = tcpMaxDatagram
-	}
-	pkt, err := n.encap.EncapsulateSealed(f, id, budget, n.traceExt(f.Tag), sl)
+// lookupDests resolves a flow's destinations in its tenant's private
+// table. Routing state for an unknown tenant fails closed.
+func (n *Node) lookupDests(key core.FlowKey) ([]core.Destination, error) {
+	tbl, err := n.routeTable(key.Tenant)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer pkt.Release()
-	if sl != nil {
+	dests, _, err := tbl.Lookup(key.Src, key.Dst)
+	return dests, err
+}
+
+// countOut charges one locally originated frame to its tenant's
+// indicators and its flow's accounting entry.
+func countOut(sli *tenantSLI, fl *core.Flow, f *ethernet.Frame) {
+	sli.framesOut.Add(1)
+	sli.bytesOut.Add(uint64(f.Len()))
+	fl.Add(f.Len())
+}
+
+// dropNoRoute lands a frame with no usable destination — no matching
+// route, unknown tenant, or a route naming an absent target (scope).
+func (n *Node) dropNoRoute(key core.FlowKey, scope string) {
+	n.NoRouteDrop.Add(1)
+	n.drop(dropNoRoute, 1, telemetry.DropDetail{
+		Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String(),
+	})
+}
+
+// dropCrossTenant lands a frame whose resolved endpoint or link (scope)
+// is bound to another tenant.
+func (n *Node) dropCrossTenant(key core.FlowKey, scope string) {
+	n.metrics.crossTenantDrops.Add(1)
+	n.drop(dropCrossTenant, 1, telemetry.DropDetail{
+		Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String(),
+	})
+}
+
+// encapFrame encapsulates one frame for a link — the one encoder every
+// transmit leg shares. Untraced frames (the steady state) go through the
+// link's prebuilt header template: one memcpy plus fixed-offset patches
+// per fragment. A traced frame's context rides the wire in every
+// fragment's trace extension, which the template deliberately omits, so
+// it takes the general encoder; the wire bytes are otherwise identical.
+// On a tenant-bound link every fragment is sealed under the tenant's
+// key. The caller releases the packet.
+func (n *Node) encapFrame(lk *link, f *ethernet.Frame, budget int) (*bridge.EncapPacket, error) {
+	var pkt *bridge.EncapPacket
+	var err error
+	if id := n.nextID.Add(1); f.Tag == 0 {
+		pkt, err = n.encap.EncapsulateTemplate(f, id, budget, lk.tmpl, lk.sealer)
+	} else {
+		pkt, err = n.encap.EncapsulateSealed(f, id, budget, n.traceExt(f.Tag), lk.sealer)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if lk.sealer != nil {
 		n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageEncap)
 	}
-	for _, d := range pkt.Datagrams {
-		if err := n.sendOnLink(lk, d); err != nil {
-			return err
-		}
-	}
-	n.EncapSent.Add(1)
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageWireTx)
-	}
-	return nil
+	return pkt, nil
 }
 
 // traceExt builds the wire trace extension for a traced frame's tag
@@ -1153,49 +1038,36 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 }
 
 // sendOnLink pushes one encapsulation datagram onto a link's transport,
-// through the link's fault conduit when one is installed. Both data and
-// heartbeat probes funnel through here. Every transport failure — even
-// inside a conduit's (possibly asynchronous) delivery callback, where the
-// error cannot be returned — lands in the link's send_errors counter so
-// chaos tests and the health monitor observe it.
+// through the link's fault conduit when one is installed. Data on
+// faulted and TCP links and every heartbeat probe funnel through here.
+// Every transport failure — even inside a conduit's (possibly
+// asynchronous) delivery callback, where the error cannot be returned —
+// lands in the link's send_errors counter so chaos tests and the health
+// monitor observe it.
 func (n *Node) sendOnLink(lk *link, d []byte) error {
 	n.mu.Lock()
 	fault, proto, addr := lk.fault, lk.proto, lk.addr
 	n.mu.Unlock()
-	send := func(p []byte) error {
+	send := func(p []byte) (err error) {
 		if proto == "tcp" {
-			c, err := n.dialTCP(lk)
-			if err != nil {
-				return err
-			}
-			if err := c.sendDatagram(p); err != nil {
-				n.dropTransport(lk, c)
-				return err
-			}
-			return nil
+			_, err = n.sendBatchTCP(lk, [][]byte{p})
+		} else {
+			_, err = n.conn.WriteToUDP(p, addr)
 		}
-		_, err := n.conn.WriteToUDP(p, addr)
+		if err != nil {
+			lk.sendErrors.Add(1)
+		} else {
+			lk.bytesSent.Add(uint64(len(p)))
+		}
 		return err
 	}
-	if fault != nil {
-		// The conduit may deliver asynchronously (delay/reorder faults),
-		// after the pooled encapsulation buffer behind d has been
-		// recycled — hand it a private copy.
-		d = append([]byte(nil), d...)
-		fault.Send(d, func(p any) {
-			if err := send(p.([]byte)); err != nil {
-				lk.sendErrors.Add(1)
-			} else {
-				lk.bytesSent.Add(uint64(len(p.([]byte))))
-			}
-		})
-		return nil
+	if fault == nil {
+		return send(d)
 	}
-	if err := send(d); err != nil {
-		lk.sendErrors.Add(1)
-		return err
-	}
-	lk.bytesSent.Add(uint64(len(d)))
+	// The conduit may deliver asynchronously (delay/reorder faults),
+	// after the pooled encapsulation buffer behind d has been recycled —
+	// hand it a private copy.
+	fault.Send(append([]byte(nil), d...), func(p any) { send(p.([]byte)) })
 	return nil
 }
 

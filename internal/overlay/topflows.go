@@ -17,13 +17,13 @@ import (
 
 // offerTopFlow proposes a locally originated flow to its tenant's
 // heavy-hitter candidate set. Called only where FlowStats.Acquire
-// already ran (the routing miss path), never on flow-cache hits.
-func (n *Node) offerTopFlow(tenant uint32, key core.FlowKey, fl *core.Flow) {
-	if v, ok := n.topk.Load(tenant); ok {
-		v.(*core.TopFlows).Offer(key, fl)
-		return
+// already ran (flow resolution and broadcast fan-out), never on
+// flow-cache hits.
+func (n *Node) offerTopFlow(key core.FlowKey, fl *core.Flow) {
+	v, ok := n.topk.Load(key.Tenant)
+	if !ok {
+		v, _ = n.topk.LoadOrStore(key.Tenant, core.NewTopFlows(core.TopFlowCapacity))
 	}
-	v, _ := n.topk.LoadOrStore(tenant, core.NewTopFlows(core.TopFlowCapacity))
 	v.(*core.TopFlows).Offer(key, fl)
 }
 

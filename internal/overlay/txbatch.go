@@ -33,16 +33,22 @@ type txFrame struct {
 
 // enqueueTx offers a frame to a link's TX ring without blocking the
 // router; ring-full frames are dropped and counted, like a NIC TX ring
-// under overrun.
-func (n *Node) enqueueTx(lk *link, tf txFrame) {
+// under overrun. Transport errors surface in the link's send_errors
+// counter (txLoop), not here, and the TX latency sample is taken after
+// the batch actually hits the wire. The tx_enqueue hop is recorded
+// before the handoff so it cannot race the sender's encap hop.
+func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
+	if f.Tag != 0 {
+		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
+	}
 	select {
-	case lk.txq <- tf:
+	case lk.txq <- txFrame{f: f, at: at}:
 		lk.txFrames.Inc() // the adaptive controller's rate sensor
 	default:
 		lk.txDrops.Add(1)
 		n.drop(dropTxRing, 1, telemetry.DropDetail{
 			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_ring",
-			Flow: core.FlowKey{Tenant: lk.tenant, Src: tf.f.Src, Dst: tf.f.Dst}.String(),
+			Flow: core.FlowKey{Tenant: lk.tenant, Src: f.Src, Dst: f.Dst}.String(),
 		})
 	}
 }
@@ -148,7 +154,6 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 	n.mu.Lock()
 	fault, proto, addr := lk.fault, lk.proto, lk.addr
 	n.mu.Unlock()
-	sl := lk.sealer // immutable after AddLink
 	budget := maxDatagram
 	if proto == "tcp" {
 		budget = tcpMaxDatagram
@@ -157,27 +162,10 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 	dgs := s.dgs[:0]
 	sentFrames := s.frames[:0]
 	for _, tf := range batch {
-		// Untraced frames (the steady state) encapsulate through the
-		// link's prebuilt header template — one memcpy plus fixed-offset
-		// patches per fragment. Traced frames need the trace extension,
-		// which the template deliberately omits, so they take the
-		// general encoder.
-		var pkt *bridge.EncapPacket
-		var err error
-		if tf.f.Tag == 0 {
-			pkt, err = n.encap.EncapsulateTemplate(tf.f, n.nextID.Add(1), budget, lk.tmpl, sl)
-		} else {
-			pkt, err = n.encap.EncapsulateSealed(tf.f, n.nextID.Add(1), budget, n.traceExt(tf.f.Tag), sl)
-		}
+		pkt, err := n.encapFrame(lk, tf.f, budget)
 		if err != nil {
 			lk.sendErrors.Add(1)
 			continue
-		}
-		if tf.f.Tag != 0 {
-			n.tracer.Record(tf.f.Tag, trace.StageEncap)
-		}
-		if sl != nil {
-			n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
 		}
 		pkts = append(pkts, pkt)
 		dgs = append(dgs, pkt.Datagrams...)
