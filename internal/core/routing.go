@@ -272,12 +272,6 @@ func (t *Table) FailDest(d Destination) int {
 	}
 	t.failed[d] = true
 	t.invalidateCacheLocked()
-	return t.backedUpLocked(d)
-}
-
-// backedUpLocked counts the routes whose primary is d and that carry a
-// backup — the ones a FailDest or RestoreDest of d actually switches.
-func (t *Table) backedUpLocked(d Destination) int {
 	n := 0
 	for _, r := range t.routes {
 		if r.Dest == d && r.HasBackup {
@@ -297,7 +291,13 @@ func (t *Table) RestoreDest(d Destination) int {
 	}
 	delete(t.failed, d)
 	t.invalidateCacheLocked()
-	return t.backedUpLocked(d)
+	n := 0
+	for _, r := range t.routes {
+		if r.Dest == d && r.HasBackup {
+			n++
+		}
+	}
+	return n
 }
 
 // FailedDests snapshots the destinations currently marked failed.

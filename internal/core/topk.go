@@ -24,11 +24,8 @@ type TopFlowEntry struct {
 // and, at capacity, replaces the minimum-count entry with each new
 // arrival. Here the counts are not sketch-internal: each candidate
 // holds a live *Flow pointer (FlowStats.Acquire), whose atomic
-// Bytes/Packets every routed frame already updates. Membership
-// therefore only needs refreshing when a flow could be new — the
-// flow-cache miss path, which every flow's first frame takes — while
-// readings stay exactly current without the sketch ever touching the
-// per-frame hot path.
+// Bytes/Packets every routed frame already updates, so readings stay
+// exactly current without the sketch seeing every frame.
 //
 // The space-saving error characteristics carry over: a genuinely heavy
 // flow is never the minimum, so it is never evicted; churn is confined
@@ -36,12 +33,10 @@ type TopFlowEntry struct {
 // an arrival no heavier than the lightest candidate is turned away
 // instead of replacing it (it would be the next victim anyway), which
 // lets a MAC scan's stream of first-frame offers be refused without a
-// scan. The one sketch-style caveat: a flow refused or evicted while its
-// forwarding-cache entry stays hot is not re-offered until the next
-// flow-cache miss (epoch bump, eviction, or restart), so Top can
-// under-report a flow that was light when the table was full and grew
-// heavy later without any cache churn. Heavier-than-minimum flows at
-// offer time are always admitted, which bounds the window.
+// scan. A refusal is therefore not final: the caller re-offers a flow
+// as it grows (the overlay does at packet counts 1, 2, 4, 8, …, so a
+// flow costs O(log packets) offers in its lifetime), and a flow that
+// has outgrown the lightest candidate is admitted at its next offer.
 type TopFlows struct {
 	mu sync.Mutex
 	k  int

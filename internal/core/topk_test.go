@@ -121,7 +121,7 @@ func TestTopFlowsRefusesLighterThanFloor(t *testing.T) {
 	tf.Offer(topkKey(0), a)
 	tf.Offer(topkKey(1), b)
 	tf.Offer(topkKey(2), &Flow{Bytes: 100}) // ties the minimum: refused
-	tf.Offer(topkKey(3), &Flow{})           // a first-frame offer: refused
+	tf.Offer(topkKey(3), &Flow{})           // lighter than the minimum: refused
 	if top := tf.Top(0); len(top) != 2 || top[0].Key != topkKey(1) || top[1].Key != topkKey(0) {
 		t.Fatalf("light offers displaced a candidate: %+v", top)
 	}
@@ -134,11 +134,30 @@ func TestTopFlowsRefusesLighterThanFloor(t *testing.T) {
 	}
 }
 
-// BenchmarkTopFlowsOfferChurn is the flow-cache miss path's candidacy
-// cost: "below" offers flows to a set with room, "16x" offers
-// first-frame (zero-byte) flows from a population 16 times the set's
-// capacity to a full set of heavier ones — refused against the floor
-// without a scan, so the two cost about the same.
+// TestTopFlowsRefusalIsNotFinal: a flow turned away while light gets in
+// when it is offered again after outgrowing the lightest candidate — the
+// rule that lets a late elephant into a full set.
+func TestTopFlowsRefusalIsNotFinal(t *testing.T) {
+	tf := NewTopFlows(2)
+	tf.Offer(topkKey(0), &Flow{Bytes: 100})
+	tf.Offer(topkKey(1), &Flow{Bytes: 200})
+	late := &Flow{Bytes: 50}
+	tf.Offer(topkKey(2), late)
+	if top := tf.Top(0); top[1].Key != topkKey(0) {
+		t.Fatalf("a lighter offer displaced the minimum: %+v", top)
+	}
+	atomic.AddUint64(&late.Bytes, 100)
+	tf.Offer(topkKey(2), late)
+	if top := tf.Top(0); top[0].Key != topkKey(1) || top[1].Key != topkKey(2) {
+		t.Fatalf("a refused flow that outgrew the minimum was not admitted: %+v", top)
+	}
+}
+
+// BenchmarkTopFlowsOfferChurn is a MAC scan's candidacy cost: "below"
+// offers flows to a set with room, "16x" offers first-frame flows (one
+// small frame counted) from a population 16 times the set's capacity to
+// a full set of heavier ones — refused against the floor without a scan,
+// so the two cost about the same.
 func BenchmarkTopFlowsOfferChurn(b *testing.B) {
 	const batch = 4096 // one op = this many offers
 	run := func(b *testing.B, population int, full bool) {
@@ -152,7 +171,7 @@ func BenchmarkTopFlowsOfferChurn(b *testing.B) {
 				tf.Offer(FlowKey{Tenant: 2, Src: ethernet.LocalMAC(uint32(i))}, &Flow{Bytes: 1 << 20})
 			}
 		}
-		fl := &Flow{}
+		fl := &Flow{Bytes: 64, Packets: 1}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < batch; j++ {

@@ -64,15 +64,11 @@ type flowEntry struct {
 	// at fill time so hits account tenant traffic with atomic adds.
 	sli *tenantSLI
 
-	// At most one of ep/lk is non-nil: local delivery or link forward.
-	// Neither is a no-route verdict — scope names the absent link or
-	// interface the route resolved to (empty when nothing matched) and
-	// err is what the sender is told. Verdict entries, like ones whose
-	// target is bound to another tenant, are never stored.
-	ep    *Endpoint
-	lk    *link
-	scope string
-	err   error
+	// Exactly one of ep/lk is non-nil: local delivery or link forward.
+	// A resolve that finds neither is a no-route verdict, handled where
+	// it was resolved and never turned into an entry.
+	ep *Endpoint
+	lk *link
 
 	// direct is the synchronous-transmit snapshot: non-nil when lk's
 	// datagrams may go straight to the UDP socket at this address — UDP
@@ -181,14 +177,18 @@ func (n *Node) FlowEpoch() uint64 { return n.flowEpoch.Load() }
 
 // forwardUnicast routes one unicast frame: a current cache entry is the
 // whole decision; otherwise the flow is resolved once, the decision
-// stored when it is a forwarding one and the cache is on, and the frame
-// forwarded by the same flowHit a hit uses. The fill epoch is read
-// BEFORE the cache probe and the backing route lookup: an invalidation
-// racing the resolve lands the entry already stale, so a hit can never
-// serve a decision older than the last epoch bump it observed. The
-// resolved entry lives on this goroutine's stack and only a private
-// copy is published, so an unstored (transient) entry — cache disabled,
-// or a drop verdict — is never visible to another goroutine.
+// stored when the cache is on and the target belongs to the flow's own
+// tenant, and the frame forwarded by the same flowHit a hit uses. The
+// fill epoch is read BEFORE the cache probe and the backing route
+// lookup: an invalidation racing the resolve lands the entry already
+// stale, so a hit can never serve a decision older than the last epoch
+// bump it observed. The resolved entry lives on this goroutine's stack
+// and only a private copy is published, so an unstored (transient) entry
+// — cache disabled, or a cross-tenant target — is never visible to
+// another goroutine. A resolve with no usable target (no route, unknown
+// tenant, a route naming an absent link or interface) is a drop verdict:
+// the sender is still charged, the frame lands on no_route, and nothing
+// is cached.
 func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
 	epoch := n.flowEpoch.Load()
 	fc := n.fcache
@@ -197,8 +197,16 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 			return n.flowHit(e, key, f, from, at)
 		}
 	}
-	e, storable := n.resolveFlow(key, epoch, from != nil)
-	if storable && fc != nil {
+	e, scope, err := n.resolveFlow(key, epoch, from != nil)
+	if e.ep == nil && e.lk == nil {
+		if from != nil {
+			n.countOut(e.sli, e.fl, key, f)
+		}
+		n.dropNoRoute(key, scope)
+		return err
+	}
+	own := (e.ep != nil && e.ep.tenant == key.Tenant) || (e.lk != nil && e.lk.tenant == key.Tenant)
+	if fc != nil && own {
 		stored := e
 		fc.store(key, &stored)
 	}
@@ -208,32 +216,27 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 // resolveFlow turns (tenant, src, dst) into a forwarding decision: the
 // tenant table's best match, the target it names (resolveDest), and the
 // flow's accounting handles. local says the frame originated here: only
-// those flows are accounted and offered to the heavy-hitter set (every
-// flow's first frame resolves, so candidacy needs no work on the hit
-// path). storable reports whether the decision may be cached: it
-// forwards, and to a target of the flow's own tenant.
-func (n *Node) resolveFlow(key core.FlowKey, epoch uint64, local bool) (e flowEntry, storable bool) {
+// those flows are accounted. When the decision has no target, scope
+// names the absent link or interface the route resolved to (empty when
+// nothing matched) and err is what the sender is told.
+func (n *Node) resolveFlow(key core.FlowKey, epoch uint64, local bool) (e flowEntry, scope string, err error) {
 	e = flowEntry{epoch: epoch, tenant: key.Tenant, sli: n.slis.get(key.Tenant)}
 	if local {
 		e.fl = n.flows.Acquire(key.Src, key.Dst)
-		n.offerTopFlow(key, e.fl)
 	}
 	dests, err := n.lookupDests(key)
 	if err != nil {
-		e.err = err
-		return e, false
+		return e, "", err
 	}
 	n.resolveDest(&e, dests[0]) // a unicast lookup yields the single best match
-	storable = (e.ep != nil && e.ep.tenant == key.Tenant) || (e.lk != nil && e.lk.tenant == key.Tenant)
-	return e, storable
+	return e, dests[0].ID, nil
 }
 
 // resolveDest points a decision at the endpoint or link a route
-// destination names, taking the synchronous-transmit snapshot under the
-// same n.mu hold that resolved the link, so the entry is consistent
-// with one instant of link state.
+// destination names (neither, when it is not attached), taking the
+// synchronous-transmit snapshot under the same n.mu hold that resolved
+// the link, so the entry is consistent with one instant of link state.
 func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
-	e.scope = d.ID
 	n.mu.Lock()
 	if d.Type == core.DestInterface {
 		e.ep = n.eps[d.ID]
@@ -253,56 +256,62 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 		if fl == nil {
 			fl = n.flows.Acquire(f.Src, f.Dst)
 		}
-		countOut(e.sli, fl, f)
+		n.countOut(e.sli, fl, key, f)
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	return n.forwardTo(e, key, f, from, at)
+	sent, err := n.forwardTo(e, key, f, from, at)
+	if sent {
+		n.observeTx(at)
+	}
+	return err
 }
 
-// forwardTo hands a frame to one resolved target: a unicast frame's
-// decision, or one leg of a broadcast fan-out. Tenancy is re-checked
-// here on every forward, on immutable fields (entry, endpoint, and link
-// tenants are all fixed at their creation), so even a hypothetical
-// stale entry surviving an epoch bump could not cross tenants. Every
-// frame entering here is delivered, handed to a transport, or lands on
-// exactly one ledger reason.
-func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+// forwardTo hands a frame to one resolved target (e.ep or e.lk): a
+// unicast frame's decision, or one leg of a broadcast fan-out. Tenancy
+// is re-checked here on every forward, on immutable fields (entry,
+// endpoint, and link tenants are all fixed at their creation), so even a
+// hypothetical stale entry surviving an epoch bump could not cross
+// tenants. Every frame entering here is delivered, handed to a
+// transport, or lands on exactly one ledger reason. sent reports a
+// completed synchronous link transmit — the caller's cue for the TX
+// latency sample, taken once per frame however many legs it fans out to.
+func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) (sent bool, err error) {
 	tenant := key.Tenant
 	if ep := e.ep; ep != nil {
 		if ep == from {
-			return nil
+			return false, nil
 		}
 		if e.tenant != tenant || ep.tenant != tenant {
 			n.dropCrossTenant(key, ep.name)
-			return nil
+			return false, nil
 		}
 		ep.deliver(f)
-		return nil
+		return false, nil
 	}
 	lk := e.lk
-	if lk == nil {
-		n.dropNoRoute(key, e.scope)
-		return e.err
-	}
 	if e.tenant != tenant || lk.tenant != tenant {
 		n.dropCrossTenant(key, lk.id)
-		return nil
+		return false, nil
 	}
 	if lk.txq != nil {
 		n.enqueueTx(lk, f, at)
-		return nil
+		return false, nil
 	}
 	if err := n.sendSync(e, f); err != nil {
-		return fmt.Errorf("link %q: %w", lk.id, err)
+		return false, fmt.Errorf("link %q: %w", lk.id, err)
 	}
-	// The Fig. 7 TX stage budget on the real path: locally originated
-	// frame arrival to its last encapsulation datagram leaving the link.
+	return true, nil
+}
+
+// observeTx takes the Fig. 7 TX stage sample on the real path: a locally
+// originated frame's arrival (at; zero for forwarded frames) to its last
+// encapsulation datagram leaving a link.
+func (n *Node) observeTx(at time.Time) {
 	if !at.IsZero() {
 		n.metrics.txLatency.Observe(time.Since(at).Seconds())
 	}
-	return nil
 }
 
 // sendSync is forwardTo's synchronous transmit leg: encapsulate,

@@ -396,9 +396,9 @@ func TestResolveFlowKeepsFillEpoch(t *testing.T) {
 	key := core.FlowKey{Src: src.MAC(), Dst: sink.MAC()}
 	epoch := n.FlowEpoch()
 	n.bumpFlowEpoch() // lands between the epoch read and the backing lookup
-	e, storable := n.resolveFlow(key, epoch, true)
-	if !storable || e.ep != sink || e.epoch != epoch {
-		t.Fatalf("resolve = %+v storable=%v, want sink at fill epoch %d", e, storable, epoch)
+	e, _, err := n.resolveFlow(key, epoch, true)
+	if err != nil || e.ep != sink || e.epoch != epoch {
+		t.Fatalf("resolve = %+v err=%v, want sink at fill epoch %d", e, err, epoch)
 	}
 	n.fcache.store(key, &e)
 	if got := n.fcache.lookup(key, n.FlowEpoch()); got != nil {
@@ -488,5 +488,84 @@ func TestSealedStreamsStayApart(t *testing.T) {
 	}
 	if bad := n.BadPackets.Load(); bad != 0 {
 		t.Fatalf("bad_packets = %d, want 0", bad)
+	}
+}
+
+// TestLateHeavyFlowIsDiscovered: a flow that starts after its tenant's
+// heavy-hitter set has filled is refused while it is lighter than every
+// candidate, and gets in once it has outgrown the lightest one — with no
+// epoch bump or cache eviction in between: every frame after its first
+// is a flow-cache hit, and the hit path re-offers a flow each time its
+// packet count doubles.
+func TestLateHeavyFlowIsDiscovered(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	sinkMAC := ethernet.LocalMAC(9000)
+	if _, err := n.AttachEndpoint("sink", sinkMAC, 1500); err != nil {
+		t.Fatal(err)
+	}
+	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(from ethernet.MAC, frames int) {
+		t.Helper()
+		for i := 0; i < frames; i++ {
+			if err := src.Send(testFrame(from, sinkMAC)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < core.TopFlowCapacity; i++ {
+		send(ethernet.LocalMAC(uint32(100+i)), 2)
+	}
+	epoch := n.FlowEpoch()
+	late := ethernet.LocalMAC(7)
+	send(late, 1)
+	for _, e := range n.TopFlowEntries()[0] {
+		if e.Key.Src == late {
+			t.Fatalf("a one-frame flow displaced a two-frame candidate: %+v", e)
+		}
+	}
+	send(late, 499)
+	if got := n.FlowEpoch(); got != epoch {
+		t.Fatalf("flow epoch moved %d -> %d: the test must not rely on a re-miss", epoch, got)
+	}
+	top := n.TopFlowEntries()[0]
+	if len(top) != core.TopFlowCapacity {
+		t.Fatalf("candidates = %d, want %d", len(top), core.TopFlowCapacity)
+	}
+	want := uint64(500 * testFrame(late, sinkMAC).Len())
+	if top[0].Key.Src != late || top[0].Packets != 500 || top[0].Bytes != want {
+		t.Fatalf("top flow = %+v, want the late 500-frame flow (%d bytes)", top[0], want)
+	}
+}
+
+// TestBroadcastTakesOneTxSample: the TX-stage latency histogram counts
+// frames, not link legs — a broadcast fanned out to three links is one
+// sample, like a unicast frame.
+func TestBroadcastTakesOneTxSample(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"l1", "l2", "l3"} {
+		tap := newWireTap(t, "udp")
+		if err := n.AddLink(id, tap.addr, "udp"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AddRoute(core.Route{DstMAC: ethernet.Broadcast, DstQual: core.QualExact,
+			SrcQual: core.QualAny, Dest: core.Destination{Type: core.DestLink, ID: id}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Send(testFrame(src.MAC(), ethernet.Broadcast)); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.EncapSent.Load(); got != 3 {
+		t.Fatalf("encap_sent = %d, want one per link leg", got)
+	}
+	if got := n.metrics.txLatency.Count(); got != 1 {
+		t.Fatalf("tx latency samples = %d for one broadcast frame, want 1", got)
 	}
 }

@@ -566,7 +566,7 @@ func (n *Node) DetachEndpoint(ifName string) {
 // connection, for lossy or middlebox-ridden paths). The link carries
 // tenant-0 (plaintext) traffic.
 func (n *Node) AddLink(id, remote string, proto string) error {
-	return n.AddLinkTenant(id, remote, proto, core.DefaultTenant)
+	return n.addLink(id, remote, proto, core.DefaultTenant)
 }
 
 // AddLinkTenant installs a link bound to a tenant: every datagram it
@@ -574,6 +574,10 @@ func (n *Node) AddLink(id, remote string, proto string) error {
 // tenant's key, and only that tenant's frames route onto it. Fails
 // closed if the tenant's key has not been installed (AddTenant).
 func (n *Node) AddLinkTenant(id, remote, proto string, tenant uint32) error {
+	return n.addLink(id, remote, proto, tenant)
+}
+
+func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	if proto == "" {
 		proto = "udp"
 	}
@@ -597,7 +601,10 @@ func (n *Node) AddLinkTenant(id, remote, proto string, tenant uint32) error {
 	default:
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
-	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant, sealer: sealer}
+	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant}
+	if sealer != nil {
+		lk.sealer = sealer
+	}
 	lk.tmpl = bridge.NewEncapTemplate(sealer)
 	n.mu.Lock()
 	if n.closed {
@@ -934,9 +941,7 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 		return n.forwardUnicast(key, f, from, at)
 	}
 	if from != nil {
-		fl := n.flows.Acquire(f.Src, f.Dst)
-		n.offerTopFlow(key, fl)
-		countOut(n.slis.get(tenant), fl, f)
+		n.countOut(n.slis.get(tenant), n.flows.Acquire(f.Src, f.Dst), key, f)
 	}
 	dests, err := n.lookupDests(key)
 	if err != nil {
@@ -947,12 +952,22 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
 	var errs []error
+	sentAny := false
 	for _, d := range dests {
 		e := flowEntry{tenant: tenant}
 		n.resolveDest(&e, d)
-		if err := n.forwardTo(&e, key, f, from, at); err != nil {
+		if e.ep == nil && e.lk == nil {
+			n.dropNoRoute(key, d.ID)
+			continue
+		}
+		sent, err := n.forwardTo(&e, key, f, from, at)
+		if err != nil {
 			errs = append(errs, err)
 		}
+		sentAny = sentAny || sent
+	}
+	if sentAny {
+		n.observeTx(at)
 	}
 	return errors.Join(errs...)
 }
@@ -969,11 +984,17 @@ func (n *Node) lookupDests(key core.FlowKey) ([]core.Destination, error) {
 }
 
 // countOut charges one locally originated frame to its tenant's
-// indicators and its flow's accounting entry.
-func countOut(sli *tenantSLI, fl *core.Flow, f *ethernet.Frame) {
+// indicators and its flow's accounting entry, and proposes the flow to
+// the tenant's heavy-hitter set whenever its packet count reaches a
+// power of two: the first frame makes every flow a candidate, and one
+// refused while light (core.TopFlows) is offered again as it grows —
+// O(log packets) offers per flow for one branch per frame.
+func (n *Node) countOut(sli *tenantSLI, fl *core.Flow, key core.FlowKey, f *ethernet.Frame) {
 	sli.framesOut.Add(1)
 	sli.bytesOut.Add(uint64(f.Len()))
-	fl.Add(f.Len())
+	if p := fl.Add(f.Len()); p&(p-1) == 0 {
+		n.offerTopFlow(key, fl)
+	}
 }
 
 // dropNoRoute lands a frame with no usable destination — no matching

@@ -1,8 +1,9 @@
 // Per-tenant heavy-hitter exposure (ISSUE 10): each tenant gets a
-// core.TopFlows candidate set fed from the flow-accounting fill path
-// (the flow-cache miss path — every flow's first frame takes it), so
-// the flow cache's view of the world is inspectable at /topflows and
-// via LIST FLOWS without adding work to the per-frame hot path.
+// core.TopFlows candidate set fed from flow accounting (countOut: a
+// flow is offered at its first frame and again each time its packet
+// count doubles), so the flow cache's view of the world is inspectable
+// at /topflows and via LIST FLOWS for one branch on the per-frame hot
+// path.
 
 package overlay
 
@@ -16,9 +17,7 @@ import (
 )
 
 // offerTopFlow proposes a locally originated flow to its tenant's
-// heavy-hitter candidate set. Called only where FlowStats.Acquire
-// already ran (flow resolution and broadcast fan-out), never on
-// flow-cache hits.
+// heavy-hitter candidate set (countOut decides when).
 func (n *Node) offerTopFlow(key core.FlowKey, fl *core.Flow) {
 	v, ok := n.topk.Load(key.Tenant)
 	if !ok {
