@@ -67,6 +67,7 @@ e2e-quick:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEncapDecode -fuzztime=10s ./internal/bridge
 	$(GO) test -run=^$$ -fuzz=FuzzReassembler -fuzztime=10s ./internal/bridge
+	$(GO) test -run=^$$ -fuzz=FuzzAggregate -fuzztime=10s ./internal/bridge
 	$(GO) test -run=^$$ -fuzz=FuzzSealOpen -fuzztime=10s ./internal/seal
 	$(GO) test -run=^$$ -fuzz=FuzzFlowKey -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFlowCache -fuzztime=10s ./internal/overlay

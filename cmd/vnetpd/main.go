@@ -66,8 +66,7 @@ func main() {
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
 	dispatchers := flag.Int("dispatchers", 0, "receive dispatcher workers (0: min(4, GOMAXPROCS))")
-	txBatch := flag.Int("tx-batch", 1, "frames coalesced per link TX batch (1: synchronous sends)")
-	txFlush := flag.Duration("tx-flush", 100*time.Microsecond, "max wait for a partial TX batch (with -tx-batch > 1)")
+	txBatch := flag.Int("tx-batch", 1, "most frames a link's sender takes per wakeup and packs into shared datagrams (1: synchronous sends)")
 	adaptive := flag.Bool("adaptive", false, "per-link adaptive dispatch: retune batch size between latency and throughput mode by observed rate (implies batched transmit)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
 	rxBatch := flag.Int("rx-batch", 0, "datagrams drained from the UDP socket per wakeup, via recvmmsg where available (0: default 16, 1: one ReadFromUDP per datagram)")
@@ -107,7 +106,6 @@ func main() {
 	node, err := overlay.NewNodeWithConfig(*name, *bind, overlay.NodeConfig{
 		Dispatchers:       *dispatchers,
 		TxBatch:           *txBatch,
-		TxFlushTimeout:    *txFlush,
 		Adaptive:          overlay.AdaptiveConfig{Enabled: *adaptive},
 		FlowCacheDisabled: !*flowCache,
 		RxBatch:           *rxBatch,
@@ -127,7 +125,7 @@ func main() {
 	logger.Info("vnetpd carrying traffic",
 		"node", *name, "addr", node.Addr(), "dispatchers", node.Dispatchers())
 	if *txBatch > 1 {
-		logger.Info("batched transmit on", "batch", *txBatch, "flush", *txFlush)
+		logger.Info("batched transmit on", "batch", *txBatch)
 	}
 	if *adaptive {
 		logger.Info("adaptive dispatch on",

@@ -22,7 +22,10 @@ import (
 //
 //	magic(2) | version(1) | flags(1) | id(4) | fragOff(4) | totalLen(4)
 //
-// followed by a slice of the marshalled inner Ethernet frame.
+// followed by a slice of the marshalled inner Ethernet frame — or, when
+// the aggregate flag is set, by a train of whole inner frames
+// (aggregate.go): fragOff then carries the frame count (>= 1) instead of
+// an offset, and totalLen the train's byte length.
 //
 // Version 2 widened fragOff and totalLen from 16 to 32 bits: with the
 // 64 KB overlay MTU (ethernet.MaxMTU = 65535) a maximum-size frame
@@ -69,6 +72,7 @@ const (
 	flagProbeReply = 0x04
 	flagTrace      = 0x08
 	flagSealed     = 0x10
+	flagAggregate  = 0x20
 )
 
 // TraceExt is the optional per-datagram trace extension (EncapTraceLen
@@ -111,11 +115,12 @@ type LinkSealer interface {
 // set; their payload is the probe body, not an inner-frame slice.
 type EncapHeader struct {
 	ID         uint32 // per-sender packet id, shared by all fragments
-	FragOff    uint32 // byte offset of this fragment's payload
-	TotalLen   uint32 // total inner-frame length
+	FragOff    uint32 // byte offset of this fragment's payload (aggregate: frame count)
+	TotalLen   uint32 // total inner-frame length (aggregate: record-train length)
 	MoreFrags  bool
 	Probe      bool // liveness probe request
 	ProbeReply bool // liveness probe echo
+	Aggregate  bool // payload is a train of whole inner frames (aggregate.go)
 
 	// Trace is the optional trace extension, valid when HasTrace is set.
 	Trace    TraceExt
@@ -146,6 +151,7 @@ var (
 	ErrBadVersion = errors.New("bridge: unsupported encapsulation version")
 	ErrTruncated  = errors.New("bridge: truncated encapsulation header")
 	ErrFragBounds = errors.New("bridge: fragment outside packet bounds")
+	ErrAggregate  = errors.New("bridge: malformed aggregate datagram")
 )
 
 // Marshal appends the header to b.
@@ -166,6 +172,9 @@ func (h *EncapHeader) Marshal(b []byte) []byte {
 	}
 	if h.HasSeal {
 		flags |= flagSealed
+	}
+	if h.Aggregate {
+		flags |= flagAggregate
 	}
 	b = append(b, EncapVersion, flags)
 	b = binary.BigEndian.AppendUint32(b, h.ID)
@@ -192,6 +201,27 @@ func EncapIsControl(b []byte) bool {
 	return len(b) >= 4 && b[3]&(flagProbe|flagProbeReply) != 0
 }
 
+// EncapFrames peeks at how many inner frames a data datagram stands for,
+// without a full parse: one, unless it is an aggregate — then the count
+// its header claims, capped by what its length could hold (nothing has
+// authenticated the header yet). Drop sites that shed a datagram they
+// have not parsed charge this many frames to the ledger.
+func EncapFrames(b []byte) uint64 {
+	if len(b) < EncapHeaderLen || b[3]&flagAggregate == 0 {
+		return 1
+	}
+	return aggFrames(binary.BigEndian.Uint32(b[8:]), len(b)-EncapHeaderLen)
+}
+
+// Frames is EncapFrames for a header ParseEncap accepted (which already
+// holds an aggregate's count to what its train could carry).
+func (h *EncapHeader) Frames() uint64 {
+	if !h.Aggregate {
+		return 1
+	}
+	return uint64(h.FragOff)
+}
+
 // ParseEncap splits an encapsulated datagram into header and fragment
 // payload (aliasing b).
 func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
@@ -208,6 +238,7 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 		MoreFrags:  b[3]&flagMoreFrags != 0,
 		Probe:      b[3]&flagProbe != 0,
 		ProbeReply: b[3]&flagProbeReply != 0,
+		Aggregate:  b[3]&flagAggregate != 0,
 		ID:         binary.BigEndian.Uint32(b[4:]),
 		FragOff:    binary.BigEndian.Uint32(b[8:]),
 		TotalLen:   binary.BigEndian.Uint32(b[12:]),
@@ -241,6 +272,17 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 			return nil, nil, ErrTruncated
 		}
 		dataLen -= SealOverhead
+	}
+	if h.Aggregate {
+		// An aggregate is a whole datagram of whole frames: it is never a
+		// fragment, a probe, or traced (a traced frame travels alone), it
+		// carries its full train, and the train is long enough to hold the
+		// frames it claims.
+		if b[3]&(flagMoreFrags|flagProbe|flagProbeReply|flagTrace) != 0 ||
+			h.FragOff == 0 || uint64(dataLen) != uint64(h.TotalLen) || uint64(h.FragOff) > uint64(dataLen/aggMinRecord) {
+			return nil, nil, ErrAggregate
+		}
+		return h, payload, nil
 	}
 	if int(h.FragOff)+dataLen > int(h.TotalLen) {
 		return nil, nil, ErrFragBounds
@@ -514,6 +556,9 @@ func (r *Reassembler) Add(sender string, datagram []byte) (*ethernet.Frame, erro
 // AddParsed is Add for a datagram the caller already split with
 // ParseEncap (the overlay parses first to intercept probe datagrams).
 func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (*ethernet.Frame, error) {
+	if h.Aggregate {
+		return nil, ErrAggregate // many frames, no fragments: WalkAggregate's input, not ours
+	}
 	// Fast path: unfragmented packet.
 	if h.FragOff == 0 && !h.MoreFrags {
 		if len(payload) != int(h.TotalLen) {

@@ -3,6 +3,7 @@ package bridge
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"vnetp/internal/ethernet"
@@ -11,9 +12,12 @@ import (
 // FuzzEncapDecode throws arbitrary bytes at the wire-format decoder and
 // pins the codec's safety contract: ParseEncap never panics, v1
 // datagrams (the pre-widening format) are rejected with exactly
-// ErrBadVersion, a clean v2 header survives a marshal round-trip, and
-// any payload the decoder accepts also survives a full encapsulate →
-// reassemble cycle (both the allocating and the pooled encoder).
+// ErrBadVersion, a clean v2 header survives a marshal round-trip
+// (aggregate flag included), an accepted aggregate header is one the
+// sender could have written (not a fragment, probe or traced; count >= 1
+// and small enough for its train; train length exact), and any payload
+// the decoder accepts also survives a full encapsulate → reassemble
+// cycle (both the allocating and the pooled encoder).
 func FuzzEncapDecode(f *testing.F) {
 	seed := &ethernet.Frame{
 		Dst: ethernet.LocalMAC(1), Src: ethernet.LocalMAC(2),
@@ -26,6 +30,23 @@ func FuzzEncapDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x56, 0x4e, 0x01, 0x00}) // v1, truncated
+	// Aggregates: well formed, then each rejected shape — fragment flag,
+	// probe flag, count 0, train length off by one.
+	agg := aggregateOf(f, seed, seed)
+	f.Add(agg)
+	for _, mutate := range []func(d []byte){
+		func(d []byte) { d[3] |= flagMoreFrags },
+		func(d []byte) { d[3] |= flagProbe },
+		func(d []byte) { d[11] = 0 },
+		func(d []byte) { d[15]++ },
+	} {
+		bad := append([]byte(nil), agg...)
+		mutate(bad)
+		if _, _, err := ParseEncap(bad); !errors.Is(err, ErrAggregate) {
+			f.Fatalf("malformed aggregate header % x: got %v, want ErrAggregate", bad[:EncapHeaderLen], err)
+		}
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := ParseEncap(data) // must never panic
 		if err != nil {
@@ -40,9 +61,19 @@ func FuzzEncapDecode(f *testing.F) {
 		// reproduce the wire header — trace extension included — whenever
 		// no unknown flag bits were set (Marshal cannot represent unknown
 		// bits).
-		if data[3]&^(flagMoreFrags|flagProbe|flagProbeReply|flagTrace|flagSealed) == 0 {
+		if data[3]&^(flagMoreFrags|flagProbe|flagProbeReply|flagTrace|flagSealed|flagAggregate) == 0 {
 			if re := h.Marshal(nil); !bytes.Equal(re, data[:h.WireLen()]) {
 				t.Fatalf("header round-trip: % x != % x", re, data[:h.WireLen()])
+			}
+		}
+		if h.Aggregate {
+			train := len(payload)
+			if h.HasSeal {
+				train -= SealOverhead
+			}
+			if h.MoreFrags || h.Probe || h.ProbeReply || h.HasTrace || h.FragOff == 0 ||
+				int(h.TotalLen) != train || int(h.FragOff) > train/aggMinRecord {
+				t.Fatalf("accepted an aggregate no sender writes: %+v over %d train bytes", h, train)
 			}
 		}
 
@@ -218,6 +249,123 @@ func FuzzReassembler(f *testing.F) {
 		r.EvictStale()
 		if r.Pending() != 0 {
 			t.Fatalf("%d partials leaked past eviction", r.Pending())
+		}
+	})
+}
+
+// aggregateOf packs frames into one plaintext aggregate datagram.
+func aggregateOf(t testing.TB, frames ...*ethernet.Frame) []byte {
+	t.Helper()
+	var agg Aggregator
+	var ids atomic.Uint32
+	agg.Reset(NewEncapTemplate(nil), nil, 1400)
+	for i, f := range frames {
+		if fit, err := agg.Add(f, &ids); !fit || err != nil {
+			t.Fatalf("frame %d: fit=%v err=%v", i, fit, err)
+		}
+	}
+	d, _ := agg.Close()
+	return append([]byte(nil), d...)
+}
+
+// FuzzAggregate drives the aggregate record walker with arbitrary trains
+// and counts, and the encoder with fuzz-cut frames. The walker never
+// panics; it yields records only from a train it accepted whole, and
+// then exactly count of them, each at least an Ethernet header, tiling
+// the train with their length prefixes and nothing left over. A train
+// the Aggregator built — across however many datagrams the cut needs —
+// parses, walks, and unmarshals back to the frames that went in, in
+// order.
+func FuzzAggregate(f *testing.F) {
+	record := func(n int) []byte {
+		return append([]byte{byte(n >> 8), byte(n)}, bytes.Repeat([]byte{0xee}, n)...)
+	}
+	two := append(record(14), record(30)...)
+	f.Add(two, uint32(2), byte(20))                              // well formed
+	f.Add(two[:len(two)-1], uint32(2), byte(20))                 // last record truncated
+	f.Add(append(two, 0x00), uint32(2), byte(0))                 // truncated length prefix
+	f.Add(append(record(14), record(13)...), uint32(2), byte(1)) // record shorter than an Ethernet header
+	f.Add(two, uint32(3), byte(7))                               // count != records
+	f.Add(append(two, record(14)...), uint32(2), byte(7))        // trailing bytes past count records
+	f.Add(append(record(14), 0, 0), uint32(2), byte(7))          // zero-length record
+	f.Add([]byte{}, uint32(0), byte(3))
+	f.Fuzz(func(t *testing.T, train []byte, count uint32, cut byte) {
+		var got [][]byte
+		err := WalkAggregate(train, count, func(rec []byte) { got = append(got, rec) })
+		if err != nil {
+			if len(got) != 0 {
+				t.Fatalf("rejected train yielded %d records", len(got))
+			}
+		} else {
+			if uint32(len(got)) != count {
+				t.Fatalf("accepted train yielded %d records for count %d", len(got), count)
+			}
+			var tiled []byte
+			for _, rec := range got {
+				if len(rec) < ethernet.HeaderLen {
+					t.Fatalf("yielded a %d-byte record", len(rec))
+				}
+				tiled = append(append(tiled, byte(len(rec)>>8), byte(len(rec))), rec...)
+			}
+			if !bytes.Equal(tiled, train) {
+				t.Fatal("records do not tile the train")
+			}
+		}
+
+		// Encode side: cut the input into payloads of 1..cut+1 bytes, pack
+		// them under a small budget so the stream spills over several
+		// aggregates, and walk every datagram back.
+		var frames []*ethernet.Frame
+		for rest := train; len(rest) > 0 && len(frames) < 64; {
+			n := min(len(rest), int(cut)+1)
+			frames = append(frames, &ethernet.Frame{Dst: ethernet.LocalMAC(7), Src: ethernet.LocalMAC(uint32(len(frames))),
+				Type: ethernet.TypeTest, Payload: rest[:n]})
+			rest = rest[n:]
+		}
+		var agg Aggregator
+		var ids atomic.Uint32
+		agg.Reset(NewEncapTemplate(nil), nil, 512)
+		var datagrams [][]byte
+		for _, fr := range frames {
+			fit, err := agg.Add(fr, &ids)
+			if !fit && err == nil && agg.Open() {
+				d, _ := agg.Close()
+				datagrams = append(datagrams, d)
+				fit, err = agg.Add(fr, &ids)
+			}
+			if !fit || err != nil {
+				t.Fatalf("a %d-byte payload does not fit an empty 512-byte aggregate: fit=%v err=%v", len(fr.Payload), fit, err)
+			}
+		}
+		if agg.Open() {
+			d, _ := agg.Close()
+			datagrams = append(datagrams, d)
+		}
+		next := 0
+		for _, d := range datagrams {
+			if len(d) > 512 {
+				t.Fatalf("aggregate of %d bytes over a 512-byte budget", len(d))
+			}
+			h, payload, err := ParseEncap(d)
+			if err != nil || !h.Aggregate {
+				t.Fatalf("own aggregate does not parse: %v", err)
+			}
+			err = WalkAggregate(payload, h.FragOff, func(rec []byte) {
+				fr, err := ethernet.Unmarshal(rec)
+				if err != nil || next >= len(frames) {
+					t.Fatalf("record %d: %v", next, err)
+				}
+				if want := frames[next]; fr.Src != want.Src || fr.Dst != want.Dst || !bytes.Equal(fr.Payload, want.Payload) {
+					t.Fatalf("record %d differs from the frame packed", next)
+				}
+				next++
+			})
+			if err != nil {
+				t.Fatalf("own aggregate does not walk: %v", err)
+			}
+		}
+		if next != len(frames) {
+			t.Fatalf("%d of %d frames came back", next, len(frames))
 		}
 	})
 }

@@ -23,7 +23,7 @@ func (f *tuneFake) SetLinkTune(id, mode string) error {
 }
 
 func (f *tuneFake) TuningSummary() []string {
-	return []string{"l0 mode=latency source=auto batch=1 flush=25µs switches=2"}
+	return []string{"l0 mode=latency source=auto batch=1 switches=2"}
 }
 
 // TestParseLinkTune pins the LINK TUNE grammar: id + mode, mode

@@ -39,7 +39,7 @@ type adaptiveBenchConfig struct {
 func adaptiveBenchConfigs() []adaptiveBenchConfig {
 	batched := func(adaptive bool) overlay.NodeConfig {
 		return overlay.NodeConfig{
-			TxBatch: 32, TxRing: 4096, TxFlushTimeout: 200 * time.Microsecond,
+			TxBatch: 32, TxRing: 4096,
 			Adaptive: overlay.AdaptiveConfig{Enabled: adaptive},
 		}
 	}

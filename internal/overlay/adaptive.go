@@ -2,9 +2,12 @@
 // mechanism (Sect. 4, Table 1) applied to the real-socket overlay. A
 // supervised controller samples each link's frame counter every ω and
 // runs α_l/α_u hysteresis (internal/adapt/rate) over the observed rate:
-// an idle link runs in latency mode (batch=1, short flush — the
-// guest-driven analogue) and a loaded link in throughput mode
-// (batch=TxBatch, long flush — the VMM-driven analogue). The effective
+// an idle link runs in latency mode (batch=1: every frame leaves in a
+// datagram of its own the moment the sender sees it — the guest-driven
+// analogue) and a loaded link in throughput mode (batch=TxBatch: the
+// sender takes what has queued up behind the frame that woke it and
+// packs it into shared datagrams — the VMM-driven analogue). Neither
+// mode ever waits for frames that have not arrived. The effective
 // tunables live in an atomic per-link snapshot the TX sender reads per
 // batch, so a retune applies from the next batch with no locking on the
 // hot path. Mode state is exported (vnetp_dispatch_mode,
@@ -65,24 +68,17 @@ func (c *AdaptiveConfig) normalize() {
 // LINK TUNE) publishes a fresh snapshot to retune the link live.
 type txTunables struct {
 	mode  rate.Mode
-	batch int           // frames coalesced per flush (1 in latency mode)
-	flush time.Duration // max wait for a partial batch
+	batch int // most frames taken per sender wakeup (1 in latency mode)
 }
 
-// tunablesFor maps a dispatch mode onto the node's configured operating
-// points: throughput mode is the configured TxBatch/TxFlushTimeout;
-// latency mode dispatches each frame as it arrives (batch=1) with a
-// quartered flush bound (moot at batch=1, but kept short so a pinned
-// latency link never waits long on the timer path).
+// tunablesFor maps a dispatch mode onto the node's operating points:
+// throughput mode takes up to the configured TxBatch frames per wakeup,
+// latency mode dispatches each frame on its own.
 func (n *Node) tunablesFor(m rate.Mode) *txTunables {
 	if m == rate.Throughput {
-		return &txTunables{mode: m, batch: n.cfg.TxBatch, flush: n.cfg.TxFlushTimeout}
+		return &txTunables{mode: m, batch: n.cfg.TxBatch}
 	}
-	f := n.cfg.TxFlushTimeout / 4
-	if f < time.Microsecond {
-		f = time.Microsecond
-	}
-	return &txTunables{mode: rate.Latency, batch: 1, flush: f}
+	return &txTunables{mode: rate.Latency, batch: 1}
 }
 
 // initLinkTunables publishes a fresh link's initial operating point:
@@ -109,7 +105,7 @@ func (n *Node) applyMode(lk *link, m rate.Mode, why string, extra ...any) {
 	lk.modeSwitches.Inc()
 	n.log.Info("dispatch mode switched",
 		append([]any{"node", n.name, "link", lk.id, "mode", m.String(),
-			"batch", tun.batch, "flush", tun.flush, "cause", why}, extra...)...)
+			"batch", tun.batch, "cause", why}, extra...)...)
 }
 
 // adaptLoop is the node's dispatch-mode controller: every ω it samples
@@ -234,8 +230,8 @@ func (n *Node) TuningSummary() []string {
 		}
 		tun := lk.tun.Load()
 		mode := rate.Mode(int32(lk.modeGauge.Value()))
-		out = append(out, fmt.Sprintf("%s mode=%s source=%s batch=%d flush=%s switches=%d",
-			lk.id, mode, source, tun.batch, tun.flush, lk.modeSwitches.Load()))
+		out = append(out, fmt.Sprintf("%s mode=%s source=%s batch=%d switches=%d",
+			lk.id, mode, source, tun.batch, lk.modeSwitches.Load()))
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 // idle link falls under α_l within a few milliseconds.
 func adaptiveCfg() overlay.NodeConfig {
 	return overlay.NodeConfig{
-		TxBatch: 8, TxRing: 4096, TxFlushTimeout: 200 * time.Microsecond,
+		TxBatch: 8, TxRing: 4096,
 		Adaptive: overlay.AdaptiveConfig{
 			Enabled: true,
 			AlphaL:  500, AlphaU: 2000,
@@ -230,7 +231,7 @@ func TestLinkTuneControlVerbs(t *testing.T) {
 func TestLinkTuneStaticAndSyncLinks(t *testing.T) {
 	// Static batched link: TxBatch > 1, adaptive off.
 	na, _, _, _ := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 8, TxFlushTimeout: 200 * time.Microsecond},
+		overlay.NodeConfig{TxBatch: 8},
 		overlay.NodeConfig{}, "udp")
 	if err := na.SetLinkTune("to-b", "latency"); err != nil {
 		t.Fatalf("static link tune to latency: %v", err)
@@ -261,14 +262,13 @@ func TestLinkTuneStaticAndSyncLinks(t *testing.T) {
 	}
 }
 
-// TestTxLoopTeardownCountsBatchDrops is the bugfix-1 regression: frames
-// the sender had already collected into its in-hand batch when the node
-// closed were silently discarded; now they land in tx_ring_drops.
-func TestTxLoopTeardownCountsBatchDrops(t *testing.T) {
-	na, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 64, TxFlushTimeout: 10 * time.Second},
-		overlay.NodeConfig{}, "udp")
-	const frames = 5
+// strandFrames wedges a batched node's sender with an injected stall and
+// sends frames behind it: the sender ends up holding the first in hand
+// (the self-clocked sender never sits on a frame of its own accord) with
+// the rest still in the ring.
+func strandFrames(t *testing.T, na *overlay.Node, epA, epB *overlay.Endpoint, frames int) {
+	t.Helper()
+	na.Runtime().Worker("tx/to-b").InjectStall(time.Hour)
 	for i := 0; i < frames; i++ {
 		f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
 			Payload: []byte(fmt.Sprintf("stranded %d", i))}
@@ -276,16 +276,27 @@ func TestTxLoopTeardownCountsBatchDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The sender pops all five into its batch (ring empties) and then
-	// waits on the 10s flush timer, far past this test's lifetime.
-	waitForValue(t, func() bool { return famValue(na, "vnetp_link_tx_queue_depth") == 0 },
-		"sender to collect the stranded batch")
+	waitForValue(t, func() bool { return famValue(na, "vnetp_link_tx_queue_depth") == float64(frames-1) },
+		"stalled sender to take the first frame in hand")
+}
+
+// TestTxLoopTeardownCountsBatchDrops is the bugfix-1 regression: what
+// the sender held in hand when the node closed was silently discarded;
+// now it lands in tx_ring_drops.
+func TestTxLoopTeardownCountsBatchDrops(t *testing.T) {
+	na, _, epA, epB := batchNodes(t,
+		overlay.NodeConfig{TxBatch: 64},
+		overlay.NodeConfig{}, "udp")
+	strandFrames(t, na, epA, epB, 5)
 	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != 0 {
 		t.Fatalf("tx_ring_drops = %v before close, want 0", d)
 	}
 	na.Close()
-	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != frames {
-		t.Fatalf("tx_ring_drops = %v after close, want %d (the abandoned in-hand batch)", d, frames)
+	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != 1 {
+		t.Fatalf("tx_ring_drops = %v after close, want 1 (the abandoned frame in hand)", d)
+	}
+	if sent := na.EncapSent.Load(); sent != 0 {
+		t.Fatalf("stopped sender transmitted %d frames", sent)
 	}
 }
 
@@ -295,26 +306,17 @@ func TestTxLoopTeardownCountsBatchDrops(t *testing.T) {
 // vnetpd shutdown summary.
 func TestDrainCountsSenderBatchDrops(t *testing.T) {
 	na, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 64, TxFlushTimeout: 10 * time.Second},
+		overlay.NodeConfig{TxBatch: 64},
 		overlay.NodeConfig{}, "udp")
 	const frames = 5
-	for i := 0; i < frames; i++ {
-		f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
-			Payload: []byte("never flushed")}
-		if err := epA.Send(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitForValue(t, func() bool { return famValue(na, "vnetp_link_tx_queue_depth") == 0 },
-		"sender to collect the stranded batch")
-	// The rings are empty (the frames sit in the sender's batch), so the
-	// flush phase sees nothing queued; the deadline just bounds the
-	// settle wait driven by the long flush timeout.
+	strandFrames(t, na, epA, epB, frames)
+	// Four frames sit in the ring behind the wedged sender and one in its
+	// hand; the deadline abandons all five, each counted once.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	st, _ := na.Drain(ctx)
 	if st.FramesDropped != frames {
-		t.Fatalf("DrainStats.FramesDropped = %d, want %d (sender batch folded in)", st.FramesDropped, frames)
+		t.Fatalf("DrainStats.FramesDropped = %d, want %d (ring plus the frame in hand)", st.FramesDropped, frames)
 	}
 }
 
@@ -324,7 +326,7 @@ func TestDrainCountsSenderBatchDrops(t *testing.T) {
 // check but fails ethernet.Frame.Marshal inside the batch encap loop.
 func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 	na, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 4, TxFlushTimeout: 100 * time.Microsecond, TraceSample: 1},
+		overlay.NodeConfig{TxBatch: 4, TraceSample: 1},
 		overlay.NodeConfig{}, "udp")
 	bad := &ethernet.Frame{
 		Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
@@ -362,12 +364,12 @@ func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 
 // TestTCPDialFailureChargesWholeBatch pins the documented TCP
 // accounting rule's failed-dial corner: no datagram was confirmed, so
-// the whole batch lands in send_errors and none of it in bytes_sent —
-// matching what the UDP path reports when the socket write fails
-// outright.
+// every datagram of the batch lands in send_errors and none of it in
+// bytes_sent — matching what the UDP path reports when the socket write
+// fails outright.
 func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("a", "127.0.0.1:0",
-		overlay.NodeConfig{TxBatch: 4, TxFlushTimeout: 100 * time.Microsecond})
+		overlay.NodeConfig{TxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,10 +394,100 @@ func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitForValue(t, func() bool { return famValue(na, "vnetp_link_send_errors_total") >= frames },
-		"failed dial to charge the batch to send_errors")
+	waitForValue(t, func() bool { return na.EncapSent.Load() == frames },
+		"sender to work through the frames")
+	// send_errors counts datagrams; how many the four frames shared
+	// depends on how the sender's wakeups fell.
+	var datagrams float64
+	for _, fam := range na.Telemetry().Gather() {
+		if fam.Name == "vnetp_tx_datagram_frames" {
+			datagrams = float64(fam.Samples[0].Hist.Count)
+		}
+	}
+	if e := famValue(na, "vnetp_link_send_errors_total"); datagrams < 1 || e != datagrams {
+		t.Fatalf("send_errors = %v for %v datagrams, want one each", e, datagrams)
+	}
 	if b := famValue(na, "vnetp_link_bytes_sent_total"); b != 0 {
 		t.Fatalf("bytes_sent = %v after a failed dial, want 0 (nothing confirmed)", b)
+	}
+}
+
+// echoPair builds two nodes of one config with a route each way and an
+// echo server on B that reflects every frame to its sender. pingPong
+// then runs one-outstanding echoes from A for at least the given time
+// and reports their round-trip times.
+func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingPong func(time.Duration) []time.Duration) {
+	na, nb, epA, epB := batchNodes(t, cfg, cfg, "udp")
+	if err := nb.AddLink("to-a", na.Addr(), "udp"); err != nil {
+		t.Fatal(err)
+	}
+	nb.AddRoute(core.Route{DstMAC: epA.MAC(), DstQual: core.QualExact, SrcQual: core.QualAny,
+		Dest: core.Destination{Type: core.DestLink, ID: "to-a"}})
+	done := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			f, ok := epB.Recv(20 * time.Millisecond)
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if ok {
+				epB.Send(&ethernet.Frame{Dst: f.Src, Src: f.Dst, Type: f.Type, Payload: f.Payload})
+			}
+		}
+	}()
+	t.Cleanup(func() { close(done); <-served })
+	return na, nb, func(d time.Duration) []time.Duration {
+		var rtts []time.Duration
+		for start := time.Now(); time.Since(start) < d; {
+			t0 := time.Now()
+			f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: make([]byte, 64)}
+			if err := epA.Send(f); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := epA.Recv(recvTimeout); !ok {
+				t.Fatalf("echo %d lost", len(rtts))
+			}
+			rtts = append(rtts, time.Since(t0))
+		}
+		return rtts
+	}
+}
+
+// TestIdleEchoBatchedNearSync: with one frame outstanding there is never
+// a second frame to batch, and the self-clocked sender does not wait for
+// one — an echo through two statically batched nodes costs about what it
+// costs through two synchronous ones (two goroutine handoffs more). With
+// a flush timer it cost the timer, twice: ≈2.3 ms against ≈13 µs.
+func TestIdleEchoBatchedNearSync(t *testing.T) {
+	p50 := func(cfg overlay.NodeConfig) time.Duration {
+		_, _, pingPong := echoPair(t, cfg)
+		rtts := pingPong(200 * time.Millisecond)
+		sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+		return rtts[len(rtts)/2]
+	}
+	sync, batched := p50(overlay.NodeConfig{}), p50(overlay.NodeConfig{TxBatch: 32})
+	if batched > 2*sync {
+		t.Fatalf("idle echo RTT p50: %v through batched nodes, %v through synchronous ones; want within 2x", batched, sync)
+	}
+}
+
+// TestAdaptivePingPongHoldsMode: a ping-pong fast enough to cross α_u
+// switches its links to throughput mode once and stays there — the mode
+// costs an idle link nothing, so the echo rate does not collapse and
+// push the controller back (it flipped ≈80 times a second when
+// throughput mode meant a flush timer).
+func TestAdaptivePingPongHoldsMode(t *testing.T) {
+	na, nb, pingPong := echoPair(t, overlay.NodeConfig{Adaptive: overlay.AdaptiveConfig{Enabled: true}})
+	start := time.Now()
+	echoes := len(pingPong(time.Second))
+	seconds := time.Since(start).Seconds()
+	switches := famValue(na, "vnetp_dispatch_mode_switches_total") + famValue(nb, "vnetp_dispatch_mode_switches_total")
+	if switches > 10*seconds {
+		t.Fatalf("%v mode switches in %.2fs of ping-pong (%d echoes), want <= 10 per second", switches, seconds, echoes)
 	}
 }
 
@@ -409,7 +501,7 @@ func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 func BenchmarkOverlayAdaptiveDispatch(b *testing.B) {
 	batched := func(batch int, adaptive bool) overlay.NodeConfig {
 		return overlay.NodeConfig{
-			TxBatch: batch, TxRing: 4096, TxFlushTimeout: 200 * time.Microsecond,
+			TxBatch: batch, TxRing: 4096,
 			Adaptive: overlay.AdaptiveConfig{Enabled: adaptive},
 		}
 	}

@@ -71,7 +71,7 @@ func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	na, err := overlay.NewNodeWithConfig("chaos-a", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch: 4, TxFlushTimeout: 50 * time.Microsecond,
+		TxBatch:   4,
 		Supervise: chaosSupervise(),
 	})
 	if err != nil {
@@ -173,7 +173,7 @@ func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 // node ends closed and a second Drain refuses.
 func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("drain-a", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch: 8, TxRing: 1024, TxFlushTimeout: 50 * time.Microsecond,
+		TxBatch: 8, TxRing: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 // respects its deadline, reports the loss, and still closes the node.
 func TestDrainDeadlineGivesUp(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("drain-stuck", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch: 8, TxRing: 1024, TxFlushTimeout: 50 * time.Microsecond,
+		TxBatch: 8, TxRing: 1024,
 		// Watchdog off: the injected stall must persist through the
 		// whole drain window for the deadline path to trigger.
 		Supervise: supervise.Config{StallTimeout: -1},

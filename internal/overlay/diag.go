@@ -68,7 +68,6 @@ type DiagConfig struct {
 	QueueDepth      int     `json:"queue_depth"`
 	TxBatch         int     `json:"tx_batch"`
 	TxRing          int     `json:"tx_ring"`
-	TxFlushTimeout  string  `json:"tx_flush_timeout"`
 	RxBatch         int     `json:"rx_batch"`
 	FlowCache       bool    `json:"flow_cache"`
 	FlowCacheSize   int     `json:"flow_cache_size"`
@@ -139,7 +138,6 @@ func (n *Node) Diag() DiagBundle {
 			QueueDepth:      cfg.QueueDepth,
 			TxBatch:         cfg.TxBatch,
 			TxRing:          cfg.TxRing,
-			TxFlushTimeout:  cfg.TxFlushTimeout.String(),
 			RxBatch:         cfg.RxBatch,
 			FlowCache:       !cfg.FlowCacheDisabled,
 			FlowCacheSize:   fcSize,

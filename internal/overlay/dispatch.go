@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"vnetp/internal/bridge"
+	"vnetp/internal/ethernet"
 	"vnetp/internal/logging"
 	"vnetp/internal/seal"
 	"vnetp/internal/supervise"
@@ -45,11 +46,9 @@ func DefaultDispatchers() int {
 	return n
 }
 
-// Default TX batching parameters (NodeConfig zero values).
-const (
-	defaultTxRing  = 1024
-	defaultTxFlush = 100 * time.Microsecond
-)
+// defaultTxRing is each link's TX ring depth (NodeConfig.TxRing zero
+// value).
+const defaultTxRing = 1024
 
 // NodeConfig tunes a node's datapath.
 type NodeConfig struct {
@@ -60,25 +59,21 @@ type NodeConfig struct {
 	// the default (512).
 	QueueDepth int
 
-	// TxBatch is the number of frames a link's sender goroutine coalesces
-	// per wakeup (the send-side analogue of the paper's VMM-driven batch
+	// TxBatch is the most frames a link's sender goroutine takes per
+	// wakeup (the send-side analogue of the paper's VMM-driven batch
 	// dispatch, Sect. 4.3). Zero or one keeps the synchronous transmit
 	// path: Send encapsulates and writes inline, preserving guest-driven
 	// latency semantics. Above one, each link owns a bounded TX ring and
-	// a sender goroutine that drains it in batches, amortizing wakeups,
-	// buffer allocations, and (on Linux) syscalls via sendmmsg. In batched
-	// mode a frame handed to Send is retained until flushed and must not
-	// be modified by the caller afterwards.
+	// a self-clocked sender goroutine: it sends what is queued when it
+	// wakes and never waits for more, packing small frames into shared
+	// datagrams and moving the batch in one syscall (sendmmsg on Linux).
+	// In batched mode a frame handed to Send is retained until sent and
+	// must not be modified by the caller afterwards.
 	TxBatch int
 	// TxRing is each link's TX ring depth in frames (batched mode only).
 	// Like a NIC TX ring, enqueue drops (and counts) when full rather
 	// than blocking the router. Zero means the default (1024).
 	TxRing int
-	// TxFlushTimeout bounds how long a partial batch may wait for more
-	// frames before it is flushed — the send-side half of the adaptive
-	// hysteresis idea from the paper's Table 1. Zero means the default
-	// (100µs).
-	TxFlushTimeout time.Duration
 
 	// FlowCacheDisabled turns off the per-flow forwarding cache
 	// (flowcache.go), restoring the per-frame route-lookup path. The
@@ -100,10 +95,10 @@ type NodeConfig struct {
 
 	// Adaptive enables the per-link adaptive dispatch controller: an
 	// ω-tick rate sampler with α_l/α_u hysteresis that retunes each
-	// link's effective batch size and flush timeout between latency
-	// mode (batch=1, idle links) and throughput mode (batch=TxBatch,
-	// loaded links) — the paper's Table 1 mechanism on the live
-	// datapath (vnetpd -adaptive). Enabling it implies TxBatch > 1.
+	// link's effective batch size between latency mode (batch=1, idle
+	// links) and throughput mode (batch=TxBatch, loaded links) — the
+	// paper's Table 1 mechanism on the live datapath (vnetpd -adaptive).
+	// Enabling it implies TxBatch > 1.
 	Adaptive AdaptiveConfig
 
 	// EvictInterval is how often stale partial reassemblies are swept
@@ -162,9 +157,6 @@ func (c *NodeConfig) normalize() {
 	}
 	if c.RxBatch <= 0 {
 		c.RxBatch = defaultRxBatch
-	}
-	if c.TxFlushTimeout <= 0 {
-		c.TxFlushTimeout = defaultTxFlush
 	}
 	if c.EvictInterval <= 0 {
 		c.EvictInterval = time.Second
@@ -245,8 +237,7 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 			inst.Working()
 			h, payload, err := bridge.ParseEncap(d.pkt)
 			if err != nil {
-				n.BadPackets.Add(1)
-				n.drop(dropBadPacket, 1, telemetry.DropDetail{
+				n.dropBadPacket(bridge.EncapFrames(d.pkt), telemetry.DropDetail{
 					Scope: d.sender, Stage: "rx_parse",
 				})
 				inst.Idle()
@@ -258,11 +249,21 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 	}
 }
 
+// dropBadPacket lands a malformed datagram on the ledger and its legacy
+// counter. Like every receive-side drop of a whole datagram it charges
+// the frames the datagram stood for (bridge.EncapFrames), so the frames
+// an aggregate carried are all accounted for when it is shed.
+func (n *Node) dropBadPacket(frames uint64, d telemetry.DropDetail) {
+	n.BadPackets.Add(frames)
+	n.drop(dropBadPacket, frames, d)
+}
+
 // processData runs the data path for one parsed datagram: flight
-// capture, AEAD open for sealed datagrams, shard-local reassembly, then
-// routing of any completed frame in its tenant's namespace. Shared by
-// the UDP dispatcher workers and the TCP connection readers (which
-// parse on their own goroutines and call in directly). raw is the full
+// capture, AEAD open for sealed datagrams, then either the record walk
+// of an aggregate or shard-local reassembly, and routing of every
+// completed frame in its tenant's namespace. Shared by the UDP
+// dispatcher workers and the TCP connection readers (which parse on
+// their own goroutines and call in directly). raw is the full
 // encap datagram as it arrived on the wire, captured by the shard's
 // flight recorder when one is armed (before decryption: the recorder
 // sees what the wire saw).
@@ -285,13 +286,14 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		pt, err := n.keyring.Open(h.Seal.Tenant, h.Seal.Nonce, aad, payload)
 		if err != nil {
 			rr := seal.RejectReasonOf(err)
-			n.metrics.sealRejects.With(rr).Add(1)
+			frames := h.Frames()
+			n.metrics.sealRejects.With(rr).Add(frames)
 			// The wire-claimed tenant ID is unauthenticated; charging the
 			// claimed tenant is deliberate — a forged datagram charges
 			// the tenant it impersonates, which is the tenant whose
 			// traffic an operator should inspect.
-			n.slis.get(h.Seal.Tenant).sealRejects.Add(1)
-			n.drop(dropSealReject, 1, telemetry.DropDetail{
+			n.slis.get(h.Seal.Tenant).sealRejects.Add(frames)
+			n.drop(dropSealReject, frames, telemetry.DropDetail{
 				Tenant: h.Seal.Tenant, Scope: sender, Stage: rr,
 			})
 			return
@@ -299,6 +301,21 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		n.metrics.sealOpened.Add(1)
 		tenant = h.Seal.Tenant
 		payload = pt
+	}
+	if h.Aggregate {
+		// Whole frames, no reassembly. The walker vets the entire train
+		// before the first record is delivered: all of a datagram's frames
+		// arrive, or none and the datagram is a bad packet.
+		err := bridge.WalkAggregate(payload, h.FragOff, func(record []byte) {
+			frame, _ := ethernet.Unmarshal(record) // cannot fail: the walker saw a full Ethernet header
+			n.routeFromWire(s, frame, tenant, at)
+		})
+		if err != nil {
+			n.dropBadPacket(h.Frames(), telemetry.DropDetail{
+				Tenant: tenant, Scope: sender, Stage: "aggregate",
+			})
+		}
+		return
 	}
 	s.mu.Lock()
 	if h.HasSeal {
@@ -313,8 +330,7 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 	frame, err := s.reasm.AddParsed(sender, h, payload)
 	s.mu.Unlock()
 	if err != nil {
-		n.BadPackets.Add(1)
-		n.drop(dropBadPacket, 1, telemetry.DropDetail{
+		n.dropBadPacket(1, telemetry.DropDetail{
 			Tenant: tenant, Scope: sender, Stage: "reassembly",
 		})
 		return
@@ -329,6 +345,13 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		frame.Tag = tid
 		n.tracer.RecordRemote(tid, h.Trace.Origin, h.Trace.Flags, trace.StageReassembly)
 	}
+	n.routeFromWire(s, frame, tenant, at)
+}
+
+// routeFromWire counts one frame received whole from a link and routes
+// it in the tenant's namespace. at is the socket-read time of the
+// datagram that completed it.
+func (n *Node) routeFromWire(s *rxShard, frame *ethernet.Frame, tenant uint32, at time.Time) {
 	s.Frames.Add(1)
 	n.EncapRecv.Add(1)
 	n.routeTenantAt(frame, nil, time.Time{}, tenant)
@@ -350,8 +373,9 @@ func (n *Node) enqueue(sender string, pkt []byte, at time.Time) {
 	select {
 	case s.in <- inDatagram{sender: sender, pkt: pkt, at: at}:
 	default:
-		s.Drops.Add(1)
-		n.drop(dropDispatcherRing, 1, telemetry.DropDetail{
+		frames := bridge.EncapFrames(pkt)
+		s.Drops.Add(frames)
+		n.drop(dropDispatcherRing, frames, telemetry.DropDetail{
 			Scope: fmt.Sprint(s.idx), Stage: "rx_ring",
 		})
 	}

@@ -107,12 +107,9 @@ func (n *Node) Drain(ctx context.Context) (DrainStats, error) {
 	// Flush phase: poll until every ring is empty (twice, a settle
 	// interval apart, so a batch the sender has popped but not yet
 	// written also makes it out) or the deadline expires.
+	const settle = time.Millisecond
 	pending := n.queued()
 	var flushErr error
-	settle := 2 * n.cfg.TxFlushTimeout
-	if settle < time.Millisecond {
-		settle = time.Millisecond
-	}
 	emptyStreak := 0
 	for {
 		if ctx.Err() != nil {

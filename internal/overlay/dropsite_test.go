@@ -9,9 +9,12 @@
 package overlay
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,6 +81,145 @@ func sealedDatagram(t testing.TB, tenant uint32) []byte {
 	d := append([]byte(nil), pkt.Datagrams[0]...)
 	pkt.Release()
 	return d
+}
+
+// aggregateDatagram packs frames copies of testFrame(1 → dst) into one
+// aggregate datagram, sealed when sl is non-nil.
+func aggregateDatagram(t testing.TB, frames int, dst ethernet.MAC, sl bridge.LinkSealer) []byte {
+	t.Helper()
+	var agg bridge.Aggregator
+	var ids atomic.Uint32
+	agg.Reset(bridge.NewEncapTemplate(sl), sl, maxDatagram)
+	for i := 0; i < frames; i++ {
+		if fit, err := agg.Add(testFrame(ethernet.LocalMAC(1), dst), &ids); !fit || err != nil {
+			t.Fatalf("frame %d: fit=%v err=%v", i, fit, err)
+		}
+	}
+	d, n := agg.Close()
+	if n != frames {
+		t.Fatalf("aggregate closed with %d frames, want %d", n, frames)
+	}
+	return append([]byte(nil), d...)
+}
+
+// overrunLastRecord corrupts a plaintext aggregateDatagram: its header
+// stays consistent (count, train length) but the last record's length
+// prefix now runs one byte past the train.
+func overrunLastRecord(d []byte) []byte {
+	record := 2 + testFrame(ethernet.MAC{}, ethernet.MAC{}).Len()
+	d[len(d)-record+1]++
+	return d
+}
+
+// TestDropSiteAggregate: a datagram that stands for several frames
+// charges all of them when it is shed — at the dispatcher ring, at the
+// seal check, at the parser, at the record walk — on the ledger and the
+// site's legacy counter alike, so admitted = delivered + Σ ledger holds
+// across aggregates; and a malformed or unauthentic aggregate delivers
+// none of its frames.
+func TestDropSiteAggregate(t *testing.T) {
+	const frames = 5
+	dst := ethernet.LocalMAC(2)
+	node := func(t *testing.T, cfg NodeConfig) (*Node, *Endpoint) {
+		cfg.Dispatchers = 1
+		n := dropNode(t, cfg)
+		sink, err := n.AttachEndpoint("sink", dst, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, sink
+	}
+	delivered := func(t *testing.T, n *Node, sink *Endpoint, want int) {
+		t.Helper()
+		for i := 0; i < want; i++ {
+			if _, ok := sink.Recv(5 * time.Second); !ok {
+				t.Fatalf("frame %d of %d not delivered", i, want)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		if _, ok := sink.TryRecv(); ok || n.Delivered.Load() != uint64(want) {
+			t.Fatalf("delivered = %d, want exactly %d", n.Delivered.Load(), want)
+		}
+	}
+
+	t.Run("well_formed", func(t *testing.T) {
+		n, sink := node(t, NodeConfig{})
+		n.inject("10.0.0.5:5", aggregateDatagram(t, frames, dst, nil))
+		delivered(t, n, sink, frames)
+		s := n.shards[0]
+		if s.Datagrams.Load() != 1 || s.Frames.Load() != frames || n.EncapRecv.Load() != frames || n.ledger.Total() != 0 {
+			t.Fatalf("datagrams=%d frames=%d encap_recv=%d drops=%d, want 1, %d, %d, 0",
+				s.Datagrams.Load(), s.Frames.Load(), n.EncapRecv.Load(), n.ledger.Total(), frames, frames)
+		}
+	})
+
+	t.Run("dispatcher_ring", func(t *testing.T) {
+		n, _ := node(t, NodeConfig{QueueDepth: 1})
+		s := n.shards[0]
+		d := aggregateDatagram(t, frames, dst, nil)
+		// Wedge the dispatcher on the first datagram, fill its one-slot
+		// ring with the second; the third is shed whole.
+		n.Runtime().Worker("dispatcher/0").InjectStall(time.Hour)
+		n.enqueue("10.0.0.5:5", d, time.Now())
+		deadline := time.Now().Add(5 * time.Second)
+		for len(s.in) != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("dispatcher never took the first datagram")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		n.enqueue("10.0.0.5:5", d, time.Now())
+		n.enqueue("10.0.0.5:5", d, time.Now())
+		if got, legacy := n.ledger.Count(dropDispatcherRing), s.Drops.Load(); got != frames || legacy != frames {
+			t.Fatalf("dispatcher_ring ledger=%d legacy=%d, want %d (the aggregate's frames)", got, legacy, frames)
+		}
+	})
+
+	t.Run("seal_reject", func(t *testing.T) {
+		n, sink := node(t, NodeConfig{})
+		key := bytes.Repeat([]byte{0x11}, 32)
+		if err := n.AddTenant(7, key); err != nil {
+			t.Fatal(err)
+		}
+		peer := seal.NewKeyring(42)
+		peer.AddTenant(7, key)
+		sl, err := peer.Sealer(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := aggregateDatagram(t, frames, dst, sl)
+		d[len(d)-20] ^= 0x01 // one ciphertext bit: the whole train fails authentication
+		n.inject("10.0.0.5:5", d)
+		waitCount(t, n, dropSealReject, frames)
+		if got, legacy, sli := n.ledger.Count(dropSealReject), n.metrics.sealRejects.Sum(), n.slis.get(7).sealRejects.Load(); got != frames || legacy != frames || sli != frames {
+			t.Fatalf("seal_reject ledger=%d legacy=%d tenant=%d, want %d each", got, legacy, sli, frames)
+		}
+		delivered(t, n, sink, 0)
+	})
+
+	t.Run("bad_train", func(t *testing.T) {
+		n, sink := node(t, NodeConfig{})
+		n.inject("10.0.0.5:5", overrunLastRecord(aggregateDatagram(t, frames, dst, nil)))
+		waitCount(t, n, dropBadPacket, frames)
+		if got, legacy := n.ledger.Count(dropBadPacket), n.BadPackets.Load(); got != frames || legacy != frames {
+			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, frames)
+		}
+		delivered(t, n, sink, 0) // not even the four intact records before the bad one
+	})
+
+	t.Run("bad_header", func(t *testing.T) {
+		n, sink := node(t, NodeConfig{})
+		d := aggregateDatagram(t, frames, dst, nil)
+		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims a billion frames
+		n.inject("10.0.0.5:5", d)
+		// Charged what a datagram this long could hold at most, not the claim.
+		most := uint64(len(d)-bridge.EncapHeaderLen) / uint64(2+ethernet.HeaderLen)
+		waitCount(t, n, dropBadPacket, most)
+		if got, legacy := n.ledger.Count(dropBadPacket), n.BadPackets.Load(); got != most || legacy != most {
+			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, most)
+		}
+		delivered(t, n, sink, 0)
+	})
 }
 
 func TestDropSiteNoRoute(t *testing.T) {
@@ -252,7 +394,7 @@ func TestDropSiteTxRing(t *testing.T) {
 }
 
 func TestDropSiteTxTeardown(t *testing.T) {
-	n := dropNode(t, NodeConfig{TxBatch: 4, TxRing: 64, TxFlushTimeout: time.Hour})
+	n := dropNode(t, NodeConfig{TxBatch: 4, TxRing: 64})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -268,22 +410,28 @@ func TestDropSiteTxTeardown(t *testing.T) {
 	n.mu.Lock()
 	lk := n.links["wire"]
 	n.mu.Unlock()
-	// Two frames: fewer than the batch of 4, and an hour-long flush, so
-	// the sender parks holding both in its partial batch.
+	// The self-clocked sender never sits on a frame by itself; an injected
+	// stall holds it with the frame that woke it in hand and the second
+	// still in the ring. Stopped there, it must not transmit: the frame in
+	// hand lands on tx_teardown, exactly once.
+	lk.txw.InjectStall(time.Hour)
 	src.Send(testFrame(src.MAC(), dst))
 	src.Send(testFrame(src.MAC(), dst))
 	deadline := time.Now().Add(5 * time.Second)
-	for len(lk.txq) > 0 {
+	for len(lk.txq) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("tx ring never drained into the batch")
+			t.Fatal("sender never took a frame off the ring")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond) // let the second pull land in the batch
 	lk.txw.Stop()
-	waitCount(t, n, dropTxTeardown, 2)
-	if got := n.ledger.Count(dropTxTeardown); got != 2 {
-		t.Fatalf("tx_teardown = %d, want 2", got)
+	waitCount(t, n, dropTxTeardown, 1)
+	time.Sleep(20 * time.Millisecond) // a second count would land by now
+	if got, legacy := n.ledger.Count(dropTxTeardown), lk.txDrops.Load(); got != 1 || legacy != 1 {
+		t.Fatalf("tx_teardown = %d, tx_ring_drops = %d, want 1 each", got, legacy)
+	}
+	if sent := n.EncapSent.Load(); sent != 0 || len(lk.txq) != 1 {
+		t.Fatalf("stopped sender transmitted %d frames, ring holds %d; want 0 and 1", sent, len(lk.txq))
 	}
 }
 
@@ -291,7 +439,9 @@ func TestDropSiteTxTeardown(t *testing.T) {
 // -race) and then checks the audit invariant: the ledger total sums
 // exactly to its per-reason counts, and every reason agrees with the
 // legacy counter its sites have always fed — each loss counted once,
-// under exactly one reason.
+// under exactly one reason. The node runs the batched leg, and half the
+// receive-side churn arrives as aggregate datagrams, whose drops charge
+// several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 2, QueueDepth: 4, TxBatch: 2, TxRing: 1, EvictInterval: 20 * time.Millisecond})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
@@ -324,6 +474,17 @@ func TestDropLedgerChurn(t *testing.T) {
 	lk.txw.Stop() // every TX past the one-slot ring fill must drop
 
 	sealed := sealedDatagram(t, 42)
+	aggregate := aggregateDatagram(t, 3, sink.MAC(), nil)
+	badTrain := overrunLastRecord(aggregateDatagram(t, 3, sink.MAC(), nil))
+	sealedAggregate := func() []byte {
+		kr := seal.NewKeyring(9)
+		kr.AddTenant(42, bytes.Repeat([]byte{0x42}, 32))
+		sl, err := kr.Sealer(42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aggregateDatagram(t, 3, sink.MAC(), sl) // tenant 42 is unknown here
+	}()
 	partial := func() []byte {
 		f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2))
 		f.Payload = make([]byte, 9000)
@@ -350,10 +511,13 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), crossDst)) })               // cross_tenant
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
 	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, time.Now()) })
+	churn(func(i int) { n.enqueue(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate, time.Now()) }) // dispatcher_ring ×3, else endpoint_ring
 	// The blocking inject path guarantees these reach processData even
 	// while the enqueue churn keeps the rings overrun.
 	churn(func(i int) { n.inject(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })
+	churn(func(i int) { n.inject(fmt.Sprintf("10.6.0.%d:1", i%4), sealedAggregate) }) // seal_reject ×3
 	churn(func(i int) { n.inject(fmt.Sprintf("10.4.0.%d:1", i%4), []byte{4, 5, 6}) })
+	churn(func(i int) { n.inject(fmt.Sprintf("10.7.0.%d:1", i%4), badTrain) }) // bad_packet ×3
 	churn(func(i int) {
 		if i%50 == 0 {
 			n.inject(fmt.Sprintf("10.3.0.%d:1", i), partial) // distinct senders: partials pile up for the evictor

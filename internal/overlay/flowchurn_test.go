@@ -42,9 +42,16 @@ func flowWaitGoroutines(t *testing.T, want int, what string) {
 // receivers plus a zero cross_tenant_drops counter — the guards must
 // never even be the last line of defense), a deleted link's warm cache
 // entries deliver nothing, and the churned links' goroutines are
-// reaped.
+// reaped. The batched variant runs the same churn with every tenant
+// link's frames leaving in aggregate datagrams: an aggregate is built
+// per link, so it can no more carry two tenants than a single frame can.
 func TestFlowCacheChurnUnderTraffic(t *testing.T) {
-	na, err := NewNodeWithConfig("churn-a", "127.0.0.1:0", NodeConfig{})
+	t.Run("sync", func(t *testing.T) { flowCacheChurn(t, NodeConfig{}) })
+	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, NodeConfig{TxBatch: 32}) })
+}
+
+func flowCacheChurn(t *testing.T, sender NodeConfig) {
+	na, err := NewNodeWithConfig("churn-a", "127.0.0.1:0", sender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +199,9 @@ func TestFlowCacheChurnUnderTraffic(t *testing.T) {
 	}
 	if got := nb.metrics.crossTenantDrops.Load(); got != 0 {
 		t.Fatalf("cross_tenant_drops = %v on the receiver node", got)
+	}
+	if h := na.metrics.txDatagramFrames; sender.TxBatch > 1 && h.Sum() <= float64(h.Count()) {
+		t.Fatalf("batched senders never shared a datagram: %v frames in %d datagrams", h.Sum(), h.Count())
 	}
 
 	// Deleted-link invariant on a warm cache: the tenant links are hot in

@@ -569,3 +569,161 @@ func TestBroadcastTakesOneTxSample(t *testing.T) {
 		t.Fatalf("tx latency samples = %d for one broadcast frame, want 1", got)
 	}
 }
+
+// TestBatchedEqualsSync is the batched ≡ sync differential: one stream of
+// frames — three flows, small and mid-size frames, a traced frame and a
+// must-fragment frame in the middle — delivers the same frames in the
+// same per-flow order whether the sender writes each frame inline, runs
+// the self-clocked batched sender, or is handed the whole stream as one
+// batch. The one-batch run also pins the encoder choices on the wire:
+// neighbours share aggregates, the traced frame and the fragmenting frame
+// close the open aggregate and travel in datagrams of their own, in ring
+// order, and the traced frame keeps one trace ID end to end.
+func TestBatchedEqualsSync(t *testing.T) {
+	const tenant = 7
+	key := bytes.Repeat([]byte{0x6b}, 32)
+	cases := []struct {
+		name   string
+		proto  string
+		tenant uint32
+		fault  bool
+		big    int // payload that must fragment under the link's budget
+		// datagrams the one-batch run puts on the wire: aggregate of
+		// frames 0-3, the traced frame, aggregate of frame 5, the big
+		// frame's fragments, aggregate of frames 7-9.
+		datagrams uint64
+	}{
+		{name: "plain_udp", proto: "udp", big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
+		{name: "sealed", proto: "udp", tenant: tenant, big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
+		{name: "tcp", proto: "tcp", big: 40000, datagrams: 1 + 1 + 1 + 2 + 1},
+		{name: "fault_conduit", proto: "udp", fault: true, big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
+	}
+	macA, macB := ethernet.LocalMAC(0xa), ethernet.LocalMAC(0xb)
+	mac1, mac2, macT := ethernet.LocalMAC(1), ethernet.LocalMAC(2), ethernet.LocalMAC(3)
+	for _, tc := range cases {
+		// run sends the stream in one of three ways and reports, per
+		// source MAC, the payloads its sink received, in order.
+		run := func(t *testing.T, cfg NodeConfig, oneBatch bool) map[ethernet.MAC][]string {
+			rx, tx := dropNode(t, NodeConfig{}), dropNode(t, cfg)
+			if tc.tenant != 0 {
+				for _, n := range []*Node{rx, tx} {
+					if err := n.AddTenant(tc.tenant, key); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			attach := func(n *Node, name string, mac ethernet.MAC) *Endpoint {
+				ep, err := n.AttachEndpointTenant(name, mac, ethernet.MaxMTU, tc.tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ep
+			}
+			sinks := []*Endpoint{attach(rx, "a", macA), attach(rx, "b", macB)}
+			srcs := map[ethernet.MAC]*Endpoint{mac1: attach(tx, "s1", mac1), mac2: attach(tx, "s2", mac2), macT: attach(tx, "st", macT)}
+			if err := tx.AddLinkTenant("wire", rx.Addr(), tc.proto, tc.tenant); err != nil {
+				t.Fatal(err)
+			}
+			if tc.fault {
+				tx.SetLinkFault("wire", faultnet.New(faultnet.Config{}))
+			}
+			for _, dst := range []ethernet.MAC{macA, macB} {
+				if err := tx.AddRoute(core.Route{Tenant: tc.tenant, DstMAC: dst, DstQual: core.QualExact,
+					SrcQual: core.QualAny, Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx.tracer.AddFlow(macT) // every frame from macT is traced, no other
+
+			stream := []struct {
+				src, dst ethernet.MAC
+				size     int
+			}{
+				{mac1, macA, 64}, {mac2, macB, 64}, {mac1, macA, 576}, {mac2, macB, 64},
+				{macT, macA, 64}, // traced, mid-batch
+				{mac1, macA, 64},
+				{mac2, macB, tc.big}, // must fragment, mid-batch
+				{mac1, macA, 64}, {mac2, macB, 576}, {mac1, macA, 64},
+			}
+			frames := make([]*ethernet.Frame, len(stream))
+			for i, s := range stream {
+				p := bytes.Repeat([]byte{byte(i)}, s.size)
+				frames[i] = &ethernet.Frame{Dst: s.dst, Src: s.src, Type: ethernet.TypeTest, Payload: p}
+			}
+			if oneBatch {
+				tx.mu.Lock()
+				lk := tx.links["wire"]
+				tx.mu.Unlock()
+				batch := make([]txFrame, len(frames))
+				for i, f := range frames {
+					if err := srcs[f.Src].admit(f); err != nil {
+						t.Fatal(err)
+					}
+					batch[i] = txFrame{f: f, at: time.Now()}
+				}
+				tx.sendTxBatch(lk, batch, &txScratch{})
+			} else {
+				for _, f := range frames {
+					if err := srcs[f.Src].Send(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			got := map[ethernet.MAC][]string{}
+			traced := frames[4].Tag
+			if traced == 0 {
+				t.Fatal("the traced flow's frame was not selected for tracing")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for count := 0; count < len(frames); {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d frames delivered; drops: sender %v receiver %v",
+						count, len(frames), tx.ledger.Snapshot(), rx.ledger.Snapshot())
+				}
+				for _, sink := range sinks {
+					f, ok := sink.Recv(10 * time.Millisecond)
+					if !ok {
+						continue
+					}
+					count++
+					got[f.Src] = append(got[f.Src], string(f.Payload))
+					want := uint64(0)
+					if f.Src == macT {
+						want = traced
+					}
+					if f.Tag != want {
+						t.Fatalf("frame from %v arrived with trace ID %016x, want %016x", f.Src, f.Tag, want)
+					}
+				}
+			}
+			if recv := rx.EncapRecv.Load(); recv != uint64(len(frames)) || rx.BadPackets.Load() != 0 {
+				t.Fatalf("receiver: encap_recv=%d bad_packets=%d, want %d and 0", recv, rx.BadPackets.Load(), len(frames))
+			}
+			if oneBatch {
+				var datagrams uint64
+				for _, s := range rx.shards {
+					datagrams += s.Datagrams.Load()
+				}
+				h := tx.metrics.txDatagramFrames
+				if datagrams != tc.datagrams || h.Count() != tc.datagrams || h.Sum() != float64(len(frames)) {
+					t.Fatalf("one batch: receiver saw %d datagrams, sender recorded %d carrying %v frames; want %d carrying %d",
+						datagrams, h.Count(), h.Sum(), tc.datagrams, len(frames))
+				}
+			}
+			return got
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			sync := run(t, NodeConfig{}, false)
+			if len(sync[mac1]) != 5 || len(sync[mac2]) != 4 || len(sync[macT]) != 1 {
+				t.Fatalf("sync run delivered %d/%d/%d frames per flow, want 5/4/1", len(sync[mac1]), len(sync[mac2]), len(sync[macT]))
+			}
+			if batched := run(t, NodeConfig{TxBatch: 32}, false); !reflect.DeepEqual(batched, sync) {
+				t.Fatalf("batched sender delivered differently from sync:\nbatched %q\nsync    %q", batched, sync)
+			}
+			if one := run(t, NodeConfig{TxBatch: 32}, true); !reflect.DeepEqual(one, sync) {
+				t.Fatalf("one batch delivered differently from sync:\none  %q\nsync %q", one, sync)
+			}
+		})
+	}
+}

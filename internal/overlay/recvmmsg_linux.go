@@ -4,7 +4,8 @@
 // from the UDP socket, mirroring the sendmmsg transmit path. The reader
 // owns a fixed set of 64KiB buffers and mmsghdr/iovec/sockaddr arrays,
 // rebuilt never — readBatch's only per-datagram allocation is the owned
-// packet copy handed up the stack.
+// packet copy handed up the stack, plus a decoded sender address when
+// the sender differs from the previous datagram's.
 
 package overlay
 
@@ -23,6 +24,18 @@ type mmsgReader struct {
 	iovs  []syscall.Iovec
 	msgs  []mmsghdr
 	names []syscall.RawSockaddrInet6 // big enough for both families
+
+	// The previous datagram's raw sockaddr and its decoded form: traffic
+	// arrives in runs from one peer, and a *net.UDPAddr handed up the
+	// stack is never written to, so a repeat sender reuses it.
+	lastName syscall.RawSockaddrInet6
+	lastFrom *net.UDPAddr
+
+	// recv is the RawConn.Read callback, built once: it reads want and
+	// reports through got/opErr, so a readBatch allocates no closure.
+	recv      func(fd uintptr) bool
+	want, got int
+	opErr     error
 }
 
 func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
@@ -45,49 +58,52 @@ func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
 		r.msgs[i].hdr.Iovlen = 1 // uint64 on both supported 64-bit arches
 		r.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 	}
-	return r
-}
-
-func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
-	want := len(into)
-	if want > len(r.msgs) {
-		want = len(r.msgs)
-	}
-	// Namelen is value-result: the kernel shrinks it to the sockaddr it
-	// wrote, so it must be restored to the buffer size before every call.
-	for i := 0; i < want; i++ {
-		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
-	}
-	got := 0
-	var opErr error
-	rerr := r.rc.Read(func(fd uintptr) bool {
+	r.recv = func(fd uintptr) bool {
 		for {
 			n1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(want), 0, 0, 0)
+				uintptr(unsafe.Pointer(&r.msgs[0])), uintptr(r.want), 0, 0, 0)
 			switch {
 			case errno == syscall.EINTR:
 				continue // interrupted before any datagram: retry
 			case errno == syscall.EAGAIN:
 				return false // park on the poller until readable
 			case errno != 0:
-				opErr = errno
+				r.opErr = errno
 				return true
 			}
-			got = int(n1)
+			r.got = int(n1)
 			return true
 		}
-	})
-	if rerr != nil {
-		return 0, rerr // socket closed (shutdown) or poller error
 	}
-	if opErr != nil {
-		return 0, opErr
+	return r
+}
+
+func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
+	r.want = len(into)
+	if r.want > len(r.msgs) {
+		r.want = len(r.msgs)
 	}
+	// Namelen is value-result: the kernel shrinks it to the sockaddr it
+	// wrote, so it must be restored to the buffer size before every call.
+	for i := 0; i < r.want; i++ {
+		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
+	}
+	r.got, r.opErr = 0, nil
+	if err := r.rc.Read(r.recv); err != nil {
+		return 0, err // socket closed (shutdown) or poller error
+	}
+	if r.opErr != nil {
+		return 0, r.opErr
+	}
+	got := r.got
 	for i := 0; i < got; i++ {
 		sz := int(r.msgs[i].cnt)
 		pkt := make([]byte, sz)
 		copy(pkt, r.bufs[i][:sz])
-		into[i] = rxPacket{pkt: pkt, from: udpAddrOf(&r.names[i])}
+		if r.lastFrom == nil || r.names[i] != r.lastName {
+			r.lastName, r.lastFrom = r.names[i], udpAddrOf(&r.names[i])
+		}
+		into[i] = rxPacket{pkt: pkt, from: r.lastFrom}
 	}
 	return got, nil
 }

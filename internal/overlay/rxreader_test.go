@@ -217,3 +217,64 @@ func TestSingleReaderContract(t *testing.T) {
 		t.Fatalf("sender port = %d", into[0].from.Port)
 	}
 }
+
+// TestMmsgReaderReusesSenderAddr pins the reader's per-datagram cost: a
+// run of datagrams from one peer costs one allocation each — the owned
+// payload copy — because the decoded sender address of the previous
+// datagram is handed out again (it was a fresh *net.UDPAddr and net.IP
+// per datagram before). A different peer still gets its own address.
+func TestMmsgReaderReusesSenderAddr(t *testing.T) {
+	rconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rconn.Close()
+	rconn.SetReadBuffer(1 << 20)
+	const batch = 8
+	r := newPlatformBatchReader(rconn, batch)
+	if r == nil {
+		t.Skip("no platform batch reader (recvmmsg) on this host")
+	}
+	dst := rconn.LocalAddr().(*net.UDPAddr)
+	peer := func() *net.UDPConn {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	a, b := peer(), peer()
+	const runs = 20
+	for i := 0; i < (runs+2)*batch; i++ { // +1 warm-up batch, +1 for AllocsPerRun's own warm-up call
+		if _, err := a.WriteToUDP([]byte{byte(i)}, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	into := make([]rxPacket, batch)
+	read := func() {
+		if n, err := r.readBatch(into); err != nil || n != batch {
+			t.Fatalf("readBatch = (%d, %v), want a full batch of queued datagrams", n, err)
+		}
+	}
+	read() // the first datagram of the run decodes the address
+	first := into[0].from
+	if allocs := testing.AllocsPerRun(runs, read); allocs != batch {
+		t.Fatalf("readBatch of %d datagrams from one peer: %.1f allocations, want %d (the payload copies)", batch, allocs, batch)
+	}
+	if into[batch-1].from != first {
+		t.Fatal("a repeat sender was handed a fresh address")
+	}
+	if _, err := b.WriteToUDP([]byte("other"), dst); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.readBatch(into); err != nil || n != 1 {
+		t.Fatalf("readBatch = (%d, %v)", n, err)
+	}
+	if want := b.LocalAddr().(*net.UDPAddr); into[0].from == first || into[0].from.Port != want.Port {
+		t.Fatalf("second peer's sender = %v, want %v", into[0].from, want)
+	}
+	if first.Port != a.LocalAddr().(*net.UDPAddr).Port {
+		t.Fatalf("first peer's address changed under its holder: %v", first)
+	}
+}

@@ -118,19 +118,29 @@ func TestSealedLinkEndToEnd(t *testing.T) {
 }
 
 func TestSealedLinkBatchedTX(t *testing.T) {
-	_, nb, epA, epB := sealedPair(t, overlay.NodeConfig{TxBatch: 8})
+	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{TxBatch: 8})
 	const count = 40
 	for i := 0; i < count; i++ {
 		epA.Send(&ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
 			Payload: []byte(fmt.Sprintf("batch-%d", i))})
 	}
 	for i := 0; i < count; i++ {
-		if _, ok := epB.Recv(recvTimeout); !ok {
+		got, ok := epB.Recv(recvTimeout)
+		if !ok {
 			t.Fatalf("frame %d lost on batched sealed path", i)
 		}
+		if want := fmt.Sprintf("batch-%d", i); string(got.Payload) != want {
+			t.Fatalf("frame %d: got %q, want %q (a sealed aggregate keeps ring order)", i, got.Payload, want)
+		}
 	}
-	if v := sealStat(t, nb, "sealed_opened"); v < count {
-		t.Fatalf("sealed_opened = %d, want >= %d", v, count)
+	// The seal counters count datagrams — one seal, one open per aggregate
+	// however many frames share it — and every datagram sealed was opened.
+	sent, opened := sealStat(t, na, "sealed_sent"), sealStat(t, nb, "sealed_opened")
+	if sent < 1 || sent > count || opened != sent {
+		t.Fatalf("sealed_sent = %d, sealed_opened = %d; want equal, between 1 and %d", sent, opened, count)
+	}
+	if v := sealStat(t, nb, "encap_recv"); v != count {
+		t.Fatalf("encap_recv = %d, want %d (frames, not datagrams)", v, count)
 	}
 }
 

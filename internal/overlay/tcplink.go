@@ -161,8 +161,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		}
 		h, payload, err := bridge.ParseEncap(pkt)
 		if err != nil {
-			n.BadPackets.Add(1)
-			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
+			n.dropBadPacket(bridge.EncapFrames(pkt), telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
 			continue
 		}
 		switch {

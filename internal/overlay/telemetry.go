@@ -58,11 +58,12 @@ type nodeMetrics struct {
 	sealRejects      *telemetry.CounterVec // reason
 	crossTenantDrops *telemetry.Counter
 
-	reasmEvictions *telemetry.Counter
-	txBatchSize    *telemetry.Histogram
-	rxBatchSize    *telemetry.Histogram
-	txLatency      *telemetry.Histogram
-	rxLatency      *telemetry.Histogram
+	reasmEvictions   *telemetry.Counter
+	txBatchSize      *telemetry.Histogram
+	txDatagramFrames *telemetry.Histogram
+	rxBatchSize      *telemetry.Histogram
+	txLatency        *telemetry.Histogram
+	rxLatency        *telemetry.Histogram
 
 	// Runtime supervision (internal/supervise), labeled by component
 	// ("dispatcher/<i>", "tx/<link>", "reader", "prober", "evictor",
@@ -142,7 +143,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		reasmEvictions: reg.Counter("vnetp_reassembly_evictions_total",
 			"Stale partial reassemblies aged out."),
 		txBatchSize: reg.Histogram("vnetp_tx_batch_size",
-			"Frames coalesced per link TX batch flush.",
+			"Frames a link's TX sender took off its ring per wakeup.",
+			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
+		txDatagramFrames: reg.Histogram("vnetp_tx_datagram_frames",
+			"Frames completed per data datagram on the batched transmit leg (aggregate: its frame count; a fragment: 0, the last one 1).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxBatchSize: reg.Histogram("vnetp_rx_batch_size",
 			"Datagrams drained from the UDP socket per read-loop wakeup (recvmmsg batch).",

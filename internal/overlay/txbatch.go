@@ -1,11 +1,12 @@
 // The batched transmit path: the send-side twin of the paper's
 // VMM-driven dispatch result (Sect. 4.3, Table 1). With
 // NodeConfig.TxBatch > 1, every link owns a bounded TX ring drained by a
-// sender goroutine that coalesces frames per wakeup — flushing on
-// batch-full or a short TxFlushTimeout, the adaptive hysteresis idea
-// applied at the sender — so per-frame costs (goroutine wakeups, encap
-// buffer allocation, and on Linux the syscall itself, via sendmmsg)
-// amortize over the batch.
+// self-clocked sender goroutine: it blocks for one frame, takes whatever
+// else is already queued, and transmits — it never waits for a batch to
+// fill, so batch size follows load and an idle link pays no delay. What a
+// batch amortizes is the per-datagram cost, the part of a small-frame
+// stream one syscall per batch (sendmmsg) does not divide: the frames of
+// a batch that fit share aggregate datagrams (bridge/aggregate.go).
 
 package overlay
 
@@ -53,35 +54,34 @@ func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 	}
 }
 
-// txScratch is a txLoop's reusable per-batch state: the encapsulated
-// packets awaiting Release and the flattened datagram list handed to the
-// transport. Reusing the slice headers keeps the steady-state flush
-// allocation-free.
+// txScratch is a txLoop's reusable per-batch state: the aggregate
+// encoder, the packets of frames that travel alone (awaiting Release),
+// and the datagram list handed to the transport, in ring order. Reusing
+// it keeps the steady-state batch allocation-free.
 type txScratch struct {
+	agg    bridge.Aggregator
 	pkts   []*bridge.EncapPacket
 	dgs    [][]byte
 	frames []txFrame // the batch entries that actually encapsulated
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
-// of a batch, collects until batch-full or the flush timer fires, and
-// pushes the whole batch onto the link's transport. The batch size and
-// flush bound come from the link's tunables snapshot (lk.tun), loaded
-// once per batch: a retune by the adaptive controller or LINK TUNE
-// applies from the next batch with no locking here. It exits when the
-// node closes or the link is deleted/replaced (the supervision handle's
-// Stop); frames still queued at that point are dropped, as a NIC ring's
-// are on teardown — and so is any partial batch already collected, which
-// is counted into tx_ring_drops on the way out so drain accounting sees
-// it. Supervised as "tx/<link>": a panic drops the batch in hand (also
-// counted, by the same defer) and the restarted sender resumes draining
-// the same ring; a sender stuck inside one batch past the watchdog
-// timeout is superseded by a fresh instance over the same ring.
+// of a batch, takes what else the ring already holds up to the link's
+// batch size, and pushes the batch onto the link's transport. The batch
+// size comes from the link's tunables snapshot (lk.tun), loaded once per
+// batch: a retune by the adaptive controller or LINK TUNE applies from
+// the next batch with no locking here. It exits when the node closes or
+// the link is deleted/replaced (the supervision handle's Stop); frames
+// still queued at that point are dropped, as a NIC ring's are on
+// teardown. Supervised as "tx/<link>": a panic drops the batch in hand
+// and the restarted sender resumes draining the same ring; a sender
+// stuck inside one batch past the watchdog timeout is superseded by a
+// fresh instance over the same ring, and must not transmit once it comes
+// back — the ring has a new owner — so it drops what it holds. Either
+// way the frames in hand are counted into tx_ring_drops on the way out,
+// so drain accounting sees them.
 func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	batch := make([]txFrame, 0, n.cfg.TxBatch)
-	// Teardown/panic accounting: whatever sits in batch when this
-	// instance unwinds never reached the wire. Count it like a ring
-	// overrun so DrainStats and the shutdown summary include it.
 	defer func() {
 		if len(batch) > 0 {
 			lk.txDrops.Add(uint64(len(batch)))
@@ -91,10 +91,6 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 		}
 	}()
 	var scratch txScratch
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-n.quit:
@@ -102,37 +98,26 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 		case <-inst.Quit():
 			return
 		case tf := <-lk.txq:
-			inst.Working()
 			batch = append(batch, tf)
 		}
-		tun := lk.tun.Load()
-		if len(batch) < tun.batch {
-			timer.Reset(tun.flush)
-		collect:
-			for len(batch) < tun.batch {
-				select {
-				case <-n.quit:
-					return
-				case <-inst.Quit():
-					return
-				case tf := <-lk.txq:
-					batch = append(batch, tf)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		inst.Working()
+		select {
+		case <-inst.Quit(): // stopped or superseded while held up in Working
+			return
+		default:
+		}
+	collect:
+		for size := lk.tun.Load().batch; len(batch) < size; {
+			select {
+			case tf := <-lk.txq:
+				batch = append(batch, tf)
+			default:
+				break collect
 			}
 		}
 		n.sendTxBatch(lk, batch, &scratch)
 		n.metrics.txBatchSize.Observe(float64(len(batch)))
-		for i := range batch {
-			batch[i] = txFrame{} // drop frame refs; the ring owns nothing past a flush
-		}
+		clear(batch) // drop frame refs; the ring owns nothing past a flush
 		batch = batch[:0]
 		inst.Idle()
 	}
@@ -144,7 +129,15 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 // Transport errors land in the link's send_errors counter — the batched
 // path has no caller to return them to.
 //
-// Accounting rule, shared by both transports: a datagram is charged to
+// One encoder choice per frame, from what the frame shows: an untraced
+// frame that fits the link's datagram budget joins the open aggregate
+// (closing it first when it is full); a traced frame, or one that must
+// fragment, closes the aggregate and takes encapFrame's datagrams of its
+// own. Datagrams leave in ring order, so per-flow order is the ring's.
+//
+// Accounting rule, shared by both transports: frame counters (encap_sent,
+// TX latency samples) count frames, datagram counters (bytes_sent,
+// send_errors, sealed_sent) count datagrams. A datagram is charged to
 // bytes_sent only once the transport confirms it (UDP: counted sent by
 // sendmmsg; TCP: fully written before any mid-batch write error, or the
 // whole batch once the final flush succeeds — a failed flush confirms
@@ -158,26 +151,46 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 	if proto == "tcp" {
 		budget = tcpMaxDatagram
 	}
-	pkts := s.pkts[:0]
-	dgs := s.dgs[:0]
-	sentFrames := s.frames[:0]
+	s.agg.Reset(lk.tmpl, lk.sealer, budget)
 	for _, tf := range batch {
+		if tf.f.Tag == 0 {
+			fit, err := s.agg.Add(tf.f, &n.nextID)
+			if !fit && err == nil && s.agg.Open() {
+				n.closeAggregate(lk, s)
+				fit, err = s.agg.Add(tf.f, &n.nextID)
+			}
+			if err != nil {
+				lk.sendErrors.Add(1)
+				continue
+			}
+			if fit {
+				s.frames = append(s.frames, tf)
+				continue
+			}
+		}
+		n.closeAggregate(lk, s)
 		pkt, err := n.encapFrame(lk, tf.f, budget)
 		if err != nil {
 			lk.sendErrors.Add(1)
 			continue
 		}
-		pkts = append(pkts, pkt)
-		dgs = append(dgs, pkt.Datagrams...)
-		sentFrames = append(sentFrames, tf)
-		n.EncapSent.Add(1)
+		s.pkts = append(s.pkts, pkt)
+		s.dgs = append(s.dgs, pkt.Datagrams...)
+		s.frames = append(s.frames, tf)
+		for range pkt.Datagrams[1:] {
+			n.metrics.txDatagramFrames.Observe(0) // a fragment completes no frame
+		}
+		n.metrics.txDatagramFrames.Observe(1)
 	}
+	n.closeAggregate(lk, s)
+	dgs := s.dgs
 
 	switch {
 	case fault != nil:
 		// Fault conduit installed: per-datagram through sendOnLink, whose
 		// conduit branch clones each datagram (the conduit may deliver
-		// after the pooled buffers are recycled) and accounts errors/bytes.
+		// after the encapsulation buffers are reused) and accounts
+		// errors/bytes.
 		for _, d := range dgs {
 			n.sendOnLink(lk, d)
 		}
@@ -200,8 +213,9 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 	// matching the synchronous path — and so are frames whose
 	// encapsulation failed above: they never hit the wire, so they get
 	// neither a wire_tx trace hop nor a latency sample.
+	n.EncapSent.Add(uint64(len(s.frames)))
 	now := time.Now()
-	for _, tf := range sentFrames {
+	for _, tf := range s.frames {
 		if !tf.at.IsZero() {
 			n.metrics.txLatency.Observe(now.Sub(tf.at).Seconds())
 		}
@@ -209,19 +223,27 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 			n.tracer.Record(tf.f.Tag, trace.StageWireTx)
 		}
 	}
-	for i, p := range pkts {
+	for _, p := range s.pkts {
 		p.Release()
-		pkts[i] = nil
 	}
-	for i := range dgs {
-		dgs[i] = nil
+	clear(s.pkts)
+	clear(s.dgs)
+	clear(s.frames)
+	s.pkts, s.dgs, s.frames = s.pkts[:0], s.dgs[:0], s.frames[:0]
+}
+
+// closeAggregate finishes the batch's open aggregate, if there is one,
+// and queues its datagram behind those already encoded.
+func (n *Node) closeAggregate(lk *link, s *txScratch) {
+	if !s.agg.Open() {
+		return
 	}
-	for i := range sentFrames {
-		sentFrames[i] = txFrame{}
+	d, frames := s.agg.Close()
+	s.dgs = append(s.dgs, d)
+	if lk.sealer != nil {
+		n.metrics.sealSealed.Add(1)
 	}
-	s.pkts = pkts[:0]
-	s.dgs = dgs[:0]
-	s.frames = sentFrames[:0]
+	n.metrics.txDatagramFrames.Observe(float64(frames))
 }
 
 // sendBatchTCP pushes a batch of datagrams down a link's TCP transport

@@ -56,7 +56,7 @@ func batchNodes(t testing.TB, cfgA, cfgB overlay.NodeConfig, proto string) (*ove
 // encapsulation buffers never leak one frame's bytes into another's.
 func TestBatchedDelivery(t *testing.T) {
 	_, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 8, TxFlushTimeout: 200 * time.Microsecond},
+		overlay.NodeConfig{TxBatch: 8},
 		overlay.NodeConfig{}, "udp")
 	const frames = 200
 	for i := 0; i < frames; i++ {
@@ -91,7 +91,7 @@ func TestBatchedDelivery(t *testing.T) {
 // batched flush path shares one writer lock and one stream flush.
 func TestBatchedDeliveryTCP(t *testing.T) {
 	nb2, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 16, TxFlushTimeout: 200 * time.Microsecond},
+		overlay.NodeConfig{TxBatch: 16},
 		overlay.NodeConfig{}, "tcp")
 	_ = nb2
 	const frames = 100
@@ -120,7 +120,7 @@ func TestBatchedDeliveryTCP(t *testing.T) {
 // SendBatch, everything delivered.
 func TestSendBatchAndDrainTX(t *testing.T) {
 	_, _, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 32, TxFlushTimeout: 200 * time.Microsecond},
+		overlay.NodeConfig{TxBatch: 32},
 		overlay.NodeConfig{}, "udp")
 	q := virtio.NewQueue(64)
 	const frames = 48
@@ -193,13 +193,13 @@ func metricValue(t *testing.T, scrape, prefix string) float64 {
 	return 0
 }
 
-// TestTxBatchTelemetryScrape pins the new transmit-path series in a live
-// /metrics scrape: the batch-size histogram records flushes, the
-// per-link TX ring depth gauge exists, and the encapsulation buffer pool
-// reports traffic.
+// TestTxBatchTelemetryScrape pins the transmit-path series in a live
+// /metrics scrape: the batch-size and frames-per-datagram histograms
+// account for every frame exactly once, datagrams never outnumber
+// frames, and the per-link TX ring depth gauge exists.
 func TestTxBatchTelemetryScrape(t *testing.T) {
 	na, nb, epA, epB := batchNodes(t,
-		overlay.NodeConfig{TxBatch: 8, TxFlushTimeout: 100 * time.Microsecond},
+		overlay.NodeConfig{TxBatch: 8},
 		overlay.NodeConfig{}, "udp")
 	_ = nb
 	const frames = 64
@@ -225,13 +225,11 @@ func TestTxBatchTelemetryScrape(t *testing.T) {
 	if !strings.Contains(scrape, `vnetp_link_tx_queue_depth{link="to-b"}`) {
 		t.Fatal("per-link TX queue depth gauge missing from scrape")
 	}
-	hits := metricValue(t, scrape, "vnetp_encap_pool_hits_total")
-	misses := metricValue(t, scrape, "vnetp_encap_pool_misses_total")
-	if hits+misses < frames {
-		t.Fatalf("pool hits(%v)+misses(%v) < %d frames", hits, misses, frames)
+	if s := metricValue(t, scrape, "vnetp_tx_datagram_frames_sum"); s != frames {
+		t.Fatalf("vnetp_tx_datagram_frames_sum = %v, want %d (every frame in exactly one datagram)", s, frames)
 	}
-	if hits == 0 {
-		t.Fatal("encapsulation pool never hit across 64 frames")
+	if c := metricValue(t, scrape, "vnetp_tx_datagram_frames_count"); c < 1 || c > frames {
+		t.Fatalf("vnetp_tx_datagram_frames_count = %v, want 1..%d datagrams", c, frames)
 	}
 }
 
@@ -338,7 +336,7 @@ func BenchmarkOverlayTxBatching(b *testing.B) {
 			const ring = 4096
 			const window = 1024
 			na, _, epA, epB := batchNodes(b,
-				overlay.NodeConfig{TxBatch: batch, TxRing: ring, TxFlushTimeout: 200 * time.Microsecond},
+				overlay.NodeConfig{TxBatch: batch, TxRing: ring},
 				overlay.NodeConfig{QueueDepth: 8192}, "udp")
 			f := &ethernet.Frame{
 				Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
