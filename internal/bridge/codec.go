@@ -370,15 +370,36 @@ func (e *Encapsulator) EncapsulateTrace(f *ethernet.Frame, id uint32, maxPayload
 // payload is encrypted in place in the pooled wire buffer, with the
 // fragment's full wire header bound as associated data. The seal
 // extension and AEAD tag shrink each fragment's payload budget by
-// EncapSealLen+SealOverhead.
+// EncapSealLen+SealOverhead. It marshals the header once, per-fragment
+// fields zero — the one-off equivalent of a link's EncapTemplate, trace
+// extension included — and hands it to the fragment loop
+// EncapsulateTemplate uses.
 func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayload int, tr *TraceExt, sl LinkSealer) (*EncapPacket, error) {
-	hdrLen := EncapHeaderLen
+	h := EncapHeader{HasTrace: tr != nil, HasSeal: sl != nil}
+	nonceOff := tmplNonceOff
 	if tr != nil {
-		hdrLen += EncapTraceLen
+		h.Trace = *tr
+		nonceOff += EncapTraceLen // the trace extension precedes the seal extension
 	}
+	if sl != nil {
+		h.Seal.Tenant = sl.Tenant()
+	}
+	var buf [EncapHeaderLen + EncapTraceLen + EncapSealLen]byte
+	return e.fragment(f, id, maxPayload, h.Marshal(buf[:0]), nonceOff, sl)
+}
+
+// fragment is the one fragment loop behind every encoder: it marshals f
+// into a pooled packet and splits it into datagrams of at most
+// maxPayload bytes. Each datagram is a copy of prefix — a marshalled
+// header whose per-fragment fields are zero — patched at fixed offsets
+// with the moreFrags bit, id, fragOff, totalLen and, on a sealed link
+// (sl non-nil), a fresh nonce at nonceOff, then the fragment's slice of
+// the frame, encrypted in place with the header just written as
+// associated data.
+func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, prefix []byte, nonceOff int, sl LinkSealer) (*EncapPacket, error) {
+	hdrLen := len(prefix)
 	perFragOverhead := 0
 	if sl != nil {
-		hdrLen += EncapSealLen
 		perFragOverhead = SealOverhead
 	}
 	if maxPayload <= hdrLen+perFragOverhead {
@@ -418,28 +439,24 @@ func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayloa
 		if end > len(inner) {
 			end = len(inner)
 		}
-		h := EncapHeader{
-			ID:        id,
-			FragOff:   uint32(off),
-			TotalLen:  uint32(len(inner)),
-			MoreFrags: end < len(inner),
-		}
-		if tr != nil {
-			h.Trace = *tr
-			h.HasTrace = true
-		}
-		if sl != nil {
-			h.Seal = SealExt{Tenant: sl.Tenant(), Nonce: sl.NextNonce()}
-			h.HasSeal = true
-		}
 		start := len(wire)
-		wire = h.Marshal(wire)
+		wire = append(wire, prefix...)
+		hdr := wire[start:]
+		if end < len(inner) {
+			hdr[tmplFlagsOff] |= flagMoreFrags
+		}
+		binary.BigEndian.PutUint32(hdr[tmplIDOff:], id)
+		binary.BigEndian.PutUint32(hdr[tmplFragOff:], uint32(off))
+		binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(inner)))
+		var nonce uint64
+		if sl != nil {
+			nonce = sl.NextNonce()
+			binary.BigEndian.PutUint64(hdr[nonceOff:], nonce)
+		}
 		payloadStart := len(wire)
 		wire = append(wire, inner[off:end]...)
 		if sl != nil {
-			// In-place encrypt: the reserved headroom guarantees the tag
-			// append stays inside the contiguous wire buffer.
-			ct := sl.Seal(h.Seal.Nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
+			ct := sl.Seal(nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
 			wire = wire[:payloadStart+len(ct)]
 		}
 		dgs = append(dgs, wire[start:len(wire):len(wire)])

@@ -1,11 +1,6 @@
 package bridge
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"vnetp/internal/ethernet"
-)
+import "vnetp/internal/ethernet"
 
 // EncapTemplate is a prebuilt encapsulation header for one link's
 // steady-state flows: the full wire header marshalled once — magic,
@@ -16,7 +11,7 @@ import (
 // patches only the per-fragment fields instead of re-marshalling the
 // header field by field. A template never carries the trace extension:
 // traced frames are rare by construction (sampled or explicitly
-// triggered) and take the general encoder.
+// triggered) and EncapsulateSealed marshals them a prefix of their own.
 //
 // Templates are immutable after construction and safe to share across
 // goroutines and cache entries.
@@ -64,81 +59,15 @@ func (t *EncapTemplate) Sealed() bool { return t.sealed }
 // plaintext templates).
 func (t *EncapTemplate) Tenant() uint32 { return t.tenant }
 
-// EncapsulateTemplate is the flow-cache fast path encoder: semantically
-// identical to EncapsulateSealed(f, id, maxPayload, nil, sl) — the
-// produced datagrams are byte-for-byte equal given the same id and
-// nonce draws — but each fragment's header is a single memcpy of the
-// template prefix plus four fixed-offset patches, skipping the
-// field-by-field marshal. sl must be non-nil exactly when the template
-// is sealed, and must seal for the template's tenant.
+// EncapsulateTemplate is the steady-state encoder: the datagrams
+// EncapsulateSealed(f, id, maxPayload, nil, sl) produces — byte for
+// byte, given the same id and nonce draws — without marshalling a
+// header: the link's prebuilt prefix goes straight to the shared
+// fragment loop. sl must be non-nil exactly when the template is
+// sealed, and must seal for the template's tenant.
 func (e *Encapsulator) EncapsulateTemplate(f *ethernet.Frame, id uint32, maxPayload int, tmpl *EncapTemplate, sl LinkSealer) (*EncapPacket, error) {
 	if tmpl.sealed != (sl != nil) {
 		panic("bridge: template/sealer mismatch")
 	}
-	hdrLen := len(tmpl.prefix)
-	perFragOverhead := 0
-	if tmpl.sealed {
-		perFragOverhead = SealOverhead
-	}
-	if maxPayload <= hdrLen+perFragOverhead {
-		panic(fmt.Sprintf("bridge: maxPayload %d leaves no room for data", maxPayload))
-	}
-	p, _ := e.pool.Get().(*EncapPacket)
-	if p == nil {
-		p = &EncapPacket{owner: e}
-		e.misses.Add(1)
-	} else {
-		e.hits.Add(1)
-	}
-	inner, err := f.Marshal(p.inner[:0])
-	if err != nil {
-		e.pool.Put(p)
-		return nil, err
-	}
-	p.inner = inner
-	chunk := maxPayload - hdrLen - perFragOverhead
-	nfrags := (len(inner) + chunk - 1) / chunk
-	if nfrags == 0 {
-		nfrags = 1
-	}
-	need := len(inner) + nfrags*(hdrLen+perFragOverhead)
-	if cap(p.wire) < need {
-		p.wire = make([]byte, 0, need)
-	}
-	wire := p.wire[:0]
-	dgs := p.Datagrams[:0]
-	for i := 0; i < nfrags; i++ {
-		off := i * chunk
-		end := off + chunk
-		if end > len(inner) {
-			end = len(inner)
-		}
-		start := len(wire)
-		wire = append(wire, tmpl.prefix...)
-		hdr := wire[start:]
-		if end < len(inner) {
-			hdr[tmplFlagsOff] |= flagMoreFrags
-		}
-		binary.BigEndian.PutUint32(hdr[tmplIDOff:], id)
-		binary.BigEndian.PutUint32(hdr[tmplFragOff:], uint32(off))
-		binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(inner)))
-		var nonce uint64
-		if tmpl.sealed {
-			nonce = sl.NextNonce()
-			binary.BigEndian.PutUint64(hdr[tmplNonceOff:], nonce)
-		}
-		payloadStart := len(wire)
-		wire = append(wire, inner[off:end]...)
-		if tmpl.sealed {
-			// In-place encrypt, exactly as EncapsulateSealed: the wire
-			// header just written is the associated data, and the reserved
-			// headroom keeps the tag append inside the contiguous buffer.
-			ct := sl.Seal(nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
-			wire = wire[:payloadStart+len(ct)]
-		}
-		dgs = append(dgs, wire[start:len(wire):len(wire)])
-	}
-	p.wire = wire
-	p.Datagrams = dgs
-	return p, nil
+	return e.fragment(f, id, maxPayload, tmpl.prefix, tmplNonceOff, sl)
 }

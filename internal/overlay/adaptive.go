@@ -114,8 +114,8 @@ func (n *Node) applyMode(lk *link, m rate.Mode, why string, extra ...any) {
 // "adaptive": controller state (mode, dwell, last sample) lives on the
 // link and in the rate.Controller, so a panic-restarted or superseded
 // instance resumes where the old one left off; links added or removed
-// mid-tick are picked up on the next tick (the loop snapshots the link
-// set per tick and never holds n.mu across controller work).
+// mid-tick are picked up on the next tick (each tick walks the topology
+// published at that instant).
 func (n *Node) adaptLoop(inst *supervise.Instance) {
 	t := time.NewTicker(n.cfg.Adaptive.Omega)
 	defer t.Stop()
@@ -130,15 +130,10 @@ func (n *Node) adaptLoop(inst *supervise.Instance) {
 			inst.Working()
 			elapsed := now.Sub(last)
 			last = now
-			n.mu.Lock()
-			links := make([]*link, 0, len(n.links))
-			for _, lk := range n.links {
-				if lk.ctrl != nil {
-					links = append(links, lk)
+			for _, lk := range n.topo.Load().links {
+				if lk.ctrl == nil {
+					continue
 				}
-			}
-			n.mu.Unlock()
-			for _, lk := range links {
 				total := lk.txFrames.Load()
 				prev := lk.lastTxFrames.Swap(total)
 				if total < prev {
@@ -164,9 +159,7 @@ func (n *Node) adaptLoop(inst *supervise.Instance) {
 // "auto" releases a pin so rate-driven switching resumes. Links on the
 // synchronous transmit path have no ring to tune and are rejected.
 func (n *Node) SetLinkTune(id, mode string) error {
-	n.mu.Lock()
-	lk, ok := n.links[id]
-	n.mu.Unlock()
+	lk, ok := n.topo.Load().links[id]
 	if !ok {
 		return fmt.Errorf("overlay: no link %q", id)
 	}
@@ -194,10 +187,6 @@ func (n *Node) SetLinkTune(id, mode string) error {
 	default:
 		return fmt.Errorf("overlay: unknown tune mode %q (want latency, throughput, or auto)", mode)
 	}
-	// An operator retune retires cached flow decisions (rate-driven
-	// adaptive switches deliberately do not — they fire often under
-	// bursty load and the tunables snapshot is read per batch anyway).
-	n.bumpFlowEpoch()
 	n.log.Info("link tuned", "node", n.name, "link", id, "mode", strings.ToLower(mode))
 	return nil
 }
@@ -208,12 +197,11 @@ func (n *Node) SetLinkTune(id, mode string) error {
 // counter are the children exported as vnetp_dispatch_mode and
 // vnetp_dispatch_mode_switches_total.
 func (n *Node) TuningSummary() []string {
-	n.mu.Lock()
-	links := make([]*link, 0, len(n.links))
-	for _, lk := range n.links {
+	byID := n.topo.Load().links
+	links := make([]*link, 0, len(byID))
+	for _, lk := range byID {
 		links = append(links, lk)
 	}
-	n.mu.Unlock()
 	sort.Slice(links, func(i, j int) bool { return links[i].id < links[j].id })
 	out := make([]string, 0, len(links))
 	for _, lk := range links {

@@ -323,7 +323,9 @@ func TestDrainCountsSenderBatchDrops(t *testing.T) {
 // TestEncapFailureSkipsWireTxTrace is the bugfix-2 regression: a traced
 // frame whose encapsulation fails used to be stamped with a wire_tx hop
 // and a TX latency sample anyway. A Pad of -1 passes the endpoint's MTU
-// check but fails ethernet.Frame.Marshal inside the batch encap loop.
+// check but fails ethernet.Frame.Marshal inside the batch encap loop. The
+// frame lands on the tx_error ledger reason; no datagram existed, so the
+// link's datagram counters do not move.
 func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 	na, _, epA, epB := batchNodes(t,
 		overlay.NodeConfig{TxBatch: 4, TraceSample: 1},
@@ -335,8 +337,11 @@ func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 	if err := epA.Send(bad); err != nil {
 		t.Fatalf("Send should accept the frame (encap fails later): %v", err)
 	}
-	waitForValue(t, func() bool { return famValue(na, "vnetp_link_send_errors_total") == 1 },
+	waitForValue(t, func() bool { return na.Ledger().Count("tx_error") == 1 },
 		"encap failure to be counted")
+	if e := famValue(na, "vnetp_link_send_errors_total"); e != 0 {
+		t.Fatalf("send_errors = %v for a frame that never became a datagram", e)
+	}
 
 	paths := na.Tracer().Traces()
 	if len(paths) == 0 {
@@ -366,7 +371,8 @@ func TestEncapFailureSkipsWireTxTrace(t *testing.T) {
 // accounting rule's failed-dial corner: no datagram was confirmed, so
 // every datagram of the batch lands in send_errors and none of it in
 // bytes_sent — matching what the UDP path reports when the socket write
-// fails outright.
+// fails outright — and every frame lands on tx_error, none in
+// encap_sent or the TX latency histogram.
 func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("a", "127.0.0.1:0",
 		overlay.NodeConfig{TxBatch: 4})
@@ -394,8 +400,14 @@ func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitForValue(t, func() bool { return na.EncapSent.Load() == frames },
+	waitForValue(t, func() bool { return na.Ledger().Count("tx_error") == frames },
 		"sender to work through the frames")
+	if sent, total := na.EncapSent.Load(), na.Ledger().Total(); sent != 0 || total != frames {
+		t.Fatalf("encap_sent = %d, ledger total = %d, want 0 and %d", sent, total, frames)
+	}
+	if c := metricValue(t, scrapeMetrics(t, na), "vnetp_tx_latency_seconds_count"); c != 0 {
+		t.Fatalf("tx latency histogram counted %v samples for frames the transport refused", c)
+	}
 	// send_errors counts datagrams; how many the four frames shared
 	// depends on how the sender's wakeups fell.
 	var datagrams float64

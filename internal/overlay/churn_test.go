@@ -133,8 +133,7 @@ func TestLinkChurnUnderTraffic(t *testing.T) {
 	if err := na.DelLink("stable"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // drain anything already on the wire
-	frozen := nb.Delivered.Load()
+	frozen := overlay.QuietDelivered(nb) // drain anything already on the wire
 	f := &ethernet.Frame{Dst: macB, Src: macA, Type: ethernet.TypeTest,
 		Payload: []byte("post-delete")}
 	for i := 0; i < 100; i++ {
@@ -212,8 +211,7 @@ func TestCloseUnderTraffic(t *testing.T) {
 
 	// Whatever was on the wire at Close lands shortly; after that the
 	// receiver's delivery counter must freeze.
-	time.Sleep(100 * time.Millisecond)
-	frozen := nb.Delivered.Load()
+	frozen := overlay.QuietDelivered(nb)
 	time.Sleep(100 * time.Millisecond)
 	if got := nb.Delivered.Load(); got != frozen {
 		t.Fatalf("%d frames delivered after close settled", got-frozen)

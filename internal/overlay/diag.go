@@ -107,9 +107,9 @@ type DiagComponent struct {
 func (n *Node) Diag() DiagBundle {
 	n.metrics.diagRenders.Add(1)
 	cfg := n.cfg
-	fcSize := cfg.FlowCacheSize
-	if fcSize <= 0 && !cfg.FlowCacheDisabled {
-		fcSize = defaultFlowCacheSize // the cache applies this default itself
+	fcSize := flowCacheSize
+	if cfg.FlowCacheDisabled {
+		fcSize = 0
 	}
 	byReason := make(map[string]uint64, len(dropReasons))
 	for _, r := range dropReasons {

@@ -50,6 +50,9 @@ func DefaultDispatchers() int {
 // value).
 const defaultTxRing = 1024
 
+// flightSnap is the flight recorder's per-event capture length in bytes.
+const flightSnap = 256
+
 // NodeConfig tunes a node's datapath.
 type NodeConfig struct {
 	// Dispatchers is the number of receive dispatcher workers. Zero means
@@ -81,9 +84,6 @@ type NodeConfig struct {
 	// benchmarks (BenchmarkOverlayFlowCache, flowbench) and as an
 	// operational escape hatch (vnetpd -flow-cache=false).
 	FlowCacheDisabled bool
-	// FlowCacheSize is the flow cache's total entry capacity across its
-	// shards. Zero means the default (16384).
-	FlowCacheSize int
 
 	// RxBatch is the number of datagrams the read loop pulls from the
 	// UDP socket per wakeup. Above one, linux/{amd64,arm64} hosts drain
@@ -116,9 +116,6 @@ type NodeConfig struct {
 	// datagram events (vnetpd -flight-depth). Zero disables the
 	// recorder entirely.
 	FlightDepth int
-	// FlightSnap is the per-event capture length in bytes. Zero means
-	// the default (256).
-	FlightSnap int
 
 	// Logger receives the node's structured log records (link
 	// lifecycle, trace lifecycle, traced-frame events). Nil discards.
@@ -162,9 +159,6 @@ func (c *NodeConfig) normalize() {
 		c.EvictInterval = time.Second
 	}
 	c.Anomaly.normalize()
-	if c.FlightSnap <= 0 {
-		c.FlightSnap = 256
-	}
 	if c.Logger == nil {
 		c.Logger = logging.Discard()
 	}

@@ -41,18 +41,15 @@ type DrainStats struct {
 	Elapsed time.Duration
 }
 
-// queuedLocked sums the frames sitting in every link TX ring and the
-// datagrams in every dispatcher ring. Caller holds n.mu for the link
-// half; shard rings are channels, safe to len() anytime.
+// queued sums the frames sitting in every link TX ring and the
+// datagrams in every dispatcher ring (channels, safe to len() anytime).
 func (n *Node) queued() uint64 {
 	var q uint64
-	n.mu.Lock()
-	for _, lk := range n.links {
+	for _, lk := range n.topo.Load().links {
 		if lk.txq != nil {
 			q += uint64(len(lk.txq))
 		}
 	}
-	n.mu.Unlock()
 	for _, s := range n.shards {
 		q += uint64(len(s.in))
 	}
@@ -64,11 +61,9 @@ func (n *Node) queued() uint64 {
 // the in-hand batches the sender teardown defers counted.
 func (n *Node) txDropsTotal() uint64 {
 	var t uint64
-	n.mu.Lock()
-	for _, lk := range n.links {
+	for _, lk := range n.topo.Load().links {
 		t += lk.txDrops.Load()
 	}
-	n.mu.Unlock()
 	return t
 }
 

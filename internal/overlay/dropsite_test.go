@@ -372,7 +372,7 @@ func TestDropSiteTxRing(t *testing.T) {
 		Dest: core.Destination{Type: core.DestLink, ID: "wire"},
 	})
 	n.mu.Lock()
-	lk := n.links["wire"]
+	lk := n.topo.Load().links["wire"]
 	n.mu.Unlock()
 	// Reap the sender so nothing drains the one-slot ring; once it has
 	// exited, every send past the first must overrun.
@@ -408,7 +408,7 @@ func TestDropSiteTxTeardown(t *testing.T) {
 		Dest: core.Destination{Type: core.DestLink, ID: "wire"},
 	})
 	n.mu.Lock()
-	lk := n.links["wire"]
+	lk := n.topo.Load().links["wire"]
 	n.mu.Unlock()
 	// The self-clocked sender never sits on a frame by itself; an injected
 	// stall holds it with the frame that woke it in hand and the second
@@ -433,6 +433,82 @@ func TestDropSiteTxTeardown(t *testing.T) {
 	if sent := n.EncapSent.Load(); sent != 0 || len(lk.txq) != 1 {
 		t.Fatalf("stopped sender transmitted %d frames, ring holds %d; want 0 and 1", sent, len(lk.txq))
 	}
+}
+
+// TestDropSiteTxError: frames a batched sender took off its ring whose
+// datagrams the transport refused — the node's UDP socket gone, the TCP
+// peer refusing the dial — land on tx_error, once each, whether they
+// left alone (fragments) or shared an aggregate, and get no encap_sent
+// and no TX latency sample. A frame that fragments is refused with its
+// last datagram; an aggregate's frames share its fate.
+func TestDropSiteTxError(t *testing.T) {
+	for _, proto := range []string{"udp", "tcp"} {
+		for _, tc := range []struct {
+			name           string
+			frames, size   int
+			udpDgs, tcpDgs uint64
+		}{
+			{name: "plain", frames: 2, size: 40000, udpDgs: 2 * 29, tcpDgs: 2 * 2},
+			{name: "aggregate", frames: 5, size: 64, udpDgs: 1, tcpDgs: 1},
+		} {
+			t.Run(proto+"_"+tc.name, func(t *testing.T) {
+				n := dropNode(t, NodeConfig{TxBatch: 8})
+				if err := n.AddLink("wire", "127.0.0.1:1", proto); err != nil {
+					t.Fatal(err)
+				}
+				lk := n.topo.Load().links["wire"]
+				wantDgs := tc.tcpDgs
+				if proto == "udp" {
+					n.conn.Close() // every write on it fails from here on
+					wantDgs = tc.udpDgs
+				}
+				batch := make([]txFrame, tc.frames)
+				for i := range batch {
+					f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
+					f.Payload = make([]byte, tc.size)
+					batch[i] = txFrame{f: f, at: time.Now()}
+				}
+				n.sendTxBatch(lk, batch, &txScratch{})
+				if got, total := n.ledger.Count(dropTxError), n.ledger.Total(); got != uint64(tc.frames) || total != got {
+					t.Fatalf("tx_error = %d, ledger total = %d, want %d each", got, total, tc.frames)
+				}
+				if drops := n.slis.get(0).drops.Load(); drops != uint64(tc.frames) {
+					t.Fatalf("tenant drop SLI = %d, want %d", drops, tc.frames)
+				}
+				if sent, samples := n.EncapSent.Load(), n.metrics.txLatency.Count(); sent != 0 || samples != 0 {
+					t.Fatalf("encap_sent = %d, tx latency samples = %d for refused frames", sent, samples)
+				}
+				if errs, bytes := lk.sendErrors.Load(), lk.bytesSent.Load(); errs != wantDgs || bytes != 0 {
+					t.Fatalf("send_errors = %d, bytes_sent = %d, want %d datagrams refused and nothing sent", errs, bytes, wantDgs)
+				}
+			})
+		}
+	}
+	// A write error mid-batch: the stream took the first two datagrams
+	// (tcpaccount_test.go scripts the same failure), so the frames they
+	// completed count as sent and only the third is refused.
+	t.Run("tcp_partial", func(t *testing.T) {
+		n := dropNode(t, NodeConfig{TxBatch: 8})
+		if err := n.AddLink("wire", "127.0.0.1:1", "tcp"); err != nil {
+			t.Fatal(err)
+		}
+		lk := n.topo.Load().links["wire"]
+		c, _ := newScriptTCP(2)
+		lk.tcp.Store(c)
+		batch := make([]txFrame, 3)
+		for i := range batch {
+			f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
+			f.Payload, f.Tag = make([]byte, 3000), uint64(i+1) // tagged: a datagram of its own
+			batch[i] = txFrame{f: f, at: time.Now()}
+		}
+		n.sendTxBatch(lk, batch, &txScratch{})
+		if sent, lost, samples := n.EncapSent.Load(), n.ledger.Count(dropTxError), n.metrics.txLatency.Count(); sent != 2 || lost != 1 || samples != 2 {
+			t.Fatalf("encap_sent = %d, tx_error = %d, tx latency samples = %d; want 2, 1, 2", sent, lost, samples)
+		}
+		if errs := lk.sendErrors.Load(); errs != 1 || lk.bytesSent.Load() == 0 {
+			t.Fatalf("send_errors = %d, bytes_sent = %d, want 1 refused and two datagrams' bytes", errs, lk.bytesSent.Load())
+		}
+	})
 }
 
 // TestDropLedgerChurn runs the drop sites concurrently (meant for
@@ -469,7 +545,7 @@ func TestDropLedgerChurn(t *testing.T) {
 		Dest: core.Destination{Type: core.DestLink, ID: "wire"},
 	})
 	n.mu.Lock()
-	lk := n.links["wire"]
+	lk := n.topo.Load().links["wire"]
 	n.mu.Unlock()
 	lk.txw.Stop() // every TX past the one-slot ring fill must drop
 
@@ -554,7 +630,7 @@ func TestDropLedgerChurn(t *testing.T) {
 		shardDrops += s.Drops.Load()
 	}
 	n.mu.Lock()
-	for _, ep := range n.eps {
+	for _, ep := range n.topo.Load().eps {
 		epDrops += ep.Drops.Load()
 	}
 	n.mu.Unlock()

@@ -2,10 +2,10 @@
 // forwarding-decision cache in front of the routing machinery, modeled
 // on ONCache's observation that an overlay matches its baseline by
 // caching the *entire* per-packet decision, not just the route. A hit
-// resolves the destination endpoint or link, the encapsulation budget,
-// the seal context, and the prebuilt header template in one sharded
-// map read — no tenant-table lookup, no route-cache probe, and no
-// node-mutex acquisition — so the steady-state hot path is one cache
+// resolves the destination endpoint or link — and through the link its
+// seal context, header template and transport — in one sharded map
+// read: no tenant-table lookup, no route-cache probe, and no
+// node-mutex acquisition, so the steady-state hot path is one cache
 // hit + one header memcpy + TX-ring enqueue. A miss costs one resolve
 // (resolveFlow) plus that same hit path: every unicast frame — entry
 // cached, just filled, or never stored — is forwarded by flowHit.
@@ -14,10 +14,12 @@
 // single atomic flow epoch, and every event that can change a
 // forwarding answer bumps it — route churn and FailDest/RestoreDest
 // (via the routing table's invalidation hook), link add/delete/replace,
-// tenant key installs, endpoint detach, LINK TUNE retunes, fault-
-// conduit installs, and UDP→TCP auto-upgrades. An entry records the
-// epoch observed *before* its backing route lookup ran; a hit is valid
-// only while the entry's epoch equals the current one, so an
+// tenant key installs, endpoint detach. How a link reaches its peer
+// (transport, fault conduit, tunables) is not part of the answer: an
+// entry holds the link, and the link publishes that state itself. An
+// entry records the epoch observed *before* its backing route lookup
+// ran; a hit is valid only while the entry's epoch equals the current
+// one, and a topology edit is published before its bump, so an
 // invalidation racing a fill can only strand an already-stale entry,
 // never resurrect one. A stale flow-cache entry would be a silent
 // cross-tenant or dead-link delivery; the churn, fuzz, and failover
@@ -27,7 +29,6 @@ package overlay
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,19 +38,19 @@ import (
 	"vnetp/internal/trace"
 )
 
-// defaultFlowCacheSize is the default total entry capacity across all
-// shards (NodeConfig.FlowCacheSize zero value): generous for the
-// paper's VM-pair working sets while bounding a MAC-scan's memory.
-const defaultFlowCacheSize = 16384
+// flowCacheSize is the total entry capacity across all shards: generous
+// for the paper's VM-pair working sets while bounding a MAC-scan's
+// memory.
+const flowCacheSize = 16384
 
 // flowShards is the number of independent cache segments, hashed by
 // the packed flow key. Power of two for cheap masking.
 const flowShards = 16
 
-// flowEntry is one cached forwarding decision. All fields are
-// immutable after the entry is stored; mutable link state (tunables,
-// fault conduits, transport upgrades) is either read through the link
-// pointer's own atomics or guarded by an epoch bump at mutation time.
+// flowEntry is one cached forwarding decision: whose frame it is, where
+// it goes, and the handles that account it. Nothing in it is mutable,
+// nor a copy of anything that is — a link's transport state is read
+// through the link's own atomics at send time.
 type flowEntry struct {
 	epoch  uint64 // flow epoch observed before the backing lookup
 	tenant uint32
@@ -69,11 +70,6 @@ type flowEntry struct {
 	// it was resolved and never turned into an entry.
 	ep *Endpoint
 	lk *link
-
-	// direct is the synchronous-transmit snapshot: non-nil when lk's
-	// datagrams may go straight to the UDP socket at this address — UDP
-	// transport, no fault conduit, no TX ring.
-	direct *net.UDPAddr
 }
 
 // flowShard is one cache segment. The map is read under the shard
@@ -96,9 +92,6 @@ type flowCache struct {
 }
 
 func newFlowCache(total int) *flowCache {
-	if total <= 0 {
-		total = defaultFlowCacheSize
-	}
 	per := total / flowShards
 	if per < 1 {
 		per = 1
@@ -233,17 +226,14 @@ func (n *Node) resolveFlow(key core.FlowKey, epoch uint64, local bool) (e flowEn
 }
 
 // resolveDest points a decision at the endpoint or link a route
-// destination names (neither, when it is not attached), taking the
-// synchronous-transmit snapshot under the same n.mu hold that resolved
-// the link, so the entry is consistent with one instant of link state.
+// destination names in the published topology (neither, when it is not
+// attached).
 func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
-	n.mu.Lock()
-	if d.Type == core.DestInterface {
-		e.ep = n.eps[d.ID]
-	} else if e.lk = n.links[d.ID]; e.lk != nil && e.lk.proto == "udp" && e.lk.fault == nil && e.lk.txq == nil {
-		e.direct = e.lk.addr
+	if t := n.topo.Load(); d.Type == core.DestInterface {
+		e.ep = t.eps[d.ID]
+	} else {
+		e.lk = t.links[d.ID]
 	}
-	n.mu.Unlock()
 }
 
 // flowHit forwards one unicast frame from a decision — the hot path,
@@ -299,7 +289,7 @@ func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from
 		n.enqueueTx(lk, f, at)
 		return false, nil
 	}
-	if err := n.sendSync(e, f); err != nil {
+	if err := n.sendSync(lk, f); err != nil {
 		return false, fmt.Errorf("link %q: %w", lk.id, err)
 	}
 	return true, nil
@@ -315,36 +305,19 @@ func (n *Node) observeTx(at time.Time) {
 }
 
 // sendSync is forwardTo's synchronous transmit leg: encapsulate,
-// fragmenting to the datagram budget, and write inline. The datagrams
-// go straight to the UDP socket when the decision's snapshot allows it;
-// faulted and TCP links need the general transport path (sendOnLink).
-// The encoder and the wire bytes are the same either way, and the
-// pooled encapsulation buffers are recycled before return.
-func (n *Node) sendSync(e *flowEntry, f *ethernet.Frame) error {
-	lk, budget := e.lk, maxDatagram
-	if e.direct == nil {
-		n.mu.Lock()
-		if lk.proto == "tcp" {
-			budget = tcpMaxDatagram
-		}
-		n.mu.Unlock()
-	}
-	pkt, err := n.encapFrame(lk, f, budget)
+// fragmenting to the transport's datagram budget, and transmit inline —
+// one frame's datagrams are one batch. A transport error goes back to
+// the caller. The pooled encapsulation buffers are recycled before
+// return.
+func (n *Node) sendSync(lk *link, f *ethernet.Frame) error {
+	tr := lk.transport.Load()
+	pkt, err := n.encapFrame(lk, f, tr.budget)
 	if err != nil {
 		return err
 	}
 	defer pkt.Release()
-	for _, d := range pkt.Datagrams {
-		if e.direct == nil {
-			err = n.sendOnLink(lk, d)
-		} else if _, err = n.conn.WriteToUDP(d, e.direct); err != nil {
-			lk.sendErrors.Add(1)
-		} else {
-			lk.bytesSent.Add(uint64(len(d)))
-		}
-		if err != nil {
-			return err
-		}
+	if _, err := n.transmit(lk, tr, pkt.Datagrams); err != nil {
+		return err
 	}
 	n.EncapSent.Add(1)
 	if f.Tag != 0 {

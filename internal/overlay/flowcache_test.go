@@ -6,6 +6,7 @@ import (
 
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
+	"vnetp/internal/faultnet"
 )
 
 // TestFlowCacheUnit pins the cache's mechanical contract: store/lookup
@@ -58,14 +59,14 @@ func TestFlowCacheUnit(t *testing.T) {
 
 // TestFlowEpochBumpEvents pins the full set of node events that must
 // retire cached flow decisions: link add/replace/delete, endpoint
-// detach, tenant installs, fault-conduit installs, LINK TUNE, and —
-// via the routing table's invalidation hook — route churn and
-// FailDest/RestoreDest on any tenant table, including tables created
-// after the node.
+// detach, tenant installs, and — via the routing table's invalidation
+// hook — route churn and FailDest/RestoreDest on any tenant table,
+// including tables created after the node. A change to how a link
+// reaches its peer is not one of them: a decision holds the link, not
+// its transport, so a fault conduit installed or cleared mid-stream
+// reaches the very next frame of an already-cached flow without a bump.
 func TestFlowEpochBumpEvents(t *testing.T) {
-	// Batched transmit so links carry a TX ring (LINK TUNE rejects
-	// synchronous links before it would bump).
-	n, err := NewNodeWithConfig("epochs", "127.0.0.1:0", NodeConfig{TxBatch: 4})
+	n, err := NewNode("epochs", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +87,6 @@ func TestFlowEpochBumpEvents(t *testing.T) {
 
 	expectBump("AddLink", func() { n.AddLink("l0", peer.Addr(), "udp") })
 	expectBump("AddLink replace", func() { n.AddLink("l0", peer.Addr(), "udp") })
-	expectBump("SetLinkTune", func() {
-		if err := n.SetLinkTune("l0", "latency"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	expectBump("SetLinkFault", func() { n.SetLinkFault("l0", nil) })
 	expectBump("DelLink", func() { n.DelLink("l0") })
 	mac := ethernet.LocalMAC(1)
 	if _, err := n.AttachEndpoint("nic0", mac, 1500); err != nil {
@@ -120,6 +115,52 @@ func TestFlowEpochBumpEvents(t *testing.T) {
 		n.AddRoute(core.Route{Tenant: 9, DstMAC: mac, DstQual: core.QualExact, SrcQual: core.QualAny,
 			Dest: core.Destination{Type: core.DestInterface, ID: "ghost"}})
 	})
+
+	for name, cfg := range map[string]NodeConfig{"sync": {}, "batched": {TxBatch: 4}} {
+		t.Run("fault_mid_stream_"+name, func(t *testing.T) {
+			n, tap := dropNode(t, cfg), newWireTap(t, "udp")
+			src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.AddLink("wire", tap.addr, "udp"); err != nil {
+				t.Fatal(err)
+			}
+			dst := ethernet.LocalMAC(2)
+			n.AddRoute(core.Route{DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny,
+				Dest: core.Destination{Type: core.DestLink, ID: "wire"}})
+			send := func() {
+				t.Helper()
+				if err := src.Send(testFrame(src.MAC(), dst)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send() // the miss that caches the flow
+			tap.frame(t, 1, nil)
+			epoch := n.FlowEpoch()
+
+			cut := faultnet.New(faultnet.Config{})
+			cut.Partition(true)
+			n.SetLinkFault("wire", cut)
+			send()
+			for deadline := time.Now().Add(5 * time.Second); cut.Dropped.Load() != 1; {
+				if time.Now().After(deadline) {
+					t.Fatal("the frame after the install did not meet the conduit")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			n.SetLinkFault("wire", nil)
+			send()
+			tap.frame(t, 1, nil) // exactly one: the partitioned frame never shows
+
+			if got := n.FlowEpoch(); got != epoch {
+				t.Fatalf("fault install/clear moved the flow epoch %d -> %d", epoch, got)
+			}
+			if hits, misses, _, _ := n.FlowCacheStats(); hits != 2 || misses != 1 {
+				t.Fatalf("hits=%d misses=%d, want the two later frames served from the cached flow", hits, misses)
+			}
+		})
+	}
 }
 
 // TestFlowCacheHitPath drives repeated unicast traffic between two local

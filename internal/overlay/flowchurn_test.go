@@ -50,6 +50,21 @@ func TestFlowCacheChurnUnderTraffic(t *testing.T) {
 	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, NodeConfig{TxBatch: 32}) })
 }
 
+// QuietDelivered returns n's delivered count once it has not moved for
+// 50 ms: after a flood the receiver may still be working through what
+// is left in its socket buffer — seconds' worth under -race — and a
+// "delivers nothing from here on" baseline taken before that is noise.
+// Exported for the overlay_test churn suite.
+func QuietDelivered(n *Node) uint64 {
+	last := n.Delivered.Load()
+	for quietSince := time.Now(); time.Since(quietSince) < 50*time.Millisecond; time.Sleep(5 * time.Millisecond) {
+		if got := n.Delivered.Load(); got != last {
+			last, quietSince = got, time.Now()
+		}
+	}
+	return last
+}
+
 func flowCacheChurn(t *testing.T, sender NodeConfig) {
 	na, err := NewNodeWithConfig("churn-a", "127.0.0.1:0", sender)
 	if err != nil {
@@ -212,8 +227,7 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
-	frozen := nb.Delivered.Load()
+	frozen := QuietDelivered(nb)
 	for i := 0; i < 100; i++ {
 		for _, id := range tenants {
 			sides[id].send.Send(&ethernet.Frame{Dst: macD, Src: macS, Type: ethernet.TypeTest,

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -149,7 +150,7 @@ func readForwardCounters(n *Node, tenant uint32, linkID string, src, dst etherne
 		TxSamples: n.metrics.txLatency.Count(), Drops: n.ledger.Total(),
 	}
 	n.mu.Lock()
-	if lk := n.links[linkID]; lk != nil {
+	if lk := n.topo.Load().links[linkID]; lk != nil {
 		c.LinkBytes = lk.bytesSent.Load()
 	}
 	n.mu.Unlock()
@@ -406,6 +407,78 @@ func TestResolveFlowKeepsFillEpoch(t *testing.T) {
 	}
 }
 
+// TestFillRacingRemovalIsStranded: DelLink and DetachEndpoint publish the
+// topology without their target BEFORE they bump the flow epoch, so a
+// fill that read the bumped epoch can only have resolved against the
+// topology without it — and a fill that did resolve to the removed
+// target read the epoch from before the bump, which strands its entry
+// stale. Fills race removals here, and every one is held to that rule.
+func TestFillRacingRemovalIsStranded(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	linkKey := core.FlowKey{Src: ethernet.LocalMAC(1), Dst: ethernet.LocalMAC(8)}
+	epKey := core.FlowKey{Src: ethernet.LocalMAC(1), Dst: ethernet.LocalMAC(9)}
+	type fill struct {
+		epoch  uint64
+		target any // the *link or *Endpoint the fill resolved to
+	}
+	stop := make(chan struct{})
+	seen := make(chan []fill)
+	go func() {
+		var fills []fill
+		record := func(f fill) {
+			if len(fills) == 0 || fills[len(fills)-1] != f {
+				fills = append(fills, f)
+			}
+		}
+		for {
+			select {
+			case <-stop:
+				seen <- fills
+				return
+			default:
+			}
+			epoch := n.FlowEpoch() // as forwardUnicast: the epoch first, then the resolve
+			if e, _, _ := n.resolveFlow(linkKey, epoch, false); e.lk != nil {
+				record(fill{epoch, e.lk})
+			}
+			epoch = n.FlowEpoch()
+			if e, _, _ := n.resolveFlow(epKey, epoch, false); e.ep != nil {
+				record(fill{epoch, e.ep})
+			}
+		}
+	}()
+	removedAt := map[any]uint64{} // target → the flow epoch just before its removal began
+	for round := 0; round < 200; round++ {
+		if err := n.AddLink("wire", "127.0.0.1:9", "udp"); err != nil {
+			t.Fatal(err)
+		}
+		n.AddRoute(core.Route{DstMAC: linkKey.Dst, DstQual: core.QualExact, SrcQual: core.QualAny,
+			Dest: core.Destination{Type: core.DestLink, ID: "wire"}})
+		ep, err := n.AttachEndpoint("vm", epKey.Dst, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lk := n.topo.Load().links["wire"]
+		runtime.Gosched() // let fills find both
+		removedAt[lk] = n.FlowEpoch()
+		if err := n.DelLink("wire"); err != nil {
+			t.Fatal(err)
+		}
+		removedAt[ep] = n.FlowEpoch()
+		n.DetachEndpoint("vm")
+	}
+	close(stop)
+	fills := <-seen
+	for _, f := range fills {
+		if at, removed := removedAt[f.target]; removed && f.epoch > at {
+			t.Fatalf("a fill at epoch %d resolved to a target whose removal began at epoch %d: its entry would be current", f.epoch, at)
+		}
+	}
+	if len(fills) == 0 {
+		t.Fatal("no fill ever resolved to a link or endpoint: nothing raced")
+	}
+}
+
 // TestRecvArmsNoTimerWhenReady: a frame already in the ring comes back
 // without a timer (or anything else) being allocated; an empty ring
 // still times out.
@@ -652,7 +725,7 @@ func TestBatchedEqualsSync(t *testing.T) {
 			}
 			if oneBatch {
 				tx.mu.Lock()
-				lk := tx.links["wire"]
+				lk := tx.topo.Load().links["wire"]
 				tx.mu.Unlock()
 				batch := make([]txFrame, len(frames))
 				for i, f := range frames {

@@ -210,7 +210,7 @@ func (n *Node) EnableHealth(cfg HealthConfig) error {
 	}
 	n.healthCfg = cfg
 	n.healthOn = true
-	for _, lk := range n.links {
+	for _, lk := range n.topo.Load().links {
 		if lk.health == nil || len(lk.health.window) != cfg.LossWindow {
 			lk.health = n.newLinkHealth(lk, cfg.LossWindow)
 		}
@@ -273,7 +273,7 @@ func (n *Node) healthTick() {
 		return
 	}
 	cfg := n.healthCfg
-	for _, lk := range n.links {
+	for _, lk := range n.topo.Load().links {
 		h := lk.health
 		if h == nil {
 			h = n.newLinkHealth(lk, cfg.LossWindow)
@@ -285,7 +285,7 @@ func (n *Node) healthTick() {
 				n.noteProbeLocked(lk, false)
 			}
 		}
-		if lk.proto == "tcp" && lk.tcp == nil {
+		if lk.transport.Load().proto == "tcp" && lk.tcp.Load() == nil {
 			// No transport: probing is impossible. Count the round as a
 			// miss so the state machine converges on Down, and redial
 			// once the backoff allows.
@@ -304,7 +304,7 @@ func (n *Node) healthTick() {
 
 	for _, p := range probes {
 		// Best effort: a failed send surfaces as a lost probe.
-		n.sendOnLink(p.lk, p.d)
+		n.transmit(p.lk, p.lk.transport.Load(), [][]byte{p.d})
 	}
 	for _, lk := range redials {
 		n.dialTCP(lk) // errors advance the backoff internally
@@ -346,14 +346,12 @@ func (n *Node) noteProbeLocked(lk *link, ok bool) {
 	h.stateGauge.Set(float64(h.state))
 	// Sustained-lossy UDP links escape to TCP encapsulation (the paper's
 	// lossy/wide-area path transport).
-	if lk.proto == "udp" && cfg.AutoUpgradeLossPct > 0 &&
+	if tr := *lk.transport.Load(); tr.proto == "udp" && cfg.AutoUpgradeLossPct > 0 &&
 		h.windowLen == len(h.window) && h.lossRate() >= cfg.AutoUpgradeLossPct {
-		lk.proto = "tcp"
+		tr.proto, tr.budget = "tcp", tcpMaxDatagram
+		lk.transport.Store(&tr) // applies from the link's next send
 		h.upgrades.Inc()
 		h.resetWindow() // the TCP transport starts with a clean history
-		// Cached flow decisions snapshot the transport (budget, direct-
-		// UDP eligibility); the upgraded link needs fresh ones.
-		n.bumpFlowEpoch()
 	}
 }
 
@@ -362,7 +360,7 @@ func (n *Node) noteProbeLocked(lk *link, ok bool) {
 func (n *Node) LinkHealth(id string) (LinkState, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	lk := n.links[id]
+	lk := n.topo.Load().links[id]
 	if lk == nil || lk.health == nil {
 		return LinkUp, false
 	}
@@ -377,7 +375,7 @@ func (n *Node) LinkHealth(id string) (LinkState, bool) {
 func (n *Node) LinkStatus(id string) ([]string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	lk, ok := n.links[id]
+	lk, ok := n.topo.Load().links[id]
 	if !ok {
 		return nil, fmt.Errorf("overlay: no link %q", id)
 	}
@@ -389,14 +387,15 @@ func (n *Node) LinkStatus(id string) ([]string, error) {
 func (n *Node) HealthSummary() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.links))
-	for id := range n.links {
+	links := n.topo.Load().links
+	ids := make([]string, 0, len(links))
+	for id := range links {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, n.snapshotLinkLocked(n.links[id]).summaryLine())
+		out = append(out, n.snapshotLinkLocked(links[id]).summaryLine())
 	}
 	return out
 }
@@ -478,7 +477,7 @@ func (n *Node) handleProbeReply(payload []byte) {
 	now := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	lk := n.links[linkID]
+	lk := n.topo.Load().links[linkID]
 	if lk == nil || lk.health == nil {
 		return
 	}

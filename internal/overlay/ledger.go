@@ -46,11 +46,17 @@ const (
 	// dropCrossTenant: a frame stopped by the tenancy guards (endpoint
 	// or link bound to a different tenant than the frame).
 	dropCrossTenant = "cross_tenant"
+	// dropTxError: a frame a batched sender took off its ring that never
+	// left — the transport refused its datagrams (dial failure, write
+	// error), or it could not be encoded.
+	dropTxError = "tx_error"
 )
 
 // dropReasons is the declared vocabulary, in datapath order (RX → route
 // → TX). NewDropLedger pre-creates every child so scrapes and LIST
-// STATS see the full set at zero.
+// STATS see the full set at zero. A new reason goes at the end: LIST
+// STATS prints them in this order and only ever grows at the end of
+// the block.
 var dropReasons = []string{
 	dropBadPacket,
 	dropDispatcherRing,
@@ -62,6 +68,7 @@ var dropReasons = []string{
 	dropEndpointRing,
 	dropTxRing,
 	dropTxTeardown,
+	dropTxError,
 }
 
 // drop is the single funnel every overlay drop site reports through: it

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -176,14 +177,28 @@ func (ep *Endpoint) deliver(f *ethernet.Frame) {
 	}
 }
 
+// linkTransport is how a link reaches its peer at one instant. A
+// published value is never modified: a change — fault conduit installed
+// or cleared, UDP→TCP upgrade — publishes a fresh one, so a sender that
+// loaded it works from one consistent view without a lock.
+type linkTransport struct {
+	proto  string            // "udp" or "tcp"
+	addr   *net.UDPAddr      // UDP remote (kept after an upgrade to TCP)
+	fault  *faultnet.Conduit // optional fault injection on the send path
+	budget int               // bytes per encapsulation datagram on proto
+}
+
 type link struct {
 	id     string
-	proto  string
 	remote string
-	addr   *net.UDPAddr      // UDP links (kept after an upgrade to TCP)
-	tcp    *tcpConn          // TCP links, dialed lazily
-	fault  *faultnet.Conduit // optional fault injection on the send path
-	health *linkHealth       // liveness state, nil until monitored
+	health *linkHealth // liveness state, nil until monitored
+
+	// transport is the link's current linkTransport, swapped under n.mu
+	// and loaded lock-free by every send. tcp is the dialed TCP transport
+	// (nil until a TCP link first sends, and between redials), likewise
+	// stored under n.mu and loaded lock-free.
+	transport atomic.Pointer[linkTransport]
+	tcp       atomic.Pointer[tcpConn]
 
 	// tenant binds the link to one tenant's VNET; sealer is the tenant's
 	// per-link AEAD encryptor (nil on tenant-0 plaintext links — the
@@ -271,22 +286,22 @@ type Node struct {
 	// path (both synchronous and batched sends).
 	encap bridge.Encapsulator
 
-	mu         sync.Mutex
-	links      map[string]*link
-	linkByAddr map[string]*link // UDP remote address → link, for receive-byte attribution
-	eps        map[string]*Endpoint
-	tcpConns   map[*tcpConn]struct{} // accepted inbound TCP transports
-	shards     []*rxShard            // dispatcher pool; reassembly sharded by sender
-	probeCh    chan probeEvent       // control traffic, split off the data path
-	nextID     atomic.Uint32
-	linkEpoch  atomic.Uint64 // bumped on AddLink/DelLink; readLoop's addr→link cache key
+	// mu serializes the control plane: topology edits, link transport
+	// swaps and dials, health state, accepted TCP transports. No frame
+	// path takes it — those read topo and the links' atomics.
+	mu       sync.Mutex
+	topo     atomic.Pointer[topology]
+	tcpConns map[*tcpConn]struct{} // accepted inbound TCP transports
+	shards   []*rxShard            // dispatcher pool; reassembly sharded by sender
+	probeCh  chan probeEvent       // control traffic, split off the data path
+	nextID   atomic.Uint32
 
 	// Per-flow fast path (flowcache.go). fcache is nil when disabled
 	// (NodeConfig.FlowCacheDisabled); flowEpoch is bumped by every event
 	// that can change a forwarding answer — route-cache invalidations in
-	// any tenant table (via the core.Tenants hook), link lifecycle,
-	// tenant changes, LINK TUNE, fault installs, transport upgrades —
-	// retiring every cached decision in one atomic add.
+	// any tenant table (via the core.Tenants hook), link and endpoint
+	// lifecycle, tenant changes — retiring every cached decision in one
+	// atomic add.
 	fcache    *flowCache
 	flowEpoch atomic.Uint64
 	closed    bool
@@ -340,6 +355,43 @@ type Node struct {
 	BadPackets  *telemetry.Counter
 }
 
+// topology is what is attached to the node at one instant — links and
+// endpoints by name, UDP links by remote address (receive-byte
+// attribution). A published value is never modified: an edit, under
+// n.mu, publishes a changed copy, and frame paths resolve against
+// whichever value they loaded. An edit that removes or replaces
+// something publishes BEFORE the flow epoch is bumped: a fill that read
+// the new epoch can then only have resolved against the new topology,
+// and one that read the old epoch is stale whatever it saw.
+type topology struct {
+	links      map[string]*link
+	eps        map[string]*Endpoint
+	linkByAddr map[string]*link
+}
+
+// editTopology publishes a copy of the topology with edit applied.
+// Caller holds n.mu.
+func (n *Node) editTopology(edit func(*topology)) {
+	old := n.topo.Load()
+	t := &topology{
+		links:      maps.Clone(old.links),
+		eps:        maps.Clone(old.eps),
+		linkByAddr: maps.Clone(old.linkByAddr),
+	}
+	edit(t)
+	n.topo.Store(t)
+}
+
+// unmapAddr removes a link's addr→link attribution entry if it still
+// points at lk.
+func (t *topology) unmapAddr(lk *link) {
+	if addr := lk.transport.Load().addr; addr != nil {
+		if key := addr.String(); t.linkByAddr[key] == lk {
+			delete(t.linkByAddr, key)
+		}
+	}
+}
+
 // NewNode binds a node to a UDP address ("127.0.0.1:0" for tests) with
 // the default receive configuration.
 func NewNode(name, bindAddr string) (*Node, error) {
@@ -365,22 +417,24 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	conn.SetWriteBuffer(4 << 20)
 	tenants := core.NewTenants()
 	n := &Node{
-		name:       name,
-		cfg:        cfg,
-		tenants:    tenants,
-		table:      tenants.Default(),
-		keyring:    seal.NewKeyring(originID(name)),
-		flows:      core.NewFlowStats(),
-		conn:       conn,
-		links:      make(map[string]*link),
-		linkByAddr: make(map[string]*link),
-		eps:        make(map[string]*Endpoint),
-		tcpConns:   make(map[*tcpConn]struct{}),
-		probeCh:    make(chan probeEvent, 256),
-		quit:       make(chan struct{}),
+		name:     name,
+		cfg:      cfg,
+		tenants:  tenants,
+		table:    tenants.Default(),
+		keyring:  seal.NewKeyring(originID(name)),
+		flows:    core.NewFlowStats(),
+		conn:     conn,
+		tcpConns: make(map[*tcpConn]struct{}),
+		probeCh:  make(chan probeEvent, 256),
+		quit:     make(chan struct{}),
 	}
+	n.topo.Store(&topology{
+		links:      map[string]*link{},
+		eps:        map[string]*Endpoint{},
+		linkByAddr: map[string]*link{},
+	})
 	if !cfg.FlowCacheDisabled {
-		n.fcache = newFlowCache(cfg.FlowCacheSize)
+		n.fcache = newFlowCache(flowCacheSize)
 	}
 	// Any route-cache invalidation in any tenant namespace — route
 	// churn, FailDest/RestoreDest, teardown sweeps — retires the flow
@@ -411,7 +465,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 			idx:       i,
 			in:        make(chan inDatagram, cfg.QueueDepth),
 			reasm:     bridge.NewReassembler(),
-			flight:    trace.NewFlightRing(cfg.FlightDepth, cfg.FlightSnap),
+			flight:    trace.NewFlightRing(cfg.FlightDepth, flightSnap),
 			Datagrams: n.metrics.dispDatagrams.With(w),
 			Frames:    n.metrics.dispFrames.With(w),
 			Drops:     n.metrics.dispDrops.With(w),
@@ -490,9 +544,9 @@ func (n *Node) Close() error {
 	n.closed = true
 	n.healthOn = false
 	n.healthW = nil // sup.Stop reaps it below
-	for _, lk := range n.links {
-		if lk.tcp != nil {
-			lk.tcp.close()
+	for _, lk := range n.topo.Load().links {
+		if c := lk.tcp.Load(); c != nil {
+			c.close()
 		}
 	}
 	for c := range n.tcpConns {
@@ -529,7 +583,7 @@ func (n *Node) AttachEndpointTenant(ifName string, mac ethernet.MAC, mtu int, te
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.eps[ifName]; dup {
+	if _, dup := n.topo.Load().eps[ifName]; dup {
 		return nil, fmt.Errorf("overlay: interface %q exists", ifName)
 	}
 	ep := &Endpoint{
@@ -538,7 +592,7 @@ func (n *Node) AttachEndpointTenant(ifName string, mac ethernet.MAC, mtu int, te
 		Drops: n.metrics.epDrops.With(ifName),
 		sli:   n.slis.get(tenant),
 	}
-	n.eps[ifName] = ep
+	n.editTopology(func(t *topology) { t.eps[ifName] = ep })
 	n.tenants.Ensure(tenant).AddRoute(core.Route{
 		DstMAC: mac, DstQual: core.QualExact, SrcQual: core.QualAny,
 		Dest:   core.Destination{Type: core.DestInterface, ID: ifName},
@@ -552,7 +606,7 @@ func (n *Node) AttachEndpointTenant(ifName string, mac ethernet.MAC, mtu int, te
 func (n *Node) DetachEndpoint(ifName string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.eps, ifName)
+	n.editTopology(func(t *topology) { delete(t.eps, ifName) })
 	n.metrics.epDrops.Delete(ifName)
 	n.bumpFlowEpoch() // cached deliveries to the detached endpoint must die
 	dest := core.Destination{Type: core.DestInterface, ID: ifName}
@@ -589,19 +643,21 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		}
 		sealer = sl
 	}
-	var addr *net.UDPAddr
+	tr := &linkTransport{proto: proto, budget: maxDatagram}
 	switch proto {
 	case "udp":
 		var err error
-		addr, err = net.ResolveUDPAddr("udp", remote)
+		tr.addr, err = net.ResolveUDPAddr("udp", remote)
 		if err != nil {
 			return err
 		}
 	case "tcp":
+		tr.budget = tcpMaxDatagram
 	default:
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
-	lk := &link{id: id, proto: proto, remote: remote, addr: addr, tenant: tenant}
+	lk := &link{id: id, remote: remote, tenant: tenant}
+	lk.transport.Store(tr)
 	if sealer != nil {
 		lk.sealer = sealer
 	}
@@ -611,11 +667,10 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		n.mu.Unlock()
 		return errors.New("overlay: node closed")
 	}
-	old := n.links[id]
+	old := n.topo.Load().links[id]
 	if old != nil {
 		// Replaced link: detach its metric children so the new link's
 		// counters restart from zero, as a fresh link's always have.
-		n.unmapLinkAddrLocked(old)
 		n.dropLinkMetrics(id)
 	}
 	if n.cfg.TxBatch > 1 {
@@ -633,11 +688,15 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	if n.healthOn {
 		lk.health = n.newLinkHealth(lk, n.healthCfg.LossWindow)
 	}
-	n.links[id] = lk
-	if addr != nil {
-		n.linkByAddr[addr.String()] = lk
-	}
-	n.linkEpoch.Add(1)
+	n.editTopology(func(t *topology) {
+		if old != nil {
+			t.unmapAddr(old)
+		}
+		t.links[id] = lk
+		if tr.addr != nil {
+			t.linkByAddr[tr.addr.String()] = lk
+		}
+	})
 	// A replaced link's cached decisions point at the dead *link; a
 	// fresh link may satisfy flows that previously had no answer. Either
 	// way every cached decision predating this link set is now suspect.
@@ -648,8 +707,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	var oldTCP *tcpConn
 	var oldTxw *supervise.Worker
 	if old != nil {
-		oldTCP = old.tcp
-		old.tcp = nil
+		oldTCP = old.tcp.Swap(nil)
 		oldTxw = old.txw // stop the replaced link's sender
 	}
 	n.mu.Unlock()
@@ -663,37 +721,26 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	return nil
 }
 
-// unmapLinkAddrLocked removes a link's addr→link attribution entry if it
-// still points at lk. Caller holds n.mu.
-func (n *Node) unmapLinkAddrLocked(lk *link) {
-	if lk.addr != nil {
-		key := lk.addr.String()
-		if n.linkByAddr[key] == lk {
-			delete(n.linkByAddr, key)
-		}
-	}
-}
-
 // DelLink removes a link, its routes, and — closing the gap that used to
 // leak the connection and its read goroutine — any dialed TCP transport.
 func (n *Node) DelLink(id string) error {
 	n.mu.Lock()
-	lk, ok := n.links[id]
+	lk, ok := n.topo.Load().links[id]
 	if !ok {
 		n.mu.Unlock()
 		return fmt.Errorf("overlay: no link %q", id)
 	}
-	delete(n.links, id)
-	n.unmapLinkAddrLocked(lk)
+	n.editTopology(func(t *topology) {
+		delete(t.links, id)
+		t.unmapAddr(lk)
+	})
 	n.dropLinkMetrics(id)
-	n.linkEpoch.Add(1)
 	// Explicit bump (not just the route-sweep hook below): the DEL LINK
 	// may find no routes to remove, yet cached decisions still hold the
 	// deleted link and must die before the sweep's outcome is known.
 	n.bumpFlowEpoch()
 	txw := lk.txw // stop the TX sender; queued frames are dropped
-	tcp := lk.tcp
-	lk.tcp = nil
+	tcp := lk.tcp.Swap(nil)
 	dest := core.Destination{Type: core.DestLink, ID: id}
 	n.tenants.Each(func(_ uint32, t *core.Table) {
 		t.RemoveByDest(dest)
@@ -713,18 +760,18 @@ func (n *Node) DelLink(id string) error {
 // SetLinkFault installs (or clears, with nil) a fault-injection conduit
 // on a link's outbound datagram path. Heartbeat probes and data both
 // traverse it, so chaos tests exercise exactly the datapath real traffic
-// uses.
+// uses. It applies from the link's next send: cached flow decisions hold
+// the link, not its transport, so nothing needs retiring.
 func (n *Node) SetLinkFault(id string, c *faultnet.Conduit) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	lk, ok := n.links[id]
+	lk, ok := n.topo.Load().links[id]
 	if !ok {
 		return fmt.Errorf("overlay: no link %q", id)
 	}
-	lk.fault = c
-	// Cached synchronous-send decisions snapshot the fault conduit's
-	// presence (flowEntry.fastUDP); they must be rebuilt around it.
-	n.bumpFlowEpoch()
+	tr := *lk.transport.Load()
+	tr.fault = c
+	lk.transport.Store(&tr)
 	return nil
 }
 
@@ -734,8 +781,8 @@ func (n *Node) ActiveTCP() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	c := len(n.tcpConns)
-	for _, lk := range n.links {
-		if lk.tcp != nil {
+	for _, lk := range n.topo.Load().links {
+		if lk.tcp.Load() != nil {
 			c++
 		}
 	}
@@ -819,10 +866,9 @@ func (n *Node) Routes() []core.Route {
 
 // Links lists link IDs.
 func (n *Node) Links() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.links))
-	for id := range n.links {
+	links := n.topo.Load().links
+	out := make([]string, 0, len(links))
+	for id := range links {
 		out = append(out, id)
 	}
 	return out
@@ -839,7 +885,7 @@ func (n *Node) Stats() []string {
 	var probesSent, probesLost, failovers, failbacks, redials, upgrades, sendErrors uint64
 	var txRingDrops uint64
 	n.mu.Lock()
-	for _, lk := range n.links {
+	for _, lk := range n.topo.Load().links {
 		s := n.snapshotLinkLocked(lk)
 		sendErrors += s.sendErrors
 		txRingDrops += s.txDrops
@@ -914,10 +960,9 @@ func (n *Node) Stats() []string {
 
 // Interfaces lists attached endpoint names.
 func (n *Node) Interfaces() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.eps))
-	for name := range n.eps {
+	eps := n.topo.Load().eps
+	out := make([]string, 0, len(eps))
+	for name := range eps {
 		out = append(out, name)
 	}
 	return out
@@ -1020,7 +1065,8 @@ func (n *Node) dropCrossTenant(key core.FlowKey, scope string) {
 // link's prebuilt header template: one memcpy plus fixed-offset patches
 // per fragment. A traced frame's context rides the wire in every
 // fragment's trace extension, which the template deliberately omits, so
-// it takes the general encoder; the wire bytes are otherwise identical.
+// its header prefix is marshalled for it; the fragment loop and the wire
+// bytes are otherwise the same.
 // On a tenant-bound link every fragment is sealed under the tenant's
 // key. The caller releases the packet.
 func (n *Node) encapFrame(lk *link, f *ethernet.Frame, budget int) (*bridge.EncapPacket, error) {
@@ -1058,40 +1104,6 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 	return &bridge.TraceExt{ID: tag, Origin: origin, Flags: flags}
 }
 
-// sendOnLink pushes one encapsulation datagram onto a link's transport,
-// through the link's fault conduit when one is installed. Data on
-// faulted and TCP links and every heartbeat probe funnel through here.
-// Every transport failure — even inside a conduit's (possibly
-// asynchronous) delivery callback, where the error cannot be returned —
-// lands in the link's send_errors counter so chaos tests and the health
-// monitor observe it.
-func (n *Node) sendOnLink(lk *link, d []byte) error {
-	n.mu.Lock()
-	fault, proto, addr := lk.fault, lk.proto, lk.addr
-	n.mu.Unlock()
-	send := func(p []byte) (err error) {
-		if proto == "tcp" {
-			_, err = n.sendBatchTCP(lk, [][]byte{p})
-		} else {
-			_, err = n.conn.WriteToUDP(p, addr)
-		}
-		if err != nil {
-			lk.sendErrors.Add(1)
-		} else {
-			lk.bytesSent.Add(uint64(len(p)))
-		}
-		return err
-	}
-	if fault == nil {
-		return send(d)
-	}
-	// The conduit may deliver asynchronously (delay/reorder faults),
-	// after the pooled encapsulation buffer behind d has been recycled —
-	// hand it a private copy.
-	fault.Send(append([]byte(nil), d...), func(p any) { send(p.([]byte)) })
-	return nil
-}
-
 // probeEvent is one control datagram (probe or probe reply) handed from
 // the read loop to the probe handler.
 type probeEvent struct {
@@ -1103,13 +1115,13 @@ type probeEvent struct {
 // string for the common case of consecutive datagrams from one peer (a
 // fragmented jumbo frame arrives as a burst from the same address) —
 // String() per datagram would allocate — plus the sender's link for
-// receive-byte attribution, invalidated when the key or the link
-// table's epoch changes.
+// receive-byte attribution, looked up again when the key or the
+// published topology changes.
 type rxAttrib struct {
-	lastAddr  net.UDPAddr
-	lastKey   string
-	lastLink  *link
-	lastEpoch uint64
+	lastAddr net.UDPAddr
+	lastKey  string
+	lastLink *link
+	lastTopo *topology
 }
 
 // readLoop is the receive producer: it drains datagram batches off the
@@ -1157,11 +1169,9 @@ func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr 
 		attr.lastAddr = *from
 		attr.lastKey = from.String()
 	}
-	if epoch := n.linkEpoch.Load(); changed || epoch != attr.lastEpoch {
-		attr.lastEpoch = epoch
-		n.mu.Lock()
-		attr.lastLink = n.linkByAddr[attr.lastKey]
-		n.mu.Unlock()
+	if t := n.topo.Load(); changed || t != attr.lastTopo {
+		attr.lastTopo = t
+		attr.lastLink = t.linkByAddr[attr.lastKey]
 	}
 	if attr.lastLink != nil {
 		attr.lastLink.bytesRecv.Add(uint64(len(pkt)))

@@ -36,20 +36,6 @@ type tcpConn struct {
 	w    *bufio.Writer
 }
 
-func (c *tcpConn) sendDatagram(d []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(d)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.w.Write(d); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
 // sendDatagrams writes a whole batch of length-prefixed datagrams under
 // one writer-lock acquisition and a single flush — the TCP analogue of
 // the UDP path's sendmmsg. Returns how many datagrams were confirmed,
@@ -168,7 +154,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		case h.Probe:
 			// Echo on the same connection; a failed write surfaces as a
 			// lost probe on the sender.
-			c.sendDatagram(marshalProbeReply(payload))
+			c.sendDatagrams([][]byte{marshalProbeReply(payload)})
 		case h.ProbeReply:
 			n.handleProbeReply(payload)
 		default:
@@ -180,12 +166,15 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 	}
 }
 
-// dialTCP (re)establishes a link's TCP transport, respecting the link's
+// dialTCP returns a link's TCP transport: the established one with one
+// atomic load, else — under n.mu — a fresh dial, respecting the link's
 // redial backoff window. Caller holds no locks.
 func (n *Node) dialTCP(lk *link) (*tcpConn, error) {
+	if c := lk.tcp.Load(); c != nil {
+		return c, nil
+	}
 	n.mu.Lock()
-	if lk.tcp != nil {
-		c := lk.tcp
+	if c := lk.tcp.Load(); c != nil {
 		n.mu.Unlock()
 		return c, nil
 	}
@@ -204,8 +193,7 @@ func (n *Node) dialTCP(lk *link) (*tcpConn, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("overlay: tcp link %q: %w", lk.id, err)
 	}
-	if lk.tcp != nil { // lost the race; keep the first
-		existing := lk.tcp
+	if existing := lk.tcp.Load(); existing != nil { // lost the race; keep the first
 		n.mu.Unlock()
 		conn.Close()
 		return existing, nil
@@ -216,7 +204,7 @@ func (n *Node) dialTCP(lk *link) (*tcpConn, error) {
 		return nil, fmt.Errorf("overlay: node closed")
 	}
 	c := &tcpConn{conn: conn, w: bufio.NewWriter(conn)}
-	lk.tcp = c
+	lk.tcp.Store(c)
 	lk.redialBackoff = 0
 	lk.redialAt = time.Time{}
 	if lk.dialed { // a transport existed before: this is a redial
@@ -240,8 +228,7 @@ func (n *Node) dialTCP(lk *link) (*tcpConn, error) {
 // attached) and starts the redial backoff clock.
 func (n *Node) dropTransport(lk *link, c *tcpConn) {
 	n.mu.Lock()
-	if lk.tcp == c {
-		lk.tcp = nil
+	if lk.tcp.CompareAndSwap(c, nil) {
 		n.bumpBackoffLocked(lk)
 	}
 	n.mu.Unlock()

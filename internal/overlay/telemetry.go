@@ -307,7 +307,7 @@ type linkSnapshot struct {
 // snapshotLinkLocked captures a link's counters. Caller holds n.mu.
 func (n *Node) snapshotLinkLocked(lk *link) linkSnapshot {
 	s := linkSnapshot{
-		id: lk.id, proto: lk.proto, remote: lk.remote,
+		id: lk.id, proto: lk.transport.Load().proto, remote: lk.remote,
 		sendErrors: lk.sendErrors.Load(),
 		bytesSent:  lk.bytesSent.Load(),
 		bytesRecv:  lk.bytesRecv.Load(),

@@ -282,6 +282,9 @@ func TestListStatsBackcompat(t *testing.T) {
 		"drops_seal_reject", "drops_reassembly_evict", "drops_no_route",
 		"drops_cross_tenant", "drops_endpoint_ring",
 		"drops_tx_ring", "drops_tx_teardown",
+		// Reasons added since join the end of the ledger block (keyed
+		// parsers are unaffected; "anomalies" stays the last line).
+		"drops_tx_error",
 		"anomalies",
 	}
 	stats := n.Stats()

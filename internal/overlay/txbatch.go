@@ -12,6 +12,7 @@ package overlay
 
 import (
 	"net"
+	"sort"
 	"time"
 
 	"vnetp/internal/bridge"
@@ -35,7 +36,8 @@ type txFrame struct {
 // enqueueTx offers a frame to a link's TX ring without blocking the
 // router; ring-full frames are dropped and counted, like a NIC TX ring
 // under overrun. Transport errors surface in the link's send_errors
-// counter (txLoop), not here, and the TX latency sample is taken after
+// counter and the tx_error ledger reason (sendTxBatch), not here, and the
+// TX latency sample is taken after
 // the batch actually hits the wire. The tx_enqueue hop is recorded
 // before the handoff so it cannot race the sender's encap hop.
 func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
@@ -63,6 +65,7 @@ type txScratch struct {
 	pkts   []*bridge.EncapPacket
 	dgs    [][]byte
 	frames []txFrame // the batch entries that actually encapsulated
+	last   []int     // last[i]: index in dgs of frames[i]'s final datagram
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
@@ -123,11 +126,10 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	}
 }
 
-// sendTxBatch encapsulates and transmits one collected batch. The link's
-// transport parameters are snapshotted once per batch (a concurrent
-// auto-upgrade to TCP or fault install applies from the next batch on).
-// Transport errors land in the link's send_errors counter — the batched
-// path has no caller to return them to.
+// sendTxBatch encapsulates and transmits one collected batch: encode
+// every frame, transmit the datagrams, count what was sent. The link's
+// transport is loaded once per batch (a concurrent auto-upgrade to TCP
+// or fault install applies from the next batch on).
 //
 // One encoder choice per frame, from what the frame shows: an untraced
 // frame that fits the link's datagram budget joins the open aggregate
@@ -135,23 +137,16 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 // fragment, closes the aggregate and takes encapFrame's datagrams of its
 // own. Datagrams leave in ring order, so per-flow order is the ring's.
 //
-// Accounting rule, shared by both transports: frame counters (encap_sent,
-// TX latency samples) count frames, datagram counters (bytes_sent,
-// send_errors, sealed_sent) count datagrams. A datagram is charged to
-// bytes_sent only once the transport confirms it (UDP: counted sent by
-// sendmmsg; TCP: fully written before any mid-batch write error, or the
-// whole batch once the final flush succeeds — a failed flush confirms
-// nothing it buffered). Every unconfirmed datagram is one send_errors
-// count; a datagram never lands in both.
+// Frame counters count frames, datagram counters count datagrams
+// (transmit's). A frame is sent iff the transport confirmed its last
+// datagram — an aggregate's frames share its fate. Sent frames get
+// encap_sent, the TX latency sample and the wire_tx hop; every other
+// frame of the batch (refused by the transport, or never encoded) gets
+// none of them and lands on the tx_error ledger reason — the batched leg
+// has no caller to return the error to.
 func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
-	n.mu.Lock()
-	fault, proto, addr := lk.fault, lk.proto, lk.addr
-	n.mu.Unlock()
-	budget := maxDatagram
-	if proto == "tcp" {
-		budget = tcpMaxDatagram
-	}
-	s.agg.Reset(lk.tmpl, lk.sealer, budget)
+	tr := lk.transport.Load()
+	s.agg.Reset(lk.tmpl, lk.sealer, tr.budget)
 	for _, tf := range batch {
 		if tf.f.Tag == 0 {
 			fit, err := s.agg.Add(tf.f, &n.nextID)
@@ -160,62 +155,44 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 				fit, err = s.agg.Add(tf.f, &n.nextID)
 			}
 			if err != nil {
-				lk.sendErrors.Add(1)
 				continue
 			}
 			if fit {
 				s.frames = append(s.frames, tf)
+				s.last = append(s.last, len(s.dgs)) // where the open aggregate will land
 				continue
 			}
 		}
 		n.closeAggregate(lk, s)
-		pkt, err := n.encapFrame(lk, tf.f, budget)
+		pkt, err := n.encapFrame(lk, tf.f, tr.budget)
 		if err != nil {
-			lk.sendErrors.Add(1)
 			continue
 		}
 		s.pkts = append(s.pkts, pkt)
 		s.dgs = append(s.dgs, pkt.Datagrams...)
 		s.frames = append(s.frames, tf)
+		s.last = append(s.last, len(s.dgs)-1)
 		for range pkt.Datagrams[1:] {
 			n.metrics.txDatagramFrames.Observe(0) // a fragment completes no frame
 		}
 		n.metrics.txDatagramFrames.Observe(1)
 	}
 	n.closeAggregate(lk, s)
-	dgs := s.dgs
 
-	switch {
-	case fault != nil:
-		// Fault conduit installed: per-datagram through sendOnLink, whose
-		// conduit branch clones each datagram (the conduit may deliver
-		// after the encapsulation buffers are reused) and accounts
-		// errors/bytes.
-		for _, d := range dgs {
-			n.sendOnLink(lk, d)
-		}
-	case proto == "tcp":
-		sent, err := n.sendBatchTCP(lk, dgs)
-		lk.bytesSent.Add(sumLens(dgs[:sent]))
-		if err != nil || sent < len(dgs) {
-			lk.sendErrors.Add(uint64(len(dgs) - sent))
-		}
-	default: // udp
-		sent, err := sendBatchUDP(n.conn, dgs, addr)
-		lk.bytesSent.Add(sumLens(dgs[:sent]))
-		if err != nil || sent < len(dgs) {
-			lk.sendErrors.Add(uint64(len(dgs) - sent))
-		}
+	confirmed, _ := n.transmit(lk, tr, s.dgs)
+	sent := s.frames[:sort.SearchInts(s.last, confirmed)] // last[i] < confirmed
+	if lost := len(batch) - len(sent); lost > 0 {
+		n.drop(dropTxError, uint64(lost), telemetry.DropDetail{
+			Tenant: lk.tenant, Scope: lk.id, Stage: "transmit",
+		})
 	}
 
 	// The Fig. 7 TX stage budget, batched flavor: frame arrival to its
 	// batch hitting the wire. Forwarded frames (zero at) are skipped,
-	// matching the synchronous path — and so are frames whose
-	// encapsulation failed above: they never hit the wire, so they get
-	// neither a wire_tx trace hop nor a latency sample.
-	n.EncapSent.Add(uint64(len(s.frames)))
+	// matching the synchronous path.
+	n.EncapSent.Add(uint64(len(sent)))
 	now := time.Now()
-	for _, tf := range s.frames {
+	for _, tf := range sent {
 		if !tf.at.IsZero() {
 			n.metrics.txLatency.Observe(now.Sub(tf.at).Seconds())
 		}
@@ -229,7 +206,42 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 	clear(s.pkts)
 	clear(s.dgs)
 	clear(s.frames)
-	s.pkts, s.dgs, s.frames = s.pkts[:0], s.dgs[:0], s.frames[:0]
+	s.pkts, s.dgs, s.frames, s.last = s.pkts[:0], s.dgs[:0], s.frames[:0], s.last[:0]
+}
+
+// transmit is the one way out of a link: it hands datagrams, in order,
+// to the transport tr names — the fault conduit when one is installed,
+// else the link's TCP stream or the node's UDP socket — and keeps the
+// link's datagram accounting. confirmed counts the leading datagrams the
+// transport took (UDP: sent by sendmmsg; TCP: fully written before any
+// mid-batch write error, or the whole batch once the final flush
+// succeeds — a failed flush confirms nothing it buffered, and neither
+// does a failed dial). Each confirmed datagram is charged to bytes_sent,
+// every other one to send_errors, none to both.
+//
+// A conduit takes whatever it is handed — what it drops or delays is the
+// network's doing, not a send failure — and each datagram it delivers
+// re-enters here without the conduit, possibly later and on the
+// conduit's goroutine: it gets private copies (the caller may recycle
+// dgs on return), and an error in there can reach only send_errors.
+func (n *Node) transmit(lk *link, tr *linkTransport, dgs [][]byte) (confirmed int, err error) {
+	switch {
+	case tr.fault != nil:
+		bare := *tr
+		bare.fault = nil
+		deliver := func(p any) { n.transmit(lk, &bare, [][]byte{p.([]byte)}) }
+		for _, d := range dgs {
+			tr.fault.Send(append([]byte(nil), d...), deliver)
+		}
+		return len(dgs), nil
+	case tr.proto == "tcp":
+		confirmed, err = n.sendBatchTCP(lk, dgs)
+	default:
+		confirmed, err = sendBatchUDP(n.conn, dgs, tr.addr)
+	}
+	lk.bytesSent.Add(sumLens(dgs[:confirmed]))
+	lk.sendErrors.Add(uint64(len(dgs) - confirmed))
+	return confirmed, err
 }
 
 // closeAggregate finishes the batch's open aggregate, if there is one,
