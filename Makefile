@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race drift secretcheck verify chaos bench bench-json bench-baseline e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-cross race drift secretcheck verify chaos bench bench-json bench-baseline e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The sendmmsg/recvmmsg files are linux/{amd64,arm64} only and every other
+# target builds their fallbacks: compile each side a linux/amd64 host does
+# not (no network, no cgo needed).
+vet-cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/overlay
+	GOOS=linux GOARCH=386 $(GO) build ./internal/overlay
 
 race:
 	$(GO) test -race ./...
@@ -28,7 +36,7 @@ secretcheck:
 
 # Full verification: compile, static checks, plain suite, race suite,
 # doc drift, secrets hygiene.
-verify: build vet test race drift secretcheck
+verify: build vet vet-cross test race drift secretcheck
 
 # Crash-injection and drain-stress suite: panics and stalls injected
 # into live datapath components, graceful-drain and close-under-traffic
@@ -39,6 +47,8 @@ chaos:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'Chaos|Drain|CloseUnderTraffic|Churn|Supervis|Panic|Backoff|Watchdog|Stop|Inject|Daemon|Client|Idempotent' \
 		./internal/overlay ./internal/supervise ./internal/control
+	$(GO) test -race -count=5 -timeout 300s \
+		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing' ./internal/overlay
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

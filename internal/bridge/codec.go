@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -284,7 +283,10 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 		}
 		return h, payload, nil
 	}
-	if int(h.FragOff)+dataLen > int(h.TotalLen) {
+	// TotalLen sizes the reassembly buffer a first fragment reserves, and
+	// nothing has authenticated it: hold it to the largest frame the
+	// overlay carries.
+	if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU || uint64(h.FragOff)+uint64(dataLen) > uint64(h.TotalLen) {
 		return nil, nil, ErrFragBounds
 	}
 	return h, payload, nil
@@ -507,30 +509,40 @@ type span struct {
 // not count twice, or a datagram could "complete" with a hole in it.
 type partial struct {
 	buf     []byte
-	spans   []span // disjoint, sorted received ranges
+	spans   []span  // disjoint, sorted received ranges
+	inOrder [1]span // spans' first backing: in-order fragments never need a second
 	total   int
 	sawLast bool
+	gen     uint64 // the sweep generation that last touched it
 }
 
 // addSpan records [off, end) as received, merging overlapping and
-// adjacent ranges.
+// adjacent ranges. Fragments nearly always arrive in order, each one
+// starting where the last range ends: that extends it in place. Anything
+// else is inserted at its sorted position and merged with its neighbours.
 func (p *partial) addSpan(off, end int) {
 	if end <= off {
 		return
 	}
-	spans := append(p.spans, span{off, end})
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	merged := spans[:0]
-	for _, s := range spans {
-		if n := len(merged); n > 0 && s.off <= merged[n-1].end {
-			if s.end > merged[n-1].end {
-				merged[n-1].end = s.end
-			}
-			continue
-		}
-		merged = append(merged, s)
+	if n := len(p.spans); n > 0 && off == p.spans[n-1].end {
+		p.spans[n-1].end = end
+		return
 	}
-	p.spans = merged
+	i := 0
+	for i < len(p.spans) && p.spans[i].end < off {
+		i++
+	}
+	j := i
+	for ; j < len(p.spans) && p.spans[j].off <= end; j++ {
+		off, end = min(off, p.spans[j].off), max(end, p.spans[j].end)
+	}
+	if i == j { // touches no range: open a slot at i
+		p.spans = append(p.spans, span{})
+		copy(p.spans[i+1:], p.spans[i:])
+	} else { // spans[i:j] collapse into one
+		p.spans = append(p.spans[:i+1], p.spans[j:]...)
+	}
+	p.spans[i] = span{off, end}
 }
 
 // complete reports whether every byte of [0, total) has arrived.
@@ -544,8 +556,7 @@ func (p *partial) complete() bool {
 // sweeps (EvictStale) rather than wall-clock timers so the type works in
 // both simulated and real time.
 type Reassembler struct {
-	partials map[string]*partial
-	gen      map[string]uint64
+	partials map[partialKey]*partial
 	curGen   uint64
 
 	// Reassembled counts completed frames; Dropped counts evictions.
@@ -554,10 +565,14 @@ type Reassembler struct {
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{partials: make(map[string]*partial), gen: make(map[string]uint64)}
+	return &Reassembler{partials: make(map[partialKey]*partial)}
 }
 
-func key(sender string, id uint32) string { return fmt.Sprintf("%s/%d", sender, id) }
+// partialKey names one inner frame in flight: its sender and packet id.
+type partialKey struct {
+	sender string
+	id     uint32
+}
 
 // Add processes one encapsulated datagram from sender. When the datagram
 // completes an inner frame, the frame is parsed and returned; otherwise
@@ -583,15 +598,15 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 		}
 		return ethernet.Unmarshal(payload)
 	}
-	k := key(sender, h.ID)
+	k := partialKey{sender, h.ID}
 	p := r.partials[k]
 	if p == nil {
 		p = &partial{buf: make([]byte, h.TotalLen), total: int(h.TotalLen)}
+		p.spans = p.inOrder[:0]
 		r.partials[k] = p
 	}
 	if p.total != int(h.TotalLen) {
 		delete(r.partials, k)
-		delete(r.gen, k)
 		return nil, ErrFragBounds
 	}
 	copy(p.buf[h.FragOff:], payload)
@@ -599,10 +614,9 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 	if !h.MoreFrags {
 		p.sawLast = true
 	}
-	r.gen[k] = r.curGen
+	p.gen = r.curGen
 	if p.sawLast && p.complete() {
 		delete(r.partials, k)
-		delete(r.gen, k)
 		r.Reassembled++
 		return ethernet.Unmarshal(p.buf)
 	}
@@ -613,10 +627,9 @@ func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (
 // Call it periodically (e.g. once per second of real or simulated time).
 func (r *Reassembler) EvictStale() int {
 	evicted := 0
-	for k, g := range r.gen {
-		if g < r.curGen {
+	for k, p := range r.partials {
+		if p.gen < r.curGen {
 			delete(r.partials, k)
-			delete(r.gen, k)
 			evicted++
 			r.Dropped++
 		}

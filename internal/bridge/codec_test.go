@@ -54,6 +54,59 @@ func TestParseEncapErrors(t *testing.T) {
 	}
 }
 
+// TestParseEncapBoundsTotalLen: a first fragment sizes the reassembly
+// buffer from TotalLen before anything has authenticated it, so one
+// 17-byte datagram claiming 1 GiB (or 4 GiB) must not get as far as the
+// reassembler; the largest frame the overlay carries still does.
+func TestParseEncapBoundsTotalLen(t *testing.T) {
+	const largest = ethernet.HeaderLen + ethernet.MaxMTU
+	for _, total := range []uint32{largest + 1, 1 << 30, 1<<32 - 1} {
+		h := EncapHeader{MoreFrags: true, TotalLen: total}
+		if _, _, err := ParseEncap(append(h.Marshal(nil), 0)); err != ErrFragBounds {
+			t.Fatalf("TotalLen %d: got %v, want ErrFragBounds", total, err)
+		}
+	}
+	h := EncapHeader{MoreFrags: true, TotalLen: largest}
+	hp, payload, err := ParseEncap(append(h.Marshal(nil), 0))
+	if err != nil {
+		t.Fatalf("TotalLen %d (a MaxMTU frame): %v", largest, err)
+	}
+	r := NewReassembler()
+	if f, err := r.AddParsed("peer", hp, payload); f != nil || err != nil || r.Pending() != 1 {
+		t.Fatalf("first fragment of a MaxMTU frame: frame=%v err=%v pending=%d", f, err, r.Pending())
+	}
+}
+
+// TestReassemblyAllocs pins what reassembling a 7-fragment frame from
+// in-order fragments allocates: the partial (its one span inside it),
+// its buffer and the frame handed back — no key string, no sort, per
+// fragment.
+func TestReassemblyAllocs(t *testing.T) {
+	ds, err := Encapsulate(testFrame(8900), 9, 1400)
+	if err != nil || len(ds) != 7 {
+		t.Fatalf("%d fragments, err %v; want 7", len(ds), err)
+	}
+	heads, parts := make([]*EncapHeader, len(ds)), make([][]byte, len(ds))
+	for i, d := range ds {
+		if heads[i], parts[i], err = ParseEncap(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewReassembler()
+	allocs := testing.AllocsPerRun(100, func() {
+		var f *ethernet.Frame
+		for i := range heads {
+			f, _ = r.AddParsed("10.0.0.1:7000", heads[i], parts[i])
+		}
+		if f == nil {
+			t.Fatal("frame did not complete")
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("reassembling 7 in-order fragments: %.0f allocations, want <= 3", allocs)
+	}
+}
+
 func TestEncapsulateSingleDatagram(t *testing.T) {
 	f := testFrame(100)
 	ds, err := Encapsulate(f, 7, 1472)

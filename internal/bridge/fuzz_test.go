@@ -75,6 +75,9 @@ func FuzzEncapDecode(f *testing.F) {
 				int(h.TotalLen) != train || int(h.FragOff) > train/aggMinRecord {
 				t.Fatalf("accepted an aggregate no sender writes: %+v over %d train bytes", h, train)
 			}
+		} else if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU {
+			// TotalLen is what a first fragment makes the reassembler reserve.
+			t.Fatalf("accepted a %d-byte frame: no overlay MTU carries it", h.TotalLen)
 		}
 
 		// Encode side: treat the accepted payload as an inner-frame

@@ -87,9 +87,10 @@ type NodeConfig struct {
 
 	// RxBatch is the number of datagrams the read loop pulls from the
 	// UDP socket per wakeup. Above one, linux/{amd64,arm64} hosts drain
-	// the socket via recvmmsg(2), amortizing the syscall over the batch
-	// (the receive-side twin of the sendmmsg transmit path); elsewhere —
-	// and at one — each datagram is a ReadFromUDP call. Zero means the
+	// the socket via recvmmsg(2) with UDP_GRO, amortizing the syscall over
+	// the batch and taking a fragmented frame's datagrams as one read (the
+	// receive-side twin of the sendmmsg transmit path); elsewhere — and
+	// at one — each datagram is a ReadFromUDP call. Zero means the
 	// default (16).
 	RxBatch int
 
@@ -164,12 +165,15 @@ func (c *NodeConfig) normalize() {
 	}
 }
 
-// inDatagram is one raw encapsulation datagram handed from the read loop
-// to a dispatcher worker. at is the socket-read timestamp, carried so
-// the RX latency histogram measures datagram-in → frame delivery.
+// inDatagram is one ring entry handed from the read loop to a dispatcher
+// worker: a raw encapsulation datagram, or (seg > 0, as in rxPacket) a
+// train of them in one buffer — a fragmented frame crosses the ring
+// once. at is the socket-read timestamp, carried so the RX latency
+// histogram measures datagram-in → frame delivery.
 type inDatagram struct {
 	sender string
 	pkt    []byte
+	seg    int
 	at     time.Time
 }
 
@@ -216,10 +220,10 @@ func (n *Node) shardFor(sender string) *rxShard {
 
 // dispatchLoop is one worker: it drains its ring, reassembles, and
 // routes. It runs under the node's supervisor: a panic while processing
-// one datagram drops that datagram, is counted, and the worker restarts
-// over the same shard (ring and reassembly state survive); a stall
-// inside one datagram past the watchdog timeout gets the instance
-// superseded. inst.Quit closes on supersession and node teardown.
+// one ring entry drops it (the rest of its train included), is counted,
+// and the worker restarts over the same shard (ring and reassembly state
+// survive); a stall inside one entry past the watchdog timeout gets the
+// instance superseded. inst.Quit closes on supersession and node teardown.
 func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 	for {
 		select {
@@ -229,15 +233,21 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 			return
 		case d := <-s.in:
 			inst.Working()
-			h, payload, err := bridge.ParseEncap(d.pkt)
-			if err != nil {
-				n.dropBadPacket(bridge.EncapFrames(d.pkt), telemetry.DropDetail{
-					Scope: d.sender, Stage: "rx_parse",
-				})
-				inst.Idle()
-				continue
+			// The split loop: from here on a train's datagrams are parsed,
+			// opened and reassembled one by one, as if each had crossed the
+			// ring alone.
+			for pkt, rest := nextSegment(d.pkt, d.seg); ; pkt, rest = nextSegment(rest, d.seg) {
+				if h, payload, err := bridge.ParseEncap(pkt); err != nil {
+					n.dropBadPacket(bridge.EncapFrames(pkt), telemetry.DropDetail{
+						Scope: d.sender, Stage: "rx_parse",
+					})
+				} else {
+					n.processData(s, d.sender, h, payload, pkt, d.at)
+				}
+				if len(rest) == 0 {
+					break
+				}
 			}
-			n.processData(s, d.sender, h, payload, d.pkt, d.at)
 			inst.Idle()
 		}
 	}
@@ -359,15 +369,21 @@ func (n *Node) routeFromWire(s *rxShard, frame *ethernet.Frame, tenant uint32, a
 	}
 }
 
-// enqueue offers a datagram to its sender's dispatcher without blocking
-// the socket read; ring-full datagrams are dropped and counted, like a
-// NIC RX ring under overrun.
-func (n *Node) enqueue(sender string, pkt []byte, at time.Time) {
+// enqueue offers a datagram, or a train of them seg bytes apart, to its
+// sender's dispatcher without blocking the socket read; at a full ring
+// it is dropped whole and every frame it stood for counted, like a NIC
+// RX ring under overrun.
+func (n *Node) enqueue(sender string, pkt []byte, seg int, at time.Time) {
 	s := n.shardFor(sender)
 	select {
-	case s.in <- inDatagram{sender: sender, pkt: pkt, at: at}:
+	case s.in <- inDatagram{sender: sender, pkt: pkt, seg: seg, at: at}:
 	default:
-		frames := bridge.EncapFrames(pkt)
+		var frames uint64
+		for d, rest := nextSegment(pkt, seg); ; d, rest = nextSegment(rest, seg) {
+			if frames += bridge.EncapFrames(d); len(rest) == 0 {
+				break
+			}
+		}
 		s.Drops.Add(frames)
 		n.drop(dropDispatcherRing, frames, telemetry.DropDetail{
 			Scope: fmt.Sprint(s.idx), Stage: "rx_ring",

@@ -160,7 +160,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		// Wedge the dispatcher on the first datagram, fill its one-slot
 		// ring with the second; the third is shed whole.
 		n.Runtime().Worker("dispatcher/0").InjectStall(time.Hour)
-		n.enqueue("10.0.0.5:5", d, time.Now())
+		n.enqueue("10.0.0.5:5", d, 0, time.Now())
 		deadline := time.Now().Add(5 * time.Second)
 		for len(s.in) != 0 {
 			if time.Now().After(deadline) {
@@ -168,8 +168,8 @@ func TestDropSiteAggregate(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		n.enqueue("10.0.0.5:5", d, time.Now())
-		n.enqueue("10.0.0.5:5", d, time.Now())
+		n.enqueue("10.0.0.5:5", d, 0, time.Now())
+		n.enqueue("10.0.0.5:5", d, 0, time.Now())
 		if got, legacy := n.ledger.Count(dropDispatcherRing), s.Drops.Load(); got != frames || legacy != frames {
 			t.Fatalf("dispatcher_ring ledger=%d legacy=%d, want %d (the aggregate's frames)", got, legacy, frames)
 		}
@@ -274,7 +274,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("dispatcher ring never overran")
 		}
-		n.enqueue("10.0.0.2:2", junk, time.Now())
+		n.enqueue("10.0.0.2:2", junk, 0, time.Now())
 	}
 	// Quiesce, then the producer-side shard counters must agree with the
 	// ledger exactly.
@@ -285,6 +285,64 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 	}
 	if got := n.ledger.Count(dropDispatcherRing); got != legacy {
 		t.Fatalf("dispatcher_ring ledger=%d shard drops=%d", got, legacy)
+	}
+
+	// A train is shed whole and charges what each of its datagrams stood
+	// for: two five-frame aggregates and a lone fragment are eleven frames.
+	n = dropNode(t, NodeConfig{Dispatchers: 1, QueueDepth: 1})
+	agg := aggregateDatagram(t, 5, ethernet.LocalMAC(2), nil)
+	train := append(append(append([]byte(nil), agg...), agg...), agg[:bridge.EncapHeaderLen+1]...)
+	train[2*len(agg)+3] = 0 // the tail: a plain fragment header, no longer an aggregate's
+	n.Runtime().Worker("dispatcher/0").InjectStall(time.Hour)
+	n.enqueue("10.0.0.2:2", junk, 0, time.Now()) // wedges the dispatcher
+	for deadline := time.Now().Add(5 * time.Second); len(n.shards[0].in) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher never took the first datagram")
+		}
+	}
+	n.enqueue("10.0.0.2:2", junk, 0, time.Now()) // fills the one-slot ring
+	n.enqueue("10.0.0.2:2", train, len(agg), time.Now())
+	if got, legacy := n.ledger.Count(dropDispatcherRing), n.shards[0].Drops.Load(); got != 11 || legacy != 11 {
+		t.Fatalf("a shed train of 5+5+1 frames: dispatcher_ring ledger=%d legacy=%d, want 11", got, legacy)
+	}
+}
+
+// TestDropSiteTrainSealReject: one corrupt datagram inside a train costs
+// exactly that datagram — it alone lands on seal_reject, its neighbours
+// are opened and reassembled — and the frame it leaves a hole in ages out
+// onto reassembly_evict. Nothing else is dropped and nothing is delivered.
+func TestDropSiteTrainSealReject(t *testing.T) {
+	n := dropNode(t, NodeConfig{Dispatchers: 1, EvictInterval: 10 * time.Millisecond})
+	key := bytes.Repeat([]byte{0x11}, 32)
+	if err := n.AddTenant(7, key); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := n.AttachEndpointTenant("sink", ethernet.LocalMAC(2), ethernet.JumboMTU, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := seal.NewKeyring(42)
+	peer.AddTenant(7, key)
+	sl, err := peer.Sealer(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFrame(ethernet.LocalMAC(1), sink.MAC())
+	f.Payload = make([]byte, 4000)
+	var enc bridge.Encapsulator
+	pkt, err := enc.EncapsulateSealed(f, 1, maxDatagram, nil, sl)
+	if err != nil || len(pkt.Datagrams) != 3 {
+		t.Fatalf("%d sealed fragments, err %v; want 3", len(pkt.Datagrams), err)
+	}
+	train := bytes.Join(pkt.Datagrams, nil)
+	train[maxDatagram+100] ^= 0x01 // one ciphertext bit of the second datagram
+	n.enqueue("10.0.0.5:5", train, maxDatagram, time.Now())
+	waitCount(t, n, dropReassemblyEvict, 1)
+	if rejects, opened, total := n.ledger.Count(dropSealReject), n.metrics.sealOpened.Load(), n.ledger.Total(); rejects != 1 || opened != 2 || total != 2 {
+		t.Fatalf("seal_reject=%d sealed_opened=%d drops_total=%d, want 1, 2, 2", rejects, opened, total)
+	}
+	if _, ok := sink.TryRecv(); ok || n.Delivered.Load() != 0 {
+		t.Fatal("a frame with an unauthentic fragment was delivered")
 	}
 }
 
@@ -299,7 +357,7 @@ func TestDropSiteProbeRing(t *testing.T) {
 			t.Fatal("probe ring never overran")
 		}
 		for i := 0; i < 1024; i++ {
-			n.handleDatagram(probe, from, time.Now(), attr)
+			n.handleDatagram(rxPacket{pkt: probe, from: from}, time.Now(), attr)
 		}
 	}
 }
@@ -586,8 +644,8 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), sink.MAC())) })             // endpoint_ring once full
 	churn(func(i int) { src.Send(testFrame(src.MAC(), crossDst)) })               // cross_tenant
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
-	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, time.Now()) })
-	churn(func(i int) { n.enqueue(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate, time.Now()) }) // dispatcher_ring ×3, else endpoint_ring
+	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, 0, time.Now()) })
+	churn(func(i int) { n.enqueue(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate, 0, time.Now()) }) // dispatcher_ring ×3, else endpoint_ring
 	// The blocking inject path guarantees these reach processData even
 	// while the enqueue churn keeps the rings overrun.
 	churn(func(i int) { n.inject(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })

@@ -184,6 +184,7 @@ func (ep *Endpoint) deliver(f *ethernet.Frame) {
 type linkTransport struct {
 	proto  string            // "udp" or "tcp"
 	addr   *net.UDPAddr      // UDP remote (kept after an upgrade to TCP)
+	sa     []byte            // addr as a raw sockaddr for sendmmsg; nil when the stdlib must translate it
 	fault  *faultnet.Conduit // optional fault injection on the send path
 	budget int               // bytes per encapsulation datagram on proto
 }
@@ -263,6 +264,12 @@ type link struct {
 	redialAt      time.Time
 	redialBackoff time.Duration
 	dialed        bool // a transport existed before, so the next dial is a redial
+
+	// refused is the transport snapshot whose first multi-datagram train
+	// the kernel would not segment (sendBatchUDP): while it is the
+	// current one, trains leave as plain messages. A transport swap
+	// publishes a fresh snapshot, which is tried again.
+	refused atomic.Pointer[linkTransport]
 }
 
 // Node is one overlay routing point: the real-socket analogue of a
@@ -353,6 +360,10 @@ type Node struct {
 	Delivered   *telemetry.Counter
 	NoRouteDrop *telemetry.Counter
 	BadPackets  *telemetry.Counter
+
+	// tx is conn's raw transmit state (sendBatchUDP): the RawConn and the
+	// pooled sendmmsg scratch.
+	tx udpTx
 }
 
 // topology is what is attached to the node at one instant — links and
@@ -428,6 +439,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		probeCh:  make(chan probeEvent, 256),
 		quit:     make(chan struct{}),
 	}
+	n.tx.init(conn)
 	n.topo.Store(&topology{
 		links:      map[string]*link{},
 		eps:        map[string]*Endpoint{},
@@ -651,6 +663,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		if err != nil {
 			return err
 		}
+		tr.sa = sockaddrFor(n.conn, tr.addr)
 	case "tcp":
 		tr.budget = tcpMaxDatagram
 	default:
@@ -1124,13 +1137,14 @@ type rxAttrib struct {
 	lastTopo *topology
 }
 
-// readLoop is the receive producer: it drains datagram batches off the
-// UDP socket (recvmmsg on linux/{amd64,arm64} when RxBatch > 1, one
+// readLoop is the receive producer: it drains batches of reads off the
+// UDP socket (recvmmsg with UDP_GRO on linux/{amd64,arm64} when
+// RxBatch > 1 — a read is then a whole train of datagrams — and one
 // ReadFromUDP per wakeup elsewhere), steers control traffic to the probe
-// handler, and hands raw data datagrams to the dispatcher pool keyed by
-// sender. It does no parsing beyond a one-byte flag peek, so the socket
-// drains at wire rate and the heavy work (parse, reassemble, route)
-// parallelizes across workers. Supervised: a panic restarts the loop
+// handler, and hands raw data datagrams, a train at a time, to the
+// dispatcher pool keyed by sender. It does no parsing beyond a one-byte
+// flag peek per datagram, so the socket drains at wire rate and the
+// heavy work (parse, reassemble, route) parallelizes across workers. Supervised: a panic restarts the loop
 // over the still-open socket (the address caches rebuild); a clean
 // return (socket closed) retires it. The progress markers bracket
 // per-batch handling only — blocking in readBatch is idle, not a stall.
@@ -1150,20 +1164,25 @@ func (n *Node) readLoop(inst *supervise.Instance) {
 		}
 		inst.Working()
 		at := time.Now()
-		n.metrics.rxBatchSize.Observe(float64(cnt))
+		datagrams := 0
 		for i := 0; i < cnt; i++ {
-			n.handleDatagram(batch[i].pkt, batch[i].from, at, &attr)
+			datagrams += n.handleDatagram(batch[i], at, &attr)
 			batch[i] = rxPacket{} // drop the owned copy's ref once handed off
 		}
+		n.metrics.rxBatchSize.Observe(float64(datagrams))
 		inst.Idle()
 	}
 }
 
-// handleDatagram classifies and routes one received datagram: link
-// attribution via the read loop's cache, control steering to the probe
-// handler, data enqueue onto the sender's dispatcher shard. pkt must be
-// an owned copy (it outlives the call on both paths).
-func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr *rxAttrib) {
+// handleDatagram classifies and routes one socket read: link attribution
+// via the read loop's cache, then — per datagram, never per read: GRO
+// will put a peer's probe behind its data when they share a flow —
+// control datagrams to the probe handler, and each run of data datagrams
+// between them onto the sender's dispatcher shard in one piece. p.pkt
+// must be an owned copy (it outlives the call on both paths). Returns how
+// many datagrams the read held.
+func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) (datagrams int) {
+	from := p.from
 	changed := attr.lastKey == "" || from.Port != attr.lastAddr.Port || !from.IP.Equal(attr.lastAddr.IP)
 	if changed {
 		attr.lastAddr = *from
@@ -1174,24 +1193,40 @@ func (n *Node) handleDatagram(pkt []byte, from *net.UDPAddr, at time.Time, attr 
 		attr.lastLink = t.linkByAddr[attr.lastKey]
 	}
 	if attr.lastLink != nil {
-		attr.lastLink.bytesRecv.Add(uint64(len(pkt)))
+		attr.lastLink.bytesRecv.Add(uint64(len(p.pkt)))
 	}
-	if bridge.EncapIsControl(pkt) {
-		select {
-		case n.probeCh <- probeEvent{pkt: pkt, from: from}:
-		default:
-			// Control ring full: the dropped probe surfaces as a lost
-			// heartbeat at its sender — but the ledger still records
-			// that this node shed it (this site was silent before the
-			// unified ledger, so an overloaded probe ring looked like
-			// network loss).
-			n.drop(dropProbeRing, 1, telemetry.DropDetail{
-				Scope: from.String(), Stage: "control",
-			})
+	run := p.pkt // the data datagrams since the last control one, and all behind them
+	for d, rest := nextSegment(p.pkt, p.seg); ; d, rest = nextSegment(rest, p.seg) {
+		datagrams++
+		switch {
+		case bridge.EncapIsControl(d):
+			if data := len(run) - len(d) - len(rest); data > 0 {
+				n.enqueue(attr.lastKey, run[:data], p.seg, at)
+			}
+			run = rest
+			select {
+			case n.probeCh <- probeEvent{pkt: d, from: from}:
+			default:
+				// Control ring full: the dropped probe surfaces as a lost
+				// heartbeat at its sender — but the ledger still records
+				// that this node shed it (this site was silent before the
+				// unified ledger, so an overloaded probe ring looked like
+				// network loss).
+				n.drop(dropProbeRing, 1, telemetry.DropDetail{
+					Scope: from.String(), Stage: "control",
+				})
+			}
+		case len(rest) == 0: // the read ends in data: so does the run
+			n.enqueue(attr.lastKey, run, p.seg, at)
 		}
-		return
+		if len(rest) == 0 {
+			break
+		}
 	}
-	n.enqueue(attr.lastKey, pkt, at)
+	if datagrams > 1 {
+		n.metrics.rxGROTrains.Add(1)
+	}
+	return datagrams
 }
 
 // probeLoop handles control traffic (liveness probes and replies) off the

@@ -1,15 +1,18 @@
 //go:build linux && (amd64 || arm64)
 
-// recvmmsg(2) batch receive: one syscall drains a burst of datagrams
-// from the UDP socket, mirroring the sendmmsg transmit path. The reader
-// owns a fixed set of 64KiB buffers and mmsghdr/iovec/sockaddr arrays,
-// rebuilt never — readBatch's only per-datagram allocation is the owned
-// packet copy handed up the stack, plus a decoded sender address when
-// the sender differs from the previous datagram's.
+// recvmmsg(2) batch receive with UDP_GRO: one syscall drains a burst of
+// reads from the UDP socket, mirroring the sendmmsg transmit path, and a
+// read is a whole train — the datagrams of one UDP_SEGMENT send, or a
+// run the NIC's GRO coalesced — with the segment size in a cmsg. The
+// reader owns a fixed set of 64KiB buffers and mmsghdr/iovec/sockaddr/
+// cmsg arrays, rebuilt never — readBatch's only per-read allocation is
+// the owned copy handed up the stack, plus a decoded sender address when
+// the sender differs from the previous read's.
 
 package overlay
 
 import (
+	"encoding/binary"
 	"net"
 	"syscall"
 	"unsafe"
@@ -24,6 +27,7 @@ type mmsgReader struct {
 	iovs  []syscall.Iovec
 	msgs  []mmsghdr
 	names []syscall.RawSockaddrInet6 // big enough for both families
+	ctl   []segCmsg                  // the kernel's UDP_GRO segment size, when a read is a train
 
 	// The previous datagram's raw sockaddr and its decoded form: traffic
 	// arrives in runs from one peer, and a *net.UDPAddr handed up the
@@ -43,12 +47,16 @@ func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
 	if err != nil {
 		return nil
 	}
+	// Ask for trains whole. Only this reader can split one, so only it
+	// asks; a kernel without the option keeps handing over datagrams.
+	rc.Control(func(fd uintptr) { syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) })
 	r := &mmsgReader{
 		rc:    rc,
 		bufs:  make([][]byte, batch),
 		iovs:  make([]syscall.Iovec, batch),
 		msgs:  make([]mmsghdr, batch),
 		names: make([]syscall.RawSockaddrInet6, batch),
+		ctl:   make([]segCmsg, batch),
 	}
 	for i := range r.msgs {
 		r.bufs[i] = make([]byte, 65536)
@@ -57,6 +65,7 @@ func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
 		r.msgs[i].hdr.Iov = &r.iovs[i]
 		r.msgs[i].hdr.Iovlen = 1 // uint64 on both supported 64-bit arches
 		r.msgs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
+		r.msgs[i].hdr.Control = (*byte)(unsafe.Pointer(&r.ctl[i]))
 	}
 	r.recv = func(fd uintptr) bool {
 		for {
@@ -83,10 +92,11 @@ func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
 	if r.want > len(r.msgs) {
 		r.want = len(r.msgs)
 	}
-	// Namelen is value-result: the kernel shrinks it to the sockaddr it
-	// wrote, so it must be restored to the buffer size before every call.
+	// Namelen and Controllen are value-result: the kernel shrinks them to
+	// what it wrote, so both must be restored before every call.
 	for i := 0; i < r.want; i++ {
 		r.msgs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
+		r.msgs[i].hdr.SetControllen(int(unsafe.Sizeof(r.ctl[i])))
 	}
 	r.got, r.opErr = 0, nil
 	if err := r.rc.Read(r.recv); err != nil {
@@ -104,6 +114,10 @@ func (r *mmsgReader) readBatch(into []rxPacket) (int, error) {
 			r.lastName, r.lastFrom = r.names[i], udpAddrOf(&r.names[i])
 		}
 		into[i] = rxPacket{pkt: pkt, from: r.lastFrom}
+		if c := &r.ctl[i]; r.msgs[i].hdr.Controllen >= uint64(syscall.CmsgLen(4)) &&
+			c.hdr.Level == syscall.IPPROTO_UDP && c.hdr.Type == udpGRO {
+			into[i].seg = int(int32(binary.NativeEndian.Uint32(c.val[:])))
+		}
 	}
 	return got, nil
 }

@@ -14,16 +14,29 @@ import "net"
 // knee of the curve without holding a burst's worth of 64KiB buffers.
 const defaultRxBatch = 16
 
-// rxPacket is one received datagram: an owned copy of the payload (the
+// rxPacket is one socket read: an owned copy of what it returned (the
 // reader's internal buffers are reused across batches) and its sender.
+// A read is one datagram, or — seg > 0, from a UDP_GRO socket — a train:
+// datagrams of seg bytes each, the last possibly shorter, back to back.
 type rxPacket struct {
 	pkt  []byte
+	seg  int
 	from *net.UDPAddr
 }
 
-// batchReader abstracts "drain up to len(into) datagrams from the
-// socket". readBatch blocks until at least one datagram is available,
-// fills into[0:n] with owned packet copies, and returns n. A socket
+// nextSegment splits the leading datagram off a read (seg as in
+// rxPacket). The head's capacity ends with it, so nothing opened or
+// appended in place can reach the datagram behind.
+func nextSegment(pkt []byte, seg int) (head, rest []byte) {
+	if seg <= 0 || seg >= len(pkt) {
+		return pkt, nil
+	}
+	return pkt[:seg:seg], pkt[seg:]
+}
+
+// batchReader abstracts "drain up to len(into) reads from the socket".
+// readBatch blocks until at least one datagram is available, fills
+// into[0:n] with owned copies, and returns n. A socket
 // error (including close during shutdown) returns err; the read loop
 // treats any error as retirement, matching the old ReadFromUDP contract.
 type batchReader interface {

@@ -4,9 +4,15 @@ package overlay
 
 import "net"
 
-// sendBatchUDP on platforms without sendmmsg: the per-datagram loop.
-// Batching still amortizes wakeups and encapsulation buffers; only the
-// syscall count stays per-datagram.
-func sendBatchUDP(c *net.UDPConn, dgs [][]byte, addr *net.UDPAddr) (int, error) {
-	return sendBatchUDPFallback(c, dgs, addr)
+// udpTx on platforms without sendmmsg holds nothing: every send is the
+// portable per-datagram loop. Batching still amortizes wakeups and
+// encapsulation buffers; only the syscall count stays per-datagram.
+type udpTx struct{}
+
+func (*udpTx) init(*net.UDPConn) {}
+
+func sockaddrFor(*net.UDPConn, *net.UDPAddr) []byte { return nil }
+
+func (n *Node) sendBatchUDP(_ *link, tr *linkTransport, dgs [][]byte) (int, error) {
+	return sendBatchUDPFallback(n.conn, dgs, tr.addr)
 }

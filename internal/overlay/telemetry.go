@@ -38,6 +38,7 @@ type nodeMetrics struct {
 	linkTxDrops    *telemetry.CounterVec
 	linkTxFrames   *telemetry.CounterVec
 	linkTxDepth    *telemetry.GaugeVec
+	linkTxOffload  *telemetry.GaugeVec
 	linkState      *telemetry.GaugeVec
 	linkRTT        *telemetry.HistogramVec
 
@@ -62,6 +63,7 @@ type nodeMetrics struct {
 	txBatchSize      *telemetry.Histogram
 	txDatagramFrames *telemetry.Histogram
 	rxBatchSize      *telemetry.Histogram
+	rxGROTrains      *telemetry.Counter
 	txLatency        *telemetry.Histogram
 	rxLatency        *telemetry.Histogram
 
@@ -115,6 +117,8 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Dispatch mode transitions per link (adaptive controller or LINK TUNE).", "link"),
 		linkTxDepth: reg.GaugeVec("vnetp_link_tx_queue_depth",
 			"Frames queued in a link's TX ring (batched transmit).", "link"),
+		linkTxOffload: reg.GaugeVec("vnetp_link_tx_offload",
+			"Whether a link's multi-datagram trains leave as one UDP_SEGMENT message: 1 armed, 0 plain messages (refused by the kernel or device, fault conduit, TCP, or no platform support).", "link"),
 		linkState: reg.GaugeVec("vnetp_link_state",
 			"Link liveness state: 0 up, 1 degraded, 2 down.", "link"),
 		linkRTT: reg.HistogramVec("vnetp_link_rtt_seconds",
@@ -149,8 +153,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Frames completed per data datagram on the batched transmit leg (aggregate: its frame count; a fragment: 0, the last one 1).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxBatchSize: reg.Histogram("vnetp_rx_batch_size",
-			"Datagrams drained from the UDP socket per read-loop wakeup (recvmmsg batch).",
+			"Datagrams drained from the UDP socket per read-loop wakeup (recvmmsg batch; a UDP_GRO train counts each of its datagrams).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
+		rxGROTrains: reg.Counter("vnetp_rx_gro_trains_total",
+			"Socket reads that returned a train of datagrams (UDP_GRO) and crossed the dispatcher ring in one piece."),
 		txLatency: reg.Histogram("vnetp_tx_latency_seconds",
 			"Frame-in to datagram-out latency for locally originated frames hitting a link.",
 			telemetry.LatencyBuckets),
@@ -253,6 +259,12 @@ func (n *Node) newLinkCounters(lk *link) {
 	lk.bytesSent = m.linkBytesSent.With(lk.id)
 	lk.bytesRecv = m.linkBytesRecv.With(lk.id)
 	lk.txDrops = m.linkTxDrops.With(lk.id)
+	m.linkTxOffload.Func(func() float64 {
+		if tr := lk.transport.Load(); tr.proto == "udp" && tr.sa != nil && tr.fault == nil && lk.refused.Load() != tr {
+			return 1
+		}
+		return 0
+	}, lk.id)
 	if q := lk.txq; q != nil { // batched mode: ring depth + dispatch-mode family
 		m.linkTxDepth.Func(func() float64 { return float64(len(q)) }, lk.id)
 		lk.txFrames = m.linkTxFrames.With(lk.id)
@@ -276,6 +288,7 @@ func (n *Node) dropLinkMetrics(id string) {
 	m.linkState.Delete(id)
 	m.linkRTT.Delete(id)
 	m.linkTxDepth.Delete(id)
+	m.linkTxOffload.Delete(id)
 	m.dispatchMode.Delete(id)
 }
 

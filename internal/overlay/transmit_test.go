@@ -261,4 +261,7 @@ func TestTransmitAccounting(t *testing.T) {
 			})
 		}
 	}
+	// Within one batch: an accepted train confirms all of its datagrams, a
+	// refused one none.
+	t.Run("udp_trains", testTransmitAccountingTrains)
 }

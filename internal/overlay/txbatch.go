@@ -237,7 +237,7 @@ func (n *Node) transmit(lk *link, tr *linkTransport, dgs [][]byte) (confirmed in
 	case tr.proto == "tcp":
 		confirmed, err = n.sendBatchTCP(lk, dgs)
 	default:
-		confirmed, err = sendBatchUDP(n.conn, dgs, tr.addr)
+		confirmed, err = n.sendBatchUDP(lk, tr, dgs)
 	}
 	lk.bytesSent.Add(sumLens(dgs[:confirmed]))
 	lk.sendErrors.Add(uint64(len(dgs) - confirmed))
