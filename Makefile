@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet vet-cross race drift secretcheck verify chaos bench bench-json bench-baseline e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-cross race drift metrics-index secretcheck verify chaos bench bench-json bench-baseline e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -24,10 +24,17 @@ vet-cross:
 race:
 	$(GO) test -race ./...
 
-# Documentation drift gate: every vnetp_* metric family and trace stage
-# name must match between the code and DESIGN.md.
+# Documentation drift gate: DESIGN.md's generated metrics index must be
+# what a node's registry renders today, and every trace stage name must
+# match between the code and DESIGN.md.
 drift:
 	$(GO) run ./scripts/driftcheck
+
+# Regenerate DESIGN.md's metrics index (the block between the
+# metrics-index markers) from a live node's registry: run it after
+# adding, renaming or re-describing a metric family.
+metrics-index:
+	$(GO) run ./scripts/driftcheck -write
 
 # Secrets-hygiene gate: tenant AEAD keys and TLS private keys must never
 # reach logs or hex encodings (fingerprints are the approved form).
@@ -81,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSealOpen -fuzztime=10s ./internal/seal
 	$(GO) test -run=^$$ -fuzz=FuzzFlowKey -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFlowCache -fuzztime=10s ./internal/overlay
+	$(GO) test -run=^$$ -fuzz=FuzzControlParse -fuzztime=10s ./internal/control
 
 clean:
 	$(GO) clean ./...

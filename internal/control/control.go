@@ -345,7 +345,9 @@ func Parse(line string) (*Command, error) {
 		}
 		id, err := parseTenantID(fields[2])
 		if err != nil {
-			return nil, err
+			// Not parseTenantID's own error: it quotes its input, and on a
+			// line with its arguments transposed that input is the key.
+			return nil, fmt.Errorf("%w: bad tenant id in ADD TENANT <id> KEY <hex>", ErrSyntax)
 		}
 		if id == 0 {
 			return nil, fmt.Errorf("%w: tenant 0 is the plaintext default and cannot carry a key", ErrSyntax)

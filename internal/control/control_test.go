@@ -142,9 +142,9 @@ func TestFormatRouteRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunScript(t *testing.T) {
-	f := newFake()
-	script := `
+// twoLinkScript is the RunScript fixture; FuzzControlParse seeds its
+// corpus from its lines.
+const twoLinkScript = `
 # build a two-link overlay
 ADD LINK to-b REMOTE 127.0.0.1:9001
 ADD LINK to-c REMOTE 127.0.0.1:9002 tcp
@@ -152,7 +152,10 @@ ADD LINK to-c REMOTE 127.0.0.1:9002 tcp
 ADD ROUTE 02:56:00:00:00:02 any link to-b
 ADD ROUTE 02:56:00:00:00:03 any link to-c
 `
-	if err := RunScript(f, strings.NewReader(script)); err != nil {
+
+func TestRunScript(t *testing.T) {
+	f := newFake()
+	if err := RunScript(f, strings.NewReader(twoLinkScript)); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.links) != 2 || len(f.routes) != 2 {

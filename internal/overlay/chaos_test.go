@@ -235,7 +235,10 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	if stats.FramesDropped != 0 {
 		t.Fatalf("clean drain dropped %d frames (stats %+v)", stats.FramesDropped, stats)
 	}
-	if nb.Delivered.Load() == 0 {
+	// Drain returns once the frames have left na; nb is still taking them
+	// off its socket, so wait for its count to settle rather than read it
+	// the instant they are on the wire.
+	if overlay.QuietDelivered(nb) == 0 {
 		t.Fatal("nothing delivered before drain completed")
 	}
 	if _, err := na.Drain(ctx); err == nil {

@@ -8,10 +8,10 @@
 // keys are golden-pinned so downstream triage tooling can rely on the
 // shape.
 //
-// The bundle is assembled from the same registry handles and summary
-// surfaces the control language reads, so its numbers agree with a
-// concurrent /metrics scrape by construction (pinned by the diag e2e
-// test on a live two-node overlay).
+// The bundle's numbers are its own Metrics gather read back (flow cache,
+// drop totals) plus the summary surfaces the control language renders, so
+// they agree with a /metrics scrape by construction (pinned by the diag
+// e2e test on a live two-node overlay).
 
 package overlay
 
@@ -111,9 +111,10 @@ func (n *Node) Diag() DiagBundle {
 	if cfg.FlowCacheDisabled {
 		fcSize = 0
 	}
+	g := gathered(n.metrics.reg.Gather())
 	byReason := make(map[string]uint64, len(dropReasons))
 	for _, r := range dropReasons {
-		byReason[r] = n.ledger.Count(r)
+		byReason[r] = g.sum("vnetp_drops_total", "reason", r)
 	}
 	comps := []DiagComponent{}
 	for _, name := range n.sup.Components() {
@@ -121,7 +122,6 @@ func (n *Node) Diag() DiagBundle {
 			comps = append(comps, DiagComponent{Name: name, Restarts: w.Restarts()})
 		}
 	}
-	fcHits, fcMisses, fcEvictions, fcEntries := n.FlowCacheStats()
 	return DiagBundle{
 		Schema:        DiagSchema,
 		Node:          n.name,
@@ -151,16 +151,19 @@ func (n *Node) Diag() DiagBundle {
 		},
 		// Empty sections render as [] rather than null: the bundle's
 		// consumers iterate without a nil check.
-		Metrics: n.metrics.reg.Gather(),
+		Metrics: g,
 		Health:  orEmpty(n.HealthSummary()),
 		Tuning:  orEmpty(n.TuningSummary()),
 		FlowCache: DiagFlowCache{
-			Hits: fcHits, Misses: fcMisses, Evictions: fcEvictions,
-			Entries: fcEntries, Epoch: n.flowEpoch.Load(),
+			Hits:      g.sum("vnetp_flow_cache_hits_total", ""),
+			Misses:    g.sum("vnetp_flow_cache_misses_total", ""),
+			Evictions: g.sum("vnetp_flow_cache_evictions_total", ""),
+			Entries:   int(g.sum("vnetp_flow_cache_entries", "")),
+			Epoch:     n.flowEpoch.Load(),
 		},
 		TopFlows: n.topFlowsDoc(),
 		Drops: DiagDrops{
-			Total:    n.ledger.Total(),
+			Total:    g.sum("vnetp_drops_total", ""),
 			ByReason: byReason,
 			Tails:    n.ledger.Snapshot(),
 		},

@@ -201,10 +201,10 @@ type rxShard struct {
 	flight *trace.FlightRing
 
 	// Datagrams counts data datagrams processed, Frames completed inner
-	// frames routed, Drops producer-side ring-full losses. All are
-	// children of the node's per-worker registry families
-	// (vnetp_dispatcher_*_total{worker="<idx>"}).
-	Datagrams, Frames, Drops *telemetry.Counter
+	// frames routed. Both are children of the node's per-worker registry
+	// families (vnetp_dispatcher_*_total{worker="<idx>"}); the third,
+	// producer-side ring-full losses, is the drop funnel's.
+	Datagrams, Frames *telemetry.Counter
 }
 
 // shardFor maps a sender key onto its dispatcher shard (FNV-1a). All
@@ -238,7 +238,7 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 			// ring alone.
 			for pkt, rest := nextSegment(d.pkt, d.seg); ; pkt, rest = nextSegment(rest, d.seg) {
 				if h, payload, err := bridge.ParseEncap(pkt); err != nil {
-					n.dropBadPacket(bridge.EncapFrames(pkt), telemetry.DropDetail{
+					n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{
 						Scope: d.sender, Stage: "rx_parse",
 					})
 				} else {
@@ -253,19 +253,13 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 	}
 }
 
-// dropBadPacket lands a malformed datagram on the ledger and its legacy
-// counter. Like every receive-side drop of a whole datagram it charges
-// the frames the datagram stood for (bridge.EncapFrames), so the frames
-// an aggregate carried are all accounted for when it is shed.
-func (n *Node) dropBadPacket(frames uint64, d telemetry.DropDetail) {
-	n.BadPackets.Add(frames)
-	n.drop(dropBadPacket, frames, d)
-}
-
 // processData runs the data path for one parsed datagram: flight
 // capture, AEAD open for sealed datagrams, then either the record walk
 // of an aggregate or shard-local reassembly, and routing of every
-// completed frame in its tenant's namespace. Shared by the UDP
+// completed frame in its tenant's namespace. Every receive-side drop of
+// a whole datagram charges the frames the datagram stood for (an
+// aggregate's count, else one), so the frames an aggregate carried are
+// all accounted for when it is shed. Shared by the UDP
 // dispatcher workers and the TCP connection readers (which parse on
 // their own goroutines and call in directly). raw is the full
 // encap datagram as it arrived on the wire, captured by the shard's
@@ -291,12 +285,11 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		if err != nil {
 			rr := seal.RejectReasonOf(err)
 			frames := h.Frames()
-			n.metrics.sealRejects.With(rr).Add(frames)
 			// The wire-claimed tenant ID is unauthenticated; charging the
 			// claimed tenant is deliberate — a forged datagram charges
 			// the tenant it impersonates, which is the tenant whose
-			// traffic an operator should inspect.
-			n.slis.get(h.Seal.Tenant).sealRejects.Add(frames)
+			// traffic an operator should inspect. The typed reason rides as
+			// the stage: the funnel's vnetp_seal_reject_total{reason} label.
 			n.drop(dropSealReject, frames, telemetry.DropDetail{
 				Tenant: h.Seal.Tenant, Scope: sender, Stage: rr,
 			})
@@ -315,7 +308,7 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 			n.routeFromWire(s, frame, tenant, at)
 		})
 		if err != nil {
-			n.dropBadPacket(h.Frames(), telemetry.DropDetail{
+			n.drop(dropBadPacket, h.Frames(), telemetry.DropDetail{
 				Tenant: tenant, Scope: sender, Stage: "aggregate",
 			})
 		}
@@ -334,7 +327,7 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 	frame, err := s.reasm.AddParsed(sender, h, payload)
 	s.mu.Unlock()
 	if err != nil {
-		n.dropBadPacket(1, telemetry.DropDetail{
+		n.drop(dropBadPacket, 1, telemetry.DropDetail{
 			Tenant: tenant, Scope: sender, Stage: "reassembly",
 		})
 		return
@@ -384,7 +377,6 @@ func (n *Node) enqueue(sender string, pkt []byte, seg int, at time.Time) {
 				break
 			}
 		}
-		s.Drops.Add(frames)
 		n.drop(dropDispatcherRing, frames, telemetry.DropDetail{
 			Scope: fmt.Sprint(s.idx), Stage: "rx_ring",
 		})

@@ -56,17 +56,6 @@ func (n *Node) queued() uint64 {
 	return q
 }
 
-// txDropsTotal sums every link's TX ring drop counter. Close does not
-// clear the link set or its metrics, so a delta around Close captures
-// the in-hand batches the sender teardown defers counted.
-func (n *Node) txDropsTotal() uint64 {
-	var t uint64
-	for _, lk := range n.topo.Load().links {
-		t += lk.txDrops.Load()
-	}
-	return t
-}
-
 // pendingReassemblies sums incomplete reassembly entries across shards.
 func (n *Node) pendingReassemblies() uint64 {
 	var p uint64
@@ -138,12 +127,12 @@ func (n *Node) Drain(ctx context.Context) (DrainStats, error) {
 
 	// Close waits for the supervised senders to unwind (Supervisor.Stop
 	// joins them), so after it returns every txLoop teardown defer has
-	// counted its abandoned in-hand batch into tx_ring_drops. Fold that
-	// delta in: those frames were accepted but never reached the wire,
-	// exactly what FramesDropped promises to report.
-	dropsBase := n.txDropsTotal()
+	// landed its abandoned in-hand batch on the ledger. Fold that delta
+	// in: those frames were accepted but never reached the wire, exactly
+	// what FramesDropped promises to report.
+	dropsBase := n.ledger.Count(dropTxTeardown)
 	closeErr := n.Close()
-	st.FramesDropped += n.txDropsTotal() - dropsBase
+	st.FramesDropped += n.ledger.Count(dropTxTeardown) - dropsBase
 	st.Elapsed = time.Since(start)
 	if flushErr == nil {
 		flushErr = closeErr

@@ -2,10 +2,13 @@
 // datapath sheds a frame or datagram must report to the unified drop
 // ledger — exactly one reason per loss, never zero, never two. Each
 // subtest drives one site in isolation on a fresh node and pins the
-// ledger count against the legacy counter the site has always fed;
-// the churn test then runs the sites concurrently under -race and
-// checks the global invariant: vnetp_drops_total sums exactly to the
-// observed drops, reason by reason.
+// ledger count, and beside it the older family that has always counted
+// the site, read by its public name (and label, where it has one) from
+// the registry as a scrape would: those families are views of the
+// ledger now, and this is what holds them to their old values. The
+// churn test then runs the sites concurrently under -race and checks
+// the global invariant: vnetp_drops_total sums exactly to the observed
+// drops, reason by reason.
 package overlay
 
 import (
@@ -113,8 +116,8 @@ func overrunLastRecord(d []byte) []byte {
 
 // TestDropSiteAggregate: a datagram that stands for several frames
 // charges all of them when it is shed — at the dispatcher ring, at the
-// seal check, at the parser, at the record walk — on the ledger and the
-// site's legacy counter alike, so admitted = delivered + Σ ledger holds
+// seal check, at the parser, at the record walk — on the ledger and so
+// on the site's older family, so admitted = delivered + Σ ledger holds
 // across aggregates; and a malformed or unauthentic aggregate delivers
 // none of its frames.
 func TestDropSiteAggregate(t *testing.T) {
@@ -170,7 +173,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		}
 		n.enqueue("10.0.0.5:5", d, 0, time.Now())
 		n.enqueue("10.0.0.5:5", d, 0, time.Now())
-		if got, legacy := n.ledger.Count(dropDispatcherRing), s.Drops.Load(); got != frames || legacy != frames {
+		if got, legacy := n.ledger.Count(dropDispatcherRing), Metric(t, n, "vnetp_dispatcher_drops_total", "0"); got != frames || legacy != frames {
 			t.Fatalf("dispatcher_ring ledger=%d legacy=%d, want %d (the aggregate's frames)", got, legacy, frames)
 		}
 	})
@@ -191,7 +194,8 @@ func TestDropSiteAggregate(t *testing.T) {
 		d[len(d)-20] ^= 0x01 // one ciphertext bit: the whole train fails authentication
 		n.inject("10.0.0.5:5", d)
 		waitCount(t, n, dropSealReject, frames)
-		if got, legacy, sli := n.ledger.Count(dropSealReject), n.metrics.sealRejects.Sum(), n.slis.get(7).sealRejects.Load(); got != frames || legacy != frames || sli != frames {
+		legacy, sli := Metric(t, n, "vnetp_seal_reject_total", seal.RejectAuth), Metric(t, n, "vnetp_tenant_seal_rejects_total", "7")
+		if got := n.ledger.Count(dropSealReject); got != frames || legacy != frames || sli != frames {
 			t.Fatalf("seal_reject ledger=%d legacy=%d tenant=%d, want %d each", got, legacy, sli, frames)
 		}
 		delivered(t, n, sink, 0)
@@ -201,7 +205,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
 		n.inject("10.0.0.5:5", overrunLastRecord(aggregateDatagram(t, frames, dst, nil)))
 		waitCount(t, n, dropBadPacket, frames)
-		if got, legacy := n.ledger.Count(dropBadPacket), n.BadPackets.Load(); got != frames || legacy != frames {
+		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != frames || legacy != frames {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, frames)
 		}
 		delivered(t, n, sink, 0) // not even the four intact records before the bad one
@@ -215,7 +219,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		// Charged what a datagram this long could hold at most, not the claim.
 		most := uint64(len(d)-bridge.EncapHeaderLen) / uint64(2+ethernet.HeaderLen)
 		waitCount(t, n, dropBadPacket, most)
-		if got, legacy := n.ledger.Count(dropBadPacket), n.BadPackets.Load(); got != most || legacy != most {
+		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != most || legacy != most {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, most)
 		}
 		delivered(t, n, sink, 0)
@@ -231,7 +235,7 @@ func TestDropSiteNoRoute(t *testing.T) {
 	if err := ep.Send(testFrame(ep.MAC(), ethernet.LocalMAC(99))); err == nil {
 		t.Fatal("send to unrouted destination succeeded")
 	}
-	if got, legacy := n.ledger.Count(dropNoRoute), n.NoRouteDrop.Load(); got != 1 || got != legacy {
+	if got, legacy := n.ledger.Count(dropNoRoute), Metric(t, n, "vnetp_no_route_drops_total"); got != 1 || got != legacy {
 		t.Fatalf("no_route ledger=%d legacy=%d, want 1", got, legacy)
 	}
 }
@@ -240,8 +244,8 @@ func TestDropSiteBadPacket(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1})
 	n.inject("10.0.0.1:1", []byte{0xde, 0xad, 0xbe, 0xef})
 	waitCount(t, n, dropBadPacket, 1)
-	if legacy := n.BadPackets.Load(); legacy != 1 {
-		t.Fatalf("BadPackets = %d, want 1", legacy)
+	if legacy := Metric(t, n, "vnetp_bad_packets_total"); legacy != 1 {
+		t.Fatalf("vnetp_bad_packets_total = %d, want 1", legacy)
 	}
 }
 
@@ -261,8 +265,20 @@ func TestDropSiteEndpointRing(t *testing.T) {
 	for i := 0; i < epQueueDepth+extra; i++ {
 		src.Send(testFrame(src.MAC(), dst.MAC()))
 	}
-	if got, legacy := n.ledger.Count(dropEndpointRing), dst.Drops.Load(); got != extra || got != legacy {
+	if got, legacy := n.ledger.Count(dropEndpointRing), Metric(t, n, "vnetp_endpoint_ring_drops_total", "dst"); got != extra || got != legacy {
 		t.Fatalf("endpoint_ring ledger=%d legacy=%d, want %d", got, legacy, extra)
+	}
+	// A shed frame is on the ledger and nowhere else: delivered counts
+	// what the ring took, which is what a reader gets out of it.
+	received := uint64(0)
+	for _, ok := dst.TryRecv(); ok; _, ok = dst.TryRecv() {
+		received++
+	}
+	if got := n.Delivered.Load(); got != received || received != epQueueDepth {
+		t.Fatalf("delivered = %d, received = %d, want %d each (sent %d, shed %d)", got, received, epQueueDepth, epQueueDepth+extra, extra)
+	}
+	if out := Metric(t, n, "vnetp_tenant_frames_out_total", "0"); out != n.Delivered.Load()+n.ledger.Total() {
+		t.Fatalf("admitted %d != delivered %d + ledger %d", out, n.Delivered.Load(), n.ledger.Total())
 	}
 }
 
@@ -279,10 +295,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 	// Quiesce, then the producer-side shard counters must agree with the
 	// ledger exactly.
 	time.Sleep(50 * time.Millisecond)
-	var legacy uint64
-	for _, s := range n.shards {
-		legacy += s.Drops.Load()
-	}
+	legacy := Metric(t, n, "vnetp_dispatcher_drops_total", "0")
 	if got := n.ledger.Count(dropDispatcherRing); got != legacy {
 		t.Fatalf("dispatcher_ring ledger=%d shard drops=%d", got, legacy)
 	}
@@ -302,7 +315,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 	}
 	n.enqueue("10.0.0.2:2", junk, 0, time.Now()) // fills the one-slot ring
 	n.enqueue("10.0.0.2:2", train, len(agg), time.Now())
-	if got, legacy := n.ledger.Count(dropDispatcherRing), n.shards[0].Drops.Load(); got != 11 || legacy != 11 {
+	if got, legacy := n.ledger.Count(dropDispatcherRing), Metric(t, n, "vnetp_dispatcher_drops_total", "0"); got != 11 || legacy != 11 {
 		t.Fatalf("a shed train of 5+5+1 frames: dispatcher_ring ledger=%d legacy=%d, want 11", got, legacy)
 	}
 }
@@ -366,11 +379,11 @@ func TestDropSiteSealReject(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1})
 	n.inject("10.0.0.3:3", sealedDatagram(t, 42))
 	waitCount(t, n, dropSealReject, 1)
-	if legacy := n.metrics.sealRejects.Sum(); legacy != 1 {
-		t.Fatalf("seal reject counter = %d, want 1", legacy)
+	if legacy := Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant); legacy != 1 {
+		t.Fatalf("vnetp_seal_reject_total{unknown_tenant} = %d, want 1", legacy)
 	}
 	// The reject also lands in the claimed tenant's SLI.
-	if got := n.slis.get(42).sealRejects.Load(); got != 1 {
+	if got := Metric(t, n, "vnetp_tenant_seal_rejects_total", "42"); got != 1 {
 		t.Fatalf("tenant 42 seal_rejects = %d, want 1", got)
 	}
 }
@@ -388,7 +401,7 @@ func TestDropSiteReassemblyEvict(t *testing.T) {
 	}
 	n.inject("10.0.0.4:4", ds[0]) // first fragment only: a partial that can never complete
 	waitCount(t, n, dropReassemblyEvict, 1)
-	if legacy := n.metrics.reasmEvictions.Load(); legacy != n.ledger.Count(dropReassemblyEvict) {
+	if legacy := Metric(t, n, "vnetp_reassembly_evictions_total"); legacy != n.ledger.Count(dropReassemblyEvict) {
 		t.Fatalf("reassembly_evict ledger=%d legacy=%d", n.ledger.Count(dropReassemblyEvict), legacy)
 	}
 }
@@ -410,7 +423,7 @@ func TestDropSiteCrossTenant(t *testing.T) {
 		Dest: core.Destination{Type: core.DestInterface, ID: "other"},
 	})
 	src.Send(testFrame(src.MAC(), dst))
-	if got, legacy := n.ledger.Count(dropCrossTenant), n.metrics.crossTenantDrops.Load(); got != 1 || got != legacy {
+	if got, legacy := n.ledger.Count(dropCrossTenant), Metric(t, n, "vnetp_cross_tenant_drops_total"); got != 1 || got != legacy {
 		t.Fatalf("cross_tenant ledger=%d legacy=%d, want 1", got, legacy)
 	}
 }
@@ -444,10 +457,33 @@ func TestDropSiteTxRing(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The sender may exit holding one frame in its partial batch (counted
-	// as tx_teardown); the legacy counter spans both reasons.
+	// as tx_teardown); the per-link family spans both reasons.
 	got := n.ledger.Count(dropTxRing) + n.ledger.Count(dropTxTeardown)
-	if legacy := lk.txDrops.Load(); got != legacy {
+	if legacy := Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != legacy {
 		t.Fatalf("tx ledger=%d legacy=%d", got, legacy)
+	}
+
+	// Deleting the link takes its children off /metrics, and the sends that
+	// still find it in a cached decision must not bring them back; the
+	// node's LIST STATS total is the ledger's and never goes backwards.
+	txRingDrops := func() (v uint64) {
+		for _, line := range n.Stats() {
+			fmt.Sscanf(line, "tx_ring_drops %d", &v)
+		}
+		return v
+	}
+	if before := txRingDrops(); before != got {
+		t.Fatalf("LIST STATS tx_ring_drops = %d, want %d", before, got)
+	}
+	if err := n.DelLink("wire"); err != nil {
+		t.Fatal(err)
+	}
+	n.enqueueTx(lk, testFrame(src.MAC(), dst), time.Now()) // a sender that resolved before the delete
+	if after := txRingDrops(); after != got+1 {
+		t.Fatalf("LIST STATS tx_ring_drops = %d after DEL LINK, want %d (monotone)", after, got+1)
+	}
+	if left := Metric(t, n, "vnetp_link_tx_ring_drops_total"); left != 0 {
+		t.Fatalf("deleted link still has %d tx_ring_drops on /metrics", left)
 	}
 }
 
@@ -485,7 +521,7 @@ func TestDropSiteTxTeardown(t *testing.T) {
 	lk.txw.Stop()
 	waitCount(t, n, dropTxTeardown, 1)
 	time.Sleep(20 * time.Millisecond) // a second count would land by now
-	if got, legacy := n.ledger.Count(dropTxTeardown), lk.txDrops.Load(); got != 1 || legacy != 1 {
+	if got, legacy := n.ledger.Count(dropTxTeardown), Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != 1 || legacy != 1 {
 		t.Fatalf("tx_teardown = %d, tx_ring_drops = %d, want 1 each", got, legacy)
 	}
 	if sent := n.EncapSent.Load(); sent != 0 || len(lk.txq) != 1 {
@@ -572,8 +608,9 @@ func TestDropSiteTxError(t *testing.T) {
 // TestDropLedgerChurn runs the drop sites concurrently (meant for
 // -race) and then checks the audit invariant: the ledger total sums
 // exactly to its per-reason counts, and every reason agrees with the
-// legacy counter its sites have always fed — each loss counted once,
-// under exactly one reason. The node runs the batched leg, and half the
+// older family its sites have always been counted in, read by name from
+// the registry — each loss counted once, under exactly one reason. The
+// node runs the batched leg, and half the
 // receive-side churn arrives as aggregate datagrams, whose drops charge
 // several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
@@ -683,35 +720,30 @@ func TestDropLedgerChurn(t *testing.T) {
 		t.Fatalf("ledger total %d != per-reason sum %d", total, sum)
 	}
 
-	var shardDrops, epDrops uint64
-	for _, s := range n.shards {
-		shardDrops += s.Drops.Load()
-	}
-	n.mu.Lock()
-	for _, ep := range n.topo.Load().eps {
-		epDrops += ep.Drops.Load()
-	}
-	n.mu.Unlock()
 	checks := []struct {
 		reason string
 		legacy uint64
 	}{
-		{dropNoRoute, n.NoRouteDrop.Load()},
-		{dropBadPacket, n.BadPackets.Load()},
-		{dropCrossTenant, n.metrics.crossTenantDrops.Load()},
-		{dropSealReject, n.metrics.sealRejects.Sum()},
-		{dropReassemblyEvict, n.metrics.reasmEvictions.Load()},
-		{dropDispatcherRing, shardDrops},
-		{dropEndpointRing, epDrops},
+		{dropNoRoute, Metric(t, n, "vnetp_no_route_drops_total")},
+		{dropBadPacket, Metric(t, n, "vnetp_bad_packets_total")},
+		{dropCrossTenant, Metric(t, n, "vnetp_cross_tenant_drops_total")},
+		{dropSealReject, Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant)},
+		{dropSealReject, Metric(t, n, "vnetp_tenant_seal_rejects_total", "42")},
+		{dropReassemblyEvict, Metric(t, n, "vnetp_reassembly_evictions_total")},
+		{dropDispatcherRing, Metric(t, n, "vnetp_dispatcher_drops_total", "0") + Metric(t, n, "vnetp_dispatcher_drops_total", "1")},
+		{dropEndpointRing, Metric(t, n, "vnetp_endpoint_ring_drops_total", "sink")},
 	}
 	for _, c := range checks {
 		if got := n.ledger.Count(c.reason); got != c.legacy {
 			t.Errorf("%s: ledger=%d legacy=%d", c.reason, got, c.legacy)
 		}
 	}
-	// The TX legacy counter spans both ring overrun and teardown loss.
-	if got := n.ledger.Count(dropTxRing) + n.ledger.Count(dropTxTeardown); got != lk.txDrops.Load() {
-		t.Errorf("tx drops: ledger=%d legacy=%d", got, lk.txDrops.Load())
+	// The per-link TX family spans both ring overrun and teardown loss.
+	if got, legacy := n.ledger.Count(dropTxRing)+n.ledger.Count(dropTxTeardown), Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != legacy {
+		t.Errorf("tx drops: ledger=%d legacy=%d", got, legacy)
+	}
+	if drops := Metric(t, n, "vnetp_tenant_drops_total"); drops != n.ledger.Total() {
+		t.Errorf("tenant drop SLIs sum to %d, ledger total %d", drops, n.ledger.Total())
 	}
 	for _, r := range []string{dropNoRoute, dropBadPacket, dropCrossTenant, dropSealReject, dropEndpointRing, dropTxRing} {
 		if n.ledger.Count(r) == 0 {

@@ -195,7 +195,7 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 		if from != nil {
 			n.countOut(e.sli, e.fl, key, f)
 		}
-		n.dropNoRoute(key, scope)
+		n.drop(dropNoRoute, 1, routeDetail(key, scope))
 		return err
 	}
 	own := (e.ep != nil && e.ep.tenant == key.Tenant) || (e.lk != nil && e.lk.tenant == key.Tenant)
@@ -274,7 +274,7 @@ func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from
 			return false, nil
 		}
 		if e.tenant != tenant || ep.tenant != tenant {
-			n.dropCrossTenant(key, ep.name)
+			n.drop(dropCrossTenant, 1, routeDetail(key, ep.name))
 			return false, nil
 		}
 		ep.deliver(f)
@@ -282,7 +282,7 @@ func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from
 	}
 	lk := e.lk
 	if e.tenant != tenant || lk.tenant != tenant {
-		n.dropCrossTenant(key, lk.id)
+		n.drop(dropCrossTenant, 1, routeDetail(key, lk.id))
 		return false, nil
 	}
 	if lk.txq != nil {

@@ -209,10 +209,10 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 	senders.Wait()
 	wg.Wait()
 
-	if got := na.metrics.crossTenantDrops.Load(); got != 0 {
+	if got := Metric(t, na, "vnetp_cross_tenant_drops_total"); got != 0 {
 		t.Fatalf("cross_tenant_drops = %v on the sender node", got)
 	}
-	if got := nb.metrics.crossTenantDrops.Load(); got != 0 {
+	if got := Metric(t, nb, "vnetp_cross_tenant_drops_total"); got != 0 {
 		t.Fatalf("cross_tenant_drops = %v on the receiver node", got)
 	}
 	if h := na.metrics.txDatagramFrames; sender.TxBatch > 1 && h.Sum() <= float64(h.Count()) {

@@ -341,9 +341,9 @@ func TestForwardVerdicts(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				legacy := n.NoRouteDrop
+				family := "vnetp_no_route_drops_total"
 				if tc.reason == dropCrossTenant {
-					legacy = n.metrics.crossTenantDrops
+					family = "vnetp_cross_tenant_drops_total"
 				}
 				for i := uint64(1); i <= 3; i++ {
 					f := testFrame(src.MAC(), dst)
@@ -356,9 +356,9 @@ func TestForwardVerdicts(t *testing.T) {
 					if (err != nil) != tc.wantErr {
 						t.Fatalf("frame %d: err = %v, want error %v", i, err, tc.wantErr)
 					}
-					if got, total := n.ledger.Count(tc.reason), n.ledger.Total(); got != i || total != i || legacy.Load() != i {
-						t.Fatalf("frame %d: ledger %s=%d total=%d legacy=%d, want %d each",
-							i, tc.reason, got, total, legacy.Load(), i)
+					if got, total, view := n.ledger.Count(tc.reason), n.ledger.Total(), Metric(t, n, family); got != i || total != i || view != i {
+						t.Fatalf("frame %d: ledger %s=%d total=%d %s=%d, want %d each",
+							i, tc.reason, got, total, family, view, i)
 					}
 					if tc.tenant == 0 {
 						if out := n.slis.get(0).framesOut.Load(); out != i {
@@ -559,7 +559,7 @@ func TestSealedStreamsStayApart(t *testing.T) {
 			t.Fatalf("tenant stream %d: frame lost or corrupted (ok=%v)", i, ok)
 		}
 	}
-	if bad := n.BadPackets.Load(); bad != 0 {
+	if bad := Metric(t, n, "vnetp_bad_packets_total"); bad != 0 {
 		t.Fatalf("bad_packets = %d, want 0", bad)
 	}
 }
@@ -770,8 +770,8 @@ func TestBatchedEqualsSync(t *testing.T) {
 					}
 				}
 			}
-			if recv := rx.EncapRecv.Load(); recv != uint64(len(frames)) || rx.BadPackets.Load() != 0 {
-				t.Fatalf("receiver: encap_recv=%d bad_packets=%d, want %d and 0", recv, rx.BadPackets.Load(), len(frames))
+			if recv, bad := rx.EncapRecv.Load(), Metric(t, rx, "vnetp_bad_packets_total"); recv != uint64(len(frames)) || bad != 0 {
+				t.Fatalf("receiver: encap_recv=%d bad_packets=%d, want %d and 0", recv, bad, len(frames))
 			}
 			if oneBatch {
 				var datagrams uint64

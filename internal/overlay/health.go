@@ -373,18 +373,20 @@ func (n *Node) LinkHealth(id string) (LinkState, bool) {
 // rendered from the link's registry snapshot — the same counters
 // /metrics scrapes.
 func (n *Node) LinkStatus(id string) ([]string, error) {
+	g := gathered(n.metrics.reg.Gather())
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	lk, ok := n.topo.Load().links[id]
 	if !ok {
 		return nil, fmt.Errorf("overlay: no link %q", id)
 	}
-	return n.snapshotLinkLocked(lk).statusLines(), nil
+	return linkStatusLines(g, lk), nil
 }
 
 // HealthSummary reports one line per link (LIST HEALTH), rendered from
 // the same registry snapshots as LINK STATUS and /metrics.
 func (n *Node) HealthSummary() []string {
+	g := gathered(n.metrics.reg.Gather())
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	links := n.topo.Load().links
@@ -395,7 +397,7 @@ func (n *Node) HealthSummary() []string {
 	sort.Strings(ids)
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, n.snapshotLinkLocked(links[id]).summaryLine())
+		out = append(out, linkSummaryLine(g, links[id]))
 	}
 	return out
 }
@@ -470,7 +472,6 @@ func parseProbePayload(p []byte) (seq uint64, linkID string, ok bool) {
 func (n *Node) handleProbeReply(payload []byte) {
 	seq, linkID, ok := parseProbePayload(payload)
 	if !ok {
-		n.BadPackets.Add(1)
 		n.drop(dropBadPacket, 1, telemetry.DropDetail{Stage: "probe_reply"})
 		return
 	}

@@ -1,15 +1,15 @@
 // The node half of the unified drop ledger: a fixed reason vocabulary
-// covering every datapath drop site, and the one helper all sites call.
-// Legacy per-site counter families (endpoint ring, dispatcher ring,
-// TX ring, no-route, bad-packet, seal reject, cross-tenant, reassembly
-// evictions) remain live views at their original names, so the LIST
-// STATS pin and existing dashboards stay append-only; the ledger adds
-// the correlated vnetp_drops_total{reason} family, per-tenant drop
-// attribution, and the detail tails the /diag bundle renders.
+// covering every datapath drop site, and the one funnel all sites call.
+// The ledger is the only drop counter. The older per-site families keep
+// their names on /metrics as views of it, so the LIST STATS pin and
+// existing dashboards stay append-only: the scalar ones (no-route,
+// bad-packet, cross-tenant, reassembly evictions) read the ledger's own
+// counts at scrape time (registerNodeFuncs), the labelled ones (endpoint
+// ring, dispatcher ring, TX ring, seal reject) are moved by the funnel.
 //
 // The accounting contract mirrors the PR 7 TX rules: one observed drop
-// increments exactly one ledger reason, exactly once. The drop-site
-// regression test pins this per site.
+// makes exactly one call, Node.drop, under exactly one reason. The
+// drop-site regression test pins this per site.
 
 package overlay
 
@@ -71,13 +71,34 @@ var dropReasons = []string{
 	dropTxError,
 }
 
-// drop is the single funnel every overlay drop site reports through: it
-// moves the unified ledger (counter family + detail tail) and the
-// owning tenant's per-tenant drop SLI together, so the two surfaces can
-// never disagree.
+// drop is the single funnel every overlay drop site reports through, and
+// the only accounting call a site makes: it moves the labelled family that
+// has always counted the reason (the switch is the whole per-reason table,
+// the child named by the detail the site passes anyway), the owning
+// tenant's drop SLI, and the unified ledger (counter family + detail
+// tail) — last, so whoever sees a drop on the ledger finds it everywhere.
+// No two surfaces can disagree. A view's children live and die with what
+// they label, and a drop that races the deletion (a sender stopped by DEL
+// LINK, frames in hand) must not bring one back: Lookup.
 func (n *Node) drop(reason string, count uint64, d telemetry.DropDetail) {
+	sli := n.slis.get(d.Tenant)
+	var view *telemetry.Counter
+	switch m := n.metrics; reason {
+	case dropEndpointRing:
+		view = m.epDrops.Lookup(d.Scope)
+	case dropDispatcherRing:
+		view = m.dispDrops.Lookup(d.Scope)
+	case dropTxRing, dropTxTeardown: // one family for both, as always
+		view = m.linkTxDrops.Lookup(d.Scope)
+	case dropSealReject: // the stage is the typed reject reason
+		view = m.sealRejects.Lookup(d.Stage)
+		sli.sealRejects.Add(count)
+	}
+	if view != nil {
+		view.Add(count)
+	}
+	sli.drops.Add(count)
 	n.ledger.Drop(reason, count, d)
-	n.slis.get(d.Tenant).drops.Add(count)
 }
 
 // Ledger exposes the node's unified drop ledger (diagnostics and

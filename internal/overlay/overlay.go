@@ -47,10 +47,6 @@ type Endpoint struct {
 	tenant uint32 // the VNET this endpoint lives in (0 = default)
 	rx     chan *ethernet.Frame
 
-	// Drops counts frames lost to a full receive ring
-	// (vnetp_endpoint_ring_drops_total in /metrics).
-	Drops *telemetry.Counter
-
 	// sli is the owning tenant's per-tenant indicator handles, resolved
 	// once at attach so delivery accounting is plain atomic adds.
 	sli *tenantSLI
@@ -155,25 +151,26 @@ func (ep *Endpoint) TryRecv() (*ethernet.Frame, bool) {
 }
 
 // deliver hands a frame to the endpoint's receive ring; a full ring
-// sheds it onto the ledger.
+// sheds it onto the ledger instead (vnetp_endpoint_ring_drops_total is
+// the funnel's per-interface view of that reason). A frame is delivered
+// or dropped, never both: admitted = delivered + Σ ledger.
 func (ep *Endpoint) deliver(f *ethernet.Frame) {
 	n := ep.node
 	select {
 	case ep.rx <- f:
 		ep.sli.framesIn.Add(1)
 		ep.sli.bytesIn.Add(uint64(f.Len()))
+		n.Delivered.Add(1)
+		if f.Tag != 0 {
+			n.tracer.Record(f.Tag, trace.StageDeliver)
+			n.log.Debug("traced frame delivered",
+				"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
+		}
 	default:
-		ep.Drops.Add(1)
 		n.drop(dropEndpointRing, 1, telemetry.DropDetail{
 			Tenant: ep.tenant, Scope: ep.name, Stage: "deliver",
 			Flow: core.FlowKey{Tenant: ep.tenant, Src: f.Src, Dst: f.Dst}.String(),
 		})
-	}
-	n.Delivered.Add(1)
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageDeliver)
-		n.log.Debug("traced frame delivered",
-			"trace_id", fmt.Sprintf("%016x", f.Tag), "interface", ep.name)
 	}
 }
 
@@ -222,8 +219,8 @@ type link struct {
 	txq chan txFrame
 	txw *supervise.Worker
 
-	// tun is the link's effective dispatch operating point (batch size,
-	// flush timeout, mode), published atomically so txLoop reads it
+	// tun is the link's effective dispatch operating point (batch size and
+	// mode), published atomically so txLoop reads it
 	// lock-free once per batch. The adaptive controller and LINK TUNE
 	// swap it live; non-adaptive batched links carry a static
 	// throughput-mode snapshot. Always non-nil when txq is non-nil.
@@ -244,13 +241,11 @@ type link struct {
 	// monitor, LINK STATUS, and /metrics surface it so chaos tests can
 	// observe transport failures instead of having them swallowed.
 	// bytesSent/bytesRecv account every encapsulation byte the link
-	// carries (data and probes alike). txDrops counts frames lost to a
-	// full TX ring. All are children of the node's per-link registry
-	// families.
+	// carries (data and probes alike). All are children of the node's
+	// per-link registry families.
 	sendErrors *telemetry.Counter
 	bytesSent  *telemetry.Counter
 	bytesRecv  *telemetry.Counter
-	txDrops    *telemetry.Counter
 
 	// Batched-mode children (nil on the synchronous path): txFrames
 	// counts frames accepted onto the TX ring (the adaptive
@@ -355,11 +350,9 @@ type Node struct {
 	log    *slog.Logger
 
 	// Stats
-	EncapSent   *telemetry.Counter
-	EncapRecv   *telemetry.Counter
-	Delivered   *telemetry.Counter
-	NoRouteDrop *telemetry.Counter
-	BadPackets  *telemetry.Counter
+	EncapSent *telemetry.Counter
+	EncapRecv *telemetry.Counter
+	Delivered *telemetry.Counter
 
 	// tx is conn's raw transmit state (sendBatchUDP): the RawConn and the
 	// pooled sendmmsg scratch.
@@ -468,8 +461,6 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	n.EncapSent = reg.Counter("vnetp_encap_sent_total", "Inner frames encapsulated and sent over links.")
 	n.EncapRecv = reg.Counter("vnetp_encap_recv_total", "Inner frames reassembled from links.")
 	n.Delivered = reg.Counter("vnetp_frames_delivered_total", "Frames delivered to local endpoints.")
-	n.NoRouteDrop = reg.Counter("vnetp_no_route_drops_total", "Frames dropped for lack of a route or link.")
-	n.BadPackets = reg.Counter("vnetp_bad_packets_total", "Malformed encapsulation datagrams rejected.")
 	n.shards = make([]*rxShard, cfg.Dispatchers)
 	for i := range n.shards {
 		w := fmt.Sprint(i)
@@ -480,7 +471,6 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 			flight:    trace.NewFlightRing(cfg.FlightDepth, flightSnap),
 			Datagrams: n.metrics.dispDatagrams.With(w),
 			Frames:    n.metrics.dispFrames.With(w),
-			Drops:     n.metrics.dispDrops.With(w),
 		}
 	}
 	n.registerNodeFuncs()
@@ -600,10 +590,10 @@ func (n *Node) AttachEndpointTenant(ifName string, mac ethernet.MAC, mtu int, te
 	}
 	ep := &Endpoint{
 		node: n, name: ifName, mac: mac, mtu: mtu, tenant: tenant,
-		rx:    make(chan *ethernet.Frame, epQueueDepth),
-		Drops: n.metrics.epDrops.With(ifName),
-		sli:   n.slis.get(tenant),
+		rx:  make(chan *ethernet.Frame, epQueueDepth),
+		sli: n.slis.get(tenant),
 	}
+	n.metrics.epDrops.With(ifName) // moved by the drop funnel, by interface name
 	n.editTopology(func(t *topology) { t.eps[ifName] = ep })
 	n.tenants.Ensure(tenant).AddRoute(core.Route{
 		DstMAC: mac, DstQual: core.QualExact, SrcQual: core.QualAny,
@@ -682,9 +672,10 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	}
 	old := n.topo.Load().links[id]
 	if old != nil {
-		// Replaced link: detach its metric children so the new link's
-		// counters restart from zero, as a fresh link's always have.
-		n.dropLinkMetrics(id)
+		// Replaced link: detach its metric children, in every family
+		// labelled by link, so the new link's counters restart from zero,
+		// as a fresh link's always have.
+		n.metrics.reg.DeleteLabel("link", id)
 	}
 	if n.cfg.TxBatch > 1 {
 		lk.txq = make(chan txFrame, n.cfg.TxRing)
@@ -747,7 +738,7 @@ func (n *Node) DelLink(id string) error {
 		delete(t.links, id)
 		t.unmapAddr(lk)
 	})
-	n.dropLinkMetrics(id)
+	n.metrics.reg.DeleteLabel("link", id)
 	// Explicit bump (not just the route-sweep hook below): the DEL LINK
 	// may find no routes to remove, yet cached decisions still hold the
 	// deleted link and must die before the sweep's outcome is known.
@@ -816,27 +807,6 @@ func (n *Node) AddTenant(id uint32, key []byte) error {
 	return nil
 }
 
-// TenantSummary renders the configured tenants for LIST TENANTS: ID,
-// key fingerprint (never the key), remote origins heard, the tenant's
-// route count, and the tenant's SLIs (frames in/out, ledger drops, and
-// seal rejects charged to the tenant). Fields are append-only within
-// each line, so parsers of the original prefix keep working.
-func (n *Node) TenantSummary() []string {
-	out := []string{}
-	for _, ti := range n.keyring.Tenants() {
-		routes := 0
-		if tbl := n.tenants.Table(ti.ID); tbl != nil {
-			routes = len(tbl.Routes())
-		}
-		sli := n.slis.get(ti.ID)
-		out = append(out, fmt.Sprintf("TENANT %d KEY %s ORIGINS %d ROUTES %d IN %d OUT %d DROPS %d REJECTS %d",
-			ti.ID, ti.Fingerprint, ti.Origins, routes,
-			sli.framesIn.Load(), sli.framesOut.Load(),
-			sli.drops.Load(), sli.sealRejects.Load()))
-	}
-	return out
-}
-
 // routeTable resolves a route's tenant table: tenant 0 always exists,
 // any other tenant must have been created by AddTenant or an endpoint
 // attach — routing state for an unknown tenant fails closed.
@@ -887,90 +857,6 @@ func (n *Node) Links() []string {
 	return out
 }
 
-// Stats reports the node's traffic counters (LIST STATS in the control
-// language), including the aggregate link-health counters and the
-// per-dispatcher receive-path counters. Every value is read from the
-// same registry handle /metrics scrapes, so the two surfaces agree by
-// construction; the line set and order are pinned for backward
-// compatibility (TestListStatsBackcompat).
-func (n *Node) Stats() []string {
-	hits, misses := n.table.CacheStats()
-	var probesSent, probesLost, failovers, failbacks, redials, upgrades, sendErrors uint64
-	var txRingDrops uint64
-	n.mu.Lock()
-	for _, lk := range n.topo.Load().links {
-		s := n.snapshotLinkLocked(lk)
-		sendErrors += s.sendErrors
-		txRingDrops += s.txDrops
-		probesSent += s.probesSent
-		probesLost += s.probesLost
-		failovers += s.failovers
-		failbacks += s.failbacks
-		redials += s.redials
-		upgrades += s.upgrades
-	}
-	n.mu.Unlock()
-	out := []string{
-		statLine("encap_sent", n.EncapSent.Load()),
-		statLine("encap_recv", n.EncapRecv.Load()),
-		statLine("delivered", n.Delivered.Load()),
-		statLine("no_route_drops", n.NoRouteDrop.Load()),
-		statLine("bad_packets", n.BadPackets.Load()),
-		statLine("send_errors", sendErrors),
-		statLine("route_cache_hits", hits),
-		statLine("route_cache_misses", misses),
-		statLine("probes_sent", probesSent),
-		statLine("probes_lost", probesLost),
-		statLine("failovers", failovers),
-		statLine("failbacks", failbacks),
-		statLine("redials", redials),
-		statLine("link_upgrades", upgrades),
-		statLine("dispatchers", uint64(len(n.shards))),
-	}
-	for _, s := range n.shards {
-		out = append(out,
-			statLine(fmt.Sprintf("dispatcher_%d_datagrams", s.idx), s.Datagrams.Load()),
-			statLine(fmt.Sprintf("dispatcher_%d_frames", s.idx), s.Frames.Load()),
-			statLine(fmt.Sprintf("dispatcher_%d_drops", s.idx), s.Drops.Load()),
-		)
-	}
-	// Newer keys append after the pinned set (TestListStatsBackcompat):
-	// TX ring overrun and encap pool effectiveness, previously /metrics-only.
-	poolHits, poolMisses := n.encap.PoolStats()
-	out = append(out,
-		statLine("tx_ring_drops", txRingDrops),
-		statLine("encap_pool_hits", poolHits),
-		statLine("encap_pool_misses", poolMisses),
-	)
-	// Sealed-datapath counters (append-only, after the pool lines).
-	sealRejects := n.metrics.sealRejects.Sum()
-	out = append(out,
-		statLine("sealed_sent", n.metrics.sealSealed.Load()),
-		statLine("sealed_opened", n.metrics.sealOpened.Load()),
-		statLine("seal_rejects", sealRejects),
-		statLine("cross_tenant_drops", n.metrics.crossTenantDrops.Load()),
-		statLine("tenants", uint64(n.keyring.Count())),
-	)
-	// Per-flow fast-path counters (append-only, after the seal lines).
-	fcHits, fcMisses, fcEvictions, fcEntries := n.FlowCacheStats()
-	out = append(out,
-		statLine("flow_cache_hits", fcHits),
-		statLine("flow_cache_misses", fcMisses),
-		statLine("flow_cache_evictions", fcEvictions),
-		statLine("flow_cache_entries", uint64(fcEntries)),
-	)
-	// Unified drop ledger (append-only, after the flow-cache lines):
-	// the cross-reason total, then one line per ledger reason, read
-	// from the same vnetp_drops_total children /metrics scrapes, plus
-	// the anomaly watchdog's alert count.
-	out = append(out, statLine("drops_total", n.ledger.Total()))
-	for _, r := range dropReasons {
-		out = append(out, statLine("drops_"+r, n.ledger.Count(r)))
-	}
-	out = append(out, statLine("anomalies", n.metrics.anomalies.Sum()))
-	return out
-}
-
 // Interfaces lists attached endpoint names.
 func (n *Node) Interfaces() []string {
 	eps := n.topo.Load().eps
@@ -1003,7 +889,7 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 	}
 	dests, err := n.lookupDests(key)
 	if err != nil {
-		n.dropNoRoute(key, "")
+		n.drop(dropNoRoute, 1, routeDetail(key, ""))
 		return err
 	}
 	if f.Tag != 0 {
@@ -1015,7 +901,7 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 		e := flowEntry{tenant: tenant}
 		n.resolveDest(&e, d)
 		if e.ep == nil && e.lk == nil {
-			n.dropNoRoute(key, d.ID)
+			n.drop(dropNoRoute, 1, routeDetail(key, d.ID))
 			continue
 		}
 		sent, err := n.forwardTo(&e, key, f, from, at)
@@ -1055,22 +941,12 @@ func (n *Node) countOut(sli *tenantSLI, fl *core.Flow, key core.FlowKey, f *ethe
 	}
 }
 
-// dropNoRoute lands a frame with no usable destination — no matching
-// route, unknown tenant, or a route naming an absent target (scope).
-func (n *Node) dropNoRoute(key core.FlowKey, scope string) {
-	n.NoRouteDrop.Add(1)
-	n.drop(dropNoRoute, 1, telemetry.DropDetail{
-		Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String(),
-	})
-}
-
-// dropCrossTenant lands a frame whose resolved endpoint or link (scope)
-// is bound to another tenant.
-func (n *Node) dropCrossTenant(key core.FlowKey, scope string) {
-	n.metrics.crossTenantDrops.Add(1)
-	n.drop(dropCrossTenant, 1, telemetry.DropDetail{
-		Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String(),
-	})
+// routeDetail is the ledger detail of a frame refused at the route
+// stage: no usable destination (no_route — no matching route, unknown
+// tenant, or a route naming an absent target), or a resolved endpoint or
+// link bound to another tenant (cross_tenant). scope names the target.
+func routeDetail(key core.FlowKey, scope string) telemetry.DropDetail {
+	return telemetry.DropDetail{Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String()}
 }
 
 // encapFrame encapsulates one frame for a link — the one encoder every
@@ -1245,7 +1121,6 @@ func (n *Node) probeLoop(inst *supervise.Instance) {
 			inst.Working()
 			h, payload, err := bridge.ParseEncap(ev.pkt)
 			if err != nil {
-				n.BadPackets.Add(1)
 				n.drop(dropBadPacket, 1, telemetry.DropDetail{
 					Scope: ev.from.String(), Stage: "control",
 				})
@@ -1285,7 +1160,6 @@ func (n *Node) evictLoop(inst *supervise.Instance) {
 				evicted := s.reasm.EvictStale()
 				s.mu.Unlock()
 				if evicted > 0 {
-					n.metrics.reasmEvictions.Add(uint64(evicted))
 					n.drop(dropReassemblyEvict, uint64(evicted), telemetry.DropDetail{
 						Scope: fmt.Sprint(s.idx), Stage: "reassembly",
 					})

@@ -100,7 +100,7 @@ func TestLargeFrameFragmentation(t *testing.T) {
 }
 
 func TestManyFramesInOrderPerFlow(t *testing.T) {
-	_, _, epA, epB := twoNodes(t)
+	_, nb, epA, epB := twoNodes(t)
 	const n = 100
 	for i := 0; i < n; i++ {
 		payload := []byte(fmt.Sprintf("frame-%03d", i))
@@ -111,7 +111,7 @@ func TestManyFramesInOrderPerFlow(t *testing.T) {
 	for i := 0; i < n; i++ {
 		got, ok := epB.Recv(recvTimeout)
 		if !ok {
-			t.Fatalf("frame %d missing (drops=%d)", i, epB.Drops.Load())
+			t.Fatalf("frame %d missing (drops=%d)", i, overlay.Metric(t, nb, "vnetp_endpoint_ring_drops_total", epB.Name()))
 		}
 		want := fmt.Sprintf("frame-%03d", i)
 		if string(got.Payload) != want {
@@ -147,8 +147,8 @@ func TestNoRouteReturnsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("send with no route succeeded")
 	}
-	if na.NoRouteDrop.Load() != 1 {
-		t.Fatalf("NoRouteDrop = %d", na.NoRouteDrop.Load())
+	if got := overlay.Metric(t, na, "vnetp_no_route_drops_total"); got != 1 {
+		t.Fatalf("vnetp_no_route_drops_total = %d", got)
 	}
 }
 

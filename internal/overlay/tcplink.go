@@ -133,7 +133,6 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		}
 		size := binary.BigEndian.Uint32(hdr[:])
 		if size == 0 || size > tcpMaxDatagram+bridge.EncapHeaderLen {
-			n.BadPackets.Add(1)
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_frame"})
 			return
 		}
@@ -147,7 +146,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		}
 		h, payload, err := bridge.ParseEncap(pkt)
 		if err != nil {
-			n.dropBadPacket(bridge.EncapFrames(pkt), telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
+			n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
 			continue
 		}
 		switch {

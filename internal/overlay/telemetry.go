@@ -1,16 +1,18 @@
 // Runtime visibility for the live datapath. Every node owns a
-// telemetry.Registry; the node, link, health-monitor, and dispatcher
-// counters are registry-backed handles, and the control plane's LIST
-// STATS / LINK STATUS / LIST HEALTH render from the same handles that
-// /metrics scrapes — the two surfaces cannot drift. Naming scheme:
+// telemetry.Registry, and the datapath increments its children directly.
+// Every text surface reads one Gather of that registry through a table
+// declared here — LIST STATS (statRows), LINK STATUS and LIST HEALTH
+// (linkRows), the /diag summary sections — so each shows what a /metrics
+// scrape at that instant would. Naming scheme:
 // vnetp_<subsystem>_<name>{_total} with per-link ("link") and per-worker
 // ("worker") label families; latencies and RTTs are log-bucketed
-// histograms in seconds (the paper's Fig. 7 per-stage budget, measured
-// on the real path).
+// histograms in seconds (the paper's Fig. 7 per-stage budget, measured on
+// the real path).
 package overlay
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"vnetp/internal/seal"
@@ -51,15 +53,12 @@ type nodeMetrics struct {
 	dispRing      *telemetry.GaugeVec
 	reasmPending  *telemetry.GaugeVec
 
-	// Sealed-datapath families: datagrams sealed on TX, opened on RX,
-	// fail-closed rejections by typed reason, and frames dropped by the
-	// tenancy guards.
-	sealSealed       *telemetry.Counter
-	sealOpened       *telemetry.Counter
-	sealRejects      *telemetry.CounterVec // reason
-	crossTenantDrops *telemetry.Counter
+	// Sealed-datapath families: datagrams sealed on TX, opened on RX, and
+	// fail-closed rejections by typed reason.
+	sealSealed  *telemetry.Counter
+	sealOpened  *telemetry.Counter
+	sealRejects *telemetry.CounterVec // reason
 
-	reasmEvictions   *telemetry.Counter
 	txBatchSize      *telemetry.Histogram
 	txDatagramFrames *telemetry.Histogram
 	rxBatchSize      *telemetry.Histogram
@@ -141,11 +140,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Sealed datagrams authenticated and decrypted on the receive path."),
 		sealRejects: reg.CounterVec("vnetp_seal_reject_total",
 			"Sealed datagrams rejected fail-closed, by reason.", "reason"),
-		crossTenantDrops: reg.Counter("vnetp_cross_tenant_drops_total",
-			"Frames dropped by the tenancy guards (endpoint or link bound to a different tenant)."),
 
-		reasmEvictions: reg.Counter("vnetp_reassembly_evictions_total",
-			"Stale partial reassemblies aged out."),
 		txBatchSize: reg.Histogram("vnetp_tx_batch_size",
 			"Frames a link's TX sender took off its ring per wakeup.",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
@@ -186,6 +181,16 @@ func (n *Node) registerNodeFuncs() {
 	reg := m.reg
 	reg.GaugeFunc("vnetp_dispatchers", "Receive dispatcher pool size.",
 		func() float64 { return float64(len(n.shards)) })
+	// The scalar drop families are the ledger's own counts under their
+	// original names.
+	for _, v := range []struct{ name, help, reason string }{
+		{"vnetp_no_route_drops_total", "Frames dropped for lack of a route or link.", dropNoRoute},
+		{"vnetp_bad_packets_total", "Malformed encapsulation datagrams rejected.", dropBadPacket},
+		{"vnetp_cross_tenant_drops_total", "Frames dropped by the tenancy guards (endpoint or link bound to a different tenant).", dropCrossTenant},
+		{"vnetp_reassembly_evictions_total", "Stale partial reassemblies aged out.", dropReassemblyEvict},
+	} {
+		reg.CounterFunc(v.name, v.help, func() uint64 { return n.ledger.Count(v.reason) })
+	}
 	reg.CounterFunc("vnetp_route_cache_hits_total", "Routing-cache hits.",
 		func() uint64 { h, _ := n.table.CacheStats(); return h })
 	reg.CounterFunc("vnetp_route_cache_misses_total", "Routing-cache misses.",
@@ -199,6 +204,7 @@ func (n *Node) registerNodeFuncs() {
 	for _, s := range n.shards {
 		s := s
 		w := strconv.Itoa(s.idx)
+		m.dispDrops.With(w) // the drop funnel moves only children that exist
 		m.dispRing.Func(func() float64 { return float64(len(s.in)) }, w)
 		m.reasmPending.Func(func() float64 {
 			s.mu.Lock()
@@ -251,14 +257,14 @@ func (n *Node) Telemetry() *telemetry.Registry { return n.metrics.reg }
 
 // newLinkCounters hands a fresh (or re-added) link its registry
 // children. Caller must have dropped any previous link of the same id
-// via dropLinkMetrics so counters restart from zero, matching the
+// (Registry.DeleteLabel) so counters restart from zero, matching the
 // pre-registry semantics of a replaced link.
 func (n *Node) newLinkCounters(lk *link) {
 	m := n.metrics
 	lk.sendErrors = m.linkSendErrors.With(lk.id)
 	lk.bytesSent = m.linkBytesSent.With(lk.id)
 	lk.bytesRecv = m.linkBytesRecv.With(lk.id)
-	lk.txDrops = m.linkTxDrops.With(lk.id)
+	m.linkTxDrops.With(lk.id) // moved by the drop funnel, by link id
 	m.linkTxOffload.Func(func() float64 {
 		if tr := lk.transport.Load(); tr.proto == "udp" && tr.sa != nil && tr.fault == nil && lk.refused.Load() != tr {
 			return 1
@@ -273,113 +279,162 @@ func (n *Node) newLinkCounters(lk *link) {
 	}
 }
 
-// dropLinkMetrics removes a link's children from every per-link family
-// (link deleted or replaced).
-func (n *Node) dropLinkMetrics(id string) {
-	m := n.metrics
-	for _, v := range []*telemetry.CounterVec{
-		m.linkSendErrors, m.linkBytesSent, m.linkBytesRecv,
-		m.linkProbesSent, m.linkProbesLost, m.linkReplies,
-		m.linkFailovers, m.linkFailbacks, m.linkRedials, m.linkUpgrades,
-		m.linkTxDrops, m.linkTxFrames, m.modeSwitches,
-	} {
-		v.Delete(id)
-	}
-	m.linkState.Delete(id)
-	m.linkRTT.Delete(id)
-	m.linkTxDepth.Delete(id)
-	m.linkTxOffload.Delete(id)
-	m.dispatchMode.Delete(id)
-}
-
 // --- control-plane rendering ---
 //
-// The renderers below are the single source of the "name value" counter
-// lines the control language exposes (LIST STATS, LINK STATUS, LIST
-// HEALTH). They read exactly the registry handles /metrics scrapes.
+// The tables and renderers below are the single source of the "name
+// value" counter lines the control language exposes (LIST STATS, LINK
+// STATUS, LIST HEALTH), each number out of one registry gather.
+
+// gathered is one registry gather.
+type gathered []telemetry.FamilySnapshot
+
+// sum totals a counter or gauge family's children: all of them, or, given
+// one of the family's labels, those whose value for it is one of values.
+func (g gathered) sum(family, label string, values ...string) uint64 {
+	var t float64
+	for _, f := range g {
+		if f.Name != family {
+			continue
+		}
+		col := slices.Index(f.LabelNames, label)
+		for _, s := range f.Samples {
+			if col < 0 || slices.Contains(values, s.LabelValues[col]) {
+				t += s.Value
+			}
+		}
+	}
+	return uint64(t)
+}
+
+// statRow declares one LIST STATS line: its key and the registry family
+// it totals (with Label, only the children whose Label is one of Values).
+type statRow struct {
+	Key, Family string
+	Label       string
+	Values      []string
+}
+
+// statRows is the LIST STATS table, top to bottom, for this node's
+// dispatcher pool. The line set and order are pinned
+// (TestListStatsBackcompat): everything after the dispatcher block is
+// append-only, the ledger block growing at its own end and "anomalies"
+// staying last.
+func (n *Node) statRows() []statRow {
+	rows := []statRow{
+		{Key: "encap_sent", Family: "vnetp_encap_sent_total"},
+		{Key: "encap_recv", Family: "vnetp_encap_recv_total"},
+		{Key: "delivered", Family: "vnetp_frames_delivered_total"},
+		{Key: "no_route_drops", Family: "vnetp_no_route_drops_total"},
+		{Key: "bad_packets", Family: "vnetp_bad_packets_total"},
+		{Key: "send_errors", Family: "vnetp_link_send_errors_total"},
+		{Key: "route_cache_hits", Family: "vnetp_route_cache_hits_total"},
+		{Key: "route_cache_misses", Family: "vnetp_route_cache_misses_total"},
+		{Key: "probes_sent", Family: "vnetp_link_probes_sent_total"},
+		{Key: "probes_lost", Family: "vnetp_link_probes_lost_total"},
+		{Key: "failovers", Family: "vnetp_link_failovers_total"},
+		{Key: "failbacks", Family: "vnetp_link_failbacks_total"},
+		{Key: "redials", Family: "vnetp_link_redials_total"},
+		{Key: "link_upgrades", Family: "vnetp_link_upgrades_total"},
+		{Key: "dispatchers", Family: "vnetp_dispatchers"},
+	}
+	for i := range n.shards {
+		w := strconv.Itoa(i)
+		for _, kind := range []string{"datagrams", "frames", "drops"} {
+			rows = append(rows, statRow{Key: "dispatcher_" + w + "_" + kind,
+				Family: "vnetp_dispatcher_" + kind + "_total", Label: "worker", Values: []string{w}})
+		}
+	}
+	rows = append(rows, []statRow{
+		// A node total must not go backwards: the per-link family forgets
+		// a deleted link, the ledger does not.
+		{Key: "tx_ring_drops", Family: "vnetp_drops_total", Label: "reason", Values: []string{dropTxRing, dropTxTeardown}},
+		{Key: "encap_pool_hits", Family: "vnetp_encap_pool_hits_total"},
+		{Key: "encap_pool_misses", Family: "vnetp_encap_pool_misses_total"},
+		{Key: "sealed_sent", Family: "vnetp_seal_sealed_total"},
+		{Key: "sealed_opened", Family: "vnetp_seal_opened_total"},
+		{Key: "seal_rejects", Family: "vnetp_seal_reject_total"},
+		{Key: "cross_tenant_drops", Family: "vnetp_cross_tenant_drops_total"},
+		{Key: "tenants", Family: "vnetp_tenants"},
+		{Key: "flow_cache_hits", Family: "vnetp_flow_cache_hits_total"},
+		{Key: "flow_cache_misses", Family: "vnetp_flow_cache_misses_total"},
+		{Key: "flow_cache_evictions", Family: "vnetp_flow_cache_evictions_total"},
+		{Key: "flow_cache_entries", Family: "vnetp_flow_cache_entries"},
+		{Key: "drops_total", Family: "vnetp_drops_total"},
+	}...)
+	for _, r := range dropReasons {
+		rows = append(rows, statRow{Key: "drops_" + r, Family: "vnetp_drops_total", Label: "reason", Values: []string{r}})
+	}
+	return append(rows, statRow{Key: "anomalies", Family: "vnetp_anomalies_total"})
+}
+
+// Stats reports the node's traffic counters (LIST STATS in the control
+// language): statRows rendered from one gather, so every value is the
+// one /metrics scrapes (TestTelemetryEndToEnd checks them line by line).
+func (n *Node) Stats() []string {
+	g := gathered(n.metrics.reg.Gather())
+	var out []string
+	for _, r := range n.statRows() {
+		out = append(out, statLine(r.Key, g.sum(r.Family, r.Label, r.Values...)))
+	}
+	return out
+}
 
 // statLine renders one control-plane counter line.
 func statLine(name string, v uint64) string {
 	return fmt.Sprintf("%s %d", name, v)
 }
 
-// linkSnapshot is one link's counter state, captured under n.mu and
-// rendered by both LINK STATUS and LIST HEALTH.
-type linkSnapshot struct {
-	id, proto, remote string
-	monitored         bool
-	state             LinkState
-	rttUS             int64
-	lossPct           float64
-
-	probesSent, probesLost, repliesRecv       uint64
-	failovers, failbacks, redials, upgrades   uint64
-	sendErrors, bytesSent, bytesRecv, txDrops uint64
+// linkRows is the LINK STATUS counter block in print order: key, per-link
+// family, and whether the line exists only on a monitored link. The order
+// up to "upgrades" is pinned for backward compatibility; the byte
+// counters and TX ring drops append after.
+var linkRows = []struct {
+	key, family string
+	health      bool
+}{
+	{"probes_sent", "vnetp_link_probes_sent_total", true},
+	{"probes_lost", "vnetp_link_probes_lost_total", true},
+	{"replies_recv", "vnetp_link_probe_replies_total", true},
+	{"send_errors", "vnetp_link_send_errors_total", false},
+	{"failovers", "vnetp_link_failovers_total", true},
+	{"failbacks", "vnetp_link_failbacks_total", true},
+	{"redials", "vnetp_link_redials_total", true},
+	{"upgrades", "vnetp_link_upgrades_total", true},
+	{"bytes_sent", "vnetp_link_bytes_sent_total", false},
+	{"bytes_recv", "vnetp_link_bytes_recv_total", false},
+	{"tx_ring_drops", "vnetp_link_tx_ring_drops_total", false},
 }
 
-// snapshotLinkLocked captures a link's counters. Caller holds n.mu.
-func (n *Node) snapshotLinkLocked(lk *link) linkSnapshot {
-	s := linkSnapshot{
-		id: lk.id, proto: lk.transport.Load().proto, remote: lk.remote,
-		sendErrors: lk.sendErrors.Load(),
-		bytesSent:  lk.bytesSent.Load(),
-		bytesRecv:  lk.bytesRecv.Load(),
-		txDrops:    lk.txDrops.Load(),
+// linkStatusLines renders a link in LINK STATUS form and linkSummaryLine
+// in LIST HEALTH one-line form: liveness from the link's health state
+// (caller holds n.mu), counters from the gather by the link's label.
+func linkStatusLines(g gathered, lk *link) []string {
+	lines := []string{fmt.Sprintf("link %s proto %s remote %s", lk.id, lk.transport.Load().proto, lk.remote)}
+	h := lk.health
+	if h == nil {
+		lines = append(lines, "state unmonitored")
+	} else {
+		lines = append(lines,
+			fmt.Sprintf("state %s", h.state),
+			statLine("rtt_us", uint64(h.rtt.Microseconds())),
+			fmt.Sprintf("loss_pct %.1f", h.lossRate()*100))
 	}
-	if h := lk.health; h != nil {
-		s.monitored = true
-		s.state = h.state
-		s.rttUS = h.rtt.Microseconds()
-		s.lossPct = h.lossRate() * 100
-		s.probesSent = h.probesSent.Load()
-		s.probesLost = h.probesLost.Load()
-		s.repliesRecv = h.repliesRecv.Load()
-		s.failovers = h.failovers.Load()
-		s.failbacks = h.failbacks.Load()
-		s.redials = h.redials.Load()
-		s.upgrades = h.upgrades.Load()
+	for _, r := range linkRows {
+		if h != nil || !r.health {
+			lines = append(lines, statLine(r.key, g.sum(r.family, "link", lk.id)))
+		}
 	}
-	return s
+	return lines
 }
 
-// statusLines renders a snapshot in LINK STATUS form. The line set and
-// order up to "upgrades" are pinned for backward compatibility; the
-// bytes counters and TX ring drops append after.
-func (s linkSnapshot) statusLines() []string {
-	lines := []string{fmt.Sprintf("link %s proto %s remote %s", s.id, s.proto, s.remote)}
-	if !s.monitored {
-		return append(lines,
-			"state unmonitored",
-			statLine("send_errors", s.sendErrors),
-			statLine("bytes_sent", s.bytesSent),
-			statLine("bytes_recv", s.bytesRecv),
-			statLine("tx_ring_drops", s.txDrops),
-		)
-	}
-	return append(lines,
-		fmt.Sprintf("state %s", s.state),
-		statLine("rtt_us", uint64(s.rttUS)),
-		fmt.Sprintf("loss_pct %.1f", s.lossPct),
-		statLine("probes_sent", s.probesSent),
-		statLine("probes_lost", s.probesLost),
-		statLine("replies_recv", s.repliesRecv),
-		statLine("send_errors", s.sendErrors),
-		statLine("failovers", s.failovers),
-		statLine("failbacks", s.failbacks),
-		statLine("redials", s.redials),
-		statLine("upgrades", s.upgrades),
-		statLine("bytes_sent", s.bytesSent),
-		statLine("bytes_recv", s.bytesRecv),
-		statLine("tx_ring_drops", s.txDrops),
-	)
-}
-
-// summaryLine renders a snapshot in LIST HEALTH one-line form.
-func (s linkSnapshot) summaryLine() string {
-	if !s.monitored {
-		return fmt.Sprintf("%s %s unmonitored", s.id, s.proto)
+func linkSummaryLine(g gathered, lk *link) string {
+	proto, h := lk.transport.Load().proto, lk.health
+	if h == nil {
+		return fmt.Sprintf("%s %s unmonitored", lk.id, proto)
 	}
 	return fmt.Sprintf("%s %s %s rtt_us=%d loss_pct=%.1f sent=%d lost=%d send_errors=%d",
-		s.id, s.proto, s.state, s.rttUS, s.lossPct,
-		s.probesSent, s.probesLost, s.sendErrors)
+		lk.id, proto, h.state, h.rtt.Microseconds(), h.lossRate()*100,
+		g.sum("vnetp_link_probes_sent_total", "link", lk.id),
+		g.sum("vnetp_link_probes_lost_total", "link", lk.id),
+		g.sum("vnetp_link_send_errors_total", "link", lk.id))
 }

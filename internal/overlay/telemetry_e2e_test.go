@@ -182,38 +182,31 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect := map[string]func() float64{
-		"encap_sent":           func() float64 { return series["vnetp_encap_sent_total"] },
-		"encap_recv":           func() float64 { return series["vnetp_encap_recv_total"] },
-		"delivered":            func() float64 { return series["vnetp_frames_delivered_total"] },
-		"no_route_drops":       func() float64 { return series["vnetp_no_route_drops_total"] },
-		"bad_packets":          func() float64 { return series["vnetp_bad_packets_total"] },
-		"send_errors":          func() float64 { return sumFamily(series, "vnetp_link_send_errors_total") },
-		"route_cache_hits":     func() float64 { return series["vnetp_route_cache_hits_total"] },
-		"route_cache_misses":   func() float64 { return series["vnetp_route_cache_misses_total"] },
-		"probes_sent":          func() float64 { return sumFamily(series, "vnetp_link_probes_sent_total") },
-		"probes_lost":          func() float64 { return sumFamily(series, "vnetp_link_probes_lost_total") },
-		"failovers":            func() float64 { return sumFamily(series, "vnetp_link_failovers_total") },
-		"failbacks":            func() float64 { return sumFamily(series, "vnetp_link_failbacks_total") },
-		"redials":              func() float64 { return sumFamily(series, "vnetp_link_redials_total") },
-		"link_upgrades":        func() float64 { return sumFamily(series, "vnetp_link_upgrades_total") },
-		"dispatchers":          func() float64 { return series["vnetp_dispatchers"] },
-		"tx_ring_drops":        func() float64 { return sumFamily(series, "vnetp_link_tx_ring_drops_total") },
-		"encap_pool_hits":      func() float64 { return series["vnetp_encap_pool_hits_total"] },
-		"encap_pool_misses":    func() float64 { return series["vnetp_encap_pool_misses_total"] },
-		"sealed_sent":          func() float64 { return series["vnetp_seal_sealed_total"] },
-		"sealed_opened":        func() float64 { return series["vnetp_seal_opened_total"] },
-		"seal_rejects":         func() float64 { return sumFamily(series, "vnetp_seal_reject_total") },
-		"cross_tenant_drops":   func() float64 { return series["vnetp_cross_tenant_drops_total"] },
-		"tenants":              func() float64 { return series["vnetp_tenants"] },
-		"flow_cache_hits":      func() float64 { return series["vnetp_flow_cache_hits_total"] },
-		"flow_cache_misses":    func() float64 { return series["vnetp_flow_cache_misses_total"] },
-		"flow_cache_evictions": func() float64 { return series["vnetp_flow_cache_evictions_total"] },
-		"flow_cache_entries":   func() float64 { return series["vnetp_flow_cache_entries"] },
-		"drops_total":          func() float64 { return sumFamily(series, "vnetp_drops_total") },
-		"anomalies":            func() float64 { return sumFamily(series, "vnetp_anomalies_total") },
+	// The table the renderer walks, read against the scrape: a row totals
+	// its family's series, or with a label only those carrying one of the
+	// row's values.
+	want := map[string]float64{}
+	for _, r := range na.StatRows() {
+		var sum float64
+		for k, v := range series {
+			name, labels, _ := strings.Cut(k, "{")
+			if name != r.Family {
+				continue
+			}
+			for _, val := range r.Values {
+				if strings.Contains(labels, fmt.Sprintf(`%s="%s"`, r.Label, val)) {
+					sum += v
+				}
+			}
+			if r.Label == "" {
+				sum += v
+			}
+		}
+		want[r.Key] = sum
 	}
-	checked := 0
+	if len(lines) != len(want) {
+		t.Fatalf("LIST STATS has %d lines, the table read against the scrape gives %d", len(lines), len(want))
+	}
 	for _, line := range lines {
 		f := strings.Fields(line)
 		if len(f) != 2 {
@@ -223,31 +216,20 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad LIST STATS value %q: %v", line, err)
 		}
-		var want float64
-		switch {
-		case expect[f[0]] != nil:
-			want = expect[f[0]]()
-		case strings.HasPrefix(f[0], "drops_"):
-			// Per-reason ledger lines map onto the unified family's
-			// labeled children.
-			want = series[fmt.Sprintf(`vnetp_drops_total{reason="%s"}`, strings.TrimPrefix(f[0], "drops_"))]
-		case strings.HasPrefix(f[0], "dispatcher_"):
-			var idx int
-			var kind string
-			if _, err := fmt.Sscanf(f[0], "dispatcher_%d_%s", &idx, &kind); err != nil {
-				t.Fatalf("unexpected dispatcher line %q", line)
-			}
-			want = series[fmt.Sprintf(`vnetp_dispatcher_%s_total{worker="%d"}`, kind, idx)]
-		default:
+		w, ok := want[f[0]]
+		if !ok {
 			t.Fatalf("LIST STATS line %q has no scrape mapping", line)
 		}
-		if got != want {
-			t.Fatalf("LIST STATS %s = %v but scrape says %v", f[0], got, want)
+		if got != w {
+			t.Fatalf("LIST STATS %s = %v but scrape says %v", f[0], got, w)
 		}
-		checked++
 	}
-	if checked < 15 {
-		t.Fatalf("only %d LIST STATS lines checked", checked)
+	// Traffic went both ways with probing on: the lines it moves are not
+	// all zero on both sides of the comparison.
+	for _, key := range []string{"encap_sent", "encap_recv", "delivered", "probes_sent", "dispatchers", "flow_cache_hits"} {
+		if want[key] == 0 {
+			t.Fatalf("LIST STATS %s is zero after traffic", key)
+		}
 	}
 }
 

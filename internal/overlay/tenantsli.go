@@ -24,6 +24,7 @@
 package overlay
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 
@@ -95,4 +96,25 @@ func (s *tenantSLIs) get(tenant uint32) *tenantSLI {
 	}
 	actual, _ := s.m.LoadOrStore(tenant, sli)
 	return actual.(*tenantSLI)
+}
+
+// TenantSummary renders the configured tenants for LIST TENANTS: ID,
+// key fingerprint (never the key), remote origins heard, the tenant's
+// route count, and the tenant's SLIs (frames in/out, ledger drops, and
+// seal rejects charged to the tenant). Fields are append-only within
+// each line, so parsers of the original prefix keep working.
+func (n *Node) TenantSummary() []string {
+	out := []string{}
+	for _, ti := range n.keyring.Tenants() {
+		routes := 0
+		if tbl := n.tenants.Table(ti.ID); tbl != nil {
+			routes = len(tbl.Routes())
+		}
+		sli := n.slis.get(ti.ID)
+		out = append(out, fmt.Sprintf("TENANT %d KEY %s ORIGINS %d ROUTES %d IN %d OUT %d DROPS %d REJECTS %d",
+			ti.ID, ti.Fingerprint, ti.Origins, routes,
+			sli.framesIn.Load(), sli.framesOut.Load(),
+			sli.drops.Load(), sli.sealRejects.Load()))
+	}
+	return out
 }

@@ -48,7 +48,6 @@ func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 	case lk.txq <- txFrame{f: f, at: at}:
 		lk.txFrames.Inc() // the adaptive controller's rate sensor
 	default:
-		lk.txDrops.Add(1)
 		n.drop(dropTxRing, 1, telemetry.DropDetail{
 			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_ring",
 			Flow: core.FlowKey{Tenant: lk.tenant, Src: f.Src, Dst: f.Dst}.String(),
@@ -87,7 +86,6 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	batch := make([]txFrame, 0, n.cfg.TxBatch)
 	defer func() {
 		if len(batch) > 0 {
-			lk.txDrops.Add(uint64(len(batch)))
 			n.drop(dropTxTeardown, uint64(len(batch)), telemetry.DropDetail{
 				Tenant: lk.tenant, Scope: lk.id, Stage: "tx_teardown",
 			})

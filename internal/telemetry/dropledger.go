@@ -10,9 +10,10 @@ import (
 // drop site names a reason from a fixed vocabulary declared at
 // construction; the ledger backs one vnetp_drops_total{reason=...}
 // counter family and remembers a short tail of per-reason drop details
-// for the diagnostic bundle. Legacy per-site counter families stay alive
-// as views — a drop site increments both — so existing dashboards and
-// the LIST STATS pin remain append-only.
+// for the diagnostic bundle. The ledger is the only thing a drop site
+// increments: the older per-site counter families stay on /metrics as
+// views its owner derives from it (internal/overlay/ledger.go), so
+// existing dashboards and the LIST STATS pin remain append-only.
 //
 // The accounting contract mirrors the TX rules: one observed drop
 // increments exactly one ledger reason, exactly once.

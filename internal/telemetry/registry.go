@@ -12,6 +12,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -231,6 +232,16 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
 }
 
+// Lookup returns the child for the label values, or nil when there is
+// none: never created, or deleted with what it labelled (a removed link).
+// For a writer that must not bring a deleted child back.
+func (v *CounterVec) Lookup(values ...string) *Counter {
+	v.f.mu.RLock()
+	defer v.f.mu.RUnlock()
+	c, _ := v.f.children[strings.Join(values, labelSep)].(*Counter)
+	return c
+}
+
 // Delete removes the child for the label values (e.g. a removed link).
 func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
 
@@ -278,6 +289,28 @@ func (v *HistogramVec) Delete(values ...string) { v.f.delete(values) }
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+}
+
+// DeleteLabel removes, from every family that has the label, the children
+// whose value for it is value: everything registered about a link or an
+// endpoint that is gone, without a list of those families kept by hand.
+func (r *Registry) DeleteLabel(label, value string) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, f := range r.families {
+		col := slices.Index(f.labels, label)
+		if col < 0 {
+			continue
+		}
+		f.mu.Lock()
+		for key, values := range f.values {
+			if values[col] == value {
+				delete(f.children, key)
+				delete(f.values, key)
+			}
+		}
+		f.mu.Unlock()
+	}
 }
 
 // NewRegistry returns an empty registry.

@@ -196,3 +196,45 @@ func TestReRegistration(t *testing.T) {
 	}()
 	r.Gauge("again_total", "x")
 }
+
+// TestLookupAndDeleteLabel: Lookup finds a child without creating one,
+// and DeleteLabel takes a label value's children out of every family
+// that has the label — whatever else labels them — and out of no other.
+func TestLookupAndDeleteLabel(t *testing.T) {
+	r := NewRegistry()
+	errs := r.CounterVec("test_link_errors_total", "Per-link errors.", "link")
+	depth := r.GaugeVec("test_link_depth", "Per-link depth.", "link")
+	byKind := r.CounterVec("test_kind_link_total", "Two labels.", "kind", "link")
+	workers := r.CounterVec("test_worker_total", "Another label.", "worker")
+	errs.With("a").Add(3)
+	errs.With("b").Inc()
+	depth.With("a").Set(2)
+	byKind.With("x", "a").Inc()
+	byKind.With("a", "b").Inc() // "a" as a kind, not a link
+	workers.With("a").Inc()
+
+	if c := errs.Lookup("a"); c == nil || c.Load() != 3 {
+		t.Fatalf("Lookup(a) = %v, want the child holding 3", c)
+	}
+	if errs.Lookup("never") != nil {
+		t.Fatal("Lookup found a child nobody created")
+	}
+	r.DeleteLabel("link", "a")
+	if errs.Lookup("a") != nil {
+		t.Fatal("deleted child still found")
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{`link="a"}`, `link="never"}`} {
+		if strings.Contains(b.String(), gone) {
+			t.Fatalf("%s survived DeleteLabel:\n%s", gone, b.String())
+		}
+	}
+	for _, kept := range []string{`test_link_errors_total{link="b"} 1`, `test_kind_link_total{kind="a",link="b"} 1`, `test_worker_total{worker="a"} 1`} {
+		if !strings.Contains(b.String(), kept) {
+			t.Fatalf("%s lost to DeleteLabel:\n%s", kept, b.String())
+		}
+	}
+}

@@ -1,80 +1,121 @@
 // Command driftcheck keeps DESIGN.md and the code in lockstep on the
 // two observability vocabularies tooling depends on:
 //
-//   - every `vnetp_*` metric family registered in code must appear in
-//     DESIGN.md's metrics index, and every family the index documents
-//     must exist in code;
+//   - DESIGN.md's metrics index, the block between the metrics-index
+//     markers, is generated: one line per family a node registers, from
+//     the registry's own name, type, label names and help. driftcheck
+//     boots a node, renders the block and fails when DESIGN.md's differs;
+//     with -write (`make metrics-index`) it rewrites it instead;
 //   - every trace stage constant in internal/trace must appear on the
-//     "Stages:" line of DESIGN.md's tracing section, and vice versa.
+//     "Stages:" line of DESIGN.md's tracing section, and vice versa (a
+//     text scan of the package's sources).
 //
-// It is a pure-stdlib text scan (no build, no network) run by `make
-// verify` and CI, so renaming a metric or adding a stage without
-// updating the documentation fails the gate.
-//
-// Parsing rules: code metric names are quoted "vnetp_..." literals in
-// non-test .go files (histogram _bucket/_sum/_count derivations collapse
-// into their base family); DESIGN.md metric tokens are `vnetp_[a-z0-9_]+`
-// words, with tokens ending in "_" discarded — those are prefixes from
-// glob or brace shorthand (`vnetp_dispatcher_*_total`,
-// `vnetp_link_bytes_{sent,recv}_total`), which the full-name index makes
-// redundant.
+// Run by `make verify` and CI, so adding, renaming or re-describing a
+// metric, or adding a stage, without updating the documentation fails
+// the gate. The node binds a loopback UDP port; nothing leaves the host.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+
+	"vnetp/internal/overlay"
+	"vnetp/internal/telemetry"
+)
+
+const (
+	indexBegin = "<!-- metrics-index:begin -->\n"
+	indexEnd   = "<!-- metrics-index:end -->\n"
 )
 
 var (
-	codeMetricRe   = regexp.MustCompile(`"(vnetp_[a-z0-9_]+)"`)
-	designMetricRe = regexp.MustCompile(`vnetp_[a-z0-9_]+`)
-	stageConstRe   = regexp.MustCompile(`Stage[A-Za-z]+\s*=\s*"([a-z_]+)"`)
-	stageTokenRe   = regexp.MustCompile("`([a-z_]+)`")
+	stageConstRe = regexp.MustCompile(`Stage[A-Za-z]+\s*=\s*"([a-z_]+)"`)
+	stageTokenRe = regexp.MustCompile("`([a-z_]+)`")
 )
 
 func main() {
+	write := flag.Bool("write", false, "rewrite DESIGN.md's metrics index instead of checking it")
+	flag.Parse()
 	root := "."
-	if len(os.Args) > 1 {
-		root = os.Args[1]
+	if flag.NArg() > 0 {
+		root = flag.Arg(0)
 	}
-	codeMetrics, err := collectCodeMetrics(root)
+	designPath := filepath.Join(root, "DESIGN.md")
+	design, err := os.ReadFile(designPath)
 	if err != nil {
 		fatal(err)
 	}
+	head, rest, okBegin := strings.Cut(string(design), indexBegin)
+	docIndex, tail, okEnd := strings.Cut(rest, indexEnd)
+	if !okBegin || !okEnd {
+		fatal(fmt.Errorf("DESIGN.md has no metrics-index:begin/end markers"))
+	}
+	n, err := overlay.NewNode("driftcheck", "127.0.0.1:0")
+	if err != nil {
+		fatal(err)
+	}
+	fams := n.Telemetry().Gather()
+	n.Close()
+	index := metricsIndex(fams)
+	if *write {
+		if err := os.WriteFile(designPath, []byte(head+indexBegin+index+indexEnd+tail), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("driftcheck: wrote %d metric families to DESIGN.md\n", len(fams))
+		return
+	}
+
 	codeStages, err := collectCodeStages(filepath.Join(root, "internal", "trace"))
 	if err != nil {
 		fatal(err)
 	}
-	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
-	if err != nil {
-		fatal(err)
-	}
-	docMetrics := collectDesignMetrics(string(design))
 	docStages, err := collectDesignStages(string(design))
 	if err != nil {
 		fatal(err)
 	}
-
 	failures := 0
-	failures += diff("metric", "code", "DESIGN.md", codeMetrics, docMetrics)
-	failures += diff("metric", "DESIGN.md", "code", docMetrics, codeMetrics)
+	failures += diff("metrics index line", "the registry", "DESIGN.md (run `make metrics-index`)", lineSet(index), lineSet(docIndex))
+	failures += diff("metrics index line", "DESIGN.md", "the registry (run `make metrics-index`)", lineSet(docIndex), lineSet(index))
 	failures += diff("stage", "code", "DESIGN.md", codeStages, docStages)
 	failures += diff("stage", "DESIGN.md", "code", docStages, codeStages)
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "driftcheck: %d name(s) drifted between code and DESIGN.md\n", failures)
+		fmt.Fprintf(os.Stderr, "driftcheck: %d line(s) or name(s) drifted between code and DESIGN.md\n", failures)
 		os.Exit(1)
 	}
 	fmt.Printf("driftcheck: %d metric families and %d trace stages in sync\n",
-		len(codeMetrics), len(codeStages))
+		len(fams), len(codeStages))
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "driftcheck: %v\n", err)
 	os.Exit(1)
+}
+
+// metricsIndex renders the generated block: a line per family, sorted by
+// name as Gather returns them.
+func metricsIndex(fams []telemetry.FamilySnapshot) string {
+	var b strings.Builder
+	for _, f := range fams {
+		labels := ""
+		if len(f.LabelNames) > 0 {
+			labels = "{" + strings.Join(f.LabelNames, ",") + "}"
+		}
+		fmt.Fprintf(&b, "* `%s%s` (%s): %s\n", f.Name, labels, f.Type, f.Help)
+	}
+	return b.String()
+}
+
+func lineSet(block string) map[string]bool {
+	lines := map[string]bool{}
+	for _, l := range strings.Split(strings.TrimSuffix(block, "\n"), "\n") {
+		lines[l] = true
+	}
+	return lines
 }
 
 // diff reports every name in a that is missing from b.
@@ -90,44 +131,6 @@ func diff(kind, aName, bName string, a, b map[string]bool) int {
 		fmt.Fprintf(os.Stderr, "driftcheck: %s %q is in %s but not in %s\n", kind, name, aName, bName)
 	}
 	return len(missing)
-}
-
-// collectCodeMetrics scans every non-test .go file under internal/ and
-// cmd/ for quoted vnetp_* literals. Histogram expansion references
-// (_bucket/_sum/_count) collapse into their base family when the base
-// is also present, since the exposition derives them.
-func collectCodeMetrics(root string) (map[string]bool, error) {
-	names := map[string]bool{}
-	for _, dir := range []string{"internal", "cmd"} {
-		err := filepath.Walk(filepath.Join(root, dir), func(path string, info os.FileInfo, err error) error {
-			if err != nil {
-				return err
-			}
-			if info.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			for _, m := range codeMetricRe.FindAllStringSubmatch(string(b), -1) {
-				names[m[1]] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for name := range names {
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if base := strings.TrimSuffix(name, suffix); base != name && names[base] {
-				delete(names, name)
-				break
-			}
-		}
-	}
-	return names, nil
 }
 
 // collectCodeStages pulls the Stage* string constants from the trace
@@ -154,19 +157,6 @@ func collectCodeStages(dir string) (map[string]bool, error) {
 		return nil, fmt.Errorf("no Stage constants found under %s", dir)
 	}
 	return stages, nil
-}
-
-// collectDesignMetrics pulls vnetp_* tokens out of DESIGN.md, dropping
-// trailing-underscore prefixes left by glob/brace shorthand.
-func collectDesignMetrics(design string) map[string]bool {
-	names := map[string]bool{}
-	for _, tok := range designMetricRe.FindAllString(design, -1) {
-		if strings.HasSuffix(tok, "_") {
-			continue
-		}
-		names[tok] = true
-	}
-	return names
 }
 
 // collectDesignStages parses the "Stages:" sentence of the tracing
