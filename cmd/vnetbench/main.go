@@ -7,14 +7,9 @@
 //	vnetbench -list
 //	vnetbench -exp fig8
 //	vnetbench -all
-//	vnetbench -json BENCH_microbench.json
 //
-// The -json mode runs the microbenchmarks and writes a JSON array of
-// {id, metric, value, unit} records for CI artifact collection. Besides
-// the simulated figures this includes the live "tracebench" sweep: the
-// real-socket overlay transmit path with trace sampling off, 1-in-1024,
-// and 1-in-16, reported as sampled:off throughput ratios (unit "%") so
-// benchguard can gate tracing overhead machine-independently.
+// The live node is measured by the end-to-end benchmark under
+// benchmark/ (see its README), not here.
 package main
 
 import (
@@ -30,24 +25,9 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
 	exp := flag.String("exp", "", "run one experiment by ID")
 	all := flag.Bool("all", false, "run every experiment")
-	jsonPath := flag.String("json", "", "run the microbenchmarks and write JSON records to this path")
 	flag.Parse()
 
 	switch {
-	case *jsonPath != "":
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			log.Fatalf("vnetbench: %v", err)
-		}
-		recs := experiments.CollectMicrobench()
-		if err := experiments.WriteJSON(f, recs); err != nil {
-			f.Close()
-			log.Fatalf("vnetbench: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("vnetbench: %v", err)
-		}
-		fmt.Printf("vnetbench: wrote %d records to %s\n", len(recs), *jsonPath)
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%-16s %s\n", e.ID, e.Title)

@@ -69,7 +69,6 @@ func main() {
 	txBatch := flag.Int("tx-batch", 1, "most frames a link's sender takes per wakeup and packs into shared datagrams (1: synchronous sends)")
 	adaptive := flag.Bool("adaptive", false, "per-link adaptive dispatch: retune batch size between latency and throughput mode by observed rate (implies batched transmit)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
-	rxBatch := flag.Int("rx-batch", 0, "datagrams drained from the UDP socket per wakeup, via recvmmsg where available (0: default 16, 1: one ReadFromUDP per datagram)")
 	telemetryAddr := flag.String("telemetry-addr", "", "HTTP address for /metrics, /trace, /flight, /topflows, /diag, /debug/pprof/, /healthz (empty: disabled)")
 	anomalyInterval := flag.Duration("anomaly-interval", 5*time.Second, "anomaly watchdog sample period (0: watchdog off)")
 	anomalyDropRate := flag.Float64("anomaly-drop-rate", 100, "ledger drops per second that trigger an anomaly alert")
@@ -108,7 +107,6 @@ func main() {
 		TxBatch:           *txBatch,
 		Adaptive:          overlay.AdaptiveConfig{Enabled: *adaptive},
 		FlowCacheDisabled: !*flowCache,
-		RxBatch:           *rxBatch,
 		TraceSample:       *traceSample,
 		FlightDepth:       *flightDepth,
 		Logger:            logger,

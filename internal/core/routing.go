@@ -156,61 +156,33 @@ type cacheKey struct {
 	src, dst ethernet.MAC
 }
 
-// cacheShards is the number of independent routing-cache segments. Hits
-// on different shards never touch the same lock, and hits on the same
-// shard share only a read lock, so the cache fast path is contention-free
-// under the overlay's dispatcher pool. Power of two for cheap masking.
-const cacheShards = 16
-
-// cacheShardCap bounds each routing-cache shard (16384 answers in all,
-// the flow cache's default working set). Without it a MAC scan on a
-// node with static routes grows a shard by one entry per distinct
-// (src, dst) until the next route mutation clears it.
-const cacheShardCap = 1024
-
-// cacheShard is one segment of the routing cache. Shard maps are written
-// only while the table's exclusive lock is held (miss fill, invalidation),
-// so a fill can never race an invalidation; the shard lock alone protects
-// readers on the hit path.
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey][]Destination
-}
-
-// shardIndex hashes a flow key onto a cache shard (FNV-1a over the 12
-// address bytes).
-func shardIndex(k cacheKey) int {
-	h := uint32(2166136261)
-	for _, b := range k.src {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	for _, b := range k.dst {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return int(h & (cacheShards - 1))
-}
+// cacheCap bounds the routing cache (the flow cache's default working
+// set). Without it a MAC scan on a node with static routes grows the
+// cache by one entry per distinct (src, dst) until the next route
+// mutation clears it.
+const cacheCap = 16384
 
 // Table is the VNET/P routing table: a linear-scan rule list indexed by
-// source and destination MAC, with a sharded hash routing cache layered on
-// top so the common case is a constant-time lookup (paper Sect. 4.3).
-// Table is safe for concurrent use; the real-socket overlay calls it from
-// multiple dispatcher goroutines, while the simulation is single-threaded.
-// Cache hits take only a per-shard read lock and bump atomic counters —
-// no exclusive lock anywhere on the hit path.
+// source and destination MAC, with one hash routing cache in front of it
+// so the common case is a constant-time lookup (paper Sect. 4.3). Table
+// is safe for concurrent use. The simulation (single-threaded) runs it
+// with the cache on; the real-socket overlay caches whole forwarding
+// decisions in its own flow cache and runs its tables with the cache
+// off (NewTenants), so its lookups are rule scans under the read lock.
 type Table struct {
 	mu     sync.RWMutex
 	routes []*Route
-	shards [cacheShards]cacheShard
-	failed map[Destination]bool // destinations currently failed over
+	cache  map[cacheKey][]Destination // written under mu held exclusively
+	failed map[Destination]bool       // destinations currently failed over
 
 	// CacheEnabled can be cleared to measure the cache's contribution
 	// (ablation benchmark). Set it before the table carries concurrent
 	// traffic. Enabled by default.
 	CacheEnabled bool
 
-	// Stats. Atomic so the hot lookup path never takes an exclusive lock
-	// just to bump a counter. Evictions counts answers displaced by the
-	// per-shard capacity bound.
+	// Stats. Atomic because hits and uncached scans count under the
+	// read lock. With the cache off every lookup is a miss. Evictions
+	// counts answers displaced by the capacity bound.
 	Hits, Misses, Evictions atomic.Uint64
 
 	// onInvalidate, when set, is called (under t.mu) every time the
@@ -224,28 +196,20 @@ type Table struct {
 
 // NewTable returns an empty routing table with the cache enabled.
 func NewTable() *Table {
-	t := &Table{
+	return &Table{
+		cache:        make(map[cacheKey][]Destination),
 		failed:       make(map[Destination]bool),
 		CacheEnabled: true,
 	}
-	for i := range t.shards {
-		t.shards[i].m = make(map[cacheKey][]Destination)
-	}
-	return t
 }
 
-// invalidateCacheLocked clears every cache shard. Caller holds t.mu
+// invalidateCacheLocked clears the routing cache. Caller holds t.mu
 // exclusively, which serializes the clear against miss-path fills: a
 // lookup that resolved routes under the old state can never insert its
 // stale answer after the clear, so invalidation is atomic with respect to
 // FailDest/RestoreDest and route mutations.
 func (t *Table) invalidateCacheLocked() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[cacheKey][]Destination)
-		sh.mu.Unlock()
-	}
+	clear(t.cache)
 	if t.onInvalidate != nil {
 		t.onInvalidate()
 	}
@@ -396,27 +360,51 @@ func (t *Table) CacheStats() (hits, misses uint64) {
 // result reports whether the answer came from the routing cache, so the
 // simulated datapath can charge the linear-scan cost only on misses.
 //
-// The hit path takes only the flow's shard read lock — concurrent hits
-// (the overlay's steady state) contend on nothing exclusive. Misses fall
-// back to the table lock to scan the rules and fill the cache; holding it
-// across resolve-and-fill keeps the fill atomic with invalidation.
+// A hit, and a scan with the cache off, hold only the read lock. A miss
+// with the cache on takes the table lock to scan the rules and fill the
+// cache; holding it across resolve-and-fill keeps the fill atomic with
+// invalidation.
 func (t *Table) Lookup(src, dst ethernet.MAC) ([]Destination, bool, error) {
+	if !t.CacheEnabled {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		t.Misses.Add(1)
+		dests, err := t.scanLocked(src, dst)
+		return dests, false, err
+	}
 	key := cacheKey{src, dst}
-	var sh *cacheShard
-	if t.CacheEnabled {
-		sh = &t.shards[shardIndex(key)]
-		sh.mu.RLock()
-		dests, ok := sh.m[key]
-		sh.mu.RUnlock()
-		if ok {
-			t.Hits.Add(1)
-			return dests, true, nil
-		}
+	t.mu.RLock()
+	dests, ok := t.cache[key]
+	t.mu.RUnlock()
+	if ok {
+		t.Hits.Add(1)
+		return dests, true, nil
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.Misses.Add(1)
+	dests, err := t.scanLocked(src, dst)
+	if err != nil {
+		return nil, false, err
+	}
+	// At capacity one resident answer goes — arbitrary victim, as in the
+	// overlay's flow cache: any answer can be recomputed from the rules,
+	// so victim choice is purely a performance question.
+	if _, resident := t.cache[key]; !resident && len(t.cache) >= cacheCap {
+		for victim := range t.cache {
+			delete(t.cache, victim)
+			t.Evictions.Add(1)
+			break
+		}
+	}
+	t.cache[key] = dests
+	return dests, false, nil
+}
+
+// scanLocked resolves a packet against the rule list. Caller holds at
+// least a read lock.
+func (t *Table) scanLocked(src, dst ethernet.MAC) ([]Destination, error) {
 	var dests []Destination
 	if dst.IsBroadcast() || dst.IsMulticast() {
 		seen := make(map[Destination]bool)
@@ -443,22 +431,7 @@ func (t *Table) Lookup(src, dst ethernet.MAC) ([]Destination, bool, error) {
 		}
 	}
 	if len(dests) == 0 {
-		return nil, false, ErrNoRoute
+		return nil, ErrNoRoute
 	}
-	if t.CacheEnabled {
-		// At capacity one resident answer goes — arbitrary victim, as in
-		// the overlay's flow cache: any answer can be recomputed from the
-		// rules, so victim choice is purely a performance question.
-		sh.mu.Lock()
-		if _, resident := sh.m[key]; !resident && len(sh.m) >= cacheShardCap {
-			for victim := range sh.m {
-				delete(sh.m, victim)
-				t.Evictions.Add(1)
-				break
-			}
-		}
-		sh.m[key] = dests
-		sh.mu.Unlock()
-	}
-	return dests, false, nil
+	return dests, nil
 }

@@ -244,15 +244,15 @@ func TestModeString(t *testing.T) {
 
 // TestRoutingCacheBounded: a MAC scan over static routes — ten times
 // the cache's capacity of distinct sources, no route mutation to clear
-// it — leaves every shard at or under its cap, counts what it
-// displaced, and every lookup (cached, displaced or fresh) still
-// resolves to the rule's answer.
+// it — leaves the cache at or under its cap, counts what it displaced,
+// and every lookup (cached, displaced or fresh) still resolves to the
+// rule's answer.
 func TestRoutingCacheBounded(t *testing.T) {
 	tbl := NewTable()
 	dst, special := ethernet.LocalMAC(1), ethernet.LocalMAC(7)
 	tbl.AddRoute(Route{DstMAC: dst, DstQual: QualExact, SrcQual: QualAny, Dest: linkDest("any")})
 	tbl.AddRoute(Route{DstMAC: dst, DstQual: QualExact, SrcMAC: special, SrcQual: QualExact, Dest: ifaceDest("special")})
-	const sources = 10 * cacheShards * cacheShardCap
+	const sources = 10 * cacheCap
 	want := func(src ethernet.MAC) Destination {
 		if src == special {
 			return ifaceDest("special")
@@ -268,17 +268,13 @@ func TestRoutingCacheBounded(t *testing.T) {
 			}
 		}
 	}
-	total := 0
-	for i := range tbl.shards {
-		sh := &tbl.shards[i]
-		if len(sh.m) > cacheShardCap {
-			t.Fatalf("shard %d holds %d answers, cap %d", i, len(sh.m), cacheShardCap)
-		}
-		total += len(sh.m)
+	resident := len(tbl.cache)
+	if resident > cacheCap {
+		t.Fatalf("cache holds %d answers, cap %d", resident, cacheCap)
 	}
 	hits, misses := tbl.CacheStats()
-	if ev := tbl.Evictions.Load(); ev == 0 || ev != misses-uint64(total) {
-		t.Fatalf("evictions = %d, want misses %d - resident %d", ev, misses, total)
+	if ev := tbl.Evictions.Load(); ev == 0 || ev != misses-uint64(resident) {
+		t.Fatalf("evictions = %d, want misses %d - resident %d", ev, misses, resident)
 	}
 	if hits+misses < sources {
 		t.Fatalf("hits %d + misses %d < %d lookups", hits, misses, sources)

@@ -12,10 +12,17 @@ import (
 const DefaultTenant uint32 = 0
 
 // Tenants is the tenant-scoping layer over the routing table: one
-// independent Table (rules, sharded cache, failover marks) per tenant
-// ID, so MAC namespaces never collide across tenants — two tenants can
-// both own 02:00:00:00:00:01 and route it to different places. The
-// default tenant's table always exists.
+// independent Table (rules, failover marks) per tenant ID, so MAC
+// namespaces never collide across tenants — two tenants can both own
+// 02:00:00:00:00:01 and route it to different places. The default
+// tenant's table always exists.
+//
+// Its tables run with the routing cache off. Tenants has one user, the
+// live overlay, whose flow cache already holds the whole forwarding
+// decision per (tenant, src, dst); a second cache under it, keyed alike
+// and capped alike, would fill and thrash in step with it and put an
+// exclusive lock on every flow-cache miss. The invalidation hook fires
+// on every edit all the same.
 type Tenants struct {
 	mu     sync.RWMutex
 	tables map[uint32]*Table
@@ -29,7 +36,13 @@ type Tenants struct {
 
 // NewTenants returns a tenant set holding only the default tenant.
 func NewTenants() *Tenants {
-	return &Tenants{tables: map[uint32]*Table{DefaultTenant: NewTable()}}
+	return &Tenants{tables: map[uint32]*Table{DefaultTenant: newTenantTable()}}
+}
+
+func newTenantTable() *Table {
+	t := NewTable()
+	t.CacheEnabled = false
+	return t
 }
 
 // Default returns the default tenant's table (never nil).
@@ -49,7 +62,7 @@ func (ts *Tenants) Ensure(id uint32) *Table {
 	defer ts.mu.Unlock()
 	t := ts.tables[id]
 	if t == nil {
-		t = NewTable()
+		t = newTenantTable()
 		if ts.invalidate != nil {
 			t.SetInvalidateHook(ts.invalidate)
 		}

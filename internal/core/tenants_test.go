@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"vnetp/internal/ethernet"
 )
@@ -78,4 +80,49 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestTenantTablesScanUnderReadLock: a tenant's table (default or
+// ensured) runs with the routing cache off, every lookup is a counted
+// rule scan, and the scan needs only the read lock — it completes while
+// another reader holds it, where an exclusive acquire would wait. The
+// invalidation hook still fires on a route edit.
+func TestTenantTablesScanUnderReadLock(t *testing.T) {
+	ts := NewTenants()
+	bumps := 0
+	ts.SetInvalidateHook(func() { bumps++ })
+	for _, tbl := range []*Table{ts.Default(), ts.Ensure(7)} {
+		if tbl.CacheEnabled {
+			t.Fatal("tenant table built with the routing cache on")
+		}
+		before := bumps
+		tbl.AddRoute(Route{DstQual: QualAny, SrcQual: QualAny, Dest: Destination{Type: DestLink, ID: "l"}})
+		if bumps != before+1 {
+			t.Fatalf("route edit fired the invalidation hook %d times, want 1", bumps-before)
+		}
+		tbl.mu.RLock()
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			for i := 0; i < 2 && err == nil; i++ {
+				var hit bool
+				if _, hit, err = tbl.Lookup(ethernet.LocalMAC(1), ethernet.LocalMAC(2)); hit {
+					err = errors.New("cache hit with the cache off")
+				}
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			tbl.mu.RUnlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("uncached Lookup blocked behind a held read lock")
+		}
+		if hits, misses := tbl.CacheStats(); hits != 0 || misses != 2 || len(tbl.cache) != 0 {
+			t.Fatalf("hits=%d misses=%d cached=%d, want 0/2/0", hits, misses, len(tbl.cache))
+		}
+	}
 }

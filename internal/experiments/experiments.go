@@ -3,6 +3,10 @@
 // the matching testbed(s), executes the workload, and prints rows shaped
 // like the paper's. The cmd/vnetbench binary and the repository-root
 // benchmarks both drive this package.
+//
+// Everything here is simulation: the package imports no live-node
+// package (the real-socket overlay is measured by benchmark/), and
+// TestFiguresGolden pins the fig5/fig8/fig9 series to testdata.
 package experiments
 
 import (

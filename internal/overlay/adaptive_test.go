@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vnetp/internal/adapt/rate"
 	"vnetp/internal/control"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
@@ -424,11 +425,18 @@ func TestTCPDialFailureChargesWholeBatch(t *testing.T) {
 	}
 }
 
+// echo is one completed ping-pong round: when the reply arrived and how
+// long the round took.
+type echo struct {
+	at  time.Time
+	rtt time.Duration
+}
+
 // echoPair builds two nodes of one config with a route each way and an
 // echo server on B that reflects every frame to its sender. pingPong
 // then runs one-outstanding echoes from A for at least the given time
-// and reports their round-trip times.
-func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingPong func(time.Duration) []time.Duration) {
+// and reports them in order.
+func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingPong func(time.Duration) []echo) {
 	na, nb, epA, epB := batchNodes(t, cfg, cfg, "udp")
 	if err := nb.AddLink("to-a", na.Addr(), "udp"); err != nil {
 		t.Fatal(err)
@@ -452,8 +460,8 @@ func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingP
 		}
 	}()
 	t.Cleanup(func() { close(done); <-served })
-	return na, nb, func(d time.Duration) []time.Duration {
-		var rtts []time.Duration
+	return na, nb, func(d time.Duration) []echo {
+		var echoes []echo
 		for start := time.Now(); time.Since(start) < d; {
 			t0 := time.Now()
 			f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: make([]byte, 64)}
@@ -461,11 +469,12 @@ func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingP
 				t.Fatal(err)
 			}
 			if _, ok := epA.Recv(recvTimeout); !ok {
-				t.Fatalf("echo %d lost", len(rtts))
+				t.Fatalf("echo %d lost", len(echoes))
 			}
-			rtts = append(rtts, time.Since(t0))
+			now := time.Now()
+			echoes = append(echoes, echo{at: now, rtt: now.Sub(t0)})
 		}
-		return rtts
+		return echoes
 	}
 }
 
@@ -477,9 +486,9 @@ func echoPair(t *testing.T, cfg overlay.NodeConfig) (na, nb *overlay.Node, pingP
 func TestIdleEchoBatchedNearSync(t *testing.T) {
 	p50 := func(cfg overlay.NodeConfig) time.Duration {
 		_, _, pingPong := echoPair(t, cfg)
-		rtts := pingPong(200 * time.Millisecond)
-		sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
-		return rtts[len(rtts)/2]
+		echoes := pingPong(200 * time.Millisecond)
+		sort.Slice(echoes, func(i, j int) bool { return echoes[i].rtt < echoes[j].rtt })
+		return echoes[len(echoes)/2].rtt
 	}
 	sync, batched := p50(overlay.NodeConfig{}), p50(overlay.NodeConfig{TxBatch: 32})
 	if batched > 2*sync {
@@ -488,18 +497,54 @@ func TestIdleEchoBatchedNearSync(t *testing.T) {
 }
 
 // TestAdaptivePingPongHoldsMode: a ping-pong fast enough to cross α_u
-// switches its links to throughput mode once and stays there — the mode
-// costs an idle link nothing, so the echo rate does not collapse and
-// push the controller back (it flipped ≈80 times a second when
-// throughput mode meant a flush timer).
+// switches its links to throughput mode, and the mode costs an idle link
+// nothing, so the echo rate does not collapse under it and push the
+// controller back down. When throughput mode meant a flush timer it did:
+// each upswitch starved the echo below α_l for the whole hold-down, the
+// links flipped ≈80 times a second, and 40–65 % of the run's ω-windows
+// held fewer than α_l·ω echoes (reproduced with a 1 ms sleep in front of
+// sendTxBatch; a healthy run shows 0–2 such windows in 200).
+//
+// The echo stream is what the test can observe, so that is what it
+// bounds. The switch count is not: the controller divides the frames it
+// counts when a tick is handled by the tick's nominal spacing, so a tick
+// handled late and the next one handled at once read as a full window and
+// an empty one, and a busy link downswitches (rate_per_s 0–999 in the
+// log) and comes back a hold-down later with no gap anywhere in the echo
+// timestamps — up to 13 switches a second on one node under -race on two
+// vCPUs. A machine that really starves the ping-pong for a second looks
+// like the collapse this test exists for (2 spinning processes beside
+// -race: 42 windows of 199 once in 12 runs), so the verdict is the best
+// of three runs: a mode that costs something costs it every time.
 func TestAdaptivePingPongHoldsMode(t *testing.T) {
 	na, nb, pingPong := echoPair(t, overlay.NodeConfig{Adaptive: overlay.AdaptiveConfig{Enabled: true}})
-	start := time.Now()
-	echoes := len(pingPong(time.Second))
-	seconds := time.Since(start).Seconds()
-	switches := famValue(na, "vnetp_dispatch_mode_switches_total") + famValue(nb, "vnetp_dispatch_mode_switches_total")
-	if switches > 10*seconds {
-		t.Fatalf("%v mode switches in %.2fs of ping-pong (%d echoes), want <= 10 per second", switches, seconds, echoes)
+	const omega = 5 * time.Millisecond                 // AdaptiveConfig's default tick
+	lowAt := int(rate.DefaultAlphaL * omega.Seconds()) // fewer echoes in one ω-window read as a rate under α_l
+	for attempt := 1; ; attempt++ {
+		echoes := pingPong(time.Second)
+		first := echoes[0].at
+		counts := make([]int, echoes[len(echoes)-1].at.Sub(first)/omega) // whole windows only
+		for _, e := range echoes {
+			if w := int(e.at.Sub(first) / omega); w < len(counts) {
+				counts[w]++
+			}
+		}
+		starved := 0
+		for _, c := range counts {
+			if c < lowAt {
+				starved++
+			}
+		}
+		if 4*starved <= len(counts) {
+			return
+		}
+		switches := famValue(na, "vnetp_dispatch_mode_switches_total") + famValue(nb, "vnetp_dispatch_mode_switches_total")
+		msg := fmt.Sprintf("run %d: the echo rate fell under α_l in %d of %d ω-windows (%d echoes, %v mode switches so far)",
+			attempt, starved, len(counts), len(echoes), switches)
+		if attempt == 3 {
+			t.Fatal(msg + ": throughput mode is starving the ping-pong")
+		}
+		t.Log(msg)
 	}
 }
 

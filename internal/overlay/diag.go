@@ -138,7 +138,7 @@ func (n *Node) Diag() DiagBundle {
 			QueueDepth:      cfg.QueueDepth,
 			TxBatch:         cfg.TxBatch,
 			TxRing:          cfg.TxRing,
-			RxBatch:         cfg.RxBatch,
+			RxBatch:         rxBatch,
 			FlowCache:       !cfg.FlowCacheDisabled,
 			FlowCacheSize:   fcSize,
 			Adaptive:        cfg.Adaptive.Enabled,

@@ -81,18 +81,9 @@ type NodeConfig struct {
 	// FlowCacheDisabled turns off the per-flow forwarding cache
 	// (flowcache.go), restoring the per-frame route-lookup path. The
 	// cache is on by default; disabling it exists for ablation
-	// benchmarks (BenchmarkOverlayFlowCache, flowbench) and as an
-	// operational escape hatch (vnetpd -flow-cache=false).
+	// benchmarks (BenchmarkOverlayFlowCache) and as an operational
+	// escape hatch (vnetpd -flow-cache=false).
 	FlowCacheDisabled bool
-
-	// RxBatch is the number of datagrams the read loop pulls from the
-	// UDP socket per wakeup. Above one, linux/{amd64,arm64} hosts drain
-	// the socket via recvmmsg(2) with UDP_GRO, amortizing the syscall over
-	// the batch and taking a fragmented frame's datagrams as one read (the
-	// receive-side twin of the sendmmsg transmit path); elsewhere — and
-	// at one — each datagram is a ReadFromUDP call. Zero means the
-	// default (16).
-	RxBatch int
 
 	// Adaptive enables the per-link adaptive dispatch controller: an
 	// ω-tick rate sampler with α_l/α_u hysteresis that retunes each
@@ -132,6 +123,10 @@ type NodeConfig struct {
 	// vnetp_anomalies_total) on threshold crossings. Zero values take
 	// the defaults (5s period, 100 drops/s).
 	Anomaly AnomalyConfig
+
+	// portableRx makes the read loop use singleReader where the platform
+	// has a batch reader too: in-package tests compare the two.
+	portableRx bool
 }
 
 func (c *NodeConfig) normalize() {
@@ -152,9 +147,6 @@ func (c *NodeConfig) normalize() {
 	}
 	if c.TxRing <= 0 {
 		c.TxRing = defaultTxRing
-	}
-	if c.RxBatch <= 0 {
-		c.RxBatch = defaultRxBatch
 	}
 	if c.EvictInterval <= 0 {
 		c.EvictInterval = time.Second

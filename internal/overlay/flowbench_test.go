@@ -15,9 +15,8 @@ import (
 // senders each driving a distinct unicast flow through one node's
 // routing stage into local endpoints, cached vs uncached (the ablation
 // NodeConfig.FlowCacheDisabled exists for). The uncached path pays the
-// tenant-table resolve and the route-cache shard per frame; the cached
-// path pays one flow-cache shard read. The flowbench ratio records in
-// the benchguard baseline mirror this benchmark, info-only.
+// tenant-table resolve and a rule scan under the table's read lock per
+// frame; the cached path pays one flow-cache shard read.
 func BenchmarkOverlayFlowCache(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

@@ -1,12 +1,14 @@
 package overlay
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/faultnet"
+	"vnetp/internal/seal"
 )
 
 // TestFlowCacheUnit pins the cache's mechanical contract: store/lookup
@@ -212,6 +214,86 @@ func TestFlowCacheHitPath(t *testing.T) {
 	if h2 != hits || m2 != misses {
 		t.Fatalf("broadcast touched the flow cache (hits %d->%d, misses %d->%d)", hits, h2, misses, m2)
 	}
+}
+
+// TestLiveLookupsAreUncachedAndCounted: the flow cache is the one cache
+// on the live resolve path. K flows in tenant 0 and K in a sealed tenant,
+// sent twice (fill, then hits), a route edit, and a third pass (every
+// flow refills): each flow-cache miss is one rule scan in its tenant's
+// table, none is answered by a routing cache, and LIST STATS counts the
+// scans of every tenant — not only tenant 0's.
+func TestLiveLookupsAreUncachedAndCounted(t *testing.T) {
+	n, err := NewNode("one-cache", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	key, err := seal.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sealed = 7
+	if err := n.AddTenant(sealed, key); err != nil {
+		t.Fatal(err)
+	}
+	type lane struct{ src, dst *Endpoint }
+	var lanes []lane
+	for _, tenant := range []uint32{core.DefaultTenant, sealed} {
+		src, err := n.AttachEndpointTenant(fmt.Sprintf("src%d", tenant), ethernet.LocalMAC(1), 1500, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := n.AttachEndpointTenant(fmt.Sprintf("dst%d", tenant), ethernet.LocalMAC(2), 1500, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes = append(lanes, lane{src, dst})
+	}
+	const flows = 5
+	pass := func() {
+		t.Helper()
+		for _, l := range lanes {
+			for i := 0; i < flows; i++ {
+				if err := l.src.Send(testFrame(ethernet.LocalMAC(uint32(100+i)), l.dst.MAC())); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := l.dst.Recv(2 * time.Second); !ok {
+					t.Fatalf("flow %d to %s lost", i, l.dst.name)
+				}
+			}
+		}
+	}
+	stat := func(key string) (v uint64) {
+		for _, line := range n.Stats() {
+			fmt.Sscanf(line, key+" %d", &v)
+		}
+		return v
+	}
+	check := func(when string, wantMisses uint64) {
+		t.Helper()
+		_, fcMisses, _, _ := n.FlowCacheStats()
+		if fcMisses != wantMisses {
+			t.Fatalf("%s: flow-cache misses = %d, want %d", when, fcMisses, wantMisses)
+		}
+		if hits := stat("route_cache_hits"); hits != 0 {
+			t.Fatalf("%s: route_cache_hits = %d: a routing cache answered under the flow cache", when, hits)
+		}
+		if scans := stat("route_cache_misses"); scans != fcMisses {
+			t.Fatalf("%s: route_cache_misses = %d, want the %d flow-cache misses of both tenants", when, scans, fcMisses)
+		}
+		if scrape := Metric(t, n, "vnetp_route_cache_misses_total"); scrape != fcMisses {
+			t.Fatalf("%s: vnetp_route_cache_misses_total = %d, want %d", when, scrape, fcMisses)
+		}
+	}
+	pass()
+	pass()
+	check("two passes", 2*flows)
+	if err := n.AddRoute(core.Route{DstMAC: ethernet.LocalMAC(3), DstQual: core.QualExact, SrcQual: core.QualAny,
+		Dest: core.Destination{Type: core.DestInterface, ID: "dst7"}, Tenant: sealed}); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	check("after a route edit", 4*flows)
 }
 
 // TestFlowCacheDisabled pins the ablation/escape hatch: with

@@ -1014,9 +1014,9 @@ type rxAttrib struct {
 }
 
 // readLoop is the receive producer: it drains batches of reads off the
-// UDP socket (recvmmsg with UDP_GRO on linux/{amd64,arm64} when
-// RxBatch > 1 — a read is then a whole train of datagrams — and one
-// ReadFromUDP per wakeup elsewhere), steers control traffic to the probe
+// UDP socket (recvmmsg with UDP_GRO on linux/{amd64,arm64} — a read is
+// then a whole train of datagrams — and one ReadFromUDP per wakeup
+// elsewhere), steers control traffic to the probe
 // handler, and hands raw data datagrams, a train at a time, to the
 // dispatcher pool keyed by sender. It does no parsing beyond a one-byte
 // flag peek per datagram, so the socket drains at wire rate and the
@@ -1025,8 +1025,8 @@ type rxAttrib struct {
 // return (socket closed) retires it. The progress markers bracket
 // per-batch handling only — blocking in readBatch is idle, not a stall.
 func (n *Node) readLoop(inst *supervise.Instance) {
-	rdr := newBatchReader(n.conn, n.cfg.RxBatch)
-	batch := make([]rxPacket, n.cfg.RxBatch)
+	rdr := newBatchReader(n.conn, n.cfg.portableRx)
+	batch := make([]rxPacket, rxBatch)
 	var attr rxAttrib
 	for {
 		cnt, err := rdr.readBatch(batch)

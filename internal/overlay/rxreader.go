@@ -9,10 +9,10 @@ package overlay
 
 import "net"
 
-// defaultRxBatch is the read loop's per-wakeup datagram budget when
-// NodeConfig.RxBatch is zero. 16 amortizes the syscall well past the
-// knee of the curve without holding a burst's worth of 64KiB buffers.
-const defaultRxBatch = 16
+// rxBatch is the read loop's per-wakeup budget of socket reads. 16
+// amortizes the syscall well past the knee of the curve without holding
+// a burst's worth of 64KiB buffers.
+const rxBatch = 16
 
 // rxPacket is one socket read: an owned copy of what it returned (the
 // reader's internal buffers are reused across batches) and its sender.
@@ -45,7 +45,7 @@ type batchReader interface {
 
 // singleReader is the portable batchReader: one blocking ReadFromUDP
 // per call, so batches degenerate to size one. Used on platforms
-// without recvmmsg and whenever RxBatch <= 1.
+// without recvmmsg.
 type singleReader struct {
 	c   *net.UDPConn
 	buf []byte
@@ -62,12 +62,12 @@ func (r *singleReader) readBatch(into []rxPacket) (int, error) {
 	return 1, nil
 }
 
-// newBatchReader picks the best reader for this platform and batch
-// size: the recvmmsg reader when the platform has one and batch > 1,
-// the portable single-datagram reader otherwise.
-func newBatchReader(c *net.UDPConn, batch int) batchReader {
-	if batch > 1 {
-		if r := newPlatformBatchReader(c, batch); r != nil {
+// newBatchReader picks the reader for this platform: the recvmmsg
+// reader where there is one, the portable single-datagram reader
+// elsewhere (and when portable is set, see NodeConfig.portableRx).
+func newBatchReader(c *net.UDPConn, portable bool) batchReader {
+	if !portable {
+		if r := newPlatformBatchReader(c, rxBatch); r != nil {
 			return r
 		}
 	}

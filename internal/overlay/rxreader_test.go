@@ -13,12 +13,12 @@ import (
 // TestRxBatchParity pins that the batched receive path is semantically
 // invisible: the same frame stream (mixed sizes, including frames that
 // fragment across datagrams) delivered to a recvmmsg-batched node and a
-// portable single-read node (RxBatch: 1 always selects singleReader)
-// arrives byte-identical and in order on both.
+// portable single-read node (portableRx selects singleReader) arrives
+// byte-identical and in order on both.
 func TestRxBatchParity(t *testing.T) {
-	recv := func(rxBatch int) []string {
-		n, err := NewNodeWithConfig(fmt.Sprintf("rx-%d", rxBatch), "127.0.0.1:0",
-			NodeConfig{RxBatch: rxBatch})
+	recv := func(portable bool) []string {
+		n, err := NewNodeWithConfig(fmt.Sprintf("rx-portable-%v", portable), "127.0.0.1:0",
+			NodeConfig{portableRx: portable})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,14 +57,14 @@ func TestRxBatchParity(t *testing.T) {
 			}
 			f, ok := ep.Recv(2 * time.Second)
 			if !ok {
-				t.Fatalf("RxBatch=%d: frame %d (size %d) lost", rxBatch, i, sz)
+				t.Fatalf("portableRx=%v: frame %d (size %d) lost", portable, i, sz)
 			}
 			got = append(got, string(f.Payload))
 		}
 		return got
 	}
-	single := recv(1)
-	batched := recv(8)
+	single := recv(true)
+	batched := recv(false)
 	if len(single) != len(batched) {
 		t.Fatalf("stream lengths differ: %d vs %d", len(single), len(batched))
 	}
@@ -190,9 +190,9 @@ func TestSingleReaderContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sconn.Close()
-	r := newBatchReader(rconn, 1)
+	r := newBatchReader(rconn, true)
 	if _, ok := r.(*singleReader); !ok {
-		t.Fatalf("RxBatch=1 selected %T, want *singleReader", r)
+		t.Fatalf("portable selected %T, want *singleReader", r)
 	}
 	dst := rconn.LocalAddr().(*net.UDPAddr)
 	for i := 0; i < 2; i++ {

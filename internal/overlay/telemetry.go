@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 
+	"vnetp/internal/core"
 	"vnetp/internal/seal"
 	"vnetp/internal/telemetry"
 )
@@ -191,10 +192,22 @@ func (n *Node) registerNodeFuncs() {
 	} {
 		reg.CounterFunc(v.name, v.help, func() uint64 { return n.ledger.Count(v.reason) })
 	}
-	reg.CounterFunc("vnetp_route_cache_hits_total", "Routing-cache hits.",
-		func() uint64 { h, _ := n.table.CacheStats(); return h })
-	reg.CounterFunc("vnetp_route_cache_misses_total", "Routing-cache misses.",
-		func() uint64 { _, m := n.table.CacheStats(); return m })
+	// A live node's tables run with the routing cache off (the flow cache
+	// is the one cache on the resolve path), so over every tenant's table
+	// misses count rule-list scans and hits stay 0.
+	routeCache := func() (hits, misses uint64) {
+		n.tenants.Each(func(_ uint32, t *core.Table) {
+			h, m := t.CacheStats()
+			hits, misses = hits+h, misses+m
+		})
+		return hits, misses
+	}
+	reg.CounterFunc("vnetp_route_cache_hits_total",
+		"Routing-cache hits, all tenants (0 on a live node: its tables run uncached under the flow cache).",
+		func() uint64 { h, _ := routeCache(); return h })
+	reg.CounterFunc("vnetp_route_cache_misses_total",
+		"Routing-table rule-list scans, all tenants (one per unicast frame the flow cache did not answer and per broadcast frame).",
+		func() uint64 { _, m := routeCache(); return m })
 	reg.CounterFunc("vnetp_encap_pool_hits_total",
 		"Encapsulation buffer pool hits on the transmit path.",
 		func() uint64 { h, _ := n.encap.PoolStats(); return h })

@@ -514,7 +514,7 @@ func BenchmarkTransmitTrain(b *testing.B) {
 				return c
 			}
 			rconn, sconn := listen(), listen()
-			r := newPlatformBatchReader(rconn, defaultRxBatch)
+			r := newPlatformBatchReader(rconn, rxBatch)
 			var tx udpTx
 			tx.init(sconn)
 			m := newTxMsgs(&tx)
@@ -523,7 +523,7 @@ func BenchmarkTransmitTrain(b *testing.B) {
 			for left := 9026; left > 0; left -= maxDatagram {
 				dgs = append(dgs, make([]byte, min(left, maxDatagram)))
 			}
-			into := make([]rxPacket, defaultRxBatch)
+			into := make([]rxPacket, rxBatch)
 			b.SetBytes(9026)
 			b.ReportAllocs()
 			b.ResetTimer()
