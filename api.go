@@ -81,8 +81,8 @@ func NewRoutingTable() *core.Table { return core.NewTable() }
 // --- Functional overlay (real UDP sockets) ---
 
 // Node is an overlay routing node; Endpoint an in-process guest NIC
-// attached to one. NodeConfig tunes the receive datapath (dispatcher pool
-// size and per-dispatcher ring depth).
+// attached to one. NodeConfig tunes the datapath (receive worker count,
+// batched transmit, adaptive dispatch, tracing, supervision).
 type (
 	Node       = overlay.Node
 	Endpoint   = overlay.Endpoint
@@ -100,7 +100,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	return overlay.NewNodeWithConfig(name, bindAddr, cfg)
 }
 
-// DefaultDispatchers reports the default receive dispatcher pool size.
+// DefaultDispatchers reports the default number of receive workers.
 func DefaultDispatchers() int { return overlay.DefaultDispatchers() }
 
 // --- Link health and fault injection ---

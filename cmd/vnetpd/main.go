@@ -65,7 +65,7 @@ func main() {
 	ctrlAddr := flag.String("control", "", "TCP address for the control console (empty: disabled)")
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
-	dispatchers := flag.Int("dispatchers", 0, "receive dispatcher workers (0: min(4, GOMAXPROCS))")
+	dispatchers := flag.Int("dispatchers", 0, "receive workers, each reading its own SO_REUSEPORT socket on -bind and finishing what it reads (0: min(4, GOMAXPROCS); one where the platform has no SO_REUSEPORT support here)")
 	txBatch := flag.Int("tx-batch", 1, "most frames a link's sender takes per wakeup and packs into shared datagrams (1: synchronous sends)")
 	adaptive := flag.Bool("adaptive", false, "per-link adaptive dispatch: retune batch size between latency and throughput mode by observed rate (implies batched transmit)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
@@ -247,7 +247,7 @@ func main() {
 	logger.Info("shutdown signal received", "signal", s.String(), "drain_timeout", *drainTimeout)
 
 	// Graceful drain: stop admitting local frames, flush every TX ring
-	// and dispatcher ring under the deadline, then quiesce. A second
+	// under the deadline, then quiesce. A second
 	// signal during the drain aborts the grace period immediately.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	go func() {

@@ -224,16 +224,28 @@ func (h *EncapHeader) Frames() uint64 {
 // ParseEncap splits an encapsulated datagram into header and fragment
 // payload (aliasing b).
 func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
+	h := new(EncapHeader)
+	payload, err := h.Unmarshal(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, payload, nil
+}
+
+// Unmarshal is ParseEncap into a header the caller owns — the receive
+// paths keep one on their stack, so a datagram costs no allocation to
+// parse. On an error h holds nothing meaningful.
+func (h *EncapHeader) Unmarshal(b []byte) (payload []byte, err error) {
 	if len(b) < EncapHeaderLen {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	if binary.BigEndian.Uint16(b) != EncapMagic {
-		return nil, nil, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if b[2] != EncapVersion {
-		return nil, nil, ErrBadVersion
+		return nil, ErrBadVersion
 	}
-	h := &EncapHeader{
+	*h = EncapHeader{
 		MoreFrags:  b[3]&flagMoreFrags != 0,
 		Probe:      b[3]&flagProbe != 0,
 		ProbeReply: b[3]&flagProbeReply != 0,
@@ -245,7 +257,7 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 	hdrLen := EncapHeaderLen
 	if b[3]&flagTrace != 0 {
 		if len(b) < hdrLen+EncapTraceLen {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		h.HasTrace = true
 		h.Trace.ID = binary.BigEndian.Uint64(b[hdrLen:])
@@ -255,20 +267,20 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 	}
 	if b[3]&flagSealed != 0 {
 		if len(b) < hdrLen+EncapSealLen {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		h.HasSeal = true
 		h.Seal.Tenant = binary.BigEndian.Uint32(b[hdrLen:])
 		h.Seal.Nonce = binary.BigEndian.Uint64(b[hdrLen+4:])
 		hdrLen += EncapSealLen
 	}
-	payload := b[hdrLen:]
+	payload = b[hdrLen:]
 	// A sealed payload is ciphertext: it carries a SealOverhead tag on
 	// top of the inner-frame slice, so bounds-check the plaintext size.
 	dataLen := len(payload)
 	if h.HasSeal {
 		if dataLen < SealOverhead {
-			return nil, nil, ErrTruncated
+			return nil, ErrTruncated
 		}
 		dataLen -= SealOverhead
 	}
@@ -279,17 +291,17 @@ func ParseEncap(b []byte) (*EncapHeader, []byte, error) {
 		// frames it claims.
 		if b[3]&(flagMoreFrags|flagProbe|flagProbeReply|flagTrace) != 0 ||
 			h.FragOff == 0 || uint64(dataLen) != uint64(h.TotalLen) || uint64(h.FragOff) > uint64(dataLen/aggMinRecord) {
-			return nil, nil, ErrAggregate
+			return nil, ErrAggregate
 		}
-		return h, payload, nil
+		return payload, nil
 	}
 	// TotalLen sizes the reassembly buffer a first fragment reserves, and
 	// nothing has authenticated it: hold it to the largest frame the
 	// overlay carries.
 	if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU || uint64(h.FragOff)+uint64(dataLen) > uint64(h.TotalLen) {
-		return nil, nil, ErrFragBounds
+		return nil, ErrFragBounds
 	}
-	return h, payload, nil
+	return payload, nil
 }
 
 // Encapsulate marshals f and splits it into UDP-payload-sized datagrams,

@@ -84,7 +84,7 @@ func blast(epA, epB *overlay.Endpoint) (stop func()) {
 // a real /metrics scrape shows both transitions.
 func TestAdaptiveModeSwitchesUnderLoad(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, adaptiveCfg(),
-		overlay.NodeConfig{QueueDepth: 8192}, "udp")
+		overlay.NodeConfig{}, "udp")
 
 	if m := famValue(na, "vnetp_dispatch_mode"); m != 0 {
 		t.Fatalf("initial dispatch mode = %v, want 0 (latency)", m)
@@ -114,7 +114,7 @@ func TestAdaptiveModeSwitchesUnderLoad(t *testing.T) {
 // (b) the relaunched instance keeps driving rate-based switches.
 func TestAdaptiveSurvivesControllerRestart(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, adaptiveCfg(),
-		overlay.NodeConfig{QueueDepth: 8192}, "udp")
+		overlay.NodeConfig{}, "udp")
 
 	stop := blast(epA, epB)
 	waitForValue(t, func() bool { return famValue(na, "vnetp_dispatch_mode") == 1 },
@@ -148,7 +148,7 @@ func TestAdaptiveSurvivesControllerRestart(t *testing.T) {
 // controller neither wedges the drain nor trips over the churn.
 func TestAdaptiveSurvivesLinkChurnAndDrain(t *testing.T) {
 	na, nb, epA, epB := batchNodes(t, adaptiveCfg(),
-		overlay.NodeConfig{QueueDepth: 8192}, "udp")
+		overlay.NodeConfig{}, "udp")
 
 	stop := blast(epA, epB)
 	waitForValue(t, func() bool { return famValue(na, "vnetp_dispatch_mode") == 1 },
@@ -573,7 +573,7 @@ func BenchmarkOverlayAdaptiveDispatch(b *testing.B) {
 	for _, c := range cfgs {
 		b.Run("loaded/"+c.name, func(b *testing.B) {
 			const window = 1024
-			na, _, epA, epB := batchNodes(b, c.cfg, overlay.NodeConfig{QueueDepth: 8192}, "udp")
+			na, _, epA, epB := batchNodes(b, c.cfg, overlay.NodeConfig{}, "udp")
 			f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
 				Payload: make([]byte, 64)}
 			b.SetBytes(64)

@@ -65,7 +65,6 @@ type DiagBuild struct {
 // effective values after defaulting, not the zero-ridden input.
 type DiagConfig struct {
 	Dispatchers     int     `json:"dispatchers"`
-	QueueDepth      int     `json:"queue_depth"`
 	TxBatch         int     `json:"tx_batch"`
 	TxRing          int     `json:"tx_ring"`
 	RxBatch         int     `json:"rx_batch"`
@@ -135,7 +134,6 @@ func (n *Node) Diag() DiagBundle {
 		},
 		Config: DiagConfig{
 			Dispatchers:     cfg.Dispatchers,
-			QueueDepth:      cfg.QueueDepth,
 			TxBatch:         cfg.TxBatch,
 			TxRing:          cfg.TxRing,
 			RxBatch:         rxBatch,

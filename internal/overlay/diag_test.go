@@ -123,7 +123,7 @@ func TestDiagSchemaGolden(t *testing.T) {
 	if b.Build.GoVersion == "" || b.Build.OS == "" || b.Build.Arch == "" {
 		t.Fatalf("build doc incomplete: %+v", b.Build)
 	}
-	if b.Config.Dispatchers <= 0 || b.Config.QueueDepth <= 0 {
+	if b.Config.Dispatchers <= 0 || b.Config.RxBatch <= 0 {
 		t.Fatalf("config not normalized: %+v", b.Config)
 	}
 	if len(b.Metrics) == 0 {

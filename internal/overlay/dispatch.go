@@ -1,21 +1,24 @@
 // The parallel receive datapath: the real-socket twin of the paper's
 // Fig. 5 result that VNET/P only reaches 10G-class throughput with
-// multiple packet dispatchers (Sect. 4.3). The UDP read loop is a thin
-// producer that classifies datagrams (control traffic — liveness probes
-// and replies — is split onto its own handler so heartbeats never queue
-// behind bulk data) and hands raw data datagrams to N dispatcher workers.
-// Reassembly state is sharded by sender key: every datagram from one
-// sender lands on the same worker, so per-sender fragment order is
-// preserved and workers never contend on a shared reassembler lock.
+// multiple packet dispatchers (Sect. 4.3), and of its dispatcher model —
+// the thread that picks a packet up routes and delivers it. Each of the N
+// receive workers owns one UDP socket on the node's address
+// (SO_REUSEPORT) and finishes every datagram it reads on its own
+// goroutine: classify, split, parse, open, reassemble or walk, route,
+// deliver; only control traffic (liveness probes and replies) is handed
+// on, copied, to the probe handler. The kernel's 4-tuple hash keeps a
+// sender on one socket, so per-sender fragment and frame order is
+// preserved and workers do not share reassembly state.
 
 package overlay
 
 import (
-	"fmt"
 	"log/slog"
+	"net"
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vnetp/internal/bridge"
@@ -27,24 +30,10 @@ import (
 	"vnetp/internal/trace"
 )
 
-// defaultQueueDepth is each dispatcher's inbound ring size. Like a NIC RX
-// ring, the producer drops (and counts) when a worker's ring is full
-// rather than blocking the socket read.
-const defaultQueueDepth = 512
-
-// DefaultDispatchers is the dispatcher pool size used when NodeConfig
+// DefaultDispatchers is the receive worker count used when NodeConfig
 // leaves it zero: min(4, GOMAXPROCS), the paper's sweet spot for a
 // 10G-class receive path without oversubscribing small hosts.
-func DefaultDispatchers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func DefaultDispatchers() int { return min(4, runtime.GOMAXPROCS(0)) }
 
 // defaultTxRing is each link's TX ring depth (NodeConfig.TxRing zero
 // value).
@@ -55,12 +44,10 @@ const flightSnap = 256
 
 // NodeConfig tunes a node's datapath.
 type NodeConfig struct {
-	// Dispatchers is the number of receive dispatcher workers. Zero means
-	// DefaultDispatchers().
+	// Dispatchers is the number of receive workers, each reading its own
+	// socket on the node's address and finishing what it reads. Zero means
+	// DefaultDispatchers(); where this package cannot share a port, one.
 	Dispatchers int
-	// QueueDepth is each dispatcher's inbound datagram ring. Zero means
-	// the default (512).
-	QueueDepth int
 
 	// TxBatch is the most frames a link's sender goroutine takes per
 	// wakeup (the send-side analogue of the paper's VMM-driven batch
@@ -133,9 +120,6 @@ func (c *NodeConfig) normalize() {
 	if c.Dispatchers <= 0 {
 		c.Dispatchers = DefaultDispatchers()
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = defaultQueueDepth
-	}
 	if c.TxBatch < 1 {
 		c.TxBatch = 1
 	}
@@ -157,26 +141,15 @@ func (c *NodeConfig) normalize() {
 	}
 }
 
-// inDatagram is one ring entry handed from the read loop to a dispatcher
-// worker: a raw encapsulation datagram, or (seg > 0, as in rxPacket) a
-// train of them in one buffer — a fragmented frame crosses the ring
-// once. at is the socket-read timestamp, carried so the RX latency
-// histogram measures datagram-in → frame delivery.
-type inDatagram struct {
-	sender string
-	pkt    []byte
-	seg    int
-	at     time.Time
-}
-
-// rxShard is one dispatcher worker's state: its inbound ring, its slice
-// of the reassembly space, and its counters. The mutex guards the
-// reassembler only — the worker goroutine and TCP connection readers
-// hashed to this shard share it, plus the evict sweep; it is never held
-// across routing or delivery.
+// rxShard is one receive worker's state: its socket, its slice of the
+// reassembly space, and its counters. The mutex guards the reassembler
+// only — the worker goroutine and TCP connection readers hashed to this
+// shard share it, plus the evict sweep; it is never held across routing
+// or delivery.
 type rxShard struct {
 	idx   int
-	in    chan inDatagram
+	conn  *net.UDPConn  // the worker's socket; shard 0's is the node's sending socket too
+	ovfl  atomic.Uint32 // the socket's SO_RXQ_OVFL count as last charged to the ledger (receive)
 	mu    sync.Mutex
 	reasm *bridge.Reassembler
 
@@ -188,20 +161,20 @@ type rxShard struct {
 	sealTenant uint32
 	sealKey    string
 
-	// flight is this dispatcher's flight recorder: the last
+	// flight is this worker's flight recorder: the last
 	// NodeConfig.FlightDepth datagram events, nil when disabled.
 	flight *trace.FlightRing
 
 	// Datagrams counts data datagrams processed, Frames completed inner
 	// frames routed. Both are children of the node's per-worker registry
 	// families (vnetp_dispatcher_*_total{worker="<idx>"}); the third,
-	// producer-side ring-full losses, is the drop funnel's.
+	// what the kernel shed at the worker's socket, is the drop funnel's.
 	Datagrams, Frames *telemetry.Counter
 }
 
-// shardFor maps a sender key onto its dispatcher shard (FNV-1a). All
-// traffic from one sender hashes to one worker, preserving per-sender
-// fragment and frame order.
+// shardFor maps a TCP connection's sender key onto a shard (FNV-1a): a
+// connection's reader keeps its reassembly state on one shard for its
+// lifetime. (UDP senders are spread by the kernel, over the sockets.)
 func (n *Node) shardFor(sender string) *rxShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(sender); i++ {
@@ -210,39 +183,19 @@ func (n *Node) shardFor(sender string) *rxShard {
 	return n.shards[h%uint32(len(n.shards))]
 }
 
-// dispatchLoop is one worker: it drains its ring, reassembles, and
-// routes. It runs under the node's supervisor: a panic while processing
-// one ring entry drops it (the rest of its train included), is counted,
-// and the worker restarts over the same shard (ring and reassembly state
-// survive); a stall inside one entry past the watchdog timeout gets the
-// instance superseded. inst.Quit closes on supersession and node teardown.
-func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-inst.Quit():
-			return
-		case d := <-s.in:
-			inst.Working()
-			// The split loop: from here on a train's datagrams are parsed,
-			// opened and reassembled one by one, as if each had crossed the
-			// ring alone.
-			for pkt, rest := nextSegment(d.pkt, d.seg); ; pkt, rest = nextSegment(rest, d.seg) {
-				if h, payload, err := bridge.ParseEncap(pkt); err != nil {
-					n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{
-						Scope: d.sender, Stage: "rx_parse",
-					})
-				} else {
-					n.processData(s, d.sender, h, payload, pkt, d.at)
-				}
-				if len(rest) == 0 {
-					break
-				}
-			}
-			inst.Idle()
-		}
+// rxDatagram finishes one data datagram on the calling goroutine: the
+// header is parsed onto this stack, then processData. pkt is borrowed for
+// the call.
+func (n *Node) rxDatagram(s *rxShard, sender string, pkt []byte, at time.Time) {
+	var h bridge.EncapHeader
+	payload, err := h.Unmarshal(pkt)
+	if err != nil {
+		n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{
+			Scope: sender, Stage: "rx_parse",
+		})
+		return
 	}
+	n.processData(s, sender, &h, payload, pkt, at)
 }
 
 // processData runs the data path for one parsed datagram: flight
@@ -251,12 +204,19 @@ func (n *Node) dispatchLoop(inst *supervise.Instance, s *rxShard) {
 // completed frame in its tenant's namespace. Every receive-side drop of
 // a whole datagram charges the frames the datagram stood for (an
 // aggregate's count, else one), so the frames an aggregate carried are
-// all accounted for when it is shed. Shared by the UDP
-// dispatcher workers and the TCP connection readers (which parse on
-// their own goroutines and call in directly). raw is the full
-// encap datagram as it arrived on the wire, captured by the shard's
+// all accounted for when it is shed. Shared by the UDP receive workers
+// and the TCP connection readers, each on its own goroutine. raw is the
+// full encap datagram as it arrived on the wire, captured by the shard's
 // flight recorder when one is armed (before decryption: the recorder
 // sees what the wire saw).
+//
+// raw and payload (which aliases it) are borrowed for the call: they sit
+// in the caller's read buffer, where a sealed payload is opened in place
+// and which the next read overwrites. What outlives the call is copied
+// once: a fragment into its frame's reassembly buffer (AddParsed), a
+// whole frame or an aggregate's train into an exact-size buffer the
+// delivered frames alias — a held frame pins the datagram it arrived in,
+// or its own reassembled length, and nothing more.
 func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Time) {
 	s.Datagrams.Add(1)
 	var tid uint64
@@ -290,6 +250,11 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		n.metrics.sealOpened.Add(1)
 		tenant = h.Seal.Tenant
 		payload = pt
+	}
+	if h.Aggregate || (h.FragOff == 0 && !h.MoreFrags) {
+		own := make([]byte, len(payload))
+		copy(own, payload)
+		payload = own
 	}
 	if h.Aggregate {
 		// Whole frames, no reassembly. The walker vets the entire train
@@ -354,37 +319,5 @@ func (n *Node) routeFromWire(s *rxShard, frame *ethernet.Frame, tenant uint32, a
 	}
 }
 
-// enqueue offers a datagram, or a train of them seg bytes apart, to its
-// sender's dispatcher without blocking the socket read; at a full ring
-// it is dropped whole and every frame it stood for counted, like a NIC
-// RX ring under overrun.
-func (n *Node) enqueue(sender string, pkt []byte, seg int, at time.Time) {
-	s := n.shardFor(sender)
-	select {
-	case s.in <- inDatagram{sender: sender, pkt: pkt, seg: seg, at: at}:
-	default:
-		var frames uint64
-		for d, rest := nextSegment(pkt, seg); ; d, rest = nextSegment(rest, seg) {
-			if frames += bridge.EncapFrames(d); len(rest) == 0 {
-				break
-			}
-		}
-		n.drop(dropDispatcherRing, frames, telemetry.DropDetail{
-			Scope: fmt.Sprint(s.idx), Stage: "rx_ring",
-		})
-	}
-}
-
-// inject is the blocking variant of enqueue, used by benchmarks and tests
-// that feed the dispatch stage directly (loopback receive path without
-// the socket).
-func (n *Node) inject(sender string, pkt []byte) {
-	s := n.shardFor(sender)
-	select {
-	case s.in <- inDatagram{sender: sender, pkt: pkt, at: time.Now()}:
-	case <-n.quit:
-	}
-}
-
-// Dispatchers reports the size of the node's receive dispatcher pool.
+// Dispatchers reports how many receive workers the node runs.
 func (n *Node) Dispatchers() int { return len(n.shards) }

@@ -1,11 +1,11 @@
 // Graceful node shutdown. Close tears the node down immediately —
-// whatever sits in a TX ring or a dispatcher ring at that instant is
-// discarded, which is the right behavior for a crash path but not for
-// an operated service being restarted or migrated (ROADMAP north star:
-// an overlay for millions of users must roll nodes without losing the
-// traffic it already accepted). Drain is the operated path: stop
-// admitting new local frames, let the senders and dispatchers flush
-// everything already queued under a caller-supplied deadline, then
+// whatever sits in a TX ring at that instant is discarded, which is the
+// right behavior for a crash path but not for an operated service being
+// restarted or migrated (ROADMAP north star: an overlay for millions of
+// users must roll nodes without losing the traffic it already accepted).
+// Drain is the operated path: stop admitting new local frames, let the
+// senders flush everything already queued under a caller-supplied
+// deadline (the receive workers hold nothing between reads), then
 // quiesce the workers. vnetpd wires it into SIGTERM (-drain-timeout).
 package overlay
 
@@ -24,9 +24,8 @@ var ErrDraining = errors.New("overlay: node draining")
 // DrainStats summarizes what a Drain accomplished, for the daemon's
 // shutdown log line.
 type DrainStats struct {
-	// FramesFlushed is how many queued frames/datagrams (link TX rings
-	// plus dispatcher RX rings) drained to completion during the grace
-	// period.
+	// FramesFlushed is how many queued frames (link TX rings) drained to
+	// completion during the grace period.
 	FramesFlushed uint64
 	// FramesDropped is how many were still queued when the deadline
 	// expired and were discarded by the final teardown — rings and the
@@ -41,17 +40,15 @@ type DrainStats struct {
 	Elapsed time.Duration
 }
 
-// queued sums the frames sitting in every link TX ring and the
-// datagrams in every dispatcher ring (channels, safe to len() anytime).
+// queued sums the frames sitting in every link TX ring (channels, safe
+// to len() anytime). The receive side holds nothing between reads: a
+// worker finishes what it read before it reads again.
 func (n *Node) queued() uint64 {
 	var q uint64
 	for _, lk := range n.topo.Load().links {
 		if lk.txq != nil {
 			q += uint64(len(lk.txq))
 		}
-	}
-	for _, s := range n.shards {
-		q += uint64(len(s.in))
 	}
 	return q
 }
@@ -68,7 +65,7 @@ func (n *Node) pendingReassemblies() uint64 {
 }
 
 // Drain gracefully shuts the node down: admission stops immediately
-// (Send returns ErrDraining), the TX senders and dispatchers keep
+// (Send returns ErrDraining), the TX senders and receive workers keep
 // running until every ring is empty or ctx expires, and the node is
 // then closed. Frames the node had accepted before Drain began are not
 // lost unless the deadline forces it — the zero-loss SIGTERM property

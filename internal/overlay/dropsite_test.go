@@ -115,11 +115,12 @@ func overrunLastRecord(d []byte) []byte {
 }
 
 // TestDropSiteAggregate: a datagram that stands for several frames
-// charges all of them when it is shed — at the dispatcher ring, at the
-// seal check, at the parser, at the record walk — on the ledger and so
-// on the site's older family, so admitted = delivered + Σ ledger holds
-// across aggregates; and a malformed or unauthentic aggregate delivers
-// none of its frames.
+// charges all of them when the node sheds it — at the seal check, at the
+// parser, at the record walk — on the ledger and so on the site's older
+// family, so admitted = delivered + Σ ledger holds across aggregates; and
+// a malformed or unauthentic aggregate delivers none of its frames. (One
+// the kernel sheds at a worker's socket was never seen: it charges one,
+// TestDropSiteDispatcherRing.)
 func TestDropSiteAggregate(t *testing.T) {
 	const frames = 5
 	dst := ethernet.LocalMAC(2)
@@ -147,34 +148,12 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("well_formed", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.inject("10.0.0.5:5", aggregateDatagram(t, frames, dst, nil))
+		n.rxDatagram(n.shards[0], "10.0.0.5:5", aggregateDatagram(t, frames, dst, nil), time.Now())
 		delivered(t, n, sink, frames)
 		s := n.shards[0]
 		if s.Datagrams.Load() != 1 || s.Frames.Load() != frames || n.EncapRecv.Load() != frames || n.ledger.Total() != 0 {
 			t.Fatalf("datagrams=%d frames=%d encap_recv=%d drops=%d, want 1, %d, %d, 0",
 				s.Datagrams.Load(), s.Frames.Load(), n.EncapRecv.Load(), n.ledger.Total(), frames, frames)
-		}
-	})
-
-	t.Run("dispatcher_ring", func(t *testing.T) {
-		n, _ := node(t, NodeConfig{QueueDepth: 1})
-		s := n.shards[0]
-		d := aggregateDatagram(t, frames, dst, nil)
-		// Wedge the dispatcher on the first datagram, fill its one-slot
-		// ring with the second; the third is shed whole.
-		n.Runtime().Worker("dispatcher/0").InjectStall(time.Hour)
-		n.enqueue("10.0.0.5:5", d, 0, time.Now())
-		deadline := time.Now().Add(5 * time.Second)
-		for len(s.in) != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("dispatcher never took the first datagram")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		n.enqueue("10.0.0.5:5", d, 0, time.Now())
-		n.enqueue("10.0.0.5:5", d, 0, time.Now())
-		if got, legacy := n.ledger.Count(dropDispatcherRing), Metric(t, n, "vnetp_dispatcher_drops_total", "0"); got != frames || legacy != frames {
-			t.Fatalf("dispatcher_ring ledger=%d legacy=%d, want %d (the aggregate's frames)", got, legacy, frames)
 		}
 	})
 
@@ -192,8 +171,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		}
 		d := aggregateDatagram(t, frames, dst, sl)
 		d[len(d)-20] ^= 0x01 // one ciphertext bit: the whole train fails authentication
-		n.inject("10.0.0.5:5", d)
-		waitCount(t, n, dropSealReject, frames)
+		n.rxDatagram(n.shards[0], "10.0.0.5:5", d, time.Now())
 		legacy, sli := Metric(t, n, "vnetp_seal_reject_total", seal.RejectAuth), Metric(t, n, "vnetp_tenant_seal_rejects_total", "7")
 		if got := n.ledger.Count(dropSealReject); got != frames || legacy != frames || sli != frames {
 			t.Fatalf("seal_reject ledger=%d legacy=%d tenant=%d, want %d each", got, legacy, sli, frames)
@@ -203,8 +181,7 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("bad_train", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.inject("10.0.0.5:5", overrunLastRecord(aggregateDatagram(t, frames, dst, nil)))
-		waitCount(t, n, dropBadPacket, frames)
+		n.rxDatagram(n.shards[0], "10.0.0.5:5", overrunLastRecord(aggregateDatagram(t, frames, dst, nil)), time.Now())
 		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != frames || legacy != frames {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, frames)
 		}
@@ -215,10 +192,9 @@ func TestDropSiteAggregate(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
 		d := aggregateDatagram(t, frames, dst, nil)
 		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims a billion frames
-		n.inject("10.0.0.5:5", d)
+		n.rxDatagram(n.shards[0], "10.0.0.5:5", d, time.Now())
 		// Charged what a datagram this long could hold at most, not the claim.
 		most := uint64(len(d)-bridge.EncapHeaderLen) / uint64(2+ethernet.HeaderLen)
-		waitCount(t, n, dropBadPacket, most)
 		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != most || legacy != most {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, most)
 		}
@@ -242,10 +218,9 @@ func TestDropSiteNoRoute(t *testing.T) {
 
 func TestDropSiteBadPacket(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1})
-	n.inject("10.0.0.1:1", []byte{0xde, 0xad, 0xbe, 0xef})
-	waitCount(t, n, dropBadPacket, 1)
-	if legacy := Metric(t, n, "vnetp_bad_packets_total"); legacy != 1 {
-		t.Fatalf("vnetp_bad_packets_total = %d, want 1", legacy)
+	n.rxDatagram(n.shards[0], "10.0.0.1:1", []byte{0xde, 0xad, 0xbe, 0xef}, time.Now())
+	if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != 1 || legacy != 1 {
+		t.Fatalf("bad_packet ledger=%d vnetp_bad_packets_total=%d, want 1 each", got, legacy)
 	}
 }
 
@@ -262,7 +237,7 @@ func TestDropSiteEndpointRing(t *testing.T) {
 	// Local delivery is synchronous, so overrunning the RX ring by 3 is
 	// deterministic: nobody Recvs.
 	const extra = 3
-	for i := 0; i < epQueueDepth+extra; i++ {
+	for i := 0; i < epRingDepth+extra; i++ {
 		src.Send(testFrame(src.MAC(), dst.MAC()))
 	}
 	if got, legacy := n.ledger.Count(dropEndpointRing), Metric(t, n, "vnetp_endpoint_ring_drops_total", "dst"); got != extra || got != legacy {
@@ -274,49 +249,11 @@ func TestDropSiteEndpointRing(t *testing.T) {
 	for _, ok := dst.TryRecv(); ok; _, ok = dst.TryRecv() {
 		received++
 	}
-	if got := n.Delivered.Load(); got != received || received != epQueueDepth {
-		t.Fatalf("delivered = %d, received = %d, want %d each (sent %d, shed %d)", got, received, epQueueDepth, epQueueDepth+extra, extra)
+	if got := n.Delivered.Load(); got != received || received != epRingDepth {
+		t.Fatalf("delivered = %d, received = %d, want %d each (sent %d, shed %d)", got, received, epRingDepth, epRingDepth+extra, extra)
 	}
 	if out := Metric(t, n, "vnetp_tenant_frames_out_total", "0"); out != n.Delivered.Load()+n.ledger.Total() {
 		t.Fatalf("admitted %d != delivered %d + ledger %d", out, n.Delivered.Load(), n.ledger.Total())
-	}
-}
-
-func TestDropSiteDispatcherRing(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1, QueueDepth: 1})
-	junk := []byte{0xde, 0xad}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.ledger.Count(dropDispatcherRing) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher ring never overran")
-		}
-		n.enqueue("10.0.0.2:2", junk, 0, time.Now())
-	}
-	// Quiesce, then the producer-side shard counters must agree with the
-	// ledger exactly.
-	time.Sleep(50 * time.Millisecond)
-	legacy := Metric(t, n, "vnetp_dispatcher_drops_total", "0")
-	if got := n.ledger.Count(dropDispatcherRing); got != legacy {
-		t.Fatalf("dispatcher_ring ledger=%d shard drops=%d", got, legacy)
-	}
-
-	// A train is shed whole and charges what each of its datagrams stood
-	// for: two five-frame aggregates and a lone fragment are eleven frames.
-	n = dropNode(t, NodeConfig{Dispatchers: 1, QueueDepth: 1})
-	agg := aggregateDatagram(t, 5, ethernet.LocalMAC(2), nil)
-	train := append(append(append([]byte(nil), agg...), agg...), agg[:bridge.EncapHeaderLen+1]...)
-	train[2*len(agg)+3] = 0 // the tail: a plain fragment header, no longer an aggregate's
-	n.Runtime().Worker("dispatcher/0").InjectStall(time.Hour)
-	n.enqueue("10.0.0.2:2", junk, 0, time.Now()) // wedges the dispatcher
-	for deadline := time.Now().Add(5 * time.Second); len(n.shards[0].in) != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never took the first datagram")
-		}
-	}
-	n.enqueue("10.0.0.2:2", junk, 0, time.Now()) // fills the one-slot ring
-	n.enqueue("10.0.0.2:2", train, len(agg), time.Now())
-	if got, legacy := n.ledger.Count(dropDispatcherRing), Metric(t, n, "vnetp_dispatcher_drops_total", "0"); got != 11 || legacy != 11 {
-		t.Fatalf("a shed train of 5+5+1 frames: dispatcher_ring ledger=%d legacy=%d, want 11", got, legacy)
 	}
 }
 
@@ -349,7 +286,8 @@ func TestDropSiteTrainSealReject(t *testing.T) {
 	}
 	train := bytes.Join(pkt.Datagrams, nil)
 	train[maxDatagram+100] ^= 0x01 // one ciphertext bit of the second datagram
-	n.enqueue("10.0.0.5:5", train, maxDatagram, time.Now())
+	from := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 5}
+	n.receive(n.shards[0], rxPacket{pkt: train, seg: maxDatagram, from: from}, time.Now(), &rxAttrib{})
 	waitCount(t, n, dropReassemblyEvict, 1)
 	if rejects, opened, total := n.ledger.Count(dropSealReject), n.metrics.sealOpened.Load(), n.ledger.Total(); rejects != 1 || opened != 2 || total != 2 {
 		t.Fatalf("seal_reject=%d sealed_opened=%d drops_total=%d, want 1, 2, 2", rejects, opened, total)
@@ -370,17 +308,16 @@ func TestDropSiteProbeRing(t *testing.T) {
 			t.Fatal("probe ring never overran")
 		}
 		for i := 0; i < 1024; i++ {
-			n.handleDatagram(rxPacket{pkt: probe, from: from}, time.Now(), attr)
+			n.receive(n.shards[0], rxPacket{pkt: probe, from: from}, time.Now(), attr)
 		}
 	}
 }
 
 func TestDropSiteSealReject(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1})
-	n.inject("10.0.0.3:3", sealedDatagram(t, 42))
-	waitCount(t, n, dropSealReject, 1)
-	if legacy := Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant); legacy != 1 {
-		t.Fatalf("vnetp_seal_reject_total{unknown_tenant} = %d, want 1", legacy)
+	n.rxDatagram(n.shards[0], "10.0.0.3:3", sealedDatagram(t, 42), time.Now())
+	if got, legacy := n.ledger.Count(dropSealReject), Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant); got != 1 || legacy != 1 {
+		t.Fatalf("seal_reject ledger=%d vnetp_seal_reject_total{unknown_tenant}=%d, want 1 each", got, legacy)
 	}
 	// The reject also lands in the claimed tenant's SLI.
 	if got := Metric(t, n, "vnetp_tenant_seal_rejects_total", "42"); got != 1 {
@@ -399,7 +336,7 @@ func TestDropSiteReassemblyEvict(t *testing.T) {
 	if len(ds) < 2 {
 		t.Fatalf("frame did not fragment: %d datagrams", len(ds))
 	}
-	n.inject("10.0.0.4:4", ds[0]) // first fragment only: a partial that can never complete
+	n.rxDatagram(n.shards[0], "10.0.0.4:4", ds[0], time.Now()) // first fragment only: a partial that can never complete
 	waitCount(t, n, dropReassemblyEvict, 1)
 	if legacy := Metric(t, n, "vnetp_reassembly_evictions_total"); legacy != n.ledger.Count(dropReassemblyEvict) {
 		t.Fatalf("reassembly_evict ledger=%d legacy=%d", n.ledger.Count(dropReassemblyEvict), legacy)
@@ -614,7 +551,7 @@ func TestDropSiteTxError(t *testing.T) {
 // receive-side churn arrives as aggregate datagrams, whose drops charge
 // several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 2, QueueDepth: 4, TxBatch: 2, TxRing: 1, EvictInterval: 20 * time.Millisecond})
+	n := dropNode(t, NodeConfig{Dispatchers: 2, TxBatch: 2, TxRing: 1, EvictInterval: 20 * time.Millisecond})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -681,17 +618,18 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), sink.MAC())) })             // endpoint_ring once full
 	churn(func(i int) { src.Send(testFrame(src.MAC(), crossDst)) })               // cross_tenant
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
-	churn(func(i int) { n.enqueue(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}, 0, time.Now()) })
-	churn(func(i int) { n.enqueue(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate, 0, time.Now()) }) // dispatcher_ring ×3, else endpoint_ring
-	// The blocking inject path guarantees these reach processData even
-	// while the enqueue churn keeps the rings overrun.
-	churn(func(i int) { n.inject(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })
-	churn(func(i int) { n.inject(fmt.Sprintf("10.6.0.%d:1", i%4), sealedAggregate) }) // seal_reject ×3
-	churn(func(i int) { n.inject(fmt.Sprintf("10.4.0.%d:1", i%4), []byte{4, 5, 6}) })
-	churn(func(i int) { n.inject(fmt.Sprintf("10.7.0.%d:1", i%4), badTrain) }) // bad_packet ×3
+	// Several goroutines finish datagrams on each shard at once, as a
+	// worker and the TCP readers hashed to its shard do.
+	rx := func(sender string, d []byte) { n.rxDatagram(n.shardFor(sender), sender, d, time.Now()) }
+	churn(func(i int) { rx(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}) })
+	churn(func(i int) { rx(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate) }) // endpoint_ring ×3 once full
+	churn(func(i int) { rx(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })
+	churn(func(i int) { rx(fmt.Sprintf("10.6.0.%d:1", i%4), sealedAggregate) }) // seal_reject ×3
+	churn(func(i int) { rx(fmt.Sprintf("10.4.0.%d:1", i%4), []byte{4, 5, 6}) })
+	churn(func(i int) { rx(fmt.Sprintf("10.7.0.%d:1", i%4), badTrain) }) // bad_packet ×3
 	churn(func(i int) {
 		if i%50 == 0 {
-			n.inject(fmt.Sprintf("10.3.0.%d:1", i), partial) // distinct senders: partials pile up for the evictor
+			rx(fmt.Sprintf("10.3.0.%d:1", i), partial) // distinct senders: partials pile up for the evictor
 		}
 	})
 	wg.Wait()

@@ -50,19 +50,27 @@ func TestFlowCacheChurnUnderTraffic(t *testing.T) {
 	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, NodeConfig{TxBatch: 32}) })
 }
 
-// QuietDelivered returns n's delivered count once it has not moved for
-// 50 ms: after a flood the receiver may still be working through what
-// is left in its socket buffer — seconds' worth under -race — and a
-// "delivers nothing from here on" baseline taken before that is noise.
+// QuietDelivered returns n's delivered count once its receive workers
+// have finished no datagram for 50 ms: after a flood the receiver may
+// still be working through what is left in its socket buffers — seconds'
+// worth under -race, and stretches of it frames for an endpoint whose
+// ring is already full, which move no delivery counter — and a "delivers
+// nothing from here on" baseline taken before that is noise.
 // Exported for the overlay_test churn suite.
 func QuietDelivered(n *Node) uint64 {
-	last := n.Delivered.Load()
+	finished := func() (d uint64) {
+		for _, s := range n.shards {
+			d += s.Datagrams.Load()
+		}
+		return d
+	}
+	last := finished()
 	for quietSince := time.Now(); time.Since(quietSince) < 50*time.Millisecond; time.Sleep(5 * time.Millisecond) {
-		if got := n.Delivered.Load(); got != last {
+		if got := finished(); got != last {
 			last, quietSince = got, time.Now()
 		}
 	}
-	return last
+	return n.Delivered.Load()
 }
 
 func flowCacheChurn(t *testing.T, sender NodeConfig) {

@@ -550,8 +550,8 @@ func TestSealedStreamsStayApart(t *testing.T) {
 		pkt.Release()
 	}
 	for j := range streams[0] {
-		n.inject("10.0.0.9:7000", streams[0][j])
-		n.inject("10.0.0.9:7000", streams[1][j])
+		n.rxDatagram(n.shards[0], "10.0.0.9:7000", streams[0][j], time.Now())
+		n.rxDatagram(n.shards[0], "10.0.0.9:7000", streams[1][j], time.Now())
 	}
 	for i, sink := range sinks {
 		got, ok := sink.Recv(5 * time.Second)

@@ -8,11 +8,13 @@
 package overlay
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
 	"maps"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,9 +34,9 @@ import (
 // conservative enough for any sane path MTU.
 const maxDatagram = 1400
 
-// epQueueDepth is each endpoint's receive ring size, mirroring the
+// epRingDepth is each endpoint's receive ring size, mirroring the
 // virtio RXQ.
-const epQueueDepth = 256
+const epRingDepth = 256
 
 // Endpoint is an in-process guest NIC attached to a node: whatever a VM's
 // virtio NIC would hand to VNET/P, a test or application hands to Send,
@@ -275,7 +277,7 @@ type Node struct {
 	cfg   NodeConfig  // normalized datapath configuration
 	table *core.Table // alias of tenants.Default(): the tenant-0 table
 	flows *core.FlowStats
-	conn  *net.UDPConn
+	conn  *net.UDPConn // receive worker 0's socket, and the one every send leaves by
 	tcpLn net.Listener // inbound TCP encapsulation (same port as UDP)
 
 	// tenants is the per-tenant routing-table set (tenant 0 = table);
@@ -294,7 +296,7 @@ type Node struct {
 	mu       sync.Mutex
 	topo     atomic.Pointer[topology]
 	tcpConns map[*tcpConn]struct{} // accepted inbound TCP transports
-	shards   []*rxShard            // dispatcher pool; reassembly sharded by sender
+	shards   []*rxShard            // one per receive worker: its socket and reassembly state
 	probeCh  chan probeEvent       // control traffic, split off the data path
 	nextID   atomic.Uint32
 
@@ -311,7 +313,7 @@ type Node struct {
 	quit      chan struct{}
 	wg        sync.WaitGroup // TCP accept/reader goroutines (connection-scoped)
 
-	// sup supervises the long-lived datapath goroutines (dispatcher
+	// sup supervises the long-lived datapath goroutines (receive
 	// workers, per-link TX senders, the prober, the evictor, the health
 	// loop): panic containment with restart backoff plus the stall
 	// watchdog. Always non-nil after NewNodeWithConfig.
@@ -402,23 +404,22 @@ func NewNode(name, bindAddr string) (*Node, error) {
 	return NewNodeWithConfig(name, bindAddr, NodeConfig{})
 }
 
-// NewNodeWithConfig binds a node with an explicit receive-datapath
-// configuration (dispatcher pool size, ring depth).
+// NewNodeWithConfig binds a node with an explicit datapath
+// configuration.
 func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	cfg.normalize()
-	addr, err := net.ResolveUDPAddr("udp", bindAddr)
+	conns, err := listenUDP(bindAddr, cfg.Dispatchers)
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, err
+	cfg.Dispatchers = len(conns)
+	// Deep socket buffers: a worker's receive queue is the one queue ahead
+	// of it, and what overflows it is lost (dispatcher_ring). Best effort
+	// (the OS may clamp).
+	for _, c := range conns {
+		c.SetReadBuffer(4 << 20)
 	}
-	// Deep socket buffers: encapsulated bursts from many guests arrive
-	// faster than the read loop drains under load, and kernel-side drops
-	// would surface as overlay loss. Best effort (the OS may clamp).
-	conn.SetReadBuffer(4 << 20)
-	conn.SetWriteBuffer(4 << 20)
+	conns[0].SetWriteBuffer(4 << 20)
 	tenants := core.NewTenants()
 	n := &Node{
 		name:     name,
@@ -427,12 +428,12 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		table:    tenants.Default(),
 		keyring:  seal.NewKeyring(originID(name)),
 		flows:    core.NewFlowStats(),
-		conn:     conn,
+		conn:     conns[0],
 		tcpConns: make(map[*tcpConn]struct{}),
 		probeCh:  make(chan probeEvent, 256),
 		quit:     make(chan struct{}),
 	}
-	n.tx.init(conn)
+	n.tx.init(conns[0])
 	n.topo.Store(&topology{
 		links:      map[string]*link{},
 		eps:        map[string]*Endpoint{},
@@ -466,7 +467,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		w := fmt.Sprint(i)
 		n.shards[i] = &rxShard{
 			idx:       i,
-			in:        make(chan inDatagram, cfg.QueueDepth),
+			conn:      conns[i],
 			reasm:     bridge.NewReassembler(),
 			flight:    trace.NewFlightRing(cfg.FlightDepth, flightSnap),
 			Datagrams: n.metrics.dispDatagrams.With(w),
@@ -477,20 +478,19 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	n.startTCP()
 	// Every long-lived datapath goroutine runs supervised: a panic in
 	// one component is contained and the component restarts with capped
-	// jittered backoff over the same shared state (rings, shards); the
+	// jittered backoff over the same shared state (sockets, shards); the
 	// watchdog supersedes components stuck inside one work item.
 	n.sup = supervise.New(name, cfg.Supervise, n.log, supervise.Metrics{
 		Panics:   n.metrics.panicsRecovered,
 		Restarts: n.metrics.componentRestarts,
 		Stalls:   n.metrics.watchdogStalls,
 	})
-	n.sup.Go("reader", func(i *supervise.Instance) { n.readLoop(i) })
 	n.sup.Go("prober", func(i *supervise.Instance) { n.probeLoop(i) })
 	n.sup.Go("evictor", func(i *supervise.Instance) { n.evictLoop(i) })
 	for _, s := range n.shards {
 		s := s
 		n.sup.Go(fmt.Sprintf("dispatcher/%d", s.idx),
-			func(i *supervise.Instance) { n.dispatchLoop(i, s) })
+			func(i *supervise.Instance) { n.readLoop(i, s) })
 	}
 	if cfg.Adaptive.Enabled {
 		n.sup.Go("adaptive", func(i *supervise.Instance) { n.adaptLoop(i) })
@@ -556,11 +556,14 @@ func (n *Node) Close() error {
 	}
 	n.mu.Unlock()
 	close(n.quit)
-	err := n.conn.Close()
+	var err error
+	for _, s := range n.shards { // a worker parked in a read retires when its socket closes
+		err = errors.Join(err, s.conn.Close())
+	}
 	if n.tcpLn != nil {
 		n.tcpLn.Close()
 	}
-	n.sup.Stop() // supervised loops: dispatchers, TX senders, prober, evictor, health
+	n.sup.Stop() // supervised loops: receive workers, TX senders, prober, evictor, health
 	n.wg.Wait()  // TCP accept loop and connection readers
 	return err
 }
@@ -590,7 +593,7 @@ func (n *Node) AttachEndpointTenant(ifName string, mac ethernet.MAC, mtu int, te
 	}
 	ep := &Endpoint{
 		node: n, name: ifName, mac: mac, mtu: mtu, tenant: tenant,
-		rx:  make(chan *ethernet.Frame, epQueueDepth),
+		rx:  make(chan *ethernet.Frame, epRingDepth),
 		sli: n.slis.get(tenant),
 	}
 	n.metrics.epDrops.With(ifName) // moved by the drop funnel, by interface name
@@ -994,13 +997,13 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 }
 
 // probeEvent is one control datagram (probe or probe reply) handed from
-// the read loop to the probe handler.
+// a receive worker to the probe handler; pkt is an owned copy.
 type probeEvent struct {
 	pkt  []byte
 	from *net.UDPAddr
 }
 
-// rxAttrib is the read loop's sender-attribution cache: the sender-key
+// rxAttrib is a receive worker's sender-attribution cache: the sender-key
 // string for the common case of consecutive datagrams from one peer (a
 // fragmented jumbo frame arrives as a burst from the same address) —
 // String() per datagram would allocate — plus the sender's link for
@@ -1013,51 +1016,59 @@ type rxAttrib struct {
 	lastTopo *topology
 }
 
-// readLoop is the receive producer: it drains batches of reads off the
-// UDP socket (recvmmsg with UDP_GRO on linux/{amd64,arm64} — a read is
-// then a whole train of datagrams — and one ReadFromUDP per wakeup
-// elsewhere), steers control traffic to the probe
-// handler, and hands raw data datagrams, a train at a time, to the
-// dispatcher pool keyed by sender. It does no parsing beyond a one-byte
-// flag peek per datagram, so the socket drains at wire rate and the
-// heavy work (parse, reassemble, route) parallelizes across workers. Supervised: a panic restarts the loop
-// over the still-open socket (the address caches rebuild); a clean
-// return (socket closed) retires it. The progress markers bracket
-// per-batch handling only — blocking in readBatch is idle, not a stall.
-func (n *Node) readLoop(inst *supervise.Instance) {
-	rdr := newBatchReader(n.conn, n.cfg.portableRx)
+// readLoop is one receive worker, run to completion: it drains batches
+// of reads off its socket (recvmmsg with UDP_GRO on linux/{amd64,arm64} —
+// a read is then a whole train of datagrams — and one ReadFromUDP per
+// wakeup elsewhere) into its reader's buffers and finishes every datagram
+// before it reads again. Supervised as "dispatcher/<idx>": a panic loses
+// the batch in hand and restarts the loop over the still-open socket; an
+// instance superseded for stalling finishes its batch when it unblocks
+// and leaves, while its replacement reads the same socket into buffers of
+// its own; a clean return (socket closed) retires the worker. Blocking in
+// readBatch is idle, not a stall: the progress markers bracket a batch.
+func (n *Node) readLoop(inst *supervise.Instance, s *rxShard) {
+	rdr := newBatchReader(s.conn, n.cfg.portableRx)
 	batch := make([]rxPacket, rxBatch)
 	var attr rxAttrib
 	for {
-		cnt, err := rdr.readBatch(batch)
-		if err != nil {
-			return
-		}
 		select {
 		case <-inst.Quit(): // superseded or stopping: the replacement owns the socket
 			return
 		default:
 		}
+		cnt, err := rdr.readBatch(batch)
+		if err != nil {
+			return
+		}
 		inst.Working()
 		at := time.Now()
 		datagrams := 0
-		for i := 0; i < cnt; i++ {
-			datagrams += n.handleDatagram(batch[i], at, &attr)
-			batch[i] = rxPacket{} // drop the owned copy's ref once handed off
+		for _, p := range batch[:cnt] {
+			datagrams += n.receive(s, p, at, &attr)
 		}
 		n.metrics.rxBatchSize.Observe(float64(datagrams))
 		inst.Idle()
 	}
 }
 
-// handleDatagram classifies and routes one socket read: link attribution
-// via the read loop's cache, then — per datagram, never per read: GRO
-// will put a peer's probe behind its data when they share a flow —
-// control datagrams to the probe handler, and each run of data datagrams
-// between them onto the sender's dispatcher shard in one piece. p.pkt
-// must be an owned copy (it outlives the call on both paths). Returns how
-// many datagrams the read held.
-func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) (datagrams int) {
+// receive finishes one socket read on the calling worker: what the
+// kernel shed ahead of it goes on the ledger, then link attribution via
+// the worker's cache, then — per datagram, never per read: GRO will
+// put a peer's probe behind its data when they share a flow — control
+// datagrams are copied to the probe handler and data datagrams run to
+// delivery right here, in arrival order. p.pkt is borrowed for the call.
+// Returns how many datagrams the read held.
+func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (datagrams int) {
+	// The socket's overflow count only grows (u32, compared wrap-safe):
+	// whoever moves the worker's copy of it forward charges the difference,
+	// so a superseded instance finishing an old batch late charges nothing.
+	for last := s.ovfl.Load(); int32(p.ovfl-last) > 0; last = s.ovfl.Load() {
+		if s.ovfl.CompareAndSwap(last, p.ovfl) {
+			n.drop(dropDispatcherRing, uint64(p.ovfl-last), telemetry.DropDetail{
+				Scope: strconv.Itoa(s.idx), Stage: "rx_socket",
+			})
+		}
+	}
 	from := p.from
 	changed := attr.lastKey == "" || from.Port != attr.lastAddr.Port || !from.IP.Equal(attr.lastAddr.IP)
 	if changed {
@@ -1071,17 +1082,13 @@ func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) (datagra
 	if attr.lastLink != nil {
 		attr.lastLink.bytesRecv.Add(uint64(len(p.pkt)))
 	}
-	run := p.pkt // the data datagrams since the last control one, and all behind them
 	for d, rest := nextSegment(p.pkt, p.seg); ; d, rest = nextSegment(rest, p.seg) {
 		datagrams++
-		switch {
-		case bridge.EncapIsControl(d):
-			if data := len(run) - len(d) - len(rest); data > 0 {
-				n.enqueue(attr.lastKey, run[:data], p.seg, at)
-			}
-			run = rest
+		if !bridge.EncapIsControl(d) {
+			n.rxDatagram(s, attr.lastKey, d, at)
+		} else {
 			select {
-			case n.probeCh <- probeEvent{pkt: d, from: from}:
+			case n.probeCh <- probeEvent{pkt: bytes.Clone(d), from: from}:
 			default:
 				// Control ring full: the dropped probe surfaces as a lost
 				// heartbeat at its sender — but the ledger still records
@@ -1092,8 +1099,6 @@ func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) (datagra
 					Scope: from.String(), Stage: "control",
 				})
 			}
-		case len(rest) == 0: // the read ends in data: so does the run
-			n.enqueue(attr.lastKey, run, p.seg, at)
 		}
 		if len(rest) == 0 {
 			break
@@ -1106,8 +1111,8 @@ func (n *Node) handleDatagram(p rxPacket, at time.Time, attr *rxAttrib) (datagra
 }
 
 // probeLoop handles control traffic (liveness probes and replies) off the
-// data path, so heartbeats stay responsive while the dispatchers chew
-// through bulk traffic — and bulk traffic never waits on probe replies.
+// receive workers, so bulk traffic never waits on a probe reply's send
+// (a probe does queue in the socket behind the data ahead of it).
 // Supervised as "prober": a panic on one malformed event restarts the
 // loop; probeCh survives the restart.
 func (n *Node) probeLoop(inst *supervise.Instance) {

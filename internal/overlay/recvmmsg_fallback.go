@@ -9,3 +9,13 @@ import "net"
 func newPlatformBatchReader(c *net.UDPConn, batch int) batchReader {
 	return nil
 }
+
+// listenUDP on platforms where this package sets no socket options: one
+// plain socket, so one receive worker whatever was asked for.
+func listenUDP(bind string, workers int) ([]*net.UDPConn, error) {
+	pc, err := net.ListenPacket("udp", bind)
+	if err != nil {
+		return nil, err
+	}
+	return []*net.UDPConn{pc.(*net.UDPConn)}, nil
+}

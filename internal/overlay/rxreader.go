@@ -14,14 +14,18 @@ import "net"
 // a burst's worth of 64KiB buffers.
 const rxBatch = 16
 
-// rxPacket is one socket read: an owned copy of what it returned (the
-// reader's internal buffers are reused across batches) and its sender.
-// A read is one datagram, or — seg > 0, from a UDP_GRO socket — a train:
-// datagrams of seg bytes each, the last possibly shorter, back to back.
+// rxPacket is one socket read, borrowed: pkt aliases the reader's own
+// buffer and is valid until the reader's next readBatch, so whoever keeps
+// bytes past that copies them. A read is one datagram, or — seg > 0, from
+// a UDP_GRO socket — a train: datagrams of seg bytes each, the last
+// possibly shorter, back to back. ovfl, when non-zero, is how many
+// datagrams the kernel had shed at the socket's full receive queue, since
+// the socket was made, when it queued this one (SO_RXQ_OVFL).
 type rxPacket struct {
 	pkt  []byte
 	seg  int
 	from *net.UDPAddr
+	ovfl uint32
 }
 
 // nextSegment splits the leading datagram off a read (seg as in
@@ -36,9 +40,9 @@ func nextSegment(pkt []byte, seg int) (head, rest []byte) {
 
 // batchReader abstracts "drain up to len(into) reads from the socket".
 // readBatch blocks until at least one datagram is available, fills
-// into[0:n] with owned copies, and returns n. A socket
-// error (including close during shutdown) returns err; the read loop
-// treats any error as retirement, matching the old ReadFromUDP contract.
+// into[0:n] with reads out of its own buffers, overwriting what it handed
+// out before, and returns n. A socket error (including close during
+// shutdown) returns err; the read loop treats any error as retirement.
 type batchReader interface {
 	readBatch(into []rxPacket) (int, error)
 }
@@ -56,9 +60,7 @@ func (r *singleReader) readBatch(into []rxPacket) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pkt := make([]byte, sz)
-	copy(pkt, r.buf[:sz])
-	into[0] = rxPacket{pkt: pkt, from: from}
+	into[0] = rxPacket{pkt: r.buf[:sz:sz], from: from}
 	return 1, nil
 }
 

@@ -127,6 +127,8 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 	shard := n.shardFor(key)
 	r := bufio.NewReader(c.conn)
 	var hdr [4]byte
+	var h bridge.EncapHeader
+	var buf []byte // every message is read into it: processData borrows, as from a UDP reader
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
@@ -136,7 +138,10 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_frame"})
 			return
 		}
-		pkt := make([]byte, size)
+		if int(size) > cap(buf) {
+			buf = make([]byte, size)
+		}
+		pkt := buf[:size:size]
 		if _, err := io.ReadFull(r, pkt); err != nil {
 			return
 		}
@@ -144,7 +149,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		if lk != nil { // inbound accepted conns have no link to attribute to
 			lk.bytesRecv.Add(uint64(len(hdr) + len(pkt)))
 		}
-		h, payload, err := bridge.ParseEncap(pkt)
+		payload, err := h.Unmarshal(pkt)
 		if err != nil {
 			n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
 			continue
@@ -157,10 +162,8 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		case h.ProbeReply:
 			n.handleProbeReply(payload)
 		default:
-			// The connection reader is already a dedicated goroutine, so
-			// data is processed inline on the sender's reassembly shard
-			// rather than re-queued behind the UDP dispatchers.
-			n.processData(shard, key, h, payload, pkt, at)
+			// Run to completion here too, on the connection's shard.
+			n.processData(shard, key, &h, payload, pkt, at)
 		}
 	}
 }

@@ -51,7 +51,6 @@ type nodeMetrics struct {
 	dispDatagrams *telemetry.CounterVec // worker
 	dispFrames    *telemetry.CounterVec
 	dispDrops     *telemetry.CounterVec
-	dispRing      *telemetry.GaugeVec
 	reasmPending  *telemetry.GaugeVec
 
 	// Sealed-datapath families: datagrams sealed on TX, opened on RX, and
@@ -68,8 +67,7 @@ type nodeMetrics struct {
 	rxLatency        *telemetry.Histogram
 
 	// Runtime supervision (internal/supervise), labeled by component
-	// ("dispatcher/<i>", "tx/<link>", "reader", "prober", "evictor",
-	// "health").
+	// ("dispatcher/<i>", "tx/<link>", "prober", "evictor", "health").
 	panicsRecovered   *telemetry.CounterVec // component
 	componentRestarts *telemetry.CounterVec
 	watchdogStalls    *telemetry.CounterVec
@@ -125,15 +123,13 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Liveness probe round-trip time per link.", telemetry.LatencyBuckets, "link"),
 
 		dispDatagrams: reg.CounterVec("vnetp_dispatcher_datagrams_total",
-			"Data datagrams processed per dispatcher worker.", "worker"),
+			"Data datagrams finished per receive worker.", "worker"),
 		dispFrames: reg.CounterVec("vnetp_dispatcher_frames_total",
-			"Completed inner frames routed per dispatcher worker.", "worker"),
+			"Completed inner frames routed per receive worker.", "worker"),
 		dispDrops: reg.CounterVec("vnetp_dispatcher_drops_total",
-			"Datagrams dropped at a full dispatcher ring.", "worker"),
-		dispRing: reg.GaugeVec("vnetp_dispatcher_ring_depth",
-			"Datagrams queued in a dispatcher's inbound ring.", "worker"),
+			"Datagrams the kernel shed at a receive worker's full socket queue (SO_RXQ_OVFL; one per datagram, whatever it carried).", "worker"),
 		reasmPending: reg.GaugeVec("vnetp_reassembly_pending",
-			"Partially reassembled packets held per dispatcher worker.", "worker"),
+			"Partially reassembled packets held per receive worker.", "worker"),
 
 		sealSealed: reg.Counter("vnetp_seal_sealed_total",
 			"Encapsulation datagrams sealed (AEAD-encrypted) on the transmit path."),
@@ -149,10 +145,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Frames completed per data datagram on the batched transmit leg (aggregate: its frame count; a fragment: 0, the last one 1).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxBatchSize: reg.Histogram("vnetp_rx_batch_size",
-			"Datagrams drained from the UDP socket per read-loop wakeup (recvmmsg batch; a UDP_GRO train counts each of its datagrams).",
+			"Datagrams drained from a UDP socket per receive-worker wakeup (recvmmsg batch; a UDP_GRO train counts each of its datagrams).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxGROTrains: reg.Counter("vnetp_rx_gro_trains_total",
-			"Socket reads that returned a train of datagrams (UDP_GRO) and crossed the dispatcher ring in one piece."),
+			"Socket reads that returned a train of datagrams (UDP_GRO)."),
 		txLatency: reg.Histogram("vnetp_tx_latency_seconds",
 			"Frame-in to datagram-out latency for locally originated frames hitting a link.",
 			telemetry.LatencyBuckets),
@@ -180,7 +176,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 func (n *Node) registerNodeFuncs() {
 	m := n.metrics
 	reg := m.reg
-	reg.GaugeFunc("vnetp_dispatchers", "Receive dispatcher pool size.",
+	reg.GaugeFunc("vnetp_dispatchers", "Receive workers (one socket each).",
 		func() float64 { return float64(len(n.shards)) })
 	// The scalar drop families are the ledger's own counts under their
 	// original names.
@@ -218,7 +214,6 @@ func (n *Node) registerNodeFuncs() {
 		s := s
 		w := strconv.Itoa(s.idx)
 		m.dispDrops.With(w) // the drop funnel moves only children that exist
-		m.dispRing.Func(func() float64 { return float64(len(s.in)) }, w)
 		m.reasmPending.Func(func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()

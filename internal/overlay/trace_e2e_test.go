@@ -222,8 +222,8 @@ func BenchmarkOverlayTraceSampling(b *testing.B) {
 		b.Run(fmt.Sprintf("sample=%s", cfg.name), func(b *testing.B) {
 			const window = 1024
 			na, _, epA, epB := batchNodes(b,
-				overlay.NodeConfig{TraceSample: cfg.sample, QueueDepth: 8192},
-				overlay.NodeConfig{QueueDepth: 8192}, "udp")
+				overlay.NodeConfig{TraceSample: cfg.sample},
+				overlay.NodeConfig{}, "udp")
 			f := &ethernet.Frame{
 				Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
 				Payload: make([]byte, 64),

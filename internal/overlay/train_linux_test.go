@@ -9,6 +9,7 @@ package overlay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -543,5 +545,229 @@ func BenchmarkTransmitTrain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestDropSiteDispatcherRing: nothing queues between a worker's socket
+// and the guest, so the queue in front of a worker is the socket's
+// receive queue and dispatcher_ring counts what the kernel shed there —
+// SO_RXQ_OVFL, reported on the next message to arrive behind the loss.
+// The kernel counts messages: a shed aggregate is one, whatever it
+// carried, and so is a shed train. The worker is held inside its first
+// batch while a burst of lone frames, five-frame aggregates and
+// three-fragment trains overruns a minimum-size receive buffer; once it
+// runs again and a message sent behind all the loss has arrived, the
+// ledger and the per-worker family both read messages sent − messages
+// that arrived, nothing else was dropped, and the frames that went
+// missing are exactly the shed messages' frames.
+func TestDropSiteDispatcherRing(t *testing.T) {
+	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	waitGRO(t, n)
+	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), ethernet.JumboMTU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.conn.SetReadBuffer(1) // the kernel's minimum: a few messages deep
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	var tx udpTx
+	tx.init(peer)
+	m := newTxMsgs(&tx)
+	sa := sockaddrFor(peer, n.conn.LocalAddr().(*net.UDPAddr))
+	// Message i carries frames whose payloads start with i.
+	frame := func(i, size int) *ethernet.Frame {
+		f := testFrame(ethernet.LocalMAC(1), sink.MAC())
+		f.Payload = make([]byte, size)
+		binary.BigEndian.PutUint32(f.Payload, uint32(i))
+		return f
+	}
+	const burst, aggFrames = 90, 5
+	sizes := []int{1, aggFrames, 1} // frames per message, by kind: lone, aggregate, train
+	kind := func(i int) int {
+		if i >= burst { // what is sent behind the burst is lone frames
+			return 0
+		}
+		return i % 3
+	}
+	send := func(i int) {
+		t.Helper()
+		var dgs [][]byte
+		switch kind(i) {
+		case 0:
+			dgs, err = bridge.Encapsulate(frame(i, 64), uint32(i), maxDatagram)
+		case 1:
+			var agg bridge.Aggregator
+			var ids atomic.Uint32
+			agg.Reset(bridge.NewEncapTemplate(nil), nil, maxDatagram)
+			for k := 0; k < aggFrames; k++ {
+				if fit, aerr := agg.Add(frame(i, 64), &ids); !fit || aerr != nil {
+					t.Fatalf("aggregate %d: fit=%v err=%v", i, fit, aerr)
+				}
+			}
+			d, _ := agg.Close()
+			dgs = [][]byte{d}
+		case 2:
+			dgs, err = bridge.Encapsulate(frame(i, 3000), uint32(i), maxDatagram)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.build(dgs, sa, true)
+		if m.n != 1 {
+			t.Fatalf("message %d left as %d messages, want one", i, m.n)
+		}
+		if err := tx.rc.Write(m.write); err != nil || m.errno != 0 {
+			t.Fatalf("send %d: %v / %v", i, err, m.errno)
+		}
+	}
+
+	n.Runtime().Worker("dispatcher/0").InjectStall(300 * time.Millisecond) // well inside the watchdog's patience
+	for i := 0; i < burst; i++ {
+		send(i)
+	}
+	// The count of what was shed rides on the next message the socket
+	// admits: keep sending until the last message sent is one that arrived.
+	got := map[uint32]int{}
+	last := burst - 1
+	for deadline := time.Now().Add(10 * time.Second); got[uint32(last)] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no message arrived behind the burst; ledger %v", n.ledger.Snapshot())
+		}
+		last++
+		send(last)
+		for wait := time.Now().Add(100 * time.Millisecond); got[uint32(last)] == 0; {
+			f, ok := sink.Recv(time.Until(wait))
+			if !ok {
+				break
+			}
+			got[binary.BigEndian.Uint32(f.Payload)]++
+		}
+	}
+	var shed, lostFrames, frames uint64
+	kinds := map[int]int{}
+	for i := 0; i <= last; i++ {
+		frames += uint64(sizes[kind(i)])
+		switch got[uint32(i)] {
+		case 0:
+			shed++
+			lostFrames += uint64(sizes[kind(i)])
+			kinds[kind(i)]++
+		case sizes[kind(i)]:
+		default:
+			t.Fatalf("message %d delivered %d of its %d frames: a message arrives whole or not at all", i, got[uint32(i)], sizes[kind(i)])
+		}
+	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+		t.Fatalf("shed by kind %v of %d messages: the burst was meant to lose some of each", kinds, last+1)
+	}
+	ledger, legacy := n.ledger.Count(dropDispatcherRing), Metric(t, n, "vnetp_dispatcher_drops_total", "0")
+	if ledger != shed || legacy != shed || n.ledger.Total() != shed {
+		t.Fatalf("dispatcher_ring ledger=%d vnetp_dispatcher_drops_total{0}=%d drops_total=%d, want %d each: messages sent %d − arrived %d",
+			ledger, legacy, n.ledger.Total(), shed, last+1, last+1-int(shed))
+	}
+	// admitted = delivered + Σ ledger, in frames, once a shed aggregate's
+	// other frames — which no one saw — are allowed for.
+	unseen := uint64(kinds[1]) * (aggFrames - 1)
+	settle(func() bool { return n.Delivered.Load() == frames-lostFrames }) // the counter trails the ring push
+	if delivered := n.Delivered.Load(); frames != delivered+n.ledger.Total()+unseen || lostFrames != ledger+unseen {
+		t.Fatalf("frames sent %d, delivered %d, ledger %d, inside shed aggregates %d: unexplained %d",
+			frames, delivered, n.ledger.Total(), unseen, int64(frames)-int64(delivered+n.ledger.Total()+unseen))
+	}
+	if rec := n.ledger.Tail(dropDispatcherRing); len(rec) == 0 || rec[0].Stage != "rx_socket" || rec[0].Scope != "0" {
+		t.Fatalf("ledger tail = %+v, want worker 0's rx_socket records", rec)
+	}
+}
+
+// TestReusePortWorkersKeepSenderOrder: four workers, four sockets, one
+// port. Eight peers each send 200 sequenced frames — every fourth one in
+// three fragments — ten in flight per peer; the kernel keeps a peer on
+// one socket, so each peer's frames arrive in order although the workers
+// run side by side; more than one worker carried traffic; and a probe
+// from any peer is answered whichever socket it reached.
+func TestReusePortWorkersKeepSenderOrder(t *testing.T) {
+	n := dropNode(t, NodeConfig{Dispatchers: 4})
+	if n.Dispatchers() != 4 {
+		t.Fatalf("Dispatchers() = %d, want 4", n.Dispatchers())
+	}
+	dst := n.conn.LocalAddr().(*net.UDPAddr)
+	for i, s := range n.shards {
+		if a := s.conn.LocalAddr().(*net.UDPAddr); a.Port != dst.Port || !a.IP.Equal(dst.IP) {
+			t.Fatalf("worker %d reads %v, the node's address is %v", i, a, n.Addr())
+		}
+	}
+	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), ethernet.JumboMTU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const peers, perPeer, window = 8, 200, 10
+	conns := make([]*net.UDPConn, peers)
+	for p := range conns {
+		if conns[p], err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[p].Close()
+	}
+	next := make([]uint32, peers) // the sequence number each peer's next frame must carry
+	for base := 0; base < perPeer; base += window {
+		for seq := base; seq < base+window; seq++ {
+			for p, c := range conns {
+				f := testFrame(ethernet.LocalMAC(uint32(10+p)), sink.MAC())
+				f.Payload = make([]byte, 64)
+				if seq%4 == 3 {
+					f.Payload = make([]byte, 3000)
+				}
+				binary.BigEndian.PutUint32(f.Payload, uint32(p))
+				binary.BigEndian.PutUint32(f.Payload[4:], uint32(seq))
+				dgs, err := bridge.Encapsulate(f, uint32(seq), maxDatagram)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range dgs {
+					if _, err := c.WriteToUDP(d, dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for i := 0; i < peers*window; i++ {
+			f, ok := sink.Recv(5 * time.Second)
+			if !ok {
+				t.Fatalf("frame lost after %v in order; ledger %v", next, n.ledger.Snapshot())
+			}
+			p, seq := binary.BigEndian.Uint32(f.Payload), binary.BigEndian.Uint32(f.Payload[4:])
+			if seq != next[p] {
+				t.Fatalf("peer %d: frame %d arrived where %d was due", p, seq, next[p])
+			}
+			next[p]++
+		}
+	}
+	busy := 0
+	for i := range n.shards {
+		if Metric(t, n, "vnetp_dispatcher_frames_total", fmt.Sprint(i)) > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("%d of 4 workers carried the eight peers' frames, want at least 2", busy)
+	}
+	reply := make([]byte, 2048)
+	for p, c := range conns {
+		if _, err := c.WriteToUDP(marshalProbe("lk", uint64(p)), dst); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		sz, from, err := c.ReadFromUDP(reply)
+		if err != nil {
+			t.Fatalf("peer %d's probe went unanswered: %v", p, err)
+		}
+		if h, _, err := bridge.ParseEncap(reply[:sz]); err != nil || !h.ProbeReply || from.Port != dst.Port {
+			t.Fatalf("peer %d: reply %+v from %v, err %v; want a probe reply from %v", p, h, from, err, dst)
+		}
+	}
+	if drops := n.ledger.Total(); drops != 0 {
+		t.Fatalf("drops = %d: %v", drops, n.ledger.Snapshot())
 	}
 }

@@ -215,7 +215,14 @@ func TestTxBatchTelemetryScrape(t *testing.T) {
 			t.Fatalf("frame %d not delivered", i)
 		}
 	}
-	scrape := scrapeMetrics(t, na)
+	// The sender takes its samples once a batch is on the wire, and the
+	// receiver may have delivered the batch by then: wait for them.
+	var scrape string
+	waitUntil(t, 5*time.Second, "the sender's histograms to account for the last batch", func() bool {
+		scrape = scrapeMetrics(t, na)
+		return metricValue(t, scrape, "vnetp_tx_batch_size_sum") >= frames &&
+			metricValue(t, scrape, "vnetp_tx_datagram_frames_sum") >= frames
+	})
 	if c := metricValue(t, scrape, "vnetp_tx_batch_size_count"); c < 1 {
 		t.Fatalf("vnetp_tx_batch_size_count = %v, want >= 1", c)
 	}
@@ -337,7 +344,7 @@ func BenchmarkOverlayTxBatching(b *testing.B) {
 			const window = 1024
 			na, _, epA, epB := batchNodes(b,
 				overlay.NodeConfig{TxBatch: batch, TxRing: ring},
-				overlay.NodeConfig{QueueDepth: 8192}, "udp")
+				overlay.NodeConfig{}, "udp")
 			f := &ethernet.Frame{
 				Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
 				Payload: make([]byte, 64),
