@@ -130,6 +130,11 @@ func TestAdaptationLoopOnStar(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		exchange()
 	}
+	// The hub counts a forward after its send returns, which the frame's
+	// receiver can outrun: let it finish counting the 40 it carried.
+	for deadline := time.Now().Add(2 * time.Second); nodes[0].EncapSent.Load() < 40 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	hubBefore := nodes[0].EncapSent.Load()
 	if hubBefore == 0 {
 		t.Fatal("star traffic did not transit the hub")

@@ -41,9 +41,9 @@ type flowKey struct{ src, dst ethernet.MAC }
 const maxTrackedFlows = 4096
 
 // evictSample is how many resident flows an eviction inspects: the
-// lightest of the sample goes. Acquire runs on the overlay's flow-cache
-// miss path, where a MAC scan makes nearly every call an eviction, so
-// the cost must not grow with the table. A flow is evicted only when it
+// lightest of the sample goes. Acquire runs whenever a flow-cache entry
+// meets a new source, and a MAC scan makes nearly every call an eviction,
+// so the cost must not grow with the table. A flow is evicted only when it
 // is the lightest of evictSample residents (a run of slots from a random
 // start), which a heavy flow among light ones never is.
 const evictSample = 8

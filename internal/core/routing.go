@@ -192,6 +192,10 @@ type Table struct {
 	// also retires every derived per-flow forwarding decision. The hook
 	// must be cheap and must not call back into the table.
 	onInvalidate func()
+
+	// srcQual counts routes whose SrcQual is not QualAny, moved under mu
+	// before the edit's invalidation; a Tenants set shares one counter.
+	srcQual *atomic.Int64
 }
 
 // NewTable returns an empty routing table with the cache enabled.
@@ -200,6 +204,7 @@ func NewTable() *Table {
 		cache:        make(map[cacheKey][]Destination),
 		failed:       make(map[Destination]bool),
 		CacheEnabled: true,
+		srcQual:      new(atomic.Int64),
 	}
 }
 
@@ -285,12 +290,20 @@ func (t *Table) resolveLocked(r *Route) Destination {
 	return r.Dest
 }
 
+// countSrcQual moves the source-qualified route count by d for r.
+func (t *Table) countSrcQual(r *Route, d int64) {
+	if r.SrcQual != QualAny {
+		t.srcQual.Add(d)
+	}
+}
+
 // AddRoute appends a route and invalidates the routing cache.
 func (t *Table) AddRoute(r Route) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rc := r
 	t.routes = append(t.routes, &rc)
+	t.countSrcQual(&rc, 1)
 	t.invalidateCacheLocked()
 }
 
@@ -302,6 +315,7 @@ func (t *Table) RemoveRoute(r Route) bool {
 	for i, have := range t.routes {
 		if *have == r {
 			t.routes = append(t.routes[:i], t.routes[i+1:]...)
+			t.countSrcQual(&r, -1)
 			t.invalidateCacheLocked()
 			return true
 		}
@@ -319,6 +333,7 @@ func (t *Table) RemoveByDest(dest Destination) int {
 	for _, r := range t.routes {
 		if r.Dest == dest {
 			removed++
+			t.countSrcQual(r, -1)
 			continue
 		}
 		kept = append(kept, r)
@@ -402,6 +417,32 @@ func (t *Table) Lookup(src, dst ethernet.MAC) ([]Destination, bool, error) {
 	return dests, false, nil
 }
 
+// Best is the uncached Lookup of one unicast packet, by value: the best
+// match, and whether any route counted in srcQual has a source qualifier
+// — read under one lock, so bySrc false is the answer for every source.
+func (t *Table) Best(src, dst ethernet.MAC) (d Destination, bySrc bool, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.Misses.Add(1)
+	d, ok := t.bestLocked(src, dst)
+	if !ok {
+		err = ErrNoRoute
+	}
+	return d, t.srcQual.Load() > 0, err
+}
+
+// bestLocked scans for the most specific match (read lock held).
+func (t *Table) bestLocked(src, dst ethernet.MAC) (d Destination, ok bool) {
+	best := -1
+	for _, r := range t.routes {
+		if ok, score := r.matches(src, dst); ok && score > best {
+			best = score
+			d = t.resolveLocked(r)
+		}
+	}
+	return d, best >= 0
+}
+
 // scanLocked resolves a packet against the rule list. Caller holds at
 // least a read lock.
 func (t *Table) scanLocked(src, dst ethernet.MAC) ([]Destination, error) {
@@ -417,18 +458,8 @@ func (t *Table) scanLocked(src, dst ethernet.MAC) ([]Destination, error) {
 				}
 			}
 		}
-	} else {
-		best := -1
-		var bestDest Destination
-		for _, r := range t.routes {
-			if ok, score := r.matches(src, dst); ok && score > best {
-				best = score
-				bestDest = t.resolveLocked(r)
-			}
-		}
-		if best >= 0 {
-			dests = []Destination{bestDest}
-		}
+	} else if d, ok := t.bestLocked(src, dst); ok {
+		dests = []Destination{d}
 	}
 	if len(dests) == 0 {
 		return nil, ErrNoRoute

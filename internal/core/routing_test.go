@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +280,44 @@ func TestRoutingCacheBounded(t *testing.T) {
 	}
 	if hits+misses < sources {
 		t.Fatalf("hits %d + misses %d < %d lookups", hits, misses, sources)
+	}
+}
+
+// TestBestEqualsLookup: the by-value entry point is Lookup's unicast
+// answer — same destination, same ErrNoRoute, failover applied — over
+// random rule sets, without allocating; bySrc is set exactly while some
+// rule has a source qualifier.
+func TestBestEqualsLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	macs := []ethernet.MAC{{}, ethernet.LocalMAC(1), ethernet.LocalMAC(2), ethernet.LocalMAC(3)}
+	quals := []Qualifier{QualExact, QualAny, QualNot}
+	for round := 0; round < 200; round++ {
+		tbl := NewTable()
+		tbl.CacheEnabled = round%2 == 0
+		qualified := false
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			r := Route{SrcMAC: macs[rng.Intn(4)], SrcQual: quals[rng.Intn(3)], DstMAC: macs[rng.Intn(4)], DstQual: quals[rng.Intn(3)],
+				Dest:   Destination{Type: DestLink, ID: fmt.Sprint("l", rng.Intn(3))},
+				Backup: Destination{Type: DestInterface, ID: "b"}, HasBackup: rng.Intn(2) == 0}
+			if round%3 == 0 {
+				r.SrcQual = QualAny
+			}
+			qualified = qualified || r.SrcQual != QualAny
+			tbl.AddRoute(r)
+		}
+		tbl.FailDest(Destination{Type: DestLink, ID: "l0"})
+		for _, src := range macs {
+			for _, dst := range macs {
+				dests, _, lerr := tbl.Lookup(src, dst)
+				d, bySrc, err := tbl.Best(src, dst)
+				if err != lerr || bySrc != qualified || (err == nil && (len(dests) != 1 || dests[0] != d)) {
+					t.Fatalf("round %d %s->%s: Best = %v bySrc=%v err=%v, Lookup = %v err=%v (qualified=%v)\n%v",
+						round, src, dst, d, bySrc, err, dests, lerr, qualified, tbl.Routes())
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { tbl.Best(macs[1], macs[2]) }); a != 0 {
+			t.Fatalf("Best allocates %.0f objects", a)
+		}
 	}
 }

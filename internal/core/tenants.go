@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultTenant is the implicit tenant every pre-tenancy configuration
@@ -19,8 +20,8 @@ const DefaultTenant uint32 = 0
 //
 // Its tables run with the routing cache off. Tenants has one user, the
 // live overlay, whose flow cache already holds the whole forwarding
-// decision per (tenant, src, dst); a second cache under it, keyed alike
-// and capped alike, would fill and thrash in step with it and put an
+// decision per flow; a second cache under it, keyed no finer and capped
+// alike, would fill and thrash in step with it and put an
 // exclusive lock on every flow-cache miss. The invalidation hook fires
 // on every edit all the same.
 type Tenants struct {
@@ -32,18 +33,27 @@ type Tenants struct {
 	// a route-cache clear in any tenant namespace reaches the overlay's
 	// flow-cache epoch.
 	invalidate func()
+	srcQual    atomic.Int64 // every table's Table.srcQual
 }
 
 // NewTenants returns a tenant set holding only the default tenant.
 func NewTenants() *Tenants {
-	return &Tenants{tables: map[uint32]*Table{DefaultTenant: newTenantTable()}}
+	ts := &Tenants{}
+	ts.tables = map[uint32]*Table{DefaultTenant: ts.newTable()}
+	return ts
 }
 
-func newTenantTable() *Table {
+func (ts *Tenants) newTable() *Table {
 	t := NewTable()
 	t.CacheEnabled = false
+	t.srcQual = &ts.srcQual
 	return t
 }
+
+// SourceQualified reports whether any tenant's table holds a route with
+// a source qualifier; while false no answer depends on the frame's
+// source. A route edit moves it before its invalidation hook fires.
+func (ts *Tenants) SourceQualified() bool { return ts.srcQual.Load() > 0 }
 
 // Default returns the default tenant's table (never nil).
 func (ts *Tenants) Default() *Table { return ts.tables[DefaultTenant] }
@@ -62,7 +72,7 @@ func (ts *Tenants) Ensure(id uint32) *Table {
 	defer ts.mu.Unlock()
 	t := ts.tables[id]
 	if t == nil {
-		t = newTenantTable()
+		t = ts.newTable()
 		if ts.invalidate != nil {
 			t.SetInvalidateHook(ts.invalidate)
 		}

@@ -126,3 +126,52 @@ func TestTenantTablesScanUnderReadLock(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceQualifiedFollowsTheRules: the node-wide flag is the sum over
+// every tenant's table of routes with a source qualifier, moved by each
+// way a route can come or go, and already moved when the edit's
+// invalidation hook fires — the overlay's flow epoch is bumped from that
+// hook, so whoever observes the bump observes the count.
+func TestSourceQualifiedFollowsTheRules(t *testing.T) {
+	ts := NewTenants()
+	var atHook []bool
+	ts.SetInvalidateHook(func() { atHook = append(atHook, ts.SourceQualified()) })
+	dest := Destination{Type: DestLink, ID: "l"}
+	plain := Route{DstMAC: ethernet.LocalMAC(1), DstQual: QualExact, SrcQual: QualAny, Dest: dest}
+	exact := Route{DstMAC: ethernet.LocalMAC(1), DstQual: QualExact, SrcMAC: ethernet.LocalMAC(2), SrcQual: QualExact, Dest: dest}
+	not := Route{DstQual: QualAny, SrcMAC: ethernet.LocalMAC(3), SrcQual: QualNot, Dest: dest, Tenant: 9}
+	steps := []struct {
+		what string
+		do   func()
+		want bool
+	}{
+		{"add src=any", func() { ts.Default().AddRoute(plain) }, false},
+		{"add src=exact", func() { ts.Default().AddRoute(exact) }, true},
+		{"add src=not in a later tenant", func() { ts.Ensure(9).AddRoute(not) }, true},
+		{"remove src=exact", func() { ts.Default().RemoveRoute(exact) }, true},
+		{"remove src=any", func() { ts.Default().RemoveRoute(plain) }, true},
+		{"sweep the other tenant by destination", func() { ts.Table(9).RemoveByDest(dest) }, false},
+		{"add twice", func() { ts.Default().AddRoute(exact); ts.Default().AddRoute(exact) }, true},
+		{"remove one of two", func() { ts.Default().RemoveRoute(exact) }, true},
+		{"remove the other", func() { ts.Default().RemoveRoute(exact) }, false},
+	}
+	for _, s := range steps {
+		atHook = atHook[:0]
+		s.do()
+		if got := ts.SourceQualified(); got != s.want {
+			t.Fatalf("%s: SourceQualified = %v, want %v", s.what, got, s.want)
+		}
+		if len(atHook) == 0 || atHook[len(atHook)-1] != s.want {
+			t.Fatalf("%s: the invalidation hook saw %v, want the count already moved to %v", s.what, atHook, s.want)
+		}
+	}
+	if ts.Default().RemoveRoute(exact) || ts.SourceQualified() {
+		t.Fatal("removing an absent route moved the count")
+	}
+	// A standalone table counts for itself.
+	tbl := NewTable()
+	tbl.AddRoute(not)
+	if _, bySrc, _ := tbl.Best(ethernet.LocalMAC(1), ethernet.LocalMAC(2)); !bySrc || ts.SourceQualified() {
+		t.Fatalf("standalone table: bySrc=%v, tenants flag=%v", bySrc, ts.SourceQualified())
+	}
+}

@@ -86,6 +86,7 @@ type DiagFlowCache struct {
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
 	Epoch     uint64 `json:"epoch"`
+	SrcKeyed  bool   `json:"source_keyed"`
 }
 
 // DiagDrops is the unified drop ledger's snapshot: totals by reason
@@ -158,6 +159,7 @@ func (n *Node) Diag() DiagBundle {
 			Evictions: g.sum("vnetp_flow_cache_evictions_total", ""),
 			Entries:   int(g.sum("vnetp_flow_cache_entries", "")),
 			Epoch:     n.flowEpoch.Load(),
+			SrcKeyed:  g.sum("vnetp_flow_cache_source_keyed", "") == 1,
 		},
 		TopFlows: n.topFlowsDoc(),
 		Drops: DiagDrops{

@@ -161,6 +161,9 @@ type rxShard struct {
 	sealTenant uint32
 	sealKey    string
 
+	// sli memoises routeFromWire's last tenant (TCP readers share it).
+	sli atomic.Pointer[tenantSLI]
+
 	// flight is this worker's flight recorder: the last
 	// NodeConfig.FlightDepth datagram events, nil when disabled.
 	flight *trace.FlightRing
@@ -315,7 +318,12 @@ func (n *Node) routeFromWire(s *rxShard, frame *ethernet.Frame, tenant uint32, a
 	if !at.IsZero() {
 		el := time.Since(at).Seconds()
 		n.metrics.rxLatency.Observe(el)
-		n.slis.get(tenant).rxLatency.Observe(el)
+		sli := s.sli.Load()
+		if sli == nil || sli.tenant != tenant {
+			sli = n.slis.get(tenant)
+			s.sli.Store(sli)
+		}
+		sli.rxLatency.Observe(el)
 	}
 }
 

@@ -1,20 +1,22 @@
-// The per-flow fast path (ISSUE 9): a flat (tenant, srcMAC, dstMAC) →
-// forwarding-decision cache in front of the routing machinery, modeled
-// on ONCache's observation that an overlay matches its baseline by
-// caching the *entire* per-packet decision, not just the route. A hit
-// resolves the destination endpoint or link — and through the link its
-// seal context, header template and transport — in one sharded map
-// read: no tenant-table lookup, no route-cache probe, and no
-// node-mutex acquisition, so the steady-state hot path is one cache
-// hit + one header memcpy + TX-ring enqueue. A miss costs one resolve
-// (resolveFlow) plus that same hit path: every unicast frame — entry
-// cached, just filled, or never stored — is forwarded by flowHit.
+// The per-flow fast path (ISSUE 9, 24): a flat forwarding-decision cache
+// in front of the routing machinery, modeled on ONCache's observation
+// that an overlay matches its baseline by caching the *entire*
+// per-packet decision, keyed on what decides it: (tenant, dstMAC) while
+// no installed route has a source qualifier — the source is zeroed, so a
+// destination is one entry however many sources talk to it — and
+// (tenant, srcMAC, dstMAC) while any does. A hit resolves the endpoint
+// or link — and through the link its seal context, header template and
+// transport — in one sharded map read: no tenant-table lookup, no rule
+// scan, no node mutex. A miss costs one resolve (resolveFlow) plus that
+// same hit path: every unicast frame is forwarded by flowHit.
 //
 // Correctness rests on epoch-based invalidation: the node keeps a
 // single atomic flow epoch, and every event that can change a
 // forwarding answer bumps it — route churn and FailDest/RestoreDest
 // (via the routing table's invalidation hook), link add/delete/replace,
-// tenant key installs, endpoint detach. How a link reaches its peer
+// tenant key installs, endpoint detach; a source-qualified route coming
+// or going is a route edit, so entries of the other keying die with its
+// bump, not by a sweep. How a link reaches its peer
 // (transport, fault conduit, tunables) is not part of the answer: an
 // entry holds the link, and the link publishes that state itself. An
 // entry records the epoch observed *before* its backing route lookup
@@ -48,18 +50,17 @@ const flowCacheSize = 16384
 const flowShards = 16
 
 // flowEntry is one cached forwarding decision: whose frame it is, where
-// it goes, and the handles that account it. Nothing in it is mutable,
-// nor a copy of anything that is — a link's transport state is read
-// through the link's own atomics at send time.
+// it goes, and the handles that account it. Nothing in it is mutable but
+// fl, nor a copy of anything that is — a link's transport state is read
+// through the link's own atomics at send time. Never copied by value.
 type flowEntry struct {
 	epoch  uint64 // flow epoch observed before the backing lookup
 	tenant uint32
 
-	// fl is the flow's live accounting entry (core.FlowStats.Acquire),
-	// set when the entry was resolved for a locally originated frame: a
-	// hit then accounts its frame with two atomic adds. Nil (forwarded
-	// fills) makes a local hit acquire it per frame.
-	fl *core.Flow
+	// fl memoises the live accounting entry (core.FlowStats.Acquire) of
+	// the last local source through this decision: its next frame accounts
+	// with two atomic adds, another source's acquires and takes the slot.
+	fl atomic.Pointer[core.Flow]
 
 	// sli is the flow tenant's per-tenant indicator handles, resolved
 	// at fill time so hits account tenant traffic with atomic adds.
@@ -172,57 +173,59 @@ func (n *Node) FlowEpoch() uint64 { return n.flowEpoch.Load() }
 // whole decision; otherwise the flow is resolved once, the decision
 // stored when the cache is on and the target belongs to the flow's own
 // tenant, and the frame forwarded by the same flowHit a hit uses. The
-// fill epoch is read BEFORE the cache probe and the backing route
-// lookup: an invalidation racing the resolve lands the entry already
-// stale, so a hit can never serve a decision older than the last epoch
-// bump it observed. The resolved entry lives on this goroutine's stack
-// and only a private copy is published, so an unstored (transient) entry
-// — cache disabled, or a cross-tenant target — is never visible to
-// another goroutine. A resolve with no usable target (no route, unknown
-// tenant, a route naming an absent link or interface) is a drop verdict:
-// the sender is still charged, the frame lands on no_route, and nothing
-// is cached.
+// fill epoch is read BEFORE the keying, the cache probe and the backing
+// route lookup: an invalidation racing the resolve lands the entry
+// already stale, so a hit can never serve a decision older than the last
+// epoch bump it observed. ck, the cache key, drops the source while no
+// route is source-qualified; a decision whose own scan saw a qualifier
+// (bySrc) is stored only under a key that names its source (the zero MAC
+// names none: it is the source-less spelling). A resolve with no usable
+// target (no route, unknown tenant, a route naming an absent link or
+// interface) is a drop: sender charged, no_route, nothing cached.
 func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
 	epoch := n.flowEpoch.Load()
-	fc := n.fcache
+	fc, ck := n.fcache, key
+	if !n.tenants.SourceQualified() {
+		ck.Src = ethernet.MAC{}
+	}
 	if fc != nil {
-		if e := fc.lookup(key, epoch); e != nil {
+		if e := fc.lookup(ck, epoch); e != nil {
 			return n.flowHit(e, key, f, from, at)
 		}
 	}
-	e, scope, err := n.resolveFlow(key, epoch, from != nil)
+	e := &flowEntry{epoch: epoch, tenant: key.Tenant}
+	scope, bySrc, err := n.resolveFlow(e, key)
 	if e.ep == nil && e.lk == nil {
 		if from != nil {
-			n.countOut(e.sli, e.fl, key, f)
+			n.countOut(e.sli, n.flows.Acquire(key.Src, key.Dst), key, f)
 		}
 		n.drop(dropNoRoute, 1, routeDetail(key, scope))
 		return err
 	}
 	own := (e.ep != nil && e.ep.tenant == key.Tenant) || (e.lk != nil && e.lk.tenant == key.Tenant)
-	if fc != nil && own {
-		stored := e
-		fc.store(key, &stored)
+	if fc != nil && own && (!bySrc || !ck.Src.IsZero()) {
+		fc.store(ck, e)
 	}
-	return n.flowHit(&e, key, f, from, at)
+	return n.flowHit(e, key, f, from, at)
 }
 
-// resolveFlow turns (tenant, src, dst) into a forwarding decision: the
+// resolveFlow fills e with the decision for (tenant, src, dst): the
 // tenant table's best match, the target it names (resolveDest), and the
-// flow's accounting handles. local says the frame originated here: only
-// those flows are accounted. When the decision has no target, scope
-// names the absent link or interface the route resolved to (empty when
-// nothing matched) and err is what the sender is told.
-func (n *Node) resolveFlow(key core.FlowKey, epoch uint64, local bool) (e flowEntry, scope string, err error) {
-	e = flowEntry{epoch: epoch, tenant: key.Tenant, sli: n.slis.get(key.Tenant)}
-	if local {
-		e.fl = n.flows.Acquire(key.Src, key.Dst)
-	}
-	dests, err := n.lookupDests(key)
+// tenant's indicator handles. bySrc: the answer may depend on the source
+// (core.Table.Best). When the decision has no target, scope names the
+// absent link or interface the route resolved to (empty when nothing
+// matched) and err is what the sender is told.
+func (n *Node) resolveFlow(e *flowEntry, key core.FlowKey) (scope string, bySrc bool, err error) {
+	e.sli = n.slis.get(key.Tenant)
+	tbl, err := n.routeTable(key.Tenant)
 	if err != nil {
-		return e, "", err
+		return "", true, err
 	}
-	n.resolveDest(&e, dests[0]) // a unicast lookup yields the single best match
-	return e, dests[0].ID, nil
+	d, bySrc, err := tbl.Best(key.Src, key.Dst)
+	if err == nil {
+		n.resolveDest(e, d)
+	}
+	return d.ID, bySrc, err
 }
 
 // resolveDest points a decision at the endpoint or link a route
@@ -242,9 +245,10 @@ func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
 // becomes of it.
 func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
 	if from != nil {
-		fl := e.fl
-		if fl == nil {
+		fl := e.fl.Load()
+		if fl == nil || fl.Src != f.Src {
 			fl = n.flows.Acquire(f.Src, f.Dst)
+			e.fl.Store(fl)
 		}
 		n.countOut(e.sli, fl, key, f)
 	}

@@ -217,83 +217,111 @@ func TestFlowCacheHitPath(t *testing.T) {
 }
 
 // TestLiveLookupsAreUncachedAndCounted: the flow cache is the one cache
-// on the live resolve path. K flows in tenant 0 and K in a sealed tenant,
-// sent twice (fill, then hits), a route edit, and a third pass (every
-// flow refills): each flow-cache miss is one rule scan in its tenant's
-// table, none is answered by a routing cache, and LIST STATS counts the
-// scans of every tenant — not only tenant 0's.
+// on the live resolve path. K source MACs to one destination in tenant 0
+// and K in a sealed tenant, sent twice (fill, then hits), a route edit,
+// and a third pass (refill): each flow-cache miss is one rule scan in its
+// tenant's table, none is answered by a routing cache, and LIST STATS
+// counts the scans of every tenant — not only tenant 0's. How many misses
+// a pass costs is the keying's: while no route has a source qualifier the
+// K sources of a lane share one entry; one source-qualified route
+// anywhere on the node (here for a MAC no frame carries, in the other
+// tenant's table for tenant 0) and every (src, dst) pair is an entry of
+// its own, exactly as before the key followed the rules.
 func TestLiveLookupsAreUncachedAndCounted(t *testing.T) {
-	n, err := NewNode("one-cache", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	key, err := seal.NewKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sealed = 7
-	if err := n.AddTenant(sealed, key); err != nil {
-		t.Fatal(err)
-	}
-	type lane struct{ src, dst *Endpoint }
-	var lanes []lane
-	for _, tenant := range []uint32{core.DefaultTenant, sealed} {
-		src, err := n.AttachEndpointTenant(fmt.Sprintf("src%d", tenant), ethernet.LocalMAC(1), 1500, tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst, err := n.AttachEndpointTenant(fmt.Sprintf("dst%d", tenant), ethernet.LocalMAC(2), 1500, tenant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lanes = append(lanes, lane{src, dst})
-	}
-	const flows = 5
-	pass := func() {
-		t.Helper()
-		for _, l := range lanes {
-			for i := 0; i < flows; i++ {
-				if err := l.src.Send(testFrame(ethernet.LocalMAC(uint32(100+i)), l.dst.MAC())); err != nil {
+	const flows, sealed = 5, 7
+	for _, tc := range []struct {
+		name     string
+		srcKeyed bool
+		perPass  uint64 // misses of one filling pass over both lanes
+	}{
+		{"dst_keyed", false, 2},
+		{"source_keyed", true, 2 * flows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := NewNode("one-cache", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			key, err := seal.NewKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.AddTenant(sealed, key); err != nil {
+				t.Fatal(err)
+			}
+			type lane struct{ src, dst *Endpoint }
+			var lanes []lane
+			for _, tenant := range []uint32{core.DefaultTenant, sealed} {
+				src, err := n.AttachEndpointTenant(fmt.Sprintf("src%d", tenant), ethernet.LocalMAC(1), 1500, tenant)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := l.dst.Recv(2 * time.Second); !ok {
-					t.Fatalf("flow %d to %s lost", i, l.dst.name)
+				dst, err := n.AttachEndpointTenant(fmt.Sprintf("dst%d", tenant), ethernet.LocalMAC(2), 1500, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lanes = append(lanes, lane{src, dst})
+			}
+			if tc.srcKeyed {
+				if err := n.AddRoute(core.Route{DstMAC: ethernet.LocalMAC(2), DstQual: core.QualExact,
+					SrcMAC: ethernet.LocalMAC(999), SrcQual: core.QualExact,
+					Dest: core.Destination{Type: core.DestInterface, ID: "src7"}, Tenant: sealed}); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
+			if got := Metric(t, n, "vnetp_flow_cache_source_keyed") == 1; got != tc.srcKeyed {
+				t.Fatalf("vnetp_flow_cache_source_keyed = %v, want %v", got, tc.srcKeyed)
+			}
+			pass := func() {
+				t.Helper()
+				for _, l := range lanes {
+					for i := 0; i < flows; i++ {
+						if err := l.src.Send(testFrame(ethernet.LocalMAC(uint32(100+i)), l.dst.MAC())); err != nil {
+							t.Fatal(err)
+						}
+						if _, ok := l.dst.Recv(2 * time.Second); !ok {
+							t.Fatalf("flow %d to %s lost", i, l.dst.name)
+						}
+					}
+				}
+			}
+			stat := func(key string) (v uint64) {
+				for _, line := range n.Stats() {
+					fmt.Sscanf(line, key+" %d", &v)
+				}
+				return v
+			}
+			check := func(when string, wantMisses uint64) {
+				t.Helper()
+				_, fcMisses, _, entries := n.FlowCacheStats()
+				if fcMisses != wantMisses || entries != int(tc.perPass) {
+					t.Fatalf("%s: flow-cache misses = %d entries = %d, want %d and %d", when, fcMisses, entries, wantMisses, tc.perPass)
+				}
+				if hits := stat("route_cache_hits"); hits != 0 {
+					t.Fatalf("%s: route_cache_hits = %d: a routing cache answered under the flow cache", when, hits)
+				}
+				if scans := stat("route_cache_misses"); scans != fcMisses {
+					t.Fatalf("%s: route_cache_misses = %d, want the %d flow-cache misses of both tenants", when, scans, fcMisses)
+				}
+				if scrape := Metric(t, n, "vnetp_route_cache_misses_total"); scrape != fcMisses {
+					t.Fatalf("%s: vnetp_route_cache_misses_total = %d, want %d", when, scrape, fcMisses)
+				}
+			}
+			pass()
+			pass()
+			check("two passes", tc.perPass)
+			if err := n.AddRoute(core.Route{DstMAC: ethernet.LocalMAC(3), DstQual: core.QualExact, SrcQual: core.QualAny,
+				Dest: core.Destination{Type: core.DestInterface, ID: "dst7"}, Tenant: sealed}); err != nil {
+				t.Fatal(err)
+			}
+			pass()
+			check("after a route edit", 2*tc.perPass)
+			if n.flows.Len() != flows {
+				t.Fatalf("FlowStats tracks %d flows, want the %d (src, dst) pairs whatever the keying", n.flows.Len(), flows)
+			}
+		})
 	}
-	stat := func(key string) (v uint64) {
-		for _, line := range n.Stats() {
-			fmt.Sscanf(line, key+" %d", &v)
-		}
-		return v
-	}
-	check := func(when string, wantMisses uint64) {
-		t.Helper()
-		_, fcMisses, _, _ := n.FlowCacheStats()
-		if fcMisses != wantMisses {
-			t.Fatalf("%s: flow-cache misses = %d, want %d", when, fcMisses, wantMisses)
-		}
-		if hits := stat("route_cache_hits"); hits != 0 {
-			t.Fatalf("%s: route_cache_hits = %d: a routing cache answered under the flow cache", when, hits)
-		}
-		if scans := stat("route_cache_misses"); scans != fcMisses {
-			t.Fatalf("%s: route_cache_misses = %d, want the %d flow-cache misses of both tenants", when, scans, fcMisses)
-		}
-		if scrape := Metric(t, n, "vnetp_route_cache_misses_total"); scrape != fcMisses {
-			t.Fatalf("%s: vnetp_route_cache_misses_total = %d, want %d", when, scrape, fcMisses)
-		}
-	}
-	pass()
-	pass()
-	check("two passes", 2*flows)
-	if err := n.AddRoute(core.Route{DstMAC: ethernet.LocalMAC(3), DstQual: core.QualExact, SrcQual: core.QualAny,
-		Dest: core.Destination{Type: core.DestInterface, ID: "dst7"}, Tenant: sealed}); err != nil {
-		t.Fatal(err)
-	}
-	pass()
-	check("after a route edit", 4*flows)
 }
 
 // TestFlowCacheDisabled pins the ablation/escape hatch: with
@@ -393,23 +421,32 @@ func TestFlowCacheObservesFailover(t *testing.T) {
 }
 
 // FuzzFlowCache is an op-machine over the cache: arbitrary interleavings
-// of store / epoch-bump / lookup / miss-then-fill, checked against a
-// shadow model. The
-// load-bearing invariant is that a lookup NEVER returns an entry from
-// an earlier epoch — a stale hit in production is a silent dead-link or
-// cross-tenant delivery — plus the capacity bound and tenant-key
-// integrity.
+// of store / epoch-bump / lookup / miss-then-fill / keying-toggle,
+// checked against a shadow model. Every op keys the cache as
+// forwardUnicast does — the source zeroed while the machine is not
+// source-keyed — and a toggle bumps the epoch, as the route edit behind
+// it would. The load-bearing invariant is that a lookup NEVER returns an
+// entry from an earlier epoch — a stale hit in production is a silent
+// dead-link or cross-tenant delivery, and here also the only thing that
+// keeps an entry of one keying from answering under the other — plus the
+// capacity bound and tenant-key integrity.
 func FuzzFlowCache(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 1, 1, 2}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 3, 2, 3}, uint8(1))
 	f.Add([]byte{2, 9, 0, 9, 2, 9, 1, 9, 2, 9, 0, 9, 2, 9}, uint8(255))
 	f.Add([]byte{3, 4, 3, 4, 1, 4, 3, 4, 2, 4, 3, 8, 0, 4, 3, 4}, uint8(3))
+	f.Add([]byte{0, 7, 2, 7, 4, 0, 2, 7, 3, 7, 2, 7, 4, 0, 2, 7, 3, 9, 2, 9, 4, 0, 2, 9}, uint8(32))
 	f.Fuzz(func(t *testing.T, ops []byte, sizeSeed uint8) {
 		size := int(sizeSeed)%64 + 1
 		c := newFlowCache(size)
 		capacity := (size/flowShards + 1) * flowShards // perShard floor is 1
 		var epoch uint64
-		model := map[core.FlowKey]uint64{} // key -> epoch at last store
+		srcKeyed := true
+		type stored struct {
+			epoch    uint64
+			srcKeyed bool
+		}
+		model := map[core.FlowKey]stored{} // key -> epoch and keying at last store
 		for i := 0; i+1 < len(ops); i += 2 {
 			sel := ops[i+1]
 			k := core.FlowKey{
@@ -417,10 +454,13 @@ func FuzzFlowCache(f *testing.F) {
 				Src:    ethernet.LocalMAC(uint32(sel % 7)),
 				Dst:    ethernet.LocalMAC(uint32(sel % 11)),
 			}
-			switch ops[i] % 4 {
+			if !srcKeyed || sel%7 == 0 { // the zero source is a source too: both keyings can spell it
+				k.Src = ethernet.MAC{}
+			}
+			switch ops[i] % 5 {
 			case 0:
 				c.store(k, &flowEntry{epoch: epoch, tenant: k.Tenant})
-				model[k] = epoch
+				model[k] = stored{epoch, srcKeyed}
 			case 1:
 				epoch++
 			case 2:
@@ -431,9 +471,12 @@ func FuzzFlowCache(f *testing.F) {
 				if e.epoch != epoch {
 					t.Fatalf("stale entry served: entry epoch %d, current %d", e.epoch, epoch)
 				}
-				stored, ok := model[k]
-				if !ok || stored != epoch {
-					t.Fatalf("hit for key stored at epoch %d (present=%v), current %d", stored, ok, epoch)
+				was, ok := model[k]
+				if !ok || was.epoch != epoch {
+					t.Fatalf("hit for key stored at epoch %d (present=%v), current %d", was.epoch, ok, epoch)
+				}
+				if was.srcKeyed != srcKeyed {
+					t.Fatalf("hit on an entry stored source-keyed=%v while source-keyed=%v", was.srcKeyed, srcKeyed)
 				}
 				if e.tenant != k.Tenant {
 					t.Fatalf("entry tenant %d under key tenant %d", e.tenant, k.Tenant)
@@ -446,10 +489,15 @@ func FuzzFlowCache(f *testing.F) {
 				}
 				filled := &flowEntry{epoch: epoch, tenant: k.Tenant}
 				c.store(k, filled)
-				model[k] = epoch
+				model[k] = stored{epoch, srcKeyed}
 				if got := c.lookup(k, epoch); got != filled {
 					t.Fatalf("hit after fill returned %+v, want the filled entry %+v", got, filled)
 				}
+			case 4:
+				// A source-qualified route appears or vanishes: the other
+				// keying from here on, and the edit's epoch bump.
+				srcKeyed = !srcKeyed
+				epoch++
 			}
 		}
 		if got := c.entries(); got > capacity {

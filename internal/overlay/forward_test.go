@@ -15,6 +15,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,7 +168,8 @@ func TestForwardMissEqualsHit(t *testing.T) {
 		tenant  uint32
 		fault   bool
 		traced  bool
-		datagrs int // datagrams per 3000-byte frame
+		bySrc   bool // a source-qualified route is installed: the cache keys on the source too
+		datagrs int  // datagrams per 3000-byte frame
 	}{
 		{name: "plain_udp", proto: "udp", datagrs: 3},
 		{name: "sealed_tenant_link", proto: "udp", tenant: tenant, datagrs: 3},
@@ -178,6 +180,8 @@ func TestForwardMissEqualsHit(t *testing.T) {
 		{name: "local_endpoint"},
 		{name: "cache_disabled_link", cfg: NodeConfig{FlowCacheDisabled: true}, proto: "udp", datagrs: 3},
 		{name: "cache_disabled_local", cfg: NodeConfig{FlowCacheDisabled: true}},
+		{name: "source_keyed_link", proto: "udp", tenant: tenant, bySrc: true, datagrs: 3},
+		{name: "source_keyed_local", bySrc: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,6 +217,13 @@ func TestForwardMissEqualsHit(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.bySrc { // a rule no frame here matches: it changes the keying, not an answer
+				if err := n.AddRoute(core.Route{Tenant: tc.tenant, DstMAC: ethernet.LocalMAC(77), DstQual: core.QualExact,
+					SrcMAC: ethernet.LocalMAC(99), SrcQual: core.QualNot,
+					Dest: core.Destination{Type: core.DestInterface, ID: "ghost"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if tc.traced {
 				n.tracer.Start(1)
 			}
@@ -222,10 +233,10 @@ func TestForwardMissEqualsHit(t *testing.T) {
 			}
 			// send forwards one copy of the frame and reports what it put
 			// on the wire (or delivered) and which counters it moved.
-			send := func() ([]wireDatagram, forwardCounters) {
+			send := func(from ethernet.MAC) ([]wireDatagram, forwardCounters) {
 				t.Helper()
-				before := readForwardCounters(n, tc.tenant, "wire", src.MAC(), dst)
-				f := &ethernet.Frame{Dst: dst, Src: src.MAC(), Type: ethernet.TypeTest, Payload: payload}
+				before := readForwardCounters(n, tc.tenant, "wire", from, dst)
+				f := &ethernet.Frame{Dst: dst, Src: from, Type: ethernet.TypeTest, Payload: payload}
 				if err := src.Send(f); err != nil {
 					t.Fatal(err)
 				}
@@ -243,10 +254,10 @@ func TestForwardMissEqualsHit(t *testing.T) {
 						t.Fatalf("local delivery: got %v, %v", got, ok)
 					}
 				}
-				return wire, readForwardCounters(n, tc.tenant, "wire", src.MAC(), dst).minus(before)
+				return wire, readForwardCounters(n, tc.tenant, "wire", from, dst).minus(before)
 			}
-			missWire, miss := send()
-			hitWire, hit := send()
+			missWire, miss := send(src.MAC())
+			hitWire, hit := send(src.MAC())
 
 			hits, misses, _, entries := n.FlowCacheStats()
 			if tc.cfg.FlowCacheDisabled {
@@ -285,6 +296,27 @@ func TestForwardMissEqualsHit(t *testing.T) {
 			}
 			if hit != want {
 				t.Fatalf("counters per frame:\ngot  %+v\nwant %+v", hit, want)
+			}
+			// A second source to the same destination is the same decision,
+			// charged to its own flow: through the first source's entry (a
+			// hit) while no route has a source qualifier, through one of its
+			// own (a miss) once any route on the node has.
+			otherWire, other := send(ethernet.LocalMAC(3))
+			if tc.cfg.TxBatch > 1 {
+				want.TxSamples = other.TxSamples
+			}
+			if other != want || len(otherWire) != len(hitWire) {
+				t.Fatalf("second source:\ngot  %+v in %d datagrams\nwant %+v in %d", other, len(otherWire), want, len(hitWire))
+			}
+			wantHits, wantMisses := uint64(2), uint64(1)
+			if tc.bySrc {
+				wantHits, wantMisses = 1, 2
+			}
+			if tc.cfg.FlowCacheDisabled {
+				wantHits, wantMisses = 0, 0
+			}
+			if hits, misses, _, entries := n.FlowCacheStats(); hits != wantHits || misses != wantMisses || entries != int(wantMisses) {
+				t.Fatalf("after a second source: hits=%d misses=%d entries=%d, want %d/%d/%d", hits, misses, entries, wantHits, wantMisses, wantMisses)
 			}
 		})
 	}
@@ -397,11 +429,12 @@ func TestResolveFlowKeepsFillEpoch(t *testing.T) {
 	key := core.FlowKey{Src: src.MAC(), Dst: sink.MAC()}
 	epoch := n.FlowEpoch()
 	n.bumpFlowEpoch() // lands between the epoch read and the backing lookup
-	e, _, err := n.resolveFlow(key, epoch, true)
-	if err != nil || e.ep != sink || e.epoch != epoch {
-		t.Fatalf("resolve = %+v err=%v, want sink at fill epoch %d", e, err, epoch)
+	e := &flowEntry{epoch: epoch, tenant: key.Tenant}
+	_, bySrc, err := n.resolveFlow(e, key)
+	if err != nil || bySrc || e.ep != sink || e.epoch != epoch {
+		t.Fatalf("resolve = %+v bySrc=%v err=%v, want sink at fill epoch %d, for any source", e, bySrc, err, epoch)
 	}
-	n.fcache.store(key, &e)
+	n.fcache.store(key, e)
 	if got := n.fcache.lookup(key, n.FlowEpoch()); got != nil {
 		t.Fatalf("entry resolved across an epoch bump served as current: %+v", got)
 	}
@@ -423,6 +456,7 @@ func TestFillRacingRemovalIsStranded(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	seen := make(chan []fill)
+	var passes atomic.Uint64 // resolves of both keys the filler has completed
 	go func() {
 		var fills []fill
 		record := func(f fill) {
@@ -438,13 +472,15 @@ func TestFillRacingRemovalIsStranded(t *testing.T) {
 			default:
 			}
 			epoch := n.FlowEpoch() // as forwardUnicast: the epoch first, then the resolve
-			if e, _, _ := n.resolveFlow(linkKey, epoch, false); e.lk != nil {
-				record(fill{epoch, e.lk})
+			var le, ee flowEntry
+			if n.resolveFlow(&le, linkKey); le.lk != nil {
+				record(fill{epoch, le.lk})
 			}
 			epoch = n.FlowEpoch()
-			if e, _, _ := n.resolveFlow(epKey, epoch, false); e.ep != nil {
-				record(fill{epoch, e.ep})
+			if n.resolveFlow(&ee, epKey); ee.ep != nil {
+				record(fill{epoch, ee.ep})
 			}
+			passes.Add(1)
 		}
 	}()
 	removedAt := map[any]uint64{} // target → the flow epoch just before its removal began
@@ -459,7 +495,9 @@ func TestFillRacingRemovalIsStranded(t *testing.T) {
 			t.Fatal(err)
 		}
 		lk := n.topo.Load().links["wire"]
-		runtime.Gosched() // let fills find both
+		for was := passes.Load(); passes.Load() < was+2; { // let fills find both, however loaded the machine
+			runtime.Gosched()
+		}
 		removedAt[lk] = n.FlowEpoch()
 		if err := n.DelLink("wire"); err != nil {
 			t.Fatal(err)
@@ -567,9 +605,9 @@ func TestSealedStreamsStayApart(t *testing.T) {
 // TestLateHeavyFlowIsDiscovered: a flow that starts after its tenant's
 // heavy-hitter set has filled is refused while it is lighter than every
 // candidate, and gets in once it has outgrown the lightest one — with no
-// epoch bump or cache eviction in between: every frame after its first
-// is a flow-cache hit, and the hit path re-offers a flow each time its
-// packet count doubles.
+// epoch bump or cache eviction in between: every source here shares the
+// sink's one cache entry, so every frame after the very first is a hit,
+// and the hit path re-offers a flow each time its packet count doubles.
 func TestLateHeavyFlowIsDiscovered(t *testing.T) {
 	n := dropNode(t, NodeConfig{})
 	sinkMAC := ethernet.LocalMAC(9000)

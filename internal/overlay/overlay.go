@@ -890,7 +890,11 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 	if from != nil {
 		n.countOut(n.slis.get(tenant), n.flows.Acquire(f.Src, f.Dst), key, f)
 	}
-	dests, err := n.lookupDests(key)
+	var dests []core.Destination
+	tbl, err := n.routeTable(tenant) // an unknown tenant fails closed
+	if err == nil {
+		dests, _, err = tbl.Lookup(f.Src, f.Dst)
+	}
 	if err != nil {
 		n.drop(dropNoRoute, 1, routeDetail(key, ""))
 		return err
@@ -917,17 +921,6 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 		n.observeTx(at)
 	}
 	return errors.Join(errs...)
-}
-
-// lookupDests resolves a flow's destinations in its tenant's private
-// table. Routing state for an unknown tenant fails closed.
-func (n *Node) lookupDests(key core.FlowKey) ([]core.Destination, error) {
-	tbl, err := n.routeTable(key.Tenant)
-	if err != nil {
-		return nil, err
-	}
-	dests, _, err := tbl.Lookup(key.Src, key.Dst)
-	return dests, err
 }
 
 // countOut charges one locally originated frame to its tenant's

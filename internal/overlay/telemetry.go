@@ -234,6 +234,14 @@ func (n *Node) registerNodeFuncs() {
 	reg.GaugeFunc("vnetp_flow_cache_entries",
 		"Per-flow forwarding cache resident entries (stale entries included until overwritten).",
 		func() float64 { _, _, _, ent := n.FlowCacheStats(); return float64(ent) })
+	reg.GaugeFunc("vnetp_flow_cache_source_keyed",
+		"1 while some installed route has a source qualifier (flow-cache key is tenant, src, dst), 0 while none does (tenant, dst).",
+		func() float64 {
+			if n.tenants.SourceQualified() {
+				return 1
+			}
+			return 0
+		})
 	reg.GaugeFunc("vnetp_tenants",
 		"Tenants with installed AEAD keys on this node.",
 		func() float64 { return float64(n.keyring.Count()) })
@@ -372,7 +380,8 @@ func (n *Node) statRows() []statRow {
 	for _, r := range dropReasons {
 		rows = append(rows, statRow{Key: "drops_" + r, Family: "vnetp_drops_total", Label: "reason", Values: []string{r}})
 	}
-	return append(rows, statRow{Key: "anomalies", Family: "vnetp_anomalies_total"})
+	return append(rows, statRow{Key: "anomalies", Family: "vnetp_anomalies_total"},
+		statRow{Key: "flow_cache_source_keyed", Family: "vnetp_flow_cache_source_keyed"})
 }
 
 // Stats reports the node's traffic counters (LIST STATS in the control

@@ -265,9 +265,11 @@ func TestListStatsBackcompat(t *testing.T) {
 		"drops_cross_tenant", "drops_endpoint_ring",
 		"drops_tx_ring", "drops_tx_teardown",
 		// Reasons added since join the end of the ledger block (keyed
-		// parsers are unaffected; "anomalies" stays the last line).
+		// parsers are unaffected).
 		"drops_tx_error",
 		"anomalies",
+		// ISSUE 24: which regime produced the flow-cache hit ratio.
+		"flow_cache_source_keyed",
 	}
 	stats := n.Stats()
 	if len(stats) != len(want) {

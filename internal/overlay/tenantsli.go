@@ -35,6 +35,7 @@ import (
 // pointer to this (on the endpoint or flow-cache entry), so steady-state
 // accounting is plain atomic adds with no label lookups.
 type tenantSLI struct {
+	tenant      uint32
 	framesIn    *telemetry.Counter
 	framesOut   *telemetry.Counter
 	bytesIn     *telemetry.Counter
@@ -86,6 +87,7 @@ func (s *tenantSLIs) get(tenant uint32) *tenantSLI {
 	}
 	label := strconv.FormatUint(uint64(tenant), 10)
 	sli := &tenantSLI{
+		tenant:      tenant,
 		framesIn:    s.framesIn.With(label),
 		framesOut:   s.framesOut.With(label),
 		bytesIn:     s.bytesIn.With(label),
