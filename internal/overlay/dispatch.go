@@ -51,14 +51,15 @@ type NodeConfig struct {
 
 	// TxBatch is the most frames a link's sender goroutine takes per
 	// wakeup (the send-side analogue of the paper's VMM-driven batch
-	// dispatch, Sect. 4.3). Zero or one keeps the synchronous transmit
-	// path: Send encapsulates and writes inline, preserving guest-driven
-	// latency semantics. Above one, each link owns a bounded TX ring and
-	// a self-clocked sender goroutine: it sends what is queued when it
-	// wakes and never waits for more, packing small frames into shared
-	// datagrams and moving the batch in one syscall (sendmmsg on Linux).
-	// In batched mode a frame handed to Send is retained until sent and
-	// must not be modified by the caller afterwards.
+	// dispatch, Sect. 4.3). Zero or one keeps the synchronous leg: Send
+	// copies its frame, and the one Send on a link's wire carries what
+	// the others copied meanwhile, so it batches only under load. Above
+	// one, each link owns a bounded TX ring and a self-clocked sender
+	// goroutine: it sends what is queued when it wakes and never waits
+	// for more. Both pack small frames into shared datagrams and move a
+	// batch in one syscall (sendmmsg on Linux). In batched mode a frame
+	// handed to Send is retained until sent and must not be modified by
+	// the caller afterwards.
 	TxBatch int
 	// TxRing is each link's TX ring depth in frames (batched mode only).
 	// Like a NIC TX ring, enqueue drops (and counts) when full rather

@@ -40,15 +40,19 @@ type DrainStats struct {
 	Elapsed time.Duration
 }
 
-// queued sums the frames sitting in every link TX ring (channels, safe
-// to len() anytime). The receive side holds nothing between reads: a
-// worker finishes what it read before it reads again.
+// queued sums the frames in every link TX ring and synchronous pending
+// batch. The receive side holds nothing between reads: a worker
+// finishes what it read before it reads again.
 func (n *Node) queued() uint64 {
 	var q uint64
 	for _, lk := range n.topo.Load().links {
 		if lk.txq != nil {
 			q += uint64(len(lk.txq))
+			continue
 		}
+		lk.sync.mu.Lock()
+		q += uint64(len(lk.sync.pending().frames))
+		lk.sync.mu.Unlock()
 	}
 	return q
 }

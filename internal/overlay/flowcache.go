@@ -255,11 +255,7 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	sent, err := n.forwardTo(e, key, f, from, at)
-	if sent {
-		n.observeTx(at)
-	}
-	return err
+	return n.forwardTo(e, key, f, from, at)
 }
 
 // forwardTo hands a frame to one resolved target (e.ep or e.lk): a
@@ -268,64 +264,32 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 // endpoint, and link tenants are all fixed at their creation), so even a
 // hypothetical stale entry surviving an epoch bump could not cross
 // tenants. Every frame entering here is delivered, handed to a
-// transport, or lands on exactly one ledger reason. sent reports a
-// completed synchronous link transmit — the caller's cue for the TX
-// latency sample, taken once per frame however many legs it fans out to.
-func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) (sent bool, err error) {
+// transport, or lands on exactly one ledger reason. A link leg takes the
+// frame's TX latency sample where it leaves, from at (zero: none).
+func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
 	tenant := key.Tenant
 	if ep := e.ep; ep != nil {
 		if ep == from {
-			return false, nil
+			return nil
 		}
 		if e.tenant != tenant || ep.tenant != tenant {
 			n.drop(dropCrossTenant, 1, routeDetail(key, ep.name))
-			return false, nil
+			return nil
 		}
 		ep.deliver(f)
-		return false, nil
+		return nil
 	}
 	lk := e.lk
 	if e.tenant != tenant || lk.tenant != tenant {
 		n.drop(dropCrossTenant, 1, routeDetail(key, lk.id))
-		return false, nil
+		return nil
 	}
 	if lk.txq != nil {
 		n.enqueueTx(lk, f, at)
-		return false, nil
+		return nil
 	}
-	if err := n.sendSync(lk, f); err != nil {
-		return false, fmt.Errorf("link %q: %w", lk.id, err)
-	}
-	return true, nil
-}
-
-// observeTx takes the Fig. 7 TX stage sample on the real path: a locally
-// originated frame's arrival (at; zero for forwarded frames) to its last
-// encapsulation datagram leaving a link.
-func (n *Node) observeTx(at time.Time) {
-	if !at.IsZero() {
-		n.metrics.txLatency.Observe(time.Since(at).Seconds())
-	}
-}
-
-// sendSync is forwardTo's synchronous transmit leg: encapsulate,
-// fragmenting to the transport's datagram budget, and transmit inline —
-// one frame's datagrams are one batch. A transport error goes back to
-// the caller. The pooled encapsulation buffers are recycled before
-// return.
-func (n *Node) sendSync(lk *link, f *ethernet.Frame) error {
-	tr := lk.transport.Load()
-	pkt, err := n.encapFrame(lk, f, tr.budget)
-	if err != nil {
-		return err
-	}
-	defer pkt.Release()
-	if _, err := n.transmit(lk, tr, pkt.Datagrams); err != nil {
-		return err
-	}
-	n.EncapSent.Add(1)
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageWireTx)
+	if err := n.sendSync(lk, f, at); err != nil {
+		return fmt.Errorf("link %q: %w", lk.id, err)
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -685,11 +686,15 @@ func TestBroadcastTakesOneTxSample(t *testing.T) {
 // frames — three flows, small and mid-size frames, a traced frame and a
 // must-fragment frame in the middle — delivers the same frames in the
 // same per-flow order whether the sender writes each frame inline, runs
-// the self-clocked batched sender, or is handed the whole stream as one
-// batch. The one-batch run also pins the encoder choices on the wire:
-// neighbours share aggregates, the traced frame and the fragmenting frame
-// close the open aggregate and travel in datagrams of their own, in ring
-// order, and the traced frame keeps one trace ID end to end.
+// the self-clocked batched sender, is handed the whole stream as one
+// batch, or has each flow's frames sent by a goroutine of its own many
+// times over, the synchronous Sends combining on the link as they find it
+// busy. Every run ends with admitted = delivered + Σ ledger and an empty
+// ledger on both nodes. The one-batch run also pins the encoder choices
+// on the wire: neighbours share aggregates, the traced frame and the
+// fragmenting frame close the open aggregate and travel in datagrams of
+// their own, in ring order, and the traced frame keeps one trace ID end
+// to end.
 func TestBatchedEqualsSync(t *testing.T) {
 	const tenant = 7
 	key := bytes.Repeat([]byte{0x6b}, 32)
@@ -712,9 +717,10 @@ func TestBatchedEqualsSync(t *testing.T) {
 	macA, macB := ethernet.LocalMAC(0xa), ethernet.LocalMAC(0xb)
 	mac1, mac2, macT := ethernet.LocalMAC(1), ethernet.LocalMAC(2), ethernet.LocalMAC(3)
 	for _, tc := range cases {
-		// run sends the stream in one of three ways and reports, per
-		// source MAC, the payloads its sink received, in order.
-		run := func(t *testing.T, cfg NodeConfig, oneBatch bool) map[ethernet.MAC][]string {
+		// run sends the stream — once, or reps times with a goroutine per
+		// source — and reports, per source MAC, the payloads its sink
+		// received, in order.
+		run := func(t *testing.T, cfg NodeConfig, oneBatch bool, reps int) map[ethernet.MAC][]string {
 			rx, tx := dropNode(t, NodeConfig{}), dropNode(t, cfg)
 			if tc.tenant != 0 {
 				for _, n := range []*Node{rx, tx} {
@@ -773,24 +779,45 @@ func TestBatchedEqualsSync(t *testing.T) {
 					batch[i] = txFrame{f: f, at: time.Now()}
 				}
 				tx.sendTxBatch(lk, batch, &txScratch{})
-			} else {
+			} else if reps == 1 {
 				for _, f := range frames {
 					if err := srcs[f.Src].Send(f); err != nil {
 						t.Fatal(err)
 					}
 				}
+			} else {
+				var wg sync.WaitGroup
+				for mac, src := range srcs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for r := 0; r < reps; r++ {
+							for _, f := range frames {
+								if f.Src != mac {
+									continue
+								}
+								if err := src.Send(&ethernet.Frame{Dst: f.Dst, Src: f.Src, Type: f.Type, Payload: f.Payload}); err != nil {
+									t.Error(err)
+									return
+								}
+							}
+						}
+					}()
+				}
+				wg.Wait()
 			}
 
 			got := map[ethernet.MAC][]string{}
 			traced := frames[4].Tag
-			if traced == 0 {
+			if traced == 0 && reps == 1 {
 				t.Fatal("the traced flow's frame was not selected for tracing")
 			}
+			total := len(frames) * reps
 			deadline := time.Now().Add(5 * time.Second)
-			for count := 0; count < len(frames); {
+			for count := 0; count < total; {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d of %d frames delivered; drops: sender %v receiver %v",
-						count, len(frames), tx.ledger.Snapshot(), rx.ledger.Snapshot())
+						count, total, tx.ledger.Snapshot(), rx.ledger.Snapshot())
 				}
 				for _, sink := range sinks {
 					f, ok := sink.Recv(10 * time.Millisecond)
@@ -799,17 +826,24 @@ func TestBatchedEqualsSync(t *testing.T) {
 					}
 					count++
 					got[f.Src] = append(got[f.Src], string(f.Payload))
-					want := uint64(0)
-					if f.Src == macT {
-						want = traced
-					}
-					if f.Tag != want {
-						t.Fatalf("frame from %v arrived with trace ID %016x, want %016x", f.Src, f.Tag, want)
+					if want := traced; f.Src != macT {
+						if f.Tag != 0 {
+							t.Fatalf("untraced frame from %v arrived with trace ID %016x", f.Src, f.Tag)
+						}
+					} else if f.Tag == 0 || (reps == 1 && f.Tag != want) {
+						t.Fatalf("traced frame arrived with trace ID %016x, want %016x", f.Tag, want)
 					}
 				}
 			}
-			if recv, bad := rx.EncapRecv.Load(), Metric(t, rx, "vnetp_bad_packets_total"); recv != uint64(len(frames)) || bad != 0 {
-				t.Fatalf("receiver: encap_recv=%d bad_packets=%d, want %d and 0", recv, bad, len(frames))
+			if recv, bad := rx.EncapRecv.Load(), Metric(t, rx, "vnetp_bad_packets_total"); recv != uint64(total) || bad != 0 {
+				t.Fatalf("receiver: encap_recv=%d bad_packets=%d, want %d and 0", recv, bad, total)
+			}
+			// Delivered moves just after a frame enters its sink's ring.
+			for deadline := time.Now().Add(time.Second); rx.Delivered.Load() < uint64(total) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if d, lt, lr := rx.Delivered.Load(), tx.ledger.Total(), rx.ledger.Total(); d != uint64(total) || lt+lr != 0 {
+				t.Fatalf("admitted %d = delivered %d + ledger %d+%d does not hold with an empty ledger", total, d, lt, lr)
 			}
 			if oneBatch {
 				var datagrams uint64
@@ -825,15 +859,26 @@ func TestBatchedEqualsSync(t *testing.T) {
 			return got
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			sync := run(t, NodeConfig{}, false)
+			sync := run(t, NodeConfig{}, false, 1)
 			if len(sync[mac1]) != 5 || len(sync[mac2]) != 4 || len(sync[macT]) != 1 {
 				t.Fatalf("sync run delivered %d/%d/%d frames per flow, want 5/4/1", len(sync[mac1]), len(sync[mac2]), len(sync[macT]))
 			}
-			if batched := run(t, NodeConfig{TxBatch: 32}, false); !reflect.DeepEqual(batched, sync) {
+			if batched := run(t, NodeConfig{TxBatch: 32}, false, 1); !reflect.DeepEqual(batched, sync) {
 				t.Fatalf("batched sender delivered differently from sync:\nbatched %q\nsync    %q", batched, sync)
 			}
-			if one := run(t, NodeConfig{TxBatch: 32}, true); !reflect.DeepEqual(one, sync) {
+			if one := run(t, NodeConfig{TxBatch: 32}, true, 1); !reflect.DeepEqual(one, sync) {
 				t.Fatalf("one batch delivered differently from sync:\none  %q\nsync %q", one, sync)
+			}
+			const reps = 30 // per sink: at most 6 × 30 frames, inside its ring
+			combined := run(t, NodeConfig{}, false, reps)
+			for mac, once := range sync {
+				var want []string
+				for r := 0; r < reps; r++ {
+					want = append(want, once...)
+				}
+				if got := combined[mac]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("concurrent senders: flow %v delivered %d frames, not its %d in order ×%d", mac, len(got), len(once), reps)
+				}
 			}
 		})
 	}

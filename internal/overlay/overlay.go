@@ -221,6 +221,9 @@ type link struct {
 	txq chan txFrame
 	txw *supervise.Worker
 
+	// sync is the synchronous leg's combiner, used when txq is nil.
+	sync syncTx
+
 	// tun is the link's effective dispatch operating point (batch size and
 	// mode), published atomically so txLoop reads it
 	// lock-free once per batch. The adaptive controller and LINK TUNE
@@ -663,6 +666,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
 	lk := &link{id: id, remote: remote, tenant: tenant}
+	lk.sync.cond.L = &lk.sync.mu
 	lk.transport.Store(tr)
 	if sealer != nil {
 		lk.sealer = sealer
@@ -903,7 +907,6 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
 	var errs []error
-	sentAny := false
 	for _, d := range dests {
 		e := flowEntry{tenant: tenant}
 		n.resolveDest(&e, d)
@@ -911,14 +914,12 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 			n.drop(dropNoRoute, 1, routeDetail(key, d.ID))
 			continue
 		}
-		sent, err := n.forwardTo(&e, key, f, from, at)
-		if err != nil {
+		if err := n.forwardTo(&e, key, f, from, at); err != nil {
 			errs = append(errs, err)
 		}
-		sentAny = sentAny || sent
-	}
-	if sentAny {
-		n.observeTx(at)
+		if e.lk != nil {
+			at = time.Time{} // one TX latency sample per frame, from its first link leg
+		}
 	}
 	return errors.Join(errs...)
 }

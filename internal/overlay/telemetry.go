@@ -139,10 +139,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Sealed datagrams rejected fail-closed, by reason.", "reason"),
 
 		txBatchSize: reg.Histogram("vnetp_tx_batch_size",
-			"Frames a link's TX sender took off its ring per wakeup.",
+			"Frames carried per data transmit on a link, on either leg: its mean is frames per send syscall.",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		txDatagramFrames: reg.Histogram("vnetp_tx_datagram_frames",
-			"Frames completed per data datagram on the batched transmit leg (aggregate: its frame count; a fragment: 0, the last one 1).",
+			"Frames completed per data datagram sent (aggregate: its frame count; a fragment: 0, the last one 1).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxBatchSize: reg.Histogram("vnetp_rx_batch_size",
 			"Datagrams drained from a UDP socket per receive-worker wakeup (recvmmsg batch; a UDP_GRO train counts each of its datagrams).",

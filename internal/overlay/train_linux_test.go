@@ -456,42 +456,55 @@ func TestTrainProbeTailIsSteered(t *testing.T) {
 }
 
 // TestSendSyncTrainAllocs pins the transmit path's steady state: a
-// 7-fragment frame encapsulated from the link's template and sent as one
-// train allocates nothing — the RawConn, the raw sockaddr, the iovec,
-// msghdr and cmsg scratch and the write callback all exist before the
-// send.
+// 7-fragment frame encapsulated from the link's template — sealed, on a
+// tenant link — and sent as one train allocates nothing: the RawConn, the
+// raw sockaddr, the iovec, msghdr and cmsg scratch and the write callback
+// all exist before the send, the combiner's batches are reused, and the
+// GCM nonce is read out of the wire header.
 func TestSendSyncTrainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds at random under -race")
 	}
-	n := dropNode(t, NodeConfig{})
-	// Nobody reads the peer socket: the kernel sheds what its buffer
-	// cannot hold and the sends still succeed.
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	if err := n.AddLink("wire", peer.LocalAddr().String(), "udp"); err != nil {
-		t.Fatal(err)
-	}
-	lk := n.topo.Load().links["wire"]
-	f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
-	f.Payload = make([]byte, 8900)
-	sent := recordSends(n, nil)
-	if err := n.sendSync(lk, f); err != nil {
-		t.Fatal(err)
-	}
-	if msgs := sent(); len(msgs) != 1 || msgs[0].segs != 7 {
-		t.Fatalf("an 8900 B frame left as %v, want one 7-datagram message", msgs)
-	}
-	n.tx.sys = sendmmsg // the recorder allocates; the path under test must not
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := n.sendSync(lk, f); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("sendSync of a 7-fragment frame: %.0f allocations per send, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		tenant uint32
+	}{{"plain", 0}, {"sealed", 7}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := dropNode(t, NodeConfig{})
+			// Nobody reads the peer socket: the kernel sheds what its buffer
+			// cannot hold and the sends still succeed.
+			peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if tc.tenant != 0 {
+				if err := n.AddTenant(tc.tenant, bytes.Repeat([]byte{0x5a}, 32)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.AddLinkTenant("wire", peer.LocalAddr().String(), "udp", tc.tenant); err != nil {
+				t.Fatal(err)
+			}
+			lk := n.topo.Load().links["wire"]
+			f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
+			f.Payload = make([]byte, 8900)
+			sent := recordSends(n, nil)
+			if err := n.sendSync(lk, f, time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			if msgs := sent(); len(msgs) != 1 || msgs[0].segs != 7 {
+				t.Fatalf("an 8900 B frame left as %v, want one 7-datagram message", msgs)
+			}
+			n.tx.sys = sendmmsg // the recorder allocates; the path under test must not
+			if allocs := testing.AllocsPerRun(200, func() {
+				if err := n.sendSync(lk, f, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Fatalf("sendSync of a 7-fragment frame: %.0f allocations per send, want 0", allocs)
+			}
+		})
 	}
 }
 

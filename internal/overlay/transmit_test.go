@@ -6,6 +6,7 @@
 package overlay
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -169,13 +170,14 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 }
 
 // TestTransmitAccounting is the accounting differential: the same
-// frames over {sync, batched} × {UDP, TCP, fault conduit} charge the
-// link the same bytes_sent — exactly the bytes its peer read — and no
-// send_errors; with the peer gone, every datagram the node made lands in
-// send_errors and none in bytes_sent. One datagram, one counter, on
-// every leg. The frames fragment under their transport's budget, so both
-// legs encode them alike (frames that fit share aggregates on the
-// batched leg only).
+// frames over {sync, batched} × {UDP, TCP, fault conduit}, from one
+// sender or from four at once, charge the link the same bytes_sent —
+// exactly the bytes its peer read — and no send_errors; with the peer
+// gone, every datagram the node made lands in send_errors and none in
+// bytes_sent, and every frame is either the error its Send returned or a
+// tx_error drop. One datagram, one counter, on every leg. The frames
+// fragment under their transport's budget, so every run encodes them
+// alike (frames that fit would share aggregates).
 func TestTransmitAccounting(t *testing.T) {
 	const frames = 4
 	transports := []struct {
@@ -189,9 +191,9 @@ func TestTransmitAccounting(t *testing.T) {
 		{name: "fault_conduit", proto: "udp", fault: true, size: 4000, perFrame: 3},
 	}
 	legs := map[string]NodeConfig{"sync": {}, "batched": {TxBatch: 8}}
-	// run sends the frames down a fresh link and reports the link's
-	// counters and the bytes its peer read.
-	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size int, datagrams uint64) (sent, errs, wire uint64) {
+	// run sends the frames down a fresh link, senders goroutines at once,
+	// and reports the link's counters and the bytes its peer read.
+	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size, senders int, datagrams uint64) (sent, errs, wire uint64) {
 		n := dropNode(t, cfg)
 		src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), ethernet.MaxMTU)
 		if err != nil {
@@ -214,15 +216,22 @@ func TestTransmitAccounting(t *testing.T) {
 		dst := ethernet.LocalMAC(9)
 		n.AddRoute(core.Route{DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny,
 			Dest: core.Destination{Type: core.DestLink, ID: "wire"}})
-		for i := 0; i < frames; i++ {
-			f := testFrame(src.MAC(), dst)
-			f.Payload = make([]byte, size)
-			// The sync leg hands a transport error back (a fault conduit
-			// cannot: its deliveries may come later); the batched leg never.
-			if err := src.Send(f); (err != nil) != (peerGone && !fault && cfg.TxBatch <= 1) {
-				t.Fatalf("frame %d: Send = %v with peerGone=%v", i, err, peerGone)
-			}
+		var refused atomic.Uint64 // Sends that returned an error
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < frames; i++ {
+					f := testFrame(src.MAC(), dst)
+					f.Payload = make([]byte, size)
+					if src.Send(f) != nil {
+						refused.Add(1)
+					}
+				}
+			}()
 		}
+		wg.Wait()
 		lk := n.topo.Load().links["wire"]
 		if !peerGone {
 			for i := uint64(0); i < datagrams; i++ {
@@ -236,27 +245,43 @@ func TestTransmitAccounting(t *testing.T) {
 		}
 		// The counters move after the transport returns: let them catch up
 		// with what the wire (or the refusing transport) has already seen.
-		for deadline := time.Now().Add(5 * time.Second); lk.bytesSent.Load() < wire || (peerGone && lk.sendErrors.Load() < datagrams); time.Sleep(time.Millisecond) {
+		total := uint64(senders * frames)
+		refusing := peerGone && !fault
+		for deadline := time.Now().Add(5 * time.Second); lk.bytesSent.Load() < wire || (peerGone && lk.sendErrors.Load() < datagrams) ||
+			(refusing && refused.Load()+n.ledger.Count(dropTxError) < total); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				break
 			}
 		}
+		// A refused frame is its own Send's error when that Send held the
+		// link (a fault conduit cannot refuse: its deliveries may come
+		// later), else a tx_error drop; the batched leg never returns one.
+		switch r, e := refused.Load(), n.ledger.Count(dropTxError); {
+		case !refusing && r+e != 0:
+			t.Fatalf("%d Sends refused and %d tx_error drops on a link that takes everything", r, e)
+		case refusing && (r+e != total || (cfg.TxBatch > 1 && r != 0) || (cfg.TxBatch <= 1 && senders == 1 && r != total)):
+			t.Fatalf("peer gone: %d Sends refused and %d tx_error drops for %d frames", r, e, total)
+		}
 		return lk.bytesSent.Load(), lk.sendErrors.Load(), wire
 	}
-	healthy := map[string]uint64{} // transport → bytes_sent, the same on both legs
+	healthy := map[string]uint64{} // transport → bytes_sent per frame, the same on every leg
 	for _, tr := range transports {
 		for leg, cfg := range legs {
 			t.Run(tr.name+"_"+leg, func(t *testing.T) {
-				sent, errs, wire := run(t, cfg, tr.proto, tr.fault, false, tr.size, frames*tr.perFrame)
-				if errs != 0 || sent != wire {
-					t.Fatalf("healthy link: bytes_sent=%d send_errors=%d, peer read %d bytes", sent, errs, wire)
-				}
-				if prev, ok := healthy[tr.proto]; ok && prev != sent {
-					t.Fatalf("bytes_sent = %d, another leg over %s charged %d for the same frames", sent, tr.proto, prev)
-				}
-				healthy[tr.proto] = sent
-				if sent, errs, _ = run(t, cfg, tr.proto, tr.fault, true, tr.size, frames*tr.perFrame); sent != 0 || errs != frames*tr.perFrame {
-					t.Fatalf("peer gone: bytes_sent=%d send_errors=%d, want 0 and %d", sent, errs, frames*tr.perFrame)
+				for _, senders := range []int{1, 4} {
+					made := uint64(senders*frames) * tr.perFrame
+					sent, errs, wire := run(t, cfg, tr.proto, tr.fault, false, tr.size, senders, made)
+					if errs != 0 || sent != wire {
+						t.Fatalf("%d senders, healthy link: bytes_sent=%d send_errors=%d, peer read %d bytes", senders, sent, errs, wire)
+					}
+					perFrame := sent / uint64(senders*frames)
+					if prev, ok := healthy[tr.proto]; ok && prev != perFrame {
+						t.Fatalf("%d senders: bytes_sent = %d per frame, another run over %s charged %d for the same frames", senders, perFrame, tr.proto, prev)
+					}
+					healthy[tr.proto] = perFrame
+					if sent, errs, _ = run(t, cfg, tr.proto, tr.fault, true, tr.size, senders, made); sent != 0 || errs != made {
+						t.Fatalf("%d senders, peer gone: bytes_sent=%d send_errors=%d, want 0 and %d", senders, sent, errs, made)
+					}
 				}
 			})
 		}

@@ -7,12 +7,14 @@
 // batch amortizes is the per-datagram cost, the part of a small-frame
 // stream one syscall per batch (sendmmsg) does not divide: the frames of
 // a batch that fit share aggregate datagrams (bridge/aggregate.go).
+// The synchronous leg batches without a ring (syncTx). Both legs share
+// one encoder (add) and one flush.
 
 package overlay
 
 import (
 	"net"
-	"sort"
+	"sync"
 	"time"
 
 	"vnetp/internal/bridge"
@@ -24,10 +26,8 @@ import (
 	"vnetp/internal/virtio"
 )
 
-// txFrame is one outbound frame queued on a link's TX ring. at is the
-// frame's local-arrival timestamp (zero for forwarded frames), carried
-// across the ring so the TX latency histogram still measures frame-in →
-// wire-out.
+// txFrame is one outbound frame queued on a link's TX ring, with its
+// local-arrival time (zero for forwarded frames).
 type txFrame struct {
 	f  *ethernet.Frame
 	at time.Time
@@ -35,11 +35,8 @@ type txFrame struct {
 
 // enqueueTx offers a frame to a link's TX ring without blocking the
 // router; ring-full frames are dropped and counted, like a NIC TX ring
-// under overrun. Transport errors surface in the link's send_errors
-// counter and the tx_error ledger reason (sendTxBatch), not here, and the
-// TX latency sample is taken after
-// the batch actually hits the wire. The tx_enqueue hop is recorded
-// before the handoff so it cannot race the sender's encap hop.
+// under overrun. The tx_enqueue hop is recorded before the handoff so it
+// cannot race the sender's encap hop.
 func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
@@ -55,16 +52,34 @@ func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 	}
 }
 
-// txScratch is a txLoop's reusable per-batch state: the aggregate
-// encoder, the packets of frames that travel alone (awaiting Release),
-// and the datagram list handed to the transport, in ring order. Reusing
-// it keeps the steady-state batch allocation-free.
+// txScratch is one batch being built and sent, in add order: the
+// transport it is encoded for, the aggregate encoder, the packets of
+// frames that travel alone, the datagrams, and a mark per frame. Reused
+// across batches, it keeps the steady state allocation-free.
 type txScratch struct {
+	tr     *linkTransport // loaded at the batch's first frame
 	agg    bridge.Aggregator
 	pkts   []*bridge.EncapPacket
 	dgs    [][]byte
-	frames []txFrame // the batch entries that actually encapsulated
-	last   []int     // last[i]: index in dgs of frames[i]'s final datagram
+	frames []txMark
+}
+
+// txMark is what a batch keeps of an encoded frame — not the frame, so a
+// synchronous caller may reuse it once Send returns.
+type txMark struct {
+	tag  uint64
+	at   time.Time
+	last int // index in dgs of the frame's final datagram
+}
+
+// release recycles a batch's packet buffers and empties it.
+func (s *txScratch) release() {
+	for _, p := range s.pkts {
+		p.Release()
+	}
+	clear(s.pkts)
+	clear(s.dgs)
+	s.pkts, s.dgs, s.frames = s.pkts[:0], s.dgs[:0], s.frames[:0]
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
@@ -80,8 +95,7 @@ type txScratch struct {
 // stuck inside one batch past the watchdog timeout is superseded by a
 // fresh instance over the same ring, and must not transmit once it comes
 // back — the ring has a new owner — so it drops what it holds. Either
-// way the frames in hand are counted into tx_ring_drops on the way out,
-// so drain accounting sees them.
+// way the frames in hand land on tx_teardown, where Drain sees them.
 func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	batch := make([]txFrame, 0, n.cfg.TxBatch)
 	defer func() {
@@ -117,94 +131,229 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 			}
 		}
 		n.sendTxBatch(lk, batch, &scratch)
-		n.metrics.txBatchSize.Observe(float64(len(batch)))
 		clear(batch) // drop frame refs; the ring owns nothing past a flush
 		batch = batch[:0]
 		inst.Idle()
 	}
 }
 
-// sendTxBatch encapsulates and transmits one collected batch: encode
-// every frame, transmit the datagrams, count what was sent. The link's
-// transport is loaded once per batch (a concurrent auto-upgrade to TCP
-// or fault install applies from the next batch on).
-//
-// One encoder choice per frame, from what the frame shows: an untraced
-// frame that fits the link's datagram budget joins the open aggregate
-// (closing it first when it is full); a traced frame, or one that must
-// fragment, closes the aggregate and takes encapFrame's datagrams of its
-// own. Datagrams leave in ring order, so per-flow order is the ring's.
-//
-// Frame counters count frames, datagram counters count datagrams
-// (transmit's). A frame is sent iff the transport confirmed its last
-// datagram — an aggregate's frames share its fate. Sent frames get
-// encap_sent, the TX latency sample and the wire_tx hop; every other
-// frame of the batch (refused by the transport, or never encoded) gets
-// none of them and lands on the tx_error ledger reason — the batched leg
-// has no caller to return the error to.
+// sendTxBatch encodes one collected batch and flushes it. A frame that
+// cannot be encoded lands on tx_error: the batched leg has no caller.
 func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
-	tr := lk.transport.Load()
-	s.agg.Reset(lk.tmpl, lk.sealer, tr.budget)
+	failed := 0
 	for _, tf := range batch {
-		if tf.f.Tag == 0 {
-			fit, err := s.agg.Add(tf.f, &n.nextID)
-			if !fit && err == nil && s.agg.Open() {
-				n.closeAggregate(lk, s)
-				fit, err = s.agg.Add(tf.f, &n.nextID)
-			}
-			if err != nil {
-				continue
-			}
-			if fit {
-				s.frames = append(s.frames, tf)
-				s.last = append(s.last, len(s.dgs)) // where the open aggregate will land
-				continue
-			}
+		if n.add(lk, s, tf.f, tf.at) != nil {
+			failed++
 		}
-		n.closeAggregate(lk, s)
-		pkt, err := n.encapFrame(lk, tf.f, tr.budget)
+	}
+	if failed > 0 {
+		n.drop(dropTxError, uint64(failed), telemetry.DropDetail{
+			Tenant: lk.tenant, Scope: lk.id, Stage: "transmit",
+		})
+	}
+	n.flush(lk, s, -1)
+}
+
+// add encodes one frame behind what s holds — the one per-frame encoder
+// of both legs. An untraced frame that fits the link's datagram budget
+// joins the open aggregate (closing it first when full); a traced or
+// fragmenting frame closes it and takes encapFrame's datagrams of its
+// own. Datagrams leave in add order. A batch's first frame loads the
+// transport the batch is encoded for and sent by, so an auto-upgrade or
+// fault install applies from the next batch. An error is f's own, and f
+// is then not in s.
+func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) error {
+	if len(s.frames) == 0 {
+		s.tr = lk.transport.Load()
+		s.agg.Reset(lk.tmpl, lk.sealer, s.tr.budget)
+	}
+	mark := txMark{tag: f.Tag, at: at}
+	if f.Tag == 0 {
+		fit, err := s.agg.Add(f, &n.nextID)
+		if !fit && err == nil && s.agg.Open() {
+			n.closeAggregate(lk, s)
+			fit, err = s.agg.Add(f, &n.nextID)
+		}
 		if err != nil {
-			continue
+			return err
 		}
-		s.pkts = append(s.pkts, pkt)
-		s.dgs = append(s.dgs, pkt.Datagrams...)
-		s.frames = append(s.frames, tf)
-		s.last = append(s.last, len(s.dgs)-1)
-		for range pkt.Datagrams[1:] {
-			n.metrics.txDatagramFrames.Observe(0) // a fragment completes no frame
+		if fit {
+			mark.last = len(s.dgs) // where the open aggregate will land
+			s.frames = append(s.frames, mark)
+			return nil
 		}
-		n.metrics.txDatagramFrames.Observe(1)
 	}
 	n.closeAggregate(lk, s)
+	pkt, err := n.encapFrame(lk, f, s.tr.budget)
+	if err != nil {
+		return err
+	}
+	s.pkts = append(s.pkts, pkt)
+	s.dgs = append(s.dgs, pkt.Datagrams...)
+	mark.last = len(s.dgs) - 1
+	s.frames = append(s.frames, mark)
+	n.metrics.txDatagramFrames.ObserveN(0, uint64(len(pkt.Datagrams)-1)) // a fragment completes no frame
+	n.metrics.txDatagramFrames.Observe(1)
+	return nil
+}
 
-	confirmed, _ := n.transmit(lk, tr, s.dgs)
-	sent := s.frames[:sort.SearchInts(s.last, confirmed)] // last[i] < confirmed
-	if lost := len(batch) - len(sent); lost > 0 {
+// flush puts a batch on the wire and empties it — the one flush of both
+// legs: close the open aggregate, transmit, count, release. A frame is
+// sent iff the transport confirmed its last datagram (an aggregate's
+// frames share its fate) and only then gets encap_sent, the TX latency
+// sample and the wire_tx hop; vnetp_tx_batch_size takes the frames the
+// transmit carried. An unsent frame at index own — the flushing Send's
+// own, -1 for none — is the error returned; any other lands on tx_error.
+func (n *Node) flush(lk *link, s *txScratch, own int) error {
+	if len(s.frames) == 0 {
+		return nil
+	}
+	n.closeAggregate(lk, s)
+	confirmed, err := n.transmit(lk, s.tr, s.dgs)
+	sent := len(s.frames)
+	for sent > 0 && s.frames[sent-1].last >= confirmed {
+		sent--
+	}
+	lost := len(s.frames) - sent
+	if own >= sent {
+		lost--
+	} else {
+		err = nil
+	}
+	if lost > 0 {
 		n.drop(dropTxError, uint64(lost), telemetry.DropDetail{
 			Tenant: lk.tenant, Scope: lk.id, Stage: "transmit",
 		})
 	}
+	n.metrics.txBatchSize.Observe(float64(len(s.frames)))
+	n.EncapSent.Add(uint64(sent))
+	var now time.Time // one monotonic clock read per flush, not a wall-clock one
+	for _, m := range s.frames[:sent] {
+		if !m.at.IsZero() {
+			if now.IsZero() {
+				now = m.at.Add(time.Since(m.at))
+			}
+			n.metrics.txLatency.Observe(now.Sub(m.at).Seconds())
+		}
+		if m.tag != 0 {
+			n.tracer.Record(m.tag, trace.StageWireTx)
+		}
+	}
+	s.release()
+	return err
+}
 
-	// The Fig. 7 TX stage budget, batched flavor: frame arrival to its
-	// batch hitting the wire. Forwarded frames (zero at) are skipped,
-	// matching the synchronous path.
-	n.EncapSent.Add(uint64(len(sent)))
-	now := time.Now()
-	for _, tf := range sent {
-		if !tf.at.IsZero() {
-			n.metrics.txLatency.Observe(now.Sub(tf.at).Seconds())
+// The combiner's bounds (DESIGN "Batched transmit"): a Send waits while
+// pending holds txPendingMax datagrams; a holder hands on after
+// holderSwaps flushes.
+const (
+	txPendingMax = 64
+	holderSwaps  = 8
+)
+
+// syncTx is a synchronous link's combiner, the live twin of the
+// simulator's Iface.txBusy: one Send on the wire at a time. Every Send
+// encodes its frame into the pending batch under mu, so encode (and
+// nonce) order is wire order. A Send that finds the link free holds it:
+// it swaps the pending batch out under mu, flushes it outside, and
+// repeats until nothing is pending; one that finds it held returns once
+// its frame is encoded. cond.L must be set to &mu before use.
+type syncTx struct {
+	mu   sync.Mutex
+	cond sync.Cond // on mu: a swap made room, a flush ended, the role moved
+
+	batch [2]txScratch // batch[cur] pending, the other in flight or idle
+	cur   int
+
+	busy    bool // the role is held (or an heir waits to take it)
+	sending bool // the holder is flushing, outside mu
+	handoff bool // the holder has used its swaps: the next Send is its heir
+	heir    bool // an heir waits out the flush in flight
+}
+
+func (c *syncTx) pending() *txScratch { return &c.batch[c.cur] }
+
+// sendSync is forwardTo's synchronous leg. The frame is encoded before it
+// returns, whoever sends it; the error is the caller's own frame's.
+func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
+	c := &lk.sync
+	c.mu.Lock()
+	for len(c.pending().dgs) >= txPendingMax {
+		c.cond.Wait()
+	}
+	p := c.pending()
+	if err := n.add(lk, p, f, at); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	own := len(p.frames) - 1
+	switch {
+	case !c.busy:
+		c.busy = true
+	case c.handoff && !c.heir:
+		c.heir = true
+		for c.sending {
+			c.cond.Wait()
 		}
-		if tf.f.Tag != 0 {
-			n.tracer.Record(tf.f.Tag, trace.StageWireTx)
+	default:
+		c.mu.Unlock()
+		return nil
+	}
+	return n.hold(lk, c, own)
+}
+
+// hold runs the holder role, entered under c.mu with the caller's frame
+// at index own of the pending batch, which its first flush carries. A
+// swap closes (seals) the open aggregate under the lock. The role ends
+// under the lock: released once nothing is pending, or passed to an heir
+// after holderSwaps flushes. A panicking flush releases it on the way
+// out: what was in flight, and what is pending unless an heir takes it,
+// lands on tx_teardown.
+func (n *Node) hold(lk *link, c *syncTx, own int) (err error) {
+	c.heir, c.handoff = false, false
+	var flying *txScratch
+	defer func() {
+		if flying == nil {
+			return
+		}
+		c.mu.Lock()
+		lost := len(flying.frames)
+		flying.release()
+		if !c.heir {
+			lost += len(c.pending().frames)
+			c.pending().release()
+			c.busy, c.handoff = false, false
+		}
+		c.sending = false
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		n.drop(dropTxTeardown, uint64(lost), telemetry.DropDetail{
+			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_teardown",
+		})
+	}()
+	for swaps := 1; ; swaps++ {
+		b := c.pending()
+		n.closeAggregate(lk, b)
+		c.cur ^= 1
+		c.sending, c.handoff = true, swaps >= holderSwaps
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		flying = b
+		if ferr := n.flush(lk, b, own); own >= 0 {
+			err = ferr
+		}
+		flying, own = nil, -1
+		c.mu.Lock()
+		c.sending = false
+		if c.heir || len(c.pending().frames) == 0 {
+			if !c.heir {
+				c.busy, c.handoff = false, false
+			}
+			c.cond.Broadcast()
+			c.mu.Unlock()
+			return err
 		}
 	}
-	for _, p := range s.pkts {
-		p.Release()
-	}
-	clear(s.pkts)
-	clear(s.dgs)
-	clear(s.frames)
-	s.pkts, s.dgs, s.frames, s.last = s.pkts[:0], s.dgs[:0], s.frames[:0], s.last[:0]
 }
 
 // transmit is the one way out of a link: it hands datagrams, in order,

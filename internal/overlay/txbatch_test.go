@@ -240,9 +240,10 @@ func TestTxBatchTelemetryScrape(t *testing.T) {
 	}
 }
 
-// TestSyncPathKeepsSurfaces pins that a default (TxBatch=1) node changes
-// nothing: no TX ring gauge registered, no batch-size observations, and
-// the synchronous latency accounting still runs.
+// TestSyncPathKeepsSurfaces pins what a default (TxBatch=1) node shows:
+// no TX ring gauge registered, the synchronous latency accounting runs,
+// and the batch-size histogram takes one observation per transmit, as on
+// the batched leg — a lone Send is one transmit carrying one frame.
 func TestSyncPathKeepsSurfaces(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, overlay.NodeConfig{}, overlay.NodeConfig{}, "udp")
 	f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: []byte("sync")}
@@ -253,8 +254,8 @@ func TestSyncPathKeepsSurfaces(t *testing.T) {
 		t.Fatal("frame not delivered")
 	}
 	scrape := scrapeMetrics(t, na)
-	if c := metricValue(t, scrape, "vnetp_tx_batch_size_count"); c != 0 {
-		t.Fatalf("sync node observed %v TX batches", c)
+	if c, s := metricValue(t, scrape, "vnetp_tx_batch_size_count"), metricValue(t, scrape, "vnetp_tx_batch_size_sum"); c != 1 || s != 1 {
+		t.Fatalf("sync node observed %v TX batches carrying %v frames, want one of 1", c, s)
 	}
 	if strings.Contains(scrape, `vnetp_link_tx_queue_depth{`) {
 		t.Fatal("sync node registered a TX ring depth gauge")

@@ -318,10 +318,24 @@ func (s *Sealer) NextNonce() uint64 {
 // plaintext's storage (dst = plaintext[:0]); the caller must provide
 // Overhead bytes of spare capacity or Seal reallocates.
 func (s *Sealer) Seal(nonce uint64, additional, plaintext []byte) []byte {
-	var nb [NonceLen]byte
-	binary.BigEndian.PutUint32(nb[:4], s.tenantID)
+	return s.aead.Seal(plaintext[:0], gcmNonce(s.tenantID, nonce, additional), plaintext, additional)
+}
+
+// gcmNonce returns the 96-bit GCM nonce tenantID(4) || nonce(8). A wire
+// header — the associated data on the datapath — ends with exactly those
+// bytes (its seal extension), so the nonce is that slice of it: nothing
+// escapes through the AEAD interface and nothing is allocated. Associated
+// data that does not end so gets the nonce built in a fresh buffer.
+func gcmNonce(tenantID uint32, nonce uint64, additional []byte) []byte {
+	if at := len(additional) - NonceLen; at >= 0 &&
+		binary.BigEndian.Uint32(additional[at:]) == tenantID &&
+		binary.BigEndian.Uint64(additional[at+4:]) == nonce {
+		return additional[at:]
+	}
+	nb := make([]byte, NonceLen)
+	binary.BigEndian.PutUint32(nb, tenantID)
 	binary.BigEndian.PutUint64(nb[4:], nonce)
-	return s.aead.Seal(plaintext[:0], nb[:], plaintext, additional)
+	return nb
 }
 
 // Open authenticates and decrypts one sealed payload in place (the
@@ -359,10 +373,7 @@ func (k *Keyring) Open(tenantID uint32, nonce uint64, additional, ct []byte) ([]
 	aead := rs.aead
 	t.mu.Unlock()
 
-	var nb [NonceLen]byte
-	binary.BigEndian.PutUint32(nb[:4], tenantID)
-	binary.BigEndian.PutUint64(nb[4:], nonce)
-	pt, err := aead.Open(ct[:0], nb[:], ct, additional)
+	pt, err := aead.Open(ct[:0], gcmNonce(tenantID, nonce, additional), ct, additional)
 	if err != nil {
 		return nil, reject(RejectAuth)
 	}

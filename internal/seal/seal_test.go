@@ -2,6 +2,7 @@ package seal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,38 @@ func TestSealInPlace(t *testing.T) {
 	ct := s.Seal(s.NextNonce(), nil, buf)
 	if &ct[0] != &buf[0] {
 		t.Fatal("Seal reallocated despite spare capacity")
+	}
+}
+
+// TestSealOpenAllocs pins the per-datagram cipher path at zero
+// allocations: with associated data ending in the wire header's seal
+// extension — tenantID(4) | nonce(8), exactly the GCM nonce — Seal and
+// Open read the nonce in place instead of building one that would escape
+// through the AEAD interface.
+func TestSealOpenAllocs(t *testing.T) {
+	a := mustKeyring(t, 0x0a0a, 7)
+	b := mustKeyring(t, 0x0b0b, 7)
+	s, _ := a.Sealer(7)
+	hdr := make([]byte, 16+NonceLen) // a header whose last 12 bytes are its seal extension
+	binary.BigEndian.PutUint32(hdr[16:], 7)
+	buf := pad(bytes.Repeat([]byte{0x5a}, 1300))
+	var nonce uint64
+	var ct []byte
+	seal := func() {
+		nonce = s.NextNonce()
+		binary.BigEndian.PutUint64(hdr[20:], nonce)
+		ct = s.Seal(nonce, hdr, buf[:1300])
+	}
+	if allocs := testing.AllocsPerRun(100, seal); allocs != 0 {
+		t.Fatalf("Seal: %.0f allocations per datagram, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		seal()
+		if _, err := b.Open(7, nonce, hdr, ct); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Seal+Open: %.0f allocations per datagram, want 0", allocs)
 	}
 }
 

@@ -141,17 +141,20 @@ func newHistogram(opts HistogramOpts) *Histogram {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of one value for the cost of one.
+func (h *Histogram) ObserveN(v float64, n uint64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	if i < len(h.bounds) {
-		h.counts[i].Add(1)
+		h.counts[i].Add(n)
 	} else {
-		h.inf.Add(1)
+		h.inf.Add(n)
 	}
-	h.count.Add(1)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
+		nw := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sumBits.CompareAndSwap(old, nw) {
 			return
 		}

@@ -61,23 +61,26 @@ test_rtt_seconds_count 3
 }
 
 // TestHistogramBuckets checks log-bucket assignment at and around the
-// bound values (bounds are inclusive upper limits).
+// bound values (bounds are inclusive upper limits), one sample at a time
+// and n at a time (ObserveN).
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram(HistogramOpts{Start: 1, Factor: 2, Count: 3}) // bounds 1,2,4
-	for _, v := range []float64{0.5, 1, 1.001, 2, 4, 4.001} {
-		h.Observe(v)
-	}
-	_, cum, count, sum := h.snapshot()
-	if count != 6 {
-		t.Fatalf("count = %d, want 6", count)
-	}
-	if want := 0.5 + 1 + 1.001 + 2 + 4 + 4.001; math.Abs(sum-want) > 1e-9 {
-		t.Fatalf("sum = %v, want %v", sum, want)
-	}
-	want := []uint64{2, 4, 5, 6} // le=1:2, le=2:4, le=4:5, +Inf:6
-	for i, w := range want {
-		if cum[i] != w {
-			t.Fatalf("cumulative[%d] = %d, want %d (%v)", i, cum[i], w, cum)
+	for _, n := range []uint64{1, 3} {
+		h := newHistogram(HistogramOpts{Start: 1, Factor: 2, Count: 3}) // bounds 1,2,4
+		for _, v := range []float64{0.5, 1, 1.001, 2, 4, 4.001} {
+			h.ObserveN(v, n)
+		}
+		_, cum, count, sum := h.snapshot()
+		if count != 6*n {
+			t.Fatalf("n=%d: count = %d, want %d", n, count, 6*n)
+		}
+		if want := float64(n) * (0.5 + 1 + 1.001 + 2 + 4 + 4.001); math.Abs(sum-want) > 1e-9 {
+			t.Fatalf("n=%d: sum = %v, want %v", n, sum, want)
+		}
+		want := []uint64{2, 4, 5, 6} // le=1:2, le=2:4, le=4:5, +Inf:6
+		for i, w := range want {
+			if cum[i] != w*n {
+				t.Fatalf("n=%d: cumulative[%d] = %d, want %d (%v)", n, i, cum[i], w*n, cum)
+			}
 		}
 	}
 }
