@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet vet-cross race drift metrics-index secretcheck verify chaos bench e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-bench vet-cross race drift metrics-index secretcheck verify chaos bench e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# benchmark/ is a module of its own that compiles against overlay.NodeConfig
+# and the node's public surface: vet it so a change there fails here, not
+# only in the non-gating e2e-quick job.
+vet-bench:
+	cd benchmark && $(GO) vet ./...
 
 # The sendmmsg/recvmmsg files are linux/{amd64,arm64} only and every other
 # target builds their fallbacks: compile each side a linux/amd64 host does
@@ -41,9 +47,9 @@ metrics-index:
 secretcheck:
 	$(GO) run ./scripts/secretcheck
 
-# Full verification: compile, static checks, plain suite, race suite,
-# doc drift, secrets hygiene.
-verify: build vet vet-cross test race drift secretcheck
+# Full verification: compile, static checks (the benchmark module's
+# too), plain suite, race suite, doc drift, secrets hygiene.
+verify: build vet vet-bench vet-cross test race drift secretcheck
 
 # Crash-injection and drain-stress suite: panics and stalls injected
 # into live datapath components, graceful-drain and close-under-traffic

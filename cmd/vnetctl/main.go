@@ -14,12 +14,6 @@
 //	vnetctl -server 127.0.0.1:7778 TRACE DUMP
 //	vnetctl -server 127.0.0.1:7778 TRACE STOP
 //
-// Dispatch tuning (see DESIGN.md "Adaptive dispatch"):
-//
-//	vnetctl -server 127.0.0.1:7778 LIST TUNING
-//	vnetctl -server 127.0.0.1:7778 LINK TUNE to-b THROUGHPUT
-//	vnetctl -server 127.0.0.1:7778 LINK TUNE to-b AUTO
-//
 // Secure overlays (see DESIGN.md "Sealed links and tenancy"):
 //
 //	vnetctl keygen -dir certs -ca vnetp -hosts node-a,node-b,operator

@@ -12,10 +12,11 @@
 // received test frame back to its sender (swapping the MAC addresses), so
 // two daemons can be smoke-tested end to end without guests.
 //
-// Datapath tuning: -tx-batch enables batched transmit, and -adaptive
-// layers the paper's Table 1 controller on top — each link switches
-// between latency mode (batch=1) and throughput mode (batch=TxBatch) by
-// observed packet rate, overridable at runtime with LINK TUNE.
+// Transmit leg: by default a link's senders share its wire directly (the
+// one in the kernel carries what the others encoded meanwhile); -adaptive
+// gives every link a TX ring drained by a self-clocked sender, the live
+// adaptive dispatcher — a lone frame leaves alone, a loaded link's frames
+// leave together, with nothing to tune.
 //
 // Security: -control-tls-cert/-key/-ca put the control console behind
 // mutual TLS (certificates from `vnetctl keygen`); plaintext clients are
@@ -66,8 +67,7 @@ func main() {
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
 	dispatchers := flag.Int("dispatchers", 0, "receive workers, each reading its own SO_REUSEPORT socket on -bind and finishing what it reads (0: min(4, GOMAXPROCS); one where the platform has no SO_REUSEPORT support here)")
-	txBatch := flag.Int("tx-batch", 1, "most frames a link's sender takes per wakeup and packs into shared datagrams (1: synchronous sends)")
-	adaptive := flag.Bool("adaptive", false, "per-link adaptive dispatch: retune batch size between latency and throughput mode by observed rate (implies batched transmit)")
+	adaptive := flag.Bool("adaptive", false, "adaptive dispatch: every link gets a TX ring and a self-clocked sender that sends what is queued when it wakes (false: synchronous sends)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
 	telemetryAddr := flag.String("telemetry-addr", "", "HTTP address for /metrics, /trace, /flight, /topflows, /diag, /debug/pprof/, /healthz (empty: disabled)")
 	anomalyInterval := flag.Duration("anomaly-interval", 5*time.Second, "anomaly watchdog sample period (0: watchdog off)")
@@ -104,7 +104,6 @@ func main() {
 
 	node, err := overlay.NewNodeWithConfig(*name, *bind, overlay.NodeConfig{
 		Dispatchers:       *dispatchers,
-		TxBatch:           *txBatch,
 		Adaptive:          overlay.AdaptiveConfig{Enabled: *adaptive},
 		FlowCacheDisabled: !*flowCache,
 		TraceSample:       *traceSample,
@@ -122,12 +121,8 @@ func main() {
 	defer node.Close()
 	logger.Info("vnetpd carrying traffic",
 		"node", *name, "addr", node.Addr(), "dispatchers", node.Dispatchers())
-	if *txBatch > 1 {
-		logger.Info("batched transmit on", "batch", *txBatch)
-	}
 	if *adaptive {
-		logger.Info("adaptive dispatch on",
-			"alpha_l", "1e3/s", "alpha_u", "1e4/s", "omega", 5*time.Millisecond)
+		logger.Info("adaptive dispatch on: TX ring per link")
 	}
 	if *traceSample > 0 {
 		logger.Info("live tracing on", "sample", fmt.Sprintf("1/%d", *traceSample))

@@ -65,19 +65,6 @@ type TraceTarget interface {
 	TraceDump() []string
 }
 
-// TuneTarget is an optional Target extension: nodes running the batched
-// transmit path answer LIST TUNING and accept per-link dispatch-mode
-// overrides via LINK TUNE (the operator surface of the paper's Table 1
-// adaptive dispatch).
-type TuneTarget interface {
-	// SetLinkTune retunes one link's dispatch mode: "latency",
-	// "throughput", or "auto" (release a pin to the rate controller).
-	SetLinkTune(id, mode string) error
-	// TuningSummary reports one line per link with its effective
-	// dispatch tunables.
-	TuningSummary() []string
-}
-
 // TenantTarget is an optional Target extension: nodes carrying the seal
 // layer accept tenant keys (ADD TENANT), report their tenant set
 // (LIST TENANTS — key fingerprints only, never key material), and bind
@@ -108,7 +95,7 @@ type FlowsProvider interface {
 // Command is one parsed control command.
 type Command struct {
 	Verb string // ADD, DEL, LIST, LINK, TRACE
-	Kind string // LINK, ROUTE, TENANT, INTERFACES, LINKS, ROUTES, STATS, HEALTH, TUNING, TENANTS, STATUS, PROBE, TUNE, START, STOP, DUMP
+	Kind string // LINK, ROUTE, TENANT, INTERFACES, LINKS, ROUTES, STATS, HEALTH, TENANTS, FLOWS, STATUS, PROBE, START, STOP, DUMP
 
 	// Link fields.
 	LinkID string
@@ -127,9 +114,6 @@ type Command struct {
 	SampleN uint64
 	FlowMAC ethernet.MAC
 	HasFlow bool
-
-	// Dispatch-tuning field (LINK TUNE): "latency", "throughput", "auto".
-	Tune string
 
 	// Tenant scopes ADD LINK / ADD ROUTE / DEL ROUTE (trailing
 	// "TENANT <id>" clause) and names the tenant for ADD TENANT.
@@ -195,10 +179,9 @@ func parseDestType(s string) (core.DestType, error) {
 //	ADD ROUTE <dst-spec> <src-spec> {interface|link} <dest-id> [BACKUP {interface|link} <dest-id>] [TENANT <id>]
 //	DEL ROUTE <dst-spec> <src-spec> {interface|link} <dest-id> [BACKUP {interface|link} <dest-id>] [TENANT <id>]
 //	ADD TENANT <id> KEY <hex>
-//	LIST {ROUTES|LINKS|INTERFACES|STATS|HEALTH|TUNING|TENANTS|FLOWS}
+//	LIST {ROUTES|LINKS|INTERFACES|STATS|HEALTH|TENANTS|FLOWS}
 //	LINK STATUS <id>
 //	LINK PROBE <interval-ms> <fail-threshold> <recover-threshold>
-//	LINK TUNE <id> {LATENCY|THROUGHPUT|AUTO}
 //	TRACE START [SAMPLE <n> | FLOW <mac>]
 //	TRACE STOP
 //	TRACE DUMP
@@ -206,10 +189,7 @@ func parseDestType(s string) (core.DestType, error) {
 // where a spec is "any", "not-<mac>", or "<mac>". BACKUP names the
 // failover destination used while the primary is marked down by the
 // link health monitor. LINK PROBE takes 0 for any value to keep its
-// current setting. LINK TUNE pins a link's dispatch mode (LATENCY or
-// THROUGHPUT) or returns it to the adaptive rate controller (AUTO);
-// LIST TUNING reports every link's effective dispatch tunables.
-// TRACE START with no argument samples every frame
+// current setting. TRACE START with no argument samples every frame
 // (SAMPLE 1); SAMPLE <n> samples 1 in n; FLOW <mac> traces every frame
 // to or from the MAC regardless of the sampler.
 //
@@ -227,17 +207,17 @@ func Parse(line string) (*Command, error) {
 	switch verb {
 	case "LIST":
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("%w: LIST needs one of ROUTES|LINKS|INTERFACES|STATS|HEALTH|TUNING|TENANTS|FLOWS", ErrSyntax)
+			return nil, fmt.Errorf("%w: LIST needs one of ROUTES|LINKS|INTERFACES|STATS|HEALTH|TENANTS|FLOWS", ErrSyntax)
 		}
 		kind := strings.ToUpper(fields[1])
 		switch kind {
-		case "ROUTES", "LINKS", "INTERFACES", "STATS", "HEALTH", "TUNING", "TENANTS", "FLOWS":
+		case "ROUTES", "LINKS", "INTERFACES", "STATS", "HEALTH", "TENANTS", "FLOWS":
 			return &Command{Verb: verb, Kind: kind}, nil
 		}
 		return nil, fmt.Errorf("%w: unknown LIST target %q", ErrSyntax, fields[1])
 	case "LINK":
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("%w: LINK needs STATUS, PROBE, or TUNE", ErrSyntax)
+			return nil, fmt.Errorf("%w: LINK needs STATUS or PROBE", ErrSyntax)
 		}
 		switch kind := strings.ToUpper(fields[1]); kind {
 		case "STATUS":
@@ -266,17 +246,6 @@ func Parse(line string) (*Command, error) {
 				Interval: time.Duration(ms) * time.Millisecond,
 				FailN:    failN, RecoverN: recoverN,
 			}, nil
-		case "TUNE":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("%w: LINK TUNE needs a link id and LATENCY|THROUGHPUT|AUTO", ErrSyntax)
-			}
-			mode := strings.ToLower(fields[3])
-			switch mode {
-			case "latency", "throughput", "auto":
-			default:
-				return nil, fmt.Errorf("%w: bad tune mode %q (want LATENCY, THROUGHPUT, or AUTO)", ErrSyntax, fields[3])
-			}
-			return &Command{Verb: verb, Kind: kind, LinkID: fields[2], Tune: mode}, nil
 		}
 		return nil, fmt.Errorf("%w: unknown LINK subcommand %q", ErrSyntax, fields[1])
 	case "TRACE":
@@ -505,16 +474,6 @@ func Apply(t Target, cmd *Command) ([]string, error) {
 			return nil, ht.SetProbeConfig(cmd.Interval, cmd.FailN, cmd.RecoverN)
 		}
 		return nil, fmt.Errorf("control: target does not monitor link health")
-	case "LIST TUNING":
-		if tt, ok := t.(TuneTarget); ok {
-			return tt.TuningSummary(), nil
-		}
-		return nil, fmt.Errorf("control: target does not support dispatch tuning")
-	case "LINK TUNE":
-		if tt, ok := t.(TuneTarget); ok {
-			return nil, tt.SetLinkTune(cmd.LinkID, cmd.Tune)
-		}
-		return nil, fmt.Errorf("control: target does not support dispatch tuning")
 	case "TRACE START":
 		if tt, ok := t.(TraceTarget); ok {
 			return nil, tt.TraceStart(cmd.SampleN, cmd.FlowMAC, cmd.HasFlow)

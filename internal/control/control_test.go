@@ -110,6 +110,8 @@ func TestParseErrors(t *testing.T) {
 		"LIST",
 		"LIST NOTHING",
 		"ADD WIDGET x",
+		"link tune wan auto", // retired with the live rate controller
+		"list tuning",
 	}
 	for _, line := range bad {
 		if _, err := Parse(line); err == nil {

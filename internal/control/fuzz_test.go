@@ -27,7 +27,7 @@ func FuzzControlParse(f *testing.F) {
 		"LIST STATS",
 		"LINK STATUS to-b",
 		"link probe 250 5 3",
-		"LINK TUNE wan AUTO",
+		"link tune wan AUTO", // a retired verb: a syntax error, not a panic
 		"TRACE START FLOW 02:56:00:00:00:02",
 		"TRACE START SAMPLE 100",
 		"TRACE DUMP",

@@ -70,19 +70,13 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	na, err := overlay.NewNodeWithConfig("chaos-a", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch:   4,
-		Supervise: chaosSupervise(),
-	})
+	na, err := overlay.NewNodeWithConfig("chaos-a", "127.0.0.1:0", overlay.RingConfig().WithSupervise(chaosSupervise()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Dispatchers: 1 makes "dispatcher/0" the one worker every datagram
 	// crosses, so the injected panic is guaranteed to fire in-path.
-	nb, err := overlay.NewNodeWithConfig("chaos-b", "127.0.0.1:0", overlay.NodeConfig{
-		Dispatchers: 1,
-		Supervise:   chaosSupervise(),
-	})
+	nb, err := overlay.NewNodeWithConfig("chaos-b", "127.0.0.1:0", overlay.NodeConfig{Dispatchers: 1}.WithSupervise(chaosSupervise()))
 	if err != nil {
 		na.Close()
 		t.Fatal(err)
@@ -172,9 +166,7 @@ func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 // begins, Send reports ErrDraining; queued traffic still flushes; the
 // node ends closed and a second Drain refuses.
 func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
-	na, err := overlay.NewNodeWithConfig("drain-a", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch: 8, TxRing: 1024,
-	})
+	na, err := overlay.NewNodeWithConfig("drain-a", "127.0.0.1:0", overlay.RingConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +245,10 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 // that cannot finish (a stalled TX sender holds frames in the ring)
 // respects its deadline, reports the loss, and still closes the node.
 func TestDrainDeadlineGivesUp(t *testing.T) {
-	na, err := overlay.NewNodeWithConfig("drain-stuck", "127.0.0.1:0", overlay.NodeConfig{
-		TxBatch: 8, TxRing: 1024,
+	na, err := overlay.NewNodeWithConfig("drain-stuck", "127.0.0.1:0",
 		// Watchdog off: the injected stall must persist through the
 		// whole drain window for the deadline path to trigger.
-		Supervise: supervise.Config{StallTimeout: -1},
-	})
+		overlay.RingConfig().WithSupervise(supervise.Config{StallTimeout: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}

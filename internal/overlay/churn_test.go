@@ -42,7 +42,7 @@ func waitGoroutines(t *testing.T, want int, what string) {
 // txLoops, and the dispatcher pool all overlap.
 func TestLinkChurnUnderTraffic(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("a", "127.0.0.1:0",
-		overlay.NodeConfig{TxBatch: 8, TxRing: 64})
+		overlay.RingConfig().WithTxRing(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCloseUnderTraffic(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	na, err := overlay.NewNodeWithConfig("close-a", "127.0.0.1:0",
-		overlay.NodeConfig{TxBatch: 8, TxRing: 256})
+		overlay.RingConfig().WithTxRing(256))
 	if err != nil {
 		t.Fatal(err)
 	}

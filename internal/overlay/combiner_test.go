@@ -32,7 +32,7 @@ func TestSealedSendersKeepNonceOrder(t *testing.T) {
 	legs := []struct {
 		name string
 		cfg  NodeConfig
-	}{{"sync", NodeConfig{}}, {"batched", NodeConfig{TxBatch: 32}}}
+	}{{"sync", NodeConfig{}}, {"batched", RingConfig()}}
 	for _, proto := range []string{"udp", "tcp"} {
 		for _, leg := range legs {
 			t.Run(proto+"_"+leg.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // The diagnostic snapshot bundle (ISSUE 10): one JSON document
 // answering "what is this node doing and why is it dropping frames" —
 // build info, uptime, the normalized datapath configuration, a full
-// metrics gather, health and dispatch-mode states, flow-cache and
+// metrics gather, health states, flow-cache and
 // heavy-hitter readings, the drop ledger's tails, supervisor restart
 // history, and the recorded traces. GET /diag on the telemetry
 // listener and `vnetctl diag` both render it; the schema's top-level
@@ -27,7 +27,7 @@ import (
 // DiagSchema versions the bundle's shape. Bump only when a top-level
 // key changes meaning or disappears; adding keys is append-only and
 // does not bump.
-const DiagSchema = 1
+const DiagSchema = 2
 
 // DiagBundle is the one-shot diagnostic snapshot document.
 type DiagBundle struct {
@@ -45,7 +45,6 @@ type DiagBundle struct {
 	Metrics []telemetry.FamilySnapshot `json:"metrics"`
 
 	Health    []string                `json:"health"`
-	Tuning    []string                `json:"tuning"`
 	FlowCache DiagFlowCache           `json:"flow_cache"`
 	TopFlows  map[string][]topFlowDoc `json:"top_flows"`
 	Drops     DiagDrops               `json:"drops"`
@@ -65,13 +64,10 @@ type DiagBuild struct {
 // effective values after defaulting, not the zero-ridden input.
 type DiagConfig struct {
 	Dispatchers     int     `json:"dispatchers"`
-	TxBatch         int     `json:"tx_batch"`
-	TxRing          int     `json:"tx_ring"`
 	RxBatch         int     `json:"rx_batch"`
 	FlowCache       bool    `json:"flow_cache"`
 	FlowCacheSize   int     `json:"flow_cache_size"`
 	Adaptive        bool    `json:"adaptive"`
-	EvictInterval   string  `json:"evict_interval"`
 	TraceSample     uint64  `json:"trace_sample"`
 	FlightDepth     int     `json:"flight_depth"`
 	AnomalyWatch    bool    `json:"anomaly_watch"`
@@ -135,13 +131,10 @@ func (n *Node) Diag() DiagBundle {
 		},
 		Config: DiagConfig{
 			Dispatchers:     cfg.Dispatchers,
-			TxBatch:         cfg.TxBatch,
-			TxRing:          cfg.TxRing,
 			RxBatch:         rxBatch,
 			FlowCache:       !cfg.FlowCacheDisabled,
 			FlowCacheSize:   fcSize,
 			Adaptive:        cfg.Adaptive.Enabled,
-			EvictInterval:   cfg.EvictInterval.String(),
 			TraceSample:     cfg.TraceSample,
 			FlightDepth:     cfg.FlightDepth,
 			AnomalyWatch:    !cfg.Anomaly.Disabled,
@@ -152,7 +145,6 @@ func (n *Node) Diag() DiagBundle {
 		// consumers iterate without a nil check.
 		Metrics: g,
 		Health:  orEmpty(n.HealthSummary()),
-		Tuning:  orEmpty(n.TuningSummary()),
 		FlowCache: DiagFlowCache{
 			Hits:      g.sum("vnetp_flow_cache_hits_total", ""),
 			Misses:    g.sum("vnetp_flow_cache_misses_total", ""),

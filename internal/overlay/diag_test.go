@@ -39,7 +39,6 @@ var diagGoldenKeys = []string{
 	"tenants",
 	"top_flows",
 	"traces",
-	"tuning",
 	"uptime_seconds",
 }
 
@@ -131,7 +130,7 @@ func TestDiagSchemaGolden(t *testing.T) {
 	}
 	// Summary sections are empty on a linkless, keyless node — but they
 	// must be present as arrays, never null.
-	for _, key := range []string{"health", "tuning", "tenants", "traces"} {
+	for _, key := range []string{"health", "tenants", "traces"} {
 		if string(raw[key]) == "null" {
 			t.Fatalf("%s section rendered as null", key)
 		}

@@ -35,10 +35,6 @@ import (
 // 10G-class receive path without oversubscribing small hosts.
 func DefaultDispatchers() int { return min(4, runtime.GOMAXPROCS(0)) }
 
-// defaultTxRing is each link's TX ring depth (NodeConfig.TxRing zero
-// value).
-const defaultTxRing = 1024
-
 // flightSnap is the flight recorder's per-event capture length in bytes.
 const flightSnap = 256
 
@@ -49,23 +45,6 @@ type NodeConfig struct {
 	// DefaultDispatchers(); where this package cannot share a port, one.
 	Dispatchers int
 
-	// TxBatch is the most frames a link's sender goroutine takes per
-	// wakeup (the send-side analogue of the paper's VMM-driven batch
-	// dispatch, Sect. 4.3). Zero or one keeps the synchronous leg: Send
-	// copies its frame, and the one Send on a link's wire carries what
-	// the others copied meanwhile, so it batches only under load. Above
-	// one, each link owns a bounded TX ring and a self-clocked sender
-	// goroutine: it sends what is queued when it wakes and never waits
-	// for more. Both pack small frames into shared datagrams and move a
-	// batch in one syscall (sendmmsg on Linux). In batched mode a frame
-	// handed to Send is retained until sent and must not be modified by
-	// the caller afterwards.
-	TxBatch int
-	// TxRing is each link's TX ring depth in frames (batched mode only).
-	// Like a NIC TX ring, enqueue drops (and counts) when full rather
-	// than blocking the router. Zero means the default (1024).
-	TxRing int
-
 	// FlowCacheDisabled turns off the per-flow forwarding cache
 	// (flowcache.go), restoring the per-frame route-lookup path. The
 	// cache is on by default; disabling it exists for ablation
@@ -73,19 +52,18 @@ type NodeConfig struct {
 	// escape hatch (vnetpd -flow-cache=false).
 	FlowCacheDisabled bool
 
-	// Adaptive enables the per-link adaptive dispatch controller: an
-	// ω-tick rate sampler with α_l/α_u hysteresis that retunes each
-	// link's effective batch size between latency mode (batch=1, idle
-	// links) and throughput mode (batch=TxBatch, loaded links) — the
-	// paper's Table 1 mechanism on the live datapath (vnetpd -adaptive).
-	// Enabling it implies TxBatch > 1.
+	// Adaptive picks the transmit leg (vnetpd -adaptive), the node's one
+	// transmit setting. Off, a link runs the synchronous leg: Send
+	// encodes its frame before it returns, and the one Send on a link's
+	// wire carries what the others encoded meanwhile. On, each link owns
+	// a bounded TX ring (txRingDepth frames) drained by a self-clocked
+	// sender goroutine, the live adaptive dispatcher: it sends what is
+	// queued when it wakes, up to txBatchMax frames, and never waits for
+	// more. Both legs pack small frames into shared datagrams and move a
+	// batch in one syscall (sendmmsg on Linux). On the ring a frame
+	// handed to Send is retained until sent and must not be modified by
+	// the caller afterwards.
 	Adaptive AdaptiveConfig
-
-	// EvictInterval is how often stale partial reassemblies are swept
-	// (generation-based eviction; a partial untouched for two sweeps is
-	// dropped). Zero means the default (1s). Tests shorten it to fake
-	// the clock.
-	EvictInterval time.Duration
 
 	// TraceSample arms the live tracer at startup: trace one in every
 	// TraceSample frames entering the TX path (vnetpd -trace-sample).
@@ -101,40 +79,51 @@ type NodeConfig struct {
 	// lifecycle, trace lifecycle, traced-frame events). Nil discards.
 	Logger *slog.Logger
 
-	// Supervise tunes the node's runtime supervisor (restart backoff,
-	// stall watchdog). Zero values take the supervise package defaults;
-	// tests shorten StallTimeout to exercise the watchdog quickly.
-	Supervise supervise.Config
-
 	// Anomaly tunes the anomaly watchdog: a supervised loop sampling
 	// the unified drop ledger and the stall counter, alerting (slog +
 	// vnetp_anomalies_total) on threshold crossings. Zero values take
 	// the defaults (5s period, 100 drops/s).
 	Anomaly AnomalyConfig
 
-	// portableRx makes the read loop use singleReader where the platform
-	// has a batch reader too: in-package tests compare the two.
-	portableRx bool
+	// Test seams, zero in every real configuration. portableRx makes
+	// the read loop use singleReader where the platform has a batch
+	// reader too; txRing overrides txRingDepth; evictInterval overrides
+	// defaultEvictInterval; supervise overrides the supervise package's
+	// defaults (restart backoff, stall watchdog).
+	portableRx    bool
+	txRing        int
+	evictInterval time.Duration
+	supervise     supervise.Config
 }
+
+// AdaptiveConfig selects the transmit leg (NodeConfig.Adaptive).
+type AdaptiveConfig struct {
+	// Enabled gives every link the TX ring and its self-clocked sender.
+	Enabled bool
+}
+
+// The TX ring leg's constants (DESIGN "Batched transmit"): a link's
+// ring holds txRingDepth frames and its sender takes at most txBatchMax
+// of them per wakeup. benchmark/'s traffic generator sizes a flow's
+// window by what a ring node can retain, so they must not grow.
+const (
+	txRingDepth = 1024
+	txBatchMax  = 32
+)
+
+// defaultEvictInterval is how often stale partial reassemblies are
+// swept: a partial untouched for two sweeps is dropped.
+const defaultEvictInterval = time.Second
 
 func (c *NodeConfig) normalize() {
 	if c.Dispatchers <= 0 {
 		c.Dispatchers = DefaultDispatchers()
 	}
-	if c.TxBatch < 1 {
-		c.TxBatch = 1
+	if c.txRing <= 0 {
+		c.txRing = txRingDepth
 	}
-	c.Adaptive.normalize()
-	if c.Adaptive.Enabled && c.TxBatch < 2 {
-		// Adaptive dispatch switches between batch=1 and batch=TxBatch;
-		// without a ring there is nothing to adapt.
-		c.TxBatch = defaultAdaptiveBatch
-	}
-	if c.TxRing <= 0 {
-		c.TxRing = defaultTxRing
-	}
-	if c.EvictInterval <= 0 {
-		c.EvictInterval = time.Second
+	if c.evictInterval <= 0 {
+		c.evictInterval = defaultEvictInterval
 	}
 	c.Anomaly.normalize()
 	if c.Logger == nil {

@@ -262,7 +262,7 @@ func TestDropSiteEndpointRing(t *testing.T) {
 // are opened and reassembled — and the frame it leaves a hole in ages out
 // onto reassembly_evict. Nothing else is dropped and nothing is delivered.
 func TestDropSiteTrainSealReject(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1, EvictInterval: 10 * time.Millisecond})
+	n := dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
 	key := bytes.Repeat([]byte{0x11}, 32)
 	if err := n.AddTenant(7, key); err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestDropSiteSealReject(t *testing.T) {
 }
 
 func TestDropSiteReassemblyEvict(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1, EvictInterval: 10 * time.Millisecond})
+	n := dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
 	f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2))
 	f.Payload = make([]byte, 9000) // fragments into several datagrams
 	ds, err := bridge.Encapsulate(f, 77, maxDatagram)
@@ -366,7 +366,7 @@ func TestDropSiteCrossTenant(t *testing.T) {
 }
 
 func TestDropSiteTxRing(t *testing.T) {
-	n := dropNode(t, NodeConfig{TxBatch: 2, TxRing: 1})
+	n := dropNode(t, RingConfig().WithTxRing(1))
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestDropSiteTxRing(t *testing.T) {
 }
 
 func TestDropSiteTxTeardown(t *testing.T) {
-	n := dropNode(t, NodeConfig{TxBatch: 4, TxRing: 64})
+	n := dropNode(t, RingConfig().WithTxRing(64))
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +483,7 @@ func TestDropSiteTxError(t *testing.T) {
 			{name: "aggregate", frames: 5, size: 64, udpDgs: 1, tcpDgs: 1},
 		} {
 			t.Run(proto+"_"+tc.name, func(t *testing.T) {
-				n := dropNode(t, NodeConfig{TxBatch: 8})
+				n := dropNode(t, RingConfig())
 				if err := n.AddLink("wire", "127.0.0.1:1", proto); err != nil {
 					t.Fatal(err)
 				}
@@ -519,7 +519,7 @@ func TestDropSiteTxError(t *testing.T) {
 	// (tcpaccount_test.go scripts the same failure), so the frames they
 	// completed count as sent and only the third is refused.
 	t.Run("tcp_partial", func(t *testing.T) {
-		n := dropNode(t, NodeConfig{TxBatch: 8})
+		n := dropNode(t, RingConfig())
 		if err := n.AddLink("wire", "127.0.0.1:1", "tcp"); err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestDropSiteTxError(t *testing.T) {
 // receive-side churn arrives as aggregate datagrams, whose drops charge
 // several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 2, TxBatch: 2, TxRing: 1, EvictInterval: 20 * time.Millisecond})
+	n := dropNode(t, NodeConfig{Dispatchers: 2, Adaptive: AdaptiveConfig{Enabled: true}, txRing: 1, evictInterval: 20 * time.Millisecond})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)

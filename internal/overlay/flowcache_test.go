@@ -118,7 +118,7 @@ func TestFlowEpochBumpEvents(t *testing.T) {
 			Dest: core.Destination{Type: core.DestInterface, ID: "ghost"}})
 	})
 
-	for name, cfg := range map[string]NodeConfig{"sync": {}, "batched": {TxBatch: 4}} {
+	for name, cfg := range map[string]NodeConfig{"sync": {}, "batched": RingConfig()} {
 		t.Run("fault_mid_stream_"+name, func(t *testing.T) {
 			n, tap := dropNode(t, cfg), newWireTap(t, "udp")
 			src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)

@@ -47,7 +47,7 @@ func flowWaitGoroutines(t *testing.T, want int, what string) {
 // per link, so it can no more carry two tenants than a single frame can.
 func TestFlowCacheChurnUnderTraffic(t *testing.T) {
 	t.Run("sync", func(t *testing.T) { flowCacheChurn(t, NodeConfig{}) })
-	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, NodeConfig{TxBatch: 32}) })
+	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, RingConfig()) })
 }
 
 // QuietDelivered returns n's delivered count once its receive workers
@@ -223,7 +223,7 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 	if got := Metric(t, nb, "vnetp_cross_tenant_drops_total"); got != 0 {
 		t.Fatalf("cross_tenant_drops = %v on the receiver node", got)
 	}
-	if h := na.metrics.txDatagramFrames; sender.TxBatch > 1 && h.Sum() <= float64(h.Count()) {
+	if h := na.metrics.txDatagramFrames; sender.Adaptive.Enabled && h.Sum() <= float64(h.Count()) {
 		t.Fatalf("batched senders never shared a datagram: %v frames in %d datagrams", h.Sum(), h.Count())
 	}
 

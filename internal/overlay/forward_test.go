@@ -177,7 +177,7 @@ func TestForwardMissEqualsHit(t *testing.T) {
 		{name: "tcp_link", proto: "tcp", datagrs: 1},
 		{name: "fault_conduit", proto: "udp", fault: true, datagrs: 3},
 		{name: "traced", proto: "udp", traced: true, datagrs: 3},
-		{name: "batched_link", cfg: NodeConfig{TxBatch: 4}, proto: "udp", datagrs: 3},
+		{name: "batched_link", cfg: RingConfig(), proto: "udp", datagrs: 3},
 		{name: "local_endpoint"},
 		{name: "cache_disabled_link", cfg: NodeConfig{FlowCacheDisabled: true}, proto: "udp", datagrs: 3},
 		{name: "cache_disabled_local", cfg: NodeConfig{FlowCacheDisabled: true}},
@@ -287,7 +287,7 @@ func TestForwardMissEqualsHit(t *testing.T) {
 					want.SealedSent = uint64(tc.datagrs)
 					want.LinkBytes += uint64(tc.datagrs * seal.Overhead)
 				}
-				if tc.cfg.TxBatch <= 1 {
+				if !tc.cfg.Adaptive.Enabled {
 					want.TxSamples = 1
 				} else {
 					want.TxSamples = hit.TxSamples // sampled by the batched sender
@@ -303,7 +303,7 @@ func TestForwardMissEqualsHit(t *testing.T) {
 			// hit) while no route has a source qualifier, through one of its
 			// own (a miss) once any route on the node has.
 			otherWire, other := send(ethernet.LocalMAC(3))
-			if tc.cfg.TxBatch > 1 {
+			if tc.cfg.Adaptive.Enabled {
 				want.TxSamples = other.TxSamples
 			}
 			if other != want || len(otherWire) != len(hitWire) {
@@ -863,10 +863,10 @@ func TestBatchedEqualsSync(t *testing.T) {
 			if len(sync[mac1]) != 5 || len(sync[mac2]) != 4 || len(sync[macT]) != 1 {
 				t.Fatalf("sync run delivered %d/%d/%d frames per flow, want 5/4/1", len(sync[mac1]), len(sync[mac2]), len(sync[macT]))
 			}
-			if batched := run(t, NodeConfig{TxBatch: 32}, false, 1); !reflect.DeepEqual(batched, sync) {
+			if batched := run(t, RingConfig(), false, 1); !reflect.DeepEqual(batched, sync) {
 				t.Fatalf("batched sender delivered differently from sync:\nbatched %q\nsync    %q", batched, sync)
 			}
-			if one := run(t, NodeConfig{TxBatch: 32}, true, 1); !reflect.DeepEqual(one, sync) {
+			if one := run(t, RingConfig(), true, 1); !reflect.DeepEqual(one, sync) {
 				t.Fatalf("one batch delivered differently from sync:\none  %q\nsync %q", one, sync)
 			}
 			const reps = 30 // per sink: at most 6 × 30 frames, inside its ring

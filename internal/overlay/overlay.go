@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vnetp/internal/adapt/rate"
 	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
@@ -68,9 +67,11 @@ func (ep *Endpoint) Tenant() uint32 { return ep.tenant }
 
 // Send routes a frame into the overlay. The frame's source should be the
 // endpoint's MAC (the overlay routes on whatever addresses the frame
-// carries, like a real switch). On a node running the batched transmit
-// path (NodeConfig.TxBatch > 1) the frame is retained until its link
-// batch flushes and must not be modified after Send returns.
+// carries, like a real switch). On the synchronous leg (the default)
+// the frame is encoded before Send returns, and the caller may reuse it.
+// On a node running the TX ring (NodeConfig.Adaptive) the frame is
+// retained until its link's sender flushes it and must not be modified
+// after Send returns.
 func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
@@ -213,9 +214,9 @@ type link struct {
 	// re-marshalling the header per fragment. Immutable after AddLink.
 	tmpl *bridge.EncapTemplate
 
-	// Batched transmit state (NodeConfig.TxBatch > 1): a bounded ring of
-	// outbound frames drained by this link's sender goroutine (txLoop).
-	// txq is nil on nodes running the synchronous path. txw is the
+	// TX ring state (NodeConfig.Adaptive): a bounded ring of outbound
+	// frames drained by this link's sender goroutine (txLoop). txq is
+	// nil on nodes running the synchronous leg. txw is the
 	// sender's supervision handle; stopping it reaps the sender when the
 	// link is deleted or replaced.
 	txq chan txFrame
@@ -223,22 +224,6 @@ type link struct {
 
 	// sync is the synchronous leg's combiner, used when txq is nil.
 	sync syncTx
-
-	// tun is the link's effective dispatch operating point (batch size and
-	// mode), published atomically so txLoop reads it
-	// lock-free once per batch. The adaptive controller and LINK TUNE
-	// swap it live; non-adaptive batched links carry a static
-	// throughput-mode snapshot. Always non-nil when txq is non-nil.
-	tun atomic.Pointer[txTunables]
-	// ctrl is the link's rate-hysteresis state machine, nil unless
-	// NodeConfig.Adaptive is enabled. Mode and dwell state live here, so
-	// they survive adaptive-loop restarts and transport auto-upgrades
-	// (the link struct persists across both).
-	ctrl *rate.Controller
-	// lastTxFrames is the adaptive loop's previous txFrames sample
-	// (atomic: a superseded controller instance may briefly overlap its
-	// replacement).
-	lastTxFrames atomic.Uint64
 
 	// sendErrors counts transport send failures on this link, including
 	// ones inside an installed fault conduit (whose delivery callback may
@@ -251,14 +236,6 @@ type link struct {
 	sendErrors *telemetry.Counter
 	bytesSent  *telemetry.Counter
 	bytesRecv  *telemetry.Counter
-
-	// Batched-mode children (nil on the synchronous path): txFrames
-	// counts frames accepted onto the TX ring (the adaptive
-	// controller's rate sensor), modeGauge and modeSwitches export the
-	// link's dispatch mode and its transitions.
-	txFrames     *telemetry.Counter
-	modeGauge    *telemetry.Gauge
-	modeSwitches *telemetry.Counter
 
 	// TCP redial backoff state (capped exponential).
 	redialAt      time.Time
@@ -483,7 +460,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	// one component is contained and the component restarts with capped
 	// jittered backoff over the same shared state (sockets, shards); the
 	// watchdog supersedes components stuck inside one work item.
-	n.sup = supervise.New(name, cfg.Supervise, n.log, supervise.Metrics{
+	n.sup = supervise.New(name, cfg.supervise, n.log, supervise.Metrics{
 		Panics:   n.metrics.panicsRecovered,
 		Restarts: n.metrics.componentRestarts,
 		Stalls:   n.metrics.watchdogStalls,
@@ -494,9 +471,6 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		s := s
 		n.sup.Go(fmt.Sprintf("dispatcher/%d", s.idx),
 			func(i *supervise.Instance) { n.readLoop(i, s) })
-	}
-	if cfg.Adaptive.Enabled {
-		n.sup.Go("adaptive", func(i *supervise.Instance) { n.adaptLoop(i) })
 	}
 	if !cfg.Anomaly.Disabled {
 		n.sup.Go("anomaly", func(i *supervise.Instance) { n.anomalyLoop(i) })
@@ -684,18 +658,10 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		// as a fresh link's always have.
 		n.metrics.reg.DeleteLabel("link", id)
 	}
-	if n.cfg.TxBatch > 1 {
-		lk.txq = make(chan txFrame, n.cfg.TxRing)
-		if a := n.cfg.Adaptive; a.Enabled {
-			lk.ctrl = rate.New(rate.Config{
-				AlphaL: a.AlphaL, AlphaU: a.AlphaU, HoldDown: a.HoldDown,
-			})
-		}
+	if n.cfg.Adaptive.Enabled {
+		lk.txq = make(chan txFrame, n.cfg.txRing)
 	}
 	n.newLinkCounters(lk)
-	if lk.txq != nil {
-		n.initLinkTunables(lk)
-	}
 	if n.healthOn {
 		lk.health = n.newLinkHealth(lk, n.healthCfg.LossWindow)
 	}
@@ -1138,13 +1104,13 @@ func (n *Node) probeLoop(inst *supervise.Instance) {
 }
 
 // evictLoop ages out stale partial reassemblies on every shard: each
-// tick runs one generation sweep (NodeConfig.EvictInterval apart), so a
+// tick runs one generation sweep (NodeConfig.evictInterval apart), so a
 // partial untouched for two ticks — a dead or partitioned sender — is
 // dropped and its buffers freed.
 // Supervised as "evictor": the sweep state is derived from the shards,
 // so a restarted instance picks up exactly where the old one left off.
 func (n *Node) evictLoop(inst *supervise.Instance) {
-	t := time.NewTicker(n.cfg.EvictInterval)
+	t := time.NewTicker(n.cfg.evictInterval)
 	defer t.Stop()
 	for {
 		select {

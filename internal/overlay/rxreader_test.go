@@ -312,6 +312,7 @@ func TestMmsgReaderReusesSenderAddr(t *testing.T) {
 func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 	for _, proto := range []string{"udp", "tcp"} {
 		for _, tenant := range []uint32{0, 7} {
+			// txbatch1 runs the synchronous leg, txbatch8 the TX ring.
 			for _, txBatch := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s_tenant%d_txbatch%d", proto, tenant, txBatch), func(t *testing.T) {
 					testHeldFrames(t, proto, tenant, txBatch)
@@ -322,7 +323,7 @@ func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 }
 
 func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
-	tx, rx := dropNode(t, NodeConfig{TxBatch: txBatch}), dropNode(t, NodeConfig{Dispatchers: 1})
+	tx, rx := dropNode(t, NodeConfig{Adaptive: AdaptiveConfig{Enabled: txBatch > 1}}), dropNode(t, NodeConfig{Dispatchers: 1})
 	if tenant != 0 {
 		key := bytes.Repeat([]byte{0x5a}, 32)
 		for _, n := range []*Node{tx, rx} {

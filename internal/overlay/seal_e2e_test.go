@@ -118,7 +118,7 @@ func TestSealedLinkEndToEnd(t *testing.T) {
 }
 
 func TestSealedLinkBatchedTX(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{TxBatch: 8})
+	na, nb, epA, epB := sealedPair(t, overlay.RingConfig())
 	const count = 40
 	for i := 0; i < count; i++ {
 		epA.Send(&ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,

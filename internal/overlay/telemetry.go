@@ -39,14 +39,10 @@ type nodeMetrics struct {
 	linkRedials    *telemetry.CounterVec
 	linkUpgrades   *telemetry.CounterVec
 	linkTxDrops    *telemetry.CounterVec
-	linkTxFrames   *telemetry.CounterVec
 	linkTxDepth    *telemetry.GaugeVec
 	linkTxOffload  *telemetry.GaugeVec
 	linkState      *telemetry.GaugeVec
 	linkRTT        *telemetry.HistogramVec
-
-	dispatchMode *telemetry.GaugeVec   // link
-	modeSwitches *telemetry.CounterVec // link
 
 	dispDatagrams *telemetry.CounterVec // worker
 	dispFrames    *telemetry.CounterVec
@@ -107,12 +103,6 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"UDP links auto-upgraded to TCP encapsulation.", "link"),
 		linkTxDrops: reg.CounterVec("vnetp_link_tx_ring_drops_total",
 			"Frames dropped at a full link TX ring (batched transmit).", "link"),
-		linkTxFrames: reg.CounterVec("vnetp_link_tx_frames_total",
-			"Frames enqueued onto a link's TX ring (the adaptive controller's rate sensor).", "link"),
-		dispatchMode: reg.GaugeVec("vnetp_dispatch_mode",
-			"Per-link dispatch mode: 0 latency (batch=1), 1 throughput (batch=TxBatch).", "link"),
-		modeSwitches: reg.CounterVec("vnetp_dispatch_mode_switches_total",
-			"Dispatch mode transitions per link (adaptive controller or LINK TUNE).", "link"),
 		linkTxDepth: reg.GaugeVec("vnetp_link_tx_queue_depth",
 			"Frames queued in a link's TX ring (batched transmit).", "link"),
 		linkTxOffload: reg.GaugeVec("vnetp_link_tx_offload",
@@ -287,11 +277,8 @@ func (n *Node) newLinkCounters(lk *link) {
 		}
 		return 0
 	}, lk.id)
-	if q := lk.txq; q != nil { // batched mode: ring depth + dispatch-mode family
+	if q := lk.txq; q != nil {
 		m.linkTxDepth.Func(func() float64 { return float64(len(q)) }, lk.id)
-		lk.txFrames = m.linkTxFrames.With(lk.id)
-		lk.modeGauge = m.dispatchMode.With(lk.id)
-		lk.modeSwitches = m.modeSwitches.With(lk.id)
 	}
 }
 

@@ -181,10 +181,7 @@ func TestTrainsEqualPlainMessages(t *testing.T) {
 	for _, tenant := range []uint32{0, 7} {
 		for _, leg := range []string{"sync", "batched"} {
 			run := func(t *testing.T, plain bool) (outcome, uint64) {
-				cfg := NodeConfig{}
-				if leg == "batched" {
-					cfg.TxBatch = 32
-				}
+				cfg := NodeConfig{Adaptive: AdaptiveConfig{Enabled: leg == "batched"}}
 				tx, rx, src, sink := trainPair(t, cfg, tenant)
 				tx.tx.plain = plain
 				rng := rand.New(rand.NewSource(20))
@@ -283,7 +280,7 @@ func TestMaxMTUFrameLeavesAsTrains(t *testing.T) {
 // that is no offload refusal: bytes_sent is exactly the first frame's
 // datagrams — what the peer read — and send_errors exactly the second's.
 func testTransmitAccountingTrains(t *testing.T) {
-	n := dropNode(t, NodeConfig{TxBatch: 8})
+	n := dropNode(t, RingConfig())
 	tap := newWireTap(t, "udp")
 	if err := n.AddLink("wire", tap.addr, "udp"); err != nil {
 		t.Fatal(err)

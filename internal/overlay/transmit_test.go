@@ -23,7 +23,7 @@ import (
 // over UDP and TCP, and probes answered for a peer. All must complete.
 // A path that blocks is named when the watchdog releases the mutex.
 func TestFramePathsTakeNoNodeMutex(t *testing.T) {
-	n, ring, peer := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{TxBatch: 4}), dropNode(t, NodeConfig{})
+	n, ring, peer := dropNode(t, NodeConfig{}), dropNode(t, RingConfig()), dropNode(t, NodeConfig{})
 	attach := func(on *Node, name string, mac ethernet.MAC) *Endpoint {
 		ep, err := on.AttachEndpoint(name, mac, 1500)
 		if err != nil {
@@ -190,7 +190,7 @@ func TestTransmitAccounting(t *testing.T) {
 		{name: "tcp", proto: "tcp", size: 40000, perFrame: 2},
 		{name: "fault_conduit", proto: "udp", fault: true, size: 4000, perFrame: 3},
 	}
-	legs := map[string]NodeConfig{"sync": {}, "batched": {TxBatch: 8}}
+	legs := map[string]NodeConfig{"sync": {}, "batched": RingConfig()}
 	// run sends the frames down a fresh link, senders goroutines at once,
 	// and reports the link's counters and the bytes its peer read.
 	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size, senders int, datagrams uint64) (sent, errs, wire uint64) {
@@ -259,7 +259,7 @@ func TestTransmitAccounting(t *testing.T) {
 		switch r, e := refused.Load(), n.ledger.Count(dropTxError); {
 		case !refusing && r+e != 0:
 			t.Fatalf("%d Sends refused and %d tx_error drops on a link that takes everything", r, e)
-		case refusing && (r+e != total || (cfg.TxBatch > 1 && r != 0) || (cfg.TxBatch <= 1 && senders == 1 && r != total)):
+		case refusing && (r+e != total || (cfg.Adaptive.Enabled && r != 0) || (!cfg.Adaptive.Enabled && senders == 1 && r != total)):
 			t.Fatalf("peer gone: %d Sends refused and %d tx_error drops for %d frames", r, e, total)
 		}
 		return lk.bytesSent.Load(), lk.sendErrors.Load(), wire

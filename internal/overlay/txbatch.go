@@ -1,10 +1,12 @@
-// The batched transmit path: the send-side twin of the paper's
-// VMM-driven dispatch result (Sect. 4.3, Table 1). With
-// NodeConfig.TxBatch > 1, every link owns a bounded TX ring drained by a
-// self-clocked sender goroutine: it blocks for one frame, takes whatever
-// else is already queued, and transmits — it never waits for a batch to
-// fill, so batch size follows load and an idle link pays no delay. What a
-// batch amortizes is the per-datagram cost, the part of a small-frame
+// The batched transmit path: the live twin of the paper's adaptive
+// dispatch (Sect. 4.3, Table 1). With NodeConfig.Adaptive, every link
+// owns a bounded TX ring drained by a self-clocked sender goroutine: it
+// blocks for one frame, takes whatever else is already queued (up to
+// txBatchMax), and transmits — it never waits for a batch to fill. So a
+// lone frame leaves alone, as under guest-driven dispatch, and a loaded
+// link's frames leave together, as under VMM-driven dispatch: the mode
+// follows load per batch, with no rate estimate and nothing to tune. What
+// a batch amortizes is the per-datagram cost, the part of a small-frame
 // stream one syscall per batch (sendmmsg) does not divide: the frames of
 // a batch that fit share aggregate datagrams (bridge/aggregate.go).
 // The synchronous leg batches without a ring (syncTx). Both legs share
@@ -43,7 +45,6 @@ func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 	}
 	select {
 	case lk.txq <- txFrame{f: f, at: at}:
-		lk.txFrames.Inc() // the adaptive controller's rate sensor
 	default:
 		n.drop(dropTxRing, 1, telemetry.DropDetail{
 			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_ring",
@@ -83,21 +84,18 @@ func (s *txScratch) release() {
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
-// of a batch, takes what else the ring already holds up to the link's
-// batch size, and pushes the batch onto the link's transport. The batch
-// size comes from the link's tunables snapshot (lk.tun), loaded once per
-// batch: a retune by the adaptive controller or LINK TUNE applies from
-// the next batch with no locking here. It exits when the node closes or
-// the link is deleted/replaced (the supervision handle's Stop); frames
-// still queued at that point are dropped, as a NIC ring's are on
-// teardown. Supervised as "tx/<link>": a panic drops the batch in hand
+// of a batch, takes what else the ring already holds up to txBatchMax,
+// and pushes the batch onto the link's transport. It exits when the node
+// closes or the link is deleted/replaced (the supervision handle's
+// Stop); frames still queued at that point are dropped, as a NIC ring's
+// are on teardown. Supervised as "tx/<link>": a panic drops the batch in hand
 // and the restarted sender resumes draining the same ring; a sender
 // stuck inside one batch past the watchdog timeout is superseded by a
 // fresh instance over the same ring, and must not transmit once it comes
 // back — the ring has a new owner — so it drops what it holds. Either
 // way the frames in hand land on tx_teardown, where Drain sees them.
 func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
-	batch := make([]txFrame, 0, n.cfg.TxBatch)
+	batch := make([]txFrame, 0, txBatchMax)
 	defer func() {
 		if len(batch) > 0 {
 			n.drop(dropTxTeardown, uint64(len(batch)), telemetry.DropDetail{
@@ -122,7 +120,7 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 		default:
 		}
 	collect:
-		for size := lk.tun.Load().batch; len(batch) < size; {
+		for len(batch) < txBatchMax {
 			select {
 			case tf := <-lk.txq:
 				batch = append(batch, tf)
