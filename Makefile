@@ -61,7 +61,7 @@ chaos:
 		-run 'Chaos|Drain|CloseUnderTraffic|Churn|Supervis|Panic|Backoff|Watchdog|Stop|Inject|Daemon|Client|Idempotent' \
 		./internal/overlay ./internal/supervise ./internal/control
 	$(GO) test -race -count=5 -timeout 300s \
-		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|Combiner|BatchedEqualsSync' ./internal/overlay
+		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|Combiner|BatchedEqualsSync|LeavesAsOneMessage|TracedFrameSplitsBatch|LoneFrameKeepsItsLength|TrainSegmentFaults' ./internal/overlay
 
 # Every testing.B once: a compile-and-run check, not a measurement. The
 # simulated figures are gated by TestFiguresGolden inside `make test`

@@ -2,25 +2,30 @@ package bridge
 
 import (
 	"encoding/binary"
-	"slices"
-	"sync/atomic"
 
 	"vnetp/internal/ethernet"
 )
 
-// Aggregate datagrams: the batched sender's wire format for frames small
-// enough to share a datagram. The kernel's per-datagram cost — not the
-// syscall, which sendmmsg already divides — dominates a small-frame
-// stream, so a batch's frames travel in as few datagrams as the link's
-// budget allows. After the header (aggregate flag set, fragOff = frame
-// count, totalLen = train length) comes a train of records,
+// Record trains: the transmit path's wire format for a batch. The
+// kernel's per-datagram walk through its UDP/IP stack — not the syscall,
+// which sendmmsg already divides — dominates a small-frame stream, and a
+// UDP_SEGMENT message pays that walk once for up to MaxTrainSegments
+// datagrams of one size. So a batch's frames are laid end to end as one
+// train of records,
 //
 //	len(2) | marshalled inner frame
 //
-// in ring order. On a sealed link the whole train is one AEAD seal under
-// one nonce, the full wire header as associated data. An aggregate is
-// never fragmented and never traced; a frame that is either travels in
-// datagrams of its own (EncapsulateSealed / EncapsulateTemplate).
+// in add order, and the one fragment loop (EncapPacket.CutTrain) cuts
+// the train into datagrams of exactly the link's budget, only the last
+// one shorter, as it cuts a frame. Each datagram's header carries the
+// aggregate flag, the train id, fragOff = count<<16 | the slice's byte
+// offset, totalLen = the train's length and more-follows; on a sealed
+// link each is sealed under a nonce of its own, like a fragment. A lone
+// frame is a train of one record in one datagram. A traced frame, and a
+// frame whose record does not fit one train, travel alone
+// (EncapsulateSealed / EncapsulateTemplate). The receiver reassembles a
+// train's slices like a frame's fragments and walks the completed train
+// (WalkAggregate); a train of one datagram needs no reassembly.
 
 // aggRecordHdr is the per-record length prefix; aggMinRecord the shortest
 // well-formed record, a bare Ethernet header.
@@ -29,107 +34,90 @@ const (
 	aggMinRecord = aggRecordHdr + ethernet.HeaderLen
 )
 
-// aggFrames clamps an aggregate's claimed frame count to [1, what room
-// payload bytes could hold].
-func aggFrames(count uint32, room int) uint64 {
-	if most := uint64(room / aggMinRecord); uint64(count) > most {
-		count = uint32(most)
+// A train's fragOff: its frame count above the slice's byte offset. A
+// train is at most MaxTrainBytes long, so the offset fits 16 bits.
+const (
+	aggCountShift = 16
+	aggOffMask    = 1<<aggCountShift - 1
+)
+
+// The limits of one UDP_SEGMENT message (linux/udp.h UDP_MAX_SEGMENTS,
+// and one IP datagram's worth of bytes less room for the IP and UDP
+// headers), which a train is cut to fit. MaxTrainBytes is also the wire
+// format's cap on a train's length, so a slice's header can reserve no
+// more than that at the receiver.
+const (
+	MaxTrainSegments = 64
+	MaxTrainBytes    = 65000
+)
+
+// aggFrames clamps a train's claimed frame count to [1, what a train of
+// its claimed length, held to the train cap, could hold].
+func aggFrames(count, trainLen uint32) uint64 {
+	if most := min(trainLen, MaxTrainBytes) / aggMinRecord; count > most {
+		count = most
 	}
-	if count == 0 {
-		return 1
-	}
-	return uint64(count)
+	return max(uint64(count), 1)
 }
 
-// Aggregator packs one batch's frames into aggregate datagrams for one
-// link. It keeps its wire buffer across batches, so a long-lived sender
-// allocates nothing per batch. Not safe for concurrent use. A datagram
-// returned by Close aliases the buffer and is valid until the next Reset.
+// RecordLen reports the bytes f adds to a train.
+func RecordLen(f *ethernet.Frame) int { return aggRecordHdr + f.Len() }
+
+// Aggregator builds one record train. It keeps its buffer across trains,
+// so a long-lived sender allocates nothing per batch. Not safe for
+// concurrent use.
 type Aggregator struct {
-	tmpl *EncapTemplate
-	sl   LinkSealer
-	room int // datagram budget left for header + train (seal tag set aside)
-	wire []byte
-
-	start int // offset of the open aggregate's header in wire
-	count int // frames in the open aggregate; 0 = none open
+	train []byte
+	count int
 }
 
-// Reset starts a batch for a link: tmpl and sl as for EncapsulateTemplate,
-// maxPayload the link's datagram budget.
-func (a *Aggregator) Reset(tmpl *EncapTemplate, sl LinkSealer, maxPayload int) {
-	if tmpl.sealed != (sl != nil) {
-		panic("bridge: template/sealer mismatch")
-	}
-	a.tmpl, a.sl, a.room = tmpl, sl, maxPayload
-	if tmpl.sealed {
-		a.room -= SealOverhead
-	}
-	a.wire, a.count = a.wire[:0], 0
-}
+// Reset empties the train.
+func (a *Aggregator) Reset() { a.train, a.count = a.train[:0], 0 }
 
-// Open reports whether an aggregate is under construction.
-func (a *Aggregator) Open() bool { return a.count > 0 }
+// Len reports the train's length in bytes.
+func (a *Aggregator) Len() int { return len(a.train) }
 
-// Add packs f behind the frames of the open aggregate, opening one under
-// the next id from ids when none is. fit is false, and nothing changed,
-// when f's record does not fit the budget: with an aggregate open the
-// caller Closes it and Adds again; with none open f fits no aggregate at
-// all and must be fragmented. An error is f's own (it cannot be
-// marshalled) and changes nothing either.
-func (a *Aggregator) Add(f *ethernet.Frame, ids *atomic.Uint32) (fit bool, err error) {
-	used := len(a.tmpl.prefix)
-	if a.count > 0 {
-		used = len(a.wire) - a.start
+// Count reports how many frames the train holds.
+func (a *Aggregator) Count() int { return a.count }
+
+// Add appends f's record. An error is f's own (it cannot be marshalled,
+// or is longer than a record's length prefix can state) and leaves the
+// train as it was.
+func (a *Aggregator) Add(f *ethernet.Frame) error {
+	if f.Len() > 0xffff {
+		return ErrRecordTooLong
 	}
-	if used+aggRecordHdr+f.Len() > a.room || f.Len() > 0xffff {
-		return false, nil
-	}
-	mark := len(a.wire)
-	wire := a.wire
-	if a.count == 0 {
-		wire = append(wire, a.tmpl.prefix...)
-		wire[mark+tmplFlagsOff] |= flagAggregate
-	}
-	wire, err = f.Marshal(binary.BigEndian.AppendUint16(wire, uint16(f.Len())))
+	train, err := f.Marshal(binary.BigEndian.AppendUint16(a.train, uint16(f.Len())))
 	if err != nil {
-		return false, err
+		return err
 	}
-	if a.count == 0 {
-		a.start = mark
-		binary.BigEndian.PutUint32(wire[mark+tmplIDOff:], ids.Add(1))
-	}
-	a.wire = wire
+	a.train = train
 	a.count++
-	return true, nil
+	return nil
 }
 
-// Close finishes the open aggregate — frame count, train length, and on
-// a sealed link the nonce and the in-place seal of the whole train — and
-// returns the datagram and how many frames it carries.
-func (a *Aggregator) Close() (datagram []byte, frames int) {
-	train := a.start + len(a.tmpl.prefix)
-	hdr := a.wire[a.start:train]
-	binary.BigEndian.PutUint32(hdr[tmplFragOff:], uint32(a.count))
-	binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(a.wire)-train))
-	if a.tmpl.sealed {
-		nonce := a.sl.NextNonce()
-		binary.BigEndian.PutUint64(hdr[tmplNonceOff:], nonce)
-		// Room for the tag first, so Seal encrypts in place; growing may
-		// move the buffer, so the header is re-cut from a.wire.
-		a.wire = slices.Grow(a.wire, SealOverhead)
-		ct := a.sl.Seal(nonce, a.wire[a.start:train], a.wire[train:])
-		a.wire = a.wire[:train+len(ct)]
+// TrainRoom reports the longest record train a link with this template
+// sends as one UDP_SEGMENT message: cut into datagrams of maxPayload
+// bytes (header and, when sealed, the AEAD tag included), it stays
+// within MaxTrainSegments datagrams and MaxTrainBytes bytes.
+func (t *EncapTemplate) TrainRoom(maxPayload int) int {
+	overhead := len(t.prefix)
+	if t.sealed {
+		overhead += SealOverhead
 	}
-	frames, a.count = a.count, 0
-	return a.wire[a.start:len(a.wire):len(a.wire)], frames
+	full := min(MaxTrainSegments, MaxTrainBytes/maxPayload)
+	room := full * (maxPayload - overhead)
+	if left := MaxTrainBytes - full*maxPayload; full < MaxTrainSegments && left > overhead {
+		room += left - overhead
+	}
+	return room
 }
 
-// WalkAggregate checks an aggregate's whole record train — every length
-// prefix present and in bounds, every record at least an Ethernet
-// header, exactly count records, no trailing bytes — and only then calls
-// fn with each record, in order. A malformed train yields ErrAggregate
-// and no call: the receiver delivers all of a datagram's frames or none.
+// WalkAggregate checks a completed record train — every length prefix
+// present and in bounds, every record at least an Ethernet header,
+// exactly count records, no trailing bytes — and only then calls fn with
+// each record, in order. A malformed train yields ErrAggregate and no
+// call: the receiver delivers all of a train's frames or none.
 func WalkAggregate(train []byte, count uint32, fn func(record []byte)) error {
 	records := uint32(0)
 	for rest := train; len(rest) > 0; records++ {

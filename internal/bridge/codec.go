@@ -22,9 +22,10 @@ import (
 //	magic(2) | version(1) | flags(1) | id(4) | fragOff(4) | totalLen(4)
 //
 // followed by a slice of the marshalled inner Ethernet frame — or, when
-// the aggregate flag is set, by a train of whole inner frames
-// (aggregate.go): fragOff then carries the frame count (>= 1) instead of
-// an offset, and totalLen the train's byte length.
+// the aggregate flag is set, by a slice of a record train of whole inner
+// frames (aggregate.go): fragOff then carries the train's frame count
+// (>= 1) in its high 16 bits above the slice's offset, and totalLen the
+// train's byte length.
 //
 // Version 2 widened fragOff and totalLen from 16 to 32 bits: with the
 // 64 KB overlay MTU (ethernet.MaxMTU = 65535) a maximum-size frame
@@ -114,12 +115,12 @@ type LinkSealer interface {
 // set; their payload is the probe body, not an inner-frame slice.
 type EncapHeader struct {
 	ID         uint32 // per-sender packet id, shared by all fragments
-	FragOff    uint32 // byte offset of this fragment's payload (aggregate: frame count)
+	FragOff    uint32 // byte offset of this fragment's payload (aggregate: frame count<<16 | offset)
 	TotalLen   uint32 // total inner-frame length (aggregate: record-train length)
 	MoreFrags  bool
 	Probe      bool // liveness probe request
 	ProbeReply bool // liveness probe echo
-	Aggregate  bool // payload is a train of whole inner frames (aggregate.go)
+	Aggregate  bool // payload is a slice of a train of whole inner frames (aggregate.go)
 
 	// Trace is the optional trace extension, valid when HasTrace is set.
 	Trace    TraceExt
@@ -151,6 +152,8 @@ var (
 	ErrTruncated  = errors.New("bridge: truncated encapsulation header")
 	ErrFragBounds = errors.New("bridge: fragment outside packet bounds")
 	ErrAggregate  = errors.New("bridge: malformed aggregate datagram")
+
+	ErrRecordTooLong = errors.New("bridge: frame too long for a train record")
 )
 
 // Marshal appends the header to b.
@@ -201,25 +204,41 @@ func EncapIsControl(b []byte) bool {
 }
 
 // EncapFrames peeks at how many inner frames a data datagram stands for,
-// without a full parse: one, unless it is an aggregate — then the count
-// its header claims, capped by what its length could hold (nothing has
-// authenticated the header yet). Drop sites that shed a datagram they
-// have not parsed charge this many frames to the ledger.
+// without a full parse: one, unless it is a slice of a train — then the
+// train's count its header claims, capped by what a train of the length
+// it claims could hold (nothing has authenticated the header yet). Drop
+// sites that shed a datagram they have not parsed charge this many
+// frames to the ledger.
 func EncapFrames(b []byte) uint64 {
 	if len(b) < EncapHeaderLen || b[3]&flagAggregate == 0 {
 		return 1
 	}
-	return aggFrames(binary.BigEndian.Uint32(b[8:]), len(b)-EncapHeaderLen)
+	return aggFrames(binary.BigEndian.Uint32(b[8:])>>aggCountShift, binary.BigEndian.Uint32(b[12:]))
 }
 
 // Frames is EncapFrames for a header ParseEncap accepted (which already
-// holds an aggregate's count to what its train could carry).
+// holds a train's count to what its length could carry): what the frame
+// or train the datagram is a slice of stands for.
 func (h *EncapHeader) Frames() uint64 {
 	if !h.Aggregate {
 		return 1
 	}
-	return uint64(h.FragOff)
+	return uint64(h.FragOff >> aggCountShift)
 }
+
+// offset reports the byte offset of the datagram's slice within its
+// frame or train.
+func (h *EncapHeader) offset() uint32 {
+	if h.Aggregate {
+		return h.FragOff & aggOffMask
+	}
+	return h.FragOff
+}
+
+// Whole reports whether the datagram carries its frame or train entire —
+// the first slice, nothing following — so it needs no reassembly. For a
+// header ParseEncap accepted, the payload is then exactly TotalLen bytes.
+func (h *EncapHeader) Whole() bool { return h.offset() == 0 && !h.MoreFrags }
 
 // ParseEncap splits an encapsulated datagram into header and fragment
 // payload (aliasing b).
@@ -284,21 +303,26 @@ func (h *EncapHeader) Unmarshal(b []byte) (payload []byte, err error) {
 		}
 		dataLen -= SealOverhead
 	}
+	end := uint64(h.offset()) + uint64(dataLen)
 	if h.Aggregate {
-		// An aggregate is a whole datagram of whole frames: it is never a
-		// fragment, a probe, or traced (a traced frame travels alone), it
-		// carries its full train, and the train is long enough to hold the
-		// frames it claims.
-		if b[3]&(flagMoreFrags|flagProbe|flagProbeReply|flagTrace) != 0 ||
-			h.FragOff == 0 || uint64(dataLen) != uint64(h.TotalLen) || uint64(h.FragOff) > uint64(dataLen/aggMinRecord) {
+		// A slice of a record train: never a probe or traced (a traced frame
+		// travels alone); the train is no longer than the train cap (its
+		// length sizes the reassembly buffer, and nothing has authenticated
+		// it) and long enough to hold the frames it claims; the slice is not
+		// empty, and it ends the train exactly when nothing follows it.
+		count := h.FragOff >> aggCountShift
+		if b[3]&(flagProbe|flagProbeReply|flagTrace) != 0 || h.TotalLen > MaxTrainBytes ||
+			count == 0 || count > h.TotalLen/aggMinRecord || dataLen == 0 ||
+			end > uint64(h.TotalLen) || (end == uint64(h.TotalLen)) == h.MoreFrags {
 			return nil, ErrAggregate
 		}
 		return payload, nil
 	}
 	// TotalLen sizes the reassembly buffer a first fragment reserves, and
 	// nothing has authenticated it: hold it to the largest frame the
-	// overlay carries.
-	if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU || uint64(h.FragOff)+uint64(dataLen) > uint64(h.TotalLen) {
+	// overlay carries. A datagram that is its whole frame carries all of it.
+	if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU || end > uint64(h.TotalLen) ||
+		(h.Whole() && end != uint64(h.TotalLen)) {
 		return nil, ErrFragBounds
 	}
 	return payload, nil
@@ -402,23 +426,10 @@ func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayloa
 	return e.fragment(f, id, maxPayload, h.Marshal(buf[:0]), nonceOff, sl)
 }
 
-// fragment is the one fragment loop behind every encoder: it marshals f
-// into a pooled packet and splits it into datagrams of at most
-// maxPayload bytes. Each datagram is a copy of prefix — a marshalled
-// header whose per-fragment fields are zero — patched at fixed offsets
-// with the moreFrags bit, id, fragOff, totalLen and, on a sealed link
-// (sl non-nil), a fresh nonce at nonceOff, then the fragment's slice of
-// the frame, encrypted in place with the header just written as
-// associated data.
+// fragment marshals f into a pooled packet and cuts it with the one
+// fragment loop (EncapPacket.cut).
 func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, prefix []byte, nonceOff int, sl LinkSealer) (*EncapPacket, error) {
-	hdrLen := len(prefix)
-	perFragOverhead := 0
-	if sl != nil {
-		perFragOverhead = SealOverhead
-	}
-	if maxPayload <= hdrLen+perFragOverhead {
-		panic(fmt.Sprintf("bridge: maxPayload %d leaves no room for data", maxPayload))
-	}
+	checkRoom(maxPayload, len(prefix), sl)
 	p, _ := e.pool.Get().(*EncapPacket)
 	if p == nil {
 		p = &EncapPacket{owner: e}
@@ -432,16 +443,66 @@ func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, pr
 		return nil, err
 	}
 	p.inner = inner
+	p.cut(inner, 0, id, maxPayload, prefix, nonceOff, sl)
+	return p, nil
+}
+
+// CutTrain cuts a's record train into p's datagrams of maxPayload bytes,
+// only the last one shorter, for a link with template tmpl and sealer sl
+// (as for EncapsulateTemplate): the transmit path's encoder for every
+// frame that does not travel alone. a must hold at least one frame and
+// no more than MaxTrainBytes. p is the caller's — its zero value is
+// ready, and it keeps its buffer for the next cut, which overwrites the
+// datagrams; it does not alias a.
+func (p *EncapPacket) CutTrain(a *Aggregator, id uint32, maxPayload int, tmpl *EncapTemplate, sl LinkSealer) {
+	if tmpl.sealed != (sl != nil) {
+		panic("bridge: template/sealer mismatch")
+	}
+	if a.count == 0 || len(a.train) > MaxTrainBytes {
+		panic(fmt.Sprintf("bridge: a train of %d frames, %d bytes", a.count, len(a.train)))
+	}
+	checkRoom(maxPayload, len(tmpl.prefix), sl)
+	p.cut(a.train, a.count, id, maxPayload, tmpl.prefix, tmplNonceOff, sl)
+}
+
+// checkRoom panics when maxPayload leaves a datagram with a header of
+// hdrLen bytes (and a seal tag when sl is non-nil) no room for data: no
+// forward progress would be possible.
+func checkRoom(maxPayload, hdrLen int, sl LinkSealer) {
+	if sl != nil {
+		hdrLen += SealOverhead
+	}
+	if maxPayload <= hdrLen {
+		panic(fmt.Sprintf("bridge: maxPayload %d leaves no room for data", maxPayload))
+	}
+}
+
+// cut is the one fragment loop behind every encoder: it splits data — a
+// marshalled frame, or (frames > 0) a record train of that many frames —
+// into the packet's datagrams of at most maxPayload bytes. Each datagram
+// is a copy of prefix — a marshalled header whose per-fragment fields are
+// zero — patched at fixed offsets with the moreFrags bit (and for a
+// train the aggregate bit), id, fragOff, totalLen and, on a sealed link
+// (sl non-nil), a fresh nonce at nonceOff, then its slice of data,
+// encrypted in place with the header just written as associated data.
+func (p *EncapPacket) cut(data []byte, frames int, id uint32, maxPayload int, prefix []byte, nonceOff int, sl LinkSealer) {
+	hdrLen := len(prefix)
+	perFragOverhead := 0
+	if sl != nil {
+		perFragOverhead = SealOverhead
+	}
 	chunk := maxPayload - hdrLen - perFragOverhead
-	nfrags := (len(inner) + chunk - 1) / chunk
-	if nfrags == 0 {
-		nfrags = 1
+	nfrags := max(1, (len(data)+chunk-1)/chunk)
+	flags := byte(0)
+	fragOff := uint32(0)
+	if frames > 0 {
+		flags, fragOff = flagAggregate, uint32(frames)<<aggCountShift
 	}
 	// One contiguous wire buffer holds every fragment (header + slice);
 	// sizing it up front keeps the datagram sub-slices stable. Sealed
 	// fragments grow by the AEAD tag, so reserve that headroom too —
 	// Seal then encrypts in place without reallocating.
-	need := len(inner) + nfrags*(hdrLen+perFragOverhead)
+	need := len(data) + nfrags*(hdrLen+perFragOverhead)
 	if cap(p.wire) < need {
 		p.wire = make([]byte, 0, need)
 	}
@@ -449,26 +510,24 @@ func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, pr
 	dgs := p.Datagrams[:0]
 	for i := 0; i < nfrags; i++ {
 		off := i * chunk
-		end := off + chunk
-		if end > len(inner) {
-			end = len(inner)
-		}
+		end := min(off+chunk, len(data))
 		start := len(wire)
 		wire = append(wire, prefix...)
 		hdr := wire[start:]
-		if end < len(inner) {
+		hdr[tmplFlagsOff] |= flags
+		if end < len(data) {
 			hdr[tmplFlagsOff] |= flagMoreFrags
 		}
 		binary.BigEndian.PutUint32(hdr[tmplIDOff:], id)
-		binary.BigEndian.PutUint32(hdr[tmplFragOff:], uint32(off))
-		binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(inner)))
+		binary.BigEndian.PutUint32(hdr[tmplFragOff:], fragOff|uint32(off))
+		binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(data)))
 		var nonce uint64
 		if sl != nil {
 			nonce = sl.NextNonce()
 			binary.BigEndian.PutUint64(hdr[nonceOff:], nonce)
 		}
 		payloadStart := len(wire)
-		wire = append(wire, inner[off:end]...)
+		wire = append(wire, data[off:end]...)
 		if sl != nil {
 			ct := sl.Seal(nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
 			wire = wire[:payloadStart+len(ct)]
@@ -477,7 +536,6 @@ func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, pr
 	}
 	p.wire = wire
 	p.Datagrams = dgs
-	return p, nil
 }
 
 // PoolStats reports how many Encapsulate calls were served from the pool
@@ -516,14 +574,18 @@ type span struct {
 	off, end int
 }
 
-// partial accumulates fragments of one inner frame. Received bytes are
-// tracked as merged ranges, not a raw counter: a duplicated fragment must
-// not count twice, or a datagram could "complete" with a hole in it.
+// partial accumulates the slices of one inner frame or record train.
+// Received bytes are tracked as merged ranges, not a raw counter: a
+// duplicated fragment must not count twice, or a datagram could
+// "complete" with a hole in it.
 type partial struct {
-	buf     []byte
+	buf     []byte  // nil until a slice arrives (Reject opens a partial without one)
 	spans   []span  // disjoint, sorted received ranges
 	inOrder [1]span // spans' first backing: in-order fragments never need a second
 	total   int
+	frames  uint64 // what it stands for: 1 for a frame, its count for a train
+	train   bool
+	charged bool // its frames are on the caller's ledger already (Reject)
 	sawLast bool
 	gen     uint64 // the sweep generation that last touched it
 }
@@ -562,16 +624,17 @@ func (p *partial) complete() bool {
 	return len(p.spans) == 1 && p.spans[0].off == 0 && p.spans[0].end == p.total
 }
 
-// Reassembler reconstructs inner Ethernet frames from encapsulation
-// fragments. Fragments may arrive in any order; packets are keyed by
-// (sender key, id). Stale partial packets are evicted by generation
-// sweeps (EvictStale) rather than wall-clock timers so the type works in
-// both simulated and real time.
+// Reassembler reconstructs inner Ethernet frames, and record trains,
+// from encapsulation fragments. Fragments may arrive in any order;
+// packets are keyed by (sender key, id). Stale partial packets are
+// evicted by generation sweeps (EvictStale) rather than wall-clock timers
+// so the type works in both simulated and real time.
 type Reassembler struct {
 	partials map[partialKey]*partial
 	curGen   uint64
 
-	// Reassembled counts completed frames; Dropped counts evictions.
+	// Reassembled counts completed frames and trains; Dropped counts
+	// evicted partials.
 	Reassembled, Dropped uint64
 }
 
@@ -601,53 +664,96 @@ func (r *Reassembler) Add(sender string, datagram []byte) (*ethernet.Frame, erro
 // ParseEncap (the overlay parses first to intercept probe datagrams).
 func (r *Reassembler) AddParsed(sender string, h *EncapHeader, payload []byte) (*ethernet.Frame, error) {
 	if h.Aggregate {
-		return nil, ErrAggregate // many frames, no fragments: WalkAggregate's input, not ours
+		return nil, ErrAggregate // a slice of a record train: AddSlice's to complete, WalkAggregate's to split
 	}
 	// Fast path: unfragmented packet.
-	if h.FragOff == 0 && !h.MoreFrags {
+	if h.Whole() {
 		if len(payload) != int(h.TotalLen) {
 			return nil, ErrFragBounds
 		}
 		return ethernet.Unmarshal(payload)
 	}
-	k := partialKey{sender, h.ID}
-	p := r.partials[k]
-	if p == nil {
-		p = &partial{buf: make([]byte, h.TotalLen), total: int(h.TotalLen)}
-		p.spans = p.inOrder[:0]
-		r.partials[k] = p
+	b, err := r.AddSlice(sender, h, payload)
+	if b == nil || err != nil {
+		return nil, err
 	}
-	if p.total != int(h.TotalLen) {
+	return ethernet.Unmarshal(b)
+}
+
+// AddSlice adds one slice of a frame or of a record train, as ParseEncap
+// split it, and returns the marshalled frame or the train — a buffer of
+// exactly TotalLen bytes that is the caller's — once every byte of it has
+// arrived; until then it returns nil.
+func (r *Reassembler) AddSlice(sender string, h *EncapHeader, payload []byte) ([]byte, error) {
+	k := partialKey{sender, h.ID}
+	p := r.open(k, h)
+	if p.total != int(h.TotalLen) || p.frames != h.Frames() || p.train != h.Aggregate {
 		delete(r.partials, k)
 		return nil, ErrFragBounds
 	}
-	copy(p.buf[h.FragOff:], payload)
-	p.addSpan(int(h.FragOff), int(h.FragOff)+len(payload))
+	if p.buf == nil {
+		p.buf = make([]byte, p.total)
+	}
+	off := int(h.offset())
+	copy(p.buf[off:], payload)
+	p.addSpan(off, off+len(payload))
 	if !h.MoreFrags {
 		p.sawLast = true
 	}
-	p.gen = r.curGen
 	if p.sawLast && p.complete() {
 		delete(r.partials, k)
 		r.Reassembled++
-		return ethernet.Unmarshal(p.buf)
+		return p.buf, nil
 	}
 	return nil, nil
 }
 
-// EvictStale drops partial packets not touched since the previous call.
-// Call it periodically (e.g. once per second of real or simulated time).
+// open finds the partial k names, or opens one shaped by h, and marks it
+// touched in this sweep generation.
+func (r *Reassembler) open(k partialKey, h *EncapHeader) *partial {
+	p := r.partials[k]
+	if p == nil {
+		p = &partial{total: int(h.TotalLen), frames: h.Frames(), train: h.Aggregate}
+		p.spans = p.inOrder[:0]
+		r.partials[k] = p
+	}
+	p.gen = r.curGen
+	return p
+}
+
+// Reject records that a slice of the frame or train h names was refused
+// before reassembly — its seal did not open — and reports whether the
+// frames that frame or train stands for are still to be charged: the
+// first refused slice charges them; a later refused slice, and the sweep
+// that evicts the slices that did arrive, do not. A whole datagram has no
+// partial and is always charged.
+func (r *Reassembler) Reject(sender string, h *EncapHeader) bool {
+	if h.Whole() {
+		return true
+	}
+	p := r.open(partialKey{sender, h.ID}, h)
+	charge := !p.charged
+	p.charged = true
+	return charge
+}
+
+// EvictStale drops partial packets not touched since the previous call
+// and reports the frames they stood for that no Reject has charged: one
+// for a frame, its count for a train. Call it periodically (e.g. once per
+// second of real or simulated time).
 func (r *Reassembler) EvictStale() int {
-	evicted := 0
+	frames := 0
 	for k, p := range r.partials {
 		if p.gen < r.curGen {
 			delete(r.partials, k)
-			evicted++
 			r.Dropped++
+			if !p.charged {
+				frames += int(p.frames)
+			}
 		}
 	}
 	r.curGen++
-	return evicted
+	return frames
 }
 
 // Pending reports the number of partially reassembled packets.

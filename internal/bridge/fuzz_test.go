@@ -2,8 +2,8 @@ package bridge
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"vnetp/internal/ethernet"
@@ -13,11 +13,14 @@ import (
 // pins the codec's safety contract: ParseEncap never panics, v1
 // datagrams (the pre-widening format) are rejected with exactly
 // ErrBadVersion, a clean v2 header survives a marshal round-trip
-// (aggregate flag included), an accepted aggregate header is one the
-// sender could have written (not a fragment, probe or traced; count >= 1
-// and small enough for its train; train length exact), and any payload
-// the decoder accepts also survives a full encapsulate → reassemble
-// cycle (both the allocating and the pooled encoder).
+// (aggregate flag included), an accepted train slice is one a sender
+// could have written (not a probe or traced; count >= 1 and small enough
+// for its train; the train within the train cap; a non-empty slice that
+// ends the train exactly when nothing follows it) and makes the
+// reassembler reserve no more than the train cap, and any payload the
+// decoder accepts also survives a full encapsulate → reassemble cycle
+// (both the allocating and the pooled encoder, and as two records of a
+// train).
 func FuzzEncapDecode(f *testing.F) {
 	seed := &ethernet.Frame{
 		Dst: ethernet.LocalMAC(1), Src: ethernet.LocalMAC(2),
@@ -30,22 +33,43 @@ func FuzzEncapDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x56, 0x4e, 0x01, 0x00}) // v1, truncated
-	// Aggregates: well formed, then each rejected shape — fragment flag,
-	// probe flag, count 0, train length off by one.
-	agg := aggregateOf(f, seed, seed)
-	f.Add(agg)
-	for _, mutate := range []func(d []byte){
-		func(d []byte) { d[3] |= flagMoreFrags },
-		func(d []byte) { d[3] |= flagProbe },
-		func(d []byte) { d[11] = 0 },
-		func(d []byte) { d[15]++ },
-	} {
-		bad := append([]byte(nil), agg...)
-		mutate(bad)
-		if _, _, err := ParseEncap(bad); !errors.Is(err, ErrAggregate) {
-			f.Fatalf("malformed aggregate header % x: got %v, want ErrAggregate", bad[:EncapHeaderLen], err)
+	// A whole frame one byte short of the length it claims.
+	if dgs, err := Encapsulate(seed, 8, 1400); err == nil {
+		short := dgs[0][:len(dgs[0])-1]
+		if _, _, err := ParseEncap(short); !errors.Is(err, ErrFragBounds) {
+			f.Fatalf("whole frame short of its length: got %v, want ErrFragBounds", err)
 		}
-		f.Add(bad)
+		f.Add(short)
+	}
+	// Train slices: well formed, then each rejected shape.
+	train := trainOf(f, 3, nil, 64, seed, seed, seed)
+	for _, d := range train {
+		f.Add(d)
+	}
+	first, last := train[0], train[len(train)-1]
+	trainLen := binary.BigEndian.Uint32(first[12:])
+	for _, bad := range []struct {
+		what   string
+		d      []byte
+		mutate func(d []byte)
+	}{
+		{"more follows the end of the train", last, func(d []byte) { d[3] |= flagMoreFrags }},
+		{"nothing follows a slice short of the end", first, func(d []byte) { d[3] &^= flagMoreFrags }},
+		{"probe flag", first, func(d []byte) { d[3] |= flagProbe }},
+		{"trace flag", first, func(d []byte) { d[3] |= flagTrace }},
+		{"count 0", first, func(d []byte) { d[8], d[9] = 0, 0 }},
+		{"more frames than the train could hold", first, func(d []byte) { d[8], d[9] = 0xff, 0xff }},
+		{"train over the cap", first, func(d []byte) { binary.BigEndian.PutUint32(d[12:], MaxTrainBytes+1) }},
+		{"last slice short of the train", last, func(d []byte) { binary.BigEndian.PutUint32(d[12:], trainLen+1) }},
+		{"slice past the train", first, func(d []byte) { binary.BigEndian.PutUint16(d[10:], uint16(trainLen)) }},
+		{"empty slice", first[:EncapHeaderLen], func([]byte) {}},
+	} {
+		d := append([]byte(nil), bad.d...)
+		bad.mutate(d)
+		if _, _, err := ParseEncap(d); !errors.Is(err, ErrAggregate) {
+			f.Fatalf("%s: header % x: got %v, want ErrAggregate", bad.what, d[:EncapHeaderLen], err)
+		}
+		f.Add(d)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, payload, err := ParseEncap(data) // must never panic
@@ -66,18 +90,34 @@ func FuzzEncapDecode(f *testing.F) {
 				t.Fatalf("header round-trip: % x != % x", re, data[:h.WireLen()])
 			}
 		}
-		if h.Aggregate {
-			train := len(payload)
-			if h.HasSeal {
-				train -= SealOverhead
+		dataLen := len(payload)
+		if h.HasSeal {
+			dataLen -= SealOverhead
+		}
+		end := uint64(h.offset()) + uint64(dataLen)
+		switch {
+		case h.Aggregate:
+			count := h.FragOff >> aggCountShift
+			if h.Probe || h.ProbeReply || h.HasTrace || count == 0 || h.TotalLen > MaxTrainBytes ||
+				count > h.TotalLen/aggMinRecord || dataLen == 0 || end > uint64(h.TotalLen) || (end == uint64(h.TotalLen)) == h.MoreFrags {
+				t.Fatalf("accepted a train slice no sender writes: %+v, %d bytes", h, dataLen)
 			}
-			if h.MoreFrags || h.Probe || h.ProbeReply || h.HasTrace || h.FragOff == 0 ||
-				int(h.TotalLen) != train || int(h.FragOff) > train/aggMinRecord {
-				t.Fatalf("accepted an aggregate no sender writes: %+v over %d train bytes", h, train)
+			if !h.HasSeal {
+				r := NewReassembler()
+				if _, err := r.AddSlice("fuzz", h, payload); err != nil {
+					t.Fatalf("accepted slice refused by a fresh reassembler: %v", err)
+				}
+				for _, p := range r.partials {
+					if len(p.buf) > MaxTrainBytes {
+						t.Fatalf("one slice reserved %d bytes, over the %d B train cap", len(p.buf), MaxTrainBytes)
+					}
+				}
 			}
-		} else if h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU {
+		case h.TotalLen > ethernet.HeaderLen+ethernet.MaxMTU:
 			// TotalLen is what a first fragment makes the reassembler reserve.
 			t.Fatalf("accepted a %d-byte frame: no overlay MTU carries it", h.TotalLen)
+		case h.Whole() && end != uint64(h.TotalLen):
+			t.Fatalf("accepted a whole frame of %d bytes that claims %d", end, h.TotalLen)
 		}
 
 		// Encode side: treat the accepted payload as an inner-frame
@@ -130,40 +170,93 @@ func FuzzEncapDecode(f *testing.F) {
 		if r.Pending() != 0 {
 			t.Fatalf("%d partials leaked after completion", r.Pending())
 		}
+
+		// And as two records of a train, cut at a fuzz-chosen size.
+		if len(payload) > 1024 {
+			return
+		}
+		var walked int
+		var done []byte
+		for _, d := range trainOf(t, h.ID, nil, EncapHeaderLen+16+int(h.ID%512), inner, inner) {
+			th, slice, err := ParseEncap(d)
+			if err != nil {
+				t.Fatalf("own train slice rejected: %v", err)
+			}
+			if done, err = r.AddSlice("fuzz", th, slice); err != nil {
+				t.Fatalf("own train slice refused: %v", err)
+			}
+		}
+		err = WalkAggregate(done, 2, func(rec []byte) {
+			f, err := ethernet.Unmarshal(rec)
+			if err != nil || !bytes.Equal(f.Payload, payload) || f.Dst != inner.Dst {
+				t.Fatalf("train record %d differs from input: %v", walked, err)
+			}
+			walked++
+		})
+		if err != nil || walked != 2 || r.Pending() != 0 {
+			t.Fatalf("train of two: walk %v, %d records, %d partials left", err, walked, r.Pending())
+		}
 	})
 }
 
 // FuzzReassembler drives the reassembler with a fuzz-chosen feed order
-// over one fragmented packet — duplicates, arbitrary order, and
-// synthetic overlapping fragments — and pins the span-accounting
+// over one fragmented packet — a frame, or (frames > 0) a record train
+// of up to eight cut from the payload — with duplicates, arbitrary order,
+// and synthetic overlapping slices, and pins the span-accounting
 // invariants: a packet completes only once every byte has genuinely
 // arrived (duplicates never double-count toward completion), the
-// reassembled bytes equal the original, and eviction leaves no partial
-// state behind.
+// completed bytes equal the original (a train walks back to its frames),
+// no partial reserves more than the largest packet of its kind, and
+// eviction leaves no partial state behind, charging the frames the
+// packet stood for.
 func FuzzReassembler(f *testing.F) {
-	f.Add([]byte("some payload long enough to fragment several times over"), []byte{3, 0, 1, 0x87, 2, 2, 5})
-	f.Add([]byte("x"), []byte{0})
-	f.Add([]byte("abcdefghijklmnopqrstuvwxyz"), []byte{0x90, 1, 1, 0, 2})
-	f.Fuzz(func(t *testing.T, payload, script []byte) {
+	f.Add([]byte("some payload long enough to fragment several times over"), []byte{3, 0, 1, 0x87, 2, 2, 5}, byte(0))
+	f.Add([]byte("x"), []byte{0}, byte(0))
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz"), []byte{0x90, 1, 1, 0, 2}, byte(0))
+	f.Add([]byte("some payload long enough to fragment several times over"), []byte{4, 0x83, 1, 3, 0, 2, 2}, byte(3))
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789"), []byte{0x85, 2, 0, 1, 1, 4, 3}, byte(7))
+	f.Fuzz(func(t *testing.T, payload, script []byte, frames byte) {
 		if len(payload) == 0 || len(payload) > 4096 {
 			return
 		}
-		inner := &ethernet.Frame{
-			Dst: ethernet.LocalMAC(5), Src: ethernet.LocalMAC(6),
-			Type: ethernet.TypeTest, Payload: payload,
+		frame := func(p []byte) *ethernet.Frame {
+			return &ethernet.Frame{Dst: ethernet.LocalMAC(5), Src: ethernet.LocalMAC(6), Type: ethernet.TypeTest, Payload: p}
 		}
-		innerBytes, err := inner.Marshal(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		train := frames > 0
+		var in []*ethernet.Frame // what the packet carries
+		var data []byte          // the packet: a marshalled frame, or a train
+		var dgs [][]byte
 		chunk := 1 + len(payload)/4 // forces >= 2 fragments for multi-byte payloads
-		dgs, err := Encapsulate(inner, 42, EncapHeaderLen+chunk)
-		if err != nil {
-			t.Fatal(err)
+		largest := ethernet.HeaderLen + ethernet.MaxMTU
+		if train {
+			parts := min(int(frames%8)+1, len(payload))
+			var agg Aggregator
+			for i := 0; i < parts; i++ {
+				in = append(in, frame(payload[i*len(payload)/parts:(i+1)*len(payload)/parts]))
+				if err := agg.Add(in[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data = append([]byte(nil), agg.train...)
+			dgs = trainOf(t, 42, nil, EncapHeaderLen+chunk, in...)
+			largest = MaxTrainBytes
+		} else {
+			in = []*ethernet.Frame{frame(payload)}
+			var err error
+			if data, err = in[0].Marshal(nil); err != nil {
+				t.Fatal(err)
+			}
+			if dgs, err = Encapsulate(in[0], 42, EncapHeaderLen+chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fragOff := uint32(len(in)) << aggCountShift
+		if !train {
+			fragOff = 0
 		}
 
 		r := NewReassembler()
-		covered := make([]bool, len(innerBytes))
+		covered := make([]bool, len(data))
 		sawLast := false
 		allCovered := func() bool {
 			for _, c := range covered {
@@ -173,11 +266,20 @@ func FuzzReassembler(f *testing.F) {
 			}
 			return true
 		}
-		feed := func(d []byte, off, end int, last bool) *ethernet.Frame {
+		feed := func(d []byte, off, end int, last bool) bool {
 			t.Helper()
-			out, err := r.Add("s", d)
+			h, slice, err := ParseEncap(d)
 			if err != nil {
-				t.Fatalf("well-formed fragment rejected: %v", err)
+				t.Fatalf("well-formed slice rejected: %v", err)
+			}
+			out, err := r.AddSlice("s", h, slice)
+			if err != nil {
+				t.Fatalf("well-formed slice refused: %v", err)
+			}
+			for _, p := range r.partials {
+				if len(p.buf) > largest {
+					t.Fatalf("a partial reserved %d bytes, over the %d B cap", len(p.buf), largest)
+				}
 			}
 			for i := off; i < end; i++ {
 				covered[i] = true
@@ -185,114 +287,116 @@ func FuzzReassembler(f *testing.F) {
 			if last {
 				sawLast = true
 			}
-			if out != nil {
-				// The core double-count invariant: completion implies the
-				// spans truly cover the packet and the tail was seen.
-				if !allCovered() || !sawLast {
-					t.Fatal("completed with a hole (duplicate or overlap double-counted)")
-				}
-				if !bytes.Equal(out.Payload, payload) {
-					t.Fatal("reassembled payload differs")
+			if out == nil {
+				return false
+			}
+			// The core double-count invariant: completion implies the
+			// spans truly cover the packet and the tail was seen.
+			if !allCovered() || !sawLast {
+				t.Fatal("completed with a hole (duplicate or overlap double-counted)")
+			}
+			if !bytes.Equal(out, data) {
+				t.Fatal("completed bytes differ from the packet")
+			}
+			if train {
+				i := 0
+				if err := WalkAggregate(out, uint32(len(in)), func(rec []byte) {
+					f, err := ethernet.Unmarshal(rec)
+					if err != nil || !bytes.Equal(f.Payload, in[i].Payload) {
+						t.Fatalf("record %d differs from the frame packed", i)
+					}
+					i++
+				}); err != nil {
+					t.Fatalf("completed train does not walk: %v", err)
 				}
 			}
-			return out
+			return true
 		}
-		fragRange := func(idx int) (off, end int, last bool) {
+		sliceRange := func(idx int) (off, end int, last bool) {
 			off = idx * chunk
-			end = off + chunk
-			if end > len(innerBytes) {
-				end = len(innerBytes)
-			}
-			return off, end, idx == len(dgs)-1
+			return off, min(off+chunk, len(data)), idx == len(dgs)-1
 		}
 
-		var done *ethernet.Frame
+		done := false
 		for _, b := range script {
-			if done != nil {
+			if done {
 				break
 			}
-			if b&0x80 != 0 && len(innerBytes) > 1 {
-				// Synthetic overlapping fragment: correct bytes at an
-				// offset straddling fragment boundaries, never the last.
-				off := int(b&0x7f) % (len(innerBytes) - 1)
-				end := off + chunk
-				if end > len(innerBytes) {
-					end = len(innerBytes)
+			if b&0x80 != 0 && len(data) > 1 {
+				// Synthetic overlapping slice: correct bytes at an offset
+				// straddling slice boundaries, never the last (a train's
+				// slice with more following stops short of its end).
+				off := int(b&0x7f) % (len(data) - 1)
+				end := min(off+chunk, len(data))
+				if train {
+					end = min(end, len(data)-1)
 				}
-				h := EncapHeader{ID: 42, FragOff: uint32(off),
-					TotalLen: uint32(len(innerBytes)), MoreFrags: true}
-				done = feed(append(h.Marshal(nil), innerBytes[off:end]...), off, end, false)
+				h := EncapHeader{ID: 42, FragOff: fragOff | uint32(off), TotalLen: uint32(len(data)), MoreFrags: true, Aggregate: train}
+				done = feed(append(h.Marshal(nil), data[off:end]...), off, end, false)
 				continue
 			}
 			idx := int(b) % len(dgs)
-			off, end, last := fragRange(idx)
+			off, end, last := sliceRange(idx)
 			done = feed(dgs[idx], off, end, last)
 		}
-		// Top up with every fragment in order: the packet must complete.
-		for idx := 0; done == nil && idx < len(dgs); idx++ {
-			off, end, last := fragRange(idx)
+		// Top up with every slice in order: the packet must complete.
+		for idx := 0; !done && idx < len(dgs); idx++ {
+			off, end, last := sliceRange(idx)
 			done = feed(dgs[idx], off, end, last)
 		}
-		if done == nil {
-			t.Fatal("full fragment set never completed")
+		if !done {
+			t.Fatal("full slice set never completed")
 		}
 		if r.Reassembled == 0 {
 			t.Fatal("Reassembled counter not incremented")
 		}
 		// Leak check: any partial state left behind (e.g. a post-
 		// completion duplicate re-opening the key) must age out in two
-		// generation sweeps and leave the table empty.
+		// generation sweeps, charging what the packet stood for, and leave
+		// the table empty.
 		if len(dgs) > 1 {
-			feedStale, _ := r.Add("s", dgs[0])
-			if feedStale != nil && len(dgs) > 1 {
-				t.Fatal("lone stale fragment completed a packet")
+			if feed(dgs[0], 0, 0, false) {
+				t.Fatal("lone stale slice completed a packet")
 			}
 		}
-		r.EvictStale()
-		r.EvictStale()
+		evicted := r.EvictStale() + r.EvictStale()
 		if r.Pending() != 0 {
 			t.Fatalf("%d partials leaked past eviction", r.Pending())
+		}
+		if len(dgs) > 1 && evicted != len(in) {
+			t.Fatalf("evicting the stale partial charged %d frames, want %d", evicted, len(in))
 		}
 	})
 }
 
-// aggregateOf packs frames into one plaintext aggregate datagram.
-func aggregateOf(t testing.TB, frames ...*ethernet.Frame) []byte {
-	t.Helper()
-	var agg Aggregator
-	var ids atomic.Uint32
-	agg.Reset(NewEncapTemplate(nil), nil, 1400)
-	for i, f := range frames {
-		if fit, err := agg.Add(f, &ids); !fit || err != nil {
-			t.Fatalf("frame %d: fit=%v err=%v", i, fit, err)
-		}
-	}
-	d, _ := agg.Close()
-	return append([]byte(nil), d...)
-}
-
-// FuzzAggregate drives the aggregate record walker with arbitrary trains
-// and counts, and the encoder with fuzz-cut frames. The walker never
+// FuzzAggregate drives the record walker with arbitrary trains and
+// counts, and the train encoder with fuzz-cut frames. The walker never
 // panics; it yields records only from a train it accepted whole, and
 // then exactly count of them, each at least an Ethernet header, tiling
 // the train with their length prefixes and nothing left over. A train
-// the Aggregator built — across however many datagrams the cut needs —
-// parses, walks, and unmarshals back to the frames that went in, in
-// order.
+// the Aggregator built, cut into datagrams and delivered in the order
+// script draws them — permuted, duplicated, some never — completes each
+// time every one of its datagrams has arrived since it last completed,
+// and only then, and walks back to the frames that went in, in order; a
+// train that never completes ages out charged its frames once.
 func FuzzAggregate(f *testing.F) {
 	record := func(n int) []byte {
 		return append([]byte{byte(n >> 8), byte(n)}, bytes.Repeat([]byte{0xee}, n)...)
 	}
 	two := append(record(14), record(30)...)
-	f.Add(two, uint32(2), byte(20))                              // well formed
-	f.Add(two[:len(two)-1], uint32(2), byte(20))                 // last record truncated
-	f.Add(append(two, 0x00), uint32(2), byte(0))                 // truncated length prefix
-	f.Add(append(record(14), record(13)...), uint32(2), byte(1)) // record shorter than an Ethernet header
-	f.Add(two, uint32(3), byte(7))                               // count != records
-	f.Add(append(two, record(14)...), uint32(2), byte(7))        // trailing bytes past count records
-	f.Add(append(record(14), 0, 0), uint32(2), byte(7))          // zero-length record
-	f.Add([]byte{}, uint32(0), byte(3))
-	f.Fuzz(func(t *testing.T, train []byte, count uint32, cut byte) {
+	all := []byte{0, 1, 2, 3, 4, 5, 6, 7}
+	f.Add(two, uint32(2), byte(20), all)                              // well formed
+	f.Add(two[:len(two)-1], uint32(2), byte(20), all)                 // last record truncated
+	f.Add(append(two, 0x00), uint32(2), byte(0), all)                 // truncated length prefix
+	f.Add(append(record(14), record(13)...), uint32(2), byte(1), all) // record shorter than an Ethernet header
+	f.Add(two, uint32(3), byte(7), all)                               // count != records
+	f.Add(append(two, record(14)...), uint32(2), byte(7), all)        // trailing bytes past count records
+	f.Add(append(record(14), 0, 0), uint32(2), byte(7), all)          // zero-length record
+	f.Add([]byte{}, uint32(0), byte(3), all)
+	f.Add(two, uint32(2), byte(0), []byte{3, 1, 1, 0, 2, 3})          // permuted, duplicated
+	f.Add(two, uint32(2), byte(0), []byte{0, 2, 3, 0, 2})             // one datagram never arrives
+	f.Add(two, uint32(2), byte(0), []byte{0, 1, 2, 3, 0, 1, 2, 3, 1}) // completes twice, then a straggler
+	f.Fuzz(func(t *testing.T, train []byte, count uint32, cut byte, script []byte) {
 		var got [][]byte
 		err := WalkAggregate(train, count, func(rec []byte) { got = append(got, rec) })
 		if err != nil {
@@ -316,8 +420,8 @@ func FuzzAggregate(f *testing.F) {
 		}
 
 		// Encode side: cut the input into payloads of 1..cut+1 bytes, pack
-		// them under a small budget so the stream spills over several
-		// aggregates, and walk every datagram back.
+		// them into one train, cut it into datagrams of a small budget and
+		// deliver them as the script says.
 		var frames []*ethernet.Frame
 		for rest := train; len(rest) > 0 && len(frames) < 64; {
 			n := min(len(rest), int(cut)+1)
@@ -325,35 +429,38 @@ func FuzzAggregate(f *testing.F) {
 				Type: ethernet.TypeTest, Payload: rest[:n]})
 			rest = rest[n:]
 		}
-		var agg Aggregator
-		var ids atomic.Uint32
-		agg.Reset(NewEncapTemplate(nil), nil, 512)
-		var datagrams [][]byte
-		for _, fr := range frames {
-			fit, err := agg.Add(fr, &ids)
-			if !fit && err == nil && agg.Open() {
-				d, _ := agg.Close()
-				datagrams = append(datagrams, d)
-				fit, err = agg.Add(fr, &ids)
-			}
-			if !fit || err != nil {
-				t.Fatalf("a %d-byte payload does not fit an empty 512-byte aggregate: fit=%v err=%v", len(fr.Payload), fit, err)
+		if len(frames) == 0 {
+			return
+		}
+		dgs := trainOf(t, 1, nil, EncapHeaderLen+32+int(cut), frames...)
+		for i, d := range dgs {
+			if len(d) > EncapHeaderLen+32+int(cut) {
+				t.Fatalf("datagram %d of %d bytes over its budget", i, len(d))
 			}
 		}
-		if agg.Open() {
-			d, _ := agg.Close()
-			datagrams = append(datagrams, d)
-		}
-		next := 0
-		for _, d := range datagrams {
-			if len(d) > 512 {
-				t.Fatalf("aggregate of %d bytes over a 512-byte budget", len(d))
+		r := NewReassembler()
+		arrived, missing := make([]bool, len(dgs)), len(dgs)
+		for _, b := range script {
+			i := int(b) % len(dgs)
+			if !arrived[i] {
+				arrived[i], missing = true, missing-1
 			}
-			h, payload, err := ParseEncap(d)
-			if err != nil || !h.Aggregate {
-				t.Fatalf("own aggregate does not parse: %v", err)
+			h, payload, err := ParseEncap(dgs[i])
+			if err != nil {
+				t.Fatalf("own train slice does not parse: %v", err)
 			}
-			err = WalkAggregate(payload, h.FragOff, func(rec []byte) {
+			out, err := r.AddSlice("s", h, payload)
+			if err != nil {
+				t.Fatalf("own train slice refused: %v", err)
+			}
+			if out == nil {
+				continue
+			}
+			if missing != 0 {
+				t.Fatalf("the train completed with %d of its %d datagrams missing", missing, len(dgs))
+			}
+			next := 0
+			err = WalkAggregate(out, uint32(h.Frames()), func(rec []byte) {
 				fr, err := ethernet.Unmarshal(rec)
 				if err != nil || next >= len(frames) {
 					t.Fatalf("record %d: %v", next, err)
@@ -363,12 +470,18 @@ func FuzzAggregate(f *testing.F) {
 				}
 				next++
 			})
-			if err != nil {
-				t.Fatalf("own aggregate does not walk: %v", err)
+			if err != nil || next != len(frames) {
+				t.Fatalf("own train walks %d of %d frames: %v", next, len(frames), err)
 			}
+			clear(arrived)
+			missing = len(dgs)
 		}
-		if next != len(frames) {
-			t.Fatalf("%d of %d frames came back", next, len(frames))
+		stale, want := r.Pending(), 0
+		if stale > 0 {
+			want = len(frames)
+		}
+		if evicted := r.EvictStale() + r.EvictStale(); r.Pending() != 0 || evicted != want {
+			t.Fatalf("%d stale partials evicted charging %d frames, want %d; %d left", stale, evicted, want, r.Pending())
 		}
 	})
 }

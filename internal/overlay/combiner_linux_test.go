@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 )
@@ -21,7 +22,8 @@ import (
 // gatedLink builds a sender whose link "wire" leads to a peer nobody
 // reads (the kernel sheds what its buffer cannot hold; sends succeed),
 // with every sendmmsg going through sys. It returns the node, the link
-// and a 3-fragment frame maker: a batch of them always reaches sendmmsg.
+// and a maker of frames that each fill three datagrams: a batch of them
+// always reaches sendmmsg.
 func gatedLink(t *testing.T, sys func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno)) (*Node, *link, func() *ethernet.Frame, *Endpoint) {
 	t.Helper()
 	n := dropNode(t, NodeConfig{})
@@ -135,8 +137,8 @@ func TestCombinerHolderBound(t *testing.T) {
 
 // TestCombinerFullPendingBlocks: while the holder is in the kernel, a
 // sender's Send returns as soon as its frame is encoded — until pending
-// holds txPendingMax datagrams. The next Send blocks, as at a full
-// socket, and is released by the holder's next swap. Nothing is dropped.
+// holds txPendingBytes. The next Send blocks, as at a full socket, and is
+// released by the holder's next swap. Nothing is dropped.
 func TestCombinerFullPendingBlocks(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	n, lk, big, src := gatedLink(t, holdFirst(entered, release, sendmmsg))
@@ -144,7 +146,9 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 	go func() { holder <- src.Send(big()) }()
 	<-entered
 
-	const fill = (txPendingMax+2)/3 + 1 // 3 datagrams a frame: the last one finds pending full
+	// Every frame adds at least its record to pending: this many always
+	// find it full before the last one.
+	fill := txPendingBytes/bridge.RecordLen(big()) + 2
 	var returned atomic.Int64
 	filler := make(chan error, 1)
 	go func() {
@@ -157,13 +161,13 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 		}
 		filler <- nil
 	}()
-	pending := func() (frames, datagrams int) {
+	pending := func() (frames, size int) {
 		lk.sync.mu.Lock()
 		defer lk.sync.mu.Unlock()
-		return len(lk.sync.pending().frames), len(lk.sync.pending().dgs)
+		return len(lk.sync.pending().frames), lk.sync.pending().size()
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, d := pending(); d >= txPendingMax {
+		if _, size := pending(); size >= txPendingBytes {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -171,8 +175,8 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 		}
 	}
 	time.Sleep(20 * time.Millisecond) // room for a Send that should block to return
-	if frames, d := pending(); returned.Load() != fill-1 || frames != fill-1 {
-		t.Fatalf("with pending full (%d frames, %d datagrams) %d of %d Sends returned, want all but the last", frames, d, returned.Load(), fill)
+	if frames, size := pending(); returned.Load() != int64(frames) || frames >= fill {
+		t.Fatalf("with pending full (%d frames, %d B) %d of %d Sends returned, want one per pending frame and the next blocked", frames, size, returned.Load(), fill)
 	}
 	close(release)
 	if err := <-holder; err != nil {
@@ -181,7 +185,7 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 	if err := <-filler; err != nil {
 		t.Fatal(err)
 	}
-	if sent, drops, errs := n.EncapSent.Load(), n.ledger.Total(), lk.sendErrors.Load(); sent != fill+1 || drops != 0 || errs != 0 {
+	if sent, drops, errs := n.EncapSent.Load(), n.ledger.Total(), lk.sendErrors.Load(); sent != uint64(fill)+1 || drops != 0 || errs != 0 {
 		t.Fatalf("encap_sent=%d drops=%d send_errors=%d, want %d, 0, 0", sent, drops, errs, fill+1)
 	}
 }
@@ -189,7 +193,8 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 // TestCombinerErrors: the transport refuses everything. The holder's own
 // frame is the error its Send returns; the frames other Sends left with it
 // — those Sends returned nil — land on tx_error, one each. Every datagram
-// is a send error and none is sent.
+// — the holder's frame's, and the train the others shared — is a send
+// error and none is sent.
 func TestCombinerErrors(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	n, lk, big, src := gatedLink(t, holdFirst(entered, release, func(uintptr, []mmsghdr) (int, syscall.Errno) {
@@ -211,8 +216,11 @@ func TestCombinerErrors(t *testing.T) {
 	if txErr, total := n.ledger.Count(dropTxError), n.ledger.Total(); txErr != combined || total != combined {
 		t.Fatalf("tx_error = %d, ledger total = %d, want %d each (the holder's frame is its error, not a drop)", txErr, total, combined)
 	}
-	if sent, errs := n.EncapSent.Load(), lk.sendErrors.Load(); sent != 0 || errs != 3*(combined+1) {
-		t.Fatalf("encap_sent=%d send_errors=%d, want 0 and %d", sent, errs, 3*(combined+1))
+	// The holder's frame left alone, the ones it carried as one train.
+	chunk := maxDatagram - bridge.EncapHeaderLen
+	cut := func(frames int) uint64 { return uint64((frames*bridge.RecordLen(big()) + chunk - 1) / chunk) }
+	if sent, errs := n.EncapSent.Load(), lk.sendErrors.Load(); sent != 0 || errs != cut(1)+cut(combined) {
+		t.Fatalf("encap_sent=%d send_errors=%d, want 0 and %d", sent, errs, cut(1)+cut(combined))
 	}
 }
 

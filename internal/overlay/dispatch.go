@@ -192,24 +192,25 @@ func (n *Node) rxDatagram(s *rxShard, sender string, pkt []byte, at time.Time) {
 }
 
 // processData runs the data path for one parsed datagram: flight
-// capture, AEAD open for sealed datagrams, then either the record walk
-// of an aggregate or shard-local reassembly, and routing of every
-// completed frame in its tenant's namespace. Every receive-side drop of
-// a whole datagram charges the frames the datagram stood for (an
-// aggregate's count, else one), so the frames an aggregate carried are
-// all accounted for when it is shed. Shared by the UDP receive workers
-// and the TCP connection readers, each on its own goroutine. raw is the
-// full encap datagram as it arrived on the wire, captured by the shard's
-// flight recorder when one is armed (before decryption: the recorder
-// sees what the wire saw).
+// capture, AEAD open for sealed datagrams, shard-local reassembly of a
+// frame's fragments or a train's slices, then the record walk of a
+// completed train or the parse of a completed frame, and routing of every
+// frame in its tenant's namespace. Every receive-side drop charges the
+// frames the datagram's frame or train stood for (a train's count, else
+// one) — once per train, however many of its slices are shed — so the
+// frames a train carried are all accounted for when it is lost. Shared by
+// the UDP receive workers and the TCP connection readers, each on its own
+// goroutine. raw is the full encap datagram as it arrived on the wire,
+// captured by the shard's flight recorder when one is armed (before
+// decryption: the recorder sees what the wire saw).
 //
 // raw and payload (which aliases it) are borrowed for the call: they sit
 // in the caller's read buffer, where a sealed payload is opened in place
 // and which the next read overwrites. What outlives the call is copied
-// once: a fragment into its frame's reassembly buffer (AddParsed), a
-// whole frame or an aggregate's train into an exact-size buffer the
-// delivered frames alias — a held frame pins the datagram it arrived in,
-// or its own reassembled length, and nothing more.
+// once: a slice into its frame's or train's reassembly buffer (AddSlice),
+// a whole frame or train into an exact-size buffer — and the delivered
+// frames alias that buffer, so a held frame pins its own frame, or the
+// one train it arrived in, and nothing more.
 func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Time) {
 	s.Datagrams.Add(1)
 	var tid uint64
@@ -224,19 +225,27 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		// the AEAD's associated data — a tampered flag, ID, or offset fails
 		// authentication even though only the payload is encrypted. Every
 		// failure is counted by typed reason and the datagram vanishes:
-		// nothing unauthenticated reaches reassembly.
+		// nothing unauthenticated reaches reassembly. The frames it stood for
+		// are charged by the first refused slice of its frame or train, and
+		// the rest of that frame or train then ages out uncharged.
 		aad := raw[:len(raw)-len(payload)]
 		pt, err := n.keyring.Open(h.Seal.Tenant, h.Seal.Nonce, aad, payload)
 		if err != nil {
-			rr := seal.RejectReasonOf(err)
 			frames := h.Frames()
+			if !h.Whole() { // a whole datagram has no partial: no key, no lock
+				s.mu.Lock()
+				if !s.reasm.Reject(s.reasmKey(sender, h.Seal.Tenant), h) {
+					frames = 0
+				}
+				s.mu.Unlock()
+			}
 			// The wire-claimed tenant ID is unauthenticated; charging the
 			// claimed tenant is deliberate — a forged datagram charges
 			// the tenant it impersonates, which is the tenant whose
 			// traffic an operator should inspect. The typed reason rides as
 			// the stage: the funnel's vnetp_seal_reject_total{reason} label.
 			n.drop(dropSealReject, frames, telemetry.DropDetail{
-				Tenant: h.Seal.Tenant, Scope: sender, Stage: rr,
+				Tenant: h.Seal.Tenant, Scope: sender, Stage: seal.RejectReasonOf(err),
 			})
 			return
 		}
@@ -244,16 +253,30 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		tenant = h.Seal.Tenant
 		payload = pt
 	}
-	if h.Aggregate || (h.FragOff == 0 && !h.MoreFrags) {
+	if h.Whole() {
 		own := make([]byte, len(payload))
 		copy(own, payload)
 		payload = own
+	} else {
+		s.mu.Lock()
+		var err error
+		payload, err = s.reasm.AddSlice(s.reasmKey(sender, tenant), h, payload)
+		s.mu.Unlock()
+		if err != nil {
+			n.drop(dropBadPacket, h.Frames(), telemetry.DropDetail{
+				Tenant: tenant, Scope: sender, Stage: "reassembly",
+			})
+			return
+		}
+		if payload == nil {
+			return // more slices pending
+		}
 	}
 	if h.Aggregate {
-		// Whole frames, no reassembly. The walker vets the entire train
-		// before the first record is delivered: all of a datagram's frames
-		// arrive, or none and the datagram is a bad packet.
-		err := bridge.WalkAggregate(payload, h.FragOff, func(record []byte) {
+		// A completed train. The walker vets all of it before the first
+		// record is delivered: all of a train's frames arrive, or none and
+		// the train is a bad packet.
+		err := bridge.WalkAggregate(payload, uint32(h.Frames()), func(record []byte) {
 			frame, _ := ethernet.Unmarshal(record) // cannot fail: the walker saw a full Ethernet header
 			n.routeFromWire(s, frame, tenant, at)
 		})
@@ -264,26 +287,12 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		}
 		return
 	}
-	s.mu.Lock()
-	if h.HasSeal {
-		// Scope the reassembly stream by tenant: a plaintext and a sealed
-		// stream from one remote address must never interleave fragments.
-		if s.sealKey == "" || s.sealSender != sender || s.sealTenant != tenant {
-			s.sealSender, s.sealTenant = sender, tenant
-			s.sealKey = sender + "|t" + strconv.FormatUint(uint64(tenant), 10)
-		}
-		sender = s.sealKey
-	}
-	frame, err := s.reasm.AddParsed(sender, h, payload)
-	s.mu.Unlock()
+	frame, err := ethernet.Unmarshal(payload)
 	if err != nil {
 		n.drop(dropBadPacket, 1, telemetry.DropDetail{
 			Tenant: tenant, Scope: sender, Stage: "reassembly",
 		})
 		return
-	}
-	if frame == nil {
-		return // more fragments pending
 	}
 	if h.HasTrace {
 		// The completing fragment carries the same trace context every
@@ -293,6 +302,21 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 		n.tracer.RecordRemote(tid, h.Trace.Origin, h.Trace.Flags, trace.StageReassembly)
 	}
 	n.routeFromWire(s, frame, tenant, at)
+}
+
+// reasmKey names a sender's reassembly stream in the shard's reassembler
+// (caller holds s.mu). A sealed stream is scoped by tenant: a plaintext
+// and a sealed stream from one remote address must never interleave
+// fragments.
+func (s *rxShard) reasmKey(sender string, tenant uint32) string {
+	if tenant == 0 {
+		return sender
+	}
+	if s.sealKey == "" || s.sealSender != sender || s.sealTenant != tenant {
+		s.sealSender, s.sealTenant = sender, tenant
+		s.sealKey = sender + "|t" + strconv.FormatUint(uint64(tenant), 10)
+	}
+	return s.sealKey
 }
 
 // routeFromWire counts one frame received whole from a link and routes

@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
+	"vnetp/internal/faultnet"
 	"vnetp/internal/seal"
 )
 
@@ -50,6 +50,47 @@ func waitCount(t *testing.T, n *Node, reason string, want uint64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// settle gives counters that trail the event a test waited for time to
+// catch up; the assertion that follows reports what they read.
+func settle(caughtUp func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !caughtUp() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	}
+}
+
+// waitSwept polls until the evict sweep has emptied every shard's
+// reassembler, then gives the drop the sweep charges after it unlocks
+// time to land.
+func waitSwept(t *testing.T, n *Node) {
+	t.Helper()
+	pending := func() (p int) {
+		for _, s := range n.shards {
+			s.mu.Lock()
+			p += s.reasm.Pending()
+			s.mu.Unlock()
+		}
+		return p
+	}
+	for deadline := time.Now().Add(5 * time.Second); pending() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d partials never swept", pending())
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+}
+
+// imixFrames makes count frames from src to dst in the 7:4:1 IMIX mix of
+// 64, 576 and 1500 B payloads, each payload starting with its index.
+func imixFrames(src, dst ethernet.MAC, count int) []*ethernet.Frame {
+	sizes := []int{64, 576, 64, 1500, 64, 576, 64, 64, 576, 64, 576, 64}
+	frames := make([]*ethernet.Frame, count)
+	for i := range frames {
+		p := make([]byte, sizes[i%len(sizes)])
+		binary.BigEndian.PutUint32(p, uint32(i))
+		frames[i] = &ethernet.Frame{Dst: dst, Src: src, Type: ethernet.TypeTest, Payload: p}
+	}
+	return frames
 }
 
 // testFrame builds a small unicast frame.
@@ -86,23 +127,39 @@ func sealedDatagram(t testing.TB, tenant uint32) []byte {
 	return d
 }
 
-// aggregateDatagram packs frames copies of testFrame(1 → dst) into one
-// aggregate datagram, sealed when sl is non-nil.
-func aggregateDatagram(t testing.TB, frames int, dst ethernet.MAC, sl bridge.LinkSealer) []byte {
+// trainDatagrams packs frames into one record train and cuts it at the
+// UDP budget, sealed when sl is non-nil, returning private copies of the
+// datagrams.
+func trainDatagrams(t testing.TB, id uint32, sl bridge.LinkSealer, frames ...*ethernet.Frame) [][]byte {
 	t.Helper()
 	var agg bridge.Aggregator
-	var ids atomic.Uint32
-	agg.Reset(bridge.NewEncapTemplate(sl), sl, maxDatagram)
-	for i := 0; i < frames; i++ {
-		if fit, err := agg.Add(testFrame(ethernet.LocalMAC(1), dst), &ids); !fit || err != nil {
-			t.Fatalf("frame %d: fit=%v err=%v", i, fit, err)
+	for i, f := range frames {
+		if err := agg.Add(f); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	d, n := agg.Close()
-	if n != frames {
-		t.Fatalf("aggregate closed with %d frames, want %d", n, frames)
+	var pkt bridge.EncapPacket
+	pkt.CutTrain(&agg, id, maxDatagram, bridge.NewEncapTemplate(sl), sl)
+	out := make([][]byte, len(pkt.Datagrams))
+	for i, d := range pkt.Datagrams {
+		out[i] = append([]byte(nil), d...)
 	}
-	return append([]byte(nil), d...)
+	return out
+}
+
+// aggregateDatagram packs frames copies of testFrame(1 → dst) into a train
+// of one datagram, sealed when sl is non-nil.
+func aggregateDatagram(t testing.TB, frames int, dst ethernet.MAC, sl bridge.LinkSealer) []byte {
+	t.Helper()
+	fs := make([]*ethernet.Frame, frames)
+	for i := range fs {
+		fs[i] = testFrame(ethernet.LocalMAC(1), dst)
+	}
+	dgs := trainDatagrams(t, 1, sl, fs...)
+	if len(dgs) != 1 {
+		t.Fatalf("%d frames made a train of %d datagrams, want 1", frames, len(dgs))
+	}
+	return dgs[0]
 }
 
 // overrunLastRecord corrupts a plaintext aggregateDatagram: its header
@@ -191,10 +248,11 @@ func TestDropSiteAggregate(t *testing.T) {
 	t.Run("bad_header", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
 		d := aggregateDatagram(t, frames, dst, nil)
-		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims a billion frames
+		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims sixteen thousand frames
 		n.rxDatagram(n.shards[0], "10.0.0.5:5", d, time.Now())
-		// Charged what a datagram this long could hold at most, not the claim.
-		most := uint64(len(d)-bridge.EncapHeaderLen) / uint64(2+ethernet.HeaderLen)
+		// Charged what a train of the length it claims could hold at most,
+		// not the claim.
+		most := uint64(binary.BigEndian.Uint32(d[12:])) / uint64(2+ethernet.HeaderLen)
 		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != most || legacy != most {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, most)
 		}
@@ -257,10 +315,11 @@ func TestDropSiteEndpointRing(t *testing.T) {
 	}
 }
 
-// TestDropSiteTrainSealReject: one corrupt datagram inside a train costs
-// exactly that datagram — it alone lands on seal_reject, its neighbours
-// are opened and reassembled — and the frame it leaves a hole in ages out
-// onto reassembly_evict. Nothing else is dropped and nothing is delivered.
+// TestDropSiteTrainSealReject: one corrupt datagram inside a GRO read
+// costs its frame once — it alone fails to open and charges the frame to
+// seal_reject, its neighbours are opened and reassembled, and the partial
+// they leave ages out without charging the frame again. Nothing else is
+// dropped and nothing is delivered.
 func TestDropSiteTrainSealReject(t *testing.T) {
 	n := dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
 	key := bytes.Repeat([]byte{0x11}, 32)
@@ -288,12 +347,131 @@ func TestDropSiteTrainSealReject(t *testing.T) {
 	train[maxDatagram+100] ^= 0x01 // one ciphertext bit of the second datagram
 	from := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 5}
 	n.receive(n.shards[0], rxPacket{pkt: train, seg: maxDatagram, from: from}, time.Now(), &rxAttrib{})
-	waitCount(t, n, dropReassemblyEvict, 1)
-	if rejects, opened, total := n.ledger.Count(dropSealReject), n.metrics.sealOpened.Load(), n.ledger.Total(); rejects != 1 || opened != 2 || total != 2 {
-		t.Fatalf("seal_reject=%d sealed_opened=%d drops_total=%d, want 1, 2, 2", rejects, opened, total)
+	waitSwept(t, n)
+	if rejects, opened, total := n.ledger.Count(dropSealReject), n.metrics.sealOpened.Load(), n.ledger.Total(); rejects != 1 || opened != 2 || total != 1 {
+		t.Fatalf("seal_reject=%d sealed_opened=%d drops_total=%d, want 1, 2, 1", rejects, opened, total)
 	}
 	if _, ok := sink.TryRecv(); ok || n.Delivered.Load() != 0 {
 		t.Fatal("a frame with an unauthentic fragment was delivered")
+	}
+}
+
+// TestTrainSegmentFaults: a train is delivered whole or not at all, and
+// its loss is charged once, in frames. A fault conduit on the link hits
+// exactly one datagram of a TX ring batch's train. Lost, the receiver
+// delivers none of the train's frames, and the evict sweep charges
+// reassembly_evict exactly the train's frame count. Tampered on a sealed
+// link, seal_reject is charged exactly the train's frame count, and the
+// sweep charges nothing more. Either way admitted = delivered + Σ ledger
+// over both nodes, the conduit counts the one datagram it hit, and the
+// link carries the next batch whole.
+func TestTrainSegmentFaults(t *testing.T) {
+	cases := []struct {
+		name   string
+		tenant uint32
+		reason string
+		fault  func(seed int64) faultnet.Config
+		hits   func(c *faultnet.Conduit) uint64
+	}{
+		{"lost_segment", 0, dropReassemblyEvict,
+			func(seed int64) faultnet.Config { return faultnet.Config{Seed: seed, DropProb: 0.2} },
+			func(c *faultnet.Conduit) uint64 { return c.Dropped.Load() }},
+		{"tampered_segment", 7, dropSealReject,
+			func(seed int64) faultnet.Config { return faultnet.Config{Seed: seed, CorruptProb: 0.2} },
+			func(c *faultnet.Conduit) uint64 { return c.Corrupted.Load() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tx, rx := dropNode(t, RingConfig()), dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
+			if tc.tenant != 0 {
+				for _, n := range []*Node{tx, rx} {
+					if err := n.AddTenant(tc.tenant, bytes.Repeat([]byte{0x2d}, 32)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			src, err := tx.AttachEndpointTenant("src", ethernet.LocalMAC(1), 1500, tc.tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, err := rx.AttachEndpointTenant("sink", ethernet.LocalMAC(2), 1500, tc.tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.AddLinkTenant("wire", rx.Addr(), "udp", tc.tenant); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.AddRoute(core.Route{Tenant: tc.tenant, DstMAC: sink.MAC(), DstQual: core.QualExact, SrcQual: core.QualAny,
+				Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+				t.Fatal(err)
+			}
+			lk := tx.topo.Load().links["wire"]
+			frames := imixFrames(src.MAC(), sink.MAC(), 24)
+			send := func() {
+				batch := make([]txFrame, len(frames))
+				for i, f := range frames {
+					batch[i] = txFrame{f: f, at: time.Now()}
+				}
+				tx.sendTxBatch(lk, batch, &txScratch{})
+			}
+			records := 0
+			for _, f := range frames {
+				records += bridge.RecordLen(f)
+			}
+			chunk := maxDatagram - lk.tmpl.WireLen()
+			if tc.tenant != 0 {
+				chunk -= bridge.SealOverhead
+			}
+			segs := (records + chunk - 1) / chunk
+			// A conduit seed whose fault hits exactly one of the train's
+			// datagrams: each datagram draws once, so a dry run of as many
+			// sends under the same seed finds it.
+			var c *faultnet.Conduit
+			for seed := int64(1); c == nil; seed++ {
+				dry := faultnet.New(tc.fault(seed))
+				for i := 0; i < segs; i++ {
+					dry.Send([]byte{0}, func(any) {})
+				}
+				if tc.hits(dry) == 1 {
+					c = faultnet.New(tc.fault(seed))
+				}
+			}
+			if err := tx.SetLinkFault("wire", c); err != nil {
+				t.Fatal(err)
+			}
+			send()
+			arrived := uint64(segs)
+			if tc.reason == dropReassemblyEvict {
+				arrived--
+			}
+			for deadline := time.Now().Add(5 * time.Second); rx.shards[0].Datagrams.Load() < arrived; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of the %d datagrams that passed the conduit arrived", rx.shards[0].Datagrams.Load(), arrived)
+				}
+			}
+			waitSwept(t, rx)
+			admitted := uint64(len(frames))
+			if hit := tc.hits(c); hit != 1 || segs < 3 {
+				t.Fatalf("the conduit hit %d of the train's %d datagrams, want one of several", hit, segs)
+			}
+			if f, ok := sink.TryRecv(); ok || rx.Delivered.Load() != 0 {
+				t.Fatalf("a frame of a train with a faulted datagram was delivered: %v", f)
+			}
+			if got, total := rx.ledger.Count(tc.reason), rx.ledger.Total(); got != admitted || total != admitted || tx.ledger.Total() != 0 {
+				t.Fatalf("%s = %d, receiver drops %d, sender drops %d; want %d, %d, 0: admitted = delivered + Σ ledger",
+					tc.reason, got, total, tx.ledger.Total(), admitted, admitted)
+			}
+			if evicted := rx.ledger.Count(dropReassemblyEvict); tc.reason == dropSealReject && evicted != 0 {
+				t.Fatalf("reassembly_evict = %d after the seal reject charged the train", evicted)
+			}
+			tx.SetLinkFault("wire", nil)
+			send()
+			for range frames {
+				if _, ok := sink.Recv(5 * time.Second); !ok {
+					t.Fatalf("the next batch did not arrive whole; drops: %v", rx.ledger.Snapshot())
+				}
+			}
+		})
 	}
 }
 

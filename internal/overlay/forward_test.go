@@ -684,17 +684,16 @@ func TestBroadcastTakesOneTxSample(t *testing.T) {
 
 // TestBatchedEqualsSync is the batched ≡ sync differential: one stream of
 // frames — three flows, small and mid-size frames, a traced frame and a
-// must-fragment frame in the middle — delivers the same frames in the
+// frame longer than a datagram in the middle — delivers the same frames in the
 // same per-flow order whether the sender writes each frame inline, runs
 // the self-clocked batched sender, is handed the whole stream as one
 // batch, or has each flow's frames sent by a goroutine of its own many
 // times over, the synchronous Sends combining on the link as they find it
 // busy. Every run ends with admitted = delivered + Σ ledger and an empty
 // ledger on both nodes. The one-batch run also pins the encoder choices
-// on the wire: neighbours share aggregates, the traced frame and the
-// fragmenting frame close the open aggregate and travel in datagrams of
-// their own, in ring order, and the traced frame keeps one trace ID end
-// to end.
+// on the wire: neighbours share a record train, the big frame included,
+// the traced frame cuts the open train and travels in a datagram of its
+// own, in ring order, and keeps one trace ID end to end.
 func TestBatchedEqualsSync(t *testing.T) {
 	const tenant = 7
 	key := bytes.Repeat([]byte{0x6b}, 32)
@@ -703,16 +702,16 @@ func TestBatchedEqualsSync(t *testing.T) {
 		proto  string
 		tenant uint32
 		fault  bool
-		big    int // payload that must fragment under the link's budget
-		// datagrams the one-batch run puts on the wire: aggregate of
-		// frames 0-3, the traced frame, aggregate of frame 5, the big
-		// frame's fragments, aggregate of frames 7-9.
+		big    int // payload longer than one of the link's datagrams
+		// datagrams the one-batch run puts on the wire: the train of
+		// frames 0-3, the traced frame, the train of frames 5-9 (the big
+		// one among them) cut to the link's budget.
 		datagrams uint64
 	}{
-		{name: "plain_udp", proto: "udp", big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
-		{name: "sealed", proto: "udp", tenant: tenant, big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
-		{name: "tcp", proto: "tcp", big: 40000, datagrams: 1 + 1 + 1 + 2 + 1},
-		{name: "fault_conduit", proto: "udp", fault: true, big: 3000, datagrams: 1 + 1 + 1 + 3 + 1},
+		{name: "plain_udp", proto: "udp", big: 3000, datagrams: 1 + 1 + 3},
+		{name: "sealed", proto: "udp", tenant: tenant, big: 3000, datagrams: 1 + 1 + 3},
+		{name: "tcp", proto: "tcp", big: 40000, datagrams: 1 + 1 + 2},
+		{name: "fault_conduit", proto: "udp", fault: true, big: 3000, datagrams: 1 + 1 + 3},
 	}
 	macA, macB := ethernet.LocalMAC(0xa), ethernet.LocalMAC(0xb)
 	mac1, mac2, macT := ethernet.LocalMAC(1), ethernet.LocalMAC(2), ethernet.LocalMAC(3)
@@ -759,7 +758,7 @@ func TestBatchedEqualsSync(t *testing.T) {
 				{mac1, macA, 64}, {mac2, macB, 64}, {mac1, macA, 576}, {mac2, macB, 64},
 				{macT, macA, 64}, // traced, mid-batch
 				{mac1, macA, 64},
-				{mac2, macB, tc.big}, // must fragment, mid-batch
+				{mac2, macB, tc.big}, // spans datagrams, mid-batch
 				{mac1, macA, 64}, {mac2, macB, 576}, {mac1, macA, 64},
 			}
 			frames := make([]*ethernet.Frame, len(stream))

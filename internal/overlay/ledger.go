@@ -38,7 +38,8 @@ const (
 	// into its in-hand batch (link delete, drain, node close).
 	dropTxTeardown = "tx_teardown"
 	// dropReassemblyEvict: stale partial reassemblies aged out by the
-	// evictor (each evicted partial is one lost frame).
+	// evictor, charged the frames each stood for (a frame's one, a
+	// train's count) unless a refused slice of it already charged them.
 	dropReassemblyEvict = "reassembly_evict"
 	// dropSealReject: a sealed datagram rejected fail-closed
 	// (unknown tenant, failed auth, replay, truncation).

@@ -912,8 +912,8 @@ func routeDetail(key core.FlowKey, scope string) telemetry.DropDetail {
 	return telemetry.DropDetail{Tenant: key.Tenant, Scope: scope, Stage: "route", Flow: key.String()}
 }
 
-// encapFrame encapsulates one frame for a link — the one encoder every
-// transmit leg shares. Untraced frames (the steady state) go through the
+// encapFrame encapsulates one frame that travels alone — traced, or too
+// long for a record train — for a link. Untraced frames go through the
 // link's prebuilt header template: one memcpy plus fixed-offset patches
 // per fragment. A traced frame's context rides the wire in every
 // fragment's trace extension, which the template deliberately omits, so
@@ -931,9 +931,6 @@ func (n *Node) encapFrame(lk *link, f *ethernet.Frame, budget int) (*bridge.Enca
 	}
 	if err != nil {
 		return nil, err
-	}
-	if lk.sealer != nil {
-		n.metrics.sealSealed.Add(uint64(len(pkt.Datagrams)))
 	}
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageEncap)
@@ -1105,8 +1102,9 @@ func (n *Node) probeLoop(inst *supervise.Instance) {
 
 // evictLoop ages out stale partial reassemblies on every shard: each
 // tick runs one generation sweep (NodeConfig.evictInterval apart), so a
-// partial untouched for two ticks — a dead or partitioned sender — is
-// dropped and its buffers freed.
+// partial untouched for two ticks — a dead or partitioned sender, or a
+// lost datagram — is dropped, its buffers freed and the frames it stood
+// for charged, unless a refused slice of it already charged them.
 // Supervised as "evictor": the sweep state is derived from the shards,
 // so a restarted instance picks up exactly where the old one left off.
 func (n *Node) evictLoop(inst *supervise.Instance) {
@@ -1122,7 +1120,7 @@ func (n *Node) evictLoop(inst *supervise.Instance) {
 			inst.Working()
 			for _, s := range n.shards {
 				s.mu.Lock()
-				evicted := s.reasm.EvictStale()
+				evicted := s.reasm.EvictStale() // frames: a train's count, a frame's one
 				s.mu.Unlock()
 				if evicted > 0 {
 					n.drop(dropReassemblyEvict, uint64(evicted), telemetry.DropDetail{

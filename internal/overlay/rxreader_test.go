@@ -302,13 +302,13 @@ func TestMmsgReaderReusesSenderAddr(t *testing.T) {
 // TestHeldFramesSurviveBufferReuse pins the borrowed-buffer contract from
 // the guest's side: a delivered frame is the guest's to keep, whatever
 // the readers do with their buffers afterwards. Every frame kind the
-// receive path delivers — a lone 64 B frame, records of an aggregate, a
-// 9 KB frame reassembled from a train's fragments — over UDP and TCP,
-// plain and sealed, from a sync and a batched sender, is held while the
-// same reader buffers take at least 64 further reads; then every payload
-// byte must still be what was sent, and no held frame may reach past the
-// datagram (or reassembled frame) it came from: a path that delivered a
-// slice of a reader's buffer would fail one or the other.
+// receive path delivers — a lone 64 B frame, records of a train of one
+// datagram, records of a train reassembled from several, a 9 KB frame
+// among them — over UDP and TCP, plain and sealed, from a sync and a
+// batched sender, is held while the same reader buffers take at least 64
+// further reads; then every payload byte must still be what was sent, and
+// no held frame may reach past the one train it arrived in: a path that
+// delivered a slice of a reader's buffer would fail one or the other.
 func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 	for _, proto := range []string{"udp", "tcp"} {
 		for _, tenant := range []uint32{0, 7} {
@@ -348,8 +348,8 @@ func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
 		t.Fatal(err)
 	}
 	// One burst: a lone small frame, five more handed over together (a
-	// batched sender packs them into shared aggregates), and — every
-	// fourth burst — a frame that fragments.
+	// batched sender packs them into one train), and — every fourth burst
+	// — a frame longer than a datagram.
 	var sent int
 	burst := func(i int) []*ethernet.Frame {
 		sizes := []int{64, 100, 100, 100, 100, 100}
@@ -398,22 +398,23 @@ func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
 	if proto == "tcp" {
 		budget = tcpMaxDatagram
 	}
+	room := tx.topo.Load().links["wire"].tmpl.TrainRoom(budget)
 	for i, f := range held {
 		if !bytes.Equal(f.Payload, want[i].Payload) {
 			t.Fatalf("held frame %d (%d B) changed under its holder", i, len(want[i].Payload))
 		}
-		if limit := max(budget, len(f.Payload)); cap(f.Payload) > limit {
-			t.Fatalf("held frame %d (%d B) pins %d B, more than the %d B datagram or frame it came from", i, len(f.Payload), cap(f.Payload), limit)
+		if cap(f.Payload) > room {
+			t.Fatalf("held frame %d (%d B) pins %d B, more than the %d B train it came in", i, len(f.Payload), cap(f.Payload), room)
 		}
 	}
-	// The batched sender must have put several records in some aggregate,
-	// or that kind was never held.
+	// The batched sender must have put several records in some train, or
+	// that kind was never held.
 	jumbo := uint64(7)
 	if proto == "tcp" {
 		jumbo = 1
 	}
 	const bursts = heldBursts + furtherBursts // six small frames each, a fragmenting one every fourth
 	if alone, datagrams := 6*bursts+jumbo*bursts/4, rx.shards[0].Datagrams.Load(); txBatch > 1 && datagrams >= alone {
-		t.Fatalf("%d datagrams carried the frames, %d if none had shared one: no multi-record aggregate was exercised", datagrams, alone)
+		t.Fatalf("%d datagrams carried the frames, %d if none had shared one: no multi-record train was exercised", datagrams, alone)
 	}
 }

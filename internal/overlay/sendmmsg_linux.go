@@ -3,9 +3,10 @@
 // sendmmsg(2) batch transmit with UDP segmentation offload: one syscall
 // moves a whole TX batch, the userspace analogue of the per-batch (not
 // per-packet) VMM exits the paper credits for VNET/P's throughput
-// (Sect. 4.3) — and within it a train of datagrams (what fragmenting one
-// frame produces) is one message with a UDP_SEGMENT cmsg, so it makes one
-// trip through the UDP/IP stack instead of one per datagram. The
+// (Sect. 4.3) — and within it a train of datagrams (what cutting a
+// batch's record train, or one long frame, produces) is one message with a
+// UDP_SEGMENT cmsg, so it makes one trip through the UDP/IP stack instead
+// of one per datagram. The
 // netmap/mTCP line of work (PAPERS.md) names both levers: the syscall and
 // the per-packet stack walk.
 
@@ -18,18 +19,19 @@ import (
 	"sync"
 	"syscall"
 	"unsafe"
+
+	"vnetp/internal/bridge"
 )
 
 // UDP segmentation offload (linux/udp.h; the frozen stdlib syscall table
 // predates both options) and the limits the kernel holds one UDP_SEGMENT
-// message to: UDP_MAX_SEGMENTS datagrams, and one IP datagram's worth of
-// bytes — 65 000 leaves the IP and UDP headers room under 65 535.
+// message to, which the bridge cuts record trains to fit.
 const (
 	udpSegment = 103 // cmsg on a send: uint16 segment size
 	udpGRO     = 104 // sockopt; cmsg on a receive: int segment size
 
-	maxTrainSegs  = 64
-	maxTrainBytes = 65000
+	maxTrainSegs  = bridge.MaxTrainSegments
+	maxTrainBytes = bridge.MaxTrainBytes
 )
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux: a msghdr plus the
@@ -107,8 +109,8 @@ func newTxMsgs(tx *udpTx) *txMsgs {
 
 // trainLen reports how many leading datagrams of dgs leave as one
 // UDP_SEGMENT message: a run of equal-sized datagrams and at most one
-// shorter one behind it — what Encapsulator.fragment emits for a frame —
-// held to the kernel's limits. A longer datagram, or any after a shorter
+// shorter one behind it — what the fragment loop emits for a record
+// train or a frame — held to the kernel's limits. A longer datagram, or any after a shorter
 // one, starts the next train.
 func trainLen(dgs [][]byte) int {
 	seg, size, n := len(dgs[0]), len(dgs[0]), 1

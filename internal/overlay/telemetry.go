@@ -132,7 +132,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Frames carried per data transmit on a link, on either leg: its mean is frames per send syscall.",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		txDatagramFrames: reg.Histogram("vnetp_tx_datagram_frames",
-			"Frames completed per data datagram sent (aggregate: its frame count; a fragment: 0, the last one 1).",
+			"Frames completed per data datagram sent: 0 for each datagram of a train or fragmented frame but the last, which takes the train's frame count (a lone frame's: 1).",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		rxBatchSize: reg.Histogram("vnetp_rx_batch_size",
 			"Datagrams drained from a UDP socket per receive-worker wakeup (recvmmsg batch; a UDP_GRO train counts each of its datagrams).",
@@ -174,7 +174,7 @@ func (n *Node) registerNodeFuncs() {
 		{"vnetp_no_route_drops_total", "Frames dropped for lack of a route or link.", dropNoRoute},
 		{"vnetp_bad_packets_total", "Malformed encapsulation datagrams rejected.", dropBadPacket},
 		{"vnetp_cross_tenant_drops_total", "Frames dropped by the tenancy guards (endpoint or link bound to a different tenant).", dropCrossTenant},
-		{"vnetp_reassembly_evictions_total", "Stale partial reassemblies aged out.", dropReassemblyEvict},
+		{"vnetp_reassembly_evictions_total", "Frames lost with stale partial reassemblies aged out (a train's count, a fragmented frame's one).", dropReassemblyEvict},
 	} {
 		reg.CounterFunc(v.name, v.help, func() uint64 { return n.ledger.Count(v.reason) })
 	}

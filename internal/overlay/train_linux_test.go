@@ -16,8 +16,8 @@ import (
 	"net"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -29,9 +29,13 @@ import (
 	"vnetp/internal/faultnet"
 )
 
-// sentMsg is one message the seam saw: how many datagrams it carried and
-// their total bytes.
-type sentMsg struct{ segs, bytes int }
+// sentMsg is one message the seam saw: how many datagrams it carried,
+// their total bytes, the UDP_SEGMENT size it asked for (0: none), and
+// copies of the datagrams.
+type sentMsg struct {
+	segs, bytes, gso int
+	dgs              [][]byte
+}
 
 // recordSends wraps a node's sendmmsg seam: every message handed to the
 // kernel is recorded, then refuse (when non-nil) may answer for the
@@ -43,6 +47,10 @@ func recordSends(n *Node, refuse func(first sentMsg) syscall.Errno) func() []sen
 		s := sentMsg{segs: int(m.hdr.Iovlen)}
 		for _, iov := range unsafe.Slice(m.hdr.Iov, int(m.hdr.Iovlen)) {
 			s.bytes += int(iov.Len)
+			s.dgs = append(s.dgs, bytes.Clone(unsafe.Slice(iov.Base, int(iov.Len))))
+		}
+		if m.hdr.Controllen > 0 {
+			s.gso = int(binary.NativeEndian.Uint16((*segCmsg)(unsafe.Pointer(m.hdr.Control)).val[:]))
 		}
 		return s
 	}
@@ -137,13 +145,6 @@ func trainPair(t *testing.T, txCfg NodeConfig, tenant uint32) (tx, rx *Node, src
 		t.Fatal(err)
 	}
 	return tx, rx, src, sink
-}
-
-// settle gives counters that trail the event a test waited for time to
-// catch up; the assertion that follows reports what they read.
-func settle(caughtUp func() bool) {
-	for deadline := time.Now().Add(5 * time.Second); !caughtUp() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-	}
 }
 
 // recvAll collects want frames from sink as a sorted multiset of payloads.
@@ -271,6 +272,147 @@ func TestMaxMTUFrameLeavesAsTrains(t *testing.T) {
 	}
 	if len(msgs) < 2 || segs != 49 {
 		t.Fatalf("%d messages carrying %d datagrams: %v; want at least 2 carrying 49", len(msgs), segs, msgs)
+	}
+}
+
+// checkOneTrain fails unless msg is one UDP_SEGMENT message of the link's
+// budget: every datagram that size but the last, which is no longer.
+func checkOneTrain(t *testing.T, what string, msg sentMsg) {
+	t.Helper()
+	if msg.segs < 2 || msg.gso != maxDatagram {
+		t.Fatalf("%s: a message of %d datagrams with UDP_SEGMENT %d, want a train cut at %d", what, msg.segs, msg.gso, maxDatagram)
+	}
+	for i, d := range msg.dgs {
+		if last := i == len(msg.dgs)-1; len(d) != maxDatagram && !(last && len(d) < maxDatagram) {
+			t.Fatalf("%s: datagram %d of %d is %d B; every one but the last must be %d", what, i, msg.segs, len(d), maxDatagram)
+		}
+	}
+}
+
+// recvInOrder receives want frames and fails unless each payload starts
+// with its index.
+func recvInOrder(t *testing.T, sink *Endpoint, want int, tx, rx *Node) {
+	t.Helper()
+	for i := 0; i < want; i++ {
+		f, ok := sink.Recv(5 * time.Second)
+		if !ok {
+			t.Fatalf("%d of %d frames delivered; drops: sender %v receiver %v", i, want, tx.ledger.Snapshot(), rx.ledger.Snapshot())
+		}
+		if got := binary.BigEndian.Uint32(f.Payload); got != uint32(i) {
+			t.Fatalf("frame %d arrived where %d was due", got, i)
+		}
+	}
+}
+
+// TestRingBatchLeavesAsOneMessage: a TX ring batch of thirty IMIX frames
+// on a UDP link — plain and sealed — is one record train, handed to the
+// kernel as one sendmmsg message with UDP_SEGMENT: its datagrams are all
+// the link's budget but the last. The receiver reads it as a train and
+// delivers every frame, in order.
+func TestRingBatchLeavesAsOneMessage(t *testing.T) {
+	for _, tenant := range []uint32{0, 7} {
+		t.Run(fmt.Sprintf("tenant%d", tenant), func(t *testing.T) {
+			tx, rx, src, sink := trainPair(t, RingConfig(), tenant)
+			sent := recordSends(tx, nil)
+			frames := imixFrames(src.MAC(), sink.MAC(), 30)
+			batch := make([]txFrame, len(frames))
+			for i, f := range frames {
+				batch[i] = txFrame{f: f, at: time.Now()}
+			}
+			tx.sendTxBatch(tx.topo.Load().links["wire"], batch, &txScratch{})
+			recvInOrder(t, sink, len(frames), tx, rx)
+			msgs := sent()
+			if len(msgs) != 1 {
+				t.Fatalf("a 30-frame batch left as %d messages, want one", len(msgs))
+			}
+			checkOneTrain(t, "ring batch", msgs[0])
+			if g := rx.metrics.rxGROTrains.Load(); g != 1 {
+				t.Fatalf("the receiver read %d trains, want the one", g)
+			}
+		})
+	}
+}
+
+// TestSyncBatchLeavesAsOneMessage: on the synchronous leg, the frames
+// other Sends leave with the holder while it is in the kernel are one
+// record train: the holder's next flush is one message with UDP_SEGMENT,
+// cut as on the ring.
+func TestSyncBatchLeavesAsOneMessage(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	n, _, big, src := gatedLink(t, sendmmsg)
+	sent := recordSends(n, nil)
+	n.tx.sys = holdFirst(entered, release, n.tx.sys)
+	holder := make(chan error, 1)
+	go func() { holder <- src.Send(big()) }()
+	<-entered
+	const combined = 30
+	for _, f := range imixFrames(src.MAC(), ethernet.LocalMAC(9), combined) {
+		if err := src.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	msgs := sent()
+	if len(msgs) != 2 {
+		t.Fatalf("the holder's frame and %d combined ones left as %d messages, want 2", combined, len(msgs))
+	}
+	checkOneTrain(t, "the holder's frame", msgs[0])
+	checkOneTrain(t, "the combined batch", msgs[1])
+	if h, _, err := bridge.ParseEncap(msgs[1].dgs[0]); err != nil || h.Frames() != combined {
+		t.Fatalf("the combined train: header %+v, %v; want %d frames", h, err, combined)
+	}
+	if sent := n.EncapSent.Load(); sent != combined+1 {
+		t.Fatalf("encap_sent = %d, want %d", sent, combined+1)
+	}
+}
+
+// TestTracedFrameSplitsBatch: a traced frame travels alone, so one in the
+// middle of a ring batch splits it into train, lone frame, train — on the
+// wire in add order, each train under an id of its own — and every frame
+// arrives in order, the traced one with its trace ID.
+func TestTracedFrameSplitsBatch(t *testing.T) {
+	tx, rx, src, sink := trainPair(t, RingConfig(), 0)
+	sent := recordSends(tx, nil)
+	frames := imixFrames(src.MAC(), sink.MAC(), 11)
+	tx.tracer.AddFlow(ethernet.LocalMAC(3))
+	frames[5].Src = ethernet.LocalMAC(3)
+	batch := make([]txFrame, len(frames))
+	for i, f := range frames {
+		if err := src.admit(f); err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = txFrame{f: f, at: time.Now()}
+	}
+	if frames[5].Tag == 0 {
+		t.Fatal("the traced flow's frame was not selected")
+	}
+	tx.sendTxBatch(tx.topo.Load().links["wire"], batch, &txScratch{})
+	recvInOrder(t, sink, len(frames), tx, rx)
+	var shape []string // per datagram: "train <id> <count>" or "traced"
+	for _, m := range sent() {
+		for _, d := range m.dgs {
+			h, _, err := bridge.ParseEncap(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case h.Aggregate && !h.HasTrace:
+				if s := fmt.Sprintf("train %d %d", h.ID, h.Frames()); len(shape) == 0 || shape[len(shape)-1] != s {
+					shape = append(shape, s)
+				}
+			case h.HasTrace && h.Trace.ID == frames[5].Tag:
+				shape = append(shape, "traced")
+			default:
+				t.Fatalf("unexpected datagram %+v", h)
+			}
+		}
+	}
+	if len(shape) != 3 || shape[1] != "traced" || shape[0] == shape[2] ||
+		!strings.HasSuffix(shape[0], " 5") || !strings.HasSuffix(shape[2], " 5") {
+		t.Fatalf("the batch left as %q, want a train of 5, the traced frame, a train of 5", shape)
 	}
 }
 
@@ -609,16 +751,11 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 		case 0:
 			dgs, err = bridge.Encapsulate(frame(i, 64), uint32(i), maxDatagram)
 		case 1:
-			var agg bridge.Aggregator
-			var ids atomic.Uint32
-			agg.Reset(bridge.NewEncapTemplate(nil), nil, maxDatagram)
-			for k := 0; k < aggFrames; k++ {
-				if fit, aerr := agg.Add(frame(i, 64), &ids); !fit || aerr != nil {
-					t.Fatalf("aggregate %d: fit=%v err=%v", i, fit, aerr)
-				}
+			fs := make([]*ethernet.Frame, aggFrames)
+			for k := range fs {
+				fs[k] = frame(i, 64)
 			}
-			d, _ := agg.Close()
-			dgs = [][]byte{d}
+			dgs = trainDatagrams(t, uint32(i), nil, fs...)
 		case 2:
 			dgs, err = bridge.Encapsulate(frame(i, 3000), uint32(i), maxDatagram)
 		}

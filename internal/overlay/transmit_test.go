@@ -6,11 +6,14 @@
 package overlay
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/faultnet"
@@ -169,31 +172,87 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 	}
 }
 
+// TestLoneFrameKeepsItsLength: a frame with nothing to share its flush —
+// a lone Send on the synchronous leg, a lone frame on the TX ring — is a
+// train of one record in one datagram, the length an aggregate of one
+// always had: the header (with the seal extension and tag on a tenant
+// link), a two-byte record length, the frame.
+func TestLoneFrameKeepsItsLength(t *testing.T) {
+	for leg, cfg := range map[string]NodeConfig{"sync": {}, "ring": RingConfig()} {
+		for _, tenant := range []uint32{0, 7} {
+			t.Run(fmt.Sprintf("%s_tenant%d", leg, tenant), func(t *testing.T) {
+				n := dropNode(t, cfg)
+				if tenant != 0 {
+					if err := n.AddTenant(tenant, bytes.Repeat([]byte{0x4e}, 32)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src, err := n.AttachEndpointTenant("src", ethernet.LocalMAC(1), 1500, tenant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tap := newWireTap(t, "udp")
+				if err := n.AddLinkTenant("wire", tap.addr, "udp", tenant); err != nil {
+					t.Fatal(err)
+				}
+				dst := ethernet.LocalMAC(9)
+				if err := n.AddRoute(core.Route{Tenant: tenant, DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny,
+					Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+					t.Fatal(err)
+				}
+				f := testFrame(src.MAC(), dst)
+				f.Payload = make([]byte, 64)
+				if err := src.Send(f); err != nil {
+					t.Fatal(err)
+				}
+				want := bridge.EncapHeaderLen + 2 + f.Len()
+				if tenant != 0 {
+					want += bridge.EncapSealLen + bridge.SealOverhead
+				}
+				select {
+				case d := <-tap.ch:
+					h, _, err := bridge.ParseEncap(d)
+					if err != nil || len(d) != want || !h.Aggregate || !h.Whole() || h.Frames() != 1 {
+						t.Fatalf("a lone 64 B frame left as %d B, header %+v, err %v; want one %d B train of one", len(d), h, err, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("nothing reached the wire")
+				}
+				select {
+				case <-tap.ch:
+					t.Fatal("a lone frame left as more than one datagram")
+				case <-time.After(20 * time.Millisecond):
+				}
+			})
+		}
+	}
+}
+
 // TestTransmitAccounting is the accounting differential: the same
 // frames over {sync, batched} × {UDP, TCP, fault conduit}, from one
-// sender or from four at once, charge the link the same bytes_sent —
-// exactly the bytes its peer read — and no send_errors; with the peer
-// gone, every datagram the node made lands in send_errors and none in
-// bytes_sent, and every frame is either the error its Send returned or a
-// tx_error drop. One datagram, one counter, on every leg. The frames
-// fragment under their transport's budget, so every run encodes them
-// alike (frames that fit would share aggregates).
+// sender or from four at once, charge the link exactly the bytes its peer
+// read and no send_errors — and, each datagram's header set aside, the
+// same bytes on every run: the frames' records, however they shared
+// trains; with the peer gone, every datagram the node made lands in
+// send_errors and none in bytes_sent, and every frame is either the error
+// its Send returned or a tx_error drop. One datagram, one counter, on
+// every leg.
 func TestTransmitAccounting(t *testing.T) {
 	const frames = 4
 	transports := []struct {
 		name, proto string
 		fault       bool
-		size        int    // frame payload
-		perFrame    uint64 // datagrams one frame fragments into
+		size        int // frame payload: longer than one of the transport's datagrams
 	}{
-		{name: "udp", proto: "udp", size: 4000, perFrame: 3},
-		{name: "tcp", proto: "tcp", size: 40000, perFrame: 2},
-		{name: "fault_conduit", proto: "udp", fault: true, size: 4000, perFrame: 3},
+		{name: "udp", proto: "udp", size: 4000},
+		{name: "tcp", proto: "tcp", size: 40000},
+		{name: "fault_conduit", proto: "udp", fault: true, size: 4000},
 	}
 	legs := map[string]NodeConfig{"sync": {}, "batched": RingConfig()}
 	// run sends the frames down a fresh link, senders goroutines at once,
-	// and reports the link's counters and the bytes its peer read.
-	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size, senders int, datagrams uint64) (sent, errs, wire uint64) {
+	// and reports the link's counters, the bytes its peer read and how many
+	// datagrams the node made.
+	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size, senders int) (sent, errs, wire, made uint64) {
 		n := dropNode(t, cfg)
 		src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), ethernet.MaxMTU)
 		if err != nil {
@@ -232,54 +291,50 @@ func TestTransmitAccounting(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		// Every datagram is made once every frame is sent, refused or
+		// dropped; the counters move after the transport returns, so let
+		// them catch up with what the wire (or the refusing transport) has
+		// already seen.
+		total := uint64(senders * frames)
 		lk := n.topo.Load().links["wire"]
+		settle(func() bool { return n.EncapSent.Load()+refused.Load()+n.ledger.Count(dropTxError) >= total })
+		made = n.metrics.txDatagramFrames.Count()
 		if !peerGone {
-			for i := uint64(0); i < datagrams; i++ {
+			for i := uint64(0); i < made; i++ {
 				select {
 				case d := <-tap.ch:
 					wire += uint64(len(d))
 				case <-time.After(5 * time.Second):
-					t.Fatalf("the peer read %d of %d datagrams", i, datagrams)
+					t.Fatalf("the peer read %d of %d datagrams", i, made)
 				}
 			}
 		}
-		// The counters move after the transport returns: let them catch up
-		// with what the wire (or the refusing transport) has already seen.
-		total := uint64(senders * frames)
-		refusing := peerGone && !fault
-		for deadline := time.Now().Add(5 * time.Second); lk.bytesSent.Load() < wire || (peerGone && lk.sendErrors.Load() < datagrams) ||
-			(refusing && refused.Load()+n.ledger.Count(dropTxError) < total); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				break
-			}
-		}
+		settle(func() bool { return lk.bytesSent.Load() >= wire && (!peerGone || lk.sendErrors.Load() >= made) })
 		// A refused frame is its own Send's error when that Send held the
 		// link (a fault conduit cannot refuse: its deliveries may come
 		// later), else a tx_error drop; the batched leg never returns one.
+		refusing := peerGone && !fault
 		switch r, e := refused.Load(), n.ledger.Count(dropTxError); {
 		case !refusing && r+e != 0:
 			t.Fatalf("%d Sends refused and %d tx_error drops on a link that takes everything", r, e)
 		case refusing && (r+e != total || (cfg.Adaptive.Enabled && r != 0) || (!cfg.Adaptive.Enabled && senders == 1 && r != total)):
 			t.Fatalf("peer gone: %d Sends refused and %d tx_error drops for %d frames", r, e, total)
 		}
-		return lk.bytesSent.Load(), lk.sendErrors.Load(), wire
+		return lk.bytesSent.Load(), lk.sendErrors.Load(), wire, made
 	}
-	healthy := map[string]uint64{} // transport → bytes_sent per frame, the same on every leg
 	for _, tr := range transports {
 		for leg, cfg := range legs {
 			t.Run(tr.name+"_"+leg, func(t *testing.T) {
+				record := uint64(bridge.RecordLen(&ethernet.Frame{Payload: make([]byte, tr.size)}))
 				for _, senders := range []int{1, 4} {
-					made := uint64(senders*frames) * tr.perFrame
-					sent, errs, wire := run(t, cfg, tr.proto, tr.fault, false, tr.size, senders, made)
+					sent, errs, wire, made := run(t, cfg, tr.proto, tr.fault, false, tr.size, senders)
 					if errs != 0 || sent != wire {
 						t.Fatalf("%d senders, healthy link: bytes_sent=%d send_errors=%d, peer read %d bytes", senders, sent, errs, wire)
 					}
-					perFrame := sent / uint64(senders*frames)
-					if prev, ok := healthy[tr.proto]; ok && prev != perFrame {
-						t.Fatalf("%d senders: bytes_sent = %d per frame, another run over %s charged %d for the same frames", senders, perFrame, tr.proto, prev)
+					if records, want := sent-made*bridge.EncapHeaderLen, uint64(senders*frames)*record; records != want {
+						t.Fatalf("%d senders: bytes_sent %d in %d datagrams is %d B of records, want %d", senders, sent, made, records, want)
 					}
-					healthy[tr.proto] = perFrame
-					if sent, errs, _ = run(t, cfg, tr.proto, tr.fault, true, tr.size, senders, made); sent != 0 || errs != made {
+					if sent, errs, _, made = run(t, cfg, tr.proto, tr.fault, true, tr.size, senders); sent != 0 || errs != made {
 						t.Fatalf("%d senders, peer gone: bytes_sent=%d send_errors=%d, want 0 and %d", senders, sent, errs, made)
 					}
 				}

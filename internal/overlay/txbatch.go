@@ -7,10 +7,11 @@
 // link's frames leave together, as under VMM-driven dispatch: the mode
 // follows load per batch, with no rate estimate and nothing to tune. What
 // a batch amortizes is the per-datagram cost, the part of a small-frame
-// stream one syscall per batch (sendmmsg) does not divide: the frames of
-// a batch that fit share aggregate datagrams (bridge/aggregate.go).
-// The synchronous leg batches without a ring (syncTx). Both legs share
-// one encoder (add) and one flush.
+// stream one syscall per batch (sendmmsg) does not divide: a batch's
+// frames are one record train, cut into equal datagrams that leave as one
+// UDP_SEGMENT message (bridge/aggregate.go). The synchronous leg batches
+// without a ring (syncTx). Both legs share one encoder (add) and one
+// flush.
 
 package overlay
 
@@ -54,14 +55,20 @@ func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
 }
 
 // txScratch is one batch being built and sent, in add order: the
-// transport it is encoded for, the aggregate encoder, the packets of
-// frames that travel alone, the datagrams, and a mark per frame. Reused
-// across batches, it keeps the steady state allocation-free.
+// transport it is encoded for, the open record train, the trains cut and
+// the pooled packets of frames that travel alone, their datagrams, and a
+// mark per frame. Reused across batches — trains[:cut] are this batch's,
+// and every one keeps its buffer — it keeps the steady state
+// allocation-free.
 type txScratch struct {
 	tr     *linkTransport // loaded at the batch's first frame
+	room   int            // the longest train one UDP_SEGMENT message carries at tr's budget
 	agg    bridge.Aggregator
+	trains []bridge.EncapPacket
+	cut    int
 	pkts   []*bridge.EncapPacket
 	dgs    [][]byte
+	bytes  int // what dgs hold
 	frames []txMark
 }
 
@@ -73,6 +80,9 @@ type txMark struct {
 	last int // index in dgs of the frame's final datagram
 }
 
+// size reports the bytes s holds: its datagrams and its open train.
+func (s *txScratch) size() int { return s.bytes + s.agg.Len() }
+
 // release recycles a batch's packet buffers and empties it.
 func (s *txScratch) release() {
 	for _, p := range s.pkts {
@@ -80,7 +90,8 @@ func (s *txScratch) release() {
 	}
 	clear(s.pkts)
 	clear(s.dgs)
-	s.pkts, s.dgs, s.frames = s.pkts[:0], s.dgs[:0], s.frames[:0]
+	s.agg.Reset()
+	s.pkts, s.dgs, s.frames, s.bytes, s.cut = s.pkts[:0], s.dgs[:0], s.frames[:0], 0, 0
 }
 
 // txLoop is one link's sender goroutine: it blocks for the first frame
@@ -153,52 +164,45 @@ func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
 }
 
 // add encodes one frame behind what s holds — the one per-frame encoder
-// of both legs. An untraced frame that fits the link's datagram budget
-// joins the open aggregate (closing it first when full); a traced or
-// fragmenting frame closes it and takes encapFrame's datagrams of its
-// own. Datagrams leave in add order. A batch's first frame loads the
-// transport the batch is encoded for and sent by, so an auto-upgrade or
-// fault install applies from the next batch. An error is f's own, and f
-// is then not in s.
+// of both legs. An untraced frame whose record fits a train joins the
+// open one, which is cut first when the record would take it past what
+// one UDP_SEGMENT message carries; a traced frame, or one too long for
+// any train, cuts it and takes encapFrame's datagrams of its own.
+// Datagrams leave in add order. A batch's first frame loads the transport
+// the batch is encoded for and sent by, so an auto-upgrade or fault
+// install applies from the next batch. An error is f's own, and f is then
+// not in s.
 func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) error {
 	if len(s.frames) == 0 {
 		s.tr = lk.transport.Load()
-		s.agg.Reset(lk.tmpl, lk.sealer, s.tr.budget)
+		s.room = lk.tmpl.TrainRoom(s.tr.budget)
 	}
 	mark := txMark{tag: f.Tag, at: at}
-	if f.Tag == 0 {
-		fit, err := s.agg.Add(f, &n.nextID)
-		if !fit && err == nil && s.agg.Open() {
-			n.closeAggregate(lk, s)
-			fit, err = s.agg.Add(f, &n.nextID)
+	if rec := bridge.RecordLen(f); f.Tag == 0 && rec <= s.room {
+		if s.agg.Len()+rec > s.room {
+			n.closeTrain(lk, s)
 		}
-		if err != nil {
+		if err := s.agg.Add(f); err != nil {
 			return err
 		}
-		if fit {
-			mark.last = len(s.dgs) // where the open aggregate will land
-			s.frames = append(s.frames, mark)
-			return nil
-		}
+		s.frames = append(s.frames, mark) // its last datagram is known once the train is cut
+		return nil
 	}
-	n.closeAggregate(lk, s)
+	n.closeTrain(lk, s)
 	pkt, err := n.encapFrame(lk, f, s.tr.budget)
 	if err != nil {
 		return err
 	}
 	s.pkts = append(s.pkts, pkt)
-	s.dgs = append(s.dgs, pkt.Datagrams...)
-	mark.last = len(s.dgs) - 1
 	s.frames = append(s.frames, mark)
-	n.metrics.txDatagramFrames.ObserveN(0, uint64(len(pkt.Datagrams)-1)) // a fragment completes no frame
-	n.metrics.txDatagramFrames.Observe(1)
+	n.queue(lk, s, pkt.Datagrams, 1)
 	return nil
 }
 
 // flush puts a batch on the wire and empties it — the one flush of both
-// legs: close the open aggregate, transmit, count, release. A frame is
-// sent iff the transport confirmed its last datagram (an aggregate's
-// frames share its fate) and only then gets encap_sent, the TX latency
+// legs: cut the open train, transmit, count, release. A frame is sent iff
+// the transport confirmed its last datagram (a train's frames share the
+// fate of its last) and only then gets encap_sent, the TX latency
 // sample and the wire_tx hop; vnetp_tx_batch_size takes the frames the
 // transmit carried. An unsent frame at index own — the flushing Send's
 // own, -1 for none — is the error returned; any other lands on tx_error.
@@ -206,7 +210,7 @@ func (n *Node) flush(lk *link, s *txScratch, own int) error {
 	if len(s.frames) == 0 {
 		return nil
 	}
-	n.closeAggregate(lk, s)
+	n.closeTrain(lk, s)
 	confirmed, err := n.transmit(lk, s.tr, s.dgs)
 	sent := len(s.frames)
 	for sent > 0 && s.frames[sent-1].last >= confirmed {
@@ -242,11 +246,11 @@ func (n *Node) flush(lk *link, s *txScratch, own int) error {
 }
 
 // The combiner's bounds (DESIGN "Batched transmit"): a Send waits while
-// pending holds txPendingMax datagrams; a holder hands on after
+// pending holds txPendingBytes, two full trains; a holder hands on after
 // holderSwaps flushes.
 const (
-	txPendingMax = 64
-	holderSwaps  = 8
+	txPendingBytes = 128 << 10
+	holderSwaps    = 8
 )
 
 // syncTx is a synchronous link's combiner, the live twin of the
@@ -276,7 +280,7 @@ func (c *syncTx) pending() *txScratch { return &c.batch[c.cur] }
 func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
 	c := &lk.sync
 	c.mu.Lock()
-	for len(c.pending().dgs) >= txPendingMax {
+	for c.pending().size() >= txPendingBytes {
 		c.cond.Wait()
 	}
 	p := c.pending()
@@ -301,8 +305,10 @@ func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
 }
 
 // hold runs the holder role, entered under c.mu with the caller's frame
-// at index own of the pending batch, which its first flush carries. A
-// swap closes (seals) the open aggregate under the lock. The role ends
+// at index own of the pending batch, which its first flush carries. On a
+// sealed link a swap cuts and seals the open train under the lock, so its
+// nonces are drawn in wire order; a plaintext train is cut by the flush,
+// outside it, which keeps the lock's hold short. The role ends
 // under the lock: released once nothing is pending, or passed to an heir
 // after holderSwaps flushes. A panicking flush releases it on the way
 // out: what was in flight, and what is pending unless an heir takes it,
@@ -331,7 +337,9 @@ func (n *Node) hold(lk *link, c *syncTx, own int) (err error) {
 	}()
 	for swaps := 1; ; swaps++ {
 		b := c.pending()
-		n.closeAggregate(lk, b)
+		if lk.sealer != nil {
+			n.closeTrain(lk, b)
+		}
 		c.cur ^= 1
 		c.sending, c.handoff = true, swaps >= holderSwaps
 		c.cond.Broadcast()
@@ -389,17 +397,40 @@ func (n *Node) transmit(lk *link, tr *linkTransport, dgs [][]byte) (confirmed in
 	return confirmed, err
 }
 
-// closeAggregate finishes the batch's open aggregate, if there is one,
-// and queues its datagram behind those already encoded.
-func (n *Node) closeAggregate(lk *link, s *txScratch) {
-	if !s.agg.Open() {
+// closeTrain cuts the batch's open train, if there is one, into
+// datagrams of the transport's budget — each sealed under a nonce of its
+// own on a tenant link — and queues them behind those already encoded.
+func (n *Node) closeTrain(lk *link, s *txScratch) {
+	frames := s.agg.Count()
+	if frames == 0 {
 		return
 	}
-	d, frames := s.agg.Close()
-	s.dgs = append(s.dgs, d)
-	if lk.sealer != nil {
-		n.metrics.sealSealed.Add(1)
+	if s.cut == len(s.trains) {
+		s.trains = append(s.trains, bridge.EncapPacket{})
 	}
+	p := &s.trains[s.cut]
+	s.cut++
+	p.CutTrain(&s.agg, n.nextID.Add(1), s.tr.budget, lk.tmpl, lk.sealer)
+	s.agg.Reset()
+	n.queue(lk, s, p.Datagrams, frames)
+}
+
+// queue puts encoded datagrams behind what s holds: the last frames
+// frames added are sent iff the last datagram is. They are counted here:
+// vnetp_tx_datagram_frames takes 0 for each but the last, which completes
+// the frames, and on a tenant link each was sealed.
+func (n *Node) queue(lk *link, s *txScratch, dgs [][]byte, frames int) {
+	s.dgs = append(s.dgs, dgs...)
+	for _, d := range dgs {
+		s.bytes += len(d)
+	}
+	for i := len(s.frames) - frames; i < len(s.frames); i++ {
+		s.frames[i].last = len(s.dgs) - 1
+	}
+	if lk.sealer != nil {
+		n.metrics.sealSealed.Add(uint64(len(dgs)))
+	}
+	n.metrics.txDatagramFrames.ObserveN(0, uint64(len(dgs)-1))
 	n.metrics.txDatagramFrames.Observe(float64(frames))
 }
 

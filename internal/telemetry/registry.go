@@ -145,6 +145,9 @@ func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
 
 // ObserveN records n samples of one value for the cost of one.
 func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	if i < len(h.bounds) {
 		h.counts[i].Add(n)
