@@ -61,7 +61,7 @@ chaos:
 		-run 'Chaos|Drain|CloseUnderTraffic|Churn|Supervis|Panic|Backoff|Watchdog|Stop|Inject|Daemon|Client|Idempotent' \
 		./internal/overlay ./internal/supervise ./internal/control
 	$(GO) test -race -count=5 -timeout 300s \
-		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|Combiner|BatchedEqualsSync|LeavesAsOneMessage|TracedFrameSplitsBatch|LoneFrameKeepsItsLength|TrainSegmentFaults' ./internal/overlay
+		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|Combiner|BatchedEqualsSync|LeavesAsOneMessage|TracedFrameSplitsBatch|LoneFrameKeepsItsLength|TrainSegmentFaults|RingTeardownKeepsLedger|DropSiteTxTeardown|RingSenderPanicInFlush|RingSenderSupersededInFlush|SendFrameReuse' ./internal/overlay
 
 # Every testing.B once: a compile-and-run check, not a measurement. The
 # simulated figures are gated by TestFiguresGolden inside `make test`
@@ -87,6 +87,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSealOpen -fuzztime=10s ./internal/seal
 	$(GO) test -run=^$$ -fuzz=FuzzFlowKey -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFlowCache -fuzztime=10s ./internal/overlay
+	$(GO) test -run=^$$ -fuzz=FuzzProbePayload -fuzztime=10s ./internal/overlay
+	$(GO) test -run=^$$ -fuzz=FuzzNextSegment -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzControlParse -fuzztime=10s ./internal/control
 
 clean:

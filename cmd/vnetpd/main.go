@@ -12,11 +12,12 @@
 // received test frame back to its sender (swapping the MAC addresses), so
 // two daemons can be smoke-tested end to end without guests.
 //
-// Transmit leg: by default a link's senders share its wire directly (the
-// one in the kernel carries what the others encoded meanwhile); -adaptive
-// gives every link a TX ring drained by a self-clocked sender, the live
-// adaptive dispatcher — a lone frame leaves alone, a loaded link's frames
-// leave together, with nothing to tune.
+// Transmit leg: every Send encodes its frame into its link's one pending
+// batch before it returns. By default a link's senders share its wire
+// directly (the one in the kernel carries what the others encoded
+// meanwhile); -adaptive gives every link a sender goroutine that does all
+// the flushing, the live adaptive dispatcher — a lone frame leaves alone,
+// a loaded link's frames leave together, with nothing to tune.
 //
 // Security: -control-tls-cert/-key/-ca put the control console behind
 // mutual TLS (certificates from `vnetctl keygen`); plaintext clients are
@@ -67,7 +68,7 @@ func main() {
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
 	dispatchers := flag.Int("dispatchers", 0, "receive workers, each reading its own SO_REUSEPORT socket on -bind and finishing what it reads (0: min(4, GOMAXPROCS); one where the platform has no SO_REUSEPORT support here)")
-	adaptive := flag.Bool("adaptive", false, "adaptive dispatch: every link gets a TX ring and a self-clocked sender that sends what is queued when it wakes (false: synchronous sends)")
+	adaptive := flag.Bool("adaptive", false, "adaptive dispatch: every link gets a sender goroutine that flushes what Sends left pending, and a Send never waits (false: synchronous sends)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
 	telemetryAddr := flag.String("telemetry-addr", "", "HTTP address for /metrics, /trace, /flight, /topflows, /diag, /debug/pprof/, /healthz (empty: disabled)")
 	anomalyInterval := flag.Duration("anomaly-interval", 5*time.Second, "anomaly watchdog sample period (0: watchdog off)")
@@ -122,7 +123,7 @@ func main() {
 	logger.Info("vnetpd carrying traffic",
 		"node", *name, "addr", node.Addr(), "dispatchers", node.Dispatchers())
 	if *adaptive {
-		logger.Info("adaptive dispatch on: TX ring per link")
+		logger.Info("adaptive dispatch on: a sender goroutine per link")
 	}
 	if *traceSample > 0 {
 		logger.Info("live tracing on", "sample", fmt.Sprintf("1/%d", *traceSample))
@@ -241,8 +242,8 @@ func main() {
 	s := <-sig
 	logger.Info("shutdown signal received", "signal", s.String(), "drain_timeout", *drainTimeout)
 
-	// Graceful drain: stop admitting local frames, flush every TX ring
-	// under the deadline, then quiesce. A second
+	// Graceful drain: stop admitting local frames, flush what every link
+	// has pending under the deadline, then quiesce. A second
 	// signal during the drain aborts the grace period immediately.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	go func() {

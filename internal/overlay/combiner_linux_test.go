@@ -1,9 +1,9 @@
 //go:build linux && (amd64 || arm64)
 
 // The combiner's bounds and failure paths, driven through the sendmmsg
-// seam (udpTx.sys): a test holds the holder inside the kernel, lets other
-// senders pile frames up behind it, then releases it — slowly, with an
-// error, or with a panic.
+// seam (udpTx.sys): a test holds the holder — a Send, or a ring link's
+// sender — inside the kernel, lets other senders pile frames up behind
+// it, then releases it: slowly, with an error, or with a panic.
 package overlay
 
 import (
@@ -17,16 +17,17 @@ import (
 	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
+	"vnetp/internal/supervise"
 )
 
-// gatedLink builds a sender whose link "wire" leads to a peer nobody
-// reads (the kernel sheds what its buffer cannot hold; sends succeed),
-// with every sendmmsg going through sys. It returns the node, the link
+// gatedLink builds a sender of config cfg whose link "wire" leads to a
+// peer nobody reads (the kernel sheds what its buffer cannot hold; sends
+// succeed), with every sendmmsg going through sys. It returns the node, the link
 // and a maker of frames that each fill three datagrams: a batch of them
 // always reaches sendmmsg.
-func gatedLink(t *testing.T, sys func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno)) (*Node, *link, func() *ethernet.Frame, *Endpoint) {
+func gatedLink(t *testing.T, cfg NodeConfig, sys func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno)) (*Node, *link, func() *ethernet.Frame, *Endpoint) {
 	t.Helper()
-	n := dropNode(t, NodeConfig{})
+	n := dropNode(t, cfg)
 	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestCombinerHolderBound(t *testing.T) {
 	const flushTime = 2 * time.Millisecond
 	entered, release := make(chan struct{}), make(chan struct{})
 	var calls atomic.Int64
-	_, _, big, src := gatedLink(t, holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
+	_, _, big, src := gatedLink(t, NodeConfig{}, holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
 		calls.Add(1)
 		time.Sleep(flushTime)
 		return sendmmsg(fd, msgs)
@@ -141,7 +142,7 @@ func TestCombinerHolderBound(t *testing.T) {
 // released by the holder's next swap. Nothing is dropped.
 func TestCombinerFullPendingBlocks(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	n, lk, big, src := gatedLink(t, holdFirst(entered, release, sendmmsg))
+	n, lk, big, src := gatedLink(t, NodeConfig{}, holdFirst(entered, release, sendmmsg))
 	holder := make(chan error, 1)
 	go func() { holder <- src.Send(big()) }()
 	<-entered
@@ -162,9 +163,9 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 		filler <- nil
 	}()
 	pending := func() (frames, size int) {
-		lk.sync.mu.Lock()
-		defer lk.sync.mu.Unlock()
-		return len(lk.sync.pending().frames), lk.sync.pending().size()
+		lk.comb.mu.Lock()
+		defer lk.comb.mu.Unlock()
+		return len(lk.comb.pending().frames), lk.comb.pending().size()
 	}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if _, size := pending(); size >= txPendingBytes {
@@ -197,7 +198,7 @@ func TestCombinerFullPendingBlocks(t *testing.T) {
 // error and none is sent.
 func TestCombinerErrors(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	n, lk, big, src := gatedLink(t, holdFirst(entered, release, func(uintptr, []mmsghdr) (int, syscall.Errno) {
+	n, lk, big, src := gatedLink(t, NodeConfig{}, holdFirst(entered, release, func(uintptr, []mmsghdr) (int, syscall.Errno) {
 		return 0, syscall.EPERM
 	}))
 	holder := make(chan error, 1)
@@ -232,7 +233,7 @@ func TestCombinerHolderPanic(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var armed atomic.Bool
 	armed.Store(true)
-	n, lk, big, src := gatedLink(t, holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
+	n, lk, big, src := gatedLink(t, NodeConfig{}, holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
 		if armed.CompareAndSwap(true, false) {
 			panic("injected transmit panic")
 		}
@@ -257,9 +258,9 @@ func TestCombinerHolderPanic(t *testing.T) {
 	if got, total := n.ledger.Count(dropTxTeardown), n.ledger.Total(); got != combined+1 || total != got {
 		t.Fatalf("tx_teardown = %d, ledger total = %d, want %d each", got, total, combined+1)
 	}
-	lk.sync.mu.Lock()
-	busy, pending := lk.sync.busy, len(lk.sync.pending().frames)
-	lk.sync.mu.Unlock()
+	lk.comb.mu.Lock()
+	busy, pending := lk.comb.busy, len(lk.comb.pending().frames)
+	lk.comb.mu.Unlock()
 	if busy || pending != 0 {
 		t.Fatalf("after the panic: link busy=%v with %d frames pending", busy, pending)
 	}
@@ -268,5 +269,97 @@ func TestCombinerHolderPanic(t *testing.T) {
 	}
 	if sent := n.EncapSent.Load(); sent != 1 {
 		t.Fatalf("encap_sent = %d after the panic, want the one frame sent since", sent)
+	}
+}
+
+// TestRingSenderPanicInFlush: a panic inside a ring link's flush charges
+// the batch in flight to tx_teardown, once. The supervisor restarts the
+// sender, which resumes from what is pending — the frames Sends encoded
+// while it was in the kernel — and sends it; nothing else is lost.
+func TestRingSenderPanicInFlush(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	armed.Store(true)
+	n, lk, big, src := gatedLink(t, RingConfig(), holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected transmit panic")
+		}
+		return sendmmsg(fd, msgs)
+	}))
+	if err := src.Send(big()); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the sender is flushing the first frame
+	const pending = 5
+	for i := 0; i < pending; i++ {
+		if err := src.Send(big()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := lk.comb.depth(); d != pending {
+		t.Fatalf("%d frames pending behind the flush, want %d", d, pending)
+	}
+	close(release)
+	waitCount(t, n, dropTxTeardown, 1)
+	settle(func() bool { return n.EncapSent.Load() == pending })
+	if sent, d := n.EncapSent.Load(), lk.comb.depth(); sent != pending || d != 0 {
+		t.Fatalf("after the panic: encap_sent = %d with %d pending, want %d and 0", sent, d, pending)
+	}
+	if got, total := n.ledger.Count(dropTxTeardown), n.ledger.Total(); got != 1 || total != 1 {
+		t.Fatalf("tx_teardown = %d, ledger total = %d, want 1 each (the frame in flight)", got, total)
+	}
+	if r := lk.txw.Restarts(); r != 1 {
+		t.Fatalf("sender restarted %d times, want 1", r)
+	}
+	if err := src.Send(big()); err != nil {
+		t.Fatal(err)
+	}
+	settle(func() bool { return n.EncapSent.Load() == pending+1 })
+	if sent := n.EncapSent.Load(); sent != pending+1 {
+		t.Fatalf("encap_sent = %d, want %d: the restarted sender did not take the next Send", sent, pending+1)
+	}
+}
+
+// TestRingSenderSupersededInFlush: a ring sender stuck in the kernel past
+// the watchdog timeout is superseded, and Sends keep returning at once
+// meanwhile. The fresh instance waits the stuck flush out — one flush on
+// a link at a time, so nothing pending leaves while it is in the kernel —
+// and the stuck one, once released, sends nothing more: the fresh one
+// sends what was pending, and nothing is lost.
+func TestRingSenderSupersededInFlush(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var inKernel, overlapped atomic.Int32
+	cfg := RingConfig().WithSupervise(supervise.Config{StallTimeout: 30 * time.Millisecond, WatchdogInterval: 10 * time.Millisecond})
+	n, lk, big, src := gatedLink(t, cfg, holdFirst(entered, release, func(fd uintptr, msgs []mmsghdr) (int, syscall.Errno) {
+		if inKernel.Add(1) > 1 {
+			overlapped.Add(1)
+		}
+		defer inKernel.Add(-1)
+		return sendmmsg(fd, msgs)
+	}))
+	if err := src.Send(big()); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if settle(func() bool { return lk.txw.Restarts() >= 1 }); lk.txw.Restarts() == 0 {
+		t.Fatal("the watchdog never superseded the stuck sender")
+	}
+	const pending = 5
+	for i := 0; i < pending; i++ {
+		if err := src.Send(big()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // the fresh instance would have flushed by now
+	if sent, d := n.EncapSent.Load(), lk.comb.depth(); sent != 0 || d != pending {
+		t.Fatalf("while the stuck flush is in the kernel: encap_sent = %d with %d pending, want 0 and %d", sent, d, pending)
+	}
+	close(release)
+	settle(func() bool { return n.EncapSent.Load() == pending+1 })
+	if sent, d := n.EncapSent.Load(), lk.comb.depth(); sent != pending+1 || d != 0 {
+		t.Fatalf("encap_sent = %d with %d pending, want %d and 0", sent, d, pending+1)
+	}
+	if o, total := overlapped.Load(), n.ledger.Total(); o != 0 || total != 0 {
+		t.Fatalf("%d flushes overlapped another, ledger total = %d; want 0 and 0", o, total)
 	}
 }

@@ -1,6 +1,6 @@
 // One sender on the wire per link: a synchronous Send that finds its
 // link busy leaves its frame, encoded, for the Send already transmitting
-// (syncTx). These tests pin what that may and may not change: every frame
+// (combiner). These tests pin what that may and may not change: every frame
 // still arrives once and in its sender's order, a sealed link's nonces
 // leave in the order they were drawn, and nothing is left behind once
 // every Send has returned.
@@ -21,8 +21,8 @@ import (
 
 // TestSealedSendersKeepNonceOrder: four senders share one sealed link,
 // each pushing alternating 8 900 B (seven sealed fragments) and 64 B
-// frames as fast as its window allows. On either leg — the combiner, or
-// the TX ring's one sender goroutine — datagrams leave in the order their
+// frames as fast as its window allows. On either leg — a Send holding the
+// link, or the ring's one sender goroutine — datagrams leave in the order their
 // nonces were drawn, so the receiver's 64-entry replay window rejects
 // nothing: every frame arrives once, each sender's in order, over UDP and
 // TCP, and admitted = delivered + Σ ledger with an empty ledger.
@@ -175,9 +175,9 @@ func TestCombinerStrandsNothing(t *testing.T) {
 	}
 	wg.Wait()
 	lk := tx.topo.Load().links["wire"]
-	lk.sync.mu.Lock()
-	busy, pending := lk.sync.busy, len(lk.sync.pending().frames)
-	lk.sync.mu.Unlock()
+	lk.comb.mu.Lock()
+	busy, pending := lk.comb.busy, len(lk.comb.pending().frames)
+	lk.comb.mu.Unlock()
 	if busy || pending != 0 {
 		t.Fatalf("after every Send returned: link busy=%v with %d frames pending", busy, pending)
 	}

@@ -53,16 +53,16 @@ type NodeConfig struct {
 	FlowCacheDisabled bool
 
 	// Adaptive picks the transmit leg (vnetpd -adaptive), the node's one
-	// transmit setting. Off, a link runs the synchronous leg: Send
-	// encodes its frame before it returns, and the one Send on a link's
-	// wire carries what the others encoded meanwhile. On, each link owns
-	// a bounded TX ring (txRingDepth frames) drained by a self-clocked
-	// sender goroutine, the live adaptive dispatcher: it sends what is
-	// queued when it wakes, up to txBatchMax frames, and never waits for
-	// more. Both legs pack small frames into shared datagrams and move a
-	// batch in one syscall (sendmmsg on Linux). On the ring a frame
-	// handed to Send is retained until sent and must not be modified by
-	// the caller afterwards.
+	// transmit setting. On either leg Send encodes its frame into its
+	// link's one pending batch before it returns, and one holder at a
+	// time flushes that batch. Off, a link runs the synchronous leg: the
+	// holder is a Send that found the link free, and it carries what the
+	// others encoded meanwhile. On, the holder is the link's sender
+	// goroutine, the live adaptive dispatcher: a Send wakes it and never
+	// waits (past txRingDepth pending frames it drops), and it flushes
+	// what is pending until nothing is, never waiting for more. Both legs
+	// pack small frames into shared datagrams and move a batch in one
+	// syscall (sendmmsg on Linux).
 	Adaptive AdaptiveConfig
 
 	// TraceSample arms the live tracer at startup: trace one in every
@@ -98,14 +98,14 @@ type NodeConfig struct {
 
 // AdaptiveConfig selects the transmit leg (NodeConfig.Adaptive).
 type AdaptiveConfig struct {
-	// Enabled gives every link the TX ring and its self-clocked sender.
+	// Enabled gives every link a sender goroutine that holds its batch.
 	Enabled bool
 }
 
-// The TX ring leg's constants (DESIGN "Batched transmit"): a link's
-// ring holds txRingDepth frames and its sender takes at most txBatchMax
-// of them per wakeup. benchmark/'s traffic generator sizes a flow's
-// window by what a ring node can retain, so they must not grow.
+// The ring leg's constants (DESIGN "Batched transmit"): a Send drops its
+// frame once txRingDepth frames are pending on the link, and a record
+// train closes at txBatchMax frames, which bounds what one lost datagram
+// costs.
 const (
 	txRingDepth = 1024
 	txBatchMax  = 32

@@ -1,10 +1,11 @@
 // Graceful node shutdown. Close tears the node down immediately —
-// whatever sits in a TX ring at that instant is discarded, which is the
-// right behavior for a crash path but not for an operated service being
-// restarted or migrated (ROADMAP north star: an overlay for millions of
-// users must roll nodes without losing the traffic it already accepted).
+// whatever a link's sender has pending at that instant is discarded (on
+// tx_teardown), which is the right behavior for a crash path but not for
+// an operated service being restarted or migrated (ROADMAP north star: an
+// overlay for millions of users must roll nodes without losing the
+// traffic it already accepted).
 // Drain is the operated path: stop admitting new local frames, let the
-// senders flush everything already queued under a caller-supplied
+// senders flush everything already pending under a caller-supplied
 // deadline (the receive workers hold nothing between reads), then
 // quiesce the workers. vnetpd wires it into SIGTERM (-drain-timeout).
 package overlay
@@ -24,13 +25,12 @@ var ErrDraining = errors.New("overlay: node draining")
 // DrainStats summarizes what a Drain accomplished, for the daemon's
 // shutdown log line.
 type DrainStats struct {
-	// FramesFlushed is how many queued frames (link TX rings) drained to
-	// completion during the grace period.
+	// FramesFlushed is how many pending frames (links' pending batches)
+	// drained to completion during the grace period.
 	FramesFlushed uint64
-	// FramesDropped is how many were still queued when the deadline
-	// expired and were discarded by the final teardown — rings and the
-	// partial batches the TX senders had already collected but not yet
-	// flushed (counted by their teardown defers during Close).
+	// FramesDropped is how many the final teardown discarded: what the
+	// links' senders still had pending when the deadline expired, charged
+	// to tx_teardown as Close stops them.
 	FramesDropped uint64
 	// PartialsDropped counts incomplete reassemblies discarded at
 	// quiesce (their missing fragments can never arrive once the node
@@ -40,19 +40,13 @@ type DrainStats struct {
 	Elapsed time.Duration
 }
 
-// queued sums the frames in every link TX ring and synchronous pending
-// batch. The receive side holds nothing between reads: a worker
-// finishes what it read before it reads again.
+// queued sums the frames pending on every link. The receive side holds
+// nothing between reads: a worker finishes what it read before it reads
+// again.
 func (n *Node) queued() uint64 {
 	var q uint64
 	for _, lk := range n.topo.Load().links {
-		if lk.txq != nil {
-			q += uint64(len(lk.txq))
-			continue
-		}
-		lk.sync.mu.Lock()
-		q += uint64(len(lk.sync.pending().frames))
-		lk.sync.mu.Unlock()
+		q += uint64(lk.comb.depth())
 	}
 	return q
 }
@@ -70,7 +64,7 @@ func (n *Node) pendingReassemblies() uint64 {
 
 // Drain gracefully shuts the node down: admission stops immediately
 // (Send returns ErrDraining), the TX senders and receive workers keep
-// running until every ring is empty or ctx expires, and the node is
+// running until nothing is pending or ctx expires, and the node is
 // then closed. Frames the node had accepted before Drain began are not
 // lost unless the deadline forces it — the zero-loss SIGTERM property
 // vnetpd builds on. Returns what was flushed and what the deadline
@@ -89,8 +83,8 @@ func (n *Node) Drain(ctx context.Context) (DrainStats, error) {
 	}
 	n.log.Info("drain started", "node", n.name, "queued", n.queued())
 
-	// Flush phase: poll until every ring is empty (twice, a settle
-	// interval apart, so a batch the sender has popped but not yet
+	// Flush phase: poll until nothing is pending (twice, a settle
+	// interval apart, so a batch the sender has swapped out but not yet
 	// written also makes it out) or the deadline expires.
 	const settle = time.Millisecond
 	pending := n.queued()
@@ -119,21 +113,18 @@ func (n *Node) Drain(ctx context.Context) (DrainStats, error) {
 		}
 	}
 
-	remaining := n.queued()
-	st := DrainStats{FramesDropped: remaining}
-	if pending > remaining {
+	var st DrainStats
+	if remaining := n.queued(); pending > remaining {
 		st.FramesFlushed = pending - remaining
 	}
 	st.PartialsDropped = n.pendingReassemblies()
 
-	// Close waits for the supervised senders to unwind (Supervisor.Stop
-	// joins them), so after it returns every txLoop teardown defer has
-	// landed its abandoned in-hand batch on the ledger. Fold that delta
-	// in: those frames were accepted but never reached the wire, exactly
-	// what FramesDropped promises to report.
+	// Close stops the senders and charges what each left pending to
+	// tx_teardown (stopSender): accepted frames that never reached the
+	// wire, exactly what FramesDropped promises to report.
 	dropsBase := n.ledger.Count(dropTxTeardown)
 	closeErr := n.Close()
-	st.FramesDropped += n.ledger.Count(dropTxTeardown) - dropsBase
+	st.FramesDropped = n.ledger.Count(dropTxTeardown) - dropsBase
 	st.Elapsed = time.Since(start)
 	if flushErr == nil {
 		flushErr = closeErr

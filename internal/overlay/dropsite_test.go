@@ -407,13 +407,7 @@ func TestTrainSegmentFaults(t *testing.T) {
 			}
 			lk := tx.topo.Load().links["wire"]
 			frames := imixFrames(src.MAC(), sink.MAC(), 24)
-			send := func() {
-				batch := make([]txFrame, len(frames))
-				for i, f := range frames {
-					batch[i] = txFrame{f: f, at: time.Now()}
-				}
-				tx.sendTxBatch(lk, batch, &txScratch{})
-			}
+			send := func() { tx.flushFrames(t, lk, frames...) }
 			records := 0
 			for _, f := range frames {
 				records += bridge.RecordLen(f)
@@ -560,7 +554,7 @@ func TestDropSiteTxRing(t *testing.T) {
 	n.mu.Lock()
 	lk := n.topo.Load().links["wire"]
 	n.mu.Unlock()
-	// Reap the sender so nothing drains the one-slot ring; once it has
+	// Reap the sender so nothing flushes the one-frame batch; once it has
 	// exited, every send past the first must overrun.
 	lk.txw.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -571,8 +565,7 @@ func TestDropSiteTxRing(t *testing.T) {
 		src.Send(testFrame(src.MAC(), dst))
 		time.Sleep(time.Millisecond)
 	}
-	// The sender may exit holding one frame in its partial batch (counted
-	// as tx_teardown); the per-link family spans both reasons.
+	// The per-link family spans tx_ring and tx_teardown.
 	got := n.ledger.Count(dropTxRing) + n.ledger.Count(dropTxTeardown)
 	if legacy := Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != legacy {
 		t.Fatalf("tx ledger=%d legacy=%d", got, legacy)
@@ -593,9 +586,12 @@ func TestDropSiteTxRing(t *testing.T) {
 	if err := n.DelLink("wire"); err != nil {
 		t.Fatal(err)
 	}
-	n.enqueueTx(lk, testFrame(src.MAC(), dst), time.Now()) // a sender that resolved before the delete
 	if after := txRingDrops(); after != got+1 {
-		t.Fatalf("LIST STATS tx_ring_drops = %d after DEL LINK, want %d (monotone)", after, got+1)
+		t.Fatalf("LIST STATS tx_ring_drops = %d after DEL LINK, want %d (the frame left pending)", after, got+1)
+	}
+	n.sendRing(lk, testFrame(src.MAC(), dst), time.Now()) // a sender that resolved before the delete
+	if after := txRingDrops(); after != got+2 {
+		t.Fatalf("LIST STATS tx_ring_drops = %d after a send to the deleted link, want %d (monotone)", after, got+2)
 	}
 	if left := Metric(t, n, "vnetp_link_tx_ring_drops_total"); left != 0 {
 		t.Fatalf("deleted link still has %d tx_ring_drops on /metrics", left)
@@ -619,28 +615,25 @@ func TestDropSiteTxTeardown(t *testing.T) {
 	n.mu.Lock()
 	lk := n.topo.Load().links["wire"]
 	n.mu.Unlock()
-	// The self-clocked sender never sits on a frame by itself; an injected
-	// stall holds it with the frame that woke it in hand and the second
-	// still in the ring. Stopped there, it must not transmit: the frame in
-	// hand lands on tx_teardown, exactly once.
+	// The sender never sits on a frame by itself; an injected stall holds
+	// it on its way to the flush the first frame woke it for, with both
+	// frames pending. Stopped there, it must not transmit: both frames land
+	// on tx_teardown, exactly once, and so does a frame sent to the link
+	// afterwards.
 	lk.txw.InjectStall(time.Hour)
 	src.Send(testFrame(src.MAC(), dst))
 	src.Send(testFrame(src.MAC(), dst))
-	deadline := time.Now().Add(5 * time.Second)
-	for len(lk.txq) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("sender never took a frame off the ring")
-		}
-		time.Sleep(time.Millisecond)
+	if d := lk.comb.depth(); d != 2 {
+		t.Fatalf("%d frames pending, want 2", d)
 	}
-	lk.txw.Stop()
-	waitCount(t, n, dropTxTeardown, 1)
+	n.stopSender(lk)
+	src.Send(testFrame(src.MAC(), dst))
 	time.Sleep(20 * time.Millisecond) // a second count would land by now
-	if got, legacy := n.ledger.Count(dropTxTeardown), Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != 1 || legacy != 1 {
-		t.Fatalf("tx_teardown = %d, tx_ring_drops = %d, want 1 each", got, legacy)
+	if got, legacy := n.ledger.Count(dropTxTeardown), Metric(t, n, "vnetp_link_tx_ring_drops_total", "wire"); got != 3 || legacy != 3 {
+		t.Fatalf("tx_teardown = %d, tx_ring_drops = %d, want 3 each", got, legacy)
 	}
-	if sent := n.EncapSent.Load(); sent != 0 || len(lk.txq) != 1 {
-		t.Fatalf("stopped sender transmitted %d frames, ring holds %d; want 0 and 1", sent, len(lk.txq))
+	if sent, d := n.EncapSent.Load(), lk.comb.depth(); sent != 0 || d != 0 {
+		t.Fatalf("stopped sender transmitted %d frames, %d still pending; want 0 and 0", sent, d)
 	}
 }
 
@@ -671,13 +664,12 @@ func TestDropSiteTxError(t *testing.T) {
 					n.conn.Close() // every write on it fails from here on
 					wantDgs = tc.udpDgs
 				}
-				batch := make([]txFrame, tc.frames)
+				batch := make([]*ethernet.Frame, tc.frames)
 				for i := range batch {
-					f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
-					f.Payload = make([]byte, tc.size)
-					batch[i] = txFrame{f: f, at: time.Now()}
+					batch[i] = testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
+					batch[i].Payload = make([]byte, tc.size)
 				}
-				n.sendTxBatch(lk, batch, &txScratch{})
+				n.flushFrames(t, lk, batch...)
 				if got, total := n.ledger.Count(dropTxError), n.ledger.Total(); got != uint64(tc.frames) || total != got {
 					t.Fatalf("tx_error = %d, ledger total = %d, want %d each", got, total, tc.frames)
 				}
@@ -704,13 +696,12 @@ func TestDropSiteTxError(t *testing.T) {
 		lk := n.topo.Load().links["wire"]
 		c, _ := newScriptTCP(2)
 		lk.tcp.Store(c)
-		batch := make([]txFrame, 3)
+		batch := make([]*ethernet.Frame, 3)
 		for i := range batch {
-			f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
-			f.Payload, f.Tag = make([]byte, 3000), uint64(i+1) // tagged: a datagram of its own
-			batch[i] = txFrame{f: f, at: time.Now()}
+			batch[i] = testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
+			batch[i].Payload, batch[i].Tag = make([]byte, 3000), uint64(i+1) // tagged: a datagram of its own
 		}
-		n.sendTxBatch(lk, batch, &txScratch{})
+		n.flushFrames(t, lk, batch...)
 		if sent, lost, samples := n.EncapSent.Load(), n.ledger.Count(dropTxError), n.metrics.txLatency.Count(); sent != 2 || lost != 1 || samples != 2 {
 			t.Fatalf("encap_sent = %d, tx_error = %d, tx latency samples = %d; want 2, 1, 2", sent, lost, samples)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vnetp/internal/ethernet"
 	"vnetp/internal/supervise"
 )
 
@@ -12,8 +13,23 @@ import (
 // scrape cross-check ranges over the rows the renderer does.
 func (n *Node) StatRows() []statRow { return n.statRows() }
 
-// TxBatchMax is the most frames the TX ring's sender takes per wakeup.
+// TxBatchMax is the most frames one record train carries on a ring link.
 const TxBatchMax = txBatchMax
+
+// flushFrames builds one batch of frames with add and flushes it, as a
+// holder flushes what it found pending: the deterministic batch that
+// tests pin wire shapes and accounting against. A frame that cannot be
+// encoded fails the test.
+func (n *Node) flushFrames(t testing.TB, lk *link, frames ...*ethernet.Frame) {
+	t.Helper()
+	var s txScratch
+	for _, f := range frames {
+		if err := n.add(lk, &s, f, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.flush(lk, &s, -1)
+}
 
 // RingConfig is a node configuration whose links run the TX ring.
 func RingConfig() NodeConfig { return NodeConfig{Adaptive: AdaptiveConfig{Enabled: true}} }

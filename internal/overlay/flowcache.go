@@ -284,8 +284,8 @@ func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from
 		n.drop(dropCrossTenant, 1, routeDetail(key, lk.id))
 		return nil
 	}
-	if lk.txq != nil {
-		n.enqueueTx(lk, f, at)
+	if lk.wake != nil {
+		n.sendRing(lk, f, at)
 		return nil
 	}
 	if err := n.sendSync(lk, f, at); err != nil {

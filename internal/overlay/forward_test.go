@@ -770,14 +770,12 @@ func TestBatchedEqualsSync(t *testing.T) {
 				tx.mu.Lock()
 				lk := tx.topo.Load().links["wire"]
 				tx.mu.Unlock()
-				batch := make([]txFrame, len(frames))
-				for i, f := range frames {
+				for _, f := range frames {
 					if err := srcs[f.Src].admit(f); err != nil {
 						t.Fatal(err)
 					}
-					batch[i] = txFrame{f: f, at: time.Now()}
 				}
-				tx.sendTxBatch(lk, batch, &txScratch{})
+				tx.flushFrames(t, lk, frames...)
 			} else if reps == 1 {
 				for _, f := range frames {
 					if err := srcs[f.Src].Send(f); err != nil {

@@ -32,10 +32,12 @@ const (
 	// dropProbeRing: a control datagram lost to a full probe ring; the
 	// peer sees it as a lost heartbeat.
 	dropProbeRing = "probe_ring"
-	// dropTxRing: a frame lost to a full link TX ring.
+	// dropTxRing: a frame a ring link refused, txRing frames being
+	// pending already.
 	dropTxRing = "tx_ring"
-	// dropTxTeardown: frames a stopping TX sender had already collected
-	// into its in-hand batch (link delete, drain, node close).
+	// dropTxTeardown: frames a link's holder lost — pending when its
+	// ring sender stopped (link delete or replace, drain, node close) or
+	// sent to it afterwards, or in flight when a flush panicked.
 	dropTxTeardown = "tx_teardown"
 	// dropReassemblyEvict: stale partial reassemblies aged out by the
 	// evictor, charged the frames each stood for (a frame's one, a
@@ -47,9 +49,9 @@ const (
 	// dropCrossTenant: a frame stopped by the tenancy guards (endpoint
 	// or link bound to a different tenant than the frame).
 	dropCrossTenant = "cross_tenant"
-	// dropTxError: a frame a batched sender took off its ring that never
-	// left — the transport refused its datagrams (dial failure, write
-	// error), or it could not be encoded.
+	// dropTxError: a frame that never left and has no caller to tell —
+	// the transport refused its datagrams (dial failure, write error), or
+	// it could not be encoded for a ring link.
 	dropTxError = "tx_error"
 )
 
@@ -80,7 +82,7 @@ var dropReasons = []string{
 // tail) — last, so whoever sees a drop on the ledger finds it everywhere.
 // No two surfaces can disagree. A view's children live and die with what
 // they label, and a drop that races the deletion (a sender stopped by DEL
-// LINK, frames in hand) must not bring one back: Lookup.
+// LINK, frames pending) must not bring one back: Lookup.
 func (n *Node) drop(reason string, count uint64, d telemetry.DropDetail) {
 	sli := n.slis.get(d.Tenant)
 	var view *telemetry.Counter

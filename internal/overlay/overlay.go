@@ -67,11 +67,8 @@ func (ep *Endpoint) Tenant() uint32 { return ep.tenant }
 
 // Send routes a frame into the overlay. The frame's source should be the
 // endpoint's MAC (the overlay routes on whatever addresses the frame
-// carries, like a real switch). On the synchronous leg (the default)
-// the frame is encoded before Send returns, and the caller may reuse it.
-// On a node running the TX ring (NodeConfig.Adaptive) the frame is
-// retained until its link's sender flushes it and must not be modified
-// after Send returns.
+// carries, like a real switch). The frame is encoded before Send
+// returns, on either transmit leg: the caller may reuse it at once.
 func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
@@ -88,8 +85,7 @@ func (ep *Endpoint) Send(f *ethernet.Frame) error {
 // analogue — the guest handing the frame over. The Tag is rewritten
 // whenever its value must change (selected, or carrying a stale ID from
 // a reused/copied frame struct) but never touched on the common untraced
-// path — re-Sending a frame the batched TX ring still holds must not
-// write to it.
+// path, where the frame is only read.
 func (ep *Endpoint) admit(f *ethernet.Frame) error {
 	if f.PayloadLen() > ep.mtu {
 		return fmt.Errorf("overlay: frame payload %d exceeds endpoint MTU %d", f.PayloadLen(), ep.mtu)
@@ -214,16 +210,15 @@ type link struct {
 	// re-marshalling the header per fragment. Immutable after AddLink.
 	tmpl *bridge.EncapTemplate
 
-	// TX ring state (NodeConfig.Adaptive): a bounded ring of outbound
-	// frames drained by this link's sender goroutine (txLoop). txq is
-	// nil on nodes running the synchronous leg. txw is the
-	// sender's supervision handle; stopping it reaps the sender when the
-	// link is deleted or replaced.
-	txq chan txFrame
-	txw *supervise.Worker
+	// comb is the link's one batch and its holder role (txbatch.go).
+	comb combiner
 
-	// sync is the synchronous leg's combiner, used when txq is nil.
-	sync syncTx
+	// The ring leg (NodeConfig.Adaptive): wake is the one-slot wakeup of
+	// the link's sender goroutine (txLoop), the holder of comb; txw is the
+	// sender's supervision handle (stopSender). Both are nil on nodes
+	// running the synchronous leg.
+	wake chan struct{}
+	txw  *supervise.Worker
 
 	// sendErrors counts transport send failures on this link, including
 	// ones inside an installed fault conduit (whose delivery callback may
@@ -542,6 +537,9 @@ func (n *Node) Close() error {
 	}
 	n.sup.Stop() // supervised loops: receive workers, TX senders, prober, evictor, health
 	n.wg.Wait()  // TCP accept loop and connection readers
+	for _, lk := range n.topo.Load().links {
+		n.stopSender(lk)
+	}
 	return err
 }
 
@@ -640,7 +638,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
 	lk := &link{id: id, remote: remote, tenant: tenant}
-	lk.sync.cond.L = &lk.sync.mu
+	lk.comb.cond.L = &lk.comb.mu
 	lk.transport.Store(tr)
 	if sealer != nil {
 		lk.sealer = sealer
@@ -659,7 +657,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		n.metrics.reg.DeleteLabel("link", id)
 	}
 	if n.cfg.Adaptive.Enabled {
-		lk.txq = make(chan txFrame, n.cfg.txRing)
+		lk.wake = make(chan struct{}, 1)
 	}
 	n.newLinkCounters(lk)
 	if n.healthOn {
@@ -678,18 +676,16 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	// fresh link may satisfy flows that previously had no answer. Either
 	// way every cached decision predating this link set is now suspect.
 	n.bumpFlowEpoch()
-	if lk.txq != nil {
+	if lk.wake != nil {
 		lk.txw = n.sup.Go("tx/"+id, func(i *supervise.Instance) { n.txLoop(i, lk) })
 	}
 	var oldTCP *tcpConn
-	var oldTxw *supervise.Worker
 	if old != nil {
 		oldTCP = old.tcp.Swap(nil)
-		oldTxw = old.txw // stop the replaced link's sender
 	}
 	n.mu.Unlock()
-	if oldTxw != nil {
-		oldTxw.Stop()
+	if old != nil {
+		n.stopSender(old)
 	}
 	if oldTCP != nil { // replaced link: don't leak its transport
 		oldTCP.close()
@@ -716,7 +712,6 @@ func (n *Node) DelLink(id string) error {
 	// may find no routes to remove, yet cached decisions still hold the
 	// deleted link and must die before the sweep's outcome is known.
 	n.bumpFlowEpoch()
-	txw := lk.txw // stop the TX sender; queued frames are dropped
 	tcp := lk.tcp.Swap(nil)
 	dest := core.Destination{Type: core.DestLink, ID: id}
 	n.tenants.Each(func(_ uint32, t *core.Table) {
@@ -724,9 +719,7 @@ func (n *Node) DelLink(id string) error {
 		t.RestoreDest(dest) // drop any lingering failed-over mark
 	})
 	n.mu.Unlock()
-	if txw != nil {
-		txw.Stop()
-	}
+	n.stopSender(lk) // what it left pending lands on tx_teardown
 	if tcp != nil {
 		tcp.close()
 	}

@@ -418,3 +418,61 @@ func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
 		t.Fatalf("%d datagrams carried the frames, %d if none had shared one: no multi-record train was exercised", datagrams, alone)
 	}
 }
+
+// FuzzNextSegment drives nextSegment through receive's split loop over
+// arbitrary segment sizes and read lengths, on a read cut from a larger
+// buffer as the readers hand them out (its capacity ends with it). The
+// pieces must tile the read exactly once, in order; none may be longer
+// than seg when seg > 0; and each piece's capacity must end at its own
+// datagram, so nothing opened or appended in place reaches the next.
+func FuzzNextSegment(f *testing.F) {
+	f.Add(uint16(0), 0)
+	f.Add(uint16(1400), 0)
+	f.Add(uint16(1400), 1400)
+	f.Add(uint16(4000), 1400)
+	f.Add(uint16(2800), 1400)
+	f.Add(uint16(65000), 1472)
+	f.Add(uint16(7), 1)
+	f.Add(uint16(100), -5)
+	f.Add(uint16(100), 1<<40)
+	backing := make([]byte, 1<<16+64)
+	for i := range backing {
+		backing[i] = byte(i)
+	}
+	f.Fuzz(func(t *testing.T, readLen uint16, seg int) {
+		read := backing[:readLen:readLen]
+		off, pieces := 0, 0
+		for d, rest := nextSegment(read, seg); ; d, rest = nextSegment(rest, seg) {
+			pieces++
+			if off+len(d) > len(read) {
+				t.Fatalf("piece %d of %d bytes at offset %d runs past the %d-byte read", pieces, len(d), off, len(read))
+			}
+			if len(d) > 0 && &d[0] != &read[off] {
+				t.Fatalf("piece %d does not start where piece %d ended (offset %d)", pieces, pieces-1, off)
+			}
+			if seg > 0 && len(d) > seg {
+				t.Fatalf("piece %d holds %d bytes, segment size %d", pieces, len(d), seg)
+			}
+			if cap(d) != len(d) {
+				t.Fatalf("piece %d: capacity %d reaches past its %d bytes", pieces, cap(d), len(d))
+			}
+			off += len(d)
+			if len(d) == 0 && len(rest) != 0 {
+				t.Fatalf("piece %d is empty with %d bytes left: the split loop would not end", pieces, len(rest))
+			}
+			if len(rest) == 0 {
+				break
+			}
+		}
+		if off != len(read) {
+			t.Fatalf("pieces cover %d of the read's %d bytes", off, len(read))
+		}
+		want := 1
+		if seg > 0 && len(read) > seg {
+			want = (len(read) + seg - 1) / seg
+		}
+		if pieces != want {
+			t.Fatalf("%d bytes at segment size %d split into %d pieces, want %d", len(read), seg, pieces, want)
+		}
+	})
+}

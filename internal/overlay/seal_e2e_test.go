@@ -41,8 +41,9 @@ func sealStat(t *testing.T, n *overlay.Node, key string) uint64 {
 }
 
 // sealedPair builds two nodes sharing tenant 7's key, with tenant-bound
-// endpoints, sealed links both ways, and tenant routes.
-func sealedPair(t *testing.T, cfg overlay.NodeConfig) (*overlay.Node, *overlay.Node, *overlay.Endpoint, *overlay.Endpoint) {
+// endpoints, sealed links of the given protocol both ways, and tenant
+// routes.
+func sealedPair(t *testing.T, cfg overlay.NodeConfig, proto string) (*overlay.Node, *overlay.Node, *overlay.Endpoint, *overlay.Endpoint) {
 	t.Helper()
 	na, err := overlay.NewNodeWithConfig("seal-a", "127.0.0.1:0", cfg)
 	if err != nil {
@@ -69,10 +70,10 @@ func sealedPair(t *testing.T, cfg overlay.NodeConfig) (*overlay.Node, *overlay.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := na.AddLinkTenant("to-b", nb.Addr(), "udp", 7); err != nil {
+	if err := na.AddLinkTenant("to-b", nb.Addr(), proto, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := nb.AddLinkTenant("to-a", na.Addr(), "udp", 7); err != nil {
+	if err := nb.AddLinkTenant("to-a", na.Addr(), proto, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := na.AddRoute(core.Route{DstMAC: macB, DstQual: core.QualExact, SrcQual: core.QualAny,
@@ -87,7 +88,7 @@ func sealedPair(t *testing.T, cfg overlay.NodeConfig) (*overlay.Node, *overlay.N
 }
 
 func TestSealedLinkEndToEnd(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{})
+	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{}, "udp")
 	epA.Send(&ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: []byte("sealed ping")})
 	got, ok := epB.Recv(recvTimeout)
 	if !ok || string(got.Payload) != "sealed ping" {
@@ -118,7 +119,7 @@ func TestSealedLinkEndToEnd(t *testing.T) {
 }
 
 func TestSealedLinkBatchedTX(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.RingConfig())
+	na, nb, epA, epB := sealedPair(t, overlay.RingConfig(), "udp")
 	const count = 40
 	for i := 0; i < count; i++ {
 		epA.Send(&ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
@@ -238,7 +239,7 @@ func TestMultiTenantIsolation(t *testing.T) {
 // flipping a byte of every datagram on the sealed link. Every tampered
 // datagram must be rejected (seal_rejects rises) and nothing delivered.
 func TestSealedTamperRejected(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{})
+	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{}, "udp")
 	if err := na.SetLinkFault("to-b", faultnet.New(faultnet.Config{CorruptProb: 1})); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestSealedTamperRejected(t *testing.T) {
 // TestSealedReplayRejected duplicates every datagram on the wire: the
 // originals deliver, the replays die in the replay window.
 func TestSealedReplayRejected(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{})
+	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{}, "udp")
 	if err := na.SetLinkFault("to-b", faultnet.New(faultnet.Config{DupProb: 1})); err != nil {
 		t.Fatal(err)
 	}

@@ -102,9 +102,9 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		linkUpgrades: reg.CounterVec("vnetp_link_upgrades_total",
 			"UDP links auto-upgraded to TCP encapsulation.", "link"),
 		linkTxDrops: reg.CounterVec("vnetp_link_tx_ring_drops_total",
-			"Frames dropped at a full link TX ring (batched transmit).", "link"),
+			"Frames a link dropped short of the wire: refused at a full ring batch (tx_ring) or lost at teardown (tx_teardown).", "link"),
 		linkTxDepth: reg.GaugeVec("vnetp_link_tx_queue_depth",
-			"Frames queued in a link's TX ring (batched transmit).", "link"),
+			"Frames encoded into a link's pending batch and waiting for its holder's flush.", "link"),
 		linkTxOffload: reg.GaugeVec("vnetp_link_tx_offload",
 			"Whether a link's multi-datagram trains leave as one UDP_SEGMENT message: 1 armed, 0 plain messages (refused by the kernel or device, fault conduit, TCP, or no platform support).", "link"),
 		linkState: reg.GaugeVec("vnetp_link_state",
@@ -277,9 +277,7 @@ func (n *Node) newLinkCounters(lk *link) {
 		}
 		return 0
 	}, lk.id)
-	if q := lk.txq; q != nil {
-		m.linkTxDepth.Func(func() float64 { return float64(len(q)) }, lk.id)
-	}
+	m.linkTxDepth.Func(func() float64 { return float64(lk.comb.depth()) }, lk.id)
 }
 
 // --- control-plane rendering ---

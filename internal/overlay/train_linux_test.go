@@ -202,14 +202,12 @@ func TestTrainsEqualPlainMessages(t *testing.T) {
 					// One batch, handed over whole: which frames share an
 					// aggregate must not depend on when the sender woke.
 					lk := tx.topo.Load().links["wire"]
-					batch := make([]txFrame, len(frames))
-					for i, f := range frames {
+					for _, f := range frames {
 						if err := src.admit(f); err != nil {
 							t.Fatal(err)
 						}
-						batch[i] = txFrame{f: f, at: time.Now()}
 					}
-					tx.sendTxBatch(lk, batch, &txScratch{})
+					tx.flushFrames(t, lk, frames...)
 				}
 				o := outcome{delivered: recvAll(t, sink, len(frames), tx, rx), ledger: map[string]uint64{}}
 				// The last counter a delivery touches trails the ring push.
@@ -315,11 +313,7 @@ func TestRingBatchLeavesAsOneMessage(t *testing.T) {
 			tx, rx, src, sink := trainPair(t, RingConfig(), tenant)
 			sent := recordSends(tx, nil)
 			frames := imixFrames(src.MAC(), sink.MAC(), 30)
-			batch := make([]txFrame, len(frames))
-			for i, f := range frames {
-				batch[i] = txFrame{f: f, at: time.Now()}
-			}
-			tx.sendTxBatch(tx.topo.Load().links["wire"], batch, &txScratch{})
+			tx.flushFrames(t, tx.topo.Load().links["wire"], frames...)
 			recvInOrder(t, sink, len(frames), tx, rx)
 			msgs := sent()
 			if len(msgs) != 1 {
@@ -339,7 +333,7 @@ func TestRingBatchLeavesAsOneMessage(t *testing.T) {
 // cut as on the ring.
 func TestSyncBatchLeavesAsOneMessage(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
-	n, _, big, src := gatedLink(t, sendmmsg)
+	n, _, big, src := gatedLink(t, NodeConfig{}, sendmmsg)
 	sent := recordSends(n, nil)
 	n.tx.sys = holdFirst(entered, release, n.tx.sys)
 	holder := make(chan error, 1)
@@ -379,17 +373,15 @@ func TestTracedFrameSplitsBatch(t *testing.T) {
 	frames := imixFrames(src.MAC(), sink.MAC(), 11)
 	tx.tracer.AddFlow(ethernet.LocalMAC(3))
 	frames[5].Src = ethernet.LocalMAC(3)
-	batch := make([]txFrame, len(frames))
-	for i, f := range frames {
+	for _, f := range frames {
 		if err := src.admit(f); err != nil {
 			t.Fatal(err)
 		}
-		batch[i] = txFrame{f: f, at: time.Now()}
 	}
 	if frames[5].Tag == 0 {
 		t.Fatal("the traced flow's frame was not selected")
 	}
-	tx.sendTxBatch(tx.topo.Load().links["wire"], batch, &txScratch{})
+	tx.flushFrames(t, tx.topo.Load().links["wire"], frames...)
 	recvInOrder(t, sink, len(frames), tx, rx)
 	var shape []string // per datagram: "train <id> <count>" or "traced"
 	for _, m := range sent() {

@@ -1,17 +1,20 @@
 // The batched transmit path: the live twin of the paper's adaptive
-// dispatch (Sect. 4.3, Table 1). With NodeConfig.Adaptive, every link
-// owns a bounded TX ring drained by a self-clocked sender goroutine: it
-// blocks for one frame, takes whatever else is already queued (up to
-// txBatchMax), and transmits — it never waits for a batch to fill. So a
-// lone frame leaves alone, as under guest-driven dispatch, and a loaded
-// link's frames leave together, as under VMM-driven dispatch: the mode
-// follows load per batch, with no rate estimate and nothing to tune. What
-// a batch amortizes is the per-datagram cost, the part of a small-frame
-// stream one syscall per batch (sendmmsg) does not divide: a batch's
-// frames are one record train, cut into equal datagrams that leave as one
-// UDP_SEGMENT message (bridge/aggregate.go). The synchronous leg batches
-// without a ring (syncTx). Both legs share one encoder (add) and one
-// flush.
+// dispatch (Sect. 4.3, Table 1). Every link has one combiner and one batch
+// builder: a Send encodes its frame into the link's pending batch under
+// the combiner's lock (add), and one holder at a time swaps that batch out
+// and puts it on the wire (flush). So a lone frame leaves alone and a
+// loaded link's frames leave together, as one record train cut into equal
+// datagrams that cross the kernel as one UDP_SEGMENT message
+// (bridge/aggregate.go) — the mode follows load per flush, with no rate
+// estimate and nothing to tune. The two legs differ only in who holds the
+// link and in what a Send does when the link is overloaded. On the
+// synchronous leg the holder is a Send that found the link free, and a
+// Send waits while the pending batch is full (txPendingBytes). With
+// NodeConfig.Adaptive the holder is the link's sender goroutine, the live
+// adaptive dispatcher: a Send wakes it if it is idle and never waits — a
+// frame that finds txRing frames pending is dropped on tx_ring — and it
+// flushes until nothing is pending. Either way every frame is encoded
+// before its Send returns.
 
 package overlay
 
@@ -28,31 +31,6 @@ import (
 	"vnetp/internal/trace"
 	"vnetp/internal/virtio"
 )
-
-// txFrame is one outbound frame queued on a link's TX ring, with its
-// local-arrival time (zero for forwarded frames).
-type txFrame struct {
-	f  *ethernet.Frame
-	at time.Time
-}
-
-// enqueueTx offers a frame to a link's TX ring without blocking the
-// router; ring-full frames are dropped and counted, like a NIC TX ring
-// under overrun. The tx_enqueue hop is recorded before the handoff so it
-// cannot race the sender's encap hop.
-func (n *Node) enqueueTx(lk *link, f *ethernet.Frame, at time.Time) {
-	if f.Tag != 0 {
-		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
-	}
-	select {
-	case lk.txq <- txFrame{f: f, at: at}:
-	default:
-		n.drop(dropTxRing, 1, telemetry.DropDetail{
-			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_ring",
-			Flow: core.FlowKey{Tenant: lk.tenant, Src: f.Src, Dst: f.Dst}.String(),
-		})
-	}
-}
 
 // txScratch is one batch being built and sent, in add order: the
 // transport it is encoded for, the open record train, the trains cut and
@@ -72,8 +50,8 @@ type txScratch struct {
 	frames []txMark
 }
 
-// txMark is what a batch keeps of an encoded frame — not the frame, so a
-// synchronous caller may reuse it once Send returns.
+// txMark is what a batch keeps of an encoded frame — not the frame, so
+// the caller may reuse it once Send returns.
 type txMark struct {
 	tag  uint64
 	at   time.Time
@@ -94,80 +72,146 @@ func (s *txScratch) release() {
 	s.pkts, s.dgs, s.frames, s.bytes, s.cut = s.pkts[:0], s.dgs[:0], s.frames[:0], 0, 0
 }
 
-// txLoop is one link's sender goroutine: it blocks for the first frame
-// of a batch, takes what else the ring already holds up to txBatchMax,
-// and pushes the batch onto the link's transport. It exits when the node
-// closes or the link is deleted/replaced (the supervision handle's
-// Stop); frames still queued at that point are dropped, as a NIC ring's
-// are on teardown. Supervised as "tx/<link>": a panic drops the batch in hand
-// and the restarted sender resumes draining the same ring; a sender
-// stuck inside one batch past the watchdog timeout is superseded by a
-// fresh instance over the same ring, and must not transmit once it comes
-// back — the ring has a new owner — so it drops what it holds. Either
-// way the frames in hand land on tx_teardown, where Drain sees them.
+// sendRing is forwardTo's ring leg: it encodes f into the link's pending
+// batch and wakes the link's sender if it is idle. It never waits, and it
+// has no error to return: a frame that finds txRing frames pending lands
+// on tx_ring, one that reaches a link whose sender has stopped on
+// tx_teardown, and one that cannot be encoded on tx_error. The tx_enqueue
+// hop is recorded before the frame is visible to the sender, so it cannot
+// race the sender's wire_tx hop.
+func (n *Node) sendRing(lk *link, f *ethernet.Frame, at time.Time) {
+	if f.Tag != 0 {
+		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
+	}
+	c := &lk.comb
+	c.mu.Lock()
+	var reason, stage string
+	wake := false
+	switch p := c.pending(); {
+	case c.stopped:
+		reason, stage = dropTxTeardown, "tx_teardown"
+	case len(p.frames) >= n.cfg.txRing:
+		reason, stage = dropTxRing, "tx_ring"
+	case n.add(lk, p, f, at) != nil:
+		reason, stage = dropTxError, "transmit"
+	case !c.busy:
+		c.busy, wake = true, true
+	}
+	c.mu.Unlock()
+	if wake {
+		wakeSender(lk)
+	}
+	if reason != "" {
+		n.drop(reason, 1, telemetry.DropDetail{
+			Tenant: lk.tenant, Scope: lk.id, Stage: stage,
+			Flow: core.FlowKey{Tenant: lk.tenant, Src: f.Src, Dst: f.Dst}.String(),
+		})
+	}
+}
+
+// wakeSender leaves lk's sender a wakeup, unless one is already waiting.
+func wakeSender(lk *link) {
+	select {
+	case lk.wake <- struct{}{}:
+	default:
+	}
+}
+
+// txLoop is one link's sender goroutine, the permanent holder of its
+// combiner: woken by the Send that found it idle, it swaps the pending
+// batch out and flushes it, one unit of work per flush, until nothing is
+// pending. Supervised as "tx/<link>". A panic inside a flush charges the
+// batch in flight to tx_teardown; the restarted sender resumes from what
+// is pending. A sender stuck in one flush past the watchdog timeout is
+// superseded by a fresh instance, which waits that flush out — one flush
+// on a link at a time — while the old one, once it returns, sends nothing
+// more. Stopping the sender (stopSender) charges what is pending.
 func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
-	batch := make([]txFrame, 0, txBatchMax)
+	c := &lk.comb
+	var flying *txScratch
 	defer func() {
-		if len(batch) > 0 {
-			n.drop(dropTxTeardown, uint64(len(batch)), telemetry.DropDetail{
-				Tenant: lk.tenant, Scope: lk.id, Stage: "tx_teardown",
-			})
+		if flying != nil {
+			c.mu.Lock()
+			lost := len(flying.frames)
+			flying.release()
+			c.sending = false
+			c.cond.Broadcast()
+			c.mu.Unlock()
+			n.dropTeardown(lk, lost)
 		}
 	}()
-	var scratch txScratch
+	wakeSender(lk) // a restarted or superseding instance has no wakeup of its own
 	for {
 		select {
-		case <-n.quit:
-			return
 		case <-inst.Quit():
 			return
-		case tf := <-lk.txq:
-			batch = append(batch, tf)
+		case <-lk.wake:
 		}
-		inst.Working()
-		select {
-		case <-inst.Quit(): // stopped or superseded while held up in Working
-			return
-		default:
-		}
-	collect:
-		for len(batch) < txBatchMax {
-			select {
-			case tf := <-lk.txq:
-				batch = append(batch, tf)
-			default:
-				break collect
+		for {
+			inst.Working()
+			c.mu.Lock()
+			for c.sending { // a superseded instance's flush
+				c.cond.Wait()
 			}
+			select {
+			case <-inst.Quit(): // stopped, or superseded: the role has a new owner
+				c.mu.Unlock()
+				return
+			default:
+			}
+			if len(c.pending().frames) == 0 {
+				c.busy = false
+				c.mu.Unlock()
+				break
+			}
+			flying = n.swap(lk, c)
+			c.mu.Unlock()
+			n.flush(lk, flying, -1)
+			flying = nil
+			c.mu.Lock()
+			c.sending = false
+			c.cond.Broadcast()
+			c.mu.Unlock()
+			inst.Idle()
 		}
-		n.sendTxBatch(lk, batch, &scratch)
-		clear(batch) // drop frame refs; the ring owns nothing past a flush
-		batch = batch[:0]
 		inst.Idle()
 	}
 }
 
-// sendTxBatch encodes one collected batch and flushes it. A frame that
-// cannot be encoded lands on tx_error: the batched leg has no caller.
-func (n *Node) sendTxBatch(lk *link, batch []txFrame, s *txScratch) {
-	failed := 0
-	for _, tf := range batch {
-		if n.add(lk, s, tf.f, tf.at) != nil {
-			failed++
-		}
+// stopSender stops a ring link's sender — its link deleted or replaced,
+// or the node closing — and charges what it left pending to tx_teardown,
+// once; a Send that reaches the link afterwards is charged there too. A
+// flush already in flight completes.
+func (n *Node) stopSender(lk *link) {
+	if lk.txw == nil {
+		return
 	}
-	if failed > 0 {
-		n.drop(dropTxError, uint64(failed), telemetry.DropDetail{
-			Tenant: lk.tenant, Scope: lk.id, Stage: "transmit",
+	lk.txw.Stop()
+	c := &lk.comb
+	c.mu.Lock()
+	c.stopped = true
+	lost := len(c.pending().frames)
+	c.pending().release()
+	c.mu.Unlock()
+	n.dropTeardown(lk, lost)
+}
+
+// dropTeardown charges frames a link's holder lost to tx_teardown.
+func (n *Node) dropTeardown(lk *link, frames int) {
+	if frames > 0 {
+		n.drop(dropTxTeardown, uint64(frames), telemetry.DropDetail{
+			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_teardown",
 		})
 	}
-	n.flush(lk, s, -1)
 }
 
 // add encodes one frame behind what s holds — the one per-frame encoder
 // of both legs. An untraced frame whose record fits a train joins the
 // open one, which is cut first when the record would take it past what
-// one UDP_SEGMENT message carries; a traced frame, or one too long for
-// any train, cuts it and takes encapFrame's datagrams of its own.
+// one UDP_SEGMENT message carries or, on a ring link, when it holds
+// txBatchMax frames already (so a lost datagram costs at most a train of
+// those); a traced frame, or one too long for any train, cuts it and takes
+// encapFrame's datagrams of its own.
 // Datagrams leave in add order. A batch's first frame loads the transport
 // the batch is encoded for and sent by, so an auto-upgrade or fault
 // install applies from the next batch. An error is f's own, and f is then
@@ -179,7 +223,7 @@ func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) erro
 	}
 	mark := txMark{tag: f.Tag, at: at}
 	if rec := bridge.RecordLen(f); f.Tag == 0 && rec <= s.room {
-		if s.agg.Len()+rec > s.room {
+		if s.agg.Len()+rec > s.room || lk.wake != nil && s.agg.Count() == txBatchMax {
 			n.closeTrain(lk, s)
 		}
 		if err := s.agg.Add(f); err != nil {
@@ -245,40 +289,65 @@ func (n *Node) flush(lk *link, s *txScratch, own int) error {
 	return err
 }
 
-// The combiner's bounds (DESIGN "Batched transmit"): a Send waits while
-// pending holds txPendingBytes, two full trains; a holder hands on after
-// holderSwaps flushes.
+// The combiner's bounds (DESIGN "Batched transmit"): on the synchronous
+// leg a Send waits while pending holds txPendingBytes, two full trains,
+// and a holder hands on after holderSwaps flushes.
 const (
 	txPendingBytes = 128 << 10
 	holderSwaps    = 8
 )
 
-// syncTx is a synchronous link's combiner, the live twin of the
-// simulator's Iface.txBusy: one Send on the wire at a time. Every Send
-// encodes its frame into the pending batch under mu, so encode (and
-// nonce) order is wire order. A Send that finds the link free holds it:
-// it swaps the pending batch out under mu, flushes it outside, and
-// repeats until nothing is pending; one that finds it held returns once
-// its frame is encoded. cond.L must be set to &mu before use.
-type syncTx struct {
+// combiner is a link's one batch, the live twin of the simulator's
+// Iface.txBusy: one flush on the wire at a time. Every Send encodes its
+// frame into the pending batch under mu, so encode (and nonce) order is
+// wire order. The holder swaps the pending batch out under mu, flushes it
+// outside, and repeats until nothing is pending: on the synchronous leg a
+// Send that found the link free (one that finds it held returns once its
+// frame is encoded), on the ring the link's sender. cond.L must be set to
+// &mu before use.
+type combiner struct {
 	mu   sync.Mutex
 	cond sync.Cond // on mu: a swap made room, a flush ended, the role moved
 
 	batch [2]txScratch // batch[cur] pending, the other in flight or idle
 	cur   int
 
-	busy    bool // the role is held (or an heir waits to take it)
+	busy    bool // the role is held (or an heir waits to take it); on the ring: the sender is awake
 	sending bool // the holder is flushing, outside mu
 	handoff bool // the holder has used its swaps: the next Send is its heir
 	heir    bool // an heir waits out the flush in flight
+	stopped bool // the ring's sender has stopped: nothing will flush again
 }
 
-func (c *syncTx) pending() *txScratch { return &c.batch[c.cur] }
+func (c *combiner) pending() *txScratch { return &c.batch[c.cur] }
 
-// sendSync is forwardTo's synchronous leg. The frame is encoded before it
-// returns, whoever sends it; the error is the caller's own frame's.
+// depth reports the frames pending: the vnetp_link_tx_queue_depth gauge,
+// and what Drain waits out.
+func (c *combiner) depth() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending().frames)
+}
+
+// swap takes the pending batch out for the holder to flush, under c.mu.
+// On a sealed link it cuts and seals the open train first, so nonces are
+// drawn in wire order; a plaintext train is cut by the flush, outside the
+// lock, which keeps the lock's hold short.
+func (n *Node) swap(lk *link, c *combiner) *txScratch {
+	b := c.pending()
+	if lk.sealer != nil {
+		n.closeTrain(lk, b)
+	}
+	c.cur ^= 1
+	c.sending = true
+	c.cond.Broadcast()
+	return b
+}
+
+// sendSync is forwardTo's synchronous leg. The error is the caller's own
+// frame's.
 func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
-	c := &lk.sync
+	c := &lk.comb
 	c.mu.Lock()
 	for c.pending().size() >= txPendingBytes {
 		c.cond.Wait()
@@ -304,16 +373,13 @@ func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
 	return n.hold(lk, c, own)
 }
 
-// hold runs the holder role, entered under c.mu with the caller's frame
-// at index own of the pending batch, which its first flush carries. On a
-// sealed link a swap cuts and seals the open train under the lock, so its
-// nonces are drawn in wire order; a plaintext train is cut by the flush,
-// outside it, which keeps the lock's hold short. The role ends
-// under the lock: released once nothing is pending, or passed to an heir
-// after holderSwaps flushes. A panicking flush releases it on the way
-// out: what was in flight, and what is pending unless an heir takes it,
-// lands on tx_teardown.
-func (n *Node) hold(lk *link, c *syncTx, own int) (err error) {
+// hold runs the synchronous holder role, entered under c.mu with the
+// caller's frame at index own of the pending batch, which its first flush
+// carries. The role ends under the lock: released once nothing is
+// pending, or passed to an heir after holderSwaps flushes. A panicking
+// flush releases it on the way out: what was in flight, and what is
+// pending unless an heir takes it, lands on tx_teardown.
+func (n *Node) hold(lk *link, c *combiner, own int) (err error) {
 	c.heir, c.handoff = false, false
 	var flying *txScratch
 	defer func() {
@@ -331,21 +397,13 @@ func (n *Node) hold(lk *link, c *syncTx, own int) (err error) {
 		c.sending = false
 		c.cond.Broadcast()
 		c.mu.Unlock()
-		n.drop(dropTxTeardown, uint64(lost), telemetry.DropDetail{
-			Tenant: lk.tenant, Scope: lk.id, Stage: "tx_teardown",
-		})
+		n.dropTeardown(lk, lost)
 	}()
 	for swaps := 1; ; swaps++ {
-		b := c.pending()
-		if lk.sealer != nil {
-			n.closeTrain(lk, b)
-		}
-		c.cur ^= 1
-		c.sending, c.handoff = true, swaps >= holderSwaps
-		c.cond.Broadcast()
+		flying = n.swap(lk, c)
+		c.handoff = swaps >= holderSwaps
 		c.mu.Unlock()
-		flying = b
-		if ferr := n.flush(lk, b, own); own >= 0 {
+		if ferr := n.flush(lk, flying, own); own >= 0 {
 			err = ferr
 		}
 		flying, own = nil, -1

@@ -1,7 +1,9 @@
 package overlay_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -10,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,7 +202,7 @@ func metricValue(t *testing.T, scrape, prefix string) float64 {
 // TestTxBatchTelemetryScrape pins the transmit-path series in a live
 // /metrics scrape: the batch-size and frames-per-datagram histograms
 // account for every frame exactly once, datagrams never outnumber
-// frames, and the per-link TX ring depth gauge exists.
+// frames, and the per-link pending-frames gauge exists.
 func TestTxBatchTelemetryScrape(t *testing.T) {
 	na, nb, epA, epB := batchNodes(t,
 		overlay.RingConfig(),
@@ -244,9 +247,10 @@ func TestTxBatchTelemetryScrape(t *testing.T) {
 }
 
 // TestSyncPathKeepsSurfaces pins what a default (synchronous) node shows:
-// no TX ring gauge registered, the synchronous latency accounting runs,
-// and the batch-size histogram takes one observation per transmit, as on
-// the batched leg — a lone Send is one transmit carrying one frame.
+// the link's pending-frames gauge, as on the ring, empty once its Send
+// returned; the synchronous latency accounting runs; and the batch-size
+// histogram takes one observation per transmit, as on the ring — a lone
+// Send is one transmit carrying one frame.
 func TestSyncPathKeepsSurfaces(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, overlay.NodeConfig{}, overlay.NodeConfig{}, "udp")
 	f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: []byte("sync")}
@@ -260,8 +264,8 @@ func TestSyncPathKeepsSurfaces(t *testing.T) {
 	if c, s := metricValue(t, scrape, "vnetp_tx_batch_size_count"), metricValue(t, scrape, "vnetp_tx_batch_size_sum"); c != 1 || s != 1 {
 		t.Fatalf("sync node observed %v TX batches carrying %v frames, want one of 1", c, s)
 	}
-	if strings.Contains(scrape, `vnetp_link_tx_queue_depth{`) {
-		t.Fatal("sync node registered a TX ring depth gauge")
+	if !strings.Contains(scrape, `vnetp_link_tx_queue_depth{`) || metricValue(t, scrape, "vnetp_link_tx_queue_depth") != 0 {
+		t.Fatal("sync node's pending-frames gauge is missing, or not 0 once the Send returned")
 	}
 	if c := metricValue(t, scrape, "vnetp_tx_latency_seconds_count"); c < 1 {
 		t.Fatalf("sync TX latency histogram empty (%v)", c)
@@ -347,9 +351,12 @@ func famValue(n *overlay.Node, name string) float64 {
 }
 
 // txBatches reads the node's vnetp_tx_batch_size histogram.
-func txBatches(n *overlay.Node) telemetry.HistSnapshot {
+func txBatches(n *overlay.Node) telemetry.HistSnapshot { return histogram(n, "vnetp_tx_batch_size") }
+
+// histogram reads one histogram family of a node's registry.
+func histogram(n *overlay.Node, family string) telemetry.HistSnapshot {
 	for _, fam := range n.Telemetry().Gather() {
-		if fam.Name == "vnetp_tx_batch_size" {
+		if fam.Name == family {
 			return *fam.Samples[0].Hist
 		}
 	}
@@ -381,12 +388,12 @@ func blast(epA, epB *overlay.Endpoint) (stop func()) {
 }
 
 // TestAdaptiveBatchFollowsLoad pins the behaviour of the live adaptive
-// dispatcher, the self-clocked ring: it switches per batch on what is
-// queued. A one-outstanding ping-pong never queues a second frame, so
-// every transmit carries exactly one (guest-driven dispatch); a blast
-// queues frames behind the transmit in flight, so transmits carry
-// several (VMM-driven dispatch), and never more than the ring's batch
-// bound.
+// dispatcher, the ring's sender: it switches per flush on what is
+// pending. A one-outstanding ping-pong never leaves a second frame
+// pending, so every transmit carries exactly one (guest-driven dispatch);
+// a blast leaves frames pending behind the flush in flight, so transmits
+// carry several (VMM-driven dispatch), and no record train carries more
+// than the ring's train bound.
 func TestAdaptiveBatchFollowsLoad(t *testing.T) {
 	na, _, pingPong := echoPair(t, overlay.RingConfig())
 	pingPong(100 * time.Millisecond)
@@ -402,10 +409,11 @@ func TestAdaptiveBatchFollowsLoad(t *testing.T) {
 	if mean := h.Sum / float64(h.Count); mean <= 1 {
 		t.Fatalf("blast: %v transmits carried %v frames (mean %.2f), want a mean above 1", h.Count, h.Sum, mean)
 	}
-	for i, b := range h.Bounds {
-		if b >= overlay.TxBatchMax && h.Cumulative[i] != h.Count {
-			t.Fatalf("blast: %d of %d transmits carried more than %d frames",
-				h.Count-h.Cumulative[i], h.Count, overlay.TxBatchMax)
+	d := histogram(loaded, "vnetp_tx_datagram_frames")
+	for i, b := range d.Bounds {
+		if b >= overlay.TxBatchMax && d.Cumulative[i] != d.Count {
+			t.Fatalf("blast: %d of %d datagrams completed a train of more than %d frames",
+				d.Count-d.Cumulative[i], d.Count, overlay.TxBatchMax)
 		}
 	}
 }
@@ -444,9 +452,9 @@ func TestAdaptiveSurvivesLinkChurnAndDrain(t *testing.T) {
 }
 
 // strandFrames wedges a ring node's sender with an injected stall and
-// sends frames behind it: the sender ends up holding the first in hand
-// (the self-clocked sender never sits on a frame of its own accord) with
-// the rest still in the ring.
+// sends frames behind it: the sender, woken by the first, stalls on its
+// way to the flush (it never sits on a frame of its own accord) with
+// every frame pending.
 func strandFrames(t *testing.T, na *overlay.Node, epA, epB *overlay.Endpoint, frames int) {
 	t.Helper()
 	na.Runtime().Worker("tx/to-b").InjectStall(time.Hour)
@@ -457,23 +465,24 @@ func strandFrames(t *testing.T, na *overlay.Node, epA, epB *overlay.Endpoint, fr
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, recvTimeout, "stalled sender to take the first frame in hand", func() bool {
-		return famValue(na, "vnetp_link_tx_queue_depth") == float64(frames-1)
-	})
+	if d := famValue(na, "vnetp_link_tx_queue_depth"); d != float64(frames) {
+		t.Fatalf("%v frames pending behind the stalled sender, want %d", d, frames)
+	}
 }
 
 // TestTxLoopTeardownCountsBatchDrops is the bugfix-1 regression: what
-// the sender held in hand when the node closed was silently discarded;
-// now it lands in tx_ring_drops.
+// the sender had pending when the node closed was silently discarded;
+// now every frame of it lands in tx_ring_drops.
 func TestTxLoopTeardownCountsBatchDrops(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, overlay.RingConfig(), overlay.NodeConfig{}, "udp")
-	strandFrames(t, na, epA, epB, 5)
+	const frames = 5
+	strandFrames(t, na, epA, epB, frames)
 	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != 0 {
 		t.Fatalf("tx_ring_drops = %v before close, want 0", d)
 	}
 	na.Close()
-	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != 1 {
-		t.Fatalf("tx_ring_drops = %v after close, want 1 (the abandoned frame in hand)", d)
+	if d := famValue(na, "vnetp_link_tx_ring_drops_total"); d != frames {
+		t.Fatalf("tx_ring_drops = %v after close, want %d (every frame left pending)", d, frames)
 	}
 	if sent := na.EncapSent.Load(); sent != 0 {
 		t.Fatalf("stopped sender transmitted %d frames", sent)
@@ -488,13 +497,13 @@ func TestDrainCountsSenderBatchDrops(t *testing.T) {
 	na, _, epA, epB := batchNodes(t, overlay.RingConfig(), overlay.NodeConfig{}, "udp")
 	const frames = 5
 	strandFrames(t, na, epA, epB, frames)
-	// Four frames sit in the ring behind the wedged sender and one in its
-	// hand; the deadline abandons all five, each counted once.
+	// Five frames sit pending behind the wedged sender; the deadline
+	// abandons all five, each counted once.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	st, _ := na.Drain(ctx)
 	if st.FramesDropped != frames {
-		t.Fatalf("DrainStats.FramesDropped = %d, want %d (ring plus the frame in hand)", st.FramesDropped, frames)
+		t.Fatalf("DrainStats.FramesDropped = %d, want %d (every frame pending)", st.FramesDropped, frames)
 	}
 }
 
@@ -702,5 +711,157 @@ func BenchmarkOverlayTxBatching(b *testing.B) {
 			}
 			b.StopTimer()
 		})
+	}
+}
+
+// TestRingTeardownKeepsLedger: a DelLink, a link replacement and a Close,
+// each while a ring link's sender has frames pending under live traffic,
+// lose nothing unexplained. Every frame a Send admitted is delivered or
+// on one of the two nodes' ledgers — what the teardowns found pending on
+// tx_teardown — and a Send that reaches a stopped link is charged there.
+func TestRingTeardownKeepsLedger(t *testing.T) {
+	na, nb, epA, epB := batchNodes(t, overlay.RingConfig(), overlay.NodeConfig{}, "udp")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { // the sink keeps up, so its ring sheds nothing
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				epB.Recv(10 * time.Millisecond)
+			}
+		}
+	}()
+	var admitted atomic.Int64
+	accounted := func() int64 {
+		return int64(nb.Delivered.Load() + na.Ledger().Total() + nb.Ledger().Total())
+	}
+	sent := make(chan struct{})
+	go func() { // windowed, so nothing is shed at the receiving socket
+		defer close(sent)
+		f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest, Payload: make([]byte, 64)}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if admitted.Load()-accounted() >= 256 {
+				time.Sleep(50 * time.Microsecond)
+				continue
+			}
+			epA.Send(f)
+			admitted.Add(1)
+		}
+	}()
+	// Each teardown strikes with frames pending: an injected stall holds
+	// the sender short of its next flush until the teardown stops it.
+	strand := func(what string) {
+		t.Helper()
+		na.Runtime().Worker("tx/to-b").InjectStall(time.Hour)
+		waitUntil(t, recvTimeout, what+": frames pending behind the stalled sender", func() bool {
+			return famValue(na, "vnetp_link_tx_queue_depth") >= 16
+		})
+	}
+	traffic := func(what string) {
+		t.Helper()
+		mark := nb.Delivered.Load()
+		waitUntil(t, recvTimeout, what, func() bool { return nb.Delivered.Load() >= mark+100 })
+	}
+	traffic("traffic on the first link")
+	strand("delete")
+	if err := na.DelLink("to-b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := na.AddLink("to-b", nb.Addr(), "udp"); err != nil {
+		t.Fatal(err)
+	}
+	na.AddRoute(core.Route{DstMAC: epB.MAC(), DstQual: core.QualExact, SrcQual: core.QualAny,
+		Dest: core.Destination{Type: core.DestLink, ID: "to-b"}})
+	traffic("traffic on the re-added link")
+	strand("replace")
+	if err := na.AddLink("to-b", nb.Addr(), "udp"); err != nil {
+		t.Fatal(err)
+	}
+	traffic("traffic on the replacement link")
+	strand("close")
+	na.Close()
+	after := admitted.Load()
+	waitUntil(t, recvTimeout, "sends to the closed node", func() bool { return admitted.Load() >= after+100 })
+	close(stop)
+	<-sent
+	<-done
+
+	waitUntil(t, recvTimeout, "every admitted frame to be accounted for", func() bool { return admitted.Load() == accounted() })
+	t.Logf("admitted %d, delivered %d, sender tx_teardown %d no_route %d total %d, receiver total %d",
+		admitted.Load(), nb.Delivered.Load(), na.Ledger().Count("tx_teardown"), na.Ledger().Count("no_route"),
+		na.Ledger().Total(), nb.Ledger().Total())
+	if a, d := admitted.Load(), nb.Delivered.Load(); d == 0 || uint64(a) == d {
+		t.Fatalf("admitted %d, delivered %d: the teardowns lost nothing to charge", a, d)
+	}
+	if td := na.Ledger().Count("tx_teardown"); td < 3*16 {
+		t.Fatalf("tx_teardown = %d, want at least what the three teardowns found pending", td)
+	}
+}
+
+// TestSendFrameReuse pins Send's one ownership rule: the caller may reuse
+// a frame the moment Send returns, on either transmit leg. One frame and
+// one payload buffer carry every frame here, and the payload is poisoned
+// right after each Send; every frame must still arrive byte-exact —
+// plain and sealed, over UDP and TCP, at sizes from one record to a
+// frame of several datagrams. Meant for -race as well: a leg that read a
+// frame after its Send returned races the poisoning.
+func TestSendFrameReuse(t *testing.T) {
+	sizes := []int{64, 576, 64, 1500, 3000, 64, 9000}
+	payload := func(i int) []byte {
+		p := make([]byte, sizes[i%len(sizes)])
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		binary.BigEndian.PutUint32(p, uint32(i))
+		return p
+	}
+	for _, leg := range []struct {
+		name string
+		cfg  overlay.NodeConfig
+	}{{"sync", overlay.NodeConfig{}}, {"ring", overlay.RingConfig()}} {
+		for _, tenant := range []uint32{0, 7} {
+			for _, proto := range []string{"udp", "tcp"} {
+				t.Run(fmt.Sprintf("%s/tenant%d/%s", leg.name, tenant, proto), func(t *testing.T) {
+					var na *overlay.Node
+					var epA, epB *overlay.Endpoint
+					if tenant == 0 {
+						na, _, epA, epB = batchNodes(t, leg.cfg, overlay.NodeConfig{}, proto)
+					} else {
+						na, _, epA, epB = sealedPair(t, leg.cfg, proto)
+					}
+					const frames, window = 140, 14
+					buf := make([]byte, 9000)
+					f := &ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest}
+					for base := 0; base < frames; base += window {
+						for i := base; i < base+window; i++ {
+							f.Payload = buf[:copy(buf, payload(i))]
+							if err := epA.Send(f); err != nil {
+								t.Fatal(err)
+							}
+							for j := range f.Payload {
+								f.Payload[j] = 0xee
+							}
+						}
+						for i := base; i < base+window; i++ {
+							g, ok := epB.Recv(recvTimeout)
+							if !ok {
+								t.Fatalf("frame %d never arrived; sender ledger %v", i, na.Ledger().Snapshot())
+							}
+							if want := payload(i); !bytes.Equal(g.Payload, want) {
+								t.Fatalf("frame %d arrived as %d bytes %x…, want %d bytes %x…",
+									i, len(g.Payload), g.Payload[:8], len(want), want[:8])
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
