@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFlowCache -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzProbePayload -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzNextSegment -fuzztime=10s ./internal/overlay
+	$(GO) test -run=^$$ -fuzz=FuzzTCPStream -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzControlParse -fuzztime=10s ./internal/control
 
 clean:

@@ -82,7 +82,7 @@ func NewRoutingTable() *core.Table { return core.NewTable() }
 
 // Node is an overlay routing node; Endpoint an in-process guest NIC
 // attached to one. NodeConfig tunes the datapath (receive worker count,
-// batched transmit, adaptive dispatch, tracing, supervision).
+// flow cache, tracing, logging, anomaly watchdog).
 type (
 	Node       = overlay.Node
 	Endpoint   = overlay.Endpoint

@@ -12,12 +12,10 @@
 // received test frame back to its sender (swapping the MAC addresses), so
 // two daemons can be smoke-tested end to end without guests.
 //
-// Transmit leg: every Send encodes its frame into its link's one pending
-// batch before it returns. By default a link's senders share its wire
-// directly (the one in the kernel carries what the others encoded
-// meanwhile); -adaptive gives every link a sender goroutine that does all
-// the flushing, the live adaptive dispatcher — a lone frame leaves alone,
-// a loaded link's frames leave together, with nothing to tune.
+// Transmit: every Send encodes its frame into its link's one pending
+// batch before it returns, and every link has a sender goroutine that
+// flushes it, the live adaptive dispatcher — a lone frame leaves alone, a
+// loaded link's frames leave together, with nothing to tune.
 //
 // Security: -control-tls-cert/-key/-ca put the control console behind
 // mutual TLS (certificates from `vnetctl keygen`); plaintext clients are
@@ -68,7 +66,6 @@ func main() {
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
 	dispatchers := flag.Int("dispatchers", 0, "receive workers, each reading its own SO_REUSEPORT socket on -bind and finishing what it reads (0: min(4, GOMAXPROCS); one where the platform has no SO_REUSEPORT support here)")
-	adaptive := flag.Bool("adaptive", false, "adaptive dispatch: every link gets a sender goroutine that flushes what Sends left pending, and a Send never waits (false: synchronous sends)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
 	telemetryAddr := flag.String("telemetry-addr", "", "HTTP address for /metrics, /trace, /flight, /topflows, /diag, /debug/pprof/, /healthz (empty: disabled)")
 	anomalyInterval := flag.Duration("anomaly-interval", 5*time.Second, "anomaly watchdog sample period (0: watchdog off)")
@@ -105,7 +102,6 @@ func main() {
 
 	node, err := overlay.NewNodeWithConfig(*name, *bind, overlay.NodeConfig{
 		Dispatchers:       *dispatchers,
-		Adaptive:          overlay.AdaptiveConfig{Enabled: *adaptive},
 		FlowCacheDisabled: !*flowCache,
 		TraceSample:       *traceSample,
 		FlightDepth:       *flightDepth,
@@ -122,9 +118,6 @@ func main() {
 	defer node.Close()
 	logger.Info("vnetpd carrying traffic",
 		"node", *name, "addr", node.Addr(), "dispatchers", node.Dispatchers())
-	if *adaptive {
-		logger.Info("adaptive dispatch on: a sender goroutine per link")
-	}
 	if *traceSample > 0 {
 		logger.Info("live tracing on", "sample", fmt.Sprintf("1/%d", *traceSample))
 	}

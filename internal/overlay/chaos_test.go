@@ -70,7 +70,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	na, err := overlay.NewNodeWithConfig("chaos-a", "127.0.0.1:0", overlay.RingConfig().WithSupervise(chaosSupervise()))
+	na, err := overlay.NewNodeWithConfig("chaos-a", "127.0.0.1:0", overlay.NodeConfig{}.WithSupervise(chaosSupervise()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 // begins, Send reports ErrDraining; queued traffic still flushes; the
 // node ends closed and a second Drain refuses.
 func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
-	na, err := overlay.NewNodeWithConfig("drain-a", "127.0.0.1:0", overlay.RingConfig())
+	na, err := overlay.NewNodeWithConfig("drain-a", "127.0.0.1:0", overlay.NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDrainDeadlineGivesUp(t *testing.T) {
 	na, err := overlay.NewNodeWithConfig("drain-stuck", "127.0.0.1:0",
 		// Watchdog off: the injected stall must persist through the
 		// whole drain window for the deadline path to trigger.
-		overlay.RingConfig().WithSupervise(supervise.Config{StallTimeout: -1}))
+		overlay.NodeConfig{}.WithSupervise(supervise.Config{StallTimeout: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,8 @@
-// One sender on the wire per link: a synchronous Send that finds its
-// link busy leaves its frame, encoded, for the Send already transmitting
-// (combiner). These tests pin what that may and may not change: every frame
-// still arrives once and in its sender's order, a sealed link's nonces
-// leave in the order they were drawn, and nothing is left behind once
-// every Send has returned.
+// One batch per link: every Send encodes its frame into the link's pending
+// batch, and the link's sender flushes it (combiner). These tests pin what
+// that may and may not change: every frame still arrives once and in its
+// sender's order, a sealed link's nonces leave in the order they were
+// drawn, and no frame waits for a Send that never comes.
 package overlay
 
 import (
@@ -21,22 +20,19 @@ import (
 
 // TestSealedSendersKeepNonceOrder: four senders share one sealed link,
 // each pushing alternating 8 900 B (seven sealed fragments) and 64 B
-// frames as fast as its window allows. On either leg — a Send holding the
-// link, or the ring's one sender goroutine — datagrams leave in the order their
-// nonces were drawn, so the receiver's 64-entry replay window rejects
-// nothing: every frame arrives once, each sender's in order, over UDP and
-// TCP, and admitted = delivered + Σ ledger with an empty ledger.
+// frames as fast as its window allows — back to back ("batched"), or
+// each Send waiting out the link's flush before the next ("sync"). The
+// link's one sender puts datagrams on the wire in the order their nonces
+// were drawn, so the receiver's 64-entry replay window rejects nothing:
+// every frame arrives once, each sender's in order, over UDP and TCP, and
+// admitted = delivered + Σ ledger with an empty ledger.
 func TestSealedSendersKeepNonceOrder(t *testing.T) {
 	const tenant, senders, perSender, window = 7, 4, 150, 8
 	key := bytes.Repeat([]byte{0x3c}, 32)
-	legs := []struct {
-		name string
-		cfg  NodeConfig
-	}{{"sync", NodeConfig{}}, {"batched", RingConfig()}}
 	for _, proto := range []string{"udp", "tcp"} {
-		for _, leg := range legs {
-			t.Run(proto+"_"+leg.name, func(t *testing.T) {
-				tx, rx := dropNode(t, leg.cfg), dropNode(t, NodeConfig{})
+		for _, pace := range []string{"sync", "batched"} {
+			t.Run(proto+"_"+pace, func(t *testing.T) {
+				tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{})
 				for _, n := range []*Node{tx, rx} {
 					if err := n.AddTenant(tenant, key); err != nil {
 						t.Fatal(err)
@@ -78,6 +74,7 @@ func TestSealedSendersKeepNonceOrder(t *testing.T) {
 					}
 					recvErr <- nil
 				}()
+				lk := tx.topo.Load().links["wire"]
 				var wg sync.WaitGroup
 				for s := 0; s < senders; s++ {
 					src, err := tx.AttachEndpointTenant(fmt.Sprintf("s%d", s), ethernet.LocalMAC(uint32(1+s)), ethernet.MaxMTU, tenant)
@@ -106,6 +103,9 @@ func TestSealedSendersKeepNonceOrder(t *testing.T) {
 								t.Errorf("sender %d frame %d: %v", s, i, err)
 								return
 							}
+							for pace == "sync" && !lk.idle() {
+								time.Sleep(20 * time.Microsecond)
+							}
 						}
 					}(s)
 				}
@@ -128,13 +128,15 @@ func TestSealedSendersKeepNonceOrder(t *testing.T) {
 	}
 }
 
-// TestCombinerStrandsNothing: no frame waits for a future Send. Once
-// every Send of a concurrent burst has returned — most of them handing
-// their frame to whichever Send held the link — every frame is already
-// on the wire: the link is free, its pending batch is empty, encap_sent
-// counts all of them, and the peer accounts for exactly those.
+// TestCombinerStrandsNothing: no wakeup is lost. A Send that finds the
+// sender awake leaves its frame for it without waking it, so the sender
+// must look at what is pending before it parks. After each of twenty
+// bursts from four senders — most of whose Sends found it awake, and whose
+// last Sends may land while it is inside a flush — the link goes idle with
+// nothing pending; encap_sent and the batch-size histogram count every
+// frame, and the peer accounts for exactly those.
 func TestCombinerStrandsNothing(t *testing.T) {
-	const senders, perSender = 4, 200
+	const senders, perSender, bursts = 4, 10, 20
 	tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{})
 	sink, err := rx.AttachEndpoint("sink", ethernet.LocalMAC(0x99), 1500)
 	if err != nil {
@@ -156,46 +158,46 @@ func TestCombinerStrandsNothing(t *testing.T) {
 			received.Add(1)
 		}
 	}()
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		src, err := tx.AttachEndpoint(fmt.Sprintf("s%d", s), ethernet.LocalMAC(uint32(1+s)), 1500)
-		if err != nil {
+	srcs := make([]*Endpoint, senders)
+	for s := range srcs {
+		if srcs[s], err = tx.AttachEndpoint(fmt.Sprintf("s%d", s), ethernet.LocalMAC(uint32(1+s)), 1500); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				if err := src.Send(testFrame(src.MAC(), sink.MAC())); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
 	}
-	wg.Wait()
 	lk := tx.topo.Load().links["wire"]
-	lk.comb.mu.Lock()
-	busy, pending := lk.comb.busy, len(lk.comb.pending().frames)
-	lk.comb.mu.Unlock()
-	if busy || pending != 0 {
-		t.Fatalf("after every Send returned: link busy=%v with %d frames pending", busy, pending)
+	const total = senders * perSender * bursts
+	for b := 0; b < bursts; b++ {
+		var wg sync.WaitGroup
+		for _, src := range srcs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perSender; i++ {
+					if err := src.Send(testFrame(src.MAC(), sink.MAC())); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		waitIdle(t, lk)
 	}
-	if sent := tx.EncapSent.Load(); sent != senders*perSender {
-		t.Fatalf("encap_sent = %d once every Send returned, want %d", sent, senders*perSender)
+	if sent := tx.EncapSent.Load(); sent != total {
+		t.Fatalf("encap_sent = %d once the link went idle, want %d", sent, total)
 	}
-	if h := tx.metrics.txBatchSize; h.Sum() != senders*perSender {
-		t.Fatalf("vnetp_tx_batch_size carried %v frames in %d transmits, want %d", h.Sum(), h.Count(), senders*perSender)
+	if h := tx.metrics.txBatchSize; h.Sum() != total {
+		t.Fatalf("vnetp_tx_batch_size carried %v frames in %d transmits, want %d", h.Sum(), h.Count(), total)
 	}
 	// The peer may shed some at its endpoint ring (the receiving goroutine
 	// is not paced), but every frame is delivered or on its ledger, and
 	// none beyond those sent.
 	accounted := func() uint64 { return received.Load() + rx.ledger.Total() }
-	for deadline := time.Now().Add(5 * time.Second); accounted() < senders*perSender && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); accounted() < total && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // anything beyond what was sent would arrive now
-	if got, lost := accounted(), tx.ledger.Total(); got != senders*perSender || lost != 0 {
-		t.Fatalf("peer delivered or shed %d frames and the sender dropped %d, want %d and 0", got, lost, senders*perSender)
+	if got, lost := accounted(), tx.ledger.Total(); got != total || lost != 0 {
+		t.Fatalf("peer delivered or shed %d frames and the sender dropped %d, want %d and 0", got, lost, total)
 	}
 }

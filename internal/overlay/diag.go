@@ -27,7 +27,7 @@ import (
 // DiagSchema versions the bundle's shape. Bump only when a top-level
 // key changes meaning or disappears; adding keys is append-only and
 // does not bump.
-const DiagSchema = 2
+const DiagSchema = 3
 
 // DiagBundle is the one-shot diagnostic snapshot document.
 type DiagBundle struct {
@@ -67,7 +67,6 @@ type DiagConfig struct {
 	RxBatch         int     `json:"rx_batch"`
 	FlowCache       bool    `json:"flow_cache"`
 	FlowCacheSize   int     `json:"flow_cache_size"`
-	Adaptive        bool    `json:"adaptive"`
 	TraceSample     uint64  `json:"trace_sample"`
 	FlightDepth     int     `json:"flight_depth"`
 	AnomalyWatch    bool    `json:"anomaly_watch"`
@@ -134,7 +133,6 @@ func (n *Node) Diag() DiagBundle {
 			RxBatch:         rxBatch,
 			FlowCache:       !cfg.FlowCacheDisabled,
 			FlowCacheSize:   fcSize,
-			Adaptive:        cfg.Adaptive.Enabled,
 			TraceSample:     cfg.TraceSample,
 			FlightDepth:     cfg.FlightDepth,
 			AnomalyWatch:    !cfg.Anomaly.Disabled,

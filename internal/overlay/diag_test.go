@@ -42,6 +42,23 @@ var diagGoldenKeys = []string{
 	"uptime_seconds",
 }
 
+// diagSchema is the pinned schema version: 3 since the config document
+// lost "adaptive" with the node's last transmit setting.
+const diagSchema = 3
+
+// diagConfigKeys is the pinned key set of the config document (sorted).
+var diagConfigKeys = []string{
+	"anomaly_drop_rate",
+	"anomaly_interval",
+	"anomaly_watch",
+	"dispatchers",
+	"flight_depth",
+	"flow_cache",
+	"flow_cache_size",
+	"rx_batch",
+	"trace_sample",
+}
+
 func fetchDiag(t *testing.T, url string) (overlay.DiagBundle, map[string]json.RawMessage) {
 	t.Helper()
 	cl := &http.Client{Timeout: 5 * time.Second}
@@ -110,8 +127,20 @@ func TestDiagSchemaGolden(t *testing.T) {
 	if !reflect.DeepEqual(keys, diagGoldenKeys) {
 		t.Fatalf("top-level keys drifted:\n got  %v\n want %v", keys, diagGoldenKeys)
 	}
-	if b.Schema != overlay.DiagSchema {
-		t.Fatalf("schema = %d, want %d", b.Schema, overlay.DiagSchema)
+	if b.Schema != diagSchema || overlay.DiagSchema != diagSchema {
+		t.Fatalf("schema = %d (DiagSchema %d), want %d", b.Schema, overlay.DiagSchema, diagSchema)
+	}
+	var config map[string]json.RawMessage
+	if err := json.Unmarshal(raw["config"], &config); err != nil {
+		t.Fatal(err)
+	}
+	configKeys := make([]string, 0, len(config))
+	for k := range config {
+		configKeys = append(configKeys, k)
+	}
+	sort.Strings(configKeys)
+	if !reflect.DeepEqual(configKeys, diagConfigKeys) {
+		t.Fatalf("config keys drifted:\n got  %v\n want %v", configKeys, diagConfigKeys)
 	}
 	if b.Node != "diag-golden" || b.Addr == "" {
 		t.Fatalf("identity: node=%q addr=%q", b.Node, b.Addr)

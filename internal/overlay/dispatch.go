@@ -52,17 +52,11 @@ type NodeConfig struct {
 	// escape hatch (vnetpd -flow-cache=false).
 	FlowCacheDisabled bool
 
-	// Adaptive picks the transmit leg (vnetpd -adaptive), the node's one
-	// transmit setting. On either leg Send encodes its frame into its
-	// link's one pending batch before it returns, and one holder at a
-	// time flushes that batch. Off, a link runs the synchronous leg: the
-	// holder is a Send that found the link free, and it carries what the
-	// others encoded meanwhile. On, the holder is the link's sender
-	// goroutine, the live adaptive dispatcher: a Send wakes it and never
-	// waits (past txRingDepth pending frames it drops), and it flushes
-	// what is pending until nothing is, never waiting for more. Both legs
-	// pack small frames into shared datagrams and move a batch in one
-	// syscall (sendmmsg on Linux).
+	// Adaptive is read by nothing: every link has a sender goroutine,
+	// the live adaptive dispatcher (txbatch.go), whatever it holds.
+	//
+	// Deprecated: the node has no transmit setting. The field remains only
+	// so existing configurations compile.
 	Adaptive AdaptiveConfig
 
 	// TraceSample arms the live tracer at startup: trace one in every
@@ -96,13 +90,14 @@ type NodeConfig struct {
 	supervise     supervise.Config
 }
 
-// AdaptiveConfig selects the transmit leg (NodeConfig.Adaptive).
+// AdaptiveConfig is NodeConfig.Adaptive's type.
+//
+// Deprecated: nothing reads it.
 type AdaptiveConfig struct {
-	// Enabled gives every link a sender goroutine that holds its batch.
 	Enabled bool
 }
 
-// The ring leg's constants (DESIGN "Batched transmit"): a Send drops its
+// The transmit constants (DESIGN "Batched transmit"): a Send drops its
 // frame once txRingDepth frames are pending on the link, and a record
 // train closes at txBatchMax frames, which bounds what one lost datagram
 // costs.

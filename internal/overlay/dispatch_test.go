@@ -235,8 +235,8 @@ func TestPerDispatcherStats(t *testing.T) {
 
 // TestRouteFanOutContinuesPastDeadLink is the fan-out bugfix regression:
 // a multicast/broadcast hitting a dead link must still reach every other
-// destination, and the send failures must be aggregated, not returned
-// first-error-wins.
+// destination. The dead link's failure is the link's, not the caller's:
+// Send returns nil, and the leg lands on tx_error and send_errors.
 func TestRouteFanOutContinuesPastDeadLink(t *testing.T) {
 	n, err := NewNode("fanout", "127.0.0.1:0")
 	if err != nil {
@@ -264,11 +264,15 @@ func TestRouteFanOutContinuesPastDeadLink(t *testing.T) {
 		Dest: core.Destination{Type: core.DestInterface, ID: "local"}})
 
 	err = src.Send(&ethernet.Frame{Dst: ethernet.Broadcast, Src: src.MAC(), Type: ethernet.TypeTest, Payload: []byte("bcast")})
-	if err == nil {
-		t.Fatal("dead-link failure not surfaced")
+	if err != nil {
+		t.Fatalf("Send returned %v: a link's transport failure lands on the ledger", err)
 	}
 	if f, ok := local.Recv(2 * time.Second); !ok || string(f.Payload) != "bcast" {
 		t.Fatal("local endpoint starved by dead link earlier in the fan-out")
+	}
+	waitIdle(t, n.topo.Load().links["dead"])
+	if got := n.ledger.Count(dropTxError); got != 1 {
+		t.Fatalf("tx_error = %d, want the dead link's leg", got)
 	}
 	// The transport failure is attributed to the link.
 	lines, err := n.LinkStatus("dead")

@@ -59,6 +59,27 @@ func settle(caughtUp func() bool) {
 	}
 }
 
+// idle reports whether lk's sender has flushed every frame Sends encoded
+// and parked: nothing pending, the sender not awake. The counters a flush
+// moves (encap_sent, bytes_sent, send_errors, the TX histograms) are
+// final for those frames from then on.
+func (lk *link) idle() bool {
+	lk.comb.mu.Lock()
+	defer lk.comb.mu.Unlock()
+	return !lk.comb.busy && len(lk.comb.pending().frames) == 0
+}
+
+// waitIdle returns once lk is idle, and fails the test if it is not
+// within 5 s.
+func waitIdle(t testing.TB, lk *link) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !lk.idle(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("link %s never went idle", lk.id)
+		}
+	}
+}
+
 // waitSwept polls until the evict sweep has emptied every shard's
 // reassembler, then gives the drop the sweep charges after it unlocks
 // time to land.
@@ -382,7 +403,7 @@ func TestTrainSegmentFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tx, rx := dropNode(t, RingConfig()), dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
+			tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
 			if tc.tenant != 0 {
 				for _, n := range []*Node{tx, rx} {
 					if err := n.AddTenant(tc.tenant, bytes.Repeat([]byte{0x2d}, 32)); err != nil {
@@ -538,7 +559,7 @@ func TestDropSiteCrossTenant(t *testing.T) {
 }
 
 func TestDropSiteTxRing(t *testing.T) {
-	n := dropNode(t, RingConfig().WithTxRing(1))
+	n := dropNode(t, NodeConfig{}.WithTxRing(1))
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -599,7 +620,7 @@ func TestDropSiteTxRing(t *testing.T) {
 }
 
 func TestDropSiteTxTeardown(t *testing.T) {
-	n := dropNode(t, RingConfig().WithTxRing(64))
+	n := dropNode(t, NodeConfig{}.WithTxRing(64))
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -637,8 +658,8 @@ func TestDropSiteTxTeardown(t *testing.T) {
 	}
 }
 
-// TestDropSiteTxError: frames a batched sender took off its ring whose
-// datagrams the transport refused — the node's UDP socket gone, the TCP
+// TestDropSiteTxError: frames a link's sender flushed whose datagrams
+// the transport refused — the node's UDP socket gone, the TCP
 // peer refusing the dial — land on tx_error, once each, whether they
 // left alone (fragments) or shared an aggregate, and get no encap_sent
 // and no TX latency sample. A frame that fragments is refused with its
@@ -654,7 +675,7 @@ func TestDropSiteTxError(t *testing.T) {
 			{name: "aggregate", frames: 5, size: 64, udpDgs: 1, tcpDgs: 1},
 		} {
 			t.Run(proto+"_"+tc.name, func(t *testing.T) {
-				n := dropNode(t, RingConfig())
+				n := dropNode(t, NodeConfig{})
 				if err := n.AddLink("wire", "127.0.0.1:1", proto); err != nil {
 					t.Fatal(err)
 				}
@@ -689,7 +710,7 @@ func TestDropSiteTxError(t *testing.T) {
 	// (tcpaccount_test.go scripts the same failure), so the frames they
 	// completed count as sent and only the third is refused.
 	t.Run("tcp_partial", func(t *testing.T) {
-		n := dropNode(t, RingConfig())
+		n := dropNode(t, NodeConfig{})
 		if err := n.AddLink("wire", "127.0.0.1:1", "tcp"); err != nil {
 			t.Fatal(err)
 		}
@@ -715,12 +736,11 @@ func TestDropSiteTxError(t *testing.T) {
 // -race) and then checks the audit invariant: the ledger total sums
 // exactly to its per-reason counts, and every reason agrees with the
 // older family its sites have always been counted in, read by name from
-// the registry — each loss counted once, under exactly one reason. The
-// node runs the batched leg, and half the
-// receive-side churn arrives as aggregate datagrams, whose drops charge
-// several frames at a time.
+// the registry — each loss counted once, under exactly one reason. Half
+// the receive-side churn arrives as aggregate datagrams, whose drops
+// charge several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 2, Adaptive: AdaptiveConfig{Enabled: true}, txRing: 1, evictInterval: 20 * time.Millisecond})
+	n := dropNode(t, NodeConfig{Dispatchers: 2, txRing: 1, evictInterval: 20 * time.Millisecond})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,14 @@ import (
 // scrape cross-check ranges over the rows the renderer does.
 func (n *Node) StatRows() []statRow { return n.statRows() }
 
-// TxBatchMax is the most frames one record train carries on a ring link.
+// RaceEnabled reports a -race build to the external tests.
+const RaceEnabled = raceEnabled
+
+// TxBatchMax is the most frames one record train carries.
 const TxBatchMax = txBatchMax
 
 // flushFrames builds one batch of frames with add and flushes it, as a
-// holder flushes what it found pending: the deterministic batch that
+// link's sender flushes what it found pending: the deterministic batch that
 // tests pin wire shapes and accounting against. A frame that cannot be
 // encoded fails the test.
 func (n *Node) flushFrames(t testing.TB, lk *link, frames ...*ethernet.Frame) {
@@ -28,11 +31,14 @@ func (n *Node) flushFrames(t testing.TB, lk *link, frames ...*ethernet.Frame) {
 			t.Fatal(err)
 		}
 	}
-	n.flush(lk, &s, -1)
+	n.flush(lk, &s)
 }
 
-// RingConfig is a node configuration whose links run the TX ring.
-func RingConfig() NodeConfig { return NodeConfig{Adaptive: AdaptiveConfig{Enabled: true}} }
+// WaitIdle and Idle hand the external tests waitIdle and link.idle for
+// the link named id.
+func (n *Node) WaitIdle(t testing.TB, id string) { waitIdle(t, n.topo.Load().links[id]) }
+
+func (n *Node) Idle(id string) bool { return n.topo.Load().links[id].idle() }
 
 // WithTxRing, WithEvictInterval and WithSupervise hand the external tests
 // NodeConfig's seams: a small TX ring, a fast eviction clock, a

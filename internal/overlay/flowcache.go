@@ -30,7 +30,6 @@
 package overlay
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,7 +189,8 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 	}
 	if fc != nil {
 		if e := fc.lookup(ck, epoch); e != nil {
-			return n.flowHit(e, key, f, from, at)
+			n.flowHit(e, key, f, from, at)
+			return nil
 		}
 	}
 	e := &flowEntry{epoch: epoch, tenant: key.Tenant}
@@ -206,7 +206,8 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 	if fc != nil && own && (!bySrc || !ck.Src.IsZero()) {
 		fc.store(ck, e)
 	}
-	return n.flowHit(e, key, f, from, at)
+	n.flowHit(e, key, f, from, at)
+	return nil
 }
 
 // resolveFlow fills e with the decision for (tenant, src, dst): the
@@ -243,7 +244,7 @@ func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
 // and the only one: cached, just resolved, or transient. A locally
 // originated frame is charged to its tenant and flow here, whatever
 // becomes of it.
-func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) {
 	if from != nil {
 		fl := e.fl.Load()
 		if fl == nil || fl.Src != f.Src {
@@ -255,7 +256,7 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	return n.forwardTo(e, key, f, from, at)
+	n.forwardTo(e, key, f, from, at)
 }
 
 // forwardTo hands a frame to one resolved target (e.ep or e.lk): a
@@ -263,33 +264,27 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 // is re-checked here on every forward, on immutable fields (entry,
 // endpoint, and link tenants are all fixed at their creation), so even a
 // hypothetical stale entry surviving an epoch bump could not cross
-// tenants. Every frame entering here is delivered, handed to a
-// transport, or lands on exactly one ledger reason. A link leg takes the
-// frame's TX latency sample where it leaves, from at (zero: none).
-func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+// tenants. Every frame entering here is delivered, encoded into its
+// link's pending batch (sendRing), or lands on exactly one ledger reason;
+// nothing here is the caller's error — what a link's transport refuses
+// later lands on tx_error. A link leg takes the frame's TX latency sample
+// where it leaves, from at (zero: none).
+func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) {
 	tenant := key.Tenant
 	if ep := e.ep; ep != nil {
-		if ep == from {
-			return nil
-		}
-		if e.tenant != tenant || ep.tenant != tenant {
+		switch {
+		case ep == from:
+		case e.tenant != tenant || ep.tenant != tenant:
 			n.drop(dropCrossTenant, 1, routeDetail(key, ep.name))
-			return nil
+		default:
+			ep.deliver(f)
 		}
-		ep.deliver(f)
-		return nil
+		return
 	}
 	lk := e.lk
 	if e.tenant != tenant || lk.tenant != tenant {
 		n.drop(dropCrossTenant, 1, routeDetail(key, lk.id))
-		return nil
+		return
 	}
-	if lk.wake != nil {
-		n.sendRing(lk, f, at)
-		return nil
-	}
-	if err := n.sendSync(lk, f, at); err != nil {
-		return fmt.Errorf("link %q: %w", lk.id, err)
-	}
-	return nil
+	n.sendRing(lk, f, at)
 }

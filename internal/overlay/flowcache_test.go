@@ -118,9 +118,10 @@ func TestFlowEpochBumpEvents(t *testing.T) {
 			Dest: core.Destination{Type: core.DestInterface, ID: "ghost"}})
 	})
 
-	for name, cfg := range map[string]NodeConfig{"sync": {}, "batched": RingConfig()} {
-		t.Run("fault_mid_stream_"+name, func(t *testing.T) {
-			n, tap := dropNode(t, cfg), newWireTap(t, "udp")
+	// "sync": each Send waits out the link's flush; "batched": it does not.
+	for _, pace := range []string{"sync", "batched"} {
+		t.Run("fault_mid_stream_"+pace, func(t *testing.T) {
+			n, tap := dropNode(t, NodeConfig{}), newWireTap(t, "udp")
 			src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 			if err != nil {
 				t.Fatal(err)
@@ -135,6 +136,9 @@ func TestFlowEpochBumpEvents(t *testing.T) {
 				t.Helper()
 				if err := src.Send(testFrame(src.MAC(), dst)); err != nil {
 					t.Fatal(err)
+				}
+				if pace == "sync" {
+					waitIdle(t, n.topo.Load().links["wire"])
 				}
 			}
 			send() // the miss that caches the flow

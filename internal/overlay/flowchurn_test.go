@@ -42,12 +42,14 @@ func flowWaitGoroutines(t *testing.T, want int, what string) {
 // receivers plus a zero cross_tenant_drops counter — the guards must
 // never even be the last line of defense), a deleted link's warm cache
 // entries deliver nothing, and the churned links' goroutines are
-// reaped. The batched variant runs the same churn with every tenant
-// link's frames leaving in aggregate datagrams: an aggregate is built
+// reaped. In the batched variant the senders send back to back, so each
+// tenant link's frames leave in shared record trains: a train is built
 // per link, so it can no more carry two tenants than a single frame can.
+// In the sync variant each Send waits out its link's flush, so every
+// frame leaves alone.
 func TestFlowCacheChurnUnderTraffic(t *testing.T) {
-	t.Run("sync", func(t *testing.T) { flowCacheChurn(t, NodeConfig{}) })
-	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, RingConfig()) })
+	t.Run("sync", func(t *testing.T) { flowCacheChurn(t, true) })
+	t.Run("batched", func(t *testing.T) { flowCacheChurn(t, false) })
 }
 
 // QuietDelivered returns n's delivered count once its receive workers
@@ -73,8 +75,8 @@ func QuietDelivered(n *Node) uint64 {
 	return n.Delivered.Load()
 }
 
-func flowCacheChurn(t *testing.T, sender NodeConfig) {
-	na, err := NewNodeWithConfig("churn-a", "127.0.0.1:0", sender)
+func flowCacheChurn(t *testing.T, paced bool) {
+	na, err := NewNodeWithConfig("churn-a", "127.0.0.1:0", NodeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 	var senders sync.WaitGroup
 	for _, id := range tenants {
 		senders.Add(1)
-		go func(id uint32, ep *Endpoint) {
+		go func(id uint32, ep *Endpoint, lk *link) {
 			defer senders.Done()
 			f := &ethernet.Frame{Dst: macD, Src: macS, Type: ethernet.TypeTest,
 				Payload: []byte(fmt.Sprintf("tenant-%d", id))}
@@ -162,8 +164,11 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 				default:
 					ep.Send(f)
 				}
+				for paced && !lk.idle() {
+					time.Sleep(20 * time.Microsecond)
+				}
 			}
-		}(id, sides[id].send)
+		}(id, sides[id].send, na.topo.Load().links[fmt.Sprintf("link-t%d", id)])
 	}
 
 	// Churners, one per invalidation source.
@@ -223,8 +228,11 @@ func flowCacheChurn(t *testing.T, sender NodeConfig) {
 	if got := Metric(t, nb, "vnetp_cross_tenant_drops_total"); got != 0 {
 		t.Fatalf("cross_tenant_drops = %v on the receiver node", got)
 	}
-	if h := na.metrics.txDatagramFrames; sender.Adaptive.Enabled && h.Sum() <= float64(h.Count()) {
+	switch h := na.metrics.txDatagramFrames; {
+	case !paced && h.Sum() <= float64(h.Count()):
 		t.Fatalf("batched senders never shared a datagram: %v frames in %d datagrams", h.Sum(), h.Count())
+	case paced && h.Sum() != float64(h.Count()):
+		t.Fatalf("paced senders shared datagrams: %v frames in %d datagrams", h.Sum(), h.Count())
 	}
 
 	// Deleted-link invariant on a warm cache: the tenant links are hot in

@@ -170,6 +170,7 @@ func TestForwardMissEqualsHit(t *testing.T) {
 		fault   bool
 		traced  bool
 		bySrc   bool // a source-qualified route is installed: the cache keys on the source too
+		batch   bool // the frame goes through SendBatch, not Send
 		datagrs int  // datagrams per 3000-byte frame
 	}{
 		{name: "plain_udp", proto: "udp", datagrs: 3},
@@ -177,7 +178,7 @@ func TestForwardMissEqualsHit(t *testing.T) {
 		{name: "tcp_link", proto: "tcp", datagrs: 1},
 		{name: "fault_conduit", proto: "udp", fault: true, datagrs: 3},
 		{name: "traced", proto: "udp", traced: true, datagrs: 3},
-		{name: "batched_link", cfg: RingConfig(), proto: "udp", datagrs: 3},
+		{name: "batched_link", proto: "udp", batch: true, datagrs: 3},
 		{name: "local_endpoint"},
 		{name: "cache_disabled_link", cfg: NodeConfig{FlowCacheDisabled: true}, proto: "udp", datagrs: 3},
 		{name: "cache_disabled_local", cfg: NodeConfig{FlowCacheDisabled: true}},
@@ -238,17 +239,17 @@ func TestForwardMissEqualsHit(t *testing.T) {
 				t.Helper()
 				before := readForwardCounters(n, tc.tenant, "wire", from, dst)
 				f := &ethernet.Frame{Dst: dst, Src: from, Type: ethernet.TypeTest, Payload: payload}
-				if err := src.Send(f); err != nil {
+				if tc.batch {
+					if err := src.SendBatch([]*ethernet.Frame{f}); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := src.Send(f); err != nil {
 					t.Fatal(err)
 				}
 				var wire []wireDatagram
 				if tap != nil {
 					wire = tap.frame(t, tc.datagrs, kr)
-					// The batched sender counts after its flush returns.
-					deadline := time.Now().Add(5 * time.Second)
-					for n.EncapSent.Load() == before.EncapSent && time.Now().Before(deadline) {
-						time.Sleep(time.Millisecond)
-					}
+					waitIdle(t, n.topo.Load().links["wire"]) // the link's sender counts after its flush returns
 				} else {
 					got, ok := sink.Recv(5 * time.Second)
 					if !ok || got != f {
@@ -279,18 +280,13 @@ func TestForwardMissEqualsHit(t *testing.T) {
 			flen := uint64(ethernet.HeaderLen + len(payload))
 			want := forwardCounters{OutFrames: 1, OutBytes: flen, FlowBytes: flen, FlowPackets: 1}
 			if tap != nil {
-				want.EncapSent = 1
+				want.EncapSent, want.TxSamples = 1, 1
 				for _, d := range missWire {
 					want.LinkBytes += uint64(d.Header.WireLen() + len(d.Payload))
 				}
 				if tc.tenant != 0 {
 					want.SealedSent = uint64(tc.datagrs)
 					want.LinkBytes += uint64(tc.datagrs * seal.Overhead)
-				}
-				if !tc.cfg.Adaptive.Enabled {
-					want.TxSamples = 1
-				} else {
-					want.TxSamples = hit.TxSamples // sampled by the batched sender
 				}
 			} else {
 				want.Delivered, want.InFrames, want.InBytes = 1, 1, flen
@@ -303,9 +299,6 @@ func TestForwardMissEqualsHit(t *testing.T) {
 			// hit) while no route has a source qualifier, through one of its
 			// own (a miss) once any route on the node has.
 			otherWire, other := send(ethernet.LocalMAC(3))
-			if tc.cfg.Adaptive.Enabled {
-				want.TxSamples = other.TxSamples
-			}
 			if other != want || len(otherWire) != len(hitWire) {
 				t.Fatalf("second source:\ngot  %+v in %d datagrams\nwant %+v in %d", other, len(otherWire), want, len(hitWire))
 			}
@@ -674,6 +667,9 @@ func TestBroadcastTakesOneTxSample(t *testing.T) {
 	if err := src.Send(testFrame(src.MAC(), ethernet.Broadcast)); err != nil {
 		t.Fatal(err)
 	}
+	for _, lk := range n.topo.Load().links {
+		waitIdle(t, lk)
+	}
 	if got := n.EncapSent.Load(); got != 3 {
 		t.Fatalf("encap_sent = %d, want one per link leg", got)
 	}
@@ -682,18 +678,17 @@ func TestBroadcastTakesOneTxSample(t *testing.T) {
 	}
 }
 
-// TestBatchedEqualsSync is the batched ≡ sync differential: one stream of
-// frames — three flows, small and mid-size frames, a traced frame and a
-// frame longer than a datagram in the middle — delivers the same frames in the
-// same per-flow order whether the sender writes each frame inline, runs
-// the self-clocked batched sender, is handed the whole stream as one
-// batch, or has each flow's frames sent by a goroutine of its own many
-// times over, the synchronous Sends combining on the link as they find it
+// TestBatchedEqualsSync: one stream of frames — three flows, small and
+// mid-size frames, a traced frame and a frame longer than a datagram in
+// the middle — is delivered as it was sent, each flow's frames in order,
+// however the link's sender batches it: sent frame by frame, handed to the
+// link as one batch, or with each flow's frames sent by a goroutine of its
+// own many times over, the Sends sharing flushes as they find the sender
 // busy. Every run ends with admitted = delivered + Σ ledger and an empty
 // ledger on both nodes. The one-batch run also pins the encoder choices
 // on the wire: neighbours share a record train, the big frame included,
 // the traced frame cuts the open train and travels in a datagram of its
-// own, in ring order, and keeps one trace ID end to end.
+// own, in send order, and keeps one trace ID end to end.
 func TestBatchedEqualsSync(t *testing.T) {
 	const tenant = 7
 	key := bytes.Repeat([]byte{0x6b}, 32)
@@ -715,12 +710,27 @@ func TestBatchedEqualsSync(t *testing.T) {
 	}
 	macA, macB := ethernet.LocalMAC(0xa), ethernet.LocalMAC(0xb)
 	mac1, mac2, macT := ethernet.LocalMAC(1), ethernet.LocalMAC(2), ethernet.LocalMAC(3)
+	// stream is the frames sent, in order; frame i's payload is size bytes
+	// of i.
+	type streamFrame struct {
+		src, dst ethernet.MAC
+		size     int
+	}
+	stream := func(big int) []streamFrame {
+		return []streamFrame{
+			{mac1, macA, 64}, {mac2, macB, 64}, {mac1, macA, 576}, {mac2, macB, 64},
+			{macT, macA, 64}, // traced, mid-batch
+			{mac1, macA, 64},
+			{mac2, macB, big}, // spans datagrams, mid-batch
+			{mac1, macA, 64}, {mac2, macB, 576}, {mac1, macA, 64},
+		}
+	}
 	for _, tc := range cases {
 		// run sends the stream — once, or reps times with a goroutine per
 		// source — and reports, per source MAC, the payloads its sink
 		// received, in order.
-		run := func(t *testing.T, cfg NodeConfig, oneBatch bool, reps int) map[ethernet.MAC][]string {
-			rx, tx := dropNode(t, NodeConfig{}), dropNode(t, cfg)
+		run := func(t *testing.T, oneBatch bool, reps int) map[ethernet.MAC][]string {
+			rx, tx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{})
 			if tc.tenant != 0 {
 				for _, n := range []*Node{rx, tx} {
 					if err := n.AddTenant(tc.tenant, key); err != nil {
@@ -751,18 +761,8 @@ func TestBatchedEqualsSync(t *testing.T) {
 			}
 			tx.tracer.AddFlow(macT) // every frame from macT is traced, no other
 
-			stream := []struct {
-				src, dst ethernet.MAC
-				size     int
-			}{
-				{mac1, macA, 64}, {mac2, macB, 64}, {mac1, macA, 576}, {mac2, macB, 64},
-				{macT, macA, 64}, // traced, mid-batch
-				{mac1, macA, 64},
-				{mac2, macB, tc.big}, // spans datagrams, mid-batch
-				{mac1, macA, 64}, {mac2, macB, 576}, {mac1, macA, 64},
-			}
-			frames := make([]*ethernet.Frame, len(stream))
-			for i, s := range stream {
+			frames := make([]*ethernet.Frame, len(stream(tc.big)))
+			for i, s := range stream(tc.big) {
 				p := bytes.Repeat([]byte{byte(i)}, s.size)
 				frames[i] = &ethernet.Frame{Dst: s.dst, Src: s.src, Type: ethernet.TypeTest, Payload: p}
 			}
@@ -856,19 +856,22 @@ func TestBatchedEqualsSync(t *testing.T) {
 			return got
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			sync := run(t, NodeConfig{}, false, 1)
-			if len(sync[mac1]) != 5 || len(sync[mac2]) != 4 || len(sync[macT]) != 1 {
-				t.Fatalf("sync run delivered %d/%d/%d frames per flow, want 5/4/1", len(sync[mac1]), len(sync[mac2]), len(sync[macT]))
+			sent := map[ethernet.MAC][]string{} // the stream, per flow, in send order
+			for i, s := range stream(tc.big) {
+				sent[s.src] = append(sent[s.src], string(bytes.Repeat([]byte{byte(i)}, s.size)))
 			}
-			if batched := run(t, RingConfig(), false, 1); !reflect.DeepEqual(batched, sync) {
-				t.Fatalf("batched sender delivered differently from sync:\nbatched %q\nsync    %q", batched, sync)
+			if len(sent[mac1]) != 5 || len(sent[mac2]) != 4 || len(sent[macT]) != 1 {
+				t.Fatalf("the stream has %d/%d/%d frames per flow, want 5/4/1", len(sent[mac1]), len(sent[mac2]), len(sent[macT]))
 			}
-			if one := run(t, RingConfig(), true, 1); !reflect.DeepEqual(one, sync) {
-				t.Fatalf("one batch delivered differently from sync:\none  %q\nsync %q", one, sync)
+			if each := run(t, false, 1); !reflect.DeepEqual(each, sent) {
+				t.Fatalf("frame by frame, delivered differently from the stream:\ngot  %q\nsent %q", each, sent)
+			}
+			if one := run(t, true, 1); !reflect.DeepEqual(one, sent) {
+				t.Fatalf("one batch delivered differently from the stream:\ngot  %q\nsent %q", one, sent)
 			}
 			const reps = 30 // per sink: at most 6 × 30 frames, inside its ring
-			combined := run(t, NodeConfig{}, false, reps)
-			for mac, once := range sync {
+			combined := run(t, false, reps)
+			for mac, once := range sent {
 				var want []string
 				for r := 0; r < reps; r++ {
 					want = append(want, once...)

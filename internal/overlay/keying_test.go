@@ -58,10 +58,10 @@ func newKeyingNode(t *testing.T, cfg NodeConfig) *keyingNode {
 	return k
 }
 
-// state is everything a frame may move, cumulative: what each endpoint
-// received, what each link sent, the ledger by reason, both tenants'
-// indicators and the frame's own flow.
-func (k *keyingNode) state(src, dst ethernet.MAC) []uint64 {
+// state is everything a frame may move, cumulative, once every link has
+// flushed it: what each endpoint received, what each link sent, the
+// ledger by reason, both tenants' indicators and the frame's own flow.
+func (k *keyingNode) state(t *testing.T, src, dst ethernet.MAC) []uint64 {
 	for i, ep := range k.eps {
 		for {
 			if _, ok := ep.TryRecv(); !ok {
@@ -73,6 +73,7 @@ func (k *keyingNode) state(src, dst ethernet.MAC) []uint64 {
 	v := append([]uint64(nil), k.got...)
 	topo := k.n.topo.Load()
 	for _, id := range k.links {
+		waitIdle(t, topo.links[id])
 		v = append(v, topo.links[id].bytesSent.Load())
 	}
 	for _, r := range dropReasons {
@@ -199,7 +200,7 @@ func keyedEqualsUncached(t *testing.T, seed int64) {
 				} else {
 					errs[i] = k.eps[from].Send(f) != nil
 				}
-				states[i] = k.state(src, dst)
+				states[i] = k.state(t, src, dst)
 			}
 			if errs[0] != errs[1] || !reflect.DeepEqual(states[0], states[1]) {
 				t.Fatalf("step %d: frame %s->%s (tenant %d, wire=%v, source-keyed=%v) diverged:\ncached   err=%v %v\nuncached err=%v %v\nrules:\n%s",

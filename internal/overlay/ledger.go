@@ -32,12 +32,12 @@ const (
 	// dropProbeRing: a control datagram lost to a full probe ring; the
 	// peer sees it as a lost heartbeat.
 	dropProbeRing = "probe_ring"
-	// dropTxRing: a frame a ring link refused, txRing frames being
-	// pending already.
+	// dropTxRing: a frame a link refused, txRing frames being pending
+	// already.
 	dropTxRing = "tx_ring"
-	// dropTxTeardown: frames a link's holder lost — pending when its
-	// ring sender stopped (link delete or replace, drain, node close) or
-	// sent to it afterwards, or in flight when a flush panicked.
+	// dropTxTeardown: frames a link's sender lost — pending when it
+	// stopped (link delete or replace, drain, node close) or sent to it
+	// afterwards, or in flight when a flush panicked.
 	dropTxTeardown = "tx_teardown"
 	// dropReassemblyEvict: stale partial reassemblies aged out by the
 	// evictor, charged the frames each stood for (a frame's one, a

@@ -68,7 +68,10 @@ func (ep *Endpoint) Tenant() uint32 { return ep.tenant }
 // Send routes a frame into the overlay. The frame's source should be the
 // endpoint's MAC (the overlay routes on whatever addresses the frame
 // carries, like a real switch). The frame is encoded before Send
-// returns, on either transmit leg: the caller may reuse it at once.
+// returns: the caller may reuse it at once. Send does not wait for the
+// wire, so it never returns a link's transport error: a frame the
+// transport refuses lands on the drop ledger as tx_error. Its errors are
+// the frame's own (MTU, no route, unknown tenant) and ErrDraining.
 func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
@@ -101,9 +104,8 @@ func (ep *Endpoint) admit(f *ethernet.Frame) error {
 
 // SendBatch routes a batch of frames in one call — the overlay-side
 // mirror of virtio's single-exit multi-packet dequeue. The whole batch
-// shares one arrival timestamp and per-frame errors (MTU violations,
-// synchronous transport failures) are aggregated rather than aborting
-// the rest of the batch.
+// shares one arrival timestamp and per-frame errors (those Send would
+// return) are aggregated rather than aborting the rest of the batch.
 func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
@@ -210,13 +212,10 @@ type link struct {
 	// re-marshalling the header per fragment. Immutable after AddLink.
 	tmpl *bridge.EncapTemplate
 
-	// comb is the link's one batch and its holder role (txbatch.go).
+	// comb is the link's one batch (txbatch.go); wake is the one-slot
+	// wakeup of the link's sender goroutine (txLoop), which flushes it, and
+	// txw the sender's supervision handle (stopSender).
 	comb combiner
-
-	// The ring leg (NodeConfig.Adaptive): wake is the one-slot wakeup of
-	// the link's sender goroutine (txLoop), the holder of comb; txw is the
-	// sender's supervision handle (stopSender). Both are nil on nodes
-	// running the synchronous leg.
 	wake chan struct{}
 	txw  *supervise.Worker
 
@@ -261,8 +260,8 @@ type Node struct {
 	tenants *core.Tenants
 	keyring *seal.Keyring
 
-	// encap pools the per-frame encapsulation buffers for the whole TX
-	// path (both synchronous and batched sends).
+	// encap pools the encapsulation buffers of frames that travel alone
+	// (encapFrame).
 	encap bridge.Encapsulator
 
 	// mu serializes the control plane: topology edits, link transport
@@ -383,7 +382,7 @@ func NewNode(name, bindAddr string) (*Node, error) {
 // configuration.
 func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	cfg.normalize()
-	conns, err := listenUDP(bindAddr, cfg.Dispatchers)
+	conns, tcpLn, err := listenNode(bindAddr, cfg.Dispatchers)
 	if err != nil {
 		return nil, err
 	}
@@ -404,6 +403,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		keyring:  seal.NewKeyring(originID(name)),
 		flows:    core.NewFlowStats(),
 		conn:     conns[0],
+		tcpLn:    tcpLn,
 		tcpConns: make(map[*tcpConn]struct{}),
 		probeCh:  make(chan probeEvent, 256),
 		quit:     make(chan struct{}),
@@ -450,7 +450,10 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n.registerNodeFuncs()
-	n.startTCP()
+	if n.tcpLn != nil {
+		n.wg.Add(1)
+		go n.acceptTCP()
+	}
 	// Every long-lived datapath goroutine runs supervised: a panic in
 	// one component is contained and the component restarts with capped
 	// jittered backoff over the same shared state (sockets, shards); the
@@ -637,7 +640,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	default:
 		return fmt.Errorf("overlay: unknown link protocol %q", proto)
 	}
-	lk := &link{id: id, remote: remote, tenant: tenant}
+	lk := &link{id: id, remote: remote, tenant: tenant, wake: make(chan struct{}, 1)}
 	lk.comb.cond.L = &lk.comb.mu
 	lk.transport.Store(tr)
 	if sealer != nil {
@@ -656,9 +659,6 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 		// as a fresh link's always have.
 		n.metrics.reg.DeleteLabel("link", id)
 	}
-	if n.cfg.Adaptive.Enabled {
-		lk.wake = make(chan struct{}, 1)
-	}
 	n.newLinkCounters(lk)
 	if n.healthOn {
 		lk.health = n.newLinkHealth(lk, n.healthCfg.LossWindow)
@@ -676,9 +676,7 @@ func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
 	// fresh link may satisfy flows that previously had no answer. Either
 	// way every cached decision predating this link set is now suspect.
 	n.bumpFlowEpoch()
-	if lk.wake != nil {
-		lk.txw = n.sup.Go("tx/"+id, func(i *supervise.Instance) { n.txLoop(i, lk) })
-	}
+	lk.txw = n.sup.Go("tx/"+id, func(i *supervise.Instance) { n.txLoop(i, lk) })
 	var oldTCP *tcpConn
 	if old != nil {
 		oldTCP = old.tcp.Swap(nil)
@@ -842,9 +840,8 @@ func (n *Node) Interfaces() []string {
 // tenant's destination set, each leg a transient decision handed to the
 // same forwardTo (which re-checks tenancy, so a misinstalled route
 // cannot leak frames across tenants). A failing destination does not
-// abort the fan-out: the rest still get their copy and the errors are
-// aggregated — a broadcast hitting one dead link must not starve the
-// rest of the LAN.
+// abort the fan-out: the rest still get their copy — a broadcast hitting
+// one dead link must not starve the rest of the LAN.
 func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
 	key := core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}
 	if !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
@@ -865,7 +862,6 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	var errs []error
 	for _, d := range dests {
 		e := flowEntry{tenant: tenant}
 		n.resolveDest(&e, d)
@@ -873,14 +869,12 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 			n.drop(dropNoRoute, 1, routeDetail(key, d.ID))
 			continue
 		}
-		if err := n.forwardTo(&e, key, f, from, at); err != nil {
-			errs = append(errs, err)
-		}
+		n.forwardTo(&e, key, f, from, at)
 		if e.lk != nil {
 			at = time.Time{} // one TX latency sample per frame, from its first link leg
 		}
 	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // countOut charges one locally originated frame to its tenant's

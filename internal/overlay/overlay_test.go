@@ -271,6 +271,7 @@ func TestNodeStats(t *testing.T) {
 	if _, ok := epB.Recv(recvTimeout); !ok {
 		t.Fatal("frame lost")
 	}
+	na.WaitIdle(t, "to-b") // encap_sent moves once the kernel has taken the datagram
 	stats := na.Stats()
 	want := map[string]bool{"encap_sent 1": true}
 	found := 0

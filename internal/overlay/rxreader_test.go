@@ -304,15 +304,16 @@ func TestMmsgReaderReusesSenderAddr(t *testing.T) {
 // the readers do with their buffers afterwards. Every frame kind the
 // receive path delivers — a lone 64 B frame, records of a train of one
 // datagram, records of a train reassembled from several, a 9 KB frame
-// among them — over UDP and TCP, plain and sealed, from a sync and a
-// batched sender, is held while the same reader buffers take at least 64
+// among them — over UDP and TCP, plain and sealed, each frame a flush of
+// its own or five handed over together, is held while the same reader buffers take at least 64
 // further reads; then every payload byte must still be what was sent, and
 // no held frame may reach past the one train it arrived in: a path that
 // delivered a slice of a reader's buffer would fail one or the other.
 func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 	for _, proto := range []string{"udp", "tcp"} {
 		for _, tenant := range []uint32{0, 7} {
-			// txbatch1 runs the synchronous leg, txbatch8 the TX ring.
+			// txbatch1: every Send waits out its flush, so each frame leaves
+			// alone; txbatch8: a burst's frames are handed over together.
 			for _, txBatch := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s_tenant%d_txbatch%d", proto, tenant, txBatch), func(t *testing.T) {
 					testHeldFrames(t, proto, tenant, txBatch)
@@ -323,7 +324,7 @@ func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 }
 
 func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
-	tx, rx := dropNode(t, NodeConfig{Adaptive: AdaptiveConfig{Enabled: txBatch > 1}}), dropNode(t, NodeConfig{Dispatchers: 1})
+	tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{Dispatchers: 1})
 	if tenant != 0 {
 		key := bytes.Repeat([]byte{0x5a}, 32)
 		for _, n := range []*Node{tx, rx} {
@@ -367,13 +368,23 @@ func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
 		}
 		return frames
 	}
+	lk := tx.topo.Load().links["wire"]
 	exchange := func(i int) (want, got []*ethernet.Frame) {
 		want = burst(i)
-		if err := src.Send(want[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := src.SendBatch(want[1:]); err != nil {
-			t.Fatal(err)
+		if txBatch == 1 {
+			for _, f := range want {
+				if err := src.Send(f); err != nil {
+					t.Fatal(err)
+				}
+				waitIdle(t, lk)
+			}
+		} else {
+			if err := src.Send(want[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.SendBatch(want[1:]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for range want {
 			f, ok := sink.Recv(5 * time.Second)
@@ -407,8 +418,8 @@ func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
 			t.Fatalf("held frame %d (%d B) pins %d B, more than the %d B train it came in", i, len(f.Payload), cap(f.Payload), room)
 		}
 	}
-	// The batched sender must have put several records in some train, or
-	// that kind was never held.
+	// Handed over together, some frames must have shared a train, or that
+	// kind was never held.
 	jumbo := uint64(7)
 	if proto == "tcp" {
 		jumbo = 1

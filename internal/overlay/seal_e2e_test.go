@@ -119,7 +119,7 @@ func TestSealedLinkEndToEnd(t *testing.T) {
 }
 
 func TestSealedLinkBatchedTX(t *testing.T) {
-	na, nb, epA, epB := sealedPair(t, overlay.RingConfig(), "udp")
+	na, nb, epA, epB := sealedPair(t, overlay.NodeConfig{}, "udp")
 	const count = 40
 	for i := 0; i < count; i++ {
 		epA.Send(&ethernet.Frame{Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
@@ -198,7 +198,8 @@ func TestMultiTenantIsolation(t *testing.T) {
 		}
 	}
 
-	// Both tenants blast concurrently, A-side to B-side.
+	// Both tenants send concurrently, A-side to B-side, each Send waiting
+	// out its link's flush: every frame is a sealed datagram of its own.
 	const perTenant = 50
 	var wg sync.WaitGroup
 	for id, s := range tenants {
@@ -209,6 +210,9 @@ func TestMultiTenantIsolation(t *testing.T) {
 			for i := 0; i < perTenant; i++ {
 				s.a.Send(&ethernet.Frame{Dst: macB, Src: macA, Type: ethernet.TypeTest,
 					Payload: []byte(fmt.Sprintf("tenant-%d msg-%d", id, i))})
+				for !na.Idle(fmt.Sprintf("t%d-to-b", id)) {
+					time.Sleep(20 * time.Microsecond)
+				}
 			}
 		}()
 	}

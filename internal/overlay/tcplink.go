@@ -3,6 +3,7 @@ package overlay
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -72,18 +73,27 @@ func (c *tcpConn) close() {
 	}
 }
 
-// startTCP brings up the node's TCP accept side on the same port as its
-// UDP socket. Failure to bind is tolerated (TCP links can still dial
-// out; only inbound TCP is unavailable).
-func (n *Node) startTCP() {
-	udpAddr := n.conn.LocalAddr().(*net.UDPAddr)
-	ln, err := net.Listen("tcp", udpAddr.String())
-	if err != nil {
-		return
+// listenNode binds a node's UDP sockets and, on the same port, its TCP
+// listener. The kernel picks a free port (port 0) for UDP alone, and that
+// number may be taken for TCP — by another process's connection, say — so
+// a node asked for any free port tries up to eight. On a port the caller
+// chose, failing to bind TCP is tolerated: TCP links can still dial out,
+// only inbound TCP is unavailable (a nil listener).
+func listenNode(bind string, workers int) ([]*net.UDPConn, net.Listener, error) {
+	_, port, _ := net.SplitHostPort(bind)
+	for try := 1; ; try++ {
+		conns, err := listenUDP(bind, workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		ln, err := net.Listen("tcp", conns[0].LocalAddr().String())
+		if err == nil || port != "0" || try == 8 {
+			return conns, ln, nil
+		}
+		for _, c := range conns {
+			c.Close()
+		}
 	}
-	n.tcpLn = ln
-	n.wg.Add(1)
-	go n.acceptTCP()
 }
 
 func (n *Node) acceptTCP() {
@@ -125,29 +135,20 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 	}
 	key := "tcp/" + c.conn.RemoteAddr().String()
 	shard := n.shardFor(key)
-	r := bufio.NewReader(c.conn)
-	var hdr [4]byte
+	in := tcpFrames{r: bufio.NewReader(c.conn)}
 	var h bridge.EncapHeader
-	var buf []byte // every message is read into it: processData borrows, as from a UDP reader
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return
-		}
-		size := binary.BigEndian.Uint32(hdr[:])
-		if size == 0 || size > tcpMaxDatagram+bridge.EncapHeaderLen {
+		pkt, err := in.next()
+		if errors.Is(err, errTCPFrame) {
 			n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: key, Stage: "tcp_frame"})
 			return
 		}
-		if int(size) > cap(buf) {
-			buf = make([]byte, size)
-		}
-		pkt := buf[:size:size]
-		if _, err := io.ReadFull(r, pkt); err != nil {
+		if err != nil {
 			return
 		}
 		at := time.Now()
 		if lk != nil { // inbound accepted conns have no link to attribute to
-			lk.bytesRecv.Add(uint64(len(hdr) + len(pkt)))
+			lk.bytesRecv.Add(uint64(4 + len(pkt))) // the length prefix and the datagram
 		}
 		payload, err := h.Unmarshal(pkt)
 		if err != nil {
@@ -166,6 +167,39 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 			n.processData(shard, key, &h, payload, pkt, at)
 		}
 	}
+}
+
+// errTCPFrame is a length prefix no datagram has: zero, or past the
+// largest datagram a peer may send.
+var errTCPFrame = errors.New("overlay: tcp frame length out of range")
+
+// tcpFrames reads one TCP stream's length-prefixed datagrams into one
+// reused buffer, which never grows past the largest datagram a peer may
+// send.
+type tcpFrames struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// next returns the stream's next datagram, borrowed until the next call
+// (processData borrows it, as from a UDP reader).
+func (in *tcpFrames) next() ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(in.r, hdr[:]); err != nil {
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size == 0 || size > tcpMaxDatagram+bridge.EncapHeaderLen {
+		return nil, errTCPFrame
+	}
+	if int(size) > cap(in.buf) {
+		in.buf = make([]byte, size)
+	}
+	pkt := in.buf[:size:size]
+	if _, err := io.ReadFull(in.r, pkt); err != nil {
+		return nil, err
+	}
+	return pkt, nil
 }
 
 // dialTCP returns a link's TCP transport: the established one with one

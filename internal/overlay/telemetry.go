@@ -104,7 +104,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		linkTxDrops: reg.CounterVec("vnetp_link_tx_ring_drops_total",
 			"Frames a link dropped short of the wire: refused at a full ring batch (tx_ring) or lost at teardown (tx_teardown).", "link"),
 		linkTxDepth: reg.GaugeVec("vnetp_link_tx_queue_depth",
-			"Frames encoded into a link's pending batch and waiting for its holder's flush.", "link"),
+			"Frames encoded into a link's pending batch and waiting for its sender's flush.", "link"),
 		linkTxOffload: reg.GaugeVec("vnetp_link_tx_offload",
 			"Whether a link's multi-datagram trains leave as one UDP_SEGMENT message: 1 armed, 0 plain messages (refused by the kernel or device, fault conduit, TCP, or no platform support).", "link"),
 		linkState: reg.GaugeVec("vnetp_link_state",
@@ -129,7 +129,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Sealed datagrams rejected fail-closed, by reason.", "reason"),
 
 		txBatchSize: reg.Histogram("vnetp_tx_batch_size",
-			"Frames carried per data transmit on a link, on either leg: its mean is frames per send syscall.",
+			"Frames carried per data transmit on a link: its mean is frames per send syscall.",
 			telemetry.HistogramOpts{Start: 1, Factor: 2, Count: 9}),
 		txDatagramFrames: reg.Histogram("vnetp_tx_datagram_frames",
 			"Frames completed per data datagram sent: 0 for each datagram of a train or fragmented frame but the last, which takes the train's frame count (a lone frame's: 1).",

@@ -295,6 +295,7 @@ func TestLinkStatusBytes(t *testing.T) {
 	if _, ok := epA.Recv(recvTimeout); !ok {
 		t.Fatal("reply lost")
 	}
+	na.WaitIdle(t, "to-b") // bytes_sent moves once the kernel has taken the datagram
 	lines, err := na.LinkStatus("to-b")
 	if err != nil {
 		t.Fatal(err)

@@ -74,6 +74,7 @@ func TestCrossNodeTrace(t *testing.T) {
 	if !bytes.Equal(got.Payload, payload) {
 		t.Fatal("payload corrupted")
 	}
+	na.WaitIdle(t, "to-b") // the sender records wire_tx once the kernel has taken the datagrams
 
 	// The deliver-stage hop is recorded just after the frame lands in
 	// the endpoint queue; give the dispatcher a moment to finish.

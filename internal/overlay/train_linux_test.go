@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -165,8 +166,9 @@ func recvAll(t *testing.T, sink *Endpoint, want int, tx, rx *Node) []string {
 
 // TestTrainsEqualPlainMessages is the offload differential: the same
 // seeded traffic — frames that fit one datagram, two, seven and
-// forty-nine; plain and sealed; the sync and the batched leg — sent as
-// trains and, through the test hook, with every train held to one
+// forty-nine; plain and sealed; each frame a flush of its own ("sync":
+// every Send waits out its flush) or all of them one batch ("batched") —
+// sent as trains and, through the test hook, with every train held to one
 // datagram, leaves the receiving node in the same state: the delivered
 // multiset, every LIST STATS line (datagram, frame, seal and flow-cache
 // counters, the ledger's total and each reason), and the bytes both
@@ -182,8 +184,7 @@ func TestTrainsEqualPlainMessages(t *testing.T) {
 	for _, tenant := range []uint32{0, 7} {
 		for _, leg := range []string{"sync", "batched"} {
 			run := func(t *testing.T, plain bool) (outcome, uint64) {
-				cfg := NodeConfig{Adaptive: AdaptiveConfig{Enabled: leg == "batched"}}
-				tx, rx, src, sink := trainPair(t, cfg, tenant)
+				tx, rx, src, sink := trainPair(t, NodeConfig{}, tenant)
 				tx.tx.plain = plain
 				rng := rand.New(rand.NewSource(20))
 				frames := make([]*ethernet.Frame, 24)
@@ -192,16 +193,17 @@ func TestTrainsEqualPlainMessages(t *testing.T) {
 					rng.Read(p)
 					frames[i] = &ethernet.Frame{Dst: sink.MAC(), Src: src.MAC(), Type: ethernet.TypeTest, Payload: p}
 				}
+				lk := tx.topo.Load().links["wire"]
 				if leg == "sync" {
 					for _, f := range frames {
 						if err := src.Send(f); err != nil {
 							t.Fatal(err)
 						}
+						waitIdle(t, lk)
 					}
 				} else {
 					// One batch, handed over whole: which frames share an
 					// aggregate must not depend on when the sender woke.
-					lk := tx.topo.Load().links["wire"]
 					for _, f := range frames {
 						if err := src.admit(f); err != nil {
 							t.Fatal(err)
@@ -261,6 +263,7 @@ func TestMaxMTUFrameLeavesAsTrains(t *testing.T) {
 	if got := recvAll(t, sink, 1, tx, rx); got[0] != string(f.Payload) {
 		t.Fatal("the frame arrived changed")
 	}
+	waitIdle(t, tx.topo.Load().links["wire"]) // the seam records a message once the kernel returns
 	msgs, segs := sent(), 0
 	for _, m := range msgs {
 		if m.segs > maxTrainSegs || m.bytes > maxTrainBytes {
@@ -302,15 +305,15 @@ func recvInOrder(t *testing.T, sink *Endpoint, want int, tx, rx *Node) {
 	}
 }
 
-// TestRingBatchLeavesAsOneMessage: a TX ring batch of thirty IMIX frames
-// on a UDP link — plain and sealed — is one record train, handed to the
+// TestRingBatchLeavesAsOneMessage: a batch of thirty IMIX frames on a UDP
+// link — plain and sealed — is one record train, handed to the
 // kernel as one sendmmsg message with UDP_SEGMENT: its datagrams are all
 // the link's budget but the last. The receiver reads it as a train and
 // delivers every frame, in order.
 func TestRingBatchLeavesAsOneMessage(t *testing.T) {
 	for _, tenant := range []uint32{0, 7} {
 		t.Run(fmt.Sprintf("tenant%d", tenant), func(t *testing.T) {
-			tx, rx, src, sink := trainPair(t, RingConfig(), tenant)
+			tx, rx, src, sink := trainPair(t, NodeConfig{}, tenant)
 			sent := recordSends(tx, nil)
 			frames := imixFrames(src.MAC(), sink.MAC(), 30)
 			tx.flushFrames(t, tx.topo.Load().links["wire"], frames...)
@@ -319,7 +322,7 @@ func TestRingBatchLeavesAsOneMessage(t *testing.T) {
 			if len(msgs) != 1 {
 				t.Fatalf("a 30-frame batch left as %d messages, want one", len(msgs))
 			}
-			checkOneTrain(t, "ring batch", msgs[0])
+			checkOneTrain(t, "the batch", msgs[0])
 			if g := rx.metrics.rxGROTrains.Load(); g != 1 {
 				t.Fatalf("the receiver read %d trains, want the one", g)
 			}
@@ -327,48 +330,12 @@ func TestRingBatchLeavesAsOneMessage(t *testing.T) {
 	}
 }
 
-// TestSyncBatchLeavesAsOneMessage: on the synchronous leg, the frames
-// other Sends leave with the holder while it is in the kernel are one
-// record train: the holder's next flush is one message with UDP_SEGMENT,
-// cut as on the ring.
-func TestSyncBatchLeavesAsOneMessage(t *testing.T) {
-	entered, release := make(chan struct{}), make(chan struct{})
-	n, _, big, src := gatedLink(t, NodeConfig{}, sendmmsg)
-	sent := recordSends(n, nil)
-	n.tx.sys = holdFirst(entered, release, n.tx.sys)
-	holder := make(chan error, 1)
-	go func() { holder <- src.Send(big()) }()
-	<-entered
-	const combined = 30
-	for _, f := range imixFrames(src.MAC(), ethernet.LocalMAC(9), combined) {
-		if err := src.Send(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	if err := <-holder; err != nil {
-		t.Fatal(err)
-	}
-	msgs := sent()
-	if len(msgs) != 2 {
-		t.Fatalf("the holder's frame and %d combined ones left as %d messages, want 2", combined, len(msgs))
-	}
-	checkOneTrain(t, "the holder's frame", msgs[0])
-	checkOneTrain(t, "the combined batch", msgs[1])
-	if h, _, err := bridge.ParseEncap(msgs[1].dgs[0]); err != nil || h.Frames() != combined {
-		t.Fatalf("the combined train: header %+v, %v; want %d frames", h, err, combined)
-	}
-	if sent := n.EncapSent.Load(); sent != combined+1 {
-		t.Fatalf("encap_sent = %d, want %d", sent, combined+1)
-	}
-}
-
 // TestTracedFrameSplitsBatch: a traced frame travels alone, so one in the
-// middle of a ring batch splits it into train, lone frame, train — on the
+// middle of a batch splits it into train, lone frame, train — on the
 // wire in add order, each train under an id of its own — and every frame
 // arrives in order, the traced one with its trace ID.
 func TestTracedFrameSplitsBatch(t *testing.T) {
-	tx, rx, src, sink := trainPair(t, RingConfig(), 0)
+	tx, rx, src, sink := trainPair(t, NodeConfig{}, 0)
 	sent := recordSends(tx, nil)
 	frames := imixFrames(src.MAC(), sink.MAC(), 11)
 	tx.tracer.AddFlow(ethernet.LocalMAC(3))
@@ -414,7 +381,7 @@ func TestTracedFrameSplitsBatch(t *testing.T) {
 // that is no offload refusal: bytes_sent is exactly the first frame's
 // datagrams — what the peer read — and send_errors exactly the second's.
 func testTransmitAccountingTrains(t *testing.T) {
-	n := dropNode(t, RingConfig())
+	n := dropNode(t, NodeConfig{})
 	tap := newWireTap(t, "udp")
 	if err := n.AddLink("wire", tap.addr, "udp"); err != nil {
 		t.Fatal(err)
@@ -485,6 +452,7 @@ func TestOffloadRefusalFallsBack(t *testing.T) {
 					t.Fatalf("Send: %v", err)
 				}
 				recvAll(t, sink, 1, tx, rx)
+				waitIdle(t, tx.topo.Load().links["wire"])
 			}
 			if offloadGauge(t, tx, "wire") != 1 {
 				t.Fatal("a fresh UDP link does not start with offload armed")
@@ -588,10 +556,11 @@ func TestTrainProbeTailIsSteered(t *testing.T) {
 
 // TestSendSyncTrainAllocs pins the transmit path's steady state: a
 // 7-fragment frame encapsulated from the link's template — sealed, on a
-// tenant link — and sent as one train allocates nothing: the RawConn, the
-// raw sockaddr, the iovec, msghdr and cmsg scratch and the write callback
-// all exist before the send, the combiner's batches are reused, and the
-// GCM nonce is read out of the wire header.
+// tenant link — encoded by its Send and sent as one train by the link's
+// sender allocates nothing: the RawConn, the raw sockaddr, the iovec,
+// msghdr and cmsg scratch and the write callback all exist before the
+// send, the combiner's batches are reused, the sender's wakeup is a
+// buffered channel, and the GCM nonce is read out of the wire header.
 func TestSendSyncTrainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds at random under -race")
@@ -621,19 +590,22 @@ func TestSendSyncTrainAllocs(t *testing.T) {
 			f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
 			f.Payload = make([]byte, 8900)
 			sent := recordSends(n, nil)
-			if err := n.sendSync(lk, f, time.Time{}); err != nil {
-				t.Fatal(err)
-			}
+			n.sendRing(lk, f, time.Time{})
+			waitIdle(t, lk)
 			if msgs := sent(); len(msgs) != 1 || msgs[0].segs != 7 {
 				t.Fatalf("an 8900 B frame left as %v, want one 7-datagram message", msgs)
 			}
 			n.tx.sys = sendmmsg // the recorder allocates; the path under test must not
 			if allocs := testing.AllocsPerRun(200, func() {
-				if err := n.sendSync(lk, f, time.Time{}); err != nil {
-					t.Fatal(err)
+				n.sendRing(lk, f, time.Time{})
+				for !lk.idle() {
+					runtime.Gosched()
 				}
 			}); allocs != 0 {
-				t.Fatalf("sendSync of a 7-fragment frame: %.0f allocations per send, want 0", allocs)
+				t.Fatalf("a 7-fragment frame sent through the link's sender: %.0f allocations per send, want 0", allocs)
+			}
+			if sent, drops := n.EncapSent.Load(), n.ledger.Total(); sent != 202 || drops != 0 {
+				t.Fatalf("encap_sent = %d, drops = %d; want 202 and 0", sent, drops)
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // The link is the one transmit object (ISSUE 15): every frame path
 // reads link and topology state from published snapshots, so none of
 // them waits for the node mutex, and every datagram leaves through one
-// transport step that keeps the link's accounting — the same on the
-// sync and the batched leg, over UDP, TCP and a fault conduit.
+// transport step that keeps the link's accounting — the same over UDP,
+// TCP and a fault conduit, whether frames leave alone or share a flush.
 package overlay
 
 import (
@@ -21,12 +21,12 @@ import (
 
 // TestFramePathsTakeNoNodeMutex holds n.mu — as a slow control-plane
 // operation would — and drives every frame path through the node: a
-// cache hit, a miss, a broadcast fan-out, sends over a faulted link, an
-// established TCP link and a TX ring, probe sends, receive-side delivery
+// cache hit, a miss, a broadcast fan-out, sends over a faulted link and
+// an established TCP link, probe sends, receive-side delivery
 // over UDP and TCP, and probes answered for a peer. All must complete.
 // A path that blocks is named when the watchdog releases the mutex.
 func TestFramePathsTakeNoNodeMutex(t *testing.T) {
-	n, ring, peer := dropNode(t, NodeConfig{}), dropNode(t, RingConfig()), dropNode(t, NodeConfig{})
+	n, peer := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{})
 	attach := func(on *Node, name string, mac ethernet.MAC) *Endpoint {
 		ep, err := on.AttachEndpoint(name, mac, 1500)
 		if err != nil {
@@ -40,23 +40,21 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 		}
 	}
 	src, sink := attach(n, "src", ethernet.LocalMAC(1)), attach(n, "sink", ethernet.LocalMAC(2))
-	ringSrc, peerSrc := attach(ring, "src", ethernet.LocalMAC(3)), attach(peer, "src", ethernet.LocalMAC(4))
+	peerSrc := attach(peer, "src", ethernet.LocalMAC(4))
 
 	// Outbound: one tap per link, one destination MAC per tap.
 	taps := map[string]*wireTap{}
-	dsts := map[string]ethernet.MAC{"udp": ethernet.LocalMAC(0x11), "tcp": ethernet.LocalMAC(0x12), "faulted": ethernet.LocalMAC(0x13), "ring": ethernet.LocalMAC(0x14)}
+	dsts := map[string]ethernet.MAC{"udp": ethernet.LocalMAC(0x11), "tcp": ethernet.LocalMAC(0x12), "faulted": ethernet.LocalMAC(0x13)}
 	for id, dst := range dsts {
-		on, proto := n, "udp"
-		if id == "ring" {
-			on = ring
-		} else if id == "tcp" {
+		proto := "udp"
+		if id == "tcp" {
 			proto = "tcp"
 		}
 		taps[id] = newWireTap(t, proto)
-		if err := on.AddLink(id, taps[id].addr, proto); err != nil {
+		if err := n.AddLink(id, taps[id].addr, proto); err != nil {
 			t.Fatal(err)
 		}
-		route(on, dst, core.Destination{Type: core.DestLink, ID: id})
+		route(n, dst, core.Destination{Type: core.DestLink, ID: id})
 	}
 	n.SetLinkFault("faulted", faultnet.New(faultnet.Config{}))
 	route(n, ethernet.Broadcast, core.Destination{Type: core.DestLink, ID: "udp"})
@@ -113,7 +111,6 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 		}},
 		{"faulted link", func() { send(src, testFrame(src.MAC(), dsts["faulted"])); taps["faulted"].frame(t, 1, nil) }},
 		{"established TCP link", func() { send(src, testFrame(src.MAC(), dsts["tcp"])); taps["tcp"].frame(t, 1, nil) }},
-		{"TX ring", func() { send(ringSrc, testFrame(ringSrc.MAC(), dsts["ring"])); taps["ring"].frame(t, 1, nil) }},
 		{"receive over UDP", func() { send(peerSrc, testFrame(peerSrc.MAC(), sink.MAC())); recv("udp") }},
 		{"receive over TCP", func() { send(peerSrc, testFrame(peerSrc.MAC(), viaTCP)); recv("tcp") }},
 	}
@@ -152,13 +149,11 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 	}...)
 
 	n.mu.Lock()
-	ring.mu.Lock()
 	fired := make(chan struct{})
 	watchdog := time.AfterFunc(3*time.Second, func() {
 		defer close(fired)
 		t.Errorf("%s: waiting for the node mutex", step.Load())
 		n.mu.Unlock()
-		ring.mu.Unlock()
 	})
 	for _, s := range steps {
 		step.Store(s.name)
@@ -166,22 +161,22 @@ func TestFramePathsTakeNoNodeMutex(t *testing.T) {
 	}
 	if watchdog.Stop() {
 		n.mu.Unlock()
-		ring.mu.Unlock()
 	} else {
 		<-fired
 	}
 }
 
-// TestLoneFrameKeepsItsLength: a frame with nothing to share its flush —
-// a lone Send on the synchronous leg, a lone frame on the TX ring — is a
-// train of one record in one datagram, the length an aggregate of one
+// TestLoneFrameKeepsItsLength: a frame with nothing to share its flush is
+// a train of one record in one datagram, the length an aggregate of one
 // always had: the header (with the seal extension and tag on a tenant
-// link), a two-byte record length, the frame.
+// link), a two-byte record length, the frame. "ring": the link's first
+// frame; "sync": a lone frame after a burst the link has flushed, built in
+// a batch that carried others before it.
 func TestLoneFrameKeepsItsLength(t *testing.T) {
-	for leg, cfg := range map[string]NodeConfig{"sync": {}, "ring": RingConfig()} {
+	for _, leg := range []string{"sync", "ring"} {
 		for _, tenant := range []uint32{0, 7} {
 			t.Run(fmt.Sprintf("%s_tenant%d", leg, tenant), func(t *testing.T) {
-				n := dropNode(t, cfg)
+				n := dropNode(t, NodeConfig{})
 				if tenant != 0 {
 					if err := n.AddTenant(tenant, bytes.Repeat([]byte{0x4e}, 32)); err != nil {
 						t.Fatal(err)
@@ -202,6 +197,21 @@ func TestLoneFrameKeepsItsLength(t *testing.T) {
 				}
 				f := testFrame(src.MAC(), dst)
 				f.Payload = make([]byte, 64)
+				if leg == "sync" {
+					for i := 0; i < 8; i++ {
+						if err := src.Send(f); err != nil {
+							t.Fatal(err)
+						}
+					}
+					waitIdle(t, n.topo.Load().links["wire"])
+					for quiet := false; !quiet; { // the burst's datagrams
+						select {
+						case <-tap.ch:
+						case <-time.After(20 * time.Millisecond):
+							quiet = true
+						}
+					}
+				}
 				if err := src.Send(f); err != nil {
 					t.Fatal(err)
 				}
@@ -229,14 +239,15 @@ func TestLoneFrameKeepsItsLength(t *testing.T) {
 }
 
 // TestTransmitAccounting is the accounting differential: the same
-// frames over {sync, batched} × {UDP, TCP, fault conduit}, from one
-// sender or from four at once, charge the link exactly the bytes its peer
-// read and no send_errors — and, each datagram's header set aside, the
-// same bytes on every run: the frames' records, however they shared
-// trains; with the peer gone, every datagram the node made lands in
-// send_errors and none in bytes_sent, and every frame is either the error
-// its Send returned or a tx_error drop. One datagram, one counter, on
-// every leg.
+// frames over {UDP, TCP, fault conduit}, from one sender or from four at
+// once, each Send waiting out the link's flush ("sync") or not
+// ("batched"), charge the link exactly the bytes its peer read and no
+// send_errors — and, each datagram's header set aside, the same bytes on
+// every run: the frames' records, however they shared trains; with the
+// peer gone, every datagram the node made lands in send_errors and none in
+// bytes_sent, and tx_error counts exactly the frames not confirmed, while
+// every Send returns nil. One datagram, one counter, one ledger entry per
+// lost frame.
 func TestTransmitAccounting(t *testing.T) {
 	const frames = 4
 	transports := []struct {
@@ -248,12 +259,11 @@ func TestTransmitAccounting(t *testing.T) {
 		{name: "tcp", proto: "tcp", size: 40000},
 		{name: "fault_conduit", proto: "udp", fault: true, size: 4000},
 	}
-	legs := map[string]NodeConfig{"sync": {}, "batched": RingConfig()}
 	// run sends the frames down a fresh link, senders goroutines at once,
 	// and reports the link's counters, the bytes its peer read and how many
 	// datagrams the node made.
-	run := func(t *testing.T, cfg NodeConfig, proto string, fault, peerGone bool, size, senders int) (sent, errs, wire, made uint64) {
-		n := dropNode(t, cfg)
+	run := func(t *testing.T, paced bool, proto string, fault, peerGone bool, size, senders int) (sent, errs, wire, made uint64) {
+		n := dropNode(t, NodeConfig{})
 		src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), ethernet.MaxMTU)
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +285,7 @@ func TestTransmitAccounting(t *testing.T) {
 		dst := ethernet.LocalMAC(9)
 		n.AddRoute(core.Route{DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny,
 			Dest: core.Destination{Type: core.DestLink, ID: "wire"}})
-		var refused atomic.Uint64 // Sends that returned an error
+		lk := n.topo.Load().links["wire"]
 		var wg sync.WaitGroup
 		for s := 0; s < senders; s++ {
 			wg.Add(1)
@@ -284,20 +294,20 @@ func TestTransmitAccounting(t *testing.T) {
 				for i := 0; i < frames; i++ {
 					f := testFrame(src.MAC(), dst)
 					f.Payload = make([]byte, size)
-					if src.Send(f) != nil {
-						refused.Add(1)
+					if err := src.Send(f); err != nil {
+						t.Errorf("Send returned %v: a transport's refusal is the ledger's, not the caller's", err)
+					}
+					for paced && !lk.idle() {
+						time.Sleep(20 * time.Microsecond)
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		// Every datagram is made once every frame is sent, refused or
-		// dropped; the counters move after the transport returns, so let
-		// them catch up with what the wire (or the refusing transport) has
-		// already seen.
+		// Every datagram is made once the link is idle; a fault conduit's
+		// deliveries may still be on their way to the wire.
 		total := uint64(senders * frames)
-		lk := n.topo.Load().links["wire"]
-		settle(func() bool { return n.EncapSent.Load()+refused.Load()+n.ledger.Count(dropTxError) >= total })
+		waitIdle(t, lk)
 		made = n.metrics.txDatagramFrames.Count()
 		if !peerGone {
 			for i := uint64(0); i < made; i++ {
@@ -310,31 +320,31 @@ func TestTransmitAccounting(t *testing.T) {
 			}
 		}
 		settle(func() bool { return lk.bytesSent.Load() >= wire && (!peerGone || lk.sendErrors.Load() >= made) })
-		// A refused frame is its own Send's error when that Send held the
-		// link (a fault conduit cannot refuse: its deliveries may come
-		// later), else a tx_error drop; the batched leg never returns one.
+		// A frame is confirmed or on tx_error, never both (a fault conduit
+		// cannot refuse: its deliveries may come later).
 		refusing := peerGone && !fault
-		switch r, e := refused.Load(), n.ledger.Count(dropTxError); {
-		case !refusing && r+e != 0:
-			t.Fatalf("%d Sends refused and %d tx_error drops on a link that takes everything", r, e)
-		case refusing && (r+e != total || (cfg.Adaptive.Enabled && r != 0) || (!cfg.Adaptive.Enabled && senders == 1 && r != total)):
-			t.Fatalf("peer gone: %d Sends refused and %d tx_error drops for %d frames", r, e, total)
+		switch sent, e := n.EncapSent.Load(), n.ledger.Count(dropTxError); {
+		case !refusing && (sent != total || e != 0):
+			t.Fatalf("encap_sent %d and %d tx_error drops for %d frames on a link that takes everything", sent, e, total)
+		case refusing && (sent != 0 || e != total):
+			t.Fatalf("peer gone: encap_sent %d and %d tx_error drops for %d frames", sent, e, total)
 		}
 		return lk.bytesSent.Load(), lk.sendErrors.Load(), wire, made
 	}
 	for _, tr := range transports {
-		for leg, cfg := range legs {
-			t.Run(tr.name+"_"+leg, func(t *testing.T) {
+		for _, pace := range []string{"sync", "batched"} {
+			paced := pace == "sync"
+			t.Run(tr.name+"_"+pace, func(t *testing.T) {
 				record := uint64(bridge.RecordLen(&ethernet.Frame{Payload: make([]byte, tr.size)}))
 				for _, senders := range []int{1, 4} {
-					sent, errs, wire, made := run(t, cfg, tr.proto, tr.fault, false, tr.size, senders)
+					sent, errs, wire, made := run(t, paced, tr.proto, tr.fault, false, tr.size, senders)
 					if errs != 0 || sent != wire {
 						t.Fatalf("%d senders, healthy link: bytes_sent=%d send_errors=%d, peer read %d bytes", senders, sent, errs, wire)
 					}
 					if records, want := sent-made*bridge.EncapHeaderLen, uint64(senders*frames)*record; records != want {
 						t.Fatalf("%d senders: bytes_sent %d in %d datagrams is %d B of records, want %d", senders, sent, made, records, want)
 					}
-					if sent, errs, _, made = run(t, cfg, tr.proto, tr.fault, true, tr.size, senders); sent != 0 || errs != made {
+					if sent, errs, _, made = run(t, paced, tr.proto, tr.fault, true, tr.size, senders); sent != 0 || errs != made {
 						t.Fatalf("%d senders, peer gone: bytes_sent=%d send_errors=%d, want 0 and %d", senders, sent, errs, made)
 					}
 				}

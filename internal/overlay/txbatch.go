@@ -1,19 +1,14 @@
 // The batched transmit path: the live twin of the paper's adaptive
-// dispatch (Sect. 4.3, Table 1). Every link has one combiner and one batch
-// builder: a Send encodes its frame into the link's pending batch under
-// the combiner's lock (add), and one holder at a time swaps that batch out
-// and puts it on the wire (flush). So a lone frame leaves alone and a
-// loaded link's frames leave together, as one record train cut into equal
-// datagrams that cross the kernel as one UDP_SEGMENT message
+// dispatch (Sect. 4.3, Table 1). Every link has one batch and one sender
+// goroutine, the live adaptive dispatcher: a Send encodes its frame into
+// the link's pending batch under the combiner's lock (add) and wakes the
+// sender if it is idle, and the sender swaps that batch out and puts it on
+// the wire (flush) until nothing is pending. So a lone frame leaves alone
+// and a loaded link's frames leave together, as one record train cut into
+// equal datagrams that cross the kernel as one UDP_SEGMENT message
 // (bridge/aggregate.go) — the mode follows load per flush, with no rate
-// estimate and nothing to tune. The two legs differ only in who holds the
-// link and in what a Send does when the link is overloaded. On the
-// synchronous leg the holder is a Send that found the link free, and a
-// Send waits while the pending batch is full (txPendingBytes). With
-// NodeConfig.Adaptive the holder is the link's sender goroutine, the live
-// adaptive dispatcher: a Send wakes it if it is idle and never waits — a
-// frame that finds txRing frames pending is dropped on tx_ring — and it
-// flushes until nothing is pending. Either way every frame is encoded
+// estimate and nothing to tune. A Send never waits: a frame that finds
+// txRing frames pending is dropped on tx_ring. Every frame is encoded
 // before its Send returns.
 
 package overlay
@@ -46,7 +41,6 @@ type txScratch struct {
 	cut    int
 	pkts   []*bridge.EncapPacket
 	dgs    [][]byte
-	bytes  int // what dgs hold
 	frames []txMark
 }
 
@@ -58,9 +52,6 @@ type txMark struct {
 	last int // index in dgs of the frame's final datagram
 }
 
-// size reports the bytes s holds: its datagrams and its open train.
-func (s *txScratch) size() int { return s.bytes + s.agg.Len() }
-
 // release recycles a batch's packet buffers and empties it.
 func (s *txScratch) release() {
 	for _, p := range s.pkts {
@@ -69,16 +60,16 @@ func (s *txScratch) release() {
 	clear(s.pkts)
 	clear(s.dgs)
 	s.agg.Reset()
-	s.pkts, s.dgs, s.frames, s.bytes, s.cut = s.pkts[:0], s.dgs[:0], s.frames[:0], 0, 0
+	s.pkts, s.dgs, s.frames, s.cut = s.pkts[:0], s.dgs[:0], s.frames[:0], 0
 }
 
-// sendRing is forwardTo's ring leg: it encodes f into the link's pending
-// batch and wakes the link's sender if it is idle. It never waits, and it
-// has no error to return: a frame that finds txRing frames pending lands
-// on tx_ring, one that reaches a link whose sender has stopped on
-// tx_teardown, and one that cannot be encoded on tx_error. The tx_enqueue
-// hop is recorded before the frame is visible to the sender, so it cannot
-// race the sender's wire_tx hop.
+// sendRing is how forwardTo hands a frame to a link: it encodes f into
+// the link's pending batch and wakes the link's sender if it is idle. It
+// never waits, and it has no error to return: a frame that finds txRing
+// frames pending lands on tx_ring, one that reaches a link whose sender
+// has stopped on tx_teardown, and one that cannot be encoded on tx_error.
+// The tx_enqueue hop is recorded before the frame is visible to the
+// sender, so it cannot race the sender's wire_tx hop.
 func (n *Node) sendRing(lk *link, f *ethernet.Frame, at time.Time) {
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
@@ -117,7 +108,7 @@ func wakeSender(lk *link) {
 	}
 }
 
-// txLoop is one link's sender goroutine, the permanent holder of its
+// txLoop is one link's sender goroutine, the only one to flush its
 // combiner: woken by the Send that found it idle, it swaps the pending
 // batch out and flushes it, one unit of work per flush, until nothing is
 // pending. Supervised as "tx/<link>". A panic inside a flush charges the
@@ -166,7 +157,7 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 			}
 			flying = n.swap(lk, c)
 			c.mu.Unlock()
-			n.flush(lk, flying, -1)
+			n.flush(lk, flying)
 			flying = nil
 			c.mu.Lock()
 			c.sending = false
@@ -178,14 +169,11 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 	}
 }
 
-// stopSender stops a ring link's sender — its link deleted or replaced,
-// or the node closing — and charges what it left pending to tx_teardown,
-// once; a Send that reaches the link afterwards is charged there too. A
-// flush already in flight completes.
+// stopSender stops a link's sender — its link deleted or replaced, or the
+// node closing — and charges what it left pending to tx_teardown, once; a
+// Send that reaches the link afterwards is charged there too. A flush
+// already in flight completes.
 func (n *Node) stopSender(lk *link) {
-	if lk.txw == nil {
-		return
-	}
 	lk.txw.Stop()
 	c := &lk.comb
 	c.mu.Lock()
@@ -196,7 +184,7 @@ func (n *Node) stopSender(lk *link) {
 	n.dropTeardown(lk, lost)
 }
 
-// dropTeardown charges frames a link's holder lost to tx_teardown.
+// dropTeardown charges frames a link's sender lost to tx_teardown.
 func (n *Node) dropTeardown(lk *link, frames int) {
 	if frames > 0 {
 		n.drop(dropTxTeardown, uint64(frames), telemetry.DropDetail{
@@ -205,13 +193,12 @@ func (n *Node) dropTeardown(lk *link, frames int) {
 	}
 }
 
-// add encodes one frame behind what s holds — the one per-frame encoder
-// of both legs. An untraced frame whose record fits a train joins the
-// open one, which is cut first when the record would take it past what
-// one UDP_SEGMENT message carries or, on a ring link, when it holds
-// txBatchMax frames already (so a lost datagram costs at most a train of
-// those); a traced frame, or one too long for any train, cuts it and takes
-// encapFrame's datagrams of its own.
+// add encodes one frame behind what s holds — the one per-frame encoder.
+// An untraced frame whose record fits a train joins the open one, which is
+// cut first when the record would take it past what one UDP_SEGMENT
+// message carries or when it holds txBatchMax frames already (so a lost
+// datagram costs at most a train of those); a traced frame, or one too
+// long for any train, cuts it and takes encapFrame's datagrams of its own.
 // Datagrams leave in add order. A batch's first frame loads the transport
 // the batch is encoded for and sent by, so an auto-upgrade or fault
 // install applies from the next batch. An error is f's own, and f is then
@@ -223,7 +210,7 @@ func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) erro
 	}
 	mark := txMark{tag: f.Tag, at: at}
 	if rec := bridge.RecordLen(f); f.Tag == 0 && rec <= s.room {
-		if s.agg.Len()+rec > s.room || lk.wake != nil && s.agg.Count() == txBatchMax {
+		if s.agg.Len()+rec > s.room || s.agg.Count() == txBatchMax {
 			n.closeTrain(lk, s)
 		}
 		if err := s.agg.Add(f); err != nil {
@@ -243,30 +230,23 @@ func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) erro
 	return nil
 }
 
-// flush puts a batch on the wire and empties it — the one flush of both
-// legs: cut the open train, transmit, count, release. A frame is sent iff
-// the transport confirmed its last datagram (a train's frames share the
-// fate of its last) and only then gets encap_sent, the TX latency
-// sample and the wire_tx hop; vnetp_tx_batch_size takes the frames the
-// transmit carried. An unsent frame at index own — the flushing Send's
-// own, -1 for none — is the error returned; any other lands on tx_error.
-func (n *Node) flush(lk *link, s *txScratch, own int) error {
+// flush puts a batch on the wire and empties it: cut the open train,
+// transmit, count, release. A frame is sent iff the transport confirmed
+// its last datagram (a train's frames share the fate of its last) and only
+// then gets encap_sent, the TX latency sample and the wire_tx hop; every
+// other frame lands on tx_error. vnetp_tx_batch_size takes the frames the
+// transmit carried.
+func (n *Node) flush(lk *link, s *txScratch) {
 	if len(s.frames) == 0 {
-		return nil
+		return
 	}
 	n.closeTrain(lk, s)
-	confirmed, err := n.transmit(lk, s.tr, s.dgs)
+	confirmed, _ := n.transmit(lk, s.tr, s.dgs) // the error's frames land on tx_error below
 	sent := len(s.frames)
 	for sent > 0 && s.frames[sent-1].last >= confirmed {
 		sent--
 	}
-	lost := len(s.frames) - sent
-	if own >= sent {
-		lost--
-	} else {
-		err = nil
-	}
-	if lost > 0 {
+	if lost := len(s.frames) - sent; lost > 0 {
 		n.drop(dropTxError, uint64(lost), telemetry.DropDetail{
 			Tenant: lk.tenant, Scope: lk.id, Stage: "transmit",
 		})
@@ -286,37 +266,24 @@ func (n *Node) flush(lk *link, s *txScratch, own int) error {
 		}
 	}
 	s.release()
-	return err
 }
-
-// The combiner's bounds (DESIGN "Batched transmit"): on the synchronous
-// leg a Send waits while pending holds txPendingBytes, two full trains,
-// and a holder hands on after holderSwaps flushes.
-const (
-	txPendingBytes = 128 << 10
-	holderSwaps    = 8
-)
 
 // combiner is a link's one batch, the live twin of the simulator's
 // Iface.txBusy: one flush on the wire at a time. Every Send encodes its
 // frame into the pending batch under mu, so encode (and nonce) order is
-// wire order. The holder swaps the pending batch out under mu, flushes it
-// outside, and repeats until nothing is pending: on the synchronous leg a
-// Send that found the link free (one that finds it held returns once its
-// frame is encoded), on the ring the link's sender. cond.L must be set to
-// &mu before use.
+// wire order. The link's sender swaps the pending batch out under mu,
+// flushes it outside, and repeats until nothing is pending. cond.L must
+// be set to &mu before use.
 type combiner struct {
 	mu   sync.Mutex
-	cond sync.Cond // on mu: a swap made room, a flush ended, the role moved
+	cond sync.Cond // on mu: a flush ended
 
 	batch [2]txScratch // batch[cur] pending, the other in flight or idle
 	cur   int
 
-	busy    bool // the role is held (or an heir waits to take it); on the ring: the sender is awake
-	sending bool // the holder is flushing, outside mu
-	handoff bool // the holder has used its swaps: the next Send is its heir
-	heir    bool // an heir waits out the flush in flight
-	stopped bool // the ring's sender has stopped: nothing will flush again
+	busy    bool // the sender is awake: a Send need not wake it
+	sending bool // the sender is flushing, outside mu
+	stopped bool // the sender has stopped: nothing will flush again
 }
 
 func (c *combiner) pending() *txScratch { return &c.batch[c.cur] }
@@ -329,7 +296,7 @@ func (c *combiner) depth() int {
 	return len(c.pending().frames)
 }
 
-// swap takes the pending batch out for the holder to flush, under c.mu.
+// swap takes the pending batch out for the sender to flush, under c.mu.
 // On a sealed link it cuts and seals the open train first, so nonces are
 // drawn in wire order; a plaintext train is cut by the flush, outside the
 // lock, which keeps the lock's hold short.
@@ -340,84 +307,7 @@ func (n *Node) swap(lk *link, c *combiner) *txScratch {
 	}
 	c.cur ^= 1
 	c.sending = true
-	c.cond.Broadcast()
 	return b
-}
-
-// sendSync is forwardTo's synchronous leg. The error is the caller's own
-// frame's.
-func (n *Node) sendSync(lk *link, f *ethernet.Frame, at time.Time) error {
-	c := &lk.comb
-	c.mu.Lock()
-	for c.pending().size() >= txPendingBytes {
-		c.cond.Wait()
-	}
-	p := c.pending()
-	if err := n.add(lk, p, f, at); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	own := len(p.frames) - 1
-	switch {
-	case !c.busy:
-		c.busy = true
-	case c.handoff && !c.heir:
-		c.heir = true
-		for c.sending {
-			c.cond.Wait()
-		}
-	default:
-		c.mu.Unlock()
-		return nil
-	}
-	return n.hold(lk, c, own)
-}
-
-// hold runs the synchronous holder role, entered under c.mu with the
-// caller's frame at index own of the pending batch, which its first flush
-// carries. The role ends under the lock: released once nothing is
-// pending, or passed to an heir after holderSwaps flushes. A panicking
-// flush releases it on the way out: what was in flight, and what is
-// pending unless an heir takes it, lands on tx_teardown.
-func (n *Node) hold(lk *link, c *combiner, own int) (err error) {
-	c.heir, c.handoff = false, false
-	var flying *txScratch
-	defer func() {
-		if flying == nil {
-			return
-		}
-		c.mu.Lock()
-		lost := len(flying.frames)
-		flying.release()
-		if !c.heir {
-			lost += len(c.pending().frames)
-			c.pending().release()
-			c.busy, c.handoff = false, false
-		}
-		c.sending = false
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		n.dropTeardown(lk, lost)
-	}()
-	for swaps := 1; ; swaps++ {
-		flying = n.swap(lk, c)
-		c.handoff = swaps >= holderSwaps
-		c.mu.Unlock()
-		if ferr := n.flush(lk, flying, own); own >= 0 {
-			err = ferr
-		}
-		flying, own = nil, -1
-		c.mu.Lock()
-		c.sending = false
-		if c.heir || len(c.pending().frames) == 0 {
-			if !c.heir {
-				c.busy, c.handoff = false, false
-			}
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return err
-		}
-	}
 }
 
 // transmit is the one way out of a link: it hands datagrams, in order,
@@ -479,9 +369,6 @@ func (n *Node) closeTrain(lk *link, s *txScratch) {
 // the frames, and on a tenant link each was sealed.
 func (n *Node) queue(lk *link, s *txScratch, dgs [][]byte, frames int) {
 	s.dgs = append(s.dgs, dgs...)
-	for _, d := range dgs {
-		s.bytes += len(d)
-	}
 	for i := len(s.frames) - frames; i < len(s.frames); i++ {
 		s.frames[i].last = len(s.dgs) - 1
 	}
