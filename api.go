@@ -81,27 +81,25 @@ func NewRoutingTable() *core.Table { return core.NewTable() }
 // --- Functional overlay (real UDP sockets) ---
 
 // Node is an overlay routing node; Endpoint an in-process guest NIC
-// attached to one. NodeConfig tunes the datapath (receive worker count,
-// flow cache, tracing, logging, anomaly watchdog).
+// attached to one. NodeConfig tunes the datapath (flow cache, tracing,
+// logging, anomaly watchdog).
 type (
 	Node       = overlay.Node
 	Endpoint   = overlay.Endpoint
 	NodeConfig = overlay.NodeConfig
 )
 
-// NewNode binds an overlay node to a UDP address with the default receive
-// configuration (min(4, GOMAXPROCS) packet dispatchers).
+// NewNode binds an overlay node to a UDP address with the default
+// datapath configuration. Either way the node runs min(4, GOMAXPROCS)
+// packet dispatchers — the real-socket analogue of the paper's
+// multiple-packet-dispatcher VMM-driven mode (Sect. 4.3, Fig. 5).
 func NewNode(name, bindAddr string) (*Node, error) { return overlay.NewNode(name, bindAddr) }
 
-// NewNodeWithConfig binds an overlay node with an explicit receive
-// datapath configuration — the real-socket analogue of the paper's
-// multiple-packet-dispatcher VMM-driven mode (Sect. 4.3, Fig. 5).
+// NewNodeWithConfig binds an overlay node with an explicit datapath
+// configuration.
 func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	return overlay.NewNodeWithConfig(name, bindAddr, cfg)
 }
-
-// DefaultDispatchers reports the default number of receive workers.
-func DefaultDispatchers() int { return overlay.DefaultDispatchers() }
 
 // --- Link health and fault injection ---
 

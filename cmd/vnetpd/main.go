@@ -65,7 +65,6 @@ func main() {
 	ctrlAddr := flag.String("control", "", "TCP address for the control console (empty: disabled)")
 	config := flag.String("config", "", "configuration script applied at startup")
 	echo := flag.String("echo", "", "attach an echo endpoint: <ifname>:<mac>")
-	dispatchers := flag.Int("dispatchers", 0, "receive workers, each reading its own SO_REUSEPORT socket on -bind and finishing what it reads (0: min(4, GOMAXPROCS); one where the platform has no SO_REUSEPORT support here)")
 	flowCache := flag.Bool("flow-cache", true, "per-flow forwarding cache: one lookup plus a header memcpy on the steady-state path (false: per-frame route lookup)")
 	telemetryAddr := flag.String("telemetry-addr", "", "HTTP address for /metrics, /trace, /flight, /topflows, /diag, /debug/pprof/, /healthz (empty: disabled)")
 	anomalyInterval := flag.Duration("anomaly-interval", 5*time.Second, "anomaly watchdog sample period (0: watchdog off)")
@@ -101,7 +100,6 @@ func main() {
 	}
 
 	node, err := overlay.NewNodeWithConfig(*name, *bind, overlay.NodeConfig{
-		Dispatchers:       *dispatchers,
 		FlowCacheDisabled: !*flowCache,
 		TraceSample:       *traceSample,
 		FlightDepth:       *flightDepth,

@@ -194,15 +194,6 @@ func (h *EncapHeader) Marshal(b []byte) []byte {
 	return b
 }
 
-// EncapIsControl peeks at a datagram's flag byte and reports whether it
-// is a probe or probe-reply (control) datagram, without a full parse.
-// Receive-path producers use it to steer control traffic off the data
-// dispatchers; malformed datagrams report false and are rejected by the
-// full ParseEncap downstream.
-func EncapIsControl(b []byte) bool {
-	return len(b) >= 4 && b[3]&(flagProbe|flagProbeReply) != 0
-}
-
 // EncapFrames peeks at how many inner frames a data datagram stands for,
 // without a full parse: one, unless it is a slice of a train — then the
 // train's count its header claims, capped by what a train of the length

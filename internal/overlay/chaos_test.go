@@ -74,9 +74,9 @@ func TestChaosContinuedDeliveryUnderCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dispatchers: 1 makes "dispatcher/0" the one worker every datagram
+	// WithDispatchers(1) makes "dispatcher/0" the one worker every datagram
 	// crosses, so the injected panic is guaranteed to fire in-path.
-	nb, err := overlay.NewNodeWithConfig("chaos-b", "127.0.0.1:0", overlay.NodeConfig{Dispatchers: 1}.WithSupervise(chaosSupervise()))
+	nb, err := overlay.NewNodeWithConfig("chaos-b", "127.0.0.1:0", overlay.NodeConfig{}.WithDispatchers(1).WithSupervise(chaosSupervise()))
 	if err != nil {
 		na.Close()
 		t.Fatal(err)

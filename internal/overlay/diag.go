@@ -129,7 +129,7 @@ func (n *Node) Diag() DiagBundle {
 			Arch:      runtime.GOARCH,
 		},
 		Config: DiagConfig{
-			Dispatchers:     cfg.Dispatchers,
+			Dispatchers:     cfg.dispatchers,
 			RxBatch:         rxBatch,
 			FlowCache:       !cfg.FlowCacheDisabled,
 			FlowCacheSize:   fcSize,

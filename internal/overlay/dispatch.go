@@ -4,11 +4,12 @@
 // the thread that picks a packet up routes and delivers it. Each of the N
 // receive workers owns one UDP socket on the node's address
 // (SO_REUSEPORT) and finishes every datagram it reads on its own
-// goroutine: classify, split, parse, open, reassemble or walk, route,
-// deliver; only control traffic (liveness probes and replies) is handed
-// on, copied, to the probe handler. The kernel's 4-tuple hash keeps a
-// sender on one socket, so per-sender fragment and frame order is
-// preserved and workers do not share reassembly state.
+// goroutine: split, parse, then answer a probe, match a probe reply, or
+// open, reassemble or walk, route and deliver data. A TCP connection's
+// reader finishes its datagrams the same way, through the same handler
+// (datagram). The kernel's 4-tuple hash keeps a sender on one socket, so
+// per-sender fragment and frame order is preserved and workers do not
+// share reassembly state.
 
 package overlay
 
@@ -30,21 +31,11 @@ import (
 	"vnetp/internal/trace"
 )
 
-// DefaultDispatchers is the receive worker count used when NodeConfig
-// leaves it zero: min(4, GOMAXPROCS), the paper's sweet spot for a
-// 10G-class receive path without oversubscribing small hosts.
-func DefaultDispatchers() int { return min(4, runtime.GOMAXPROCS(0)) }
-
 // flightSnap is the flight recorder's per-event capture length in bytes.
 const flightSnap = 256
 
 // NodeConfig tunes a node's datapath.
 type NodeConfig struct {
-	// Dispatchers is the number of receive workers, each reading its own
-	// socket on the node's address and finishing what it reads. Zero means
-	// DefaultDispatchers(); where this package cannot share a port, one.
-	Dispatchers int
-
 	// FlowCacheDisabled turns off the per-flow forwarding cache
 	// (flowcache.go), restoring the per-frame route-lookup path. The
 	// cache is on by default; disabling it exists for ablation
@@ -79,11 +70,16 @@ type NodeConfig struct {
 	// the defaults (5s period, 100 drops/s).
 	Anomaly AnomalyConfig
 
-	// Test seams, zero in every real configuration. portableRx makes
-	// the read loop use singleReader where the platform has a batch
-	// reader too; txRing overrides txRingDepth; evictInterval overrides
-	// defaultEvictInterval; supervise overrides the supervise package's
-	// defaults (restart backoff, stall watchdog).
+	// Test seams, zero in every real configuration. dispatchers overrides
+	// the receive worker count, min(4, GOMAXPROCS) — the paper's sweet
+	// spot for a 10G-class receive path without oversubscribing small
+	// hosts; where this package cannot share a port there is one worker
+	// whatever it asks. portableRx makes the read loop use singleReader
+	// where the platform has a batch reader too; txRing overrides
+	// txRingDepth; evictInterval overrides defaultEvictInterval; supervise
+	// overrides the supervise package's defaults (restart backoff, stall
+	// watchdog).
+	dispatchers   int
 	portableRx    bool
 	txRing        int
 	evictInterval time.Duration
@@ -111,8 +107,8 @@ const (
 const defaultEvictInterval = time.Second
 
 func (c *NodeConfig) normalize() {
-	if c.Dispatchers <= 0 {
-		c.Dispatchers = DefaultDispatchers()
+	if c.dispatchers <= 0 {
+		c.dispatchers = min(4, runtime.GOMAXPROCS(0))
 	}
 	if c.txRing <= 0 {
 		c.txRing = txRingDepth
@@ -171,19 +167,33 @@ func (n *Node) shardFor(sender string) *rxShard {
 	return n.shards[h%uint32(len(n.shards))]
 }
 
-// rxDatagram finishes one data datagram on the calling goroutine: the
-// header is parsed onto this stack, then processData. pkt is borrowed for
-// the call.
-func (n *Node) rxDatagram(s *rxShard, sender string, pkt []byte, at time.Time) {
+// datagram finishes one encapsulation datagram on the goroutine that
+// read it, whichever transport carried it: the header is parsed once,
+// onto this stack, then a probe is answered on the transport it arrived
+// by (over TCP on the connection c, else by UDP to from, leaving by
+// n.conn), a probe reply is matched to its link, and data runs
+// processData. A header that does not parse is charged to bad_packet at
+// stage "parse". pkt is borrowed for the call.
+func (n *Node) datagram(s *rxShard, sender string, from *net.UDPAddr, c *tcpConn, pkt []byte, at time.Time) {
 	var h bridge.EncapHeader
 	payload, err := h.Unmarshal(pkt)
-	if err != nil {
+	switch {
+	case err != nil:
 		n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{
-			Scope: sender, Stage: "rx_parse",
+			Scope: sender, Stage: "parse",
 		})
-		return
+	case h.Probe:
+		// Best effort: a failed reply surfaces as a lost probe at its sender.
+		if reply := marshalProbeReply(payload); c != nil {
+			c.sendDatagrams([][]byte{reply})
+		} else {
+			n.conn.WriteToUDP(reply, from)
+		}
+	case h.ProbeReply:
+		n.handleProbeReply(sender, payload)
+	default:
+		n.processData(s, sender, &h, payload, pkt, at)
 	}
-	n.processData(s, sender, &h, payload, pkt, at)
 }
 
 // processData runs the data path for one parsed datagram: flight
@@ -193,9 +203,9 @@ func (n *Node) rxDatagram(s *rxShard, sender string, pkt []byte, at time.Time) {
 // frame in its tenant's namespace. Every receive-side drop charges the
 // frames the datagram's frame or train stood for (a train's count, else
 // one) — once per train, however many of its slices are shed — so the
-// frames a train carried are all accounted for when it is lost. Shared by
-// the UDP receive workers and the TCP connection readers, each on its own
-// goroutine. raw is the full encap datagram as it arrived on the wire,
+// frames a train carried are all accounted for when it is lost. Called by
+// datagram, for the UDP receive workers and the TCP connection readers
+// alike. raw is the full encap datagram as it arrived on the wire,
 // captured by the shard's flight recorder when one is armed (before
 // decryption: the recorder sees what the wire saw).
 //

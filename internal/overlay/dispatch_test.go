@@ -49,7 +49,7 @@ func BenchmarkOverlayDispatcherScaling(b *testing.B) {
 }
 
 func benchDispatcherScaling(b *testing.B, workers int) {
-	n, err := NewNodeWithConfig("bench", "127.0.0.1:0", NodeConfig{Dispatchers: workers})
+	n, err := NewNodeWithConfig("bench", "127.0.0.1:0", NodeConfig{dispatchers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func benchDispatcherScaling(b *testing.B, workers int) {
 			at := time.Now()
 			for k := 0; k < per; k++ {
 				for s := w; s < senders; s += len(n.shards) {
-					n.rxDatagram(shard, keys[s], pkts[s], at)
+					n.datagram(shard, keys[s], nil, nil, pkts[s], at)
 					if _, ok := eps[s].TryRecv(); !ok {
 						b.Errorf("sender %d frame %d not delivered", s, k)
 						return
@@ -107,7 +107,7 @@ func benchDispatcherScaling(b *testing.B, workers int) {
 // reassembly rests on: a sender key always maps to the same shard, and
 // with enough senders more than one shard carries traffic.
 func TestDispatcherShardingIsStable(t *testing.T) {
-	n, err := NewNodeWithConfig("shards", "127.0.0.1:0", NodeConfig{Dispatchers: 4})
+	n, err := NewNodeWithConfig("shards", "127.0.0.1:0", NodeConfig{dispatchers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDispatcherShardingIsStable(t *testing.T) {
 // checks complete, uncorrupted delivery — reassembly must never
 // interleave two senders' fragments.
 func TestDispatcherPoolDeliversFragmented(t *testing.T) {
-	n, err := NewNodeWithConfig("pool", "127.0.0.1:0", NodeConfig{Dispatchers: 4})
+	n, err := NewNodeWithConfig("pool", "127.0.0.1:0", NodeConfig{dispatchers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDispatcherPoolDeliversFragmented(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range ds {
-			n.rxDatagram(n.shardFor(keys[s]), keys[s], d, time.Now())
+			n.datagram(n.shardFor(keys[s]), keys[s], nil, nil, d, time.Now())
 		}
 	}
 	seen := make(map[byte]bool)
@@ -190,7 +190,7 @@ func TestDispatcherPoolDeliversFragmented(t *testing.T) {
 // TestPerDispatcherStats checks LIST STATS exposes the pool size and
 // per-worker counters, and that traffic is attributed to a worker.
 func TestPerDispatcherStats(t *testing.T) {
-	n, err := NewNodeWithConfig("stats", "127.0.0.1:0", NodeConfig{Dispatchers: 2})
+	n, err := NewNodeWithConfig("stats", "127.0.0.1:0", NodeConfig{dispatchers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPerDispatcherStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.rxDatagram(n.shards[len(n.shards)-1], "1.2.3.4:5", ds[0], time.Now())
+	n.datagram(n.shards[len(n.shards)-1], "1.2.3.4:5", nil, nil, ds[0], time.Now())
 	if _, ok := ep.Recv(2 * time.Second); !ok {
 		t.Fatal("frame not delivered")
 	}

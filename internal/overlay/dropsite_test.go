@@ -203,7 +203,7 @@ func TestDropSiteAggregate(t *testing.T) {
 	const frames = 5
 	dst := ethernet.LocalMAC(2)
 	node := func(t *testing.T, cfg NodeConfig) (*Node, *Endpoint) {
-		cfg.Dispatchers = 1
+		cfg.dispatchers = 1
 		n := dropNode(t, cfg)
 		sink, err := n.AttachEndpoint("sink", dst, 1500)
 		if err != nil {
@@ -226,7 +226,7 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("well_formed", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.rxDatagram(n.shards[0], "10.0.0.5:5", aggregateDatagram(t, frames, dst, nil), time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, aggregateDatagram(t, frames, dst, nil), time.Now())
 		delivered(t, n, sink, frames)
 		s := n.shards[0]
 		if s.Datagrams.Load() != 1 || s.Frames.Load() != frames || n.EncapRecv.Load() != frames || n.ledger.Total() != 0 {
@@ -249,7 +249,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		}
 		d := aggregateDatagram(t, frames, dst, sl)
 		d[len(d)-20] ^= 0x01 // one ciphertext bit: the whole train fails authentication
-		n.rxDatagram(n.shards[0], "10.0.0.5:5", d, time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, time.Now())
 		legacy, sli := Metric(t, n, "vnetp_seal_reject_total", seal.RejectAuth), Metric(t, n, "vnetp_tenant_seal_rejects_total", "7")
 		if got := n.ledger.Count(dropSealReject); got != frames || legacy != frames || sli != frames {
 			t.Fatalf("seal_reject ledger=%d legacy=%d tenant=%d, want %d each", got, legacy, sli, frames)
@@ -259,7 +259,7 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("bad_train", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.rxDatagram(n.shards[0], "10.0.0.5:5", overrunLastRecord(aggregateDatagram(t, frames, dst, nil)), time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, overrunLastRecord(aggregateDatagram(t, frames, dst, nil)), time.Now())
 		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != frames || legacy != frames {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, frames)
 		}
@@ -270,7 +270,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
 		d := aggregateDatagram(t, frames, dst, nil)
 		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims sixteen thousand frames
-		n.rxDatagram(n.shards[0], "10.0.0.5:5", d, time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, time.Now())
 		// Charged what a train of the length it claims could hold at most,
 		// not the claim.
 		most := uint64(binary.BigEndian.Uint32(d[12:])) / uint64(2+ethernet.HeaderLen)
@@ -296,8 +296,8 @@ func TestDropSiteNoRoute(t *testing.T) {
 }
 
 func TestDropSiteBadPacket(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
-	n.rxDatagram(n.shards[0], "10.0.0.1:1", []byte{0xde, 0xad, 0xbe, 0xef}, time.Now())
+	n := dropNode(t, NodeConfig{dispatchers: 1})
+	n.datagram(n.shards[0], "10.0.0.1:1", nil, nil, []byte{0xde, 0xad, 0xbe, 0xef}, time.Now())
 	if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != 1 || legacy != 1 {
 		t.Fatalf("bad_packet ledger=%d vnetp_bad_packets_total=%d, want 1 each", got, legacy)
 	}
@@ -342,7 +342,7 @@ func TestDropSiteEndpointRing(t *testing.T) {
 // they leave ages out without charging the frame again. Nothing else is
 // dropped and nothing is delivered.
 func TestDropSiteTrainSealReject(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
+	n := dropNode(t, NodeConfig{dispatchers: 1, evictInterval: 10 * time.Millisecond})
 	key := bytes.Repeat([]byte{0x11}, 32)
 	if err := n.AddTenant(7, key); err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestTrainSegmentFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
+			tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{dispatchers: 1, evictInterval: 10 * time.Millisecond})
 			if tc.tenant != 0 {
 				for _, n := range []*Node{tx, rx} {
 					if err := n.AddTenant(tc.tenant, bytes.Repeat([]byte{0x2d}, 32)); err != nil {
@@ -490,25 +490,9 @@ func TestTrainSegmentFaults(t *testing.T) {
 	}
 }
 
-func TestDropSiteProbeRing(t *testing.T) {
-	n := dropNode(t, NodeConfig{})
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
-	probe := marshalProbe("lk", 1)
-	attr := &rxAttrib{}
-	deadline := time.Now().Add(5 * time.Second)
-	for n.ledger.Count(dropProbeRing) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("probe ring never overran")
-		}
-		for i := 0; i < 1024; i++ {
-			n.receive(n.shards[0], rxPacket{pkt: probe, from: from}, time.Now(), attr)
-		}
-	}
-}
-
 func TestDropSiteSealReject(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
-	n.rxDatagram(n.shards[0], "10.0.0.3:3", sealedDatagram(t, 42), time.Now())
+	n := dropNode(t, NodeConfig{dispatchers: 1})
+	n.datagram(n.shards[0], "10.0.0.3:3", nil, nil, sealedDatagram(t, 42), time.Now())
 	if got, legacy := n.ledger.Count(dropSealReject), Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant); got != 1 || legacy != 1 {
 		t.Fatalf("seal_reject ledger=%d vnetp_seal_reject_total{unknown_tenant}=%d, want 1 each", got, legacy)
 	}
@@ -519,7 +503,7 @@ func TestDropSiteSealReject(t *testing.T) {
 }
 
 func TestDropSiteReassemblyEvict(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1, evictInterval: 10 * time.Millisecond})
+	n := dropNode(t, NodeConfig{dispatchers: 1, evictInterval: 10 * time.Millisecond})
 	f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2))
 	f.Payload = make([]byte, 9000) // fragments into several datagrams
 	ds, err := bridge.Encapsulate(f, 77, maxDatagram)
@@ -529,7 +513,7 @@ func TestDropSiteReassemblyEvict(t *testing.T) {
 	if len(ds) < 2 {
 		t.Fatalf("frame did not fragment: %d datagrams", len(ds))
 	}
-	n.rxDatagram(n.shards[0], "10.0.0.4:4", ds[0], time.Now()) // first fragment only: a partial that can never complete
+	n.datagram(n.shards[0], "10.0.0.4:4", nil, nil, ds[0], time.Now()) // first fragment only: a partial that can never complete
 	waitCount(t, n, dropReassemblyEvict, 1)
 	if legacy := Metric(t, n, "vnetp_reassembly_evictions_total"); legacy != n.ledger.Count(dropReassemblyEvict) {
 		t.Fatalf("reassembly_evict ledger=%d legacy=%d", n.ledger.Count(dropReassemblyEvict), legacy)
@@ -740,7 +724,7 @@ func TestDropSiteTxError(t *testing.T) {
 // the receive-side churn arrives as aggregate datagrams, whose drops
 // charge several frames at a time.
 func TestDropLedgerChurn(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 2, txRing: 1, evictInterval: 20 * time.Millisecond})
+	n := dropNode(t, NodeConfig{dispatchers: 2, txRing: 1, evictInterval: 20 * time.Millisecond})
 	src, err := n.AttachEndpoint("src", ethernet.LocalMAC(1), 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -809,7 +793,7 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
 	// Several goroutines finish datagrams on each shard at once, as a
 	// worker and the TCP readers hashed to its shard do.
-	rx := func(sender string, d []byte) { n.rxDatagram(n.shardFor(sender), sender, d, time.Now()) }
+	rx := func(sender string, d []byte) { n.datagram(n.shardFor(sender), sender, nil, nil, d, time.Now()) }
 	churn(func(i int) { rx(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}) })
 	churn(func(i int) { rx(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate) }) // endpoint_ring ×3 once full
 	churn(func(i int) { rx(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })

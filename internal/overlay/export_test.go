@@ -40,9 +40,11 @@ func (n *Node) WaitIdle(t testing.TB, id string) { waitIdle(t, n.topo.Load().lin
 
 func (n *Node) Idle(id string) bool { return n.topo.Load().links[id].idle() }
 
-// WithTxRing, WithEvictInterval and WithSupervise hand the external tests
-// NodeConfig's seams: a small TX ring, a fast eviction clock, a
-// supervisor tuned for chaos.
+// WithDispatchers, WithTxRing, WithEvictInterval and WithSupervise hand
+// the external tests NodeConfig's seams: a receive worker count, a small
+// TX ring, a fast eviction clock, a supervisor tuned for chaos.
+func (c NodeConfig) WithDispatchers(workers int) NodeConfig { c.dispatchers = workers; return c }
+
 func (c NodeConfig) WithTxRing(depth int) NodeConfig { c.txRing = depth; return c }
 
 func (c NodeConfig) WithEvictInterval(d time.Duration) NodeConfig { c.evictInterval = d; return c }

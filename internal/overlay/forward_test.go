@@ -549,7 +549,7 @@ func TestRecvArmsNoTimerWhenReady(t *testing.T) {
 // fragmented frames arriving interleaved from one sender, under the
 // same encap ID, reassemble separately and reach their own endpoints.
 func TestSealedStreamsStayApart(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	n := dropNode(t, NodeConfig{dispatchers: 1})
 	peer := seal.NewKeyring(42)
 	dst := ethernet.LocalMAC(2)
 	var streams [2][][]byte
@@ -582,8 +582,8 @@ func TestSealedStreamsStayApart(t *testing.T) {
 		pkt.Release()
 	}
 	for j := range streams[0] {
-		n.rxDatagram(n.shards[0], "10.0.0.9:7000", streams[0][j], time.Now())
-		n.rxDatagram(n.shards[0], "10.0.0.9:7000", streams[1][j], time.Now())
+		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[0][j], time.Now())
+		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[1][j], time.Now())
 	}
 	for i, sink := range sinks {
 		got, ok := sink.Recv(5 * time.Second)

@@ -94,27 +94,34 @@ func DefaultHealthConfig() HealthConfig {
 	}
 }
 
+// normalize fills every unset field from DefaultHealthConfig (an unset
+// ProbeTimeout from Interval) and raises a RedialMax below RedialMin to
+// it.
 func (c *HealthConfig) normalize() {
+	d := DefaultHealthConfig()
 	if c.Interval <= 0 {
-		c.Interval = 200 * time.Millisecond
+		c.Interval = d.Interval
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = c.Interval
 	}
 	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
+		c.FailThreshold = d.FailThreshold
 	}
 	if c.RecoverThreshold <= 0 {
-		c.RecoverThreshold = 2
+		c.RecoverThreshold = d.RecoverThreshold
 	}
 	if c.DegradeLossPct <= 0 {
-		c.DegradeLossPct = 0.25
+		c.DegradeLossPct = d.DegradeLossPct
 	}
 	if c.LossWindow <= 0 {
-		c.LossWindow = 16
+		c.LossWindow = d.LossWindow
 	}
 	if c.RedialMin <= 0 {
-		c.RedialMin = 100 * time.Millisecond
+		c.RedialMin = d.RedialMin
+	}
+	if c.RedialMax <= 0 {
+		c.RedialMax = d.RedialMax
 	}
 	if c.RedialMax < c.RedialMin {
 		c.RedialMax = c.RedialMin
@@ -147,9 +154,6 @@ type linkHealth struct {
 // window) reattaches the same registry children, so the counters stay
 // cumulative, matching Prometheus counter semantics.
 func (n *Node) newLinkHealth(lk *link, windowSize int) *linkHealth {
-	if windowSize <= 0 {
-		windowSize = 16
-	}
 	m := n.metrics
 	h := &linkHealth{
 		pending: make(map[uint64]time.Time),
@@ -433,14 +437,15 @@ func (n *Node) SetProbeConfig(interval time.Duration, failN, recoverN int) error
 //	seq(8) | sent-unix-nano(8) | idlen(1) | linkID
 //
 // The link ID names the *sender's* link, so the sender can match the
-// echoed reply to a link no matter which channel carries it back.
+// echoed reply to a link no matter which channel carries it back; its
+// one length byte is why addLink refuses an ID longer than maxLinkID.
 
-const probeHeadLen = 17
+const (
+	probeHeadLen = 17
+	maxLinkID    = 255
+)
 
 func marshalProbe(linkID string, seq uint64) []byte {
-	if len(linkID) > 255 {
-		linkID = linkID[:255]
-	}
 	p := make([]byte, 0, probeHeadLen+len(linkID))
 	p = binary.BigEndian.AppendUint64(p, seq)
 	p = binary.BigEndian.AppendUint64(p, uint64(time.Now().UnixNano()))
@@ -468,11 +473,11 @@ func parseProbePayload(p []byte) (seq uint64, linkID string, ok bool) {
 }
 
 // handleProbeReply matches an echoed probe to its link and records the
-// outcome. Called from the UDP read loop and TCP readers.
-func (n *Node) handleProbeReply(payload []byte) {
+// outcome. Called by datagram, for either transport.
+func (n *Node) handleProbeReply(sender string, payload []byte) {
 	seq, linkID, ok := parseProbePayload(payload)
 	if !ok {
-		n.drop(dropBadPacket, 1, telemetry.DropDetail{Stage: "probe_reply"})
+		n.drop(dropBadPacket, 1, telemetry.DropDetail{Scope: sender, Stage: "probe_reply"})
 		return
 	}
 	now := time.Now()

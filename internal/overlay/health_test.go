@@ -1,6 +1,7 @@
 package overlay_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -348,4 +349,44 @@ func TestControlSurfacesHealth(t *testing.T) {
 	eventually(t, recvTimeout, "retuned probes to flow", func() bool {
 		return statValue(t, na.Stats(), "probes_sent") >= 4
 	})
+}
+
+// TestLinkIDFitsProbe: a probe names its link in a one-byte length field,
+// so a link ID longer than 255 bytes is refused — by AddLink and through
+// the control console — rather than created and then declared down by
+// probes whose replies name no link. A 255-byte ID is accepted and stays
+// up under a 20 ms monitor.
+func TestLinkIDFitsProbe(t *testing.T) {
+	na, nb, _, _ := twoNodes(t)
+	d, err := control.NewDaemon(na, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	console := control.NewClient(d.Addr(), control.ClientConfig{})
+
+	long := strings.Repeat("x", 256)
+	if err := na.AddLink(long, nb.Addr(), "udp"); err == nil {
+		t.Fatal("AddLink took a 256-byte link ID")
+	}
+	var refused *control.ServerError
+	if _, err := console.Do("ADD LINK " + long + " REMOTE " + nb.Addr()); !errors.As(err, &refused) {
+		t.Fatalf("ADD LINK with a 256-byte ID: %v, want the console to refuse it", err)
+	}
+	if _, err := na.LinkStatus(long); err == nil {
+		t.Fatal("a refused link exists")
+	}
+
+	id := strings.Repeat("y", 255)
+	if _, err := console.Do("ADD LINK " + id + " REMOTE " + nb.Addr()); err != nil {
+		t.Fatalf("ADD LINK with a 255-byte ID: %v", err)
+	}
+	if err := na.EnableHealth(fastHealth()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if st, _ := na.LinkHealth(id); st != overlay.LinkUp || overlay.Metric(t, na, "vnetp_link_probe_replies_total", id) == 0 {
+		t.Fatalf("the 255-byte link is %v with %d probe replies, want up with some",
+			st, overlay.Metric(t, na, "vnetp_link_probe_replies_total", id))
+	}
 }

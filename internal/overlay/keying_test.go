@@ -530,7 +530,7 @@ func TestWireFilledEntryMemoisesLocalFlow(t *testing.T) {
 // the wrong tenant: two tenants interleaved through one shard each end
 // with exactly their own samples. The path allocates nothing.
 func TestRxShardMemoisesTenantSLI(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	n := dropNode(t, NodeConfig{dispatchers: 1})
 	tenants := []uint32{3000, 3001}
 	var sinks [2]*Endpoint
 	for i, tenant := range tenants {

@@ -29,8 +29,10 @@ const (
 	// dropDispatcherRing: a datagram lost to a full dispatcher ring
 	// (NIC RX ring overrun analogue).
 	dropDispatcherRing = "dispatcher_ring"
-	// dropProbeRing: a control datagram lost to a full probe ring; the
-	// peer sees it as a lost heartbeat.
+	// dropProbeRing is retired: probes are answered by the worker that
+	// reads them, so no ring sits ahead of them and nothing charges it.
+	// Its vnetp_drops_total child and its LIST STATS line stay, at 0,
+	// because both surfaces only ever grow.
 	dropProbeRing = "probe_ring"
 	// dropTxRing: a frame a link refused, txRing frames being pending
 	// already.

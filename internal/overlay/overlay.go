@@ -8,7 +8,6 @@
 package overlay
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -271,7 +270,6 @@ type Node struct {
 	topo     atomic.Pointer[topology]
 	tcpConns map[*tcpConn]struct{} // accepted inbound TCP transports
 	shards   []*rxShard            // one per receive worker: its socket and reassembly state
-	probeCh  chan probeEvent       // control traffic, split off the data path
 	nextID   atomic.Uint32
 
 	// Per-flow fast path (flowcache.go). fcache is nil when disabled
@@ -288,12 +286,13 @@ type Node struct {
 	wg        sync.WaitGroup // TCP accept/reader goroutines (connection-scoped)
 
 	// sup supervises the long-lived datapath goroutines (receive
-	// workers, per-link TX senders, the prober, the evictor, the health
-	// loop): panic containment with restart backoff plus the stall
-	// watchdog. Always non-nil after NewNodeWithConfig.
+	// workers, per-link TX senders, the evictor, the health loop): panic
+	// containment with restart backoff plus the stall watchdog. Always
+	// non-nil after NewNodeWithConfig.
 	sup *supervise.Supervisor
 
-	// Link health monitor state (EnableHealth).
+	// Link health monitor state (EnableHealth). healthCfg is normalized
+	// from the start: its redial bounds apply with the monitor off too.
 	healthOn  bool
 	healthCfg HealthConfig
 	healthW   *supervise.Worker
@@ -382,11 +381,11 @@ func NewNode(name, bindAddr string) (*Node, error) {
 // configuration.
 func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	cfg.normalize()
-	conns, tcpLn, err := listenNode(bindAddr, cfg.Dispatchers)
+	conns, tcpLn, err := listenNode(bindAddr, cfg.dispatchers)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Dispatchers = len(conns)
+	cfg.dispatchers = len(conns)
 	// Deep socket buffers: a worker's receive queue is the one queue ahead
 	// of it, and what overflows it is lost (dispatcher_ring). Best effort
 	// (the OS may clamp).
@@ -405,9 +404,9 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		conn:     conns[0],
 		tcpLn:    tcpLn,
 		tcpConns: make(map[*tcpConn]struct{}),
-		probeCh:  make(chan probeEvent, 256),
 		quit:     make(chan struct{}),
 	}
+	n.healthCfg.normalize()
 	n.tx.init(conns[0])
 	n.topo.Store(&topology{
 		links:      map[string]*link{},
@@ -437,7 +436,7 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 	n.EncapSent = reg.Counter("vnetp_encap_sent_total", "Inner frames encapsulated and sent over links.")
 	n.EncapRecv = reg.Counter("vnetp_encap_recv_total", "Inner frames reassembled from links.")
 	n.Delivered = reg.Counter("vnetp_frames_delivered_total", "Frames delivered to local endpoints.")
-	n.shards = make([]*rxShard, cfg.Dispatchers)
+	n.shards = make([]*rxShard, cfg.dispatchers)
 	for i := range n.shards {
 		w := fmt.Sprint(i)
 		n.shards[i] = &rxShard{
@@ -463,7 +462,6 @@ func NewNodeWithConfig(name, bindAddr string, cfg NodeConfig) (*Node, error) {
 		Restarts: n.metrics.componentRestarts,
 		Stalls:   n.metrics.watchdogStalls,
 	})
-	n.sup.Go("prober", func(i *supervise.Instance) { n.probeLoop(i) })
 	n.sup.Go("evictor", func(i *supervise.Instance) { n.evictLoop(i) })
 	for _, s := range n.shards {
 		s := s
@@ -538,7 +536,7 @@ func (n *Node) Close() error {
 	if n.tcpLn != nil {
 		n.tcpLn.Close()
 	}
-	n.sup.Stop() // supervised loops: receive workers, TX senders, prober, evictor, health
+	n.sup.Stop() // supervised loops: receive workers, TX senders, evictor, health
 	n.wg.Wait()  // TCP accept loop and connection readers
 	for _, lk := range n.topo.Load().links {
 		n.stopSender(lk)
@@ -615,6 +613,9 @@ func (n *Node) AddLinkTenant(id, remote, proto string, tenant uint32) error {
 }
 
 func (n *Node) addLink(id, remote, proto string, tenant uint32) error {
+	if len(id) > maxLinkID {
+		return fmt.Errorf("overlay: link ID of %d bytes: a probe names at most %d", len(id), maxLinkID)
+	}
 	if proto == "" {
 		proto = "udp"
 	}
@@ -940,13 +941,6 @@ func (n *Node) traceExt(tag uint64) *bridge.TraceExt {
 	return &bridge.TraceExt{ID: tag, Origin: origin, Flags: flags}
 }
 
-// probeEvent is one control datagram (probe or probe reply) handed from
-// a receive worker to the probe handler; pkt is an owned copy.
-type probeEvent struct {
-	pkt  []byte
-	from *net.UDPAddr
-}
-
 // rxAttrib is a receive worker's sender-attribution cache: the sender-key
 // string for the common case of consecutive datagrams from one peer (a
 // fragmented jumbo frame arrives as a burst from the same address) —
@@ -997,11 +991,11 @@ func (n *Node) readLoop(inst *supervise.Instance, s *rxShard) {
 
 // receive finishes one socket read on the calling worker: what the
 // kernel shed ahead of it goes on the ledger, then link attribution via
-// the worker's cache, then — per datagram, never per read: GRO will
-// put a peer's probe behind its data when they share a flow — control
-// datagrams are copied to the probe handler and data datagrams run to
-// delivery right here, in arrival order. p.pkt is borrowed for the call.
-// Returns how many datagrams the read held.
+// the worker's cache, then every datagram of the read is finished by
+// datagram right here, in arrival order — per datagram, never per read:
+// GRO will put a peer's probe behind its data when they share a flow.
+// p.pkt is borrowed for the call. Returns how many datagrams the read
+// held.
 func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (datagrams int) {
 	// The socket's overflow count only grows (u32, compared wrap-safe):
 	// whoever moves the worker's copy of it forward charges the difference,
@@ -1028,22 +1022,7 @@ func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (da
 	}
 	for d, rest := nextSegment(p.pkt, p.seg); ; d, rest = nextSegment(rest, p.seg) {
 		datagrams++
-		if !bridge.EncapIsControl(d) {
-			n.rxDatagram(s, attr.lastKey, d, at)
-		} else {
-			select {
-			case n.probeCh <- probeEvent{pkt: bytes.Clone(d), from: from}:
-			default:
-				// Control ring full: the dropped probe surfaces as a lost
-				// heartbeat at its sender — but the ledger still records
-				// that this node shed it (this site was silent before the
-				// unified ledger, so an overloaded probe ring looked like
-				// network loss).
-				n.drop(dropProbeRing, 1, telemetry.DropDetail{
-					Scope: from.String(), Stage: "control",
-				})
-			}
-		}
+		n.datagram(s, attr.lastKey, from, nil, d, at)
 		if len(rest) == 0 {
 			break
 		}
@@ -1052,39 +1031,6 @@ func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (da
 		n.metrics.rxGROTrains.Add(1)
 	}
 	return datagrams
-}
-
-// probeLoop handles control traffic (liveness probes and replies) off the
-// receive workers, so bulk traffic never waits on a probe reply's send
-// (a probe does queue in the socket behind the data ahead of it).
-// Supervised as "prober": a panic on one malformed event restarts the
-// loop; probeCh survives the restart.
-func (n *Node) probeLoop(inst *supervise.Instance) {
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-inst.Quit():
-			return
-		case ev := <-n.probeCh:
-			inst.Working()
-			h, payload, err := bridge.ParseEncap(ev.pkt)
-			if err != nil {
-				n.drop(dropBadPacket, 1, telemetry.DropDetail{
-					Scope: ev.from.String(), Stage: "control",
-				})
-				inst.Idle()
-				continue
-			}
-			switch {
-			case h.Probe:
-				n.conn.WriteToUDP(marshalProbeReply(payload), ev.from)
-			case h.ProbeReply:
-				n.handleProbeReply(payload)
-			}
-			inst.Idle()
-		}
-	}
 }
 
 // evictLoop ages out stale partial reassemblies on every shard: each

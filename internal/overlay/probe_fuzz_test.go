@@ -12,7 +12,8 @@ import (
 // fits, and what it accepts it must read back as written — the sequence
 // from the first 8 bytes, the ID from behind the 17-byte head. A probe
 // marshalled for the fuzzed ID and sequence must parse back to them (the
-// ID cut to the 255 bytes its length byte can declare).
+// ID cut to the maxLinkID bytes addLink admits: no longer one reaches
+// marshalProbe).
 func FuzzProbePayload(f *testing.F) {
 	probe := func(id string, seq uint64) []byte {
 		_, payload, err := bridge.ParseEncap(marshalProbe(id, seq))
@@ -42,10 +43,10 @@ func FuzzProbePayload(f *testing.F) {
 		} else if gotSeq != 0 || gotID != "" {
 			t.Fatalf("refused payload still yielded seq %d id %q", gotSeq, gotID)
 		}
-		want := id
-		if len(want) > 255 {
-			want = want[:255]
+		if len(id) > maxLinkID {
+			id = id[:maxLinkID]
 		}
+		want := id
 		_, payload, err := bridge.ParseEncap(marshalProbe(id, seq))
 		if err != nil {
 			t.Fatal(err)

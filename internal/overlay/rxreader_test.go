@@ -324,7 +324,7 @@ func TestHeldFramesSurviveBufferReuse(t *testing.T) {
 }
 
 func testHeldFrames(t *testing.T, proto string, tenant uint32, txBatch int) {
-	tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{Dispatchers: 1})
+	tx, rx := dropNode(t, NodeConfig{}), dropNode(t, NodeConfig{dispatchers: 1})
 	if tenant != 0 {
 		key := bytes.Repeat([]byte{0x5a}, 32)
 		for _, n := range []*Node{tx, rx} {

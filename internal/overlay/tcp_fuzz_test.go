@@ -18,14 +18,14 @@ import (
 // largest datagram a peer may send. A zero or oversized length prefix is
 // charged once, on bad_packet at stage tcp_frame, and closes the
 // connection: nothing behind it is read. A whole message that does not
-// parse is charged on bad_packet at stage tcp_parse, and reading goes on
+// parse is charged on bad_packet at stage parse, and reading goes on
 // to the next. A stream that ends mid-message charges nothing.
 func FuzzTCPStream(f *testing.F) {
 	// The seeds are in testdata/fuzz/FuzzTCPStream: a frame then a probe,
 	// an unparsable message then a frame, an aggregate, a zero, an
 	// oversized and the largest length, a cut prefix.
 	f.Add([]byte{})
-	n := dropNode(f, NodeConfig{Dispatchers: 1})
+	n := dropNode(f, NodeConfig{dispatchers: 1})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		// The model: what readTCP must charge for this stream.
 		var frameErr, parseFrames uint64
@@ -74,7 +74,7 @@ func FuzzTCPStream(f *testing.F) {
 		charged := n.ledger.Count(dropBadPacket) - before
 		want := frameErr + parseFrames
 		if charged < want || (!parsed && charged != want) {
-			t.Fatalf("bad_packet charged %d, want %d (tcp_frame %d + tcp_parse %d) plus what parsed messages cost (any: %v)",
+			t.Fatalf("bad_packet charged %d, want %d (tcp_frame %d + parse %d) plus what parsed messages cost (any: %v)",
 				charged, want, frameErr, parseFrames, parsed)
 		}
 		if frameErr == 1 {

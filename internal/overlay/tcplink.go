@@ -124,10 +124,10 @@ func (n *Node) acceptTCP() {
 }
 
 // readTCP consumes length-prefixed encapsulation datagrams from one TCP
-// connection: it answers liveness probes, matches probe replies, and
-// routes reassembled frames. lk is the link that dialed the connection,
-// or nil for accepted inbound connections; when set, the link's
-// transport slot is cleared on exit so the health monitor redials.
+// connection and hands each to datagram, which answers a probe down this
+// connection. lk is the link that dialed the connection, or nil for
+// accepted inbound connections; when set, the link's transport slot is
+// cleared on exit so the health monitor redials.
 func (n *Node) readTCP(c *tcpConn, lk *link) {
 	defer c.close()
 	if lk != nil {
@@ -136,7 +136,6 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 	key := "tcp/" + c.conn.RemoteAddr().String()
 	shard := n.shardFor(key)
 	in := tcpFrames{r: bufio.NewReader(c.conn)}
-	var h bridge.EncapHeader
 	for {
 		pkt, err := in.next()
 		if errors.Is(err, errTCPFrame) {
@@ -150,22 +149,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		if lk != nil { // inbound accepted conns have no link to attribute to
 			lk.bytesRecv.Add(uint64(4 + len(pkt))) // the length prefix and the datagram
 		}
-		payload, err := h.Unmarshal(pkt)
-		if err != nil {
-			n.drop(dropBadPacket, bridge.EncapFrames(pkt), telemetry.DropDetail{Scope: key, Stage: "tcp_parse"})
-			continue
-		}
-		switch {
-		case h.Probe:
-			// Echo on the same connection; a failed write surfaces as a
-			// lost probe on the sender.
-			c.sendDatagrams([][]byte{marshalProbeReply(payload)})
-		case h.ProbeReply:
-			n.handleProbeReply(payload)
-		default:
-			// Run to completion here too, on the connection's shard.
-			n.processData(shard, key, &h, payload, pkt, at)
-		}
+		n.datagram(shard, key, nil, c, pkt, at)
 	}
 }
 
@@ -271,23 +255,14 @@ func (n *Node) dropTransport(lk *link, c *tcpConn) {
 	c.close()
 }
 
-// bumpBackoffLocked advances a link's capped exponential redial backoff.
-// Caller holds n.mu.
+// bumpBackoffLocked advances a link's capped exponential redial backoff
+// within the node's health configuration's bounds (normalized, monitor
+// on or off). Caller holds n.mu.
 func (n *Node) bumpBackoffLocked(lk *link) {
-	min, max := n.healthCfg.RedialMin, n.healthCfg.RedialMax
-	if min <= 0 {
-		min = 100 * time.Millisecond
-	}
-	if max < min {
-		max = 5 * time.Second
-	}
 	if lk.redialBackoff == 0 {
-		lk.redialBackoff = min
+		lk.redialBackoff = n.healthCfg.RedialMin
 	} else {
-		lk.redialBackoff *= 2
-		if lk.redialBackoff > max {
-			lk.redialBackoff = max
-		}
+		lk.redialBackoff = min(2*lk.redialBackoff, n.healthCfg.RedialMax)
 	}
 	lk.redialAt = time.Now().Add(lk.redialBackoff)
 }

@@ -63,7 +63,7 @@ type nodeMetrics struct {
 	rxLatency        *telemetry.Histogram
 
 	// Runtime supervision (internal/supervise), labeled by component
-	// ("dispatcher/<i>", "tx/<link>", "prober", "evictor", "health").
+	// ("dispatcher/<i>", "tx/<link>", "evictor", "health", "anomaly").
 	panicsRecovered   *telemetry.CounterVec // component
 	componentRestarts *telemetry.CounterVec
 	watchdogStalls    *telemetry.CounterVec

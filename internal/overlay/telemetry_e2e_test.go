@@ -237,7 +237,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 // order): VNET/U-era tooling parses this surface, so growing the
 // registry must not silently reshape it.
 func TestListStatsBackcompat(t *testing.T) {
-	n, err := overlay.NewNodeWithConfig("pin", "127.0.0.1:0", overlay.NodeConfig{Dispatchers: 2})
+	n, err := overlay.NewNodeWithConfig("pin", "127.0.0.1:0", overlay.NodeConfig{}.WithDispatchers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

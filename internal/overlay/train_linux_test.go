@@ -118,7 +118,7 @@ func waitGRO(t *testing.T, n *Node) {
 // each, in tenant (sealed when non-zero).
 func trainPair(t *testing.T, txCfg NodeConfig, tenant uint32) (tx, rx *Node, src, sink *Endpoint) {
 	t.Helper()
-	tx, rx = dropNode(t, txCfg), dropNode(t, NodeConfig{Dispatchers: 1})
+	tx, rx = dropNode(t, txCfg), dropNode(t, NodeConfig{dispatchers: 1})
 	waitGRO(t, rx)
 	if tenant != 0 {
 		key := bytes.Repeat([]byte{0x5a}, 32)
@@ -494,11 +494,11 @@ func TestOffloadRefusalFallsBack(t *testing.T) {
 
 // TestTrainProbeTailIsSteered: GRO coalesces a peer's datagrams by flow,
 // so a probe can arrive as the short tail of a train of data. The read is
-// classified per datagram: the probe is answered by the probe handler,
+// classified per datagram: the probe is answered by the worker that read it,
 // the data datagrams reach the shard, and the frame they start completes
 // when its last fragment follows.
 func TestTrainProbeTailIsSteered(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	n := dropNode(t, NodeConfig{dispatchers: 1})
 	waitGRO(t, n)
 	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), ethernet.JumboMTU)
 	if err != nil {
@@ -677,7 +677,7 @@ func BenchmarkTransmitTrain(b *testing.B) {
 // that arrived, nothing else was dropped, and the frames that went
 // missing are exactly the shed messages' frames.
 func TestDropSiteDispatcherRing(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 1})
+	n := dropNode(t, NodeConfig{dispatchers: 1})
 	waitGRO(t, n)
 	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), ethernet.JumboMTU)
 	if err != nil {
@@ -799,7 +799,7 @@ func TestDropSiteDispatcherRing(t *testing.T) {
 // run side by side; more than one worker carried traffic; and a probe
 // from any peer is answered whichever socket it reached.
 func TestReusePortWorkersKeepSenderOrder(t *testing.T) {
-	n := dropNode(t, NodeConfig{Dispatchers: 4})
+	n := dropNode(t, NodeConfig{dispatchers: 4})
 	if n.Dispatchers() != 4 {
 		t.Fatalf("Dispatchers() = %d, want 4", n.Dispatchers())
 	}

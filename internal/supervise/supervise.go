@@ -1,5 +1,5 @@
 // Package supervise keeps the node's long-lived datapath goroutines
-// alive: every dispatcher worker, per-link TX sender, heartbeat prober,
+// alive: every dispatcher worker, per-link TX sender, heartbeat monitor
 // and reassembly evictor runs under a Supervisor that contains panics
 // (one crashing worker must not take the node down), relaunches the
 // component with capped, jittered exponential backoff, and watches a
