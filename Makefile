@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet vet-bench vet-cross race drift metrics-index secretcheck verify chaos bench e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-bench vet-cross race drift metrics-index secretcheck verify chaos bench bench-unit e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -70,13 +70,16 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# End-to-end benchmark smoke: the benchmark module's own unit tests (it
-# is a module of its own, so `make test` never sees them) and one short
-# round of every workload, untraced and traced, with every output check
-# on. A smoke test, not a measurement — see benchmark/README.md. Not part
-# of `make verify`.
-e2e-quick:
+# The benchmark module's own unit tests (it is a module of its own, so
+# `make test` never sees them), its TestQuickRun included: both nodes
+# driven with every output check on. A gating CI step.
+bench-unit:
 	cd benchmark && $(GO) test ./...
+
+# End-to-end benchmark smoke: bench-unit and one short round of every
+# workload, untraced and traced, with every output check on. A smoke test,
+# not a measurement — see benchmark/README.md. Not part of `make verify`.
+e2e-quick: bench-unit
 	bash benchmark/run.sh -all -quick -out benchmark/out/quick.json
 
 # Short coverage-guided runs of each fuzz target (the CI smoke).

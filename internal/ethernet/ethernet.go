@@ -125,16 +125,28 @@ func (f *Frame) Marshal(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// Unmarshal parses a wire-format frame. The returned frame's Payload
-// aliases b; callers that retain the frame must copy.
+// Unmarshal parses a wire-format frame into a frame of its own. The
+// returned frame's Payload aliases b; callers that retain the frame must
+// copy.
 func Unmarshal(b []byte) (*Frame, error) {
-	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+	f := new(Frame)
+	if err := Decode(f, b); err != nil {
+		return nil, err
 	}
-	f := &Frame{Type: binary.BigEndian.Uint16(b[12:14]), Payload: b[HeaderLen:]}
-	copy(f.Dst[:], b[0:6])
-	copy(f.Src[:], b[6:12])
 	return f, nil
+}
+
+// Decode parses a wire-format frame into dst, overwriting all of it, so
+// a caller decoding many frames can put their headers in one array.
+// dst's Payload aliases b. On error dst is unchanged.
+func Decode(dst *Frame, b []byte) error {
+	if len(b) < HeaderLen {
+		return ErrTruncated
+	}
+	*dst = Frame{Type: binary.BigEndian.Uint16(b[12:14]), Payload: b[HeaderLen:]}
+	copy(dst.Dst[:], b[0:6])
+	copy(dst.Src[:], b[6:12])
+	return nil
 }
 
 // Clone returns a deep copy of f.

@@ -111,6 +111,31 @@ func TestUnmarshalTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeOverwrites: Decode fills a reused frame from the wire alone —
+// no Pad or Tag of its last use survives — and a truncated frame leaves it
+// untouched.
+func TestDecodeOverwrites(t *testing.T) {
+	f := &Frame{Dst: LocalMAC(2), Src: LocalMAC(1), Type: TypeTest, Payload: []byte("decoded")}
+	b, err := f.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Frame{Pad: 9, Tag: 7}
+	if err := Decode(&g, b); err != nil {
+		t.Fatal(err)
+	}
+	if g.Dst != f.Dst || g.Src != f.Src || g.Type != f.Type || !bytes.Equal(g.Payload, f.Payload) || g.Pad != 0 || g.Tag != 0 {
+		t.Fatalf("decoded %+v, want %+v", g, *f)
+	}
+	before := g
+	if err := Decode(&g, b[:HeaderLen-1]); err != ErrTruncated {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if g.Dst != before.Dst || g.Type != before.Type || len(g.Payload) != len(before.Payload) {
+		t.Fatalf("a truncated decode changed the frame: %+v", g)
+	}
+}
+
 func TestMarshalTooLarge(t *testing.T) {
 	f := &Frame{Payload: make([]byte, MaxMTU+1)}
 	if _, err := f.Marshal(nil); err != ErrTooLarge {

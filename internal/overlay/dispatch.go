@@ -142,7 +142,7 @@ type rxShard struct {
 	sealTenant uint32
 	sealKey    string
 
-	// sli memoises routeFromWire's last tenant (TCP readers share it).
+	// sli memoises sampleRx's last tenant (TCP readers share it).
 	sli atomic.Pointer[tenantSLI]
 
 	// flight is this worker's flight recorder: the last
@@ -214,8 +214,9 @@ func (n *Node) datagram(s *rxShard, sender string, from *net.UDPAddr, c *tcpConn
 // and which the next read overwrites. What outlives the call is copied
 // once: a slice into its frame's or train's reassembly buffer (AddSlice),
 // a whole frame or train into an exact-size buffer — and the delivered
-// frames alias that buffer, so a held frame pins its own frame, or the
-// one train it arrived in, and nothing more.
+// frames alias that buffer, their headers decoded into one array, so a
+// held frame pins its own frame, or the one train it arrived in and that
+// train's header array, and nothing more.
 func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Time) {
 	s.Datagrams.Add(1)
 	var tid uint64
@@ -277,36 +278,49 @@ func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, pay
 			return // more slices pending
 		}
 	}
+	var frames []ethernet.Frame // one header array for all of a train's frames
 	if h.Aggregate {
 		// A completed train. The walker vets all of it before the first
-		// record is delivered: all of a train's frames arrive, or none and
+		// record is decoded — so the array is sized by a count the train has
+		// been checked against: all of a train's frames arrive, or none and
 		// the train is a bad packet.
 		err := bridge.WalkAggregate(payload, uint32(h.Frames()), func(record []byte) {
-			frame, _ := ethernet.Unmarshal(record) // cannot fail: the walker saw a full Ethernet header
-			n.routeFromWire(s, frame, tenant, at)
+			if frames == nil {
+				frames = make([]ethernet.Frame, 0, h.Frames())
+			}
+			frames = frames[:len(frames)+1]
+			ethernet.Decode(&frames[len(frames)-1], record) // cannot fail: the walker saw a full Ethernet header
 		})
 		if err != nil {
 			n.drop(dropBadPacket, h.Frames(), telemetry.DropDetail{
 				Tenant: tenant, Scope: sender, Stage: "aggregate",
 			})
+			return
 		}
-		return
+	} else {
+		frames = make([]ethernet.Frame, 1)
+		if err := ethernet.Decode(&frames[0], payload); err != nil {
+			n.drop(dropBadPacket, 1, telemetry.DropDetail{
+				Tenant: tenant, Scope: sender, Stage: "reassembly",
+			})
+			return
+		}
+		if h.HasTrace {
+			// The completing fragment carries the same trace context every
+			// fragment did; the reassembled frame inherits it so routing and
+			// delivery keep recording under the wire-carried ID.
+			frames[0].Tag = tid
+			n.tracer.RecordRemote(tid, h.Trace.Origin, h.Trace.Flags, trace.StageReassembly)
+		}
 	}
-	frame, err := ethernet.Unmarshal(payload)
-	if err != nil {
-		n.drop(dropBadPacket, 1, telemetry.DropDetail{
-			Tenant: tenant, Scope: sender, Stage: "reassembly",
-		})
-		return
+	// Counted before the first is routed, so a receiver never holds a frame
+	// the counters have not seen.
+	s.Frames.Add(uint64(len(frames)))
+	n.EncapRecv.Add(uint64(len(frames)))
+	for i := range frames {
+		n.routeTenantAt(&frames[i], nil, false, tenant)
 	}
-	if h.HasTrace {
-		// The completing fragment carries the same trace context every
-		// fragment did; the reassembled frame inherits it so routing and
-		// delivery keep recording under the wire-carried ID.
-		frame.Tag = tid
-		n.tracer.RecordRemote(tid, h.Trace.Origin, h.Trace.Flags, trace.StageReassembly)
-	}
-	n.routeFromWire(s, frame, tenant, at)
+	n.sampleRx(s, tenant, uint64(len(frames)), at)
 }
 
 // reasmKey names a sender's reassembly stream in the shard's reassembler
@@ -324,26 +338,20 @@ func (s *rxShard) reasmKey(sender string, tenant uint32) string {
 	return s.sealKey
 }
 
-// routeFromWire counts one frame received whole from a link and routes
-// it in the tenant's namespace. at is the socket-read time of the
-// datagram that completed it.
-func (n *Node) routeFromWire(s *rxShard, frame *ethernet.Frame, tenant uint32, at time.Time) {
-	s.Frames.Add(1)
-	n.EncapRecv.Add(1)
-	n.routeTenantAt(frame, nil, time.Time{}, tenant)
-	// The Fig. 7 RX stage budget on the real path: the completing
-	// datagram's socket read to the frame handed off past routing. The
-	// same sample lands in the owning tenant's latency SLI.
-	if !at.IsZero() {
-		el := time.Since(at).Seconds()
-		n.metrics.rxLatency.Observe(el)
-		sli := s.sli.Load()
-		if sli == nil || sli.tenant != tenant {
-			sli = n.slis.get(tenant)
-			s.sli.Store(sli)
-		}
-		sli.rxLatency.Observe(el)
+// sampleRx takes the Fig. 7 RX stage samples of frames received whole
+// and routed in tenant's namespace — a completed train's, or a lone
+// frame's: the completing datagram's socket read (at) to the last of them
+// handed off past routing, one clock read for all, one sample per frame
+// in the node's histogram and the same in the tenant's latency SLI.
+func (n *Node) sampleRx(s *rxShard, tenant uint32, frames uint64, at time.Time) {
+	el := time.Since(at).Seconds()
+	n.metrics.rxLatency.ObserveN(el, frames)
+	sli := s.sli.Load()
+	if sli == nil || sli.tenant != tenant {
+		sli = n.slis.get(tenant)
+		s.sli.Store(sli)
 	}
+	sli.rxLatency.ObserveN(el, frames)
 }
 
 // Dispatchers reports how many receive workers the node runs.

@@ -594,7 +594,7 @@ func TestDropSiteTxRing(t *testing.T) {
 	if after := txRingDrops(); after != got+1 {
 		t.Fatalf("LIST STATS tx_ring_drops = %d after DEL LINK, want %d (the frame left pending)", after, got+1)
 	}
-	n.sendRing(lk, testFrame(src.MAC(), dst), time.Now()) // a sender that resolved before the delete
+	n.sendRing(lk, testFrame(src.MAC(), dst), true) // a sender that resolved before the delete
 	if after := txRingDrops(); after != got+2 {
 		t.Fatalf("LIST STATS tx_ring_drops = %d after a send to the deleted link, want %d (monotone)", after, got+2)
 	}

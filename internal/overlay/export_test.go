@@ -27,7 +27,7 @@ func (n *Node) flushFrames(t testing.TB, lk *link, frames ...*ethernet.Frame) {
 	t.Helper()
 	var s txScratch
 	for _, f := range frames {
-		if err := n.add(lk, &s, f, time.Now()); err != nil {
+		if err := n.add(lk, &s, f, true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,7 +32,6 @@ package overlay
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
@@ -181,7 +180,7 @@ func (n *Node) FlowEpoch() uint64 { return n.flowEpoch.Load() }
 // names none: it is the source-less spelling). A resolve with no usable
 // target (no route, unknown tenant, a route naming an absent link or
 // interface) is a drop: sender charged, no_route, nothing cached.
-func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) error {
+func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoint, sample bool) error {
 	epoch := n.flowEpoch.Load()
 	fc, ck := n.fcache, key
 	if !n.tenants.SourceQualified() {
@@ -189,7 +188,7 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 	}
 	if fc != nil {
 		if e := fc.lookup(ck, epoch); e != nil {
-			n.flowHit(e, key, f, from, at)
+			n.flowHit(e, key, f, from, sample)
 			return nil
 		}
 	}
@@ -206,7 +205,7 @@ func (n *Node) forwardUnicast(key core.FlowKey, f *ethernet.Frame, from *Endpoin
 	if fc != nil && own && (!bySrc || !ck.Src.IsZero()) {
 		fc.store(ck, e)
 	}
-	n.flowHit(e, key, f, from, at)
+	n.flowHit(e, key, f, from, sample)
 	return nil
 }
 
@@ -244,7 +243,7 @@ func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
 // and the only one: cached, just resolved, or transient. A locally
 // originated frame is charged to its tenant and flow here, whatever
 // becomes of it.
-func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) {
+func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, sample bool) {
 	if from != nil {
 		fl := e.fl.Load()
 		if fl == nil || fl.Src != f.Src {
@@ -256,7 +255,7 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
-	n.forwardTo(e, key, f, from, at)
+	n.forwardTo(e, key, f, from, sample)
 }
 
 // forwardTo hands a frame to one resolved target (e.ep or e.lk): a
@@ -267,15 +266,19 @@ func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *
 // tenants. Every frame entering here is delivered, encoded into its
 // link's pending batch (sendRing), or lands on exactly one ledger reason;
 // nothing here is the caller's error — what a link's transport refuses
-// later lands on tx_error. A link leg takes the frame's TX latency sample
-// where it leaves, from at (zero: none).
-func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, at time.Time) {
+// later lands on tx_error. A link leg with sample set takes the frame's
+// TX latency sample where it leaves. An endpoint leg delivers f itself
+// when it came from the wire and a copy when a local endpoint sent it, so
+// the sender may reuse its frame once Send returns.
+func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, sample bool) {
 	tenant := key.Tenant
 	if ep := e.ep; ep != nil {
 		switch {
 		case ep == from:
 		case e.tenant != tenant || ep.tenant != tenant:
 			n.drop(dropCrossTenant, 1, routeDetail(key, ep.name))
+		case from != nil:
+			ep.deliver(f.Clone())
 		default:
 			ep.deliver(f)
 		}
@@ -286,5 +289,5 @@ func (n *Node) forwardTo(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from
 		n.drop(dropCrossTenant, 1, routeDetail(key, lk.id))
 		return
 	}
-	n.sendRing(lk, f, at)
+	n.sendRing(lk, f, sample)
 }

@@ -251,8 +251,9 @@ func TestForwardMissEqualsHit(t *testing.T) {
 					wire = tap.frame(t, tc.datagrs, kr)
 					waitIdle(t, n.topo.Load().links["wire"]) // the link's sender counts after its flush returns
 				} else {
+					// The sink gets a copy: the sender may reuse f once Send returns.
 					got, ok := sink.Recv(5 * time.Second)
-					if !ok || got != f {
+					if !ok || got == f || got.Src != f.Src || got.Dst != f.Dst || !bytes.Equal(got.Payload, f.Payload) {
 						t.Fatalf("local delivery: got %v, %v", got, ok)
 					}
 				}
@@ -375,7 +376,7 @@ func TestForwardVerdicts(t *testing.T) {
 					f := testFrame(src.MAC(), dst)
 					var err error
 					if tc.tenant != 0 {
-						err = n.routeTenantAt(f, nil, time.Time{}, tc.tenant)
+						err = n.routeTenantAt(f, nil, false, tc.tenant)
 					} else {
 						err = src.Send(f)
 					}

@@ -196,7 +196,7 @@ func keyedEqualsUncached(t *testing.T, seed int64) {
 			for i, k := range both {
 				f := testFrame(src, dst)
 				if wire {
-					errs[i] = k.n.routeTenantAt(f, nil, time.Time{}, k.eps[from].tenant) != nil
+					errs[i] = k.n.routeTenantAt(f, nil, false, k.eps[from].tenant) != nil
 				} else {
 					errs[i] = k.eps[from].Send(f) != nil
 				}
@@ -487,7 +487,7 @@ func TestWireFilledEntryMemoisesLocalFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := testFrame(tx.MAC(), sink.MAC())
-	if err := n.routeTenantAt(f, nil, time.Time{}, core.DefaultTenant); err != nil { // the fill, from the wire
+	if err := n.routeTenantAt(f, nil, false, core.DefaultTenant); err != nil { // the fill, from the wire
 		t.Fatal(err)
 	}
 	if n.flows.Len() != 0 {
@@ -544,7 +544,8 @@ func TestRxShardMemoisesTenantSLI(t *testing.T) {
 	}
 	f, s, at := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2)), n.shards[0], time.Now()
 	deliver := func(i int) {
-		n.routeFromWire(s, f, tenants[i], at)
+		n.routeTenantAt(f, nil, false, tenants[i])
+		n.sampleRx(s, tenants[i], 1, at)
 		if _, ok := sinks[i].TryRecv(); !ok {
 			t.Fatalf("tenant %d: frame not delivered", tenants[i])
 		}

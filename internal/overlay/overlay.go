@@ -70,7 +70,10 @@ func (ep *Endpoint) Tenant() uint32 { return ep.tenant }
 // returns: the caller may reuse it at once. Send does not wait for the
 // wire, so it never returns a link's transport error: a frame the
 // transport refuses lands on the drop ledger as tx_error. Its errors are
-// the frame's own (MTU, no route, unknown tenant) and ErrDraining.
+// the frame's own (MTU, no route, unknown tenant) and ErrDraining. Send
+// reads no clock: a frame's TX latency sample is timed by the batch it
+// joins on its link (DESIGN "Latency stages"), and a frame delivered to
+// a local endpoint is delivered as a copy.
 func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
@@ -78,7 +81,7 @@ func (ep *Endpoint) Send(f *ethernet.Frame) error {
 	if err := ep.admit(f); err != nil {
 		return err
 	}
-	return ep.node.routeTenantAt(f, ep, time.Now(), ep.tenant)
+	return ep.node.routeTenantAt(f, ep, true, ep.tenant)
 }
 
 // admit checks a frame against the endpoint's MTU and makes the live
@@ -102,19 +105,18 @@ func (ep *Endpoint) admit(f *ethernet.Frame) error {
 }
 
 // SendBatch routes a batch of frames in one call — the overlay-side
-// mirror of virtio's single-exit multi-packet dequeue. The whole batch
-// shares one arrival timestamp and per-frame errors (those Send would
-// return) are aggregated rather than aborting the rest of the batch.
+// mirror of virtio's single-exit multi-packet dequeue. Each frame is
+// sent as Send sends it, and per-frame errors (those Send would return)
+// are aggregated rather than aborting the rest of the batch.
 func (ep *Endpoint) SendBatch(frames []*ethernet.Frame) error {
 	if ep.node.draining.Load() {
 		return ErrDraining
 	}
-	at := time.Now()
 	var errs []error
 	for _, f := range frames {
 		err := ep.admit(f)
 		if err == nil {
-			err = ep.node.routeTenantAt(f, ep, at, ep.tenant)
+			err = ep.node.routeTenantAt(f, ep, true, ep.tenant)
 		}
 		if err != nil {
 			errs = append(errs, err)
@@ -306,7 +308,8 @@ type Node struct {
 	// accounting every datapath drop site reports through; slis holds
 	// the per-tenant indicator families; topk maps tenant → heavy-
 	// hitter candidate set (uint32 → *core.TopFlows); started anchors
-	// the /diag bundle's uptime; anomalies counts watchdog alerts.
+	// the /diag bundle's uptime and the node's monotonic clock (mono);
+	// anomalies counts watchdog alerts.
 	started time.Time
 	ledger  *telemetry.DropLedger
 	slis    *tenantSLIs
@@ -833,20 +836,24 @@ func (n *Node) Interfaces() []string {
 }
 
 // routeTenantAt routes one frame inside one tenant's namespace: the
-// sending endpoint's for a locally originated frame (from non-nil, at
-// its arrival time), the authenticated wire tenant's for a forwarded
-// one (from nil, at zero). A unicast frame is one forwarding decision
-// and goes to forwardUnicast (flowcache.go) — hit or miss, cache on or
-// off; what remains here is the broadcast/multicast fan-out over the
-// tenant's destination set, each leg a transient decision handed to the
-// same forwardTo (which re-checks tenancy, so a misinstalled route
-// cannot leak frames across tenants). A failing destination does not
-// abort the fan-out: the rest still get their copy — a broadcast hitting
-// one dead link must not starve the rest of the LAN.
-func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, tenant uint32) error {
+// sending endpoint's for a locally originated frame (from non-nil,
+// sample set: it takes a TX latency sample), the authenticated wire
+// tenant's for a forwarded one (from nil, sample clear). A unicast frame
+// is one forwarding decision and goes to forwardUnicast (flowcache.go) —
+// hit or miss, cache on or off; what remains here is the
+// broadcast/multicast fan-out over the tenant's destination set, each leg
+// a transient decision handed to the same forwardTo (which re-checks
+// tenancy, so a misinstalled route cannot leak frames across tenants). A
+// failing destination does not abort the fan-out: the rest still get
+// their copy — a broadcast hitting one dead link must not starve the rest
+// of the LAN. Every local endpoint gets a frame of its own: forwardTo
+// copies a locally originated frame, and a forwarded one goes itself to
+// its first local endpoint, once every other leg is done reading it, and
+// as a copy to the rest.
+func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, sample bool, tenant uint32) error {
 	key := core.FlowKey{Tenant: tenant, Src: f.Src, Dst: f.Dst}
 	if !f.Dst.IsBroadcast() && !f.Dst.IsMulticast() {
-		return n.forwardUnicast(key, f, from, at)
+		return n.forwardUnicast(key, f, from, sample)
 	}
 	if from != nil {
 		n.countOut(n.slis.get(tenant), n.flows.Acquire(f.Src, f.Dst), key, f)
@@ -863,17 +870,26 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, at time.Time, te
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageRouteLookup)
 	}
+	var held *Endpoint // a forwarded frame's first local endpoint
 	for _, d := range dests {
 		e := flowEntry{tenant: tenant}
 		n.resolveDest(&e, d)
-		if e.ep == nil && e.lk == nil {
+		switch {
+		case e.ep == nil && e.lk == nil:
 			n.drop(dropNoRoute, 1, routeDetail(key, d.ID))
-			continue
+		case e.ep != nil && from == nil && held == nil:
+			held = e.ep
+		case e.ep != nil && from == nil:
+			n.forwardTo(&e, key, f.Clone(), nil, false)
+		default:
+			n.forwardTo(&e, key, f, from, sample)
+			if e.lk != nil {
+				sample = false // one TX latency sample per frame, from its first link leg
+			}
 		}
-		n.forwardTo(&e, key, f, from, at)
-		if e.lk != nil {
-			at = time.Time{} // one TX latency sample per frame, from its first link leg
-		}
+	}
+	if held != nil {
+		n.forwardTo(&flowEntry{tenant: tenant, ep: held}, key, f, nil, false)
 	}
 	return nil
 }
@@ -991,7 +1007,8 @@ func (n *Node) readLoop(inst *supervise.Instance, s *rxShard) {
 
 // receive finishes one socket read on the calling worker: what the
 // kernel shed ahead of it goes on the ledger, then link attribution via
-// the worker's cache, then every datagram of the read is finished by
+// the worker's cache, a read that is a train is counted, then every
+// datagram of the read is finished by
 // datagram right here, in arrival order — per datagram, never per read:
 // GRO will put a peer's probe behind its data when they share a flow.
 // p.pkt is borrowed for the call. Returns how many datagrams the read
@@ -1020,15 +1037,15 @@ func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (da
 	if attr.lastLink != nil {
 		attr.lastLink.bytesRecv.Add(uint64(len(p.pkt)))
 	}
+	if p.seg > 0 && p.seg < len(p.pkt) { // a train: counted before any of its frames is delivered
+		n.metrics.rxGROTrains.Add(1)
+	}
 	for d, rest := nextSegment(p.pkt, p.seg); ; d, rest = nextSegment(rest, p.seg) {
 		datagrams++
 		n.datagram(s, attr.lastKey, from, nil, d, at)
 		if len(rest) == 0 {
 			break
 		}
-	}
-	if datagrams > 1 {
-		n.metrics.rxGROTrains.Add(1)
 	}
 	return datagrams
 }

@@ -140,10 +140,10 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 		rxGROTrains: reg.Counter("vnetp_rx_gro_trains_total",
 			"Socket reads that returned a train of datagrams (UDP_GRO)."),
 		txLatency: reg.Histogram("vnetp_tx_latency_seconds",
-			"Frame-in to datagram-out latency for locally originated frames hitting a link.",
+			"Frame-in to datagram-out latency for locally originated frames hitting a link: one sample per frame, valued per batch (the wait of the batch's oldest frame).",
 			telemetry.LatencyBuckets),
 		rxLatency: reg.Histogram("vnetp_rx_latency_seconds",
-			"Datagram-in to frame-delivery latency on the receive path.",
+			"Datagram-in to frame-delivery latency on the receive path: one sample per frame, valued per train (read to the train's last frame routed).",
 			telemetry.LatencyBuckets),
 
 		panicsRecovered: reg.CounterVec("vnetp_panics_recovered_total",

@@ -590,14 +590,14 @@ func TestSendSyncTrainAllocs(t *testing.T) {
 			f := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(9))
 			f.Payload = make([]byte, 8900)
 			sent := recordSends(n, nil)
-			n.sendRing(lk, f, time.Time{})
+			n.sendRing(lk, f, false)
 			waitIdle(t, lk)
 			if msgs := sent(); len(msgs) != 1 || msgs[0].segs != 7 {
 				t.Fatalf("an 8900 B frame left as %v, want one 7-datagram message", msgs)
 			}
 			n.tx.sys = sendmmsg // the recorder allocates; the path under test must not
 			if allocs := testing.AllocsPerRun(200, func() {
-				n.sendRing(lk, f, time.Time{})
+				n.sendRing(lk, f, false)
 				for !lk.idle() {
 					runtime.Gosched()
 				}

@@ -32,24 +32,28 @@ import (
 // the pooled packets of frames that travel alone, their datagrams, and a
 // mark per frame. Reused across batches — trains[:cut] are this batch's,
 // and every one keeps its buffer — it keeps the steady state
-// allocation-free.
+// allocation-free. born is the batch's one timestamp (Node.mono), taken
+// when its first sampled frame was added: every TX latency sample the
+// batch takes is valued from it.
 type txScratch struct {
-	tr     *linkTransport // loaded at the batch's first frame
-	room   int            // the longest train one UDP_SEGMENT message carries at tr's budget
-	agg    bridge.Aggregator
-	trains []bridge.EncapPacket
-	cut    int
-	pkts   []*bridge.EncapPacket
-	dgs    [][]byte
-	frames []txMark
+	tr      *linkTransport // loaded at the batch's first frame
+	room    int            // the longest train one UDP_SEGMENT message carries at tr's budget
+	agg     bridge.Aggregator
+	trains  []bridge.EncapPacket
+	cut     int
+	pkts    []*bridge.EncapPacket
+	dgs     [][]byte
+	frames  []txMark
+	born    time.Duration
+	sampled bool // born is set
 }
 
 // txMark is what a batch keeps of an encoded frame — not the frame, so
 // the caller may reuse it once Send returns.
 type txMark struct {
-	tag  uint64
-	at   time.Time
-	last int // index in dgs of the frame's final datagram
+	tag    uint64
+	sample bool // takes a TX latency sample once sent
+	last   int  // index in dgs of the frame's final datagram
 }
 
 // release recycles a batch's packet buffers and empties it.
@@ -61,7 +65,12 @@ func (s *txScratch) release() {
 	clear(s.dgs)
 	s.agg.Reset()
 	s.pkts, s.dgs, s.frames, s.cut = s.pkts[:0], s.dgs[:0], s.frames[:0], 0
+	s.sampled = false
 }
+
+// mono is the node's monotonic clock, the time since it started: one
+// reading costs a monotonic clock read and no wall-clock one.
+func (n *Node) mono() time.Duration { return time.Since(n.started) }
 
 // sendRing is how forwardTo hands a frame to a link: it encodes f into
 // the link's pending batch and wakes the link's sender if it is idle. It
@@ -69,8 +78,9 @@ func (s *txScratch) release() {
 // frames pending lands on tx_ring, one that reaches a link whose sender
 // has stopped on tx_teardown, and one that cannot be encoded on tx_error.
 // The tx_enqueue hop is recorded before the frame is visible to the
-// sender, so it cannot race the sender's wire_tx hop.
-func (n *Node) sendRing(lk *link, f *ethernet.Frame, at time.Time) {
+// sender, so it cannot race the sender's wire_tx hop. sample: the frame
+// takes a TX latency sample once sent.
+func (n *Node) sendRing(lk *link, f *ethernet.Frame, sample bool) {
 	if f.Tag != 0 {
 		n.tracer.Record(f.Tag, trace.StageTxEnqueue)
 	}
@@ -83,7 +93,7 @@ func (n *Node) sendRing(lk *link, f *ethernet.Frame, at time.Time) {
 		reason, stage = dropTxTeardown, "tx_teardown"
 	case len(p.frames) >= n.cfg.txRing:
 		reason, stage = dropTxRing, "tx_ring"
-	case n.add(lk, p, f, at) != nil:
+	case n.add(lk, p, f, sample) != nil:
 		reason, stage = dropTxError, "transmit"
 	case !c.busy:
 		c.busy, wake = true, true
@@ -201,14 +211,17 @@ func (n *Node) dropTeardown(lk *link, frames int) {
 // long for any train, cuts it and takes encapFrame's datagrams of its own.
 // Datagrams leave in add order. A batch's first frame loads the transport
 // the batch is encoded for and sent by, so an auto-upgrade or fault
-// install applies from the next batch. An error is f's own, and f is then
-// not in s.
-func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) error {
+// install applies from the next batch, and a batch's first sampled frame
+// stamps it (born). An error is f's own, and f is then not in s.
+func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, sample bool) error {
 	if len(s.frames) == 0 {
 		s.tr = lk.transport.Load()
 		s.room = lk.tmpl.TrainRoom(s.tr.budget)
 	}
-	mark := txMark{tag: f.Tag, at: at}
+	if sample && !s.sampled {
+		s.born, s.sampled = n.mono(), true
+	}
+	mark := txMark{tag: f.Tag, sample: sample}
 	if rec := bridge.RecordLen(f); f.Tag == 0 && rec <= s.room {
 		if s.agg.Len()+rec > s.room || s.agg.Count() == txBatchMax {
 			n.closeTrain(lk, s)
@@ -233,9 +246,12 @@ func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, at time.Time) erro
 // flush puts a batch on the wire and empties it: cut the open train,
 // transmit, count, release. A frame is sent iff the transport confirmed
 // its last datagram (a train's frames share the fate of its last) and only
-// then gets encap_sent, the TX latency sample and the wire_tx hop; every
-// other frame lands on tx_error. vnetp_tx_batch_size takes the frames the
-// transmit carried.
+// then gets encap_sent, its TX latency sample and the wire_tx hop; every
+// other frame lands on tx_error. The flush reads the clock once: each
+// sampled frame sent is one sample valued at the wait of the batch's
+// oldest (born) — an upper bound on its own, and exact for a frame that
+// leaves alone. vnetp_tx_batch_size takes the frames the transmit
+// carried.
 func (n *Node) flush(lk *link, s *txScratch) {
 	if len(s.frames) == 0 {
 		return
@@ -253,17 +269,17 @@ func (n *Node) flush(lk *link, s *txScratch) {
 	}
 	n.metrics.txBatchSize.Observe(float64(len(s.frames)))
 	n.EncapSent.Add(uint64(sent))
-	var now time.Time // one monotonic clock read per flush, not a wall-clock one
+	var sampled uint64
 	for _, m := range s.frames[:sent] {
-		if !m.at.IsZero() {
-			if now.IsZero() {
-				now = m.at.Add(time.Since(m.at))
-			}
-			n.metrics.txLatency.Observe(now.Sub(m.at).Seconds())
+		if m.sample {
+			sampled++
 		}
 		if m.tag != 0 {
 			n.tracer.Record(m.tag, trace.StageWireTx)
 		}
+	}
+	if sampled > 0 {
+		n.metrics.txLatency.ObserveN((n.mono() - s.born).Seconds(), sampled)
 	}
 	s.release()
 }

@@ -99,6 +99,11 @@ type Supervisor struct {
 	log  *slog.Logger
 	m    Metrics
 
+	// epoch anchors the stall clock (stamp): busy stamps and sweeps are
+	// both read on the monotonic clock, so a step of the wall clock can
+	// neither fake a stall nor hide one.
+	epoch time.Time
+
 	mu      sync.Mutex
 	workers map[string]*Worker
 	stopped bool
@@ -120,6 +125,7 @@ func New(name string, cfg Config, log *slog.Logger, m Metrics) *Supervisor {
 		m:       m,
 		workers: make(map[string]*Worker),
 		quit:    make(chan struct{}),
+		epoch:   time.Now(),
 	}
 	if cfg.StallTimeout > 0 {
 		s.wg.Add(1)
@@ -193,7 +199,7 @@ type Instance struct {
 	w        *Worker
 	quit     chan struct{}
 	quitOnce sync.Once
-	busy     atomic.Int64 // unix nanos the current work item started; 0 = idle
+	busy     atomic.Int64 // the stamp the current work item started at; 0 = idle
 }
 
 // Quit is closed when this instance must exit: supervisor or worker
@@ -206,7 +212,7 @@ func (i *Instance) close() { i.quitOnce.Do(func() { close(i.quit) }) }
 // and fires any chaos fault a test armed on the worker. Its cost while
 // no fault is armed is three atomic operations.
 func (i *Instance) Working() {
-	i.busy.Store(time.Now().UnixNano())
+	i.busy.Store(i.w.sup.stamp())
 	w := i.w
 	if w.panicArmed.CompareAndSwap(true, false) {
 		panic(fmt.Sprintf("supervise: injected panic in %q", w.name))
@@ -377,8 +383,16 @@ func (s *Supervisor) watchdog() {
 	}
 }
 
+// stamp reads the stall clock: the time since the supervisor was
+// created, on the monotonic clock.
+func (s *Supervisor) stamp() int64 { return stampAfter(time.Since(s.epoch)) }
+
+// stampAfter is the stamp of a moment elapsed after the supervisor's
+// creation: its nanoseconds plus one, so that no stamp is 0 (idle).
+func stampAfter(elapsed time.Duration) int64 { return int64(elapsed) + 1 }
+
 func (s *Supervisor) sweep() {
-	now := time.Now().UnixNano()
+	now := s.stamp()
 	type stalled struct {
 		name string
 		age  time.Duration
