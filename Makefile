@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet vet-bench vet-cross race drift metrics-index secretcheck verify chaos bench bench-unit e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-bench vet-cross livedeps race drift metrics-index secretcheck verify chaos bench bench-unit e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ vet-cross:
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/overlay
 	GOOS=linux GOARCH=386 $(GO) build ./internal/overlay
 
+# The live binaries link no simulator: the daemon and its control client
+# must not depend on the simulated engine, VMM, hardware models or virtio
+# rings (those live behind internal/vnetpsim and the experiments).
+livedeps:
+	@bad=$$($(GO) list -deps ./cmd/vnetpd ./cmd/vnetctl | grep -E '^vnetp/internal/(sim|vmm|phys|virtio)$$'); \
+	if [ -n "$$bad" ]; then echo "livedeps: the live binaries link simulator packages:" $$bad; exit 1; fi
+
 race:
 	$(GO) test -race ./...
 
@@ -48,8 +55,9 @@ secretcheck:
 	$(GO) run ./scripts/secretcheck
 
 # Full verification: compile, static checks (the benchmark module's
-# too), plain suite, race suite, doc drift, secrets hygiene.
-verify: build vet vet-bench vet-cross test race drift secretcheck
+# too), the live binaries' dependency gate, plain suite, race suite, doc
+# drift, secrets hygiene.
+verify: build vet vet-bench vet-cross livedeps test race drift secretcheck
 
 # Crash-injection and drain-stress suite: panics and stalls injected
 # into live datapath components, graceful-drain and close-under-traffic

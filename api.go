@@ -35,6 +35,7 @@ import (
 	"vnetp/internal/overlay"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // --- Layer-2 fundamentals ---
@@ -155,16 +156,16 @@ func NewSimEngine() *SimEngine { return sim.New() }
 
 // Params are VNET/P's tuning parameters (paper Table 1 defaults via
 // DefaultParams).
-type Params = core.Params
+type Params = vnetpsim.Params
 
 // DefaultParams returns the paper's Table 1 configuration.
-func DefaultParams() Params { return core.DefaultParams() }
+func DefaultParams() Params { return vnetpsim.DefaultParams() }
 
 // Dispatch modes (paper Sect. 4.3).
 const (
-	GuestDriven = core.GuestDriven
-	VMMDriven   = core.VMMDriven
-	Adaptive    = core.Adaptive
+	GuestDriven = vnetpsim.GuestDriven
+	VMMDriven   = vnetpsim.VMMDriven
+	Adaptive    = vnetpsim.Adaptive
 )
 
 // Device models a physical interconnect; the presets cover the paper's

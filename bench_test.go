@@ -17,9 +17,9 @@ import (
 
 	"vnetp"
 	"vnetp/internal/bridge"
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/experiments"
+	"vnetp/internal/vnetpsim"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -188,5 +188,5 @@ func BenchmarkAdaptiveModeLogic(b *testing.B) {
 	}
 	b.StopTimer()
 	eng.Close()
-	_ = core.GuestDriven
+	_ = vnetpsim.GuestDriven
 }

@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"vnetp"
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func main() {
@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("\nfinal mode: %v after %d switches\n", ifc.Mode(), ifc.ModeSwitches)
 	fmt.Printf("kick exits taken: %d, kicks avoided by polling: %d, frames delivered: %d\n",
 		ifc.Kicks, ifc.KicksAvoided, received)
-	if ifc.Mode() != core.GuestDriven || ifc.ModeSwitches < 2 {
+	if ifc.Mode() != vnetpsim.GuestDriven || ifc.ModeSwitches < 2 {
 		fmt.Println("unexpected: adaptive operation did not behave per Fig. 6")
 	}
 	eng.Close()

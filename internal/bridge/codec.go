@@ -1,10 +1,11 @@
-// Package bridge implements the VNET/P bridge (paper Sect. 4.5): the
-// host-kernel component that encapsulates routed Ethernet frames in UDP
-// (or hands them to the local network raw), fragments encapsulated packets
-// that exceed the physical MTU, and reassembles on receive.
+// Package bridge implements the wire format of the VNET/P bridge (paper
+// Sect. 4.5), the host-kernel component that encapsulates routed
+// Ethernet frames in UDP: the encapsulation header, fragmentation of
+// packets that exceed the physical MTU, record trains, reassembly and
+// the sealed-link templates.
 //
-// codec.go is the pure wire format, shared by the simulated bridge
-// (bridge.go) and the real-socket overlay (internal/overlay).
+// It is pure and shared by the simulated bridge (internal/vnetpsim) and
+// the real-socket overlay (internal/overlay).
 package bridge
 
 import (

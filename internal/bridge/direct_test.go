@@ -3,13 +3,13 @@ package bridge_test
 import (
 	"testing"
 
-	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
 	"vnetp/internal/virtio"
 	"vnetp/internal/vmm"
+	"vnetp/internal/vnetpsim"
 )
 
 // TestDirectSendExitPoint exercises the overlay's "exit point" (paper
@@ -28,8 +28,8 @@ func TestDirectSendExitPoint(t *testing.T) {
 	mac0, macLAN := ethernet.LocalMAC(1), ethernet.LocalMAC(9)
 	nic0 := virtio.NewNIC(mac0, 1500)
 
-	core0 := core.New(h0, core.DefaultParams())
-	br0 := bridge.New(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	core0 := vnetpsim.New(h0, vnetpsim.DefaultParams())
+	br0 := vnetpsim.NewBridge(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
 	br0.Deliver = core0.DeliverFromWire
 	br0.DirectPeer = "lan-peer"
 	core0.Bridge = br0
@@ -39,15 +39,15 @@ func TestDirectSendExitPoint(t *testing.T) {
 	// local link.
 	core0.Table.AddRoute(core.Route{
 		DstMAC: macLAN, DstQual: core.QualExact, SrcQual: core.QualAny,
-		Dest: core.Destination{Type: core.DestLink, ID: core.LocalLinkID},
+		Dest: core.Destination{Type: core.DestLink, ID: vnetpsim.LocalLinkID},
 	})
 
 	// The LAN peer: a VNET/P core in direct-receive (promiscuous) mode,
 	// standing in for the physical machine.
 	vm1 := vmm.NewVM(h1, "vm1")
 	nic1 := virtio.NewNIC(macLAN, 1500)
-	core1 := core.New(h1, core.DefaultParams())
-	br1 := bridge.New(h1, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	core1 := vnetpsim.New(h1, vnetpsim.DefaultParams())
+	br1 := vnetpsim.NewBridge(h1, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
 	br1.Deliver = core1.DeliverFromWire
 	core1.Bridge = br1
 	lanIfc := core1.Register("nic0", vm1, nic1)
@@ -85,7 +85,7 @@ func TestDirectSendUnconfigured(t *testing.T) {
 	eng := sim.New()
 	net := vmm.NewNetwork(eng, phys.Eth1G)
 	h0 := net.AddHost("h0", phys.DefaultModel())
-	br := bridge.New(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	br := vnetpsim.NewBridge(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
 	br.SendDirect(&ethernet.Frame{Type: ethernet.TypeTest})
 	eng.Run()
 	eng.Close()
@@ -99,7 +99,7 @@ func TestSendOverlayUnknownLink(t *testing.T) {
 	eng := sim.New()
 	net := vmm.NewNetwork(eng, phys.Eth1G)
 	h0 := net.AddHost("h0", phys.DefaultModel())
-	br := bridge.New(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	br := vnetpsim.NewBridge(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
 	br.SendOverlay("nope", &ethernet.Frame{Type: ethernet.TypeTest})
 	eng.Run()
 	eng.Close()
@@ -113,9 +113,9 @@ func TestLinkManagement(t *testing.T) {
 	eng := sim.New()
 	net := vmm.NewNetwork(eng, phys.Eth1G)
 	h0 := net.AddHost("h0", phys.DefaultModel())
-	br := bridge.New(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
-	br.AddLink(bridge.LinkConfig{ID: "a", RemoteHost: "x"})
-	br.AddLink(bridge.LinkConfig{ID: "b", RemoteHost: "y", Proto: bridge.TCP})
+	br := vnetpsim.NewBridge(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	br.AddLink(vnetpsim.LinkConfig{ID: "a", RemoteHost: "x"})
+	br.AddLink(vnetpsim.LinkConfig{ID: "b", RemoteHost: "y", Proto: vnetpsim.TCP})
 	if len(br.Links()) != 2 {
 		t.Fatalf("links = %v", br.Links())
 	}
@@ -123,7 +123,7 @@ func TestLinkManagement(t *testing.T) {
 	if len(br.Links()) != 1 || br.Links()[0] != "b" {
 		t.Fatalf("links after remove = %v", br.Links())
 	}
-	if bridge.UDP.String() != "udp" || bridge.TCP.String() != "tcp" {
+	if vnetpsim.UDP.String() != "udp" || vnetpsim.TCP.String() != "tcp" {
 		t.Fatal("proto strings")
 	}
 }

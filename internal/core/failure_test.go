@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/netstack"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // TestStreamSurvivesLinkFlap tears an overlay link down mid-transfer and
@@ -18,7 +18,7 @@ import (
 // a dynamically reconfigured overlay depends on.
 func TestStreamSurvivesLinkFlap(t *testing.T) {
 	eng := sim.New()
-	p := core.DefaultParams()
+	p := vnetpsim.DefaultParams()
 	c := lab.NewPair(eng, phys.Eth10G, p)
 	s0 := netstack.NewVMStack(eng, c.Nodes[0].VM, c.Nodes[0].Iface, lab.NodeIP(0))
 	s1 := netstack.NewVMStack(eng, c.Nodes[1].VM, c.Nodes[1].Iface, lab.NodeIP(1))
@@ -45,7 +45,7 @@ func TestStreamSurvivesLinkFlap(t *testing.T) {
 		pr.Sleep(2 * time.Millisecond)
 		c.Nodes[0].Bridge.RemoveLink(lab.LinkID(1))
 		pr.Sleep(5 * time.Millisecond) // outage window: frames black-hole
-		c.Nodes[0].Bridge.AddLink(bridge.LinkConfig{ID: lab.LinkID(1), RemoteHost: "host1", Proto: bridge.UDP})
+		c.Nodes[0].Bridge.AddLink(vnetpsim.LinkConfig{ID: lab.LinkID(1), RemoteHost: "host1", Proto: vnetpsim.UDP})
 	})
 	eng.Run()
 	eng.Close()
@@ -71,13 +71,13 @@ func TestRerouteMidStream(t *testing.T) {
 	// Three hosts: sender 0 can reach 1 directly, or via 2 (which is not
 	// wired to forward — so we just switch between the direct link and a
 	// second direct link object).
-	c := lab.NewCluster(eng, lab.Config{Dev: phys.Eth10G, N: 2, Params: core.DefaultParams()})
+	c := lab.NewCluster(eng, lab.Config{Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams()})
 	s0 := netstack.NewVMStack(eng, c.Nodes[0].VM, c.Nodes[0].Iface, lab.NodeIP(0))
 	s1 := netstack.NewVMStack(eng, c.Nodes[1].VM, c.Nodes[1].Iface, lab.NodeIP(1))
 	s0.AddNeighbor(lab.NodeIP(1), c.Nodes[1].MAC())
 	s1.AddNeighbor(lab.NodeIP(0), c.Nodes[0].MAC())
 	// A second, parallel link to the same host.
-	c.Nodes[0].Bridge.AddLink(bridge.LinkConfig{ID: "alt", RemoteHost: "host1", Proto: bridge.UDP})
+	c.Nodes[0].Bridge.AddLink(vnetpsim.LinkConfig{ID: "alt", RemoteHost: "host1", Proto: vnetpsim.UDP})
 
 	const total = 512 << 10
 	received := 0

@@ -1,11 +1,12 @@
-// Package core implements the VNET/P core, the paper's primary
-// contribution (Sect. 4.3): MAC-address routing of raw Ethernet frames
-// between virtual NICs and overlay links, performed by packet dispatchers
-// that run in guest-driven, VMM-driven, or adaptive mode.
+// Package core implements the routing of the VNET/P core, the paper's
+// primary contribution (Sect. 4.3): MAC-address routing of raw Ethernet
+// frames between virtual NICs and overlay links, with the routing cache,
+// per-flow accounting and tenant namespaces.
 //
-// The routing logic in this file is pure (no simulation dependencies) and
-// is shared by the simulated datapath (vnetp.go) and the real-socket
-// overlay (internal/overlay).
+// It is pure (no clock, no simulation) and is the one routing
+// implementation shared by the simulated core (internal/vnetpsim, whose
+// packet dispatchers run in guest-driven, VMM-driven or adaptive mode)
+// and the real-socket overlay (internal/overlay).
 package core
 
 import (

@@ -215,35 +215,6 @@ func TestCacheCoherenceProperty(t *testing.T) {
 	}
 }
 
-func TestDefaultParamsMatchTable1(t *testing.T) {
-	p := DefaultParams()
-	if p.Mode != Adaptive {
-		t.Error("Table 1: mode must be adaptive")
-	}
-	if p.AlphaL != 1e3 || p.AlphaU != 1e4 {
-		t.Errorf("Table 1: alpha_l=%v alpha_u=%v", p.AlphaL, p.AlphaU)
-	}
-	if p.Omega.Milliseconds() != 5 {
-		t.Errorf("Table 1: omega = %v", p.Omega)
-	}
-	if p.NDispatchers != 1 {
-		t.Errorf("Table 1: n_dispatchers = %d", p.NDispatchers)
-	}
-	if p.Yield.String() != "immediate" {
-		t.Errorf("Table 1: yield = %v", p.Yield)
-	}
-	if p.AlphaU <= p.AlphaL {
-		t.Error("hysteresis requires alpha_u > alpha_l")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if GuestDriven.String() != "guest-driven" || VMMDriven.String() != "VMM-driven" ||
-		Adaptive.String() != "adaptive" || Mode(42).String() != "unknown" {
-		t.Fatal("mode strings")
-	}
-}
-
 // TestRoutingCacheBounded: a MAC scan over static routes — ten times
 // the cache's capacity of distinct sources, no route mutation to clear
 // it — leaves the cache at or under its cap, counts what it displaced,

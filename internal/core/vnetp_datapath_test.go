@@ -10,10 +10,11 @@ import (
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
 	"vnetp/internal/virtio"
+	"vnetp/internal/vnetpsim"
 )
 
-func guestParams(mode core.Mode) core.Params {
-	p := core.DefaultParams()
+func guestParams(mode vnetpsim.Mode) vnetpsim.Params {
+	p := vnetpsim.DefaultParams()
 	p.Mode = mode
 	return p
 }
@@ -32,7 +33,7 @@ func sendFrame(c *lab.Cluster, from, to int, payload int) *ethernet.Frame {
 
 func TestEndToEndDelivery(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	var got *ethernet.Frame
 	var at sim.Time
 	c.Nodes[1].Iface.SetRecv(func() {
@@ -63,7 +64,7 @@ func TestEndToEndDelivery(t *testing.T) {
 
 func TestGuestDrivenChargesExits(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	c.Nodes[1].Iface.SetRecv(func() {
 		for {
 			if _, ok := c.Nodes[1].Iface.GuestRecv(); !ok {
@@ -90,7 +91,7 @@ func TestGuestDrivenChargesExits(t *testing.T) {
 
 func TestVMMDrivenAvoidsExits(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.VMMDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.VMMDriven))
 	received := 0
 	c.Nodes[1].Iface.SetRecv(func() {
 		for {
@@ -120,7 +121,7 @@ func TestLocalVMToVMDelivery(t *testing.T) {
 	// Two interfaces on one host: frames route VM-to-VM without touching
 	// the bridge.
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	n0 := c.Nodes[0]
 	nic2 := virtio.NewNIC(ethernet.LocalMAC(50), 1500) // second NIC on host 0
 	second := n0.Core.Register("nic1", n0.VM, nic2)
@@ -154,7 +155,7 @@ func TestFragmentationOverSmallMTU(t *testing.T) {
 	// reassemble transparently.
 	eng := sim.New()
 	c := lab.NewCluster(eng, lab.Config{
-		Dev: phys.Eth10GStd, N: 2, Params: guestParams(core.GuestDriven),
+		Dev: phys.Eth10GStd, N: 2, Params: guestParams(vnetpsim.GuestDriven),
 		GuestMTU: 16000,
 	})
 	var got *ethernet.Frame
@@ -182,7 +183,7 @@ func TestNoFragmentationAtAdjustedMTU(t *testing.T) {
 	// The default cluster guest MTU is chosen so encapsulated packets fit
 	// the physical MTU exactly (the paper's jumbo-frame adjustment).
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	c.Nodes[1].Iface.SetRecv(func() {
 		c.Nodes[1].Iface.GuestRecv()
 		c.Nodes[1].Iface.RxDone()
@@ -196,7 +197,7 @@ func TestNoFragmentationAtAdjustedMTU(t *testing.T) {
 
 func TestNoRouteDropped(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	f := &ethernet.Frame{Dst: ethernet.LocalMAC(99), Src: c.Nodes[0].MAC(), Type: ethernet.TypeTest}
 	c.Nodes[0].Iface.TrySend(f)
 	eng.Run()
@@ -209,7 +210,7 @@ func TestRXQFullIPIEscalation(t *testing.T) {
 	// A guest that never drains: the RX ring fills, the core parks frames
 	// and forces an IPI exit; nothing is lost until the parking bound.
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.VMMDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.VMMDriven))
 	drained := 0
 	drainNow := false
 	drain := func() {
@@ -253,7 +254,7 @@ func TestRXQFullIPIEscalation(t *testing.T) {
 
 func TestAdaptiveModeSwitches(t *testing.T) {
 	eng := sim.New()
-	p := core.DefaultParams() // adaptive, alpha_u = 1e4 pkt/s, omega = 5ms
+	p := vnetpsim.DefaultParams() // adaptive, alpha_u = 1e4 pkt/s, omega = 5ms
 	c := lab.NewPair(eng, phys.Eth10G, p)
 	c.Nodes[1].Iface.SetRecv(func() {
 		for {
@@ -264,7 +265,7 @@ func TestAdaptiveModeSwitches(t *testing.T) {
 		c.Nodes[1].Iface.RxDone()
 	})
 	ifc := c.Nodes[0].Iface
-	if ifc.Mode() != core.GuestDriven {
+	if ifc.Mode() != vnetpsim.GuestDriven {
 		t.Fatal("adaptive must start guest-driven")
 	}
 	eng.Go("burst", func(pr *sim.Proc) {
@@ -277,12 +278,12 @@ func TestAdaptiveModeSwitches(t *testing.T) {
 		}
 	})
 	eng.RunFor(21 * time.Millisecond)
-	if ifc.Mode() != core.VMMDriven {
+	if ifc.Mode() != vnetpsim.VMMDriven {
 		t.Fatalf("mode = %v after burst, want VMM-driven", ifc.Mode())
 	}
 	// Go quiet: rate falls below alpha_l, mode must revert.
 	eng.RunFor(50 * time.Millisecond)
-	if ifc.Mode() != core.GuestDriven {
+	if ifc.Mode() != vnetpsim.GuestDriven {
 		t.Fatalf("mode = %v after quiet period, want guest-driven", ifc.Mode())
 	}
 	if ifc.ModeSwitches < 2 {
@@ -294,7 +295,7 @@ func TestAdaptiveModeSwitches(t *testing.T) {
 func TestAdaptiveHysteresisNoFlapping(t *testing.T) {
 	// A rate between alpha_l and alpha_u must not cause switching.
 	eng := sim.New()
-	p := core.DefaultParams()
+	p := vnetpsim.DefaultParams()
 	c := lab.NewPair(eng, phys.Eth10G, p)
 	c.Nodes[1].Iface.SetRecv(func() {
 		for {
@@ -321,7 +322,7 @@ func TestAdaptiveHysteresisNoFlapping(t *testing.T) {
 
 func TestUnregisterRemovesRoutes(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, guestParams(core.GuestDriven))
+	c := lab.NewPair(eng, phys.Eth10G, guestParams(vnetpsim.GuestDriven))
 	before := c.Nodes[0].Core.Table.Len()
 	c.Nodes[0].Core.Unregister(lab.IfaceName)
 	if c.Nodes[0].Core.Table.Len() != before-1 {

@@ -10,6 +10,7 @@ import (
 	"vnetp/internal/microbench"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -23,8 +24,8 @@ func init() {
 // on latency, VMM-driven on throughput, adaptive gets both.
 func runAblationModes(w io.Writer) error {
 	fmt.Fprintf(w, "%-14s %14s %16s\n", "mode", "ping RTT", "TCP throughput")
-	for _, mode := range []core.Mode{core.GuestDriven, core.VMMDriven, core.Adaptive} {
-		p := core.DefaultParams()
+	for _, mode := range []vnetpsim.Mode{vnetpsim.GuestDriven, vnetpsim.VMMDriven, vnetpsim.Adaptive} {
+		p := vnetpsim.DefaultParams()
 		p.Mode = mode
 		mk := func() *lab.Testbed {
 			return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: phys.Eth10GStd, N: 2, Params: p})
@@ -67,7 +68,7 @@ func runAblationCache(w io.Writer) error {
 func runAblationYield(w io.Writer) error {
 	fmt.Fprintf(w, "%-12s %14s %18s\n", "strategy", "ping RTT", "thread CPU burn")
 	for _, y := range []sim.YieldStrategy{sim.YieldImmediate, sim.YieldTimed, sim.YieldAdaptive} {
-		p := core.DefaultParams()
+		p := vnetpsim.DefaultParams()
 		p.Yield = y
 		p.TSleep = 100 * time.Microsecond
 		p.TNoWork = 200 * time.Microsecond

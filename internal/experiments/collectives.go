@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"vnetp/internal/core"
 	"vnetp/internal/hpcc"
 	"vnetp/internal/lab"
 	"vnetp/internal/netstack"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -30,9 +30,9 @@ func runCollectives(w io.Writer) error {
 		case "native":
 			base = lab.NewNativeTestbed(e, phys.Eth10G, hosts).Stacks
 		case "vnetp":
-			base = lab.NewVNETPTestbed(e, lab.Config{Dev: phys.Eth10G, N: hosts, Params: core.DefaultParams()}).Stacks
+			base = lab.NewVNETPTestbed(e, lab.Config{Dev: phys.Eth10G, N: hosts, Params: vnetpsim.DefaultParams()}).Stacks
 		case "vnetp+":
-			base = lab.NewVNETPTestbed(e, lab.Config{Dev: phys.Eth10G, N: hosts, Params: core.PlusParams()}).Stacks
+			base = lab.NewVNETPTestbed(e, lab.Config{Dev: phys.Eth10G, N: hosts, Params: vnetpsim.PlusParams()}).Stacks
 		}
 		var ranks []*netstack.Stack
 		for i := 0; i < hosts; i++ {

@@ -15,10 +15,10 @@ import (
 	"sort"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // Experiment is one reproducible evaluation item.
@@ -74,7 +74,7 @@ func RunAll(w io.Writer) error {
 // --- shared testbed builders ---
 
 func vnetpPair(dev phys.Device) *lab.Testbed {
-	return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: dev, N: 2, Params: core.DefaultParams()})
+	return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: dev, N: 2, Params: vnetpsim.DefaultParams()})
 }
 
 func nativePair(dev phys.Device) *lab.Testbed {

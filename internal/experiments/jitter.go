@@ -7,11 +7,10 @@ import (
 	"sort"
 	"time"
 
-	"vnetp/internal/core"
-
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -70,11 +69,11 @@ func summarize(samples []time.Duration) jitterStats {
 func runJitter(w io.Writer) error {
 	const n = 400
 	linuxTB := lab.NewVNETPTestbed(sim.New(), lab.Config{
-		Dev: phys.Eth10G, N: 2, Params: core.DefaultParams(), Model: phys.ModelLinuxNoisy(),
+		Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams(), Model: phys.ModelLinuxNoisy(),
 	})
 	linux := summarize(pingSamplesOver(linuxTB, n))
 	kittenTB := lab.NewVNETPTestbed(sim.New(), lab.Config{
-		Dev: phys.Eth10G, N: 2, Params: core.DefaultParams(), Model: phys.ModelKitten(),
+		Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams(), Model: phys.ModelKitten(),
 	})
 	kitt := summarize(pingSamplesOver(kittenTB, n))
 

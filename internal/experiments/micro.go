@@ -5,11 +5,11 @@ import (
 	"io"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/microbench"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 	"vnetp/internal/vnetu"
 )
 
@@ -39,8 +39,8 @@ type fig5Row struct {
 func measureFig5() []fig5Row {
 	var rows []fig5Row
 	for cores := 1; cores <= 4; cores++ {
-		p := core.DefaultParams()
-		p.Mode = core.VMMDriven
+		p := vnetpsim.DefaultParams()
+		p.Mode = vnetpsim.VMMDriven
 		p.RoundRobinDispatch = true
 		shared := false
 		switch cores {
@@ -171,7 +171,7 @@ func runVNETU(w io.Writer) error {
 // runTable1 prints the default tuning parameters, which tests assert
 // against the paper's Table 1.
 func runTable1(w io.Writer) error {
-	p := core.DefaultParams()
+	p := vnetpsim.DefaultParams()
 	fmt.Fprintf(w, "Mode:            %v\n", p.Mode)
 	fmt.Fprintf(w, "alpha_l:         %.0f packets/s\n", p.AlphaL)
 	fmt.Fprintf(w, "alpha_u:         %.0f packets/s\n", p.AlphaU)

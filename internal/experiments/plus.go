@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/microbench"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -19,7 +19,7 @@ func init() {
 // paper reports near-native throughput and latency overheads down from
 // 2-3x to 1.2-1.3x.
 func runPlus(w io.Writer) error {
-	mk := func(p core.Params, dev phys.Device) *lab.Testbed {
+	mk := func(p vnetpsim.Params, dev phys.Device) *lab.Testbed {
 		return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: dev, N: 2, Params: p})
 	}
 	wj := microbench.StreamWriteFor(lab.GuestMTUFor(phys.Eth10G))
@@ -33,10 +33,10 @@ func runPlus(w io.Writer) error {
 		"Native", mbps(natTCP), mbps(natUDP), us(natRTT), 1.0)
 	for _, row := range []struct {
 		label  string
-		params core.Params
+		params vnetpsim.Params
 	}{
-		{"VNET/P", core.DefaultParams()},
-		{"VNET/P+", core.PlusParams()},
+		{"VNET/P", vnetpsim.DefaultParams()},
+		{"VNET/P+", vnetpsim.PlusParams()},
 	} {
 		tcp := microbench.TTCPStream(mk(row.params, phys.Eth10G), 0, 1, wj, tcpBytes)
 		udp := microbench.TTCPUDP(mk(row.params, phys.Eth10G), 0, 1, 8900, udpWindow)

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 
-	"vnetp/internal/core"
 	"vnetp/internal/hpcc"
 	"vnetp/internal/kitten"
 	"vnetp/internal/lab"
 	"vnetp/internal/microbench"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -20,7 +20,7 @@ func init() {
 	register("kitten", "VNET/P for Kitten on InfiniBand (Sect. 6.3)", runKitten)
 }
 
-func defaultParams() core.Params { return core.DefaultParams() }
+func defaultParams() vnetpsim.Params { return vnetpsim.DefaultParams() }
 
 func runFig15(w io.Writer) error {
 	// Out-of-the-box single-stream numbers the paper quotes first.

@@ -3,13 +3,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
 	"vnetp/internal/trace"
+	"vnetp/internal/vnetpsim"
 )
 
 func init() {
@@ -22,14 +23,14 @@ func init() {
 func runTrace(w io.Writer) error {
 	for _, cfg := range []struct {
 		label  string
-		params core.Params
+		params vnetpsim.Params
 	}{
-		{"VNET/P", core.DefaultParams()},
-		{"VNET/P+", core.PlusParams()},
+		{"VNET/P", vnetpsim.DefaultParams()},
+		{"VNET/P+", vnetpsim.PlusParams()},
 	} {
 		eng := sim.New()
 		c := lab.NewPair(eng, phys.Eth10G, cfg.params)
-		tr := trace.New(eng)
+		tr := trace.New(func() time.Duration { return eng.Now().Duration() })
 		for _, n := range c.Nodes {
 			n.Host.Tracer = tr
 		}

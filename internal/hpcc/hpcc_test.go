@@ -4,18 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/hpcc"
 	"vnetp/internal/lab"
 	"vnetp/internal/netstack"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // stacks builds per-rank stacks: hosts VMs (or native nodes) with
 // ranksPerVM ranks each.
 func vnetpStacks(eng *sim.Engine, dev phys.Device, hosts, ranksPerVM int) []*netstack.Stack {
-	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: dev, N: hosts, Params: core.DefaultParams()})
+	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: dev, N: hosts, Params: vnetpsim.DefaultParams()})
 	var out []*netstack.Stack
 	for i := 0; i < hosts; i++ {
 		for k := 0; k < ranksPerVM; k++ {

@@ -13,10 +13,10 @@ package kitten
 import (
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // BridgeVMExtra is the per-packet cost of routing through the bridge VM:
@@ -30,7 +30,7 @@ const BridgeVMExtra = 13 * time.Microsecond
 // service-VM hop.
 func NewTestbed(eng *sim.Engine, n int) *lab.Testbed {
 	tb := lab.NewVNETPTestbed(eng, lab.Config{
-		Dev: phys.KittenIB, N: n, Params: core.DefaultParams(),
+		Dev: phys.KittenIB, N: n, Params: vnetpsim.DefaultParams(),
 	})
 	for _, node := range tb.VNETP.Nodes {
 		node.Bridge.Extra = BridgeVMExtra

@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/kitten"
 	"vnetp/internal/lab"
 	"vnetp/internal/microbench"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func TestBridgeVMExtraApplied(t *testing.T) {
@@ -52,7 +52,7 @@ func TestBridgeVMHopCostsLatency(t *testing.T) {
 	engK := sim.New()
 	kRTT := microbench.PingRTT(kitten.NewTestbed(engK, 2), 0, 1, 56, 10)
 	engP := sim.New()
-	import2 := lab.NewVNETPTestbed(engP, lab.Config{Dev: phys.KittenIB, N: 2, Params: core.DefaultParams()})
+	import2 := lab.NewVNETPTestbed(engP, lab.Config{Dev: phys.KittenIB, N: 2, Params: vnetpsim.DefaultParams()})
 	pRTT := microbench.PingRTT(import2, 0, 1, 56, 10)
 	t.Logf("kitten RTT %v vs plain VNET/P RTT %v", kRTT, pRTT)
 	if kRTT <= pRTT {

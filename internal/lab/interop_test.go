@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/lab"
@@ -13,6 +12,7 @@ import (
 	"vnetp/internal/sim"
 	"vnetp/internal/virtio"
 	"vnetp/internal/vmm"
+	"vnetp/internal/vnetpsim"
 	"vnetp/internal/vnetu"
 )
 
@@ -30,8 +30,8 @@ func TestVNETPInteroperatesWithVNETU(t *testing.T) {
 	vm0 := vmm.NewVM(h0, "vm0")
 	mac0 := ethernet.LocalMAC(1)
 	nic0 := virtio.NewNIC(mac0, 1446) // fits VNET/U's standard-MTU world
-	vcore := core.New(h0, core.DefaultParams())
-	br := bridge.New(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
+	vcore := vnetpsim.New(h0, vnetpsim.DefaultParams())
+	br := vnetpsim.NewBridge(h0, sim.WorkerConfig{Yield: sim.YieldImmediate}, nil)
 	br.Deliver = vcore.DeliverFromWire
 	vcore.Bridge = br
 	ifc0 := vcore.Register("nic0", vm0, nic0)
@@ -50,7 +50,7 @@ func TestVNETPInteroperatesWithVNETU(t *testing.T) {
 		Dest: core.Destination{Type: core.DestInterface, ID: "nic0"}})
 	vcore.Table.AddRoute(core.Route{DstMAC: mac1, DstQual: core.QualExact, SrcQual: core.QualAny,
 		Dest: core.Destination{Type: core.DestLink, ID: "to-u"}})
-	br.AddLink(bridge.LinkConfig{ID: "to-u", RemoteHost: "u-host", Proto: bridge.UDP})
+	br.AddLink(vnetpsim.LinkConfig{ID: "to-u", RemoteHost: "u-host", Proto: vnetpsim.UDP})
 	daemon.Table.AddRoute(core.Route{DstMAC: mac1, DstQual: core.QualExact, SrcQual: core.QualAny,
 		Dest: core.Destination{Type: core.DestInterface, ID: "nic0"}})
 	daemon.Table.AddRoute(core.Route{DstMAC: mac0, DstQual: core.QualExact, SrcQual: core.QualAny,

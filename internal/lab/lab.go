@@ -16,6 +16,7 @@ import (
 	"vnetp/internal/sim"
 	"vnetp/internal/virtio"
 	"vnetp/internal/vmm"
+	"vnetp/internal/vnetpsim"
 )
 
 // EncapOverhead is the per-datagram byte overhead of carrying a guest
@@ -44,9 +45,9 @@ type Node struct {
 	Host   *vmm.Host
 	VM     *vmm.VM
 	NIC    *virtio.NIC
-	Core   *core.VNETP
-	Bridge *bridge.Bridge
-	Iface  *core.Iface
+	Core   *vnetpsim.VNETP
+	Bridge *vnetpsim.Bridge
+	Iface  *vnetpsim.Iface
 }
 
 // MAC returns the node's guest MAC address.
@@ -66,7 +67,7 @@ type Cluster struct {
 type Config struct {
 	Dev      phys.Device
 	N        int
-	Params   core.Params
+	Params   vnetpsim.Params
 	Model    *phys.CostModel // nil selects phys.DefaultModel
 	GuestMTU int             // 0 selects GuestMTUFor(Dev)
 	// BridgeSharesDispatcher co-locates the bridge thread with the first
@@ -101,12 +102,12 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 		host := c.Net.AddHost(hostName(i), cfg.Model)
 		vm := vmm.NewVM(host, fmt.Sprintf("vm%d", i))
 		nic := virtio.NewNIC(ethernet.LocalMAC(uint32(i+1)), cfg.GuestMTU)
-		vcore := core.New(host, cfg.Params)
+		vcore := vnetpsim.New(host, cfg.Params)
 		var shared *sim.Worker
 		if cfg.BridgeSharesDispatcher {
 			shared = vcore.Dispatchers()[0]
 		}
-		br := bridge.New(host, wc, shared)
+		br := vnetpsim.NewBridge(host, wc, shared)
 		br.CutThrough = cfg.Params.CutThrough
 		br.Deliver = vcore.DeliverFromWire
 		vcore.Bridge = br
@@ -127,7 +128,7 @@ func NewCluster(eng *sim.Engine, cfg Config) *Cluster {
 			if i == j {
 				continue
 			}
-			ni.Bridge.AddLink(bridge.LinkConfig{ID: LinkID(j), RemoteHost: hostName(j), Proto: bridge.UDP})
+			ni.Bridge.AddLink(vnetpsim.LinkConfig{ID: LinkID(j), RemoteHost: hostName(j), Proto: vnetpsim.UDP})
 			ni.Core.Table.AddRoute(core.Route{
 				DstMAC: nj.MAC(), DstQual: core.QualExact, SrcQual: core.QualAny,
 				Dest: core.Destination{Type: core.DestLink, ID: LinkID(j)},
@@ -156,6 +157,6 @@ func routeToLink(mac ethernet.MAC, link string) core.Route {
 
 // NewPair builds the two directly connected machines used for the
 // microbenchmarks (paper Sect. 5.1).
-func NewPair(eng *sim.Engine, dev phys.Device, params core.Params) *Cluster {
+func NewPair(eng *sim.Engine, dev phys.Device, params vnetpsim.Params) *Cluster {
 	return NewCluster(eng, Config{Dev: dev, N: 2, Params: params})
 }

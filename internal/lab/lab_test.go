@@ -4,11 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 	"vnetp/internal/vnetu"
 )
 
@@ -30,7 +30,7 @@ func TestGuestMTUFor(t *testing.T) {
 
 func TestClusterFullMesh(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewCluster(eng, lab.Config{Dev: phys.Eth10G, N: 4, Params: core.DefaultParams()})
+	c := lab.NewCluster(eng, lab.Config{Dev: phys.Eth10G, N: 4, Params: vnetpsim.DefaultParams()})
 	if len(c.Nodes) != 4 {
 		t.Fatalf("%d nodes", len(c.Nodes))
 	}
@@ -64,7 +64,7 @@ func TestAllTestbedsPassTraffic(t *testing.T) {
 	// actually exchange a datagram.
 	builders := map[string]func(eng *sim.Engine) *lab.Testbed{
 		"vnetp": func(eng *sim.Engine) *lab.Testbed {
-			return lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: 3, Params: core.DefaultParams()})
+			return lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: 3, Params: vnetpsim.DefaultParams()})
 		},
 		"native": func(eng *sim.Engine) *lab.Testbed {
 			return lab.NewNativeTestbed(eng, phys.Eth10G, 3)
@@ -98,7 +98,7 @@ func TestAllTestbedsPassTraffic(t *testing.T) {
 func TestBridgeSharesDispatcherOption(t *testing.T) {
 	eng := sim.New()
 	c := lab.NewCluster(eng, lab.Config{
-		Dev: phys.Eth10G, N: 2, Params: core.DefaultParams(), BridgeSharesDispatcher: true,
+		Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams(), BridgeSharesDispatcher: true,
 	})
 	for i, n := range c.Nodes {
 		if n.Bridge.Worker() != n.Core.Dispatchers()[0] {
@@ -106,7 +106,7 @@ func TestBridgeSharesDispatcherOption(t *testing.T) {
 		}
 	}
 	eng2 := sim.New()
-	c2 := lab.NewCluster(eng2, lab.Config{Dev: phys.Eth10G, N: 2, Params: core.DefaultParams()})
+	c2 := lab.NewCluster(eng2, lab.Config{Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams()})
 	if c2.Nodes[0].Bridge.Worker() == c2.Nodes[0].Core.Dispatchers()[0] {
 		t.Error("default config should give the bridge its own worker")
 	}

@@ -4,16 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 func TestDebugUDPVNETP(t *testing.T) {
 	eng := sim.New()
-	params := core.DefaultParams()
-	params.Mode = core.VMMDriven
+	params := vnetpsim.DefaultParams()
+	params.Mode = vnetpsim.VMMDriven
 	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10GStd, N: 2, Params: params})
 	rate := TTCPUDP(tb, 0, 1, 64000, 20*time.Millisecond)
 	t.Logf("UDP rate %.0f MB/s", rate/1e6)
@@ -31,14 +31,14 @@ func TestDebugUDPVNETP(t *testing.T) {
 }
 
 func TestDebugStreamVNETP(t *testing.T) {
-	for _, mode := range []core.Mode{core.GuestDriven, core.VMMDriven, core.Adaptive} {
+	for _, mode := range []vnetpsim.Mode{vnetpsim.GuestDriven, vnetpsim.VMMDriven, vnetpsim.Adaptive} {
 		t.Run(mode.String(), func(t *testing.T) { debugStream(t, mode) })
 	}
 }
 
-func debugStream(t *testing.T, mode core.Mode) {
+func debugStream(t *testing.T, mode vnetpsim.Mode) {
 	eng := sim.New()
-	params := core.DefaultParams()
+	params := vnetpsim.DefaultParams()
 	params.Mode = mode
 	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10GStd, N: 2, Params: params})
 	const total = 2 << 20

@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 	"vnetp/internal/vnetu"
 )
 
@@ -21,7 +21,7 @@ const (
 )
 
 func vnetpPairTB(dev phys.Device) *lab.Testbed {
-	return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: dev, N: 2, Params: core.DefaultParams()})
+	return lab.NewVNETPTestbed(sim.New(), lab.Config{Dev: dev, N: 2, Params: vnetpsim.DefaultParams()})
 }
 
 func nativePairTB(dev phys.Device) *lab.Testbed {

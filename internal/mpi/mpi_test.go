@@ -4,18 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/mpi"
 	"vnetp/internal/netstack"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // worldOn builds an MPI world with ranksPerVM ranks on each of vms VMs
 // over a VNET/P testbed.
 func worldOn(eng *sim.Engine, vms, ranksPerVM int) *mpi.World {
-	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: vms, Params: core.DefaultParams()})
+	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: vms, Params: vnetpsim.DefaultParams()})
 	var stacks []*netstack.Stack
 	for i := 0; i < vms; i++ {
 		for k := 0; k < ranksPerVM; k++ {
@@ -132,7 +132,7 @@ func TestSendRecvNoDeadlock(t *testing.T) {
 func TestSharedMemoryRanks(t *testing.T) {
 	// Two ranks in the same VM communicate without touching the overlay.
 	eng := sim.New()
-	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: 2, Params: core.DefaultParams()})
+	tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: phys.Eth10G, N: 2, Params: vnetpsim.DefaultParams()})
 	w := mpi.NewWorld(eng, []*netstack.Stack{tb.Stacks[0], tb.Stacks[0]})
 	var rtt time.Duration
 	runWorld(t, eng, w, func(p *sim.Proc, r *mpi.Rank) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/ipv4"
 	"vnetp/internal/lab"
@@ -12,6 +11,7 @@ import (
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
 	"vnetp/internal/vmm"
+	"vnetp/internal/vnetpsim"
 )
 
 var (
@@ -39,9 +39,9 @@ func nativePair(dev phys.Device) (*sim.Engine, [2]*netstack.Stack) {
 }
 
 // vnetpPair builds two VNET/P nodes with guest stacks.
-func vnetpPair(dev phys.Device, mode core.Mode) (*sim.Engine, *lab.Cluster, [2]*netstack.Stack) {
+func vnetpPair(dev phys.Device, mode vnetpsim.Mode) (*sim.Engine, *lab.Cluster, [2]*netstack.Stack) {
 	eng := sim.New()
-	p := core.DefaultParams()
+	p := vnetpsim.DefaultParams()
 	p.Mode = mode
 	c := lab.NewPair(eng, dev, p)
 	s0 := netstack.NewVMStack(eng, c.Nodes[0].VM, c.Nodes[0].Iface, ipA)
@@ -125,7 +125,7 @@ func TestUDPSegmentation(t *testing.T) {
 }
 
 func TestUDPOverVNETP(t *testing.T) {
-	eng, c, s := vnetpPair(phys.Eth10G, core.GuestDriven)
+	eng, c, s := vnetpPair(phys.Eth10G, vnetpsim.GuestDriven)
 	var got netstack.Datagram
 	eng.Go("recv", func(p *sim.Proc) {
 		sock := s[1].BindUDP(7)
@@ -165,7 +165,7 @@ func TestPingNativeVsVNETP(t *testing.T) {
 	}
 	engN, sN := nativePair(phys.Eth10G)
 	native := measure(engN, sN)
-	engV, _, sV := vnetpPair(phys.Eth10G, core.GuestDriven)
+	engV, _, sV := vnetpPair(phys.Eth10G, vnetpsim.GuestDriven)
 	vnetp := measure(engV, sV)
 
 	if native <= 0 || vnetp <= 0 {
@@ -205,7 +205,7 @@ func TestStreamTransfer(t *testing.T) {
 }
 
 func TestStreamOverVNETP(t *testing.T) {
-	eng, _, s := vnetpPair(phys.Eth10G, core.VMMDriven)
+	eng, _, s := vnetpPair(phys.Eth10G, vnetpsim.VMMDriven)
 	const total = 256 << 10
 	var received int
 	eng.Go("server", func(p *sim.Proc) {

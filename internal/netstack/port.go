@@ -18,7 +18,7 @@ import (
 	"vnetp/internal/vmm"
 )
 
-// Port is the layer-2 attachment point a stack drives. core.Iface,
+// Port is the layer-2 attachment point a stack drives. vnetpsim.Iface,
 // vnetu.Iface, and NativePort all satisfy it.
 type Port interface {
 	MAC() ethernet.MAC

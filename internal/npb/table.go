@@ -3,11 +3,11 @@ package npb
 import (
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/lab"
 	"vnetp/internal/netstack"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
+	"vnetp/internal/vnetpsim"
 )
 
 // Row is one line of the Fig. 14 table.
@@ -93,7 +93,7 @@ func stacksFor(eng *sim.Engine, dev phys.Device, procs int, virtualized bool) []
 	layout := vmLayout(procs)
 	var out []*netstack.Stack
 	if virtualized {
-		tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: dev, N: len(layout), Params: core.DefaultParams()})
+		tb := lab.NewVNETPTestbed(eng, lab.Config{Dev: dev, N: len(layout), Params: vnetpsim.DefaultParams()})
 		for i, k := range layout {
 			for j := 0; j < k; j++ {
 				out = append(out, tb.Stacks[i])

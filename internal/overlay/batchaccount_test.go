@@ -75,7 +75,7 @@ func TestTrainAccountsOnce(t *testing.T) {
 	}
 	s, d := n.shards[0], trainOf(t, frames, sink.MAC(), 0xa1)
 	deliver := func() {
-		n.datagram(s, "10.0.0.5:5", nil, nil, d, time.Now())
+		n.datagram(s, "10.0.0.5:5", nil, nil, d, n.mono())
 		for i := 0; i < frames; i++ {
 			if _, ok := sink.TryRecv(); !ok {
 				t.Fatalf("frame %d of the train not delivered", i)
@@ -131,12 +131,12 @@ func TestHeldTrainFrameSurvivesNextTrain(t *testing.T) {
 		doneB <- err
 	}()
 	buf := append([]byte(nil), trainA...)
-	n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, buf, time.Now())
+	n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, buf, n.mono())
 	if <-heldA == nil {
 		t.Fatal(<-doneB)
 	}
 	copy(buf, trainB) // the reader's buffer, reused for the next read
-	n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, buf, time.Now())
+	n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, buf, n.mono())
 	if err := <-doneB; err != nil {
 		t.Fatal(err)
 	}

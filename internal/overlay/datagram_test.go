@@ -41,7 +41,7 @@ func TestProbeAnsweredOnBothTransports(t *testing.T) {
 	}
 	defer peer.Close()
 	udp := func(d []byte) {
-		n.receive(n.shards[0], rxPacket{pkt: d, from: peer.LocalAddr().(*net.UDPAddr)}, time.Now(), &rxAttrib{})
+		n.receive(n.shards[0], rxPacket{pkt: d, from: peer.LocalAddr().(*net.UDPAddr)}, n.mono(), &rxAttrib{})
 	}
 	udpReply := func(wait time.Duration) ([]byte, error) {
 		buf := make([]byte, 2048)

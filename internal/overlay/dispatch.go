@@ -174,7 +174,7 @@ func (n *Node) shardFor(sender string) *rxShard {
 // n.conn), a probe reply is matched to its link, and data runs
 // processData. A header that does not parse is charged to bad_packet at
 // stage "parse". pkt is borrowed for the call.
-func (n *Node) datagram(s *rxShard, sender string, from *net.UDPAddr, c *tcpConn, pkt []byte, at time.Time) {
+func (n *Node) datagram(s *rxShard, sender string, from *net.UDPAddr, c *tcpConn, pkt []byte, at time.Duration) {
 	var h bridge.EncapHeader
 	payload, err := h.Unmarshal(pkt)
 	switch {
@@ -217,7 +217,7 @@ func (n *Node) datagram(s *rxShard, sender string, from *net.UDPAddr, c *tcpConn
 // frames alias that buffer, their headers decoded into one array, so a
 // held frame pins its own frame, or the one train it arrived in and that
 // train's header array, and nothing more.
-func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Time) {
+func (n *Node) processData(s *rxShard, sender string, h *bridge.EncapHeader, payload, raw []byte, at time.Duration) {
 	s.Datagrams.Add(1)
 	var tid uint64
 	if h.HasTrace {
@@ -340,11 +340,13 @@ func (s *rxShard) reasmKey(sender string, tenant uint32) string {
 
 // sampleRx takes the Fig. 7 RX stage samples of frames received whole
 // and routed in tenant's namespace — a completed train's, or a lone
-// frame's: the completing datagram's socket read (at) to the last of them
-// handed off past routing, one clock read for all, one sample per frame
-// in the node's histogram and the same in the tenant's latency SLI.
-func (n *Node) sampleRx(s *rxShard, tenant uint32, frames uint64, at time.Time) {
-	el := time.Since(at).Seconds()
+// frame's, whatever routing did with them (delivered, forwarded, or
+// dropped): the completing datagram's socket read (at, on Node.mono) to
+// the last of them handed off past routing, one clock read for all, one
+// sample per frame in the node's histogram and the same in the tenant's
+// latency SLI.
+func (n *Node) sampleRx(s *rxShard, tenant uint32, frames uint64, at time.Duration) {
+	el := (n.mono() - at).Seconds()
 	n.metrics.rxLatency.ObserveN(el, frames)
 	sli := s.sli.Load()
 	if sli == nil || sli.tenant != tenant {

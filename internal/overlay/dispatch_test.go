@@ -87,7 +87,7 @@ func benchDispatcherScaling(b *testing.B, workers int) {
 		wg.Add(1)
 		go func(w int, shard *rxShard) {
 			defer wg.Done()
-			at := time.Now()
+			at := n.mono()
 			for k := 0; k < per; k++ {
 				for s := w; s < senders; s += len(n.shards) {
 					n.datagram(shard, keys[s], nil, nil, pkts[s], at)
@@ -162,7 +162,7 @@ func TestDispatcherPoolDeliversFragmented(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range ds {
-			n.datagram(n.shardFor(keys[s]), keys[s], nil, nil, d, time.Now())
+			n.datagram(n.shardFor(keys[s]), keys[s], nil, nil, d, n.mono())
 		}
 	}
 	seen := make(map[byte]bool)
@@ -204,7 +204,7 @@ func TestPerDispatcherStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.datagram(n.shards[len(n.shards)-1], "1.2.3.4:5", nil, nil, ds[0], time.Now())
+	n.datagram(n.shards[len(n.shards)-1], "1.2.3.4:5", nil, nil, ds[0], n.mono())
 	if _, ok := ep.Recv(2 * time.Second); !ok {
 		t.Fatal("frame not delivered")
 	}

@@ -226,7 +226,7 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("well_formed", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, aggregateDatagram(t, frames, dst, nil), time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, aggregateDatagram(t, frames, dst, nil), n.mono())
 		delivered(t, n, sink, frames)
 		s := n.shards[0]
 		if s.Datagrams.Load() != 1 || s.Frames.Load() != frames || n.EncapRecv.Load() != frames || n.ledger.Total() != 0 {
@@ -249,7 +249,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		}
 		d := aggregateDatagram(t, frames, dst, sl)
 		d[len(d)-20] ^= 0x01 // one ciphertext bit: the whole train fails authentication
-		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, n.mono())
 		legacy, sli := Metric(t, n, "vnetp_seal_reject_total", seal.RejectAuth), Metric(t, n, "vnetp_tenant_seal_rejects_total", "7")
 		if got := n.ledger.Count(dropSealReject); got != frames || legacy != frames || sli != frames {
 			t.Fatalf("seal_reject ledger=%d legacy=%d tenant=%d, want %d each", got, legacy, sli, frames)
@@ -259,7 +259,7 @@ func TestDropSiteAggregate(t *testing.T) {
 
 	t.Run("bad_train", func(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
-		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, overrunLastRecord(aggregateDatagram(t, frames, dst, nil)), time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, overrunLastRecord(aggregateDatagram(t, frames, dst, nil)), n.mono())
 		if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != frames || legacy != frames {
 			t.Fatalf("bad_packet ledger=%d legacy=%d, want %d", got, legacy, frames)
 		}
@@ -270,7 +270,7 @@ func TestDropSiteAggregate(t *testing.T) {
 		n, sink := node(t, NodeConfig{})
 		d := aggregateDatagram(t, frames, dst, nil)
 		binary.BigEndian.PutUint32(d[8:], 1<<30) // claims sixteen thousand frames
-		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, time.Now())
+		n.datagram(n.shards[0], "10.0.0.5:5", nil, nil, d, n.mono())
 		// Charged what a train of the length it claims could hold at most,
 		// not the claim.
 		most := uint64(binary.BigEndian.Uint32(d[12:])) / uint64(2+ethernet.HeaderLen)
@@ -297,7 +297,7 @@ func TestDropSiteNoRoute(t *testing.T) {
 
 func TestDropSiteBadPacket(t *testing.T) {
 	n := dropNode(t, NodeConfig{dispatchers: 1})
-	n.datagram(n.shards[0], "10.0.0.1:1", nil, nil, []byte{0xde, 0xad, 0xbe, 0xef}, time.Now())
+	n.datagram(n.shards[0], "10.0.0.1:1", nil, nil, []byte{0xde, 0xad, 0xbe, 0xef}, n.mono())
 	if got, legacy := n.ledger.Count(dropBadPacket), Metric(t, n, "vnetp_bad_packets_total"); got != 1 || legacy != 1 {
 		t.Fatalf("bad_packet ledger=%d vnetp_bad_packets_total=%d, want 1 each", got, legacy)
 	}
@@ -367,7 +367,7 @@ func TestDropSiteTrainSealReject(t *testing.T) {
 	train := bytes.Join(pkt.Datagrams, nil)
 	train[maxDatagram+100] ^= 0x01 // one ciphertext bit of the second datagram
 	from := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 5}
-	n.receive(n.shards[0], rxPacket{pkt: train, seg: maxDatagram, from: from}, time.Now(), &rxAttrib{})
+	n.receive(n.shards[0], rxPacket{pkt: train, seg: maxDatagram, from: from}, n.mono(), &rxAttrib{})
 	waitSwept(t, n)
 	if rejects, opened, total := n.ledger.Count(dropSealReject), n.metrics.sealOpened.Load(), n.ledger.Total(); rejects != 1 || opened != 2 || total != 1 {
 		t.Fatalf("seal_reject=%d sealed_opened=%d drops_total=%d, want 1, 2, 1", rejects, opened, total)
@@ -492,7 +492,7 @@ func TestTrainSegmentFaults(t *testing.T) {
 
 func TestDropSiteSealReject(t *testing.T) {
 	n := dropNode(t, NodeConfig{dispatchers: 1})
-	n.datagram(n.shards[0], "10.0.0.3:3", nil, nil, sealedDatagram(t, 42), time.Now())
+	n.datagram(n.shards[0], "10.0.0.3:3", nil, nil, sealedDatagram(t, 42), n.mono())
 	if got, legacy := n.ledger.Count(dropSealReject), Metric(t, n, "vnetp_seal_reject_total", seal.RejectUnknownTenant); got != 1 || legacy != 1 {
 		t.Fatalf("seal_reject ledger=%d vnetp_seal_reject_total{unknown_tenant}=%d, want 1 each", got, legacy)
 	}
@@ -513,7 +513,7 @@ func TestDropSiteReassemblyEvict(t *testing.T) {
 	if len(ds) < 2 {
 		t.Fatalf("frame did not fragment: %d datagrams", len(ds))
 	}
-	n.datagram(n.shards[0], "10.0.0.4:4", nil, nil, ds[0], time.Now()) // first fragment only: a partial that can never complete
+	n.datagram(n.shards[0], "10.0.0.4:4", nil, nil, ds[0], n.mono()) // first fragment only: a partial that can never complete
 	waitCount(t, n, dropReassemblyEvict, 1)
 	if legacy := Metric(t, n, "vnetp_reassembly_evictions_total"); legacy != n.ledger.Count(dropReassemblyEvict) {
 		t.Fatalf("reassembly_evict ledger=%d legacy=%d", n.ledger.Count(dropReassemblyEvict), legacy)
@@ -793,7 +793,7 @@ func TestDropLedgerChurn(t *testing.T) {
 	churn(func(i int) { src.Send(testFrame(src.MAC(), linkDst)) })                // tx_ring
 	// Several goroutines finish datagrams on each shard at once, as a
 	// worker and the TCP readers hashed to its shard do.
-	rx := func(sender string, d []byte) { n.datagram(n.shardFor(sender), sender, nil, nil, d, time.Now()) }
+	rx := func(sender string, d []byte) { n.datagram(n.shardFor(sender), sender, nil, nil, d, n.mono()) }
 	churn(func(i int) { rx(fmt.Sprintf("10.1.0.%d:1", i%4), []byte{1, 2, 3}) })
 	churn(func(i int) { rx(fmt.Sprintf("10.5.0.%d:1", i%4), aggregate) }) // endpoint_ring ×3 once full
 	churn(func(i int) { rx(fmt.Sprintf("10.2.0.%d:1", i%4), sealed) })

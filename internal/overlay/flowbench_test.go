@@ -86,7 +86,7 @@ func benchFlowPath(b *testing.B, payload int, disabled bool) {
 		wg.Add(1)
 		go func(l *lane) {
 			defer wg.Done()
-			// Batched sends (the virtio DrainTX shape): per-frame cost is
+			// Batched sends (a virtio ring drain's shape): per-frame cost is
 			// the routing stage itself, not Send's per-call bookkeeping.
 			const chunk = 32
 			batch := make([]*ethernet.Frame, chunk)

@@ -583,8 +583,8 @@ func TestSealedStreamsStayApart(t *testing.T) {
 		pkt.Release()
 	}
 	for j := range streams[0] {
-		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[0][j], time.Now())
-		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[1][j], time.Now())
+		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[0][j], n.mono())
+		n.datagram(n.shards[0], "10.0.0.9:7000", nil, nil, streams[1][j], n.mono())
 	}
 	for i, sink := range sinks {
 		got, ok := sink.Recv(5 * time.Second)

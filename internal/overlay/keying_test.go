@@ -542,7 +542,7 @@ func TestRxShardMemoisesTenantSLI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, s, at := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2)), n.shards[0], time.Now()
+	f, s, at := testFrame(ethernet.LocalMAC(1), ethernet.LocalMAC(2)), n.shards[0], n.mono()
 	deliver := func(i int) {
 		n.routeTenantAt(f, nil, false, tenants[i])
 		n.sampleRx(s, tenants[i], 1, at)

@@ -995,7 +995,7 @@ func (n *Node) readLoop(inst *supervise.Instance, s *rxShard) {
 			return
 		}
 		inst.Working()
-		at := time.Now()
+		at := n.mono()
 		datagrams := 0
 		for _, p := range batch[:cnt] {
 			datagrams += n.receive(s, p, at, &attr)
@@ -1013,7 +1013,7 @@ func (n *Node) readLoop(inst *supervise.Instance, s *rxShard) {
 // GRO will put a peer's probe behind its data when they share a flow.
 // p.pkt is borrowed for the call. Returns how many datagrams the read
 // held.
-func (n *Node) receive(s *rxShard, p rxPacket, at time.Time, attr *rxAttrib) (datagrams int) {
+func (n *Node) receive(s *rxShard, p rxPacket, at time.Duration, attr *rxAttrib) (datagrams int) {
 	// The socket's overflow count only grows (u32, compared wrap-safe):
 	// whoever moves the worker's copy of it forward charges the difference,
 	// so a superseded instance finishing an old batch late charges nothing.

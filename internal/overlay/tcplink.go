@@ -145,7 +145,7 @@ func (n *Node) readTCP(c *tcpConn, lk *link) {
 		if err != nil {
 			return
 		}
-		at := time.Now()
+		at := n.mono()
 		if lk != nil { // inbound accepted conns have no link to attribute to
 			lk.bytesRecv.Add(uint64(4 + len(pkt))) // the length prefix and the datagram
 		}

@@ -143,7 +143,7 @@ func newNodeMetrics(reg *telemetry.Registry) *nodeMetrics {
 			"Frame-in to datagram-out latency for locally originated frames hitting a link: one sample per frame, valued per batch (the wait of the batch's oldest frame).",
 			telemetry.LatencyBuckets),
 		rxLatency: reg.Histogram("vnetp_rx_latency_seconds",
-			"Datagram-in to frame-delivery latency on the receive path: one sample per frame, valued per train (read to the train's last frame routed).",
+			"Socket read to routing done on the receive path, for every frame received whether delivered, forwarded onto a link or dropped (no_route, cross_tenant): one sample per frame, valued per train (read to the train's last frame routed).",
 			telemetry.LatencyBuckets),
 
 		panicsRecovered: reg.CounterVec("vnetp_panics_recovered_total",

@@ -73,7 +73,7 @@ func newTenantSLIs(reg *telemetry.Registry) *tenantSLIs {
 		sealRejects: reg.CounterVec("vnetp_tenant_seal_rejects_total",
 			"Sealed datagrams rejected while claiming the tenant's ID.", "tenant"),
 		rxLatency: reg.HistogramVec("vnetp_tenant_rx_latency_seconds",
-			"Receive-path latency for the tenant's delivered traffic: one sample per frame, valued per train.",
+			"Receive-path latency for every frame received in the tenant's namespace, whether delivered, forwarded onto a link or dropped (no_route, cross_tenant): one sample per frame, valued per train.",
 			telemetry.LatencyBuckets, "tenant"),
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"vnetp/internal/supervise"
 	"vnetp/internal/telemetry"
 	"vnetp/internal/trace"
-	"vnetp/internal/virtio"
 )
 
 // txScratch is one batch being built and sent, in add order: the
@@ -436,21 +435,4 @@ func sumLens(dgs [][]byte) uint64 {
 		t += uint64(len(d))
 	}
 	return t
-}
-
-// DrainTX dequeues up to max frames (all if max <= 0) from a virtio TX
-// queue with single-VM-exit batch semantics and routes them into the
-// overlay via SendBatch. buf is an optional reusable scratch slice so a
-// polling VMM loop allocates nothing per drain. Returns how many frames
-// were drained (routing errors are aggregated, not counted out).
-func (ep *Endpoint) DrainTX(q *virtio.Queue, buf []*ethernet.Frame, max int) (int, error) {
-	frames := q.PopBatchInto(buf[:0], max)
-	if len(frames) == 0 {
-		return 0, nil
-	}
-	err := ep.SendBatch(frames)
-	for i := range frames {
-		frames[i] = nil
-	}
-	return len(frames), err
 }

@@ -22,7 +22,6 @@ import (
 	"vnetp/internal/overlay"
 	"vnetp/internal/telemetry"
 	"vnetp/internal/trace"
-	"vnetp/internal/virtio"
 )
 
 // batchNodes builds a sender (cfgA) → receiver (cfgB) pair with one
@@ -121,39 +120,34 @@ func TestBatchedDeliveryTCP(t *testing.T) {
 	}
 }
 
-// TestSendBatchAndDrainTX exercises the virtio-facing batch entry
-// points: a guest TX queue drained with single-exit semantics into
-// SendBatch, everything delivered.
-func TestSendBatchAndDrainTX(t *testing.T) {
+// TestSendBatch pins the batch entry point: 48 frames handed to one
+// SendBatch call are all delivered, each once.
+func TestSendBatch(t *testing.T) {
 	_, _, epA, epB := batchNodes(t,
 		overlay.NodeConfig{},
 		overlay.NodeConfig{}, "udp")
-	q := virtio.NewQueue(64)
 	const frames = 48
-	pushed := 0
-	var scratch []*ethernet.Frame
-	for pushed < frames {
-		for pushed < frames && q.Push(&ethernet.Frame{
+	batch := make([]*ethernet.Frame, frames)
+	for i := range batch {
+		batch[i] = &ethernet.Frame{
 			Dst: epB.MAC(), Src: epA.MAC(), Type: ethernet.TypeTest,
-			Payload: []byte(fmt.Sprintf("drained %02d", pushed)),
-		}) {
-			pushed++
-		}
-		n, err := epA.DrainTX(q, scratch, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			t.Fatal("DrainTX drained nothing from a non-empty queue")
+			Payload: []byte(fmt.Sprintf("batched %02d", i)),
 		}
 	}
+	if err := epA.SendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool, frames)
 	for i := 0; i < frames; i++ {
-		if _, ok := epB.Recv(recvTimeout); !ok {
+		got, ok := epB.Recv(recvTimeout)
+		if !ok {
 			t.Fatalf("frame %d of %d not delivered", i, frames)
 		}
-	}
-	if n, err := epA.DrainTX(q, scratch, 0); n != 0 || err != nil {
-		t.Fatalf("empty drain: n=%d err=%v", n, err)
+		if p := string(got.Payload); seen[p] {
+			t.Fatalf("%q delivered twice", p)
+		} else {
+			seen[p] = true
+		}
 	}
 }
 

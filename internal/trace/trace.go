@@ -5,9 +5,11 @@
 //
 // Two tracers share the Hop/Path model and report renderer:
 //
-//   - Tracer follows frames through the *simulated* datapath on the
-//     sim.Engine clock. Tracing is opt-in per frame: give the frame a
-//     nonzero Tag (ethernet.Frame.Tag) and register it with Watch.
+//   - Tracer follows frames through the *simulated* datapath on the clock
+//     its caller passes to New (the sim engine's time since start), so
+//     this package imports no simulator. Tracing is opt-in per frame:
+//     give the frame a nonzero Tag (ethernet.Frame.Tag) and register it
+//     with Watch.
 //   - LiveTracer (live.go) follows frames through the real overlay
 //     datapath on the wall clock, selected by a 1-in-N sampler or an
 //     explicit per-MAC flow trigger, with trace context carried across
@@ -23,8 +25,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"vnetp/internal/sim"
 )
 
 // Live datapath stage names, in TX→RX order. The wire sits between
@@ -90,17 +90,18 @@ func (p *Path) String() string {
 	return b.String()
 }
 
-// Tracer collects hop records for registered tags on the simulated
-// clock. A nil *Tracer is valid and records nothing, so components can
-// hold one unconditionally.
+// Tracer collects hop records for registered tags on a simulated clock.
+// A nil *Tracer is valid and records nothing, so components can hold one
+// unconditionally.
 type Tracer struct {
-	eng   *sim.Engine
+	now   func() time.Duration
 	paths map[uint64]*Path
 }
 
-// New returns a tracer bound to the engine's clock.
-func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, paths: make(map[uint64]*Path)}
+// New returns a tracer that stamps hops with now, the simulated time
+// since engine start.
+func New(now func() time.Duration) *Tracer {
+	return &Tracer{now: now, paths: make(map[uint64]*Path)}
 }
 
 // Watch registers a tag for recording.
@@ -121,7 +122,7 @@ func (t *Tracer) Record(tag uint64, stage string) {
 	if !ok {
 		return
 	}
-	p.Hops = append(p.Hops, Hop{Stage: stage, At: t.eng.Now().Duration()})
+	p.Hops = append(p.Hops, Hop{Stage: stage, At: t.now()})
 }
 
 // Path returns the recorded journey for a tag (nil if unwatched).

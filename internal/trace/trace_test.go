@@ -5,17 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/lab"
 	"vnetp/internal/phys"
 	"vnetp/internal/sim"
 	"vnetp/internal/trace"
+	"vnetp/internal/vnetpsim"
 )
 
 func TestTracerBasics(t *testing.T) {
 	eng := sim.New()
-	tr := trace.New(eng)
+	tr := trace.New(func() time.Duration { return eng.Now().Duration() })
 	tr.Watch(7)
 	eng.Go("p", func(p *sim.Proc) {
 		tr.Record(7, "a")
@@ -58,8 +58,8 @@ func TestNilTracerSafe(t *testing.T) {
 // the measured Fig. 7.
 func TestDatapathTrace(t *testing.T) {
 	eng := sim.New()
-	c := lab.NewPair(eng, phys.Eth10G, core.DefaultParams())
-	tr := trace.New(eng)
+	c := lab.NewPair(eng, phys.Eth10G, vnetpsim.DefaultParams())
+	tr := trace.New(func() time.Duration { return eng.Now().Duration() })
 	for _, n := range c.Nodes {
 		n.Host.Tracer = tr
 	}

@@ -10,12 +10,12 @@ package vnetu
 import (
 	"time"
 
-	"vnetp/internal/bridge"
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
 	"vnetp/internal/sim"
 	"vnetp/internal/virtio"
 	"vnetp/internal/vmm"
+	"vnetp/internal/vnetpsim"
 )
 
 // TapKind selects the tap interface connecting the VMM to the daemon. The
@@ -43,9 +43,9 @@ func (k TapKind) String() string {
 const vmwareTapExtra = 15 * time.Microsecond
 
 // Daemon is one host's VNET/U daemon plus the VMM tap plumbing to its
-// guest. It exposes the same guest-facing port shape as core.Iface so the
+// guest. It exposes the same guest-facing port shape as vnetpsim.Iface so the
 // simulated network stack can run over either system. On the wire it
-// speaks bridge.EncapMsg — the compatible encapsulation that lets VNET/U
+// speaks vnetpsim.EncapMsg — the compatible encapsulation that lets VNET/U
 // daemons and VNET/P cores interoperate in one overlay (paper Sect. 4.2:
 // "the intent is that VNET/P and VNET/U be interoperable, with VNET/P
 // providing the fast path").
@@ -130,8 +130,8 @@ func (d *Daemon) forward(f *ethernet.Frame, from *Iface) {
 			}
 			d.Forwarded++
 			d.nextID++
-			msg := bridge.NewEncapMsg(f, d.nextID)
-			wire := f.WireLen() + bridge.OuterOverhead
+			msg := vnetpsim.NewEncapMsg(f, d.nextID)
+			wire := f.WireLen() + vnetpsim.OuterOverhead
 			// Socket send: user->kernel crossing + host stack + DMA.
 			d.Host.Eng.Schedule(m.HostStackPerPacket, func() {
 				d.Host.MemCopy(wire, func() {
@@ -146,7 +146,7 @@ func (d *Daemon) forward(f *ethernet.Frame, from *Iface) {
 // the daemon thread (kernel/user crossing + wakeup), then the tap write
 // into the VMM and the guest injection.
 func (d *Daemon) receive(pkt *vmm.WirePacket) {
-	msg, ok := pkt.Payload.(*bridge.EncapMsg)
+	msg, ok := pkt.Payload.(*vnetpsim.EncapMsg)
 	if !ok || msg.N != 1 {
 		// VNET/U guests use standard MTUs; fragmented jumbo datagrams
 		// from a VNET/P peer exceed what this daemon's guests accept.
@@ -171,7 +171,7 @@ func (d *Daemon) receive(pkt *vmm.WirePacket) {
 }
 
 // Iface is a guest NIC attached to a VNET/U daemon. Methods mirror
-// core.Iface so netstack ports work over both.
+// vnetpsim.Iface so netstack ports work over both.
 type Iface struct {
 	Name string
 	VM   *vmm.VM
