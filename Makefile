@@ -97,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAggregate -fuzztime=10s ./internal/bridge
 	$(GO) test -run=^$$ -fuzz=FuzzSealOpen -fuzztime=10s ./internal/seal
 	$(GO) test -run=^$$ -fuzz=FuzzFlowKey -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzFlowStats -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFlowCache -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzProbePayload -fuzztime=10s ./internal/overlay
 	$(GO) test -run=^$$ -fuzz=FuzzNextSegment -fuzztime=10s ./internal/overlay

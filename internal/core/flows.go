@@ -26,8 +26,12 @@ type Flow struct {
 
 // Add counts one packet of n bytes into the flow and returns the new
 // packet count. Bytes are added first, so whoever observes packet count
-// p also observes at least p packets' bytes.
+// p also observes at least p packets' bytes. A nil flow — one
+// FlowStats.Acquire did not admit — counts nothing and returns 0.
 func (f *Flow) Add(n int) uint64 {
+	if f == nil {
+		return 0
+	}
 	atomic.AddUint64(&f.Bytes, uint64(n))
 	return atomic.AddUint64(&f.Packets, 1)
 }
@@ -40,12 +44,23 @@ type flowKey struct{ src, dst ethernet.MAC }
 // about, stay).
 const maxTrackedFlows = 4096
 
+// admitEvery is the sample-and-hold rate of a full table (Estan and
+// Varghese, "New Directions in Traffic Measurement and Accounting",
+// SIGCOMM 2002): a flow the table does not hold is admitted with
+// probability 1/admitEvery per Acquire, and counted exactly from then
+// on. A flow of n frames stays out with probability
+// (1-1/admitEvery)^n — 1.6 % at 64 frames, about 1e-28 at 1 000 — while
+// a MAC scan's one-frame flows allocate and evict for one Acquire in
+// admitEvery instead of every one. The draw is random, not a counter, so
+// a periodic sender cannot keep falling between admissions.
+const admitEvery = 16
+
 // evictSample is how many resident flows an eviction inspects: the
 // lightest of the sample goes. Acquire runs whenever a flow-cache entry
-// meets a new source, and a MAC scan makes nearly every call an eviction,
-// so the cost must not grow with the table. A flow is evicted only when it
-// is the lightest of evictSample residents (a run of slots from a random
-// start), which a heavy flow among light ones never is.
+// meets a new source, and under a MAC scan one call in admitEvery is an
+// eviction, so the cost must not grow with the table. A flow is evicted
+// only when it is the lightest of evictSample residents (a run of slots
+// from a random start), which a heavy flow among light ones never is.
 const evictSample = 8
 
 // flowStatShards is the number of independently locked accounting
@@ -71,8 +86,10 @@ type flowStatShard struct {
 // FlowStats accumulates per-flow traffic counters. Safe for concurrent
 // use (the real-socket overlay records from socket goroutines); sharded
 // so concurrent senders on distinct flows do not contend. The capacity
-// bound and light-flow eviction apply per shard, which preserves the
-// intent (heavy flows survive) while keeping evictions local.
+// bound, sample-and-hold admission and light-flow eviction apply per
+// shard, which preserves the intent (heavy flows get in and stay) while
+// keeping evictions local. A held flow's counts are exact from its
+// admission; what a flow sent before it was admitted is not counted.
 type FlowStats struct {
 	shards [flowStatShards]flowStatShard
 }
@@ -100,37 +117,54 @@ func (fs *FlowStats) shardOf(k flowKey) *flowStatShard {
 	return &fs.shards[h&uint32(flowStatShards-1)]
 }
 
-// Record adds one packet of n bytes to the flow.
+// Record adds one packet of n bytes to the flow, and counts nothing when
+// a full table does not admit it (Acquire).
 func (fs *FlowStats) Record(src, dst ethernet.MAC, n int) {
 	fs.Acquire(src, dst).Add(n)
 }
 
-// Acquire returns the live accounting entry for a flow, inserting (and
-// evicting, at capacity) as needed, without counting anything. Callers
-// may retain the pointer and count into it with Flow.Add — the
-// overlay's flow cache does exactly that, so a cache hit accounts its
-// frame with two atomic adds instead of a hash + lock + map probe.
-// A retained pointer whose entry is later evicted (or swept by Reset)
-// keeps counting into the detached object until the holder refreshes;
-// those counts are lost, which matches eviction's semantics — the table
-// is an adaptation sensor, not a ledger.
+// Acquire returns the live accounting entry for a flow, without counting
+// anything. A held flow is returned as is. A new one is inserted while
+// its shard has room; at capacity it is admitted with probability
+// 1/admitEvery, evicting the lightest of a sample of residents, and
+// otherwise Acquire returns nil and allocates nothing — a nil *Flow
+// counts nothing (Flow.Add). Callers may retain the pointer and count
+// into it with Flow.Add — the overlay's flow cache does exactly that, so
+// a cache hit accounts its frame with two atomic adds instead of a hash
+// + lock + map probe. A retained pointer whose entry is later evicted (or
+// swept by Reset) keeps counting into the detached object until the
+// holder refreshes; those counts are lost, which matches eviction's
+// semantics — the table is an adaptation sensor, not a ledger.
 func (fs *FlowStats) Acquire(src, dst ethernet.MAC) *Flow {
 	k := flowKey{src, dst}
 	sh := fs.shardOf(k)
 	sh.mu.Lock()
 	f := sh.flows[k]
 	if f == nil {
-		f = &Flow{Src: src, Dst: dst}
-		if len(sh.slots) < maxTrackedFlows/flowStatShards {
-			sh.slots = append(sh.slots, f)
-		} else {
-			i := sh.lightSlotLocked()
-			delete(sh.flows, flowKey{sh.slots[i].Src, sh.slots[i].Dst})
-			sh.slots[i] = f
-		}
-		sh.flows[k] = f
+		f = sh.admitLocked(k)
 	}
 	sh.mu.Unlock()
+	return f
+}
+
+// admitLocked inserts a flow the shard does not hold: while there is
+// room, always; at capacity with probability 1/admitEvery, in the place
+// of the lightest of a sample of residents. It returns nil, having
+// allocated nothing, when it does not admit the flow.
+func (sh *flowStatShard) admitLocked(k flowKey) *Flow {
+	full := len(sh.slots) >= maxTrackedFlows/flowStatShards
+	if full && rand.Uint32N(admitEvery) != 0 {
+		return nil
+	}
+	f := &Flow{Src: k.src, Dst: k.dst}
+	if full {
+		i := sh.lightSlotLocked()
+		delete(sh.flows, flowKey{sh.slots[i].Src, sh.slots[i].Dst})
+		sh.slots[i] = f
+	} else {
+		sh.slots = append(sh.slots, f)
+	}
+	sh.flows[k] = f
 	return f
 }
 
@@ -197,7 +231,7 @@ func (fs *FlowStats) Reset() {
 	}
 }
 
-// Len reports the number of tracked flows.
+// Len reports the number of tracked flows (at most maxTrackedFlows).
 func (fs *FlowStats) Len() int {
 	total := 0
 	for i := range fs.shards {

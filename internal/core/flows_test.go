@@ -159,3 +159,158 @@ func BenchmarkFlowStatsAcquireChurn(b *testing.B) {
 	b.Run("below", func(b *testing.B) { run(b, 0) })
 	b.Run("16x", func(b *testing.B) { run(b, 16*maxTrackedFlows) })
 }
+
+// TestLateFlowAdmittedToFullTable: a flow that starts after every shard
+// has filled is admitted within 1 000 frames, and counted exactly from
+// its admission. While the table does not hold it, each frame admits it
+// with probability 1/admitEvery, so the test fails by chance with
+// probability (15/16)^1000 ≈ 1e-28.
+func TestLateFlowAdmittedToFullTable(t *testing.T) {
+	fs := NewFlowStats()
+	dst := ethernet.LocalMAC(3)
+	for i := 0; fs.Len() < maxTrackedFlows; i++ {
+		fs.Record(ethernet.LocalMAC(uint32(1000+i)), dst, 1)
+	}
+	late := ethernet.LocalMAC(7)
+	frames := 0
+	var fl *Flow
+	for ; fl == nil && frames < 1000; frames++ {
+		fl = fs.Acquire(late, dst)
+	}
+	if fl == nil {
+		t.Fatalf("a late flow was refused %d times in a row", frames)
+	}
+	if fl.Packets != 0 || fl.Bytes != 0 {
+		t.Fatalf("admitted with counts: %+v", fl)
+	}
+	for i := 0; i < 50; i++ {
+		fs.Record(late, dst, 100)
+	}
+	if top := fs.Top(1); top[0].Src != late || top[0].Packets != 50 || top[0].Bytes != 5000 {
+		t.Fatalf("top = %+v, want the late flow's 50 packets since admission", top[0])
+	}
+	if got := fs.Len(); got != maxTrackedFlows {
+		t.Fatalf("len = %d, want %d", got, maxTrackedFlows)
+	}
+}
+
+// FuzzFlowStats is an op-machine over FlowStats checked against a shadow
+// model of the entries Acquire handed out. Each op is a byte pair (op,
+// operand):
+//
+//	0  Acquire a flow named by the operand and count a frame into it, as
+//	   a flow-cache miss does;
+//	1  count a frame through the entry last handed out for that flow, as
+//	   a memo hit does;
+//	2  flood: Acquire and count (operand%64+1)*64 fresh one-byte flows;
+//	3  Reset;
+//	4  Top.
+//
+// Invariants: Len never exceeds the capacity; Acquire refuses a flow only
+// when its shard is full; an admitted entry starts at zero and every flow
+// Top lists reads exactly what the model counted into its entry since
+// admission; Top is ordered by bytes and lists every held flow; and a
+// held flow with at least half of all bytes recorded since the last
+// Reset is never evicted by a flood of one-frame flows.
+func FuzzFlowStats(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 1, 1, 0, 40, 4, 0})
+	f.Add([]byte{0, 9, 2, 63, 2, 63, 2, 63, 2, 63, 2, 63, 0, 9, 1, 9, 4, 0, 2, 63, 4, 0})
+	heavy := []byte{}
+	for i := 0; i < 8; i++ {
+		heavy = append(heavy, 2, 63) // fill every shard
+	}
+	for i := 0; i < 40; i++ {
+		heavy = append(heavy, 0, 200, 1, 200) // one flow grows heavy (once admitted)
+	}
+	heavy = append(heavy, 2, 63, 2, 63, 4, 0, 3, 0, 0, 200, 2, 63, 4, 0)
+	f.Add(heavy)
+	const floodDst = 999
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512] // a flood or a Top of a full table costs ~1 ms: bound an input's time
+		}
+		fs := NewFlowStats()
+		type shadow struct {
+			fl             *Flow
+			bytes, packets uint64
+		}
+		model := map[flowKey]*shadow{}
+		var total uint64 // bytes counted into admitted entries since Reset
+		fresh := uint32(1 << 20)
+		held := func(k flowKey, fl *Flow) bool { return fs.shardOf(k).flows[k] == fl }
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := ops[i+1]
+			k := flowKey{ethernet.LocalMAC(uint32(arg % 32)), ethernet.LocalMAC(uint32(100 + arg/32))}
+			n := uint64(arg)*13%1500 + 1
+			switch ops[i] % 5 {
+			case 0:
+				fl := fs.Acquire(k.src, k.dst)
+				if fl == nil {
+					if room := len(fs.shardOf(k).slots); room < maxTrackedFlows/flowStatShards {
+						t.Fatalf("refused %v with %d of %d slots used", k, room, maxTrackedFlows/flowStatShards)
+					}
+					continue
+				}
+				sh := model[k]
+				if sh == nil || sh.fl != fl {
+					if fl.Packets != 0 || fl.Bytes != 0 {
+						t.Fatalf("%v admitted with counts %+v", k, fl)
+					}
+					sh = &shadow{fl: fl}
+					model[k] = sh
+				}
+				fl.Add(int(n))
+				sh.bytes, sh.packets, total = sh.bytes+n, sh.packets+1, total+n
+			case 1:
+				if sh := model[k]; sh != nil {
+					sh.fl.Add(int(n))
+					sh.bytes, sh.packets, total = sh.bytes+n, sh.packets+1, total+n
+				}
+			case 2:
+				var heavy []flowKey
+				for k, sh := range model {
+					if held(k, sh.fl) {
+						heavy = append(heavy, k)
+					}
+				}
+				for j := 0; j < (int(arg)%64+1)*64; j++ {
+					if fs.Acquire(ethernet.LocalMAC(fresh), ethernet.LocalMAC(floodDst)).Add(1) != 0 {
+						total++
+					}
+					fresh++
+				}
+				for _, k := range heavy {
+					if sh := model[k]; 2*sh.bytes >= total && !held(k, sh.fl) {
+						t.Fatalf("%v with %d of %d bytes evicted by one-frame flows", k, sh.bytes, total)
+					}
+				}
+			case 3:
+				fs.Reset()
+				model, total = map[flowKey]*shadow{}, 0
+			case 4:
+				top := fs.Top(0)
+				if len(top) != fs.Len() {
+					t.Fatalf("Top lists %d flows, Len %d", len(top), fs.Len())
+				}
+				for j, fl := range top {
+					if j > 0 && fl.Bytes > top[j-1].Bytes {
+						t.Fatalf("Top out of order at %d: %d after %d bytes", j, fl.Bytes, top[j-1].Bytes)
+					}
+					if fl.Dst == ethernet.LocalMAC(floodDst) {
+						if fl.Packets != 1 || fl.Bytes != 1 {
+							t.Fatalf("flood flow %+v, want 1 packet of 1 byte", fl)
+						}
+						continue
+					}
+					sh := model[flowKey{fl.Src, fl.Dst}]
+					if sh == nil || fl.Bytes != sh.bytes || fl.Packets != sh.packets {
+						t.Fatalf("Top reads %+v, model %+v", fl, sh)
+					}
+				}
+			}
+			if got := fs.Len(); got > maxTrackedFlows {
+				t.Fatalf("len = %d, capacity %d", got, maxTrackedFlows)
+			}
+		}
+	})
+}

@@ -43,7 +43,8 @@ type TopFlows struct {
 	m  map[FlowKey]*Flow
 
 	// floor is the lightest candidate's byte count at the last scan.
-	// Counters only grow and membership changes only under mu, so it
+	// Counters only grow, membership changes only under mu, and a
+	// candidate that follows a new, lighter entry lowers it, so it
 	// never exceeds the current minimum: an offer at or below it is
 	// lighter than every candidate and is refused without scanning.
 	floor uint64
@@ -58,18 +59,28 @@ func NewTopFlows(k int) *TopFlows {
 	return &TopFlows{k: k, m: make(map[FlowKey]*Flow, k)}
 }
 
-// Offer proposes a flow for candidacy. Present flows are a no-op
-// (their live counters are already tracked); with room the flow is
-// admitted; at capacity it replaces the current minimum-bytes candidate
-// if it is heavier (space-saving replacement on live readings), and is
-// refused in O(1) when it is no heavier than the recorded floor.
+// Offer proposes a flow for candidacy. A present flow offered with its
+// current accounting entry is a no-op (its live counters are already
+// tracked); offered with another — FlowStats dropped the flow and
+// admitted it again — the candidate follows the new entry, since
+// FlowStats is the truth and the old entry counts no more. With room the
+// flow is admitted; at capacity it replaces the current minimum-bytes
+// candidate if it is heavier (space-saving replacement on live
+// readings), and is refused in O(1) when it is no heavier than the
+// recorded floor.
 func (t *TopFlows) Offer(key FlowKey, fl *Flow) {
 	if fl == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.m[key]; ok {
+	if old, ok := t.m[key]; ok {
+		if old != fl {
+			t.m[key] = fl
+			if b := atomic.LoadUint64(&fl.Bytes); b < t.floor {
+				t.floor = b
+			}
+		}
 		return
 	}
 	if len(t.m) >= t.k {

@@ -40,10 +40,18 @@ func TestTopFlowsOrderAndLiveCounts(t *testing.T) {
 	if top[0].Key != topkKey(0) || top[0].Bytes != 10_100 {
 		t.Fatalf("live top[0] = %+v", top[0])
 	}
-	// Re-offering a present key is a no-op.
-	tf.Offer(topkKey(0), &Flow{})
+	// Re-offering a present key with its own entry is a no-op.
+	tf.Offer(topkKey(0), flows[0])
 	if got := tf.Top(1)[0].Bytes; got != 10_100 {
 		t.Fatalf("re-offer replaced live entry: bytes = %d", got)
+	}
+	// Re-offering it with a new entry (FlowStats re-admitted the flow)
+	// follows the new entry.
+	fresh := &Flow{Bytes: 7, Packets: 1}
+	tf.Offer(topkKey(0), fresh)
+	atomic.AddUint64(&fresh.Bytes, 5)
+	if got := tf.Top(0); len(got) != 4 || got[3].Key != topkKey(0) || got[3].Bytes != 12 {
+		t.Fatalf("re-admitted flow not followed: %+v", got)
 	}
 }
 

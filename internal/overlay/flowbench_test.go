@@ -16,7 +16,7 @@ import (
 // routing stage into local endpoints, cached vs uncached (the ablation
 // NodeConfig.FlowCacheDisabled exists for). The uncached path pays the
 // tenant-table resolve and a rule scan under the table's read lock per
-// frame; the cached path pays one flow-cache shard read.
+// frame; the cached path pays one flow-cache slot read.
 func BenchmarkOverlayFlowCache(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

@@ -6,9 +6,18 @@
 // destination is one entry however many sources talk to it — and
 // (tenant, srcMAC, dstMAC) while any does. A hit resolves the endpoint
 // or link — and through the link its seal context, header template and
-// transport — in one sharded map read: no tenant-table lookup, no rule
-// scan, no node mutex. A miss costs one resolve (resolveFlow) plus that
-// same hit path: every unicast frame is forwarded by flowHit.
+// transport — in one array read: one atomic load of the key's slot and a
+// compare of the entry's key and epoch. No lock, no map, no tenant-table
+// lookup, no rule scan, no node mutex, and no write to a node-wide word.
+// A miss costs one resolve (resolveFlow) plus that same hit path: every
+// unicast frame is forwarded by flowHit.
+//
+// The cache is direct-mapped: a key has one slot, and a store displaces
+// whatever the slot held. Two live keys hashing to one slot evict each
+// other on every alternation, where a hashed map would hold both; with
+// flowCacheSize slots and the handful of destinations a node forwards
+// to, that conflict is rare, and it costs a resolve, never a wrong
+// answer.
 //
 // Correctness rests on epoch-based invalidation: the node keeps a
 // single atomic flow epoch, and every event that can change a
@@ -30,7 +39,6 @@
 package overlay
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"vnetp/internal/core"
@@ -38,27 +46,30 @@ import (
 	"vnetp/internal/trace"
 )
 
-// flowCacheSize is the total entry capacity across all shards: generous
+// flowCacheSize is the cache's slot count, a power of two: generous
 // for the paper's VM-pair working sets while bounding a MAC-scan's
 // memory.
 const flowCacheSize = 16384
 
-// flowShards is the number of independent cache segments, hashed by
-// the packed flow key. Power of two for cheap masking.
-const flowShards = 16
-
 // flowEntry is one cached forwarding decision: whose frame it is, where
 // it goes, and the handles that account it. Nothing in it is mutable but
-// fl, nor a copy of anything that is — a link's transport state is read
-// through the link's own atomics at send time. Never copied by value.
+// fl and hits, nor a copy of anything that is — a link's transport state
+// is read through the link's own atomics at send time. Never copied by
+// value.
 type flowEntry struct {
-	epoch  uint64 // flow epoch observed before the backing lookup
+	key    core.FlowKey // the cache key it was stored under
+	epoch  uint64       // flow epoch observed before the backing lookup
 	tenant uint32
 
 	// fl memoises the live accounting entry (core.FlowStats.Acquire) of
-	// the last local source through this decision: its next frame accounts
-	// with two atomic adds, another source's acquires and takes the slot.
+	// the last admitted local source through this decision: its next
+	// frame accounts with two atomic adds, another source's acquires and,
+	// when the table admits it, takes the slot.
 	fl atomic.Pointer[core.Flow]
+
+	// hits counts the lookups this entry answered, so a hit writes the
+	// entry it read and no node-wide counter.
+	hits atomic.Uint64
 
 	// sli is the flow tenant's per-tenant indicator handles, resolved
 	// at fill time so hits account tenant traffic with atomic adds.
@@ -71,80 +82,72 @@ type flowEntry struct {
 	lk *link
 }
 
-// flowShard is one cache segment. The map is read under the shard
-// read-lock on every hit; fills and evictions take the write lock.
-type flowShard struct {
-	mu sync.RWMutex
-	m  map[core.FlowKey]*flowEntry
-}
-
-// flowCache is the node's per-flow forwarding cache: flowShards
-// independent segments plus atomic counters the telemetry funcs read.
-// Invalidation is implicit (epoch mismatch on read) — a bump costs one
-// atomic add no matter how many entries it retires; stale entries are
-// overwritten on refill or evicted by the capacity bound.
+// flowCache is the node's per-flow forwarding cache: a power-of-two
+// array of slots, one per FlowKey.Shard value, plus the counters the
+// telemetry funcs read. Invalidation is implicit (epoch mismatch on
+// read) — a bump costs one atomic add no matter how many entries it
+// retires; stale entries are overwritten on refill.
 type flowCache struct {
-	shards   [flowShards]flowShard
-	perShard int // entry cap per shard
+	slots []atomic.Pointer[flowEntry]
 
+	// hits is the hit count of the entries displaced so far; the resident
+	// entries carry the rest (FlowCacheStats adds them up).
 	hits, misses, evictions atomic.Uint64
 }
 
-func newFlowCache(total int) *flowCache {
-	per := total / flowShards
-	if per < 1 {
-		per = 1
+// newFlowCache returns a cache of size slots, rounded up to a power of
+// two.
+func newFlowCache(size int) *flowCache {
+	n := 1
+	for n < size {
+		n <<= 1
 	}
-	c := &flowCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[core.FlowKey]*flowEntry)
-	}
-	return c
+	return &flowCache{slots: make([]atomic.Pointer[flowEntry], n)}
 }
 
-// lookup returns the entry for k if it exists and is current at epoch;
-// a missing or stale entry is a miss.
+// lookup returns the entry for k if its slot holds one for k that is
+// current at epoch; anything else is a miss.
 func (c *flowCache) lookup(k core.FlowKey, epoch uint64) *flowEntry {
-	sh := &c.shards[k.Shard(flowShards)]
-	sh.mu.RLock()
-	e := sh.m[k]
-	sh.mu.RUnlock()
-	if e == nil || e.epoch != epoch {
+	e := c.slots[k.Shard(len(c.slots))].Load()
+	if e == nil || e.key != k || e.epoch != epoch {
 		c.misses.Add(1)
 		return nil
 	}
-	c.hits.Add(1)
+	e.hits.Add(1)
 	return e
 }
 
-// store installs (or refreshes) k's entry. At capacity one resident
-// entry is evicted — arbitrary victim, counted; the epoch check on
-// read makes victim choice a pure performance question.
+// store installs e as k's entry, displacing whatever k's slot held. A
+// displaced entry of another key is an eviction; a displaced entry's
+// hits move to the cache's total.
 func (c *flowCache) store(k core.FlowKey, e *flowEntry) {
-	sh := &c.shards[k.Shard(flowShards)]
-	sh.mu.Lock()
-	if _, resident := sh.m[k]; !resident && len(sh.m) >= c.perShard {
-		for victim := range sh.m {
-			delete(sh.m, victim)
-			c.evictions.Add(1)
-			break
-		}
+	e.key = k
+	old := c.slots[k.Shard(len(c.slots))].Swap(e)
+	if old == nil {
+		return
 	}
-	sh.m[k] = e
-	sh.mu.Unlock()
+	c.hits.Add(old.hits.Load())
+	if old.key != k {
+		c.evictions.Add(1)
+	}
 }
 
-// entries reports the resident entry count (current and stale alike —
-// stale entries still occupy capacity until overwritten or evicted).
-func (c *flowCache) entries() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		total += len(sh.m)
-		sh.mu.RUnlock()
+// stats walks the slots: the hits of the displaced entries plus those of
+// the resident ones, and the resident entry count (current and stale
+// alike — a stale entry still occupies its slot until overwritten). A
+// hit that lands on an entry after it was displaced is not counted, and
+// a store racing the walk may be seen on either side of it, so a
+// concurrent reading can be off by the hits of the entries displaced
+// meanwhile.
+func (c *flowCache) stats() (hits uint64, entries int) {
+	hits = c.hits.Load()
+	for i := range c.slots {
+		if e := c.slots[i].Load(); e != nil {
+			hits += e.hits.Load()
+			entries++
+		}
 	}
-	return total
+	return hits, entries
 }
 
 // bumpFlowEpoch retires every cached flow decision. Called from every
@@ -154,13 +157,16 @@ func (c *flowCache) entries() int {
 func (n *Node) bumpFlowEpoch() { n.flowEpoch.Add(1) }
 
 // FlowCacheStats reports the flow cache's counters and occupancy
-// (zeroes when the cache is disabled).
+// (zeroes when the cache is disabled). Hits are counted in the entries
+// that answered them and summed here: a hit that lands on an entry after
+// the entry was displaced is not counted.
 func (n *Node) FlowCacheStats() (hits, misses, evictions uint64, entries int) {
 	fc := n.fcache
 	if fc == nil {
 		return 0, 0, 0, 0
 	}
-	return fc.hits.Load(), fc.misses.Load(), fc.evictions.Load(), fc.entries()
+	hits, entries = fc.stats()
+	return hits, fc.misses.Load(), fc.evictions.Load(), entries
 }
 
 // FlowEpoch exposes the current flow epoch (tests pin that specific
@@ -241,14 +247,15 @@ func (n *Node) resolveDest(e *flowEntry, d core.Destination) {
 
 // flowHit forwards one unicast frame from a decision — the hot path,
 // and the only one: cached, just resolved, or transient. A locally
-// originated frame is charged to its tenant and flow here, whatever
-// becomes of it.
+// originated frame is charged to its tenant here, whatever becomes of
+// it, and to its flow when FlowStats holds the flow.
 func (n *Node) flowHit(e *flowEntry, key core.FlowKey, f *ethernet.Frame, from *Endpoint, sample bool) {
 	if from != nil {
 		fl := e.fl.Load()
 		if fl == nil || fl.Src != f.Src {
-			fl = n.flows.Acquire(f.Src, f.Dst)
-			e.fl.Store(fl)
+			if fl = n.flows.Acquire(f.Src, f.Dst); fl != nil {
+				e.fl.Store(fl) // an unadmitted source leaves the memo to the last admitted one
+			}
 		}
 		n.countOut(e.sli, fl, key, f)
 	}

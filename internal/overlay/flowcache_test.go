@@ -2,6 +2,9 @@ package overlay
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,16 +16,19 @@ import (
 
 // TestFlowCacheUnit pins the cache's mechanical contract: store/lookup
 // round-trips at the fill epoch, a stale epoch misses, refills at the
-// new epoch hit again, and the per-shard capacity bound evicts (and
-// counts) rather than growing without bound.
+// new epoch hit again, a hit is counted in its entry and survives the
+// entry's displacement in the total, and a slot holds one key: a store
+// of another key on the same slot displaces (and counts an eviction)
+// rather than growing the cache, and the displaced key then misses.
 func TestFlowCacheUnit(t *testing.T) {
-	c := newFlowCache(flowShards) // one entry per shard
+	const size = 16
+	c := newFlowCache(size)
 	k := core.FlowKey{Tenant: 7, Src: ethernet.LocalMAC(1), Dst: ethernet.LocalMAC(2)}
 	if e := c.lookup(k, 0); e != nil {
 		t.Fatal("hit on empty cache")
 	}
 	c.store(k, &flowEntry{epoch: 0, tenant: 7})
-	if e := c.lookup(k, 0); e == nil || e.tenant != 7 {
+	if e := c.lookup(k, 0); e == nil || e.tenant != 7 || e.key != k {
 		t.Fatalf("lookup after store = %+v", e)
 	}
 	if e := c.lookup(k, 1); e != nil {
@@ -32,21 +38,32 @@ func TestFlowCacheUnit(t *testing.T) {
 	if e := c.lookup(k, 1); e == nil {
 		t.Fatal("refill at new epoch missed")
 	}
-	hits, misses, _, entries := c.hits.Load(), c.misses.Load(), c.evictions.Load(), c.entries()
-	if hits != 2 || misses != 2 || entries != 1 {
+	hits, entries := c.stats()
+	if misses := c.misses.Load(); hits != 2 || misses != 2 || entries != 1 {
 		t.Fatalf("hits=%d misses=%d entries=%d, want 2/2/1", hits, misses, entries)
 	}
-	// Hammer one shard past its capacity (1): every colliding insert
-	// evicts the resident entry.
-	shard := k.Shard(flowShards)
+	if got := c.evictions.Load(); got != 0 {
+		t.Fatalf("a refill of the same key counted %d evictions", got)
+	}
+	// Keys that share k's slot: every store displaces the resident entry
+	// and counts an eviction, and the displaced key misses.
+	slot := k.Shard(size)
+	prev := k
 	inserted := 0
 	for i := uint32(0); i < 4096 && inserted < 8; i++ {
 		k2 := core.FlowKey{Tenant: i, Src: ethernet.LocalMAC(3), Dst: ethernet.LocalMAC(4)}
-		if k2.Shard(flowShards) != shard || k2 == k {
+		if k2.Shard(size) != slot || k2 == k {
 			continue
 		}
 		c.store(k2, &flowEntry{epoch: 1, tenant: i})
 		inserted++
+		if e := c.lookup(prev, 1); e != nil {
+			t.Fatalf("displaced key %v still hits: %+v", prev, e)
+		}
+		if e := c.lookup(k2, 1); e == nil || e.tenant != i {
+			t.Fatalf("stored key %v missed: %+v", k2, e)
+		}
+		prev = k2
 	}
 	if inserted == 0 {
 		t.Fatal("no colliding keys found")
@@ -54,9 +71,132 @@ func TestFlowCacheUnit(t *testing.T) {
 	if got := c.evictions.Load(); got != uint64(inserted) {
 		t.Fatalf("evictions = %d, want %d", got, inserted)
 	}
-	if got := c.entries(); got > flowShards {
-		t.Fatalf("entries = %d, exceeds capacity %d", got, flowShards)
+	hits, entries = c.stats()
+	if want := uint64(2 + inserted); hits != want {
+		t.Fatalf("hits = %d, want %d: a displaced entry's hits were lost", hits, want)
 	}
+	if entries != 1 {
+		t.Fatalf("entries = %d, want the slot's one resident", entries)
+	}
+	for i := uint32(0); i < 4*size; i++ {
+		c.store(core.FlowKey{Tenant: i, Dst: ethernet.LocalMAC(5)}, &flowEntry{epoch: 1, tenant: i})
+	}
+	if _, entries := c.stats(); entries > size {
+		t.Fatalf("entries = %d, exceeds capacity %d", entries, size)
+	}
+}
+
+// TestTopFlowsFollowReadmittedFlow: LIST FLOWS counts a flow through the
+// entry FlowStats counts it in. Here FlowStats drops the flow (Reset) and
+// admits it again when the refilled cache entry acquires it; the
+// heavy-hitter candidate must follow the new entry, not keep reading the
+// old one, which no frame counts into any more.
+func TestTopFlowsFollowReadmittedFlow(t *testing.T) {
+	n := dropNode(t, NodeConfig{})
+	tx, err := n.AttachEndpoint("tx", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := n.AttachEndpoint("sink", ethernet.LocalMAC(2), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFrame(tx.MAC(), sink.MAC())
+	send := func(frames int) {
+		t.Helper()
+		for i := 0; i < frames; i++ {
+			if err := tx.Send(f); err != nil {
+				t.Fatal(err)
+			}
+			sink.TryRecv()
+		}
+	}
+	send(5)
+	n.flows.Reset()
+	n.bumpFlowEpoch()
+	send(7)
+	if top := n.flows.Top(0); len(top) != 1 || top[0].Packets != 7 {
+		t.Fatalf("FlowStats = %v, want one flow of 7 packets", top)
+	}
+	hh := n.TopFlowEntries()[core.DefaultTenant]
+	if len(hh) != 1 || hh[0].Packets != 7 || hh[0].Bytes != uint64(7*f.Len()) {
+		t.Fatalf("heavy hitters = %+v, want the flow's 7 packets since its re-admission", hh)
+	}
+}
+
+// TestChurnSendAllocs bounds what a frame from a source FlowStats has
+// never seen allocates once the table is full. Sample-and-hold admits
+// one such flow in 16 (core's admitEvery), so a churning source costs at
+// most 0.15 allocations per Send through a cached destination, where
+// allocating a Flow for every frame read about 1. On the no_route drop
+// path a flood of random destinations allocates no more per frame than
+// a repeat of one resident flow: both pay the same drop, and neither a
+// Flow.
+func TestChurnSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool sheds what the link's sender returns")
+	}
+	const perRun, runs = 100, 20 // 2 000 measured sources per case
+	n := dropNode(t, NodeConfig{})
+	tx, err := n.AttachEndpoint("tx", ethernet.LocalMAC(1), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}) // never read: the kernel sheds
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	if err := n.AddLink("wire", peer.LocalAddr().String(), "udp"); err != nil {
+		t.Fatal(err)
+	}
+	dst, unrouted := ethernet.LocalMAC(2), ethernet.LocalMAC(3)
+	if err := n.AddRoute(core.Route{DstMAC: dst, DstQual: core.QualExact, SrcQual: core.QualAny,
+		Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n.flows.Acquire(tx.MAC(), unrouted) == nil {
+		t.Fatal("an empty FlowStats refused a flow")
+	}
+	for i := 0; n.flows.Len() < 4096; i++ {
+		n.flows.Acquire(ethernet.LocalMAC(uint32(1<<24+i)), dst)
+	}
+	lk := n.topo.Load().links["wire"]
+	frames := func(next func(i int) (src, dst ethernet.MAC)) []*ethernet.Frame {
+		fs := make([]*ethernet.Frame, (runs+2)*perRun) // +1 warm-up chunk, +1 for AllocsPerRun's own
+		for i := range fs {
+			fs[i] = testFrame(next(i))
+		}
+		return fs
+	}
+	perSend := func(fs []*ethernet.Frame, settle func()) float64 {
+		next := 0
+		chunk := func() {
+			for j := 0; j < perRun; j++ {
+				tx.Send(fs[next%len(fs)])
+				next++
+			}
+			settle()
+		}
+		chunk() // the first frame fills the cache entry
+		return testing.AllocsPerRun(runs, chunk) / perRun
+	}
+
+	t.Run("cached_destination", func(t *testing.T) {
+		churn := frames(func(i int) (ethernet.MAC, ethernet.MAC) { return ethernet.LocalMAC(uint32(2<<24 + i)), dst })
+		if got := perSend(churn, func() { waitIdle(t, lk) }); got > 0.15 {
+			t.Fatalf("%.3f allocations per Send from never-seen sources, want at most 0.15", got)
+		}
+	})
+	t.Run("no_route", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(43, 1))
+		flood := frames(func(int) (ethernet.MAC, ethernet.MAC) { return tx.MAC(), ethernet.LocalMAC(1<<30 | rng.Uint32()>>2) })
+		repeat := frames(func(int) (ethernet.MAC, ethernet.MAC) { return tx.MAC(), unrouted })
+		base := perSend(repeat, func() {})
+		if got := perSend(flood, func() {}); got > base+0.15 {
+			t.Fatalf("a no_route flood of random destinations allocates %.3f per Send, a resident flow's %.3f: want at most 0.15 more", got, base)
+		}
+	})
 }
 
 // TestFlowEpochBumpEvents pins the full set of node events that must
@@ -433,7 +573,8 @@ func TestFlowCacheObservesFailover(t *testing.T) {
 // entry from an earlier epoch — a stale hit in production is a silent
 // dead-link or cross-tenant delivery, and here also the only thing that
 // keeps an entry of one keying from answering under the other — plus the
-// capacity bound and tenant-key integrity.
+// capacity bound, tenant-key integrity, and the counters: every store
+// that displaces another key is one eviction, and every hit is counted.
 func FuzzFlowCache(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 1, 1, 2}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 3, 2, 3}, uint8(1))
@@ -443,7 +584,19 @@ func FuzzFlowCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, sizeSeed uint8) {
 		size := int(sizeSeed)%64 + 1
 		c := newFlowCache(size)
-		capacity := (size/flowShards + 1) * flowShards // perShard floor is 1
+		capacity := 1 // one entry a slot, size rounded up to a power of two
+		for capacity < size {
+			capacity <<= 1
+		}
+		resident := map[int]core.FlowKey{} // slot -> key of its last store
+		var evictions, hits uint64
+		put := func(k core.FlowKey, e *flowEntry) {
+			if was, ok := resident[k.Shard(capacity)]; ok && was != k {
+				evictions++
+			}
+			resident[k.Shard(capacity)] = k
+			c.store(k, e)
+		}
 		var epoch uint64
 		srcKeyed := true
 		type stored struct {
@@ -463,7 +616,7 @@ func FuzzFlowCache(f *testing.F) {
 			}
 			switch ops[i] % 5 {
 			case 0:
-				c.store(k, &flowEntry{epoch: epoch, tenant: k.Tenant})
+				put(k, &flowEntry{epoch: epoch, tenant: k.Tenant})
 				model[k] = stored{epoch, srcKeyed}
 			case 1:
 				epoch++
@@ -472,6 +625,7 @@ func FuzzFlowCache(f *testing.F) {
 				if e == nil {
 					continue
 				}
+				hits++
 				if e.epoch != epoch {
 					t.Fatalf("stale entry served: entry epoch %d, current %d", e.epoch, epoch)
 				}
@@ -489,14 +643,16 @@ func FuzzFlowCache(f *testing.F) {
 				// The forward path's miss leg: a miss fills, and the very
 				// next lookup is a hit returning that same decision.
 				if c.lookup(k, epoch) != nil {
+					hits++
 					continue
 				}
 				filled := &flowEntry{epoch: epoch, tenant: k.Tenant}
-				c.store(k, filled)
+				put(k, filled)
 				model[k] = stored{epoch, srcKeyed}
 				if got := c.lookup(k, epoch); got != filled {
 					t.Fatalf("hit after fill returned %+v, want the filled entry %+v", got, filled)
 				}
+				hits++
 			case 4:
 				// A source-qualified route appears or vanishes: the other
 				// keying from here on, and the edit's epoch bump.
@@ -504,8 +660,42 @@ func FuzzFlowCache(f *testing.F) {
 				epoch++
 			}
 		}
-		if got := c.entries(); got > capacity {
+		gotHits, got := c.stats()
+		if got > capacity {
 			t.Fatalf("entries = %d, capacity bound %d (size %d)", got, capacity, size)
 		}
+		if gotHits != hits {
+			t.Fatalf("hits = %d, want %d", gotHits, hits)
+		}
+		if got := c.evictions.Load(); got != evictions {
+			t.Fatalf("evictions = %d, want one per displaced key: %d", got, evictions)
+		}
 	})
+}
+
+// BenchmarkFlowCacheLookup is the hit path's cost under parallel
+// senders: one key per goroutine, and every goroutine on one shared key
+// (one destination's entry read from every core).
+func BenchmarkFlowCacheLookup(b *testing.B) {
+	for _, shared := range []bool{false, true} {
+		name := "own_key"
+		if shared {
+			name = "shared_key"
+		}
+		b.Run(name, func(b *testing.B) {
+			c := newFlowCache(flowCacheSize)
+			var lanes atomic.Uint32
+			b.RunParallel(func(pb *testing.PB) {
+				k := core.FlowKey{Dst: ethernet.LocalMAC(1)}
+				if !shared {
+					k.Dst = ethernet.LocalMAC(100 + lanes.Add(1))
+				}
+				for pb.Next() {
+					if c.lookup(k, 0) == nil {
+						c.store(k, &flowEntry{})
+					}
+				}
+			})
+		})
+	}
 }

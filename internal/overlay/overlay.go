@@ -899,11 +899,13 @@ func (n *Node) routeTenantAt(f *ethernet.Frame, from *Endpoint, sample bool, ten
 // the tenant's heavy-hitter set whenever its packet count reaches a
 // power of two: the first frame makes every flow a candidate, and one
 // refused while light (core.TopFlows) is offered again as it grows —
-// O(log packets) offers per flow for one branch per frame.
+// O(log packets) offers per flow for one branch per frame. A nil fl is a
+// flow FlowStats has not admitted: the tenant is charged all the same,
+// and there is no flow to count or offer.
 func (n *Node) countOut(sli *tenantSLI, fl *core.Flow, key core.FlowKey, f *ethernet.Frame) {
 	sli.framesOut.Add(1)
 	sli.bytesOut.Add(uint64(f.Len()))
-	if p := fl.Add(f.Len()); p&(p-1) == 0 {
+	if p := fl.Add(f.Len()); p != 0 && p&(p-1) == 0 {
 		n.offerTopFlow(key, fl)
 	}
 }
