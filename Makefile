@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet vet-bench vet-cross livedeps race drift metrics-index secretcheck verify chaos bench bench-unit e2e-quick fuzz-smoke clean
+.PHONY: build test vet vet-bench vet-cross livedeps race drift metrics-index wire-goldens secretcheck verify chaos bench bench-unit e2e-quick fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ drift:
 metrics-index:
 	$(GO) run ./scripts/driftcheck -write
 
+# Regenerate the wire goldens (internal/bridge/testdata/wire: the bytes of
+# every datagram class the transmit path encodes) from this tree: run it
+# only after changing the wire format on purpose, and commit the files.
+wire-goldens:
+	$(GO) test ./internal/bridge -run TestWireGoldens -update
+
 # Secrets-hygiene gate: tenant AEAD keys and TLS private keys must never
 # reach logs or hex encodings (fingerprints are the approved form).
 secretcheck:
@@ -69,7 +75,7 @@ chaos:
 		-run 'Chaos|Drain|CloseUnderTraffic|Churn|Supervis|Panic|Backoff|Watchdog|Stop|Inject|Daemon|Client|Idempotent' \
 		./internal/overlay ./internal/supervise ./internal/control
 	$(GO) test -race -count=5 -timeout 300s \
-		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|Combiner|BatchedEqualsSync|LeavesAsOneMessage|TracedFrameSplitsBatch|LoneFrameKeepsItsLength|TrainSegmentFaults|RingTeardownKeepsLedger|DropSiteTxTeardown|RingSenderPanicInFlush|RingSenderSupersededInFlush|SendFrameReuse' ./internal/overlay
+		-run 'Train|OffloadRefusal|TransmitAccounting|DropSiteDispatcherRing|HeldFramesSurviveBufferReuse|ReusePortWorkers|KeyingFlipUnderTraffic|SourceScanOccupiesOneEntry|SealedSendersKeepNonceOrder|SealedSendDrawsNoNonce|Combiner|BatchedEqualsSync|LeavesAsOneMessage|TracedFrameSplitsBatch|LoneFrameKeepsItsLength|TrainSegmentFaults|RingTeardownKeepsLedger|DropSiteTxTeardown|RingSenderPanicInFlush|RingSenderSupersededInFlush|SendFrameReuse' ./internal/overlay
 
 # Every testing.B once: a compile-and-run check, not a measurement. The
 # simulated figures are gated by TestFiguresGolden inside `make test`

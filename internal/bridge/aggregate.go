@@ -19,11 +19,12 @@ import (
 // the train into datagrams of exactly the link's budget, only the last
 // one shorter, as it cuts a frame. Each datagram's header carries the
 // aggregate flag, the train id, fragOff = count<<16 | the slice's byte
-// offset, totalLen = the train's length and more-follows; on a sealed
-// link each is sealed under a nonce of its own, like a fragment. A lone
-// frame is a train of one record in one datagram. A traced frame, and a
-// frame whose record does not fit one train, travel alone
-// (EncapsulateSealed / EncapsulateTemplate). The receiver reassembles a
+// offset, totalLen = the train's length and more-follows. On a sealed
+// link the cut leaves each datagram in the clear with room for its tag,
+// and the link's sender seals each under a nonce of its own right before
+// it sends it (SealDatagram), like a fragment. A lone frame is a train of
+// one record in one datagram. A traced frame, and a frame whose record
+// does not fit one train, travel alone (EncapsulateFor). The receiver reassembles a
 // train's slices like a frame's fragments and walks the completed train
 // (WalkAggregate); a train of one datagram needs no reassembly.
 

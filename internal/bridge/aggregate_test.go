@@ -24,7 +24,10 @@ func trainOf(t testing.TB, id uint32, sl LinkSealer, budget int, frames ...*ethe
 		}
 	}
 	var pkt EncapPacket
-	pkt.CutTrain(&agg, id, budget, NewEncapTemplate(sl), sl)
+	pkt.CutTrain(&agg, id, budget, NewEncapTemplate(sl))
+	if sl != nil {
+		pkt.Seal(sl)
+	}
 	out := make([][]byte, len(pkt.Datagrams))
 	for i, d := range pkt.Datagrams {
 		out[i] = append([]byte(nil), d...)
@@ -111,7 +114,10 @@ func TestTrainRoom(t *testing.T) {
 		room := tmpl.TrainRoom(tc.budget)
 		cut := func(n int) (segs, bytes int) {
 			var pkt EncapPacket
-			pkt.CutTrain(&Aggregator{train: make([]byte, n), count: 1}, 1, tc.budget, tmpl, tc.sl)
+			pkt.CutTrain(&Aggregator{train: make([]byte, n), count: 1}, 1, tc.budget, tmpl)
+			if tc.sl != nil {
+				pkt.Seal(tc.sl)
+			}
 			return len(pkt.Datagrams), len(pkt.wire)
 		}
 		if segs, n := cut(room); segs > MaxTrainSegments || n > MaxTrainBytes {

@@ -378,50 +378,32 @@ type EncapPacket struct {
 	wire  []byte // backing storage for every datagram
 }
 
-// Encapsulate is the pooled equivalent of the package-level Encapsulate:
-// it marshals f and splits it into datagrams of at most maxPayload bytes
-// each (header included), reusing buffers from the pool. The returned
-// packet must be Released once every datagram has been handed to (and
-// copied or written by) the transport.
-func (e *Encapsulator) Encapsulate(f *ethernet.Frame, id uint32, maxPayload int) (*EncapPacket, error) {
-	return e.EncapsulateTrace(f, id, maxPayload, nil)
-}
-
-// EncapsulateTrace is Encapsulate with an optional trace extension: when
-// tr is non-nil every produced datagram carries it, so the receive node
-// can continue the sampled packet's trace under the same trace ID. The
-// extension shrinks each fragment's payload budget by EncapTraceLen.
-func (e *Encapsulator) EncapsulateTrace(f *ethernet.Frame, id uint32, maxPayload int, tr *TraceExt) (*EncapPacket, error) {
-	return e.EncapsulateSealed(f, id, maxPayload, tr, nil)
-}
-
-// EncapsulateSealed is EncapsulateTrace with an optional link sealer:
-// when sl is non-nil every fragment carries the seal extension and its
-// payload is encrypted in place in the pooled wire buffer, with the
-// fragment's full wire header bound as associated data. The seal
-// extension and AEAD tag shrink each fragment's payload budget by
-// EncapSealLen+SealOverhead. It marshals the header once, per-fragment
-// fields zero — the one-off equivalent of a link's EncapTemplate, trace
-// extension included — and hands it to the fragment loop
-// EncapsulateTemplate uses.
+// EncapsulateSealed is the pooled Encapsulate: f split into datagrams of
+// at most maxPayload bytes each (header included), every one carrying tr
+// when it is non-nil — so the receive node continues the trace under the
+// same ID — and sealed by sl (Seal) when that is non-nil. Its header is
+// marshalled from an EncapHeader, the one-off equivalent of a link's
+// EncapTemplate. The packet must be Released once the transport has
+// copied or written every datagram.
 func (e *Encapsulator) EncapsulateSealed(f *ethernet.Frame, id uint32, maxPayload int, tr *TraceExt, sl LinkSealer) (*EncapPacket, error) {
 	h := EncapHeader{HasTrace: tr != nil, HasSeal: sl != nil}
-	nonceOff := tmplNonceOff
 	if tr != nil {
 		h.Trace = *tr
-		nonceOff += EncapTraceLen // the trace extension precedes the seal extension
 	}
 	if sl != nil {
 		h.Seal.Tenant = sl.Tenant()
 	}
 	var buf [EncapHeaderLen + EncapTraceLen + EncapSealLen]byte
-	return e.fragment(f, id, maxPayload, h.Marshal(buf[:0]), nonceOff, sl)
+	p, err := e.fragment(f, id, maxPayload, h.Marshal(buf[:0]), sl != nil)
+	if err == nil && sl != nil {
+		p.Seal(sl)
+	}
+	return p, err
 }
 
 // fragment marshals f into a pooled packet and cuts it with the one
 // fragment loop (EncapPacket.cut).
-func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, prefix []byte, nonceOff int, sl LinkSealer) (*EncapPacket, error) {
-	checkRoom(maxPayload, len(prefix), sl)
+func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, prefix []byte, sealed bool) (*EncapPacket, error) {
 	p, _ := e.pool.Get().(*EncapPacket)
 	if p == nil {
 		p = &EncapPacket{owner: e}
@@ -435,66 +417,57 @@ func (e *Encapsulator) fragment(f *ethernet.Frame, id uint32, maxPayload int, pr
 		return nil, err
 	}
 	p.inner = inner
-	p.cut(inner, 0, id, maxPayload, prefix, nonceOff, sl)
+	p.cut(inner, 0, id, maxPayload, prefix, sealed)
 	return p, nil
 }
 
 // CutTrain cuts a's record train into p's datagrams of maxPayload bytes,
-// only the last one shorter, for a link with template tmpl and sealer sl
-// (as for EncapsulateTemplate): the transmit path's encoder for every
-// frame that does not travel alone. a must hold at least one frame and
-// no more than MaxTrainBytes. p is the caller's — its zero value is
-// ready, and it keeps its buffer for the next cut, which overwrites the
-// datagrams; it does not alias a.
-func (p *EncapPacket) CutTrain(a *Aggregator, id uint32, maxPayload int, tmpl *EncapTemplate, sl LinkSealer) {
-	if tmpl.sealed != (sl != nil) {
-		panic("bridge: template/sealer mismatch")
-	}
+// only the last one shorter, for a link with template tmpl: the transmit
+// path's encoder for every frame that does not travel alone. A sealed
+// template's datagrams leave the cut in the clear, to be sealed (Seal)
+// by whoever sends them. a must hold at least one frame and no more than
+// MaxTrainBytes. p is the caller's — its zero value is ready, and it
+// keeps its buffer for the next cut, which overwrites the datagrams; it
+// does not alias a.
+func (p *EncapPacket) CutTrain(a *Aggregator, id uint32, maxPayload int, tmpl *EncapTemplate) {
 	if a.count == 0 || len(a.train) > MaxTrainBytes {
 		panic(fmt.Sprintf("bridge: a train of %d frames, %d bytes", a.count, len(a.train)))
 	}
-	checkRoom(maxPayload, len(tmpl.prefix), sl)
-	p.cut(a.train, a.count, id, maxPayload, tmpl.prefix, tmplNonceOff, sl)
+	p.cut(a.train, a.count, id, maxPayload, tmpl.prefix, tmpl.sealed)
 }
 
-// checkRoom panics when maxPayload leaves a datagram with a header of
-// hdrLen bytes (and a seal tag when sl is non-nil) no room for data: no
-// forward progress would be possible.
-func checkRoom(maxPayload, hdrLen int, sl LinkSealer) {
-	if sl != nil {
-		hdrLen += SealOverhead
-	}
-	if maxPayload <= hdrLen {
-		panic(fmt.Sprintf("bridge: maxPayload %d leaves no room for data", maxPayload))
-	}
-}
+// zeroTag is a sealed datagram's tag room before it is sealed.
+var zeroTag [SealOverhead]byte
 
 // cut is the one fragment loop behind every encoder: it splits data — a
 // marshalled frame, or (frames > 0) a record train of that many frames —
 // into the packet's datagrams of at most maxPayload bytes. Each datagram
 // is a copy of prefix — a marshalled header whose per-fragment fields are
 // zero — patched at fixed offsets with the moreFrags bit (and for a
-// train the aggregate bit), id, fragOff, totalLen and, on a sealed link
-// (sl non-nil), a fresh nonce at nonceOff, then its slice of data,
-// encrypted in place with the header just written as associated data.
-func (p *EncapPacket) cut(data []byte, frames int, id uint32, maxPayload int, prefix []byte, nonceOff int, sl LinkSealer) {
-	hdrLen := len(prefix)
-	perFragOverhead := 0
-	if sl != nil {
-		perFragOverhead = SealOverhead
+// train the aggregate bit), id, fragOff and totalLen, then its slice of
+// data. A sealed prefix keeps its zero nonce, and each datagram ends in
+// SealOverhead zero bytes of room for the tag: the datagrams are whole
+// but in the clear until SealDatagram seals them in place. A maxPayload
+// that leaves no room for data panics: no forward progress is possible.
+func (p *EncapPacket) cut(data []byte, frames int, id uint32, maxPayload int, prefix []byte, sealed bool) {
+	var tagRoom []byte
+	if sealed {
+		tagRoom = zeroTag[:]
 	}
-	chunk := maxPayload - hdrLen - perFragOverhead
+	perFrag := len(prefix) + len(tagRoom)
+	chunk := maxPayload - perFrag
+	if chunk <= 0 {
+		panic(fmt.Sprintf("bridge: maxPayload %d leaves no room for data", maxPayload))
+	}
 	nfrags := max(1, (len(data)+chunk-1)/chunk)
 	flags := byte(0)
 	fragOff := uint32(0)
 	if frames > 0 {
 		flags, fragOff = flagAggregate, uint32(frames)<<aggCountShift
 	}
-	// One contiguous wire buffer holds every fragment (header + slice);
-	// sizing it up front keeps the datagram sub-slices stable. Sealed
-	// fragments grow by the AEAD tag, so reserve that headroom too —
-	// Seal then encrypts in place without reallocating.
-	need := len(data) + nfrags*(hdrLen+perFragOverhead)
+	// One contiguous wire buffer holds every datagram (header, slice, tag
+	// room); sizing it up front keeps the datagram sub-slices stable.
+	need := len(data) + nfrags*perFrag
 	if cap(p.wire) < need {
 		p.wire = make([]byte, 0, need)
 	}
@@ -513,21 +486,35 @@ func (p *EncapPacket) cut(data []byte, frames int, id uint32, maxPayload int, pr
 		binary.BigEndian.PutUint32(hdr[tmplIDOff:], id)
 		binary.BigEndian.PutUint32(hdr[tmplFragOff:], fragOff|uint32(off))
 		binary.BigEndian.PutUint32(hdr[tmplTotalLenOff:], uint32(len(data)))
-		var nonce uint64
-		if sl != nil {
-			nonce = sl.NextNonce()
-			binary.BigEndian.PutUint64(hdr[nonceOff:], nonce)
-		}
-		payloadStart := len(wire)
-		wire = append(wire, data[off:end]...)
-		if sl != nil {
-			ct := sl.Seal(nonce, wire[start:payloadStart], wire[payloadStart:len(wire):need])
-			wire = wire[:payloadStart+len(ct)]
-		}
+		wire = append(append(wire, data[off:end]...), tagRoom...)
 		dgs = append(dgs, wire[start:len(wire):len(wire)])
 	}
 	p.wire = wire
 	p.Datagrams = dgs
+}
+
+// Seal seals, in order, every datagram of a packet cut under a sealed
+// header (SealDatagram).
+func (p *EncapPacket) Seal(sl LinkSealer) {
+	for _, d := range p.Datagrams {
+		SealDatagram(d, sl)
+	}
+}
+
+// SealDatagram seals one datagram a sealed cut left in the clear: it
+// draws a nonce from sl and writes it at the end of the header — whose
+// length the header's own trace flag gives — then encrypts the payload in
+// place into the tag room behind it, with the whole header as associated
+// data. The link's sender calls it right before it transmits, so the
+// nonces a link draws go on the wire in the order they were drawn.
+func SealDatagram(d []byte, sl LinkSealer) {
+	hdrLen := EncapHeaderLen + EncapSealLen
+	if d[tmplFlagsOff]&flagTrace != 0 {
+		hdrLen += EncapTraceLen
+	}
+	nonce := sl.NextNonce()
+	binary.BigEndian.PutUint64(d[hdrLen-8:], nonce) // the nonce ends the seal extension
+	sl.Seal(nonce, d[:hdrLen], d[hdrLen:len(d)-SealOverhead])
 }
 
 // PoolStats reports how many Encapsulate calls were served from the pool

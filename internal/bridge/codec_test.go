@@ -357,7 +357,7 @@ func TestEncapsulateTraceIdentity(t *testing.T) {
 	f := testFrame(4000)
 	tr := &TraceExt{ID: 0xabcdef, Origin: 0x1234}
 	var enc Encapsulator
-	pkt, err := enc.EncapsulateTrace(f, 9, 1400, tr)
+	pkt, err := enc.EncapsulateSealed(f, 9, 1400, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

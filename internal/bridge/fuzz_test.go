@@ -136,7 +136,7 @@ func FuzzEncapDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		var enc Encapsulator
-		pkt, err := enc.Encapsulate(inner, h.ID, maxPayload)
+		pkt, err := enc.EncapsulateSealed(inner, h.ID, maxPayload, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

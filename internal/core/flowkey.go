@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"strconv"
 
 	"vnetp/internal/ethernet"
 )
@@ -26,8 +26,15 @@ type FlowKey struct {
 	Dst    ethernet.MAC
 }
 
+// String formats k as "t<tenant> <src>-><dst>". Every shed frame's ledger
+// detail carries it, so it is built in one buffer on the stack: one
+// allocation, the string's.
 func (k FlowKey) String() string {
-	return fmt.Sprintf("t%d %s->%s", k.Tenant, k.Src, k.Dst)
+	var buf [len("t4294967295 ->") + 2*ethernet.MACStringLen]byte
+	b := strconv.AppendUint(append(buf[:0], 't'), uint64(k.Tenant), 10)
+	b = k.Src.AppendTo(append(b, ' '))
+	b = k.Dst.AppendTo(append(b, "->"...))
+	return string(b)
 }
 
 // Encode packs the key into its canonical 16-byte wire form:

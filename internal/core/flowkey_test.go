@@ -1,10 +1,45 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"vnetp/internal/ethernet"
 )
+
+// fmtFlowKey is FlowKey.String's reference: the fmt form it replaced.
+func fmtFlowKey(k FlowKey) string {
+	mac := func(m ethernet.MAC) string {
+		return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	}
+	return fmt.Sprintf("t%d %s->%s", k.Tenant, mac(k.Src), mac(k.Dst))
+}
+
+var flowKeySink string
+
+// TestFlowKeyStringMatchesFmt: String is byte for byte the fmt form, for
+// the extreme keys and random ones, and it makes one allocation.
+func TestFlowKeyStringMatchesFmt(t *testing.T) {
+	keys := []FlowKey{{}, {Tenant: math.MaxUint32, Src: ethernet.Broadcast, Dst: ethernet.Broadcast}}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		k := FlowKey{Tenant: rng.Uint32() >> rng.Intn(32)}
+		rng.Read(k.Src[:])
+		rng.Read(k.Dst[:])
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		if got, want := k.String(), fmtFlowKey(k); got != want {
+			t.Fatalf("String = %q, fmt form %q", got, want)
+		}
+	}
+	k := keys[len(keys)-1]
+	if a := testing.AllocsPerRun(100, func() { flowKeySink = k.String() }); a > 1 {
+		t.Fatalf("FlowKey.String makes %v allocations, want at most 1", a)
+	}
+}
 
 func TestFlowKeyEncodeDecode(t *testing.T) {
 	keys := []FlowKey{

@@ -25,8 +25,26 @@ func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
 // IsZero reports whether m is the all-zero address.
 func (m MAC) IsZero() bool { return m == MAC{} }
 
+// String formats m as six colon-separated lowercase hex bytes.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var b [MACStringLen]byte
+	return string(m.AppendTo(b[:0]))
+}
+
+// MACStringLen is the length of a MAC's String form.
+const MACStringLen = 17
+
+// AppendTo appends m's String form to b: the one MAC formatter, for
+// callers that build a longer string without a copy per MAC.
+func (m MAC) AppendTo(b []byte) []byte {
+	const hex = "0123456789abcdef"
+	for i, x := range m {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, hex[x>>4], hex[x&0xf])
+	}
+	return b
 }
 
 // ParseMAC parses the colon-separated hex form produced by MAC.String.

@@ -2,6 +2,7 @@ package ethernet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +11,19 @@ func TestMACString(t *testing.T) {
 	m := MAC{0x02, 0x56, 0x00, 0x00, 0x00, 0x01}
 	if got := m.String(); got != "02:56:00:00:00:01" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestMACStringMatchesFmt: String and AppendTo write the fmt form
+// "%02x:…" byte for byte, for any MAC.
+func TestMACStringMatchesFmt(t *testing.T) {
+	f := func(m MAC, prefix []byte) bool {
+		want := fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+		return m.String() == want && len(want) == MACStringLen &&
+			string(m.AppendTo(prefix)) == string(prefix)+want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"vnetp/internal/core"
 	"vnetp/internal/ethernet"
+	"vnetp/internal/supervise"
 )
 
 // TestSealedSendersKeepNonceOrder: four senders share one sealed link,
@@ -125,6 +126,78 @@ func TestSealedSendersKeepNonceOrder(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSealedSendDrawsNoNonce pins where a sealed link seals: in its
+// sender, not in Send. With the sender held short of its flush by an
+// injected stall (well inside the watchdog's patience), thirty 8 900 B
+// frames wait pending — four record trains cut inside add, and a fifth
+// open — and not one nonce has been drawn for them: the next nonce the
+// node's keyring hands out follows the one drawn just before the Sends.
+// Once the stall ends, every frame arrives, in order, with nothing
+// rejected and nothing on either ledger.
+func TestSealedSendDrawsNoNonce(t *testing.T) {
+	const tenant, frames, stall = 7, 30, time.Second
+	key := bytes.Repeat([]byte{0x5e}, 32)
+	tx := dropNode(t, NodeConfig{supervise: supervise.Config{StallTimeout: time.Minute}})
+	rx := dropNode(t, NodeConfig{})
+	for _, n := range []*Node{tx, rx} {
+		if err := n.AddTenant(tenant, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink, err := rx.AttachEndpointTenant("sink", ethernet.LocalMAC(0x99), ethernet.MaxMTU, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := tx.AttachEndpointTenant("src", ethernet.LocalMAC(1), ethernet.MaxMTU, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddLinkTenant("wire", rx.Addr(), "udp", tenant); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddRoute(core.Route{Tenant: tenant, DstMAC: sink.MAC(), DstQual: core.QualExact,
+		SrcQual: core.QualAny, Dest: core.Destination{Type: core.DestLink, ID: "wire"}}); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := tx.keyring.Sealer(tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := tx.topo.Load().links["wire"]
+	before := probe.NextNonce()
+	held := time.Now()
+	tx.Runtime().Worker("tx/wire").InjectStall(stall)
+	for i := 0; i < frames; i++ {
+		p := make([]byte, 8900)
+		binary.BigEndian.PutUint32(p, uint32(i))
+		if err := src.Send(&ethernet.Frame{Dst: sink.MAC(), Src: src.MAC(), Type: ethernet.TypeTest, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := lk.comb.depth(); d != frames {
+		t.Fatalf("%d frames pending behind the held sender, want %d", d, frames)
+	}
+	drawn := probe.NextNonce() - before - 1
+	if time.Since(held) >= stall {
+		t.Fatal("the stall ended before the nonce count was read; nothing was pinned")
+	}
+	if drawn != 0 {
+		t.Fatalf("the Sends drew %d nonces with the sender held, want 0: sealing runs in Send", drawn)
+	}
+	for i := 0; i < frames; i++ {
+		f, ok := sink.Recv(5 * time.Second)
+		if !ok {
+			t.Fatalf("%d of %d frames delivered; drops: sender %v receiver %v", i, frames, tx.ledger.Snapshot(), rx.ledger.Snapshot())
+		}
+		if seq := binary.BigEndian.Uint32(f.Payload); seq != uint32(i) {
+			t.Fatalf("frame %d arrived where %d was due", seq, i)
+		}
+	}
+	if r, lt, lr := rx.ledger.Count(dropSealReject), tx.ledger.Total(), rx.ledger.Total(); r != 0 || lt+lr != 0 {
+		t.Fatalf("seal_reject %d, ledgers %d+%d: want all zero", r, lt, lr)
 	}
 }
 

@@ -160,7 +160,10 @@ func trainDatagrams(t testing.TB, id uint32, sl bridge.LinkSealer, frames ...*et
 		}
 	}
 	var pkt bridge.EncapPacket
-	pkt.CutTrain(&agg, id, maxDatagram, bridge.NewEncapTemplate(sl), sl)
+	pkt.CutTrain(&agg, id, maxDatagram, bridge.NewEncapTemplate(sl))
+	if sl != nil {
+		pkt.Seal(sl)
+	}
 	out := make([][]byte, len(pkt.Datagrams))
 	for i, d := range pkt.Datagrams {
 		out[i] = append([]byte(nil), d...)

@@ -201,16 +201,17 @@ type link struct {
 	tcp       atomic.Pointer[tcpConn]
 
 	// tenant binds the link to one tenant's VNET; sealer is the tenant's
-	// per-link AEAD encryptor (nil on tenant-0 plaintext links — the
-	// interface is only assigned when a concrete sealer exists, so a nil
-	// check is always valid). Both are immutable after AddLink.
+	// per-link AEAD encryptor, which only the link's sender uses (flush),
+	// nil on tenant-0 plaintext links — the interface is only assigned
+	// when a concrete sealer exists, so a nil check is always valid. Both
+	// are immutable after AddLink.
 	tenant uint32
 	sealer bridge.LinkSealer
 
 	// tmpl is the link's prebuilt encapsulation header template (sealed
-	// for tenant links, plain otherwise): the flow cache and the batched
-	// sender stamp per-fragment fields into a memcpy of it instead of
-	// re-marshalling the header per fragment. Immutable after AddLink.
+	// for tenant links, plain otherwise): the encoder stamps per-fragment
+	// fields into a memcpy of it instead of re-marshalling the header per
+	// fragment. Immutable after AddLink.
 	tmpl *bridge.EncapTemplate
 
 	// comb is the link's one batch (txbatch.go); wake is the one-slot
@@ -919,22 +920,13 @@ func routeDetail(key core.FlowKey, scope string) telemetry.DropDetail {
 }
 
 // encapFrame encapsulates one frame that travels alone — traced, or too
-// long for a record train — for a link. Untraced frames go through the
-// link's prebuilt header template: one memcpy plus fixed-offset patches
-// per fragment. A traced frame's context rides the wire in every
-// fragment's trace extension, which the template deliberately omits, so
-// its header prefix is marshalled for it; the fragment loop and the wire
-// bytes are otherwise the same.
-// On a tenant-bound link every fragment is sealed under the tenant's
-// key. The caller releases the packet.
+// long for a record train — for a link, through the link's header
+// template (bridge.EncapsulateFor): a traced frame's header carries its
+// trace extension as well. On a tenant-bound link the datagrams come back
+// in the clear, for the link's sender to seal (flush). The caller
+// releases the packet.
 func (n *Node) encapFrame(lk *link, f *ethernet.Frame, budget int) (*bridge.EncapPacket, error) {
-	var pkt *bridge.EncapPacket
-	var err error
-	if id := n.nextID.Add(1); f.Tag == 0 {
-		pkt, err = n.encap.EncapsulateTemplate(f, id, budget, lk.tmpl, lk.sealer)
-	} else {
-		pkt, err = n.encap.EncapsulateSealed(f, id, budget, n.traceExt(f.Tag), lk.sealer)
-	}
+	pkt, err := n.encap.EncapsulateFor(f, n.nextID.Add(1), budget, lk.tmpl, n.traceExt(f.Tag))
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,14 @@
 // dispatch (Sect. 4.3, Table 1). Every link has one batch and one sender
 // goroutine, the live adaptive dispatcher: a Send encodes its frame into
 // the link's pending batch under the combiner's lock (add) and wakes the
-// sender if it is idle, and the sender swaps that batch out and puts it on
-// the wire (flush) until nothing is pending. So a lone frame leaves alone
-// and a loaded link's frames leave together, as one record train cut into
-// equal datagrams that cross the kernel as one UDP_SEGMENT message
-// (bridge/aggregate.go) — the mode follows load per flush, with no rate
-// estimate and nothing to tune. A Send never waits: a frame that finds
-// txRing frames pending is dropped on tx_ring. Every frame is encoded
-// before its Send returns.
+// sender if it is idle, and the sender swaps that batch out, seals it on
+// a tenant link and puts it on the wire (flush) until nothing is pending.
+// So a lone frame leaves alone and a loaded link's frames leave together,
+// as one record train cut into equal datagrams that cross the kernel as
+// one UDP_SEGMENT message (bridge/aggregate.go) — the mode follows load
+// per flush, with no rate estimate and nothing to tune. A Send never
+// waits: a frame that finds txRing frames pending is dropped on tx_ring.
+// Every frame is encoded before its Send returns.
 
 package overlay
 
@@ -28,12 +28,12 @@ import (
 
 // txScratch is one batch being built and sent, in add order: the
 // transport it is encoded for, the open record train, the trains cut and
-// the pooled packets of frames that travel alone, their datagrams, and a
-// mark per frame. Reused across batches — trains[:cut] are this batch's,
-// and every one keeps its buffer — it keeps the steady state
-// allocation-free. born is the batch's one timestamp (Node.mono), taken
-// when its first sampled frame was added: every TX latency sample the
-// batch takes is valued from it.
+// the pooled packets of frames that travel alone, their datagrams (in the
+// clear until the flush), and a mark per frame. Reused across batches —
+// trains[:cut] are this batch's, and every one keeps its buffer — it keeps
+// the steady state allocation-free. born is the batch's one timestamp
+// (Node.mono), taken when its first sampled frame was added: every TX
+// latency sample the batch takes is valued from it.
 type txScratch struct {
 	tr      *linkTransport // loaded at the batch's first frame
 	room    int            // the longest train one UDP_SEGMENT message carries at tr's budget
@@ -164,7 +164,7 @@ func (n *Node) txLoop(inst *supervise.Instance, lk *link) {
 				c.mu.Unlock()
 				break
 			}
-			flying = n.swap(lk, c)
+			flying = c.swap()
 			c.mu.Unlock()
 			n.flush(lk, flying)
 			flying = nil
@@ -238,24 +238,31 @@ func (n *Node) add(lk *link, s *txScratch, f *ethernet.Frame, sample bool) error
 	}
 	s.pkts = append(s.pkts, pkt)
 	s.frames = append(s.frames, mark)
-	n.queue(lk, s, pkt.Datagrams, 1)
+	n.queue(s, pkt.Datagrams, 1)
 	return nil
 }
 
-// flush puts a batch on the wire and empties it: cut the open train,
-// transmit, count, release. A frame is sent iff the transport confirmed
-// its last datagram (a train's frames share the fate of its last) and only
-// then gets encap_sent, its TX latency sample and the wire_tx hop; every
-// other frame lands on tx_error. The flush reads the clock once: each
-// sampled frame sent is one sample valued at the wait of the batch's
-// oldest (born) — an upper bound on its own, and exact for a frame that
-// leaves alone. vnetp_tx_batch_size takes the frames the transmit
-// carried.
+// flush puts a batch on the wire and empties it: cut the open train, seal
+// on a tenant link (in transmit order, by the link's one flush, so nonce
+// order is wire order), transmit, count, release. A frame is sent iff the
+// transport confirmed its last datagram (a train's frames share the fate
+// of its last) and only then gets encap_sent, its TX latency sample and
+// the wire_tx hop; every other frame lands on tx_error. The flush reads
+// the clock once: each sampled frame sent is one sample valued at the wait
+// of the batch's oldest (born) — an upper bound on its own, and exact for
+// a frame that leaves alone. vnetp_tx_batch_size takes the frames the
+// transmit carried.
 func (n *Node) flush(lk *link, s *txScratch) {
 	if len(s.frames) == 0 {
 		return
 	}
 	n.closeTrain(lk, s)
+	if lk.sealer != nil {
+		for _, d := range s.dgs {
+			bridge.SealDatagram(d, lk.sealer)
+		}
+		n.metrics.sealSealed.Add(uint64(len(s.dgs)))
+	}
 	confirmed, _ := n.transmit(lk, s.tr, s.dgs) // the error's frames land on tx_error below
 	sent := len(s.frames)
 	for sent > 0 && s.frames[sent-1].last >= confirmed {
@@ -285,8 +292,8 @@ func (n *Node) flush(lk *link, s *txScratch) {
 
 // combiner is a link's one batch, the live twin of the simulator's
 // Iface.txBusy: one flush on the wire at a time. Every Send encodes its
-// frame into the pending batch under mu, so encode (and nonce) order is
-// wire order. The link's sender swaps the pending batch out under mu,
+// frame into the pending batch under mu, so encode order is wire order.
+// The link's sender swaps the pending batch out under mu, seals and
 // flushes it outside, and repeats until nothing is pending. cond.L must
 // be set to &mu before use.
 type combiner struct {
@@ -312,14 +319,9 @@ func (c *combiner) depth() int {
 }
 
 // swap takes the pending batch out for the sender to flush, under c.mu.
-// On a sealed link it cuts and seals the open train first, so nonces are
-// drawn in wire order; a plaintext train is cut by the flush, outside the
-// lock, which keeps the lock's hold short.
-func (n *Node) swap(lk *link, c *combiner) *txScratch {
+// Its open train is cut by the flush, outside the lock.
+func (c *combiner) swap() *txScratch {
 	b := c.pending()
-	if lk.sealer != nil {
-		n.closeTrain(lk, b)
-	}
 	c.cur ^= 1
 	c.sending = true
 	return b
@@ -361,8 +363,8 @@ func (n *Node) transmit(lk *link, tr *linkTransport, dgs [][]byte) (confirmed in
 }
 
 // closeTrain cuts the batch's open train, if there is one, into
-// datagrams of the transport's budget — each sealed under a nonce of its
-// own on a tenant link — and queues them behind those already encoded.
+// datagrams of the transport's budget — in the clear, for the flush to
+// seal on a tenant link — and queues them behind those already encoded.
 func (n *Node) closeTrain(lk *link, s *txScratch) {
 	frames := s.agg.Count()
 	if frames == 0 {
@@ -373,22 +375,18 @@ func (n *Node) closeTrain(lk *link, s *txScratch) {
 	}
 	p := &s.trains[s.cut]
 	s.cut++
-	p.CutTrain(&s.agg, n.nextID.Add(1), s.tr.budget, lk.tmpl, lk.sealer)
+	p.CutTrain(&s.agg, n.nextID.Add(1), s.tr.budget, lk.tmpl)
 	s.agg.Reset()
-	n.queue(lk, s, p.Datagrams, frames)
+	n.queue(s, p.Datagrams, frames)
 }
 
 // queue puts encoded datagrams behind what s holds: the last frames
-// frames added are sent iff the last datagram is. They are counted here:
-// vnetp_tx_datagram_frames takes 0 for each but the last, which completes
-// the frames, and on a tenant link each was sealed.
-func (n *Node) queue(lk *link, s *txScratch, dgs [][]byte, frames int) {
+// frames added are sent iff the last datagram is. vnetp_tx_datagram_frames
+// counts them here: 0 for each but the last, which completes the frames.
+func (n *Node) queue(s *txScratch, dgs [][]byte, frames int) {
 	s.dgs = append(s.dgs, dgs...)
 	for i := len(s.frames) - frames; i < len(s.frames); i++ {
 		s.frames[i].last = len(s.dgs) - 1
-	}
-	if lk.sealer != nil {
-		n.metrics.sealSealed.Add(uint64(len(dgs)))
 	}
 	n.metrics.txDatagramFrames.ObserveN(0, uint64(len(dgs)-1))
 	n.metrics.txDatagramFrames.Observe(float64(frames))
